@@ -6,20 +6,21 @@
 //!   every corner directly, every iteration; vs
 //! * `batched` — the spectral pipeline: per-ω calibration compiled
 //!   **once** (outside the timed loop, where a real run pays it once per
-//!   design), then per iteration one nominal factorisation and one
-//!   batched preconditioned-iterative lockstep sweep per wavelength,
-//!   with the workspace's per-ω slots keeping all three stencil caches
-//!   and nominal factors resident.
+//!   design), then per iteration one nominal factorisation per
+//!   wavelength and one fused preconditioned-iterative lockstep batch
+//!   over the whole (corner × ω) product
+//!   ([`CompiledProblem::evaluate_corner_product`]), with the
+//!   workspace's per-ω slots keeping all three stencil caches and
+//!   nominal factors resident.
 //!
 //! `scripts/bench.sh` extracts the two medians into `BENCH_solver.json`
 //! as `spectral_batch_speedup` and gates the ratio ≥ 2×.
 
 use boson_core::baselines::{levelset_param, standard_chain};
-use boson_core::compiled::{CompiledProblem, CornerProductSolve, CornerSetSolve, EvalScratch};
-use boson_core::fabchain::{assemble_eps, grad_eps_to_rho};
-use boson_core::objective::SpectralAggregation;
+use boson_core::compiled::{CompiledProblem, CornerProductSolve, EvalScratch};
+use boson_core::fabchain::assemble_eps;
 use boson_core::problem::bending;
-use boson_fab::{EtchProjection, SamplingStrategy, SpectralAxis, VariationSpace};
+use boson_fab::{SamplingStrategy, SpectralAxis, VariationSpace};
 use boson_fdfd::sim::SolverStrategy;
 use boson_num::Array2;
 use boson_param::Parameterization;
@@ -65,8 +66,19 @@ fn bench_broadband(c: &mut Criterion) {
             )
         })
         .collect();
-    let force_direct = vec![false; epss.len()];
     let omegas = axis.omegas(problem.omega);
+    // The ω-major (corner × ω) product over the same ε maps.
+    let nf = epss.len();
+    let product: Vec<Array2<f64>> = (0..WAVELENGTHS)
+        .flat_map(|_| epss.iter().cloned())
+        .collect();
+    let omega_idx: Vec<usize> = (0..WAVELENGTHS)
+        .flat_map(|oi| std::iter::repeat_n(oi, nf))
+        .collect();
+    let is_nominal: Vec<bool> = (0..WAVELENGTHS * nf)
+        .map(|ci| ci % nf == nominal_idx)
+        .collect();
+    let force_direct = vec![false; WAVELENGTHS * nf];
 
     let mut group = c.benchmark_group("broadband_27corner_3wl");
     group.sample_size(10);
@@ -79,22 +91,21 @@ fn bench_broadband(c: &mut Criterion) {
             // nominal operator, exactly like a real optimisation
             // iteration.
             epoch += 1;
-            let mut acc = 0.0;
-            for oi in 0..WAVELENGTHS {
-                let set = CornerSetSolve {
-                    strategy: SolverStrategy::preconditioned_iterative(),
-                    nominal_eps: &epss[nominal_idx],
-                    epoch,
-                    nominal_idx: Some(nominal_idx),
-                    force_direct: &force_direct,
-                    omega_idx: oi,
-                };
-                let evals = spectral
-                    .evaluate_corner_set(&epss, true, &spec, &mut scratch, &set)
-                    .expect("batched sweep failed");
-                acc += evals.iter().map(|e| e.objective).sum::<f64>();
-            }
-            black_box(acc)
+            let set = CornerProductSolve {
+                strategy: SolverStrategy::preconditioned_iterative(),
+                nominal_eps: &epss[nominal_idx],
+                epoch,
+                omega_idx: &omega_idx,
+                is_nominal: &is_nominal,
+                force_direct: &force_direct,
+                threads: 1,
+                skip_zero_weight_adjoints: None,
+                recycle: None,
+            };
+            let evals = spectral
+                .evaluate_corner_product(&product, true, &spec, &mut scratch, &set)
+                .expect("batched sweep failed");
+            black_box(evals.iter().map(|e| e.objective).sum::<f64>())
         })
     });
 
@@ -121,231 +132,9 @@ fn bench_broadband(c: &mut Criterion) {
     group.finish();
 }
 
-/// One full broadband worst-case robust-iteration fan-out — fabrication
-/// model, EM forwards + adjoints, chain backward, spectral aggregation —
-/// through the two spectral-sweep generations:
-///
-/// * `per_omega` — the pre-fusion production path: the (ω-independent)
-///   fabrication model runs per (corner, ω) product entry, the EM solves
-///   advance in one batch **per ω** (`evaluate_corner_set` × K), every
-///   entry's adjoints are solved (aggregation weights aren't known until
-///   after the sweep), and one fabrication VJP runs per product entry;
-/// * `fused` — the fused production path: one fabrication forward per
-///   fabrication corner, **one** lockstep (corner × ω) batch with
-///   per-column (per-ω) preconditioners, zero-weight adjoint solves
-///   dropped (the fused batch sees every forward objective before its
-///   adjoint phase), and one ω-folded fabrication VJP per corner.
-///
-/// `scripts/bench.sh` extracts the two medians into `BENCH_solver.json`
-/// as `fused_batch_speedup` and gates the ratio ≥ 1.2×.
-fn bench_fused(c: &mut Criterion) {
-    let problem = bending();
-    let axis = SpectralAxis::around(HALF_SPAN, WAVELENGTHS);
-    let spectral =
-        CompiledProblem::compile_spectral(problem.clone(), axis).expect("spectral compile failed");
-    let spec = problem.objective.clone();
-    let chain = standard_chain(&problem);
-    let space = VariationSpace {
-        spectral: axis,
-        ..VariationSpace::default()
-    };
-    let mut rng = StdRng::seed_from_u64(7);
-    let corners = space.corners(SamplingStrategy::CornerSweep, &mut rng);
-    let nf = corners.len();
-    let nominal_idx = corners
-        .iter()
-        .position(|c| !c.is_varied())
-        .expect("sweep includes the nominal corner");
-    let param = levelset_param(&problem, false);
-    let rho = param.forward(&param.theta_from_geometry(&problem.seed));
-    let etch = EtchProjection::new(10.0);
-    let agg = SpectralAggregation::WorstCase;
-    let (dr, dc) = problem.design_shape;
-    let w = 1.0 / nf as f64;
-    let force_direct = vec![false; nf];
-
-    let mut group = c.benchmark_group("fused_27corner_3wl");
-    group.sample_size(10);
-
-    group.bench_function("per_omega", |b| {
-        let mut scratch = EvalScratch::new();
-        let mut epoch = 0u64;
-        b.iter(|| {
-            epoch += 1;
-            // Fabrication model per product entry (PR 3 ran the chain
-            // once per (corner, ω) even though it is ω-independent).
-            let fwds: Vec<_> = (0..WAVELENGTHS)
-                .flat_map(|_| corners.iter())
-                .map(|c| chain.forward_with_etch(&rho, c, false, etch))
-                .collect();
-            let epss: Vec<Array2<f64>> = fwds
-                .iter()
-                .zip((0..WAVELENGTHS).flat_map(|_| corners.iter()))
-                .map(|(fwd, c)| {
-                    assemble_eps(
-                        &problem.background_solid,
-                        problem.design_origin,
-                        &fwd.rho_fab,
-                        c.temperature,
-                    )
-                })
-                .collect();
-            // One batched sweep per ω.
-            let mut evals = Vec::with_capacity(epss.len());
-            for oi in 0..WAVELENGTHS {
-                let set = CornerSetSolve {
-                    strategy: SolverStrategy::preconditioned_iterative(),
-                    nominal_eps: &epss[nominal_idx],
-                    epoch,
-                    nominal_idx: Some(nominal_idx),
-                    force_direct: &force_direct,
-                    omega_idx: oi,
-                };
-                evals.extend(
-                    spectral
-                        .evaluate_corner_set(
-                            &epss[oi * nf..(oi + 1) * nf],
-                            true,
-                            &spec,
-                            &mut scratch,
-                            &set,
-                        )
-                        .expect("per-ω sweep failed"),
-                );
-            }
-            // Chain backward per product entry, then the weighted sum.
-            let v_masks: Vec<Array2<f64>> = evals
-                .iter()
-                .enumerate()
-                .map(|(ci, ev)| {
-                    let v_rho = grad_eps_to_rho(
-                        ev.grad_eps.as_ref().expect("gradient requested"),
-                        problem.design_origin,
-                        problem.design_shape,
-                        corners[ci % nf].temperature,
-                    );
-                    chain.vjp_mask_with_etch(&fwds[ci], &v_rho, etch)
-                })
-                .collect();
-            let mut values = [0.0; WAVELENGTHS];
-            let mut sweights = [0.0; WAVELENGTHS];
-            let mut obj = 0.0;
-            let mut v_fab = Array2::<f64>::zeros(dr, dc);
-            for f in 0..nf {
-                for oi in 0..WAVELENGTHS {
-                    values[oi] = evals[oi * nf + f].objective;
-                }
-                obj += w * agg.aggregate(&values);
-                agg.weights_into(&values, &mut sweights);
-                for oi in 0..WAVELENGTHS {
-                    let wk = w * sweights[oi];
-                    if wk != 0.0 {
-                        for (dst, src) in v_fab
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(v_masks[oi * nf + f].as_slice())
-                        {
-                            *dst += wk * src;
-                        }
-                    }
-                }
-            }
-            black_box(obj + v_fab[(0, 0)])
-        })
-    });
-
-    group.bench_function("fused", |b| {
-        let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
-        let omega_idx: Vec<usize> = (0..WAVELENGTHS)
-            .flat_map(|oi| std::iter::repeat_n(oi, nf))
-            .collect();
-        let is_nominal: Vec<bool> = (0..WAVELENGTHS)
-            .flat_map(|_| (0..nf).map(|f| f == nominal_idx))
-            .collect();
-        let fab_idx: Vec<usize> = (0..WAVELENGTHS * nf).map(|ci| ci % nf).collect();
-        let force_direct_prod = vec![false; WAVELENGTHS * nf];
-        let mut scratch = EvalScratch::new();
-        let mut epoch = 0u64;
-        b.iter(|| {
-            epoch += 1;
-            // Fabrication model once per fabrication corner.
-            let fwds: Vec<_> = corners
-                .iter()
-                .map(|c| chain.forward_with_etch(&rho, c, false, etch))
-                .collect();
-            let epss_fab: Vec<Array2<f64>> = fwds
-                .iter()
-                .zip(&corners)
-                .map(|(fwd, c)| {
-                    assemble_eps(
-                        &problem.background_solid,
-                        problem.design_origin,
-                        &fwd.rho_fab,
-                        c.temperature,
-                    )
-                })
-                .collect();
-            let epss: Vec<Array2<f64>> = (0..WAVELENGTHS)
-                .flat_map(|_| epss_fab.iter().cloned())
-                .collect();
-            // ONE fused lockstep batch for the whole cross product.
-            let set = CornerProductSolve {
-                strategy: SolverStrategy::preconditioned_iterative(),
-                nominal_eps: &epss_fab[nominal_idx],
-                epoch,
-                omega_idx: &omega_idx,
-                is_nominal: &is_nominal,
-                force_direct: &force_direct_prod,
-                threads,
-                skip_zero_weight_adjoints: Some((agg, &fab_idx)),
-                recycle: None,
-            };
-            let evals = spectral
-                .evaluate_corner_product(&epss, true, &spec, &mut scratch, &set)
-                .expect("fused sweep failed");
-            // ω-folded chain backward: one VJP per fabrication corner.
-            let mut values = [0.0; WAVELENGTHS];
-            let mut sweights = [0.0; WAVELENGTHS];
-            let mut obj = 0.0;
-            let mut v_fab = Array2::<f64>::zeros(dr, dc);
-            for f in 0..nf {
-                for oi in 0..WAVELENGTHS {
-                    values[oi] = evals[oi * nf + f].objective;
-                }
-                obj += w * agg.aggregate(&values);
-                agg.weights_into(&values, &mut sweights);
-                let mut seed = Array2::<f64>::zeros(dr, dc);
-                for oi in 0..WAVELENGTHS {
-                    let wk = sweights[oi];
-                    if wk != 0.0 {
-                        let v_rho = grad_eps_to_rho(
-                            evals[oi * nf + f]
-                                .grad_eps
-                                .as_ref()
-                                .expect("weighted entry carries a gradient"),
-                            problem.design_origin,
-                            problem.design_shape,
-                            corners[f].temperature,
-                        );
-                        for (dst, src) in seed.as_mut_slice().iter_mut().zip(v_rho.as_slice()) {
-                            *dst += wk * src;
-                        }
-                    }
-                }
-                let v_mask = chain.vjp_mask_with_etch(&fwds[f], &seed, etch);
-                for (dst, src) in v_fab.as_mut_slice().iter_mut().zip(v_mask.as_slice()) {
-                    *dst += w * src;
-                }
-            }
-            black_box(obj + v_fab[(0, 0)])
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_broadband, bench_fused
+    targets = bench_broadband
 }
 criterion_main!(benches);

@@ -18,8 +18,7 @@
 //! one adjoint per forward: the adaptive saving is purely the column
 //! count (81 → 27 forwards *and* adjoints). (Under `WorstCase` the full
 //! sweep already drops the zero-weight ⅔ of its adjoints, so the
-//! subspace saving there is forwards-only — real, but smaller; the
-//! `fused_27corner_3wl` bench covers that regime.)
+//! subspace saving there is forwards-only — real, but smaller.)
 //!
 //! `scripts/bench.sh` extracts the two medians into `BENCH_solver.json`
 //! as `subspace_speedup` and gates the ratio ≥ 1.5×.

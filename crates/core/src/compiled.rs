@@ -34,6 +34,7 @@ use boson_fdfd::sim::{
 use boson_fdfd::source::ModalSource;
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
+use boson_num::pool::{self, DisjointSlots};
 use boson_num::{Array2, Complex64};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -85,39 +86,19 @@ pub struct CornerSolve<'a> {
     pub omega_idx: usize,
 }
 
-/// Directions for evaluating a whole corner set in one batched sweep
-/// (see [`CompiledProblem::evaluate_corner_set`]). All corners of one set
-/// share a wavelength; a broadband iteration runs one set per ω.
-#[derive(Debug, Clone, Copy)]
-pub struct CornerSetSolve<'a> {
-    /// Iterative strategy for the sweep — the tolerance/budget pair plus
-    /// whether the preconditioner is the banded nominal factor or the
-    /// multigrid hierarchy ([`SolverStrategy::Direct`] is rejected).
-    pub strategy: SolverStrategy,
-    /// Permittivity of the nominal corner this epoch.
-    pub nominal_eps: &'a Array2<f64>,
-    /// Token identifying the nominal operator (typically the iteration).
-    pub epoch: u64,
-    /// Index of the nominal corner within the set, if present.
-    pub nominal_idx: Option<usize>,
-    /// Per-corner cached policy decisions: `true` pins a corner to the
-    /// direct path.
-    pub force_direct: &'a [bool],
-    /// Index of this set's wavelength in the compiled spectral axis
-    /// (`0` for single-ω problems).
-    pub omega_idx: usize,
-}
-
 /// Directions for evaluating the whole (fabrication corner × ω) cross
-/// product in **one** fused lockstep batch (see
+/// product — or any ω-major subset of it — in one call (see
 /// [`CompiledProblem::evaluate_corner_product`]). Entries are flat over
 /// the product; per-entry slices name each corner's wavelength, its
 /// group-nominal status and its cached policy decision.
 #[derive(Debug, Clone, Copy)]
 pub struct CornerProductSolve<'a> {
-    /// Iterative strategy for the fused batch — the tolerance/budget pair
-    /// plus whether the preconditioner is the banded nominal factor or
-    /// the multigrid hierarchy ([`SolverStrategy::Direct`] is rejected).
+    /// Solver strategy. [`SolverStrategy::Direct`] factors every column
+    /// on its own, fanned out across `threads` lanes. The iterative
+    /// strategies advance every non-nominal, non-pinned column through
+    /// one fused lockstep batch; the tolerance/budget pair and the
+    /// preconditioner (banded nominal factor or multigrid hierarchy) come
+    /// from the strategy.
     pub strategy: SolverStrategy,
     /// Permittivity of the nominal corner this epoch (ω-independent).
     pub nominal_eps: &'a Array2<f64>,
@@ -133,12 +114,17 @@ pub struct CornerProductSolve<'a> {
     /// Per-entry cached policy decisions: `true` pins a corner to the
     /// direct path.
     pub force_direct: &'a [bool],
-    /// Worker threads for splitting the packed preconditioner sweeps
-    /// (see [`boson_fdfd::sim::FUSED_SPLIT_MIN_COLS`]); ≤ 1 = serial.
+    /// Worker lanes of the process-wide pool; ≤ 1 = serial. Under
+    /// [`SolverStrategy::Direct`] the direct columns fan out over up to
+    /// `threads` lanes, each with its own solver workspace. Under the
+    /// iterative strategies the packed preconditioner sweeps split over
+    /// them (see [`boson_fdfd::sim::FUSED_SPLIT_MIN_COLS`]), while the
+    /// rare policy-pinned direct columns stay on the caller's workspace.
     pub threads: usize,
     /// When `Some((agg, fab_idx))`, the adjoint phase exploits the one
-    /// structural advantage the fused product has over K per-ω sets: it
-    /// sees **every** forward objective before any adjoint solve, so it
+    /// structural advantage the fused product has over K single-ω
+    /// batches: it sees **every** forward objective before any adjoint
+    /// solve, so it
     /// can evaluate `agg`'s exact gradient weights per fabrication corner
     /// (`fab_idx[ci]` names each entry's corner; entries of one corner
     /// must appear in ascending-ω order, as in the ω-major product) and
@@ -149,18 +135,14 @@ pub struct CornerProductSolve<'a> {
     /// objective; callers weight gradients by the same `agg`, so the
     /// results are identical to computing and discarding them). Entries
     /// evaluated outside the batch (nominal, policy-pinned, fallbacks)
-    /// always carry full gradients.
+    /// always carry full gradients — under [`SolverStrategy::Direct`],
+    /// every entry.
     ///
-    /// One deliberate behavioural difference from the per-ω schedule: a
-    /// zero-weight entry whose (unused) adjoint solve *would have*
-    /// missed its budget no longer misses — so it is not re-evaluated
-    /// directly and the caller's adaptive policy does not pin its
-    /// corner. That is strictly better (pinning a corner over a
-    /// gradient that cannot reach the objective wastes factorisations),
-    /// but it means fused ↔ per-ω runs are guaranteed bit-identical
-    /// only when no adjoint-only budget miss lands on a zero-weight
-    /// entry (forward-phase misses, the common case, behave
-    /// identically in both schedules).
+    /// A zero-weight entry whose (unused) adjoint solve *would have*
+    /// missed its budget therefore never misses — so it is not
+    /// re-evaluated directly and the caller's adaptive policy does not
+    /// pin its corner (pinning a corner over a gradient that cannot
+    /// reach the objective would waste factorisations).
     pub skip_zero_weight_adjoints: Option<(SpectralAggregation, &'a [usize])>,
     /// When `Some(keys)`, cross-iteration Krylov recycling is armed for
     /// this sweep: `keys[ci]` is entry `ci`'s **stable** identity across
@@ -293,6 +275,10 @@ pub struct EvalScratch {
     recycle_directions: usize,
     /// Epoch-gap tolerance stamped on every store.
     recycle_max_age: u64,
+    /// Scratches of pool lanes `1..` for the direct columns of
+    /// [`CompiledProblem::evaluate_corner_product`] (lane 0 is the
+    /// caller's scratch); built on first use.
+    lanes: Vec<EvalScratch>,
 }
 
 /// One wavelength's warm-start snapshot (see [`EvalScratch::warm`]).
@@ -848,264 +834,29 @@ impl CompiledProblem {
         })
     }
 
-    /// Evaluates a whole variation-corner set under the preconditioned
-    /// iterative strategy, advancing **all** corners' solves in one
-    /// lockstep batch against the shared nominal factor.
+    /// Evaluates the whole (fabrication corner × ω) cross product — the
+    /// one multi-column evaluator behind every [`SolverStrategy`].
     ///
-    /// This is the fast path behind the corner-sweep speedup: the
-    /// preconditioner's triangular sweeps are memory-bound on the factor
-    /// image, so sweeping the packed active columns of every corner at
-    /// once amortises that traffic across the whole set, and the nominal
-    /// corner's forward/adjoint solutions warm-start every other corner.
-    /// Corners whose iteration misses its budget (and corners pinned by
-    /// `force_direct`) are evaluated through the direct path instead —
-    /// bit-identical to [`SolverStrategy::Direct`] — and flagged in their
-    /// [`Evaluation::solve`] so the caller's adaptive policy can pin
-    /// them.
+    /// Under [`SolverStrategy::Direct`] every column is a plain direct
+    /// factor-and-solve, and the columns fan out over up to `set.threads`
+    /// lanes of the process-wide `boson_num::pool`, each lane with its
+    /// own [`EvalScratch`] (lane 0 is `scratch`; the others live inside
+    /// it and are built on first use). Columns are independent, so any
+    /// lane count is bit-identical.
     ///
-    /// Returns one [`Evaluation`] per entry of `epss`, in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if a required factorisation fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epss` and `set.force_direct` disagree in length, or if
-    /// `set.nominal_idx` is out of range.
-    pub fn evaluate_corner_set(
-        &self,
-        epss: &[Array2<f64>],
-        with_grad: bool,
-        spec: &crate::objective::ObjectiveSpec,
-        scratch: &mut EvalScratch,
-        set: &CornerSetSolve<'_>,
-    ) -> Result<Vec<Evaluation>, SingularMatrixError> {
-        let grid = self.problem.grid;
-        let n = grid.n();
-        let cal = &self.cals[set.omega_idx];
-        let nexc = cal.sources.len();
-        let count = epss.len();
-        assert_eq!(set.force_direct.len(), count, "policy flag count mismatch");
-        let strategy = set.strategy;
-        assert!(
-            strategy.iterative_params().is_some(),
-            "batched corner sets require an iterative strategy"
-        );
-        let mut evals: Vec<Option<Evaluation>> = (0..count).map(|_| None).collect();
-
-        // The nominal corner first: it refreshes the shared factor and
-        // snapshots the warm-start fields for everyone else.
-        if let Some(ni) = set.nominal_idx {
-            let cs = CornerSolve {
-                strategy,
-                nominal_eps: set.nominal_eps,
-                epoch: set.epoch,
-                is_nominal: true,
-                force_direct: false,
-                omega_idx: set.omega_idx,
-            };
-            evals[ni] =
-                Some(self.evaluate_eps_corner(&epss[ni], with_grad, spec, scratch, Some(&cs))?);
-        }
-        // Corners the adaptive policy has pinned to the direct path.
-        for ci in 0..count {
-            if evals[ci].is_some() || !set.force_direct[ci] {
-                continue;
-            }
-            let cs = CornerSolve {
-                strategy,
-                nominal_eps: set.nominal_eps,
-                epoch: set.epoch,
-                is_nominal: false,
-                force_direct: true,
-                omega_idx: set.omega_idx,
-            };
-            evals[ci] =
-                Some(self.evaluate_eps_corner(&epss[ci], with_grad, spec, scratch, Some(&cs))?);
-        }
-
-        // Everything else advances in one lockstep batch.
-        let batched: Vec<usize> = (0..count).filter(|ci| evals[*ci].is_none()).collect();
-        if !batched.is_empty() {
-            let extra_factorizations =
-                scratch
-                    .sim
-                    .batch_begin(grid, cal.omega, set.nominal_eps, set.epoch, strategy)?;
-            for &ci in &batched {
-                scratch.sim.batch_push(&epss[ci]);
-            }
-            // The forward RHS is corner-independent: build it once and
-            // replicate per corner.
-            scratch.base_rhs.clear();
-            scratch.base_rhs.resize(n * nexc, Complex64::ZERO);
-            {
-                let (jz, base) = (&mut scratch.jz, &mut scratch.base_rhs);
-                forward_rhs_into(cal, &grid, scratch.sim.sfactors(), jz, base);
-            }
-            let bl = n * nexc; // block length per corner
-            let bcols = batched.len() * bl;
-            scratch.batch_rhs.clear();
-            scratch.batch_rhs.resize(bcols, Complex64::ZERO);
-            scratch.batch_x.clear();
-            scratch.batch_x.resize(bcols, Complex64::ZERO);
-            let warm = set.nominal_idx.is_some()
-                && with_grad
-                && scratch
-                    .warm
-                    .get(set.omega_idx)
-                    .is_some_and(|w| w.valid_for(set.epoch));
-            for slot in 0..batched.len() {
-                scratch.batch_rhs[slot * bl..(slot + 1) * bl].copy_from_slice(&scratch.base_rhs);
-                if warm {
-                    scratch.batch_x[slot * bl..(slot + 1) * bl]
-                        .copy_from_slice(&scratch.warm[set.omega_idx].fields);
-                }
-            }
-            {
-                let (sim, rhs, x) = (&mut scratch.sim, &scratch.batch_rhs, &mut scratch.batch_x);
-                sim.batch_solve(rhs, x, nexc, warm);
-            }
-
-            // Forward-phase budget misses re-evaluate directly.
-            let forward_reports = scratch.sim.batch_reports().to_vec();
-            for (slot, &ci) in batched.iter().enumerate() {
-                if !forward_reports[slot].converged {
-                    evals[ci] = Some(self.fallback_eval(
-                        &epss[ci],
-                        with_grad,
-                        spec,
-                        scratch,
-                        set.strategy,
-                        set.nominal_eps,
-                        set.epoch,
-                        set.omega_idx,
-                        &forward_reports[slot],
-                    )?);
-                }
-            }
-
-            // Readings + adjoint phase for the surviving corners.
-            let mut partials: Vec<(usize, usize, Readings, f64, f64)> = Vec::new();
-            scratch.batch_adj.clear();
-            scratch.batch_adj.resize(bcols, Complex64::ZERO);
-            for (slot, &ci) in batched.iter().enumerate() {
-                if evals[ci].is_some() {
-                    continue; // fell back; its adjoint columns stay zero
-                }
-                let fields = &scratch.batch_x[slot * bl..(slot + 1) * bl];
-                let readings = readings_from_fields(cal, n, fields);
-                let objective = spec.objective(&readings);
-                let fom = spec.fom(&readings);
-                if with_grad {
-                    let dr = self.reading_grads(spec, set.omega_idx, &readings);
-                    let adj = &mut scratch.batch_adj[slot * bl..(slot + 1) * bl];
-                    adjoint_sources_into(cal, n, &dr, fields, adj, &mut scratch.adj_active);
-                }
-                partials.push((slot, ci, readings, objective, fom));
-            }
-
-            if with_grad {
-                scratch.batch_adj_x.clear();
-                scratch.batch_adj_x.resize(bcols, Complex64::ZERO);
-                if warm {
-                    for &(slot, _, _, _, _) in &partials {
-                        scratch.batch_adj_x[slot * bl..(slot + 1) * bl]
-                            .copy_from_slice(&scratch.warm[set.omega_idx].adj);
-                    }
-                }
-                {
-                    let (sim, rhs, x) = (
-                        &mut scratch.sim,
-                        &scratch.batch_adj,
-                        &mut scratch.batch_adj_x,
-                    );
-                    sim.batch_solve(rhs, x, nexc, warm);
-                }
-            }
-            let merged_reports = scratch.sim.batch_reports().to_vec();
-
-            for (slot, ci, readings, objective, fom) in partials {
-                let report = &merged_reports[slot];
-                if !report.converged {
-                    // Adjoint-phase budget miss: full direct re-evaluation.
-                    evals[ci] = Some(self.fallback_eval(
-                        &epss[ci],
-                        with_grad,
-                        spec,
-                        scratch,
-                        set.strategy,
-                        set.nominal_eps,
-                        set.epoch,
-                        set.omega_idx,
-                        report,
-                    )?);
-                    continue;
-                }
-                let grad_eps = if with_grad {
-                    let mut total = Array2::zeros(grid.ny, grid.nx);
-                    let fields = &scratch.batch_x[slot * bl..(slot + 1) * bl];
-                    let lambdas = &scratch.batch_adj_x[slot * bl..(slot + 1) * bl];
-                    for ei in 0..nexc {
-                        // Inactive excitations solved λ = 0 exactly and
-                        // contribute nothing.
-                        scratch.sim.grad_eps_accumulate(
-                            &fields[ei * n..(ei + 1) * n],
-                            &lambdas[ei * n..(ei + 1) * n],
-                            &mut total,
-                        );
-                    }
-                    Some(total)
-                } else {
-                    None
-                };
-                let mut solve = report.clone();
-                solve.factorizations = 0;
-                evals[ci] = Some(Evaluation {
-                    readings,
-                    objective,
-                    fom,
-                    grad_eps,
-                    factorizations: 0,
-                    solve,
-                });
-            }
-
-            // Attribute a nominal refresh performed by `batch_begin`
-            // (only possible when the set has no nominal corner) to the
-            // first batched evaluation.
-            if extra_factorizations > 0 {
-                if let Some(ev) = evals[batched[0]].as_mut() {
-                    ev.factorizations += extra_factorizations;
-                    ev.solve.factorizations += extra_factorizations;
-                }
-            }
-        }
-
-        Ok(evals
-            .into_iter()
-            .map(|e| e.expect("every corner evaluated"))
-            .collect())
-    }
-
-    /// Evaluates the whole (fabrication corner × ω) cross product under
-    /// the preconditioned iterative strategy, advancing **all** non-direct
-    /// columns — every corner of every wavelength, forwards and then
-    /// adjoints — through **one** fused lockstep batch, each column
-    /// preconditioned by its own ω's nominal factor and stencil-applied
-    /// through its own ω's couplings.
-    ///
-    /// This is the cross-ω generalisation of
-    /// [`CompiledProblem::evaluate_corner_set`] (one batch per iteration
-    /// instead of one per ω): per-column arithmetic is identical, so the
-    /// fused product is **bit-identical** to running K per-ω sets — and
-    /// when the packed column count is large enough, the fused
-    /// preconditioner sweeps split across `threads` lanes of the
-    /// process-wide `boson_num::pool` (bit-identical at any worker
-    /// count). Each ω's nominal corner is
-    /// evaluated first (refreshing that ω's factor and snapshotting its
-    /// warm starts), policy-pinned corners solve directly, and budget
-    /// misses fall back per (corner, ω) exactly like the per-ω path.
+    /// Under the iterative strategies each ω's nominal corner is
+    /// evaluated first on `scratch` (refreshing that ω's factor and
+    /// snapshotting its warm starts), policy-pinned columns solve
+    /// directly, and **all** remaining columns — every corner of every
+    /// wavelength, forwards and then adjoints — advance through **one**
+    /// fused lockstep batch, each column preconditioned by its own ω's
+    /// nominal factor and stencil-applied through its own ω's couplings.
+    /// When the packed column count is large enough, the fused
+    /// preconditioner sweeps split across `set.threads` lanes
+    /// (bit-identical at any worker count). Budget misses fall back to a
+    /// direct factorisation per (corner, ω), bit-identical to
+    /// [`SolverStrategy::Direct`], and are flagged in
+    /// [`Evaluation::solve`] so the caller's adaptive policy can pin them.
     ///
     /// Returns one [`Evaluation`] per entry of `epss`, in order.
     ///
@@ -1124,7 +875,8 @@ impl CompiledProblem {
     ///
     /// # Errors
     ///
-    /// Returns [`SingularMatrixError`] if a required factorisation fails.
+    /// Returns [`SingularMatrixError`] if a required factorisation fails
+    /// (among the direct columns, the first failing one in column order).
     ///
     /// # Panics
     ///
@@ -1146,16 +898,14 @@ impl CompiledProblem {
         assert_eq!(set.is_nominal.len(), count, "nominal flag count mismatch");
         assert_eq!(set.force_direct.len(), count, "policy flag count mismatch");
         let strategy = set.strategy;
-        assert!(
-            strategy.iterative_params().is_some(),
-            "fused corner products require an iterative strategy"
-        );
+        let all_direct = strategy.iterative_params().is_none();
         let mut evals: Vec<Option<Evaluation>> = (0..count).map(|_| None).collect();
 
-        // Each ω's nominal corner first: it refreshes that wavelength's
-        // shared factor and snapshots its warm-start fields.
+        // Iterative strategies: each ω's nominal corner first — it
+        // refreshes that wavelength's shared factor and snapshots its
+        // warm-start fields.
         for ci in 0..count {
-            if !set.is_nominal[ci] {
+            if all_direct || !set.is_nominal[ci] {
                 continue;
             }
             let cs = CornerSolve {
@@ -1169,21 +919,18 @@ impl CompiledProblem {
             evals[ci] =
                 Some(self.evaluate_eps_corner(&epss[ci], with_grad, spec, scratch, Some(&cs))?);
         }
-        // Corners the adaptive policy has pinned to the direct path.
-        for ci in 0..count {
-            if evals[ci].is_some() || !set.force_direct[ci] {
-                continue;
-            }
-            let cs = CornerSolve {
-                strategy,
-                nominal_eps: set.nominal_eps,
-                epoch: set.epoch,
-                is_nominal: false,
-                force_direct: true,
-                omega_idx: set.omega_idx[ci],
-            };
-            evals[ci] =
-                Some(self.evaluate_eps_corner(&epss[ci], with_grad, spec, scratch, Some(&cs))?);
+        // Direct columns: all of them under `Direct`, fanned over
+        // `set.threads` lanes; the policy-pinned ones otherwise. Pinned
+        // columns are rare, so they stay on the caller's scratch rather
+        // than paying another lane workspace (a banded LU plus assembly).
+        let direct: Vec<usize> = (0..count)
+            .filter(|&ci| evals[ci].is_none() && (all_direct || set.force_direct[ci]))
+            .collect();
+        let lanes = if all_direct { set.threads } else { 1 };
+        let direct_evals =
+            self.evaluate_direct_columns(epss, &direct, with_grad, spec, scratch, set, lanes);
+        for (&ci, ev) in direct.iter().zip(direct_evals) {
+            evals[ci] = Some(ev?);
         }
 
         // Everything else — all remaining (corner, ω) pairs — advances in
@@ -1591,12 +1338,75 @@ impl CompiledProblem {
             .collect())
     }
 
+    /// Evaluates the `cols` entries of `epss` as plain direct
+    /// factor-and-solves, one pool part per column on up to `lanes`
+    /// lanes. Lane 0 runs on `scratch`, lanes `1..` on the scratches kept
+    /// in its `lanes` field (built on first use, then reused). Every
+    /// column is independent, so the lane count never changes a result.
+    /// Results come back in `cols` order.
+    #[allow(clippy::too_many_arguments)] // the product call's context, passed through
+    fn evaluate_direct_columns(
+        &self,
+        epss: &[Array2<f64>],
+        cols: &[usize],
+        with_grad: bool,
+        spec: &crate::objective::ObjectiveSpec,
+        scratch: &mut EvalScratch,
+        set: &CornerProductSolve<'_>,
+        lanes: usize,
+    ) -> Vec<Result<Evaluation, SingularMatrixError>> {
+        let pool = pool::global();
+        let lanes = lanes.min(cols.len()).min(pool.lanes()).max(1);
+        let mut extra = std::mem::take(&mut scratch.lanes);
+        if extra.len() < lanes - 1 {
+            extra.resize_with(lanes - 1, EvalScratch::new);
+        }
+        let mut out: Vec<Option<Result<Evaluation, SingularMatrixError>>> =
+            (0..cols.len()).map(|_| None).collect();
+        {
+            let mut lane_scratch: Vec<&mut EvalScratch> = std::iter::once(&mut *scratch)
+                .chain(extra.iter_mut())
+                .take(lanes)
+                .collect();
+            let scratches = DisjointSlots::new(&mut lane_scratch);
+            let outs = DisjointSlots::new(&mut out);
+            pool.run(cols.len(), lanes, &|lane, part| {
+                let ci = cols[part];
+                let cs = CornerSolve {
+                    strategy: SolverStrategy::Direct,
+                    nominal_eps: set.nominal_eps,
+                    epoch: set.epoch,
+                    is_nominal: false,
+                    force_direct: false,
+                    omega_idx: set.omega_idx[ci],
+                };
+                // SAFETY: the pool runs every part exactly once, so output
+                // slot `part` has one writer, and it owns lane `lane` with
+                // exactly one OS thread per dispatch, so that lane's
+                // scratch is never aliased.
+                unsafe {
+                    let lane_scratch: &mut EvalScratch = scratches.get(lane);
+                    *outs.get(part) = Some(self.evaluate_eps_corner(
+                        &epss[ci],
+                        with_grad,
+                        spec,
+                        lane_scratch,
+                        Some(&cs),
+                    ));
+                }
+            });
+        }
+        scratch.lanes = extra;
+        out.into_iter()
+            .map(|ev| ev.expect("every direct column ran"))
+            .collect()
+    }
+
     /// Direct re-evaluation of a corner whose batched iteration missed
-    /// its budget (shared by the per-ω and fused sweeps — `omega_idx`
-    /// names the corner's own wavelength); the result is bit-identical to
-    /// the direct strategy and carries the failed attempt's statistics
-    /// with `fell_back` set.
-    #[allow(clippy::too_many_arguments)] // two sweep callers, one fallback
+    /// its budget (`omega_idx` names the corner's own wavelength); the
+    /// result is bit-identical to the direct strategy and carries the
+    /// failed attempt's statistics with `fell_back` set.
+    #[allow(clippy::too_many_arguments)] // the product call's context, passed through
     fn fallback_eval(
         &self,
         eps: &Array2<f64>,

@@ -23,6 +23,13 @@
 //! and re-raised on the thread calling [`WorkerPool::recv`] — matching
 //! the loud-failure behaviour of the generations this replaces (a
 //! silently hung run would otherwise be the failure mode).
+//!
+//! No library code calls [`WorkerPool`]: the runner's direct corner
+//! fan-out runs inside
+//! [`crate::compiled::CompiledProblem::evaluate_corner_product`], on
+//! `boson_num::pool` lanes with one `EvalScratch` each. The type stays
+//! because the end-to-end benchmark's layer-by-layer replay
+//! (`e2ebench/src/trace.rs`) builds against it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

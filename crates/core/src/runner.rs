@@ -6,42 +6,50 @@
 //! 2. draw the variation corners (axial set; plus a worst-case corner
 //!    from one gradient-ascent step on `(T, ξ)` at the nominal corner);
 //! 3. for every corner, run the fabrication model and the FDFD forward +
-//!    adjoint simulations *in parallel*, chaining the field gradient back
-//!    through etch → litho → `ρ`;
+//!    adjoint simulations, chaining the field gradient back through
+//!    etch → litho → `ρ`;
 //! 4. blend the fab-aware gradient with the unrestricted "tunnel"
 //!    gradient according to the relaxation schedule `p`;
 //! 5. back-propagate through the parameterisation and take an Adam step.
 //!
-//! Corner fan-out runs on a **persistent** [`WorkerPool`] whose worker
-//! closures are built once per run and execute on the process-lifetime
-//! `boson_num::pool` substrate: each worker owns an [`EvalScratch`] whose
-//! factor/solve buffers are reused across *all* corners of *all*
-//! iterations, so the steady-state solve path performs no heap allocation
-//! and no thread spawning at all (the pool is built once per process). The β
-//! sharpening schedule is threaded through as an explicit
-//! [`EtchProjection`] job parameter instead of mutating the shared
+//! Step 3 has one shape for every [`SolverStrategy`]: the (fabrication
+//! corner × ω) cross product — or the adaptive subspace scheduler's
+//! active part of it — goes through
+//! [`CompiledProblem::evaluate_corner_product`], and the results fold
+//! back to one outcome per live fabrication corner. Under
+//! [`SolverStrategy::Direct`] the direct columns, the fabrication
+//! forwards and the folded chain VJPs all fan out over `threads` lanes of
+//! the process-lifetime `boson_num::pool` substrate; under the iterative
+//! strategies the fused lockstep batch is the parallelism. Each lane
+//! keeps its own [`EvalScratch`] for the whole run, so the steady-state
+//! solve path allocates no solver buffers and spawns no threads. Every
+//! decomposition is per corner or per column, so any lane count is
+//! bit-identical. The β sharpening schedule is threaded through as an
+//! explicit [`EtchProjection`] parameter instead of mutating the shared
 //! [`FabChain`].
 //!
 //! Baselines reuse the same loop with features disabled (`fab_aware =
 //! false`, sparse objective, nominal-only sampling, random init …), which
 //! is exactly how the paper's ablation table is generated.
 
-use crate::compiled::{CompiledProblem, CornerSolve, EvalScratch, RecycleConfig};
-use crate::fabchain::{assemble_eps, grad_eps_to_rho, grad_temperature, FabChain};
+use crate::compiled::{
+    CompiledProblem, CornerProductSolve, CornerSolve, EvalScratch, Evaluation, RecycleConfig,
+};
+use crate::fabchain::{assemble_eps, grad_eps_to_rho, grad_temperature, FabChain, FabForward};
 use crate::objective::{ObjectiveSpec, Readings, SpectralAggregation};
 use crate::optimizer::{Adam, AdamConfig};
-use crate::pool::WorkerPool;
 use crate::schedule::{BetaSchedule, RelaxationSchedule};
 use crate::subspace::{ActiveSetRecord, SubspaceConfig, SubspaceScheduler, SweepPlan};
 use boson_fab::{EtchProjection, SamplingStrategy, VariationCorner, VariationSpace};
 use boson_fdfd::sim::SolverStrategy;
+use boson_num::pool::{self, DisjointSlots};
 use boson_num::Array2;
 use boson_param::Parameterization;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// How to initialise the latent variables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,8 +88,10 @@ pub struct RunnerConfig {
     pub init: InitKind,
     /// RNG seed (corner draws, random init).
     pub seed: u64,
-    /// Worker-thread budget for the parallel stages (direct corner
-    /// fan-out and the split fused preconditioner sweeps). Defaults to
+    /// Worker-lane budget for the parallel stages: under
+    /// [`SolverStrategy::Direct`] the direct columns, fabrication
+    /// forwards and chain VJPs of each iteration; under the iterative
+    /// strategies the split fused preconditioner sweeps. Defaults to
     /// the `BOSON_THREADS` environment override when set, 8 otherwise —
     /// an invalid `BOSON_THREADS` value fails **loudly** (panic at
     /// config construction) rather than silently running serial; see
@@ -100,17 +110,18 @@ pub struct RunnerConfig {
     /// when enabled, each robust iteration evaluates only the top-M
     /// importance-ranked (corner, ω) columns of the cross product, with
     /// periodic full-sweep refresh epochs. Disabled by default (every
-    /// iteration sweeps the full product). Requires the
-    /// preconditioned-iterative solver strategy — the partial product
-    /// rides the fused lockstep batch.
+    /// iteration sweeps the full product). Works under every solver
+    /// strategy: a partial product is just fewer columns for
+    /// [`CompiledProblem::evaluate_corner_product`].
     pub subspace: SubspaceConfig,
     /// Cross-iteration solver acceleration (see
     /// [`crate::compiled::RecycleConfig`]): per-(corner, ω) Krylov
     /// deflation stores recycled across epochs plus lagged
     /// drift-monitored nominal factors. Disabled by default —
     /// bit-identical to the eager pipeline. Only the
-    /// preconditioned-iterative strategies use it (the direct fan-out
-    /// has no shared factors and no iterative columns to recycle).
+    /// preconditioned-iterative strategies use it
+    /// ([`SolverStrategy::Direct`] has no shared factors and no iterative
+    /// columns to recycle).
     pub recycle: RecycleConfig,
 }
 
@@ -153,8 +164,7 @@ pub struct IterationRecord {
     /// Active-set telemetry of the adaptive corner-subspace scheduler:
     /// how many (corner, ω) columns this iteration evaluated, out of how
     /// many, and whether it was a full-sweep refresh epoch. `None` when
-    /// the scheduler is disabled (or the corner fan-out runs the direct
-    /// strategy, which always sweeps fully).
+    /// the scheduler is disabled (or the run is not fabrication-aware).
     pub active_set: Option<ActiveSetRecord>,
     /// Linear-system factorisations this iteration performed (nominal
     /// refreshes, direct corners, fallbacks, the free term). The
@@ -181,7 +191,8 @@ pub struct RunResult {
     pub factorizations: usize,
 }
 
-/// Per-corner evaluation output.
+/// One fabrication corner's evaluation, its wavelengths folded by the
+/// spectral aggregation.
 struct CornerOutcome {
     objective: f64,
     fom: f64,
@@ -198,22 +209,26 @@ struct CornerOutcome {
     bicgstab_solves: usize,
 }
 
-/// One unit of work for the corner pool. Owns (or `Arc`-shares) its data
-/// so the channels do not have to name per-iteration lifetimes; the
-/// handful of clones here are far off the solve path.
-struct CornerJob {
-    slot: usize,
-    rho: Arc<Array2<f64>>,
-    corner: VariationCorner,
-    etch: EtchProjection,
-    want_variation_grads: bool,
+/// One evaluated column's `(global column index, objective, spectral
+/// weight, gradient norm)` — the subspace scheduler's EMA feed.
+type Observation = (usize, f64, f64, f64);
+
+/// One iteration's corner sweep (see [`InverseDesigner::eval_sweep`]).
+struct Sweep {
+    /// One ω-folded outcome per live fabrication corner, in corner order.
+    outcomes: Vec<CornerOutcome>,
+    /// Position of the fabrication-nominal corner among `outcomes`.
+    nominal: usize,
+    /// The fabrication-nominal corner's permittivity: the operator the
+    /// iterative strategies precondition with this epoch.
+    nominal_eps: Array2<f64>,
 }
 
 /// The adaptive per-corner solver policy: corners whose iterative solve
 /// ever missed its budget are pinned to the direct path for the rest of
-/// the run. Shared (behind a mutex, far off the solve path) between the
-/// main thread and the pool workers so serial and threaded runs make the
-/// same decisions.
+/// the run. It is read before and updated after each sweep on the
+/// calling thread; the mutex (far off the solve path) keeps the designer
+/// shareable with the pool lanes that run the per-corner work.
 ///
 /// Decisions are cached only for *stable* corners — the axial/sweep
 /// excursions, whose label names the same perturbation every iteration.
@@ -262,11 +277,6 @@ pub struct InverseDesigner<'a, P: Parameterization + Sync> {
     config: RunnerConfig,
     objective: ObjectiveSpec,
     policy: CornerPolicy,
-    /// `true` (production default): the iterative strategy advances the
-    /// whole (corner × ω) product through one fused lockstep batch.
-    /// `false`: one batch per ω — the pre-fusion reference path, kept so
-    /// regression tests can assert the two are bit-identical.
-    fused_sweep: bool,
 }
 
 impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
@@ -310,22 +320,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             space.spectral.count,
             boson_fdfd::sim::MAX_OMEGA_SLOTS
         );
-        // The subspace scheduler's partial products ride the fused
-        // lockstep batch; the direct pool fan-out has no partial-product
-        // path, so refuse the combination up front rather than silently
-        // sweeping fully.
-        if config.subspace.is_enabled() {
-            assert!(
-                matches!(
-                    config.solver,
-                    SolverStrategy::PreconditionedIterative { .. }
-                        | SolverStrategy::MultigridIterative { .. }
-                ),
-                "the adaptive corner-subspace scheduler requires \
-                 SolverStrategy::PreconditionedIterative (partial products \
-                 ride the fused batched sweep)"
-            );
-        }
         let objective = if config.dense_objectives {
             compiled.problem().objective.clone()
         } else {
@@ -339,7 +333,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             config,
             objective,
             policy: CornerPolicy::default(),
-            fused_sweep: true,
         }
     }
 
@@ -358,25 +351,48 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         }
     }
 
-    /// Evaluates one corner: fabrication forward, EM forward + adjoint,
-    /// chain backward. `want_variation_grads` additionally produces
-    /// `(dT, dξ)` for the worst-case search. The etch projection of the
-    /// current β-schedule step is passed explicitly; `scratch` carries the
-    /// reusable solver buffers. Under the iterative solver strategy
-    /// `nominal_eps`/`epoch` identify the shared preconditioner and the
-    /// adaptive policy decides (and learns) whether this corner solves
-    /// iteratively or directly.
-    #[allow(clippy::too_many_arguments)] // one call site per fan-out path
+    /// Pool lanes for the per-corner work of a sweep: `threads` under the
+    /// direct strategy, one under the iterative strategies, whose fused
+    /// batch carries the parallelism.
+    fn lanes(&self) -> usize {
+        match self.config.solver {
+            SolverStrategy::Direct => self.config.threads.max(1),
+            SolverStrategy::PreconditionedIterative { .. }
+            | SolverStrategy::MultigridIterative { .. } => 1,
+        }
+    }
+
+    /// `f(i)` for every `i < n` on up to [`Self::lanes`] pool lanes,
+    /// collected in index order. One part per index, so any lane count
+    /// gives bit-identical results.
+    fn par_map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        {
+            let slots = DisjointSlots::new(&mut out);
+            pool::global().run(n, self.lanes(), &|_lane, i| {
+                let value = f(i);
+                // SAFETY: the pool runs every part exactly once, so slot
+                // `i` has exactly one writer.
+                unsafe { *slots.get(i) = Some(value) };
+            });
+        }
+        out.into_iter()
+            .map(|v| v.expect("every part ran"))
+            .collect()
+    }
+
+    /// Evaluates one extra corner (the worst-case corner) on the caller's
+    /// scratch: fabrication forward, EM forward + adjoint through a
+    /// [`CornerSolve`] of the run's strategy (`nominal_eps`/`epoch` name
+    /// the iterative strategies' shared preconditioner), chain backward.
     fn eval_corner(
         &self,
         rho: &Array2<f64>,
         corner: &VariationCorner,
         etch: EtchProjection,
-        want_variation_grads: bool,
         scratch: &mut EvalScratch,
-        nominal_eps: Option<&Array2<f64>>,
+        nominal_eps: &Array2<f64>,
         epoch: u64,
-        is_nominal: bool,
     ) -> CornerOutcome {
         let problem = self.compiled.problem();
         let fwd = self.chain.forward_with_etch(rho, corner, false, etch);
@@ -386,78 +402,35 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             &fwd.rho_fab,
             corner.temperature,
         );
-        let solve = nominal_eps.map(|nominal_eps| CornerSolve {
+        let solve = CornerSolve {
             strategy: self.config.solver,
             nominal_eps,
             epoch,
-            is_nominal,
+            is_nominal: false,
             force_direct: self.policy.force_direct(corner),
             omega_idx: corner.omega_idx,
-        });
-        let ev = match &solve {
-            Some(cs) => {
-                self.compiled
-                    .evaluate_eps_corner(&eps, true, &self.objective, scratch, Some(cs))
-            }
-            // No solver context (direct strategy): a plain direct
-            // evaluation at this corner's wavelength.
-            None => self.compiled.evaluate_eps_omega(
-                &eps,
-                true,
-                &self.objective,
-                scratch,
-                corner.omega_idx,
-            ),
-        }
-        .expect("corner simulation failed");
-        self.outcome_from(corner, &fwd, ev, etch, want_variation_grads)
-    }
-
-    /// Back-propagates an EM evaluation through the fabrication chain and
-    /// packages the [`CornerOutcome`], updating the adaptive policy from
-    /// the solve report.
-    fn outcome_from(
-        &self,
-        corner: &VariationCorner,
-        fwd: &crate::fabchain::FabForward,
-        ev: crate::compiled::Evaluation,
-        etch: EtchProjection,
-        want_variation_grads: bool,
-    ) -> CornerOutcome {
-        let problem = self.compiled.problem();
+        };
+        let ev = self
+            .compiled
+            .evaluate_eps_corner(&eps, true, &self.objective, scratch, Some(&solve))
+            .expect("corner simulation failed");
         if ev.solve.fell_back {
             // This corner's perturbation defeats the nominal
-            // preconditioner (large β, strong litho/etch excursion): pin
-            // it to the direct path for the rest of the run.
+            // preconditioner: pin it to the direct path.
             self.policy.mark_direct(corner);
         }
-        let grad_eps = ev.grad_eps.as_ref().expect("gradient requested");
         let v_rho = grad_eps_to_rho(
-            grad_eps,
+            ev.grad_eps.as_ref().expect("gradient requested"),
             problem.design_origin,
             problem.design_shape,
             corner.temperature,
         );
-        let v_mask = self.chain.vjp_mask_with_etch(fwd, &v_rho, etch);
-        let variation_grads = if want_variation_grads {
-            let dt = grad_temperature(
-                grad_eps,
-                &problem.background_solid,
-                problem.design_origin,
-                &fwd.rho_fab,
-                corner.temperature,
-            );
-            let dxi = self.chain.vjp_xi_with_etch(fwd, &v_rho, etch);
-            Some((dt, dxi))
-        } else {
-            None
-        };
         CornerOutcome {
             objective: ev.objective,
             fom: ev.fom,
             readings: ev.readings,
-            v_mask,
-            variation_grads,
+            v_mask: self.chain.vjp_mask_with_etch(&fwd, &v_rho, etch),
+            variation_grads: None,
             factorizations: ev.factorizations,
             bicgstab_iterations: ev.solve.total_iterations,
             bicgstab_solves: if ev.solve.used_iterative {
@@ -468,69 +441,62 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         }
     }
 
-    /// The batched iterative fan-out over the `active` columns of the
-    /// ω-major (fabrication corner × ω) cross product, returning one
-    /// ω-folded [`CornerOutcome`] per **live** fabrication corner (a
+    /// The corner sweep of one robust iteration over the `active` columns
+    /// of the ω-major (fabrication corner × ω) cross product, returning
+    /// one ω-folded [`CornerOutcome`] per **live** fabrication corner (a
     /// corner with at least one active column — each outcome aggregated
     /// over its *active* wavelengths with the configured
-    /// [`SpectralAggregation`]'s exact weights) plus the live corners'
-    /// indices into the fabrication set and the nominal corner's position
-    /// among the outcomes (always live — its columns are forced).
+    /// [`SpectralAggregation`]'s exact weights), the nominal corner's
+    /// position among them (always live — its columns are forced) and
+    /// its permittivity.
     ///
-    /// An all-`true` mask is the full sweep and is **bit-identical** to
-    /// the pre-scheduler pipeline (same solves, same fold, same
-    /// arithmetic order — regression-tested). A partial mask is the
+    /// An all-`true` mask is the full sweep. A partial mask is the
     /// adaptive subspace schedule ([`crate::subspace`]): dormant columns
     /// cost nothing at all — no fabrication forward (when a whole corner
     /// is dormant), no EM solves, no chain backward. The
     /// fabrication-nominal corner must stay active at **every**
-    /// wavelength (debug-asserted): those entries refresh the per-ω
-    /// preconditioner factors and warm starts the fused batch rides on.
+    /// wavelength (debug-asserted): under the iterative strategies those
+    /// entries refresh the per-ω preconditioner factors and warm starts
+    /// the fused batch rides on.
     ///
     /// Every evaluated column reports `(global column index, objective,
     /// spectral aggregation weight, gradient norm)` into `observations`
     /// — the subspace scheduler's EMA feed. The gradient norm is the L2
     /// magnitude of the column's pre-chain ∂objective/∂ρ seed, read off
-    /// the adjoint fold below for free; it is `NaN` for zero-weight
-    /// columns (their adjoints were skipped, so no gradient exists).
+    /// the fold below for free; it is `NaN` for zero-weight columns
+    /// (their adjoints were skipped, so no gradient exists).
     ///
-    /// Three fusions happen here, each exploiting structure the per-entry
-    /// fan-out ignored:
+    /// Three fusions happen here:
     ///
     /// 1. **Fabrication forwards** are ω-independent, so the litho/etch
-    ///    model runs once per fabrication corner and its forward is
-    ///    shared across that corner's K wavelengths (bit-identical — the
-    ///    replicas were equal anyway).
-    /// 2. **EM solves**: all (corner, ω) columns — forwards, then
-    ///    adjoints — advance through **one** fused lockstep BiCGSTAB
-    ///    batch ([`CompiledProblem::evaluate_corner_product`]), every
-    ///    column preconditioned by its own ω's nominal factor and
-    ///    warm-started from its own ω's nominal solution: one batch and
-    ///    `K` factorisations per epoch instead of one batch per ω.
-    ///    Budget misses fall back (and [`CornerPolicy`]-pin) per
-    ///    `(corner, ω)` label exactly as before; above
-    ///    [`boson_fdfd::sim::FUSED_SPLIT_MIN_COLS`] packed columns each
-    ///    preconditioner sweep also splits across `config.threads` lanes
-    ///    of the process-wide pool (serial ↔ parallel bit-identical).
+    ///    model runs once per live fabrication corner and its forward is
+    ///    shared across that corner's K wavelengths.
+    /// 2. **EM solves**: all active (corner, ω) columns go through one
+    ///    [`CompiledProblem::evaluate_corner_product`] call — direct
+    ///    columns fanned over the lanes, or one fused lockstep BiCGSTAB
+    ///    batch preconditioned per ω, with budget misses falling back
+    ///    (and [`CornerPolicy`]-pinning) per `(corner, ω)` label.
     /// 3. **Chain backward**: the fabrication VJP is linear in its seed,
     ///    so the spectral aggregation's exact per-ω weights scale the
     ///    *pre-chain* gradients and one VJP per fabrication corner
     ///    back-propagates their weighted sum — K VJPs fold into one.
     ///    With K = 1 the single weight is exactly `1.0`, so the folded
-    ///    chain is bit-identical to the unfolded single-ω pipeline.
-    #[allow(clippy::too_many_arguments)] // mirrors eval_corners
-    fn eval_corners_batched(
+    ///    chain equals the unfolded single-ω chain bit for bit.
+    ///
+    /// The fabrication forwards and the folded VJPs run per corner on
+    /// [`Self::lanes`] pool lanes (independent work, so any lane count is
+    /// bit-identical).
+    #[allow(clippy::too_many_arguments)] // one call site, the whole iteration's context
+    fn eval_sweep(
         &self,
-        rho: &Arc<Array2<f64>>,
+        rho: &Array2<f64>,
         corners: &[VariationCorner],
         etch: EtchProjection,
-        nominal_eps: &Array2<f64>,
         epoch: u64,
         scratch: &mut EvalScratch,
-        strategy: SolverStrategy,
         active: &[bool],
-        observations: &mut Vec<(usize, f64, f64, f64)>,
-    ) -> (Vec<CornerOutcome>, Vec<usize>, Option<usize>) {
+        observations: &mut Vec<Observation>,
+    ) -> Sweep {
         let problem = self.compiled.problem();
         let k = self.compiled.omega_count();
         assert_eq!(corners.len() % k, 0, "ragged (corner × ω) product");
@@ -547,8 +513,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             == fab[ci % f_count].temperature
             && corners[ci].xi == fab[ci % f_count].xi));
         // The subspace scheduler's invariant: the fabrication-nominal
-        // corner stays active at every wavelength (its entries refresh
-        // the per-ω factors and warm starts).
+        // corner stays active at every wavelength.
         debug_assert!(
             (0..corners.len()).all(|ci| corners[ci].is_varied() || active[ci]),
             "the nominal corner must stay active at every wavelength"
@@ -559,27 +524,26 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         let live: Vec<usize> = (0..f_count)
             .filter(|&f| (0..k).any(|oi| active[oi * f_count + f]))
             .collect();
+        let fab_nominal = live
+            .iter()
+            .position(|&f| !fab[f].is_varied())
+            .expect("every sampling strategy draws the nominal corner");
 
         // Fabrication forwards and permittivities, once per live
         // fabrication corner; the ε maps are replicated per active (ω,
         // corner) entry for the solver (cheap memcpys next to the solves
         // they feed).
-        let fwds: Vec<crate::fabchain::FabForward> = live
-            .iter()
-            .map(|&f| self.chain.forward_with_etch(rho, &fab[f], false, etch))
-            .collect();
-        let epss_live: Vec<Array2<f64>> = live
-            .iter()
-            .zip(&fwds)
-            .map(|(&f, fwd)| {
-                assemble_eps(
-                    &problem.background_solid,
-                    problem.design_origin,
-                    &fwd.rho_fab,
-                    fab[f].temperature,
-                )
-            })
-            .collect();
+        let fwds: Vec<(FabForward, Array2<f64>)> = self.par_map(live.len(), |li| {
+            let corner = &fab[live[li]];
+            let fwd = self.chain.forward_with_etch(rho, corner, false, etch);
+            let eps = assemble_eps(
+                &problem.background_solid,
+                problem.design_origin,
+                &fwd.rho_fab,
+                corner.temperature,
+            );
+            (fwd, eps)
+        });
 
         // The active product entries, still ω-major: `sel[pos] = (ci,
         // li)` names entry `pos`'s global column and live-corner index;
@@ -596,7 +560,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 }
             }
         }
-        let epss: Vec<Array2<f64>> = sel.iter().map(|&(_, li)| epss_live[li].clone()).collect();
+        let epss: Vec<Array2<f64>> = sel.iter().map(|&(_, li)| fwds[li].1.clone()).collect();
         let force_direct: Vec<bool> = sel
             .iter()
             .map(|&(ci, _)| self.policy.force_direct(&corners[ci]))
@@ -606,43 +570,31 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             .iter()
             .map(|&(ci, _)| !corners[ci].is_varied())
             .collect();
-        let evals = if self.fused_sweep {
-            let fab_idx: Vec<usize> = sel.iter().map(|&(_, li)| li).collect();
-            // Each entry's *global* ω-major product column — the stable
-            // identity its Krylov deflation stores are keyed by (the
-            // packed position shifts between iterations as the subspace
-            // schedule changes; the global column never does).
-            let global_cols: Vec<usize> = sel.iter().map(|&(ci, _)| ci).collect();
-            let set = crate::compiled::CornerProductSolve {
-                strategy,
-                nominal_eps,
-                epoch,
-                omega_idx: &omega_idx,
-                is_nominal: &is_nominal,
-                force_direct: &force_direct,
-                threads: self.config.threads,
-                // The fold below weights gradients by the aggregation's
-                // exact per-ω weights, so zero-weight adjoint solves are
-                // pure waste — the fused batch drops them (under
-                // WorstCase that is K−1 of every corner's K adjoints).
-                skip_zero_weight_adjoints: Some((self.config.spectral_agg, &fab_idx)),
-                recycle: (self.config.recycle.directions > 0).then_some(global_cols.as_slice()),
-            };
-            self.compiled
-                .evaluate_corner_product(&epss, true, &self.objective, scratch, &set)
-                .expect("corner sweep failed")
-        } else {
-            self.eval_per_omega_sets(
-                &omega_idx,
-                &is_nominal,
-                &epss,
-                &force_direct,
-                nominal_eps,
-                epoch,
-                scratch,
-                strategy,
-            )
+        let fab_idx: Vec<usize> = sel.iter().map(|&(_, li)| li).collect();
+        // Each entry's *global* ω-major product column — the stable
+        // identity its Krylov deflation stores are keyed by (the packed
+        // position shifts between iterations as the subspace schedule
+        // changes; the global column never does).
+        let global_cols: Vec<usize> = sel.iter().map(|&(ci, _)| ci).collect();
+        let set = CornerProductSolve {
+            strategy: self.config.solver,
+            nominal_eps: &fwds[fab_nominal].1,
+            epoch,
+            omega_idx: &omega_idx,
+            is_nominal: &is_nominal,
+            force_direct: &force_direct,
+            threads: self.config.threads,
+            // The fold below weights gradients by the aggregation's exact
+            // per-ω weights, so zero-weight adjoint solves are pure waste
+            // — the fused batch drops them (under WorstCase that is K−1
+            // of every corner's K adjoints).
+            skip_zero_weight_adjoints: Some((self.config.spectral_agg, &fab_idx)),
+            recycle: (self.config.recycle.directions > 0).then_some(global_cols.as_slice()),
         };
+        let evals: Vec<Evaluation> = self
+            .compiled
+            .evaluate_corner_product(&epss, true, &self.objective, scratch, &set)
+            .expect("corner sweep failed");
 
         // Adaptive-policy updates stay per (corner, ω) label.
         for (&(ci, _), ev) in sel.iter().zip(&evals) {
@@ -657,170 +609,122 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         // one).
         let agg = self.config.spectral_agg;
         let nominal_oi = self.compiled.nominal_omega_idx();
-        let fab_nominal = live.iter().position(|&f| !fab[f].is_varied());
         let (dr, dc) = problem.design_shape;
-        let mut values = vec![0.0; k];
-        let mut omask = vec![false; k];
-        let mut sweights = vec![0.0; k];
-        let outcomes = (0..live.len())
-            .map(|li| {
-                let f = live[li];
-                for oi in 0..k {
-                    let pos = pos_of[oi * live.len() + li];
-                    omask[oi] = pos != usize::MAX;
-                    values[oi] = if omask[oi] { evals[pos].objective } else { 0.0 };
-                }
-                agg.weights_into_masked(&values, &omask, &mut sweights);
-                let mut seed = Array2::<f64>::zeros(dr, dc);
-                for oi in 0..k {
-                    let wk = sweights[oi];
-                    // The column's gradient-norm observation — NaN until
-                    // (unless) the weighted branch below computes one.
-                    let mut gnorm = f64::NAN;
-                    if wk != 0.0 {
-                        // Zero-weight entries may carry no gradient at
-                        // all (the fused batch skipped their adjoints);
-                        // every weighted entry always does.
-                        let v_rho = grad_eps_to_rho(
-                            evals[pos_of[oi * live.len() + li]]
-                                .grad_eps
-                                .as_ref()
-                                .expect("weighted entry carries a gradient"),
-                            problem.design_origin,
-                            problem.design_shape,
-                            fab[f].temperature,
-                        );
-                        gnorm = v_rho.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt();
-                        for (dst, src) in seed.as_mut_slice().iter_mut().zip(v_rho.as_slice()) {
-                            *dst += wk * src;
-                        }
-                    }
+        let folded: Vec<(CornerOutcome, Vec<Observation>)> = self.par_map(live.len(), |li| {
+            let f = live[li];
+            let (fwd, _) = &fwds[li];
+            let pos = |oi: usize| pos_of[oi * live.len() + li];
+            let omask: Vec<bool> = (0..k).map(|oi| pos(oi) != usize::MAX).collect();
+            let values: Vec<f64> = (0..k)
+                .map(|oi| {
                     if omask[oi] {
-                        // The subspace scheduler's EMA feed: every
-                        // evaluated column reports its objective, its
-                        // spectral weight and (when an adjoint ran) its
-                        // gradient norm.
-                        observations.push((oi * f_count + f, values[oi], sweights[oi], gnorm));
-                    }
-                }
-                let v_mask = self.chain.vjp_mask_with_etch(&fwds[li], &seed, etch);
-                // Readings/FoM come from the corner's centre-wavelength
-                // entry when active (always, for the nominal corner —
-                // its columns are all forced), else its first active
-                // wavelength.
-                let centre_pos = {
-                    let p = pos_of[nominal_oi * live.len() + li];
-                    if p != usize::MAX {
-                        p
+                        evals[pos(oi)].objective
                     } else {
-                        (0..k)
-                            .map(|oi| pos_of[oi * live.len() + li])
-                            .find(|&p| p != usize::MAX)
-                            .expect("live corner has an active wavelength")
+                        0.0
                     }
-                };
-                let centre = &evals[centre_pos];
-                let variation_grads = if Some(li) == fab_nominal {
-                    // The worst-case search runs at the centre wavelength
-                    // (nominal entries are evaluated outside the batch,
-                    // so their gradient is always present).
-                    let grad_eps = centre.grad_eps.as_ref().expect("gradient requested");
-                    let dt = grad_temperature(
-                        grad_eps,
-                        &problem.background_solid,
-                        problem.design_origin,
-                        &fwds[li].rho_fab,
-                        fab[f].temperature,
-                    );
-                    let v_rho_centre = grad_eps_to_rho(
-                        grad_eps,
+                })
+                .collect();
+            let mut sweights = vec![0.0; k];
+            agg.weights_into_masked(&values, &omask, &mut sweights);
+            let mut seed = Array2::<f64>::zeros(dr, dc);
+            let mut observed = Vec::with_capacity(k);
+            for oi in 0..k {
+                let wk = sweights[oi];
+                // The column's gradient-norm observation — NaN until
+                // (unless) the weighted branch below computes one.
+                let mut gnorm = f64::NAN;
+                if wk != 0.0 {
+                    // Zero-weight entries may carry no gradient at
+                    // all (the fused batch skipped their adjoints);
+                    // every weighted entry always does.
+                    let v_rho = grad_eps_to_rho(
+                        evals[pos(oi)]
+                            .grad_eps
+                            .as_ref()
+                            .expect("weighted entry carries a gradient"),
                         problem.design_origin,
                         problem.design_shape,
                         fab[f].temperature,
                     );
-                    let dxi = self.chain.vjp_xi_with_etch(&fwds[li], &v_rho_centre, etch);
-                    Some((dt, dxi))
-                } else {
-                    None
-                };
-                CornerOutcome {
-                    objective: agg.aggregate_masked(&values, &omask),
-                    fom: centre.fom,
-                    readings: centre.readings.clone(),
-                    v_mask,
-                    variation_grads,
-                    factorizations: (0..k)
-                        .filter_map(|oi| {
-                            let pos = pos_of[oi * live.len() + li];
-                            (pos != usize::MAX).then(|| evals[pos].factorizations)
-                        })
-                        .sum(),
-                    bicgstab_iterations: (0..k)
-                        .filter_map(|oi| {
-                            let pos = pos_of[oi * live.len() + li];
-                            (pos != usize::MAX).then(|| evals[pos].solve.total_iterations)
-                        })
-                        .sum(),
-                    bicgstab_solves: (0..k)
-                        .filter_map(|oi| {
-                            let pos = pos_of[oi * live.len() + li];
-                            (pos != usize::MAX && evals[pos].solve.used_iterative)
-                                .then(|| evals[pos].solve.solves)
-                        })
-                        .sum(),
+                    gnorm = v_rho.as_slice().iter().map(|v| v * v).sum::<f64>().sqrt();
+                    for (dst, src) in seed.as_mut_slice().iter_mut().zip(v_rho.as_slice()) {
+                        *dst += wk * src;
+                    }
                 }
-            })
-            .collect();
-        (outcomes, live, fab_nominal)
-    }
-
-    /// The pre-fusion reference fan-out: one batched sweep per contiguous
-    /// ω group ([`CompiledProblem::evaluate_corner_set`]). Kept as the
-    /// A/B verification path for the fused product — the regression tests
-    /// assert both produce bit-identical runs. Entries are described by
-    /// parallel per-entry slices (so partial subspace products, which are
-    /// still ω-contiguous, flow through unchanged).
-    #[allow(clippy::too_many_arguments)] // mirrors eval_corners_batched
-    fn eval_per_omega_sets(
-        &self,
-        omega_idx: &[usize],
-        is_nominal: &[bool],
-        epss: &[Array2<f64>],
-        force_direct: &[bool],
-        nominal_eps: &Array2<f64>,
-        epoch: u64,
-        scratch: &mut EvalScratch,
-        strategy: SolverStrategy,
-    ) -> Vec<crate::compiled::Evaluation> {
-        let mut evals: Vec<crate::compiled::Evaluation> = Vec::with_capacity(epss.len());
-        let mut start = 0usize;
-        while start < epss.len() {
-            let oi = omega_idx[start];
-            let mut end = start + 1;
-            while end < epss.len() && omega_idx[end] == oi {
-                end += 1;
+                if omask[oi] {
+                    // The subspace scheduler's EMA feed: every
+                    // evaluated column reports its objective, its
+                    // spectral weight and (when an adjoint ran) its
+                    // gradient norm.
+                    observed.push((oi * f_count + f, values[oi], wk, gnorm));
+                }
             }
-            assert!(
-                omega_idx[end..].iter().all(|&o| o != oi),
-                "corner set is not ω-contiguous"
-            );
-            let group_nominal = is_nominal[start..end].iter().position(|&n| n);
-            let set = crate::compiled::CornerSetSolve {
-                strategy,
-                nominal_eps,
-                epoch,
-                nominal_idx: group_nominal,
-                force_direct: &force_direct[start..end],
-                omega_idx: oi,
+            let v_mask = self.chain.vjp_mask_with_etch(fwd, &seed, etch);
+            // Readings/FoM come from the corner's centre-wavelength
+            // entry when active (always, for the nominal corner —
+            // its columns are all forced), else its first active
+            // wavelength.
+            let centre_oi = if omask[nominal_oi] {
+                nominal_oi
+            } else {
+                (0..k)
+                    .find(|&oi| omask[oi])
+                    .expect("live corner has an active wavelength")
             };
-            evals.extend(
-                self.compiled
-                    .evaluate_corner_set(&epss[start..end], true, &self.objective, scratch, &set)
-                    .expect("corner sweep failed"),
-            );
-            start = end;
+            let centre = &evals[pos(centre_oi)];
+            let variation_grads = (li == fab_nominal).then(|| {
+                // The worst-case search runs at the centre wavelength,
+                // whose entry always carries its gradient (no adjoint
+                // is skipped on a nominal entry).
+                let grad_eps = centre.grad_eps.as_ref().expect("gradient requested");
+                let dt = grad_temperature(
+                    grad_eps,
+                    &problem.background_solid,
+                    problem.design_origin,
+                    &fwd.rho_fab,
+                    fab[f].temperature,
+                );
+                let v_rho_centre = grad_eps_to_rho(
+                    grad_eps,
+                    problem.design_origin,
+                    problem.design_shape,
+                    fab[f].temperature,
+                );
+                (dt, self.chain.vjp_xi_with_etch(fwd, &v_rho_centre, etch))
+            });
+            let active_evals = (0..k).filter(|&oi| omask[oi]).map(|oi| &evals[pos(oi)]);
+            let outcome = CornerOutcome {
+                objective: agg.aggregate_masked(&values, &omask),
+                fom: centre.fom,
+                readings: centre.readings.clone(),
+                v_mask,
+                variation_grads,
+                factorizations: active_evals.clone().map(|ev| ev.factorizations).sum(),
+                bicgstab_iterations: active_evals
+                    .clone()
+                    .map(|ev| ev.solve.total_iterations)
+                    .sum(),
+                bicgstab_solves: active_evals
+                    .filter(|ev| ev.solve.used_iterative)
+                    .map(|ev| ev.solve.solves)
+                    .sum(),
+            };
+            (outcome, observed)
+        });
+        let mut outcomes = Vec::with_capacity(folded.len());
+        for (outcome, observed) in folded {
+            outcomes.push(outcome);
+            observations.extend(observed);
         }
-        evals
+        let (_, nominal_eps) = fwds
+            .into_iter()
+            .nth(fab_nominal)
+            .expect("nominal corner is live");
+        Sweep {
+            outcomes,
+            nominal: fab_nominal,
+            nominal_eps,
+        }
     }
 
     /// Evaluates the unrestricted ("ideal") term: the raw density drives
@@ -850,32 +754,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         (ev.objective, ev.fom, ev.readings, v_rho)
     }
 
-    /// Number of pool workers the configuration asks for (0 = run corners
-    /// inline on the main thread).
-    ///
-    /// The iterative strategy needs none: its fan-out is the batched
-    /// lockstep sweep, which amortises the preconditioner's memory
-    /// traffic across corners far better than per-corner threads would.
-    fn pool_threads(&self) -> usize {
-        if !self.config.fab_aware {
-            return 0;
-        }
-        if matches!(
-            self.config.solver,
-            SolverStrategy::PreconditionedIterative { .. }
-                | SolverStrategy::MultigridIterative { .. }
-        ) {
-            return 0;
-        }
-        let max_useful = self.config.sampling.corners_per_iteration();
-        let t = self.config.threads.min(max_useful);
-        if t <= 1 {
-            0
-        } else {
-            t
-        }
-    }
-
     /// Runs the optimisation from `theta0`.
     ///
     /// # Panics
@@ -891,9 +769,8 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         this.run_inner(theta0)
     }
 
-    /// The loop body. No thread scope: the corner pool executes on the
-    /// process-lifetime `boson_num::pool` substrate, so a run spawns no
-    /// threads of its own.
+    /// The loop body. Parallel stages execute on the process-lifetime
+    /// `boson_num::pool` substrate, so a run spawns no threads of its own.
     fn run_inner(&self, theta0: Vec<f64>) -> RunResult {
         let mut theta = theta0;
         let mut adam = Adam::new(theta.len(), self.config.adam);
@@ -906,11 +783,12 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         let mut factorizations = 0usize;
         let (dr, dc) = self.param.design_shape();
 
-        // Main-thread scratch (free term, worst-case corner, inline mode).
-        // It also hosts the batched iterative fan-out, so the temporal
-        // axis — lagged nominal factors + cross-iteration Krylov
-        // recycling — is armed here (a no-op for the default, disabled
-        // config).
+        // The run's scratch: it hosts the corner sweep (and, under the
+        // direct strategy, the extra lanes' scratches), the worst-case
+        // corner and the free term, so its buffers stay warm across all
+        // iterations. The temporal axis — lagged nominal factors +
+        // cross-iteration Krylov recycling — is armed here (a no-op for
+        // the default, disabled config).
         let mut scratch = EvalScratch::new();
         scratch.configure_recycling(&self.config.recycle);
         // The adaptive corner-subspace scheduler: per-run importance
@@ -923,41 +801,12 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                     self.config.subspace,
                 )
             });
-        // (column, objective, spectral weight, gradient norm)
-        // observations of one iteration's sweep — the scheduler's EMA
-        // feed.
-        let mut observations: Vec<(usize, f64, f64, f64)> = Vec::new();
-        // Persistent corner pool: worker closures built once, each
-        // keeping its EvalScratch (and factor buffers) warm for the
-        // whole run; execution rides the process-wide substrate, so no
-        // threads are spawned here.
-        let mut pool: Option<WorkerPool<'_, CornerJob, (usize, CornerOutcome)>> =
-            match self.pool_threads() {
-                0 => None,
-                threads => Some(WorkerPool::new(threads, |_| {
-                    let mut scratch = EvalScratch::new();
-                    move |job: CornerJob| {
-                        // The pool only ever runs the direct strategy
-                        // (the iterative strategy fans out through the
-                        // batched sweep instead), so no solver context.
-                        let out = self.eval_corner(
-                            &job.rho,
-                            &job.corner,
-                            job.etch,
-                            job.want_variation_grads,
-                            &mut scratch,
-                            None,
-                            0,
-                            false,
-                        );
-                        (job.slot, out)
-                    }
-                })),
-            };
+        // One iteration's sweep observations, reused across iterations.
+        let mut observations: Vec<Observation> = Vec::new();
 
         for iter in 0..self.config.iterations {
             let etch = EtchProjection::new(beta_sched.beta(iter));
-            let rho = Arc::new(self.param.forward(&theta));
+            let rho = self.param.forward(&theta);
             let p = if self.config.fab_aware {
                 self.config.relaxation.p(iter)
             } else {
@@ -978,186 +827,88 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 // The (fabrication corner × ω) cross product, ω-major; a
                 // single-wavelength space degenerates to the plain corner
                 // set bit-identically.
-                let mut corners =
-                    self.space
-                        .spectral_corners(self.config.sampling, lambda_c, &mut rng);
-                let k = self.compiled.omega_count();
-                let f_count = corners.len() / k;
-                debug_assert_eq!(f_count * k, corners.len(), "ragged cross product");
-                let nominal_oi = self.compiled.nominal_omega_idx();
-                // Identify the nominal corner (fabrication-nominal at the
-                // centre wavelength) for worst-case gradients and
-                // trajectory recording.
-                let nominal_idx = corners
-                    .iter()
-                    .position(|c| !c.is_varied() && c.omega_idx == nominal_oi);
-                // The iterative strategy shares one nominal operator per
-                // iteration: materialise its permittivity once so every
-                // worker preconditions against bit-identical factors.
-                let nominal_eps: Option<Arc<Array2<f64>>> = match self.config.solver {
-                    SolverStrategy::Direct => None,
-                    SolverStrategy::PreconditionedIterative { .. }
-                    | SolverStrategy::MultigridIterative { .. } => {
-                        let fwd = self.chain.forward_with_etch(
-                            &rho,
-                            &VariationCorner::nominal(),
-                            false,
-                            etch,
-                        );
-                        let problem = self.compiled.problem();
-                        Some(Arc::new(assemble_eps(
-                            &problem.background_solid,
-                            problem.design_origin,
-                            &fwd.rho_fab,
-                            boson_fab::temperature::T_NOMINAL,
-                        )))
+                let corners = self
+                    .space
+                    .spectral_corners(self.config.sampling, lambda_c, &mut rng);
+                // The subspace scheduler's plan for this iteration (all
+                // columns when disabled). The forced set — always-active
+                // columns — is the fabrication-nominal corner at every ω.
+                let plan = match subspace.as_ref() {
+                    Some(s) => {
+                        let forced: Vec<bool> = corners.iter().map(|c| !c.is_varied()).collect();
+                        let plan = s.plan(iter, &forced);
+                        active_set = Some(plan.record());
+                        plan
                     }
+                    // Disabled scheduler: a full sweep, `refresh` true per
+                    // SweepPlan's contract (every column active).
+                    None => SweepPlan {
+                        active: vec![true; corners.len()],
+                        refresh: true,
+                    },
                 };
-                // The fan-out's outcome granularity differs by strategy:
-                // the direct pool evaluates every (corner, ω) product
-                // entry (`agg_k = k` groups of `f_count`), while the
-                // batched iterative path returns outcomes already folded
-                // over ω — one per fabrication corner (`agg_k = 1`), its
-                // spectral aggregation applied inside the fold. Both
-                // shapes flow through the same weighted sum below.
-                let (outcomes, agg_k, agg_nominal_idx) = match self.config.solver {
-                    SolverStrategy::Direct => (
-                        self.eval_corners(
-                            pool.as_mut(),
-                            &rho,
-                            &corners,
-                            etch,
-                            nominal_idx,
-                            &mut scratch,
-                        ),
-                        k,
-                        nominal_idx,
-                    ),
-                    strategy @ (SolverStrategy::PreconditionedIterative { .. }
-                    | SolverStrategy::MultigridIterative { .. }) => {
-                        // The subspace scheduler's plan for this
-                        // iteration (all columns when disabled). The
-                        // forced set — always-active columns — is the
-                        // fabrication-nominal corner at every ω.
-                        let plan = match subspace.as_ref() {
-                            Some(s) => {
-                                let forced: Vec<bool> =
-                                    corners.iter().map(|c| !c.is_varied()).collect();
-                                let plan = s.plan(iter, &forced);
-                                active_set = Some(plan.record());
-                                plan
-                            }
-                            // Disabled scheduler: a full sweep, `refresh`
-                            // true per SweepPlan's contract (every column
-                            // active).
-                            None => SweepPlan {
-                                active: vec![true; corners.len()],
-                                refresh: true,
-                            },
-                        };
-                        observations.clear();
-                        let (outcomes, _live, nominal_li) = self.eval_corners_batched(
-                            &rho,
-                            &corners,
-                            etch,
-                            nominal_eps.as_ref().expect("iterative strategy nominal"),
-                            iter as u64,
-                            &mut scratch,
-                            strategy,
-                            &plan.active,
-                            &mut observations,
-                        );
-                        if let Some(s) = subspace.as_mut() {
-                            for &(ci, obj, w, g) in &observations {
-                                s.record(ci, obj, w);
-                                // Zero-weight columns skipped their
-                                // adjoints (gnorm NaN): no gradient
-                                // observation for them.
-                                if g.is_finite() {
-                                    s.record_gradient(ci, g);
-                                }
-                            }
-                        }
-                        (outcomes, 1, nominal_li)
-                    }
-                };
-                let agg_product_len = outcomes.len();
-                factorizations += outcomes.iter().map(|o| o.factorizations).sum::<usize>();
-
-                // Worst-case corner from the nominal gradients.
-                let mut all_outcomes = outcomes;
-                if self.config.sampling.needs_worst_case() {
-                    if let Some(ni) = agg_nominal_idx {
-                        if let Some((dt, dxi)) = &all_outcomes[ni].variation_grads {
-                            // The worst-case search runs at the centre
-                            // wavelength (its gradients were taken there).
-                            let mut worst = self.space.worst_case_corner(*dt, dxi);
-                            worst.omega_idx = nominal_oi;
-                            let o = self.eval_corner(
-                                &rho,
-                                &worst,
-                                etch,
-                                false,
-                                &mut scratch,
-                                nominal_eps.as_deref(),
-                                iter as u64,
-                                false,
-                            );
-                            factorizations += o.factorizations;
-                            corners.push(worst);
-                            all_outcomes.push(o);
+                observations.clear();
+                let sweep = self.eval_sweep(
+                    &rho,
+                    &corners,
+                    etch,
+                    iter as u64,
+                    &mut scratch,
+                    &plan.active,
+                    &mut observations,
+                );
+                if let Some(s) = subspace.as_mut() {
+                    for &(ci, obj, w, g) in &observations {
+                        s.record(ci, obj, w);
+                        // Zero-weight columns skipped their adjoints
+                        // (gnorm NaN): no gradient observation for them.
+                        if g.is_finite() {
+                            s.record_gradient(ci, g);
                         }
                     }
                 }
-                for o in &all_outcomes {
+
+                // Worst-case corner from the nominal gradients, searched
+                // and evaluated at the centre wavelength (its gradients
+                // were taken there).
+                let mut outcomes = sweep.outcomes;
+                if self.config.sampling.needs_worst_case() {
+                    if let Some((dt, dxi)) = &outcomes[sweep.nominal].variation_grads {
+                        let mut worst = self.space.worst_case_corner(*dt, dxi);
+                        worst.omega_idx = self.compiled.nominal_omega_idx();
+                        let o = self.eval_corner(
+                            &rho,
+                            &worst,
+                            etch,
+                            &mut scratch,
+                            &sweep.nominal_eps,
+                            iter as u64,
+                        );
+                        outcomes.push(o);
+                    }
+                }
+                for o in &outcomes {
+                    factorizations += o.factorizations;
                     bicg_iters += o.bicgstab_iterations;
                     bicg_solves += o.bicgstab_solves;
                 }
-                // Robust objective: uniform weight over fabrication
-                // corners, each contributing the spectral aggregate of
-                // its K per-ω objectives (K = 1: the value itself — the
-                // original weighting, bit-identically). Gradients carry
-                // the aggregation's exact per-ω weights; the folded
-                // iterative outcomes (`agg_k = 1`) arrive pre-aggregated,
-                // so for them this loop degenerates to the plain weighted
-                // sum.
-                let agg_f_count = agg_product_len / agg_k;
-                let extras = all_outcomes.len() - agg_product_len; // worst-case corners
-                let w = 1.0 / (agg_f_count + extras) as f64;
-                let agg = self.config.spectral_agg;
-                let mut values = vec![0.0; agg_k];
-                let mut sweights = vec![0.0; agg_k];
+                // Robust objective: uniform weight over the live
+                // fabrication corners and the worst-case corner, each
+                // contributing the spectral aggregate of its evaluated
+                // per-ω objectives (K = 1: the value itself). The
+                // gradients arrive pre-weighted by the aggregation
+                // through each corner's folded chain VJP.
+                let w = 1.0 / outcomes.len() as f64;
                 let mut obj_fab = 0.0;
                 let mut v_fab = Array2::<f64>::zeros(dr, dc);
-                for f in 0..agg_f_count {
-                    for oi in 0..agg_k {
-                        values[oi] = all_outcomes[oi * agg_f_count + f].objective;
-                    }
-                    obj_fab += w * agg.aggregate(&values);
-                    agg.weights_into(&values, &mut sweights);
-                    for oi in 0..agg_k {
-                        let wk = w * sweights[oi];
-                        if wk != 0.0 {
-                            let o = &all_outcomes[oi * agg_f_count + f];
-                            for (dst, src) in
-                                v_fab.as_mut_slice().iter_mut().zip(o.v_mask.as_slice())
-                            {
-                                *dst += wk * src;
-                            }
-                        }
-                    }
-                }
-                // Appended worst-case corners are single-ω groups.
-                for o in &all_outcomes[agg_product_len..] {
-                    obj_fab += w * agg.aggregate(&[o.objective]);
+                for o in &outcomes {
+                    obj_fab += w * o.objective;
                     for (dst, src) in v_fab.as_mut_slice().iter_mut().zip(o.v_mask.as_slice()) {
                         *dst += w * src;
                     }
                 }
-                if let Some(ni) = agg_nominal_idx {
-                    let o = &all_outcomes[ni];
-                    nominal_readings = Some((o.readings.clone(), o.fom));
-                }
+                let nominal = &outcomes[sweep.nominal];
+                nominal_readings = Some((nominal.readings.clone(), nominal.fom));
                 objective += p * obj_fab;
                 for (dst, src) in v_mask_total.as_mut_slice().iter_mut().zip(v_fab.as_slice()) {
                     *dst += p * src;
@@ -1208,59 +959,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             mask,
             trajectory,
             factorizations,
-        }
-    }
-
-    /// Evaluates a corner set — on the persistent pool when one exists,
-    /// inline on the main-thread scratch otherwise. Results come back in
-    /// corner order regardless of completion order.
-    fn eval_corners(
-        &self,
-        pool: Option<&mut WorkerPool<'_, CornerJob, (usize, CornerOutcome)>>,
-        rho: &Arc<Array2<f64>>,
-        corners: &[VariationCorner],
-        etch: EtchProjection,
-        nominal_idx: Option<usize>,
-        scratch: &mut EvalScratch,
-    ) -> Vec<CornerOutcome> {
-        match pool {
-            Some(pool) if corners.len() > 1 => {
-                for (ci, corner) in corners.iter().enumerate() {
-                    pool.submit(CornerJob {
-                        slot: ci,
-                        rho: Arc::clone(rho),
-                        corner: corner.clone(),
-                        etch,
-                        want_variation_grads: Some(ci) == nominal_idx,
-                    });
-                }
-                let mut slots: Vec<Option<CornerOutcome>> =
-                    (0..corners.len()).map(|_| None).collect();
-                for _ in 0..corners.len() {
-                    let (slot, out) = pool.recv();
-                    slots[slot] = Some(out);
-                }
-                slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot filled"))
-                    .collect()
-            }
-            _ => corners
-                .iter()
-                .enumerate()
-                .map(|(ci, c)| {
-                    self.eval_corner(
-                        rho,
-                        c,
-                        etch,
-                        Some(ci) == nominal_idx,
-                        scratch,
-                        None,
-                        0,
-                        false,
-                    )
-                })
-                .collect(),
         }
     }
 }
@@ -1610,70 +1308,6 @@ mod tests {
         }
     }
 
-    /// The fused (corner × ω) lockstep batch must be an implementation
-    /// detail: full broadband runs through the fused product and through
-    /// the pre-fusion per-ω batches are **bit-identical** — for both
-    /// spectral aggregations, healthy and starved iteration budgets (the
-    /// starved case drives every perturbed (corner, ω) column through the
-    /// budget-miss → direct-fallback path), serial and threaded.
-    #[test]
-    fn fused_product_runs_are_bit_identical_to_per_omega_runs() {
-        use boson_fab::SpectralAxis;
-        let axis = SpectralAxis::around(0.02, 3);
-        let compiled = CompiledProblem::compile_spectral(bending(), axis).unwrap();
-        let problem = compiled.problem().clone();
-        let param = levelset_param(&problem, false);
-        let space = VariationSpace {
-            spectral: axis,
-            ..VariationSpace::default()
-        };
-        let healthy = SolverStrategy::preconditioned_iterative();
-        let starved = SolverStrategy::PreconditionedIterative {
-            tol: 1e-300,
-            max_iters: 1,
-        };
-        let cases = [
-            (SpectralAggregation::Mean, healthy, 1usize),
-            (SpectralAggregation::Mean, healthy, 4),
-            (SpectralAggregation::WorstCase, healthy, 1),
-            (SpectralAggregation::Mean, starved, 1),
-            (SpectralAggregation::WorstCase, starved, 1),
-        ];
-        for (agg, solver, threads) in cases {
-            let run = |fused: bool| {
-                let mut designer = InverseDesigner::new(
-                    &compiled,
-                    &param,
-                    standard_chain(&problem),
-                    space.clone(),
-                    RunnerConfig {
-                        solver,
-                        spectral_agg: agg,
-                        ..tiny_config(threads, SamplingStrategy::AxialSingleSided)
-                    },
-                );
-                designer.fused_sweep = fused;
-                let mut rng = StdRng::seed_from_u64(3);
-                let theta0 = designer.initial_theta(&mut rng);
-                designer.run(theta0)
-            };
-            let fused = run(true);
-            let per_omega = run(false);
-            let tag = format!("{agg:?}/{solver:?}/threads={threads}");
-            assert_eq!(
-                fused.factorizations, per_omega.factorizations,
-                "{tag}: factorisation counts diverged"
-            );
-            for (rf, rp) in fused.trajectory.iter().zip(&per_omega.trajectory) {
-                assert_eq!(rf.objective, rp.objective, "{tag} iter {}", rf.iter);
-                assert_eq!(rf.fom_nominal, rp.fom_nominal, "{tag} iter {}", rf.iter);
-            }
-            for (tf, tp) in fused.theta.iter().zip(&per_omega.theta) {
-                assert_eq!(tf, tp, "{tag}");
-            }
-        }
-    }
-
     /// The subspace scheduler with `M =` the full product must be a pure
     /// no-op: runs are **bit-identical** to the scheduler-disabled fused
     /// pipeline — for both aggregations, serial and threaded — and the
@@ -1792,12 +1426,10 @@ mod tests {
         }
     }
 
-    /// A partial subspace schedule must be an implementation detail of
-    /// the sweep *engine* too: runs through the fused product and through
-    /// the per-ω reference batches are bit-identical under the same
-    /// partial schedule, and thread-count invariant.
+    /// A partial subspace schedule is thread-count invariant: the same
+    /// partial schedule at 1 and 4 threads gives bit-identical runs.
     #[test]
-    fn subspace_partial_runs_are_engine_and_thread_invariant() {
+    fn subspace_partial_runs_are_thread_invariant() {
         use crate::subspace::SubspaceConfig;
         use boson_fab::SpectralAxis;
         let axis = SpectralAxis::around(0.02, 3);
@@ -1808,7 +1440,7 @@ mod tests {
             spectral: axis,
             ..VariationSpace::default()
         };
-        let run = |fused: bool, threads: usize| {
+        let run = |threads: usize| {
             let mut designer = InverseDesigner::new(
                 &compiled,
                 &param,
@@ -1828,27 +1460,17 @@ mod tests {
                     ..RunnerConfig::default()
                 },
             );
-            designer.fused_sweep = fused;
             let mut rng = StdRng::seed_from_u64(3);
             let theta0 = designer.initial_theta(&mut rng);
             designer.run(theta0)
         };
-        let base = run(true, 1);
+        let (base, threaded) = (run(1), run(4));
         // Some iteration actually ran partial (6 of 12 columns).
         assert!(base
             .trajectory
             .iter()
             .any(|r| r.active_set.is_some_and(|rec| rec.active_columns == 6)));
-        for (what, other) in [("per-ω", run(false, 1)), ("threaded", run(true, 4))] {
-            assert_eq!(base.factorizations, other.factorizations, "{what}");
-            for (ra, rb) in base.trajectory.iter().zip(&other.trajectory) {
-                assert_eq!(ra.objective, rb.objective, "{what} iter {}", ra.iter);
-                assert_eq!(ra.active_set, rb.active_set, "{what} iter {}", ra.iter);
-            }
-            for (ta, tb) in base.theta.iter().zip(&other.theta) {
-                assert_eq!(ta, tb, "{what}");
-            }
-        }
+        assert_runs_identical(&base, &threaded, "threaded");
     }
 
     /// The refresh epoch composes with [`CornerPolicy`] direct-pinning: a
@@ -1900,24 +1522,87 @@ mod tests {
         assert_eq!(marked, 9, "refresh epoch should pin every hard column");
     }
 
-    /// Enabling the scheduler under the direct strategy is refused up
-    /// front (partial products ride the fused batch).
-    #[test]
-    #[should_panic(expected = "PreconditionedIterative")]
-    fn subspace_with_direct_strategy_panics() {
+    /// Bit-identity of two runs: objective, FoM, factorisation counts,
+    /// active sets and the final θ.
+    fn assert_runs_identical(a: &RunResult, b: &RunResult, tag: &str) {
+        assert_eq!(a.factorizations, b.factorizations, "{tag}");
+        for (ra, rb) in a.trajectory.iter().zip(&b.trajectory) {
+            assert_eq!(ra.objective, rb.objective, "{tag} iter {}", ra.iter);
+            assert_eq!(ra.fom_nominal, rb.fom_nominal, "{tag} iter {}", ra.iter);
+            assert_eq!(
+                ra.factorizations, rb.factorizations,
+                "{tag} iter {}",
+                ra.iter
+            );
+            assert_eq!(ra.active_set, rb.active_set, "{tag} iter {}", ra.iter);
+        }
+        assert_eq!(a.theta, b.theta, "{tag}");
+    }
+
+    /// A `k`-wavelength direct-strategy run with the subspace scheduler
+    /// at `active_columns`, `threads` lanes.
+    fn direct_subspace_run(k: usize, active_columns: Option<usize>, threads: usize) -> RunResult {
         use crate::subspace::SubspaceConfig;
-        let compiled = CompiledProblem::compile(bending()).unwrap();
+        use boson_fab::SpectralAxis;
+        let axis = SpectralAxis::around(0.02, k);
+        let compiled = CompiledProblem::compile_spectral(bending(), axis).unwrap();
         let problem = compiled.problem().clone();
         let param = levelset_param(&problem, false);
-        let _ = InverseDesigner::new(
+        let space = VariationSpace {
+            spectral: axis,
+            ..VariationSpace::default()
+        };
+        let mut designer = InverseDesigner::new(
             &compiled,
             &param,
             standard_chain(&problem),
-            VariationSpace::default(),
+            space,
             RunnerConfig {
-                subspace: SubspaceConfig::with_active_columns(3),
-                ..tiny_config(1, SamplingStrategy::AxialSingleSided)
+                spectral_agg: SpectralAggregation::WorstCase,
+                subspace: active_columns
+                    .map_or_else(SubspaceConfig::default, SubspaceConfig::with_active_columns),
+                ..tiny_config(threads, SamplingStrategy::AxialSingleSided)
             },
+        );
+        let mut rng = StdRng::seed_from_u64(3);
+        let theta0 = designer.initial_theta(&mut rng);
+        designer.run(theta0)
+    }
+
+    /// The scheduler works under the direct strategy too, and `M =` the
+    /// full product is a pure no-op there: bit-identical to the
+    /// scheduler-off run.
+    #[test]
+    fn subspace_full_m_direct_runs_are_bit_identical_to_scheduler_off() {
+        let full = direct_subspace_run(1, Some(4), 2);
+        let off = direct_subspace_run(1, None, 2);
+        for r in &full.trajectory {
+            let rec = r.active_set.expect("scheduler enabled");
+            assert_eq!((rec.active_columns, rec.product_columns), (4, 4));
+        }
+        assert!(off.trajectory.iter().all(|r| r.active_set.is_none()));
+        let strip = |mut r: RunResult| {
+            for rec in &mut r.trajectory {
+                rec.active_set = None;
+            }
+            r
+        };
+        assert_runs_identical(&strip(full), &strip(off), "M = full vs off");
+    }
+
+    /// A partial direct-strategy schedule fans its direct columns,
+    /// fabrication forwards and chain VJPs over the lanes; any lane count
+    /// is bit-identical.
+    #[test]
+    fn subspace_partial_direct_runs_are_thread_invariant() {
+        let serial = direct_subspace_run(3, Some(6), 1);
+        // Iteration 0 is a refresh epoch, iteration 1 runs partial.
+        let rec = serial.trajectory[1].active_set.expect("scheduler enabled");
+        assert_eq!((rec.active_columns, rec.refresh), (6, false));
+        assert_runs_identical(
+            &serial,
+            &direct_subspace_run(3, Some(6), 4),
+            "threads 1 vs 4",
         );
     }
 
@@ -1940,63 +1625,6 @@ mod tests {
             space,
             tiny_config(1, SamplingStrategy::AxialSingleSided),
         );
-    }
-
-    /// With the temporal axis disabled (the default [`RecycleConfig`]),
-    /// broadband runs are **bit-identical** to the eager pre-recycling
-    /// pipeline — regression-tested against the per-ω reference engine
-    /// for both aggregations, serial and threaded. The disabled config
-    /// must be a pure no-op: same solves, same factors, same arithmetic
-    /// order.
-    #[test]
-    fn recycle_disabled_runs_are_bit_identical_to_eager_pipeline() {
-        use boson_fab::SpectralAxis;
-        let axis = SpectralAxis::around(0.02, 3);
-        let compiled = CompiledProblem::compile_spectral(bending(), axis).unwrap();
-        let problem = compiled.problem().clone();
-        let param = levelset_param(&problem, false);
-        let space = VariationSpace {
-            spectral: axis,
-            ..VariationSpace::default()
-        };
-        for agg in [SpectralAggregation::Mean, SpectralAggregation::WorstCase] {
-            for threads in [1usize, 4] {
-                let run = |fused: bool| {
-                    let mut designer = InverseDesigner::new(
-                        &compiled,
-                        &param,
-                        standard_chain(&problem),
-                        space.clone(),
-                        RunnerConfig {
-                            solver: SolverStrategy::preconditioned_iterative(),
-                            spectral_agg: agg,
-                            recycle: RecycleConfig::default(),
-                            ..tiny_config(threads, SamplingStrategy::AxialSingleSided)
-                        },
-                    );
-                    designer.fused_sweep = fused;
-                    let mut rng = StdRng::seed_from_u64(3);
-                    let theta0 = designer.initial_theta(&mut rng);
-                    designer.run(theta0)
-                };
-                let fused = run(true);
-                let per_omega = run(false);
-                let tag = format!("{agg:?}/threads={threads}");
-                assert_eq!(fused.factorizations, per_omega.factorizations, "{tag}");
-                for (rf, rp) in fused.trajectory.iter().zip(&per_omega.trajectory) {
-                    assert_eq!(rf.objective, rp.objective, "{tag} iter {}", rf.iter);
-                    assert_eq!(rf.fom_nominal, rp.fom_nominal, "{tag} iter {}", rf.iter);
-                    assert_eq!(
-                        rf.factorizations, rp.factorizations,
-                        "{tag} iter {}",
-                        rf.iter
-                    );
-                }
-                for (tf, tp) in fused.theta.iter().zip(&per_omega.theta) {
-                    assert_eq!(tf, tp, "{tag}");
-                }
-            }
-        }
     }
 
     /// The armed temporal axis — Krylov recycling + lagged nominal
@@ -2104,7 +1732,6 @@ mod tests {
             VariationSpace::default(),
             tiny_config(8, SamplingStrategy::NominalOnly),
         );
-        assert_eq!(designer.pool_threads(), 0, "one corner needs no pool");
         let mut rng = StdRng::seed_from_u64(3);
         let theta0 = designer.initial_theta(&mut rng);
         let res = designer.run(theta0);

@@ -225,7 +225,7 @@ impl VariationSpace {
     /// `strategy`: every corner of [`VariationSpace::corners`] replicated
     /// at each of the spectral axis' `K` wavelengths, ω-major (all
     /// fabrication corners at ω₀, then all at ω₁, …) so each wavelength's
-    /// group is contiguous for the per-ω batched solver sweep. Weights
+    /// group is contiguous in the fused batched solver sweep. Weights
     /// are renormalised across the whole product.
     ///
     /// With the default single-wavelength axis this returns exactly

@@ -424,40 +424,6 @@ impl boson_num::krylov::LinearOp for StencilOp<'_> {
     }
 }
 
-/// A *family* of corner operators sharing one [`StencilCache`]: solve
-/// column `col` applies the operator whose diagonal is stored at
-/// `diags[(col / cols_per_diag)·n ..][..n]` — the
-/// [`boson_num::krylov::ColumnOp`] of a batched variation-corner sweep,
-/// where every corner contributes `cols_per_diag` right-hand sides (its
-/// excitations) and all corners advance in lockstep against the shared
-/// nominal preconditioner.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiCornerOp<'a> {
-    /// Cached ε-independent couplings (shared by every corner).
-    pub cache: &'a StencilCache,
-    /// Concatenated per-corner operator diagonals, `n` entries each.
-    pub diags: &'a [Complex64],
-    /// Right-hand-side columns per corner diagonal.
-    pub cols_per_diag: usize,
-}
-
-impl boson_num::krylov::ColumnOp for MultiCornerOp<'_> {
-    fn dim(&self) -> usize {
-        self.cache.n()
-    }
-
-    fn apply_col(&self, col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        let n = self.cache.n();
-        let d = col / self.cols_per_diag;
-        self.cache.apply(&self.diags[d * n..(d + 1) * n], x, y);
-    }
-
-    fn apply_col_transpose(&self, col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        // Complex-symmetric operator: Aᵀ = A.
-        self.apply_col(col, x, y);
-    }
-}
-
 /// Assembles the same operator in CSR form (used by the BiCGSTAB
 /// cross-check and by tests).
 ///

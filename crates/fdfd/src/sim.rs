@@ -61,15 +61,15 @@
 //!   [`SimWorkspace::prepare_corner`] + [`SimWorkspace::solve_block`]
 //!   (which falls back to a direct factorisation on a budget miss), or —
 //!   the fast path — advanced **together** through
-//!   [`SimWorkspace::batch_begin`] / [`SimWorkspace::batch_push`] /
-//!   [`SimWorkspace::batch_solve`], which packs every corner's active
-//!   columns into shared factor sweeps and reports per-corner
-//!   convergence for the caller's adaptive fallback policy.
+//!   [`SimWorkspace::fused_batch_begin`] /
+//!   [`SimWorkspace::fused_batch_push`] /
+//!   [`SimWorkspace::fused_batch_solve`], which packs every (corner, ω)
+//!   column into shared factor sweeps (a single-wavelength sweep is the
+//!   one-ω case) and reports per-corner convergence for the caller's
+//!   adaptive fallback policy.
 
 use crate::grid::SimGrid;
-use crate::operator::{
-    assemble_banded, scale_source, scale_source_into, MultiCornerOp, StencilCache, StencilOp,
-};
+use crate::operator::{assemble_banded, scale_source, scale_source_into, StencilCache, StencilOp};
 use crate::pml::SFactors;
 use boson_num::banded::{BandedLu, BandedLuF32, BandedMatrix, SingularMatrixError};
 use boson_num::krylov::{
@@ -620,8 +620,7 @@ impl OmegaSlot {
 /// The matrix-free operator family of a **fused** (corner × ω) sweep:
 /// column `col` belongs to corner `col / cols_per_corner`, and applies
 /// that corner's diagonal through *its own wavelength's* cached stencil
-/// couplings — the cross-ω generalisation of
-/// [`crate::operator::MultiCornerOp`].
+/// couplings.
 struct FusedCornerOp<'a> {
     slots: &'a [OmegaSlot],
     /// Slot index per batch-local ω.
@@ -853,8 +852,8 @@ fn diag_drift(diag: &[Complex64], reference: &[Complex64]) -> f64 {
 }
 
 /// Refreshes one ω slot's banded nominal factorisation for `epoch` —
-/// the shared epoch gate of [`SimWorkspace::prepare_corner`],
-/// [`SimWorkspace::batch_begin`] and [`SimWorkspace::fused_batch_begin`].
+/// the shared epoch gate of [`SimWorkspace::prepare_corner`] and
+/// [`SimWorkspace::fused_batch_begin`].
 ///
 /// Without a [`FactorLag`] policy this is the eager path: any epoch
 /// change reassembles and refactors (bit-identical to the pre-lag
@@ -1024,8 +1023,8 @@ pub struct SimWorkspace {
     /// reused allocation-free.
     mg_scratch: MgScratch,
     /// The current batch preconditions with multigrid (set by
-    /// [`SimWorkspace::batch_begin`] / [`SimWorkspace::fused_batch_begin`]
-    /// from the strategy and grid size).
+    /// [`SimWorkspace::fused_batch_begin`] from the strategy and grid
+    /// size).
     batch_mg: bool,
     /// Lagged-nominal-factor policy; `None` (default) = eager refactor
     /// every epoch, bit-identical to the pre-lag behaviour.
@@ -1614,196 +1613,8 @@ impl SimWorkspace {
         &self.report
     }
 
-    /// Begins a **batched** corner sweep under the iterative strategy:
-    /// ensures the geometry caches and the nominal factor for `epoch`,
-    /// then clears the batch. Push corners with
-    /// [`SimWorkspace::batch_push`] and solve all of them in lockstep
-    /// with [`SimWorkspace::batch_solve`].
-    ///
-    /// Batching exists because the preconditioner sweeps are memory-bound
-    /// on the factor image: sweeping the packed active columns of *every*
-    /// corner at once reads the factors one time per half-iteration for
-    /// the whole sweep instead of once per corner, which is where the
-    /// corner-sweep speedup comes from.
-    ///
-    /// Returns the number of factorisations performed (1 when the nominal
-    /// preconditioner — banded factor or multigrid hierarchy, per the
-    /// strategy and grid size — was refreshed, else 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the nominal operator is
-    /// singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nominal_eps` does not have shape `(ny, nx)` or
-    /// `strategy` is [`SolverStrategy::Direct`].
-    pub fn batch_begin(
-        &mut self,
-        grid: SimGrid,
-        omega: f64,
-        nominal_eps: &Array2<f64>,
-        epoch: u64,
-        strategy: SolverStrategy,
-    ) -> Result<usize, SingularMatrixError> {
-        assert_eq!(
-            nominal_eps.shape(),
-            (grid.ny, grid.nx),
-            "eps shape must be (ny, nx)"
-        );
-        let (tol, max_iters) = strategy
-            .iterative_params()
-            .expect("batched sweeps require an iterative strategy");
-        self.batch_mg = strategy.uses_multigrid(grid.n());
-        self.ensure_geometry(grid, omega);
-        let mut factorizations = 0;
-        let slot = &mut self.slots[self.active];
-        if self.batch_mg {
-            if slot.mg_epoch != Some(epoch) {
-                slot.rebuild_mg(grid, nominal_eps)?;
-                slot.mg_epoch = Some(epoch);
-                factorizations = 1;
-            }
-        } else {
-            factorizations = refresh_nominal_banded(
-                slot,
-                &mut self.diag,
-                &mut self.a,
-                nominal_eps,
-                epoch,
-                self.factor_lag,
-            )?;
-        }
-        self.batch_diags.clear();
-        self.batch_count = 0;
-        self.batch_reports.clear();
-        self.batch_opts = IterativeOptions {
-            tol,
-            max_iters,
-            use_initial_guess: false,
-            threads: 1,
-        };
-        Ok(factorizations)
-    }
-
-    /// Appends one corner operator (its diagonal) to the current batch;
-    /// returns the corner's slot index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` does not match the batch grid.
-    pub fn batch_push(&mut self, eps: &Array2<f64>) -> usize {
-        let stencil = &self
-            .slots
-            .get(self.active)
-            .expect("batch_begin before batch_push")
-            .stencil;
-        let n = stencil.n();
-        assert_eq!(eps.as_slice().len(), n, "eps size mismatch");
-        // diag_into semantics, appended to the batch block.
-        stencil.diag_into(eps, &mut self.diag);
-        self.batch_diags.extend_from_slice(&self.diag);
-        let slot = self.batch_count;
-        self.batch_count += 1;
-        slot
-    }
-
-    /// Number of corners in the current batch.
-    pub fn batch_len(&self) -> usize {
-        self.batch_count
-    }
-
-    /// Lockstep-solves `cols_per_corner` systems for every batched
-    /// corner: `b` holds the right-hand sides (corner-major, column-major
-    /// within a corner, `n·cols_per_corner·batch_len()` entries) and the
-    /// solutions land in `x`. With `use_initial_guess`, `x` carries warm
-    /// starts (e.g. the nominal corner's fields) on entry.
-    ///
-    /// No direct fallback happens here: corners whose columns miss the
-    /// budget are reported with `converged == false` in
-    /// [`SimWorkspace::batch_reports`] and the caller re-evaluates them
-    /// directly. Calling `batch_solve` again (e.g. for the adjoint phase)
-    /// merges into the same per-corner reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block lengths disagree with the batch.
-    pub fn batch_solve(
-        &mut self,
-        b: &[Complex64],
-        x: &mut [Complex64],
-        cols_per_corner: usize,
-        use_initial_guess: bool,
-    ) {
-        let slot = self
-            .slots
-            .get_mut(self.active)
-            .expect("batch_begin before batch_solve");
-        let n = slot.stencil.n();
-        let ncols = self.batch_count * cols_per_corner;
-        assert_eq!(b.len(), n * ncols, "batch rhs block length mismatch");
-        assert_eq!(x.len(), n * ncols, "batch solution block length mismatch");
-        let op = MultiCornerOp {
-            cache: &slot.stencil,
-            diags: &self.batch_diags,
-            cols_per_diag: cols_per_corner,
-        };
-        let opts = IterativeOptions {
-            use_initial_guess,
-            ..self.batch_opts
-        };
-        if self.batch_mg {
-            // One shared nominal preconditioner pair (surrogate V-cycle +
-            // boundary band) serves every packed column (the blanket
-            // `PrecondFamily` applies it per sweep).
-            let mut precond = slot.mg_precond(&mut self.mg_scratch, &mut self.band_scratch);
-            bicgstab_precond_many(&op, &mut precond, b, x, ncols, &opts, &mut self.krylov);
-        } else {
-            let use_f32 = self.batch_opts.tol >= F32_PRECOND_MIN_TOL;
-            if use_f32 {
-                bicgstab_precond_many(
-                    &op,
-                    &mut slot.nominal_lu32,
-                    b,
-                    x,
-                    ncols,
-                    &opts,
-                    &mut self.krylov,
-                );
-            } else {
-                bicgstab_precond_many(
-                    &op,
-                    &mut slot.nominal_lu,
-                    b,
-                    x,
-                    ncols,
-                    &opts,
-                    &mut self.krylov,
-                );
-            }
-        }
-        // Merge per-column stats into per-corner reports.
-        merge_stats_into_reports(
-            self.krylov.stats(),
-            &mut self.batch_reports,
-            self.batch_count,
-            cols_per_corner,
-        );
-        if self.factor_lag.is_some() && !self.batch_mg {
-            let slot = &mut self.slots[self.active];
-            if slot.factor_epoch != slot.nominal_epoch
-                && self.krylov.stats().iter().any(|s| !s.converged)
-            {
-                // A budget miss against the lag-kept stale factor trips
-                // its refactor at the next epoch check.
-                slot.factor_miss_streak += 1;
-            }
-        }
-    }
-
     /// Per-corner convergence reports of the current batch (filled by
-    /// [`SimWorkspace::batch_solve`] / [`SimWorkspace::fused_batch_solve`]).
+    /// [`SimWorkspace::fused_batch_solve`]).
     pub fn batch_reports(&self) -> &[CornerSolveReport] {
         &self.batch_reports
     }
@@ -1816,12 +1627,13 @@ impl SimWorkspace {
     /// advance all of them in one lockstep sweep with
     /// [`SimWorkspace::fused_batch_solve`].
     ///
-    /// Where [`SimWorkspace::batch_begin`] amortises the preconditioner's
-    /// memory traffic across the corners of *one* wavelength, the fused
-    /// batch amortises the whole iteration across the full cross product:
-    /// every column is preconditioned by its own ω's nominal factor and
-    /// stencil-applied through its own ω's couplings, so a broadband
-    /// robust iteration runs **one** batch instead of K.
+    /// Batching exists because the preconditioner sweeps are memory-bound
+    /// on the factor image: sweeping the packed active columns of every
+    /// corner at once reads each ω's factors one time per half-iteration
+    /// for the whole batch instead of once per corner. Every column is
+    /// preconditioned by its own ω's nominal factor and stencil-applied
+    /// through its own ω's couplings, so a broadband robust iteration runs
+    /// **one** batch, and a single-wavelength sweep is the one-ω case.
     ///
     /// Returns the number of nominal factorisations performed (one per ω
     /// whose cached nominal preconditioner — banded factor or multigrid
@@ -1989,10 +1801,10 @@ impl SimWorkspace {
     ///
     /// Every column advances through the one shared BiCGSTAB iteration,
     /// preconditioned by **its own ω's** nominal factor and
-    /// stencil-applied through its own ω's couplings — per-column
-    /// arithmetic is exactly that of the per-ω batched sweep, so results
-    /// are bit-identical to running K separate [`SimWorkspace::batch_solve`]
-    /// batches. When the packed active-column count reaches
+    /// stencil-applied through its own ω's couplings — columns are coupled
+    /// only through sweep packing, never through values, so results are
+    /// bit-identical to running K separate single-ω batches. When the
+    /// packed active-column count reaches
     /// [`FUSED_SPLIT_MIN_COLS`] (banded) / [`MG_SPLIT_MIN_COLS`]
     /// (multigrid) and `threads > 1`, each preconditioner run splits
     /// into independent contiguous column chunks dispatched on the
@@ -2743,18 +2555,18 @@ mod tests {
             .map(|k| c64((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
             .collect();
 
-        // Batched: all non-nominal corners at once.
+        // Batched: all non-nominal corners at once, one wavelength.
         let mut ws = SimWorkspace::new();
-        ws.batch_begin(
+        ws.fused_batch_begin(
             grid,
-            omega(),
+            &[omega()],
             &nominal,
             5,
             SolverStrategy::PreconditionedIterative { tol, max_iters },
         )
         .unwrap();
         for eps in &corners[1..] {
-            ws.batch_push(eps);
+            ws.fused_batch_push(eps, 0);
         }
         let ncorner = corners.len() - 1;
         let mut rhs = vec![Complex64::ZERO; n * ncorner];
@@ -2762,7 +2574,7 @@ mod tests {
             rhs[c * n..(c + 1) * n].copy_from_slice(&b);
         }
         let mut x = vec![Complex64::ZERO; n * ncorner];
-        ws.batch_solve(&rhs, &mut x, 1, false);
+        ws.fused_batch_solve(&rhs, &mut x, 1, false, 1);
         assert!(ws.batch_reports().iter().all(|r| r.converged));
         assert_eq!(ws.batch_reports().len(), ncorner);
 
@@ -2939,118 +2751,61 @@ mod tests {
     }
 
     /// The fused (corner × ω) batch performs, per column, exactly the
-    /// per-ω batched sweep's arithmetic — its own ω's stencil apply, its
-    /// own ω's nominal-factor preconditioner sweep — so fusing the K
-    /// per-ω batches into one lockstep batch is bit-identical, forwards
-    /// and (merged) second-phase solves alike.
+    /// single-ω batch's arithmetic — its own ω's stencil apply, its own
+    /// ω's nominal-factor preconditioner sweep — so fusing K single-ω
+    /// batches into one lockstep batch is bit-identical, forwards and
+    /// (merged) second-phase solves alike.
     #[test]
     fn fused_cross_omega_batch_is_bit_identical_to_per_omega_batches() {
         let grid = SimGrid::new(40, 36, 0.05, 8);
         let corners = corner_family(&grid);
         let nominal = corners[0].clone();
         let omegas = [omega(), omega() * 1.02, omega() * 0.98];
-        let (tol, max_iters) = (1e-6, 24);
+        let strategy = SolverStrategy::PreconditionedIterative {
+            tol: 1e-6,
+            max_iters: 24,
+        };
         let n = grid.n();
         let b: Vec<Complex64> = (0..n)
             .map(|k| c64((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
             .collect();
         let ncorner = corners.len() - 1;
-
-        // Fused: all (corner, ω) pairs, ω-major, one lockstep batch.
-        let mut ws = SimWorkspace::new();
-        ws.fused_batch_begin(
-            grid,
-            &omegas,
-            &nominal,
-            5,
-            SolverStrategy::PreconditionedIterative { tol, max_iters },
-        )
-        .unwrap();
-        for oi in 0..omegas.len() {
-            for eps in &corners[1..] {
-                ws.fused_batch_push(eps, oi);
+        // One lockstep batch over `oms` (ω-major), forward + second phase.
+        let sweep = |oms: &[f64]| {
+            let mut ws = SimWorkspace::new();
+            ws.fused_batch_begin(grid, oms, &nominal, 5, strategy)
+                .unwrap();
+            for oi in 0..oms.len() {
+                for eps in &corners[1..] {
+                    ws.fused_batch_push(eps, oi);
+                }
             }
-        }
-        let total = ncorner * omegas.len();
-        let mut rhs = vec![Complex64::ZERO; n * total];
-        for c in 0..total {
-            rhs[c * n..(c + 1) * n].copy_from_slice(&b);
-        }
-        let mut x = vec![Complex64::ZERO; n * total];
-        ws.fused_batch_solve(&rhs, &mut x, 1, false, 1);
-        assert_eq!(ws.batch_reports().len(), total);
-        assert!(ws.batch_reports().iter().all(|r| r.converged));
-        // Second phase on the same batch (the adjoint pattern).
-        let mut x2 = vec![Complex64::ZERO; n * total];
-        ws.fused_batch_solve(&rhs, &mut x2, 1, false, 1);
+            let total = ncorner * oms.len();
+            let mut rhs = vec![Complex64::ZERO; n * total];
+            for c in 0..total {
+                rhs[c * n..(c + 1) * n].copy_from_slice(&b);
+            }
+            let mut x = vec![Complex64::ZERO; n * total];
+            ws.fused_batch_solve(&rhs, &mut x, 1, false, 1);
+            let mut x2 = vec![Complex64::ZERO; n * total];
+            ws.fused_batch_solve(&rhs, &mut x2, 1, false, 1);
+            (x, x2, ws.batch_reports().to_vec())
+        };
 
-        // Per-ω reference: K separate batches.
+        let (x, x2, reports) = sweep(&omegas);
+        assert_eq!(reports.len(), ncorner * omegas.len());
+        assert!(reports.iter().all(|r| r.converged));
+        // Per-ω reference: K separate single-ω batches.
         for (oi, &om) in omegas.iter().enumerate() {
-            let mut ws1 = SimWorkspace::new();
-            ws1.batch_begin(
-                grid,
-                om,
-                &nominal,
-                5,
-                SolverStrategy::PreconditionedIterative { tol, max_iters },
-            )
-            .unwrap();
-            for eps in &corners[1..] {
-                ws1.batch_push(eps);
-            }
-            let mut rhs1 = vec![Complex64::ZERO; n * ncorner];
-            for c in 0..ncorner {
-                rhs1[c * n..(c + 1) * n].copy_from_slice(&b);
-            }
-            let mut x1 = vec![Complex64::ZERO; n * ncorner];
-            ws1.batch_solve(&rhs1, &mut x1, 1, false);
-            let fused = &x[oi * ncorner * n..(oi + 1) * ncorner * n];
-            assert_eq!(fused, x1.as_slice(), "ω index {oi} diverged");
-            let mut x1b = vec![Complex64::ZERO; n * ncorner];
-            ws1.batch_solve(&rhs1, &mut x1b, 1, false);
-            let fused2 = &x2[oi * ncorner * n..(oi + 1) * ncorner * n];
-            assert_eq!(fused2, x1b.as_slice(), "ω index {oi} second phase");
+            let (x1, x1b, reports1) = sweep(&[om]);
+            let block = oi * ncorner * n..(oi + 1) * ncorner * n;
+            assert_eq!(&x[block.clone()], x1.as_slice(), "ω index {oi} diverged");
+            assert_eq!(&x2[block], x1b.as_slice(), "ω index {oi} second phase");
             // Reports agree corner-for-corner (iterations, residuals).
             for c in 0..ncorner {
-                let rf = &ws.batch_reports()[oi * ncorner + c];
-                let rp = &ws1.batch_reports()[c];
-                assert_eq!(rf.max_iterations, rp.max_iterations, "ω {oi} corner {c}");
-                assert_eq!(rf.max_residual, rp.max_residual, "ω {oi} corner {c}");
-                assert_eq!(rf.converged, rp.converged);
-                assert_eq!(rf.solves, rp.solves);
+                assert_eq!(reports[oi * ncorner + c], reports1[c], "ω {oi} corner {c}");
             }
         }
-
-        // K = 1 degenerates to the plain batched sweep bit-identically.
-        let mut wsk1 = SimWorkspace::new();
-        wsk1.fused_batch_begin(
-            grid,
-            &omegas[..1],
-            &nominal,
-            9,
-            SolverStrategy::PreconditionedIterative { tol, max_iters },
-        )
-        .unwrap();
-        for eps in &corners[1..] {
-            wsk1.fused_batch_push(eps, 0);
-        }
-        let mut xk1 = vec![Complex64::ZERO; n * ncorner];
-        wsk1.fused_batch_solve(&rhs[..n * ncorner], &mut xk1, 1, false, 1);
-        let mut ws1 = SimWorkspace::new();
-        ws1.batch_begin(
-            grid,
-            omegas[0],
-            &nominal,
-            9,
-            SolverStrategy::PreconditionedIterative { tol, max_iters },
-        )
-        .unwrap();
-        for eps in &corners[1..] {
-            ws1.batch_push(eps);
-        }
-        let mut x1 = vec![Complex64::ZERO; n * ncorner];
-        ws1.batch_solve(&rhs[..n * ncorner], &mut x1, 1, false);
-        assert_eq!(xk1, x1);
     }
 
     /// Splitting the fused preconditioner sweeps across worker threads is

@@ -18,8 +18,9 @@ fn waveguide(grid: &SimGrid, core: f64) -> Array2<f64> {
     })
 }
 
-/// One batched corner sweep at `epoch` against `nominal`; returns the
-/// factorisation count reported by `batch_begin` and the solution block.
+/// One batched single-ω corner sweep at `epoch` against `nominal`;
+/// returns the factorisation count reported by `fused_batch_begin` and the
+/// solution block.
 fn sweep(
     ws: &mut SimWorkspace,
     grid: SimGrid,
@@ -30,15 +31,15 @@ fn sweep(
 ) -> (usize, Vec<Complex64>) {
     let strategy = SolverStrategy::preconditioned_iterative();
     let factorizations = ws
-        .batch_begin(grid, omega, nominal, epoch, strategy)
+        .fused_batch_begin(grid, &[omega], nominal, epoch, strategy)
         .expect("nominal factorisation failed");
     for k in 1..4 {
         let eps = nominal.map(|&e| if e > 1.0 { e + 0.01 * k as f64 } else { e });
-        ws.batch_push(&eps);
+        ws.fused_batch_push(&eps, 0);
     }
     let n = grid.n();
     let mut x = vec![Complex64::ZERO; n * 3];
-    ws.batch_solve(rhs, &mut x, 1, false);
+    ws.fused_batch_solve(rhs, &mut x, 1, false, 1);
     assert!(
         ws.batch_reports().iter().all(|r| r.converged),
         "sweep at epoch {epoch} did not converge"

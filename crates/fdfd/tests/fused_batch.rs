@@ -1,10 +1,10 @@
 //! Property test: the fused (corner × ω) lockstep batch is bit-identical
-//! to the per-ω batched path.
+//! to K single-ω batches.
 //!
 //! Columns of a lockstep BiCGSTAB batch are coupled only through sweep
 //! *packing*, never through values, and every fused column runs exactly
-//! the per-ω batch's arithmetic — its own ω's stencil apply, its own ω's
-//! nominal-factor preconditioner sweep. This test drives that claim over
+//! the single-ω batch's arithmetic — its own ω's stencil apply, its own
+//! ω's nominal-factor preconditioner sweep. This test drives that claim over
 //! random corner families, wavelength counts, right-hand sides and
 //! iteration budgets — including starved budgets where a hard corner
 //! *misses* and is reported unconverged (the caller's direct-fallback
@@ -107,24 +107,25 @@ proptest! {
         ws.fused_batch_solve(&rhs, &mut x2, cols_per_corner, false, 1);
         prop_assert_eq!(ws.batch_reports().len(), total);
 
-        // Per-ω reference: K separate batches, same corners and budgets.
+        // Per-ω reference: K separate single-ω batches, same corners and
+        // budgets.
         for (oi, &om) in omegas.iter().enumerate() {
             let mut ws1 = SimWorkspace::new();
-            ws1.batch_begin(grid, om, &nominal, 1, SolverStrategy::PreconditionedIterative { tol, max_iters })
+            ws1.fused_batch_begin(grid, &[om], &nominal, 1, SolverStrategy::PreconditionedIterative { tol, max_iters })
                 .map_err(|e| TestCaseError::Fail(format!("{e:?}")))?;
             for eps in &corners {
-                ws1.batch_push(eps);
+                ws1.fused_batch_push(eps, 0);
             }
             let group = &rhs[oi * ncorner * bl..(oi + 1) * ncorner * bl];
             let mut x1 = vec![Complex64::ZERO; ncorner * bl];
-            ws1.batch_solve(group, &mut x1, cols_per_corner, false);
+            ws1.fused_batch_solve(group, &mut x1, cols_per_corner, false, 1);
             prop_assert!(
                 x[oi * ncorner * bl..(oi + 1) * ncorner * bl] == *x1.as_slice(),
                 "ω index {} forward phase diverged",
                 oi
             );
             let mut x1b = vec![Complex64::ZERO; ncorner * bl];
-            ws1.batch_solve(group, &mut x1b, cols_per_corner, false);
+            ws1.fused_batch_solve(group, &mut x1b, cols_per_corner, false, 1);
             prop_assert!(
                 x2[oi * ncorner * bl..(oi + 1) * ncorner * bl] == *x1b.as_slice(),
                 "ω index {} second phase diverged",

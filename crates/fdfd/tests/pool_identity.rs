@@ -51,7 +51,7 @@ fn rhs_block(n: usize, cols: usize) -> Vec<Complex64> {
 
 /// One complete fused sweep (fresh workspace) at the given worker count;
 /// returns the solution block and the per-corner reports.
-fn fused_sweep(
+fn sweep_on(
     grid: SimGrid,
     omegas: &[f64],
     nominal: &Array2<f64>,
@@ -89,10 +89,10 @@ fn banded_fused_sweep_bit_identical_across_1_2_8_workers() {
         max_iters: 24,
     };
 
-    let (x1, r1) = fused_sweep(grid, &omegas, &nominal, &corners, strategy, 1);
+    let (x1, r1) = sweep_on(grid, &omegas, &nominal, &corners, strategy, 1);
     assert!(r1.iter().all(|r| r.converged), "reference sweep missed");
     for threads in [2usize, 8] {
-        let (xt, rt) = fused_sweep(grid, &omegas, &nominal, &corners, strategy, threads);
+        let (xt, rt) = sweep_on(grid, &omegas, &nominal, &corners, strategy, threads);
         assert!(x1 == xt, "{threads}-worker banded sweep diverged bitwise");
         assert!(r1 == rt, "{threads}-worker banded reports diverged");
     }
@@ -111,10 +111,10 @@ fn multigrid_fused_sweep_bit_identical_across_1_2_8_workers() {
         max_iters: 40,
     };
 
-    let (x1, r1) = fused_sweep(grid, &omegas, &nominal, &corners, strategy, 1);
+    let (x1, r1) = sweep_on(grid, &omegas, &nominal, &corners, strategy, 1);
     assert!(r1.iter().all(|r| r.converged), "reference MG sweep missed");
     for threads in [2usize, 8] {
-        let (xt, rt) = fused_sweep(grid, &omegas, &nominal, &corners, strategy, threads);
+        let (xt, rt) = sweep_on(grid, &omegas, &nominal, &corners, strategy, threads);
         assert!(x1 == xt, "{threads}-worker MG sweep diverged bitwise");
         assert!(r1 == rt, "{threads}-worker MG reports diverged");
     }

@@ -3,13 +3,18 @@
 //! accumulation touches the heap **not at all** after warm-up.
 //!
 //! This is its own integration-test binary so the counting global
-//! allocator sees no traffic from unrelated tests.
+//! allocator sees no traffic from unrelated tests. The counter is
+//! process-global — pool workers' allocations must count too — so the
+//! tests of this binary must not overlap: each one holds [`SERIAL`]
+//! across its warm-up and its measured window, whatever `--test-threads`
+//! libtest runs with.
 
 use boson_fdfd::grid::SimGrid;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
 use boson_num::{Array2, Complex64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -53,8 +58,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Serialises the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes [`SERIAL`] for the rest of the calling test; a panicked sibling
+/// (poisoned lock) does not block the others.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn steady_state_solve_path_performs_no_heap_allocations() {
+    let _serial = serial();
     let grid = SimGrid::new(48, 40, 0.05, 8);
     let omega = 2.0 * std::f64::consts::PI / 1.55;
     let mut eps = Array2::from_fn(grid.ny, grid.nx, |iy, _| {
@@ -110,6 +125,7 @@ fn steady_state_solve_path_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_iterative_corner_path_performs_no_heap_allocations() {
+    let _serial = serial();
     let grid = SimGrid::new(48, 40, 0.05, 8);
     let omega = 2.0 * std::f64::consts::PI / 1.55;
     let nominal = Array2::from_fn(grid.ny, grid.nx, |iy, _| {
@@ -184,6 +200,7 @@ fn steady_state_iterative_corner_path_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_multigrid_corner_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
     // The forced-multigrid corner path: the surrogate hierarchy, its
     // boundary-band strips and both scratches are sized during warm-up
     // (first epoch builds the hard-walled surrogate stencil once per ω
@@ -265,12 +282,13 @@ fn steady_state_multigrid_corner_sweep_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_spectral_batched_corner_sweep_performs_no_heap_allocations() {
-    // The broadband (corner × ω) sweep: per epoch, each of K wavelengths
-    // runs one batched lockstep sweep over the corner set against its own
-    // per-ω nominal factor. After warm-up every ω's slot (stretch
-    // factors, stencil couplings, nominal LU + f32 copy) is resident in
-    // the workspace's ω cache, so the steady state touches the heap not
-    // at all.
+    let _serial = serial();
+    // Single-ω batched sweeps revisiting a broadband ω set: per epoch,
+    // each of K wavelengths runs one single-ω lockstep batch over the
+    // corner set against its own nominal factor. After warm-up every ω's
+    // slot (stretch factors, stencil couplings, nominal LU + f32 copy) is
+    // resident in the workspace's ω cache, so the steady state touches
+    // the heap not at all.
     let grid = SimGrid::new(48, 40, 0.05, 8);
     let lambda = 1.55;
     let omegas: Vec<f64> = (0..3)
@@ -299,19 +317,19 @@ fn steady_state_spectral_batched_corner_sweep_performs_no_heap_allocations() {
     let mut ws = SimWorkspace::new();
     let run_epoch = |ws: &mut SimWorkspace, x: &mut Vec<Complex64>, epoch: u64| {
         for &omega in &omegas {
-            ws.batch_begin(
+            ws.fused_batch_begin(
                 grid,
-                omega,
+                &[omega],
                 &nominal,
                 epoch,
                 SolverStrategy::preconditioned_iterative(),
             )
             .unwrap();
             for eps in &corners {
-                ws.batch_push(eps);
+                ws.fused_batch_push(eps, 0);
             }
             x.fill(Complex64::ZERO);
-            ws.batch_solve(&rhs, x, 1, false);
+            ws.fused_batch_solve(&rhs, x, 1, false, 1);
             assert!(ws.batch_reports().iter().all(|r| r.converged));
         }
     };
@@ -336,6 +354,7 @@ fn steady_state_spectral_batched_corner_sweep_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_fused_cross_omega_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
     // The fused (corner × ω) sweep: per epoch, ONE lockstep batch carries
     // every (corner, wavelength) column, each preconditioned by its own
     // ω's nominal factor. After warm-up all K slots and the fused batch
@@ -413,6 +432,7 @@ fn steady_state_fused_cross_omega_sweep_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_pooled_fused_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
     // The pooled dispatch path: enough packed columns that the fused
     // sweep splits its preconditioner half-sweeps (and, above
     // `PAR_MIN_ELEMS`, its per-column Krylov stages) across lanes of the
@@ -492,6 +512,7 @@ fn steady_state_pooled_fused_sweep_performs_no_heap_allocations() {
 
 #[test]
 fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
     // The temporal-axis steady state: the fused (corner × ω) sweep with
     // BOTH cross-iteration Krylov recycling (per-column deflation stores,
     // forward and adjoint orientation) and the lagged nominal-factor
@@ -626,63 +647,4 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
     // Sanity: recycling really engaged (directions were harvested).
     assert!(fwd.iter().any(|s| !s.is_empty()));
     assert!(adj.iter().any(|s| !s.is_empty()));
-}
-
-#[test]
-fn steady_state_batched_corner_sweep_performs_no_heap_allocations() {
-    let grid = SimGrid::new(48, 40, 0.05, 8);
-    let omega = 2.0 * std::f64::consts::PI / 1.55;
-    let nominal = Array2::from_fn(grid.ny, grid.nx, |iy, _| {
-        if iy.abs_diff(grid.ny / 2) < 4 {
-            12.11
-        } else {
-            1.0
-        }
-    });
-    let corners: Vec<Array2<f64>> = (1..4)
-        .map(|k| nominal.map(|&e| if e > 1.0 { e + 0.01 * k as f64 } else { e }))
-        .collect();
-    let n = grid.n();
-    let g: Vec<Complex64> = (0..n)
-        .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
-        .collect();
-    let mut rhs = vec![Complex64::ZERO; n * corners.len()];
-    for c in 0..corners.len() {
-        rhs[c * n..(c + 1) * n].copy_from_slice(&g);
-    }
-    let mut x = vec![Complex64::ZERO; n * corners.len()];
-
-    let mut ws = SimWorkspace::new();
-    let run_epoch = |ws: &mut SimWorkspace, x: &mut Vec<Complex64>, epoch: u64| {
-        ws.batch_begin(
-            grid,
-            omega,
-            &nominal,
-            epoch,
-            SolverStrategy::preconditioned_iterative(),
-        )
-        .unwrap();
-        for eps in &corners {
-            ws.batch_push(eps);
-        }
-        x.fill(Complex64::ZERO);
-        ws.batch_solve(&rhs, x, 1, false);
-        assert!(ws.batch_reports().iter().all(|r| r.converged));
-    };
-
-    for epoch in 0..2 {
-        run_epoch(&mut ws, &mut x, epoch);
-    }
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for epoch in 2..6 {
-        run_epoch(&mut ws, &mut x, epoch);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batched corner sweep performed {} heap allocations",
-        after - before
-    );
-    assert!(x.iter().any(|v| v.abs() > 0.0));
 }
