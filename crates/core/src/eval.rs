@@ -11,10 +11,11 @@
 //!   etch threshold: honest binary-device performance. This is the number
 //!   to the right of the arrows.
 
-use crate::compiled::CompiledProblem;
+use crate::compiled::{CompiledProblem, EvalScratch, Evaluation};
 use crate::fabchain::{assemble_eps, FabChain};
 use crate::objective::Readings;
 use boson_fab::{VariationCorner, VariationSpace};
+use boson_num::banded::SingularMatrixError;
 use boson_num::stats::Summary;
 use boson_num::Array2;
 use rand::rngs::StdRng;
@@ -78,6 +79,9 @@ pub fn evaluate_nominal_fab(
 
 /// Monte-Carlo post-fab evaluation: `samples` random variation draws,
 /// hard etch threshold.
+///
+/// One [`EvalScratch`] serves every sample, so the band storage, factors
+/// and field blocks are allocated once per report, not once per sample.
 pub fn evaluate_post_fab(
     compiled: &CompiledProblem,
     chain: &FabChain,
@@ -85,6 +89,23 @@ pub fn evaluate_post_fab(
     mask: &Array2<f64>,
     samples: usize,
     seed: u64,
+) -> PostFabReport {
+    let spec = &compiled.problem().objective;
+    let mut scratch = EvalScratch::new();
+    post_fab_with(compiled, chain, space, mask, samples, seed, |eps| {
+        compiled.evaluate_eps_scratch(eps, false, spec, &mut scratch)
+    })
+}
+
+/// The body of [`evaluate_post_fab`] over a given per-sample evaluation.
+fn post_fab_with(
+    compiled: &CompiledProblem,
+    chain: &FabChain,
+    space: &VariationSpace,
+    mask: &Array2<f64>,
+    samples: usize,
+    seed: u64,
+    mut evaluate: impl FnMut(&Array2<f64>) -> Result<Evaluation, SingularMatrixError>,
 ) -> PostFabReport {
     let problem = compiled.problem();
     let binary = binarize_mask(mask);
@@ -100,9 +121,7 @@ pub fn evaluate_post_fab(
             &fwd.rho_fab,
             corner.temperature,
         );
-        let ev = compiled
-            .evaluate_eps(&eps, false)
-            .expect("MC evaluation failed");
+        let ev = evaluate(&eps).expect("MC evaluation failed");
         foms.push(ev.fom);
         for (ei, map) in ev.readings.iter().enumerate() {
             for (k, v) in map {
@@ -177,6 +196,23 @@ mod tests {
         assert_eq!(r1.samples, r2.samples);
         let r3 = evaluate_post_fab(&compiled, &chain, &space, &mask, 3, 12);
         assert_ne!(r1.samples, r3.samples);
+    }
+
+    #[test]
+    fn post_fab_shared_scratch_matches_a_fresh_scratch_per_sample() {
+        let (compiled, chain, space, mask) = setup();
+        let shared = evaluate_post_fab(&compiled, &chain, &space, &mask, 3, 11);
+        let fresh = post_fab_with(&compiled, &chain, &space, &mask, 3, 11, |eps| {
+            compiled.evaluate_eps(eps, false)
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&shared.samples), bits(&fresh.samples));
+        assert_eq!(shared.fom.mean.to_bits(), fresh.fom.mean.to_bits());
+        assert_eq!(shared.fom.std.to_bits(), fresh.fom.std.to_bits());
+        assert_eq!(shared.readings_mean.len(), fresh.readings_mean.len());
+        for (k, v) in &shared.readings_mean {
+            assert_eq!(v.to_bits(), fresh.readings_mean[k].to_bits(), "{k}");
+        }
     }
 
     #[test]

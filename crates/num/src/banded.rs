@@ -29,8 +29,14 @@
 //!   which make a *single* pass over the factors for all right-hand sides.
 //!
 //! The factorisation kernel is shared by both styles and is written in
-//! slice/iterator form (no bounds checks in the inner loops) so the
-//! compiler can vectorise the complex axpy updates; pivot selection uses
+//! slice/iterator form (no bounds checks in the inner loops). Its complex
+//! axpy updates, like those of the substitution sweeps and of the `f32`
+//! preconditioner sweeps, go through a kernel dispatched at runtime: an
+//! explicit AVX loop when the CPU has AVX, the portable scalar loop
+//! otherwise, bit-identical to each other. The dispatch is explicit
+//! because LLVM leaves the portable loop scalar for the default
+//! baseline-x86-64 build and vectorises it poorly even with
+//! `-C target-cpu=native`. Pivot selection uses
 //! `|·|²` instead of `|·|` (equivalent argmax, no `hypot` per entry). The
 //! seed's straightforward scalar implementation is preserved unchanged in
 //! [`reference`](mod@reference) as the correctness baseline for property tests and as the
@@ -243,9 +249,9 @@ impl BandedMatrix {
     /// Allocation-free matrix–vector product `y = A x`, overwriting `y`.
     ///
     /// Sweeps the band storage column by column (each column is contiguous,
-    /// so the inner update is a vectorisable [`crate::complex::axpy`]); this is the
-    /// operator application behind the matrix-free iterative solver in
-    /// [`crate::krylov`].
+    /// so the inner update is a [`crate::complex::axpy`] over a slice); this
+    /// is the operator application behind the matrix-free iterative solver
+    /// in [`crate::krylov`].
     ///
     /// # Panics
     ///
@@ -385,6 +391,25 @@ impl BandedMatrix {
         factor_kernel(self.n, self.kl, self.ku, &mut lu.ab, &mut lu.ipiv)
     }
 
+    /// [`BandedMatrix::factor_into`] through the portable `axpy_neg` loop,
+    /// returning the factor storage and pivots.
+    #[cfg(test)]
+    pub(crate) fn factor_portable(
+        &self,
+    ) -> Result<(Vec<Complex64>, Vec<usize>), SingularMatrixError> {
+        let mut ab = self.ab.clone();
+        let mut ipiv = vec![0; self.n];
+        factor_kernel_with(
+            self.n,
+            self.kl,
+            self.ku,
+            &mut ab,
+            &mut ipiv,
+            crate::complex::axpy_neg_scalar,
+        )?;
+        Ok((ab, ipiv))
+    }
+
     /// Like [`BandedMatrix::factor_into`] but *swaps* band storage with
     /// `lu` instead of copying it, then factors in place — the band image
     /// in `self` is **destroyed** (replaced by `lu`'s previous storage,
@@ -418,14 +443,27 @@ impl BandedMatrix {
 ///
 /// Pivot selection compares `|·|²` (same argmax as `|·|`, no `hypot`), the
 /// column scaling multiplies by the precomputed pivot inverse, and the
-/// rank-1 trailing update runs on disjoint slices so the inner complex
-/// axpy vectorises.
+/// rank-1 trailing update runs on disjoint slices through the dispatched
+/// [`axpy_neg`] (AVX where available).
 fn factor_kernel(
     n: usize,
     kl: usize,
     ku: usize,
     ab: &mut [Complex64],
     ipiv: &mut [usize],
+) -> Result<(), SingularMatrixError> {
+    factor_kernel_with(n, kl, ku, ab, ipiv, axpy_neg)
+}
+
+/// [`factor_kernel`] over a given `y -= a·x` kernel, so the tests can run
+/// the portable loop against the dispatched one.
+fn factor_kernel_with(
+    n: usize,
+    kl: usize,
+    ku: usize,
+    ab: &mut [Complex64],
+    ipiv: &mut [usize],
+    axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
 ) -> Result<(), SingularMatrixError> {
     let ldab = 2 * kl + ku + 1;
     let kv = kl + ku;
@@ -512,6 +550,12 @@ impl fmt::Debug for BandedLu {
 }
 
 impl BandedLu {
+    /// The factor storage and pivots, for bit-level comparisons in tests.
+    #[cfg(test)]
+    pub(crate) fn raw_parts(&self) -> (&[Complex64], &[usize]) {
+        (&self.ab, &self.ipiv)
+    }
+
     /// An empty factorisation slot for workspace reuse: fill it with
     /// [`BandedMatrix::factor_into`] before solving.
     pub fn placeholder() -> Self {
@@ -914,9 +958,24 @@ fn solve32_with(
     }
 }
 
-/// `y[i] -= a·x[i]` over interleaved-complex `f32` slices.
+/// `y[i] -= a·x[i]` over interleaved-complex `f32` slices: the AVX kernel
+/// when the CPU has AVX (detected once per process), the portable
+/// [`axpy_neg32_scalar`] otherwise, bit-identical to each other.
 #[inline]
-fn axpy_neg32(a_re: f32, a_im: f32, x: &[f32], y: &mut [f32]) {
+pub(crate) fn axpy_neg32(a_re: f32, a_im: f32, x: &[f32], y: &mut [f32]) {
+    debug_assert_eq!(x.len(), y.len());
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX support was detected at runtime just above.
+        unsafe { crate::simd::axpy_neg32_avx(a_re, a_im, x, y) };
+        return;
+    }
+    axpy_neg32_scalar(a_re, a_im, x, y);
+}
+
+/// The portable loop behind [`axpy_neg32`].
+#[inline]
+pub(crate) fn axpy_neg32_scalar(a_re: f32, a_im: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len());
     for (yp, xp) in y.chunks_exact_mut(2).zip(x.chunks_exact(2)) {
         yp[0] -= xp[0] * a_re - xp[1] * a_im;

@@ -58,6 +58,7 @@ pub mod fft;
 pub mod jacobi;
 pub mod krylov;
 pub mod pool;
+mod simd;
 pub mod stats;
 pub mod sync;
 pub mod tridiag;
