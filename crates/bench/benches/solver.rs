@@ -1,13 +1,13 @@
 //! Benchmarks of the FDFD linear-algebra core: operator assembly, banded
-//! LU factorisation, triangular solves, and the BiCGSTAB comparison.
+//! LU factorisation, triangular solves, and direct vs iterative corner
+//! solves.
 
 use boson_fdfd::grid::SimGrid;
-use boson_fdfd::operator::{assemble_banded, assemble_csr, scale_source};
+use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
 use boson_num::banded::reference;
 use boson_num::{Array2, Complex64};
-use boson_sparse::{bicgstab, BicgstabOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -102,15 +102,16 @@ fn bench_corner_loop(c: &mut Criterion) {
     });
     group.bench_function("workspace_pipeline", |b| {
         let mut ws = SimWorkspace::new();
-        let mut fwd = Vec::new();
+        let mut fwd = vec![Complex64::ZERO; grid.n()];
         let mut adj = vec![Complex64::ZERO; grid.n()];
         b.iter(|| {
             let mut acc = Complex64::ZERO;
             for eps in &corners {
                 ws.factor(grid, omega, eps).unwrap();
-                ws.solve_current_into(&jz, &mut fwd);
+                scale_source_into(&grid, ws.sfactors(), omega, &jz, &mut fwd);
+                ws.solve_block(&mut fwd, 1).unwrap();
                 adj.copy_from_slice(&g);
-                ws.solve_adjoint_in_place(&mut adj);
+                ws.solve_block(&mut adj, 1).unwrap();
                 acc += fwd[grid.n() / 2] + adj[grid.n() / 2];
             }
             black_box(acc)
@@ -200,47 +201,10 @@ fn bench_corner_solve(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bicgstab(c: &mut Criterion) {
-    // Iterative comparison on a small, well-conditioned system: a lossy
-    // variant of the operator (adds imaginary diagonal so the Krylov
-    // method converges quickly).
-    let (grid, s, eps, omega) = setup(32);
-    let a = assemble_csr(&grid, &s, &eps.map(|&e| e), omega);
-    let n = grid.n();
-    let mut coo = boson_sparse::CooMatrix::new(n, n);
-    for i in 0..n {
-        for j in i.saturating_sub(1)..(i + 2).min(n) {
-            let v = a.get(i, j);
-            if v != Complex64::ZERO {
-                coo.push(i, j, v);
-            }
-        }
-        coo.push(i, i, Complex64::new(0.0, 50.0));
-    }
-    let lossy = coo.to_csr();
-    let rhs = vec![Complex64::ONE; n];
-    c.bench_function("bicgstab_lossy_32x32", |b| {
-        b.iter(|| {
-            black_box(
-                bicgstab(
-                    &lossy,
-                    &rhs,
-                    &BicgstabOptions {
-                        tol: 1e-8,
-                        max_iter: 2000,
-                        jacobi_precondition: true,
-                    },
-                )
-                .unwrap(),
-            )
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_assembly, bench_factor_and_solve, bench_corner_loop, bench_rhs_blocking,
-        bench_corner_solve, bench_bicgstab
+        bench_corner_solve
 }
 criterion_main!(benches);

@@ -26,10 +26,10 @@ use crate::objective::{Readings, SpectralAggregation};
 use crate::problem::{DeviceProblem, MonitorKind};
 use boson_fab::SpectralAxis;
 use boson_fdfd::monitor::ModalMonitor;
-use boson_fdfd::operator::scale_source_into;
+use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into};
+use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{
-    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, Simulation,
-    SolverStrategy,
+    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
 use boson_num::banded::SingularMatrixError;
@@ -462,8 +462,10 @@ fn calibrate_omega(
                 Array2::from_fn(grid.ny, grid.nx, |_, ix| line[ix])
             }
         };
-        let sim = Simulation::new(grid, omega, eps_ref)?;
-        let field = sim.solve_current(&sources[ei].current(&grid));
+        let sfactors = SFactors::new(&grid, omega);
+        let lu = assemble_banded(&grid, &sfactors, &eps_ref, omega).factor()?;
+        let mut field = scale_source(&grid, &sfactors, omega, &sources[ei].current(&grid));
+        lu.solve(&mut field);
         // Measure the launched mode 12 cells downstream.
         let shift: isize = match exc.source_direction {
             boson_fdfd::grid::Sign::Plus => 12,
@@ -477,7 +479,7 @@ fn calibrate_omega(
             &port_modes[exc.source_port][exc.source_mode],
             exc.source_direction,
         );
-        let p0 = mon.power(&field.ez);
+        let p0 = mon.power(&field);
         assert!(p0 > 1e-12, "{}: zero launched power", problem.name);
         norm_power.push(p0);
     }
@@ -1473,7 +1475,7 @@ impl CompiledProblem {
 fn forward_rhs_into(
     cal: &OmegaCal,
     grid: &boson_fdfd::grid::SimGrid,
-    sfactors: &boson_fdfd::pml::SFactors,
+    sfactors: &SFactors,
     jz: &mut Vec<Complex64>,
     out: &mut [Complex64],
 ) {

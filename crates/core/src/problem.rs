@@ -78,7 +78,7 @@ pub struct Excitation {
 pub struct DeviceProblem {
     /// Benchmark name ("bending", "crossing", "isolator").
     pub name: String,
-    /// Simulation grid.
+    /// FDFD simulation grid.
     pub grid: SimGrid,
     /// Angular frequency.
     pub omega: f64,

@@ -1,4 +1,4 @@
-//! Simulation grid geometry.
+//! FDFD grid geometry.
 //!
 //! A [`SimGrid`] describes a uniform 2-D Yee grid: `nx × ny` cells of pitch
 //! `dx` (µm), with `npml` cells of perfectly-matched layer on every edge.

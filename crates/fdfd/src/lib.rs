@@ -20,20 +20,26 @@
 //!
 //! ```
 //! use boson_fdfd::prelude::*;
-//! use boson_num::Array2;
+//! use boson_num::{Array2, Complex64};
 //!
 //! let grid = SimGrid::new(50, 40, 0.05, 8);
 //! let omega = 2.0 * std::f64::consts::PI / 1.55;
 //! // 0.4 µm silicon strip.
 //! let eps = Array2::from_fn(40, 50, |iy, _| if (16..24).contains(&iy) { 12.11 } else { 1.0 });
-//! let sim = Simulation::new(grid, omega, eps.clone())?;
 //! let port = Port::new("in", Axis::X, 12, 8, 32);
 //! let mode = port.solve_modes(&grid, &eps, omega, 1).remove(0);
 //! let src = ModalSource::new(port, mode.clone(), Sign::Plus);
-//! let field = sim.solve_current(&src.current(&grid));
+//!
+//! // Factor once, then solve: the field overwrites its scaled source.
+//! let mut ws = SimWorkspace::new();
+//! ws.factor(grid, omega, &eps)?;
+//! let mut field = vec![Complex64::ZERO; grid.n()];
+//! scale_source_into(&grid, ws.sfactors(), omega, &src.current(&grid), &mut field);
+//! ws.solve_block(&mut field, 1)?;
+//!
 //! let out = Port::new("out", Axis::X, 38, 8, 32);
 //! let mon = ModalMonitor::new(&grid, &out, &mode, Sign::Plus);
-//! assert!(mon.power(&field.ez) > 0.0);
+//! assert!(mon.power(&field) > 0.0);
 //! # Ok::<(), boson_num::banded::SingularMatrixError>(())
 //! ```
 
@@ -54,7 +60,8 @@ pub mod prelude {
     pub use crate::grid::{Axis, Sign, SimGrid};
     pub use crate::modes::{solve_modes, SlabMode};
     pub use crate::monitor::{FluxMonitor, LinearForm, ModalMonitor};
+    pub use crate::operator::scale_source_into;
     pub use crate::port::Port;
-    pub use crate::sim::{Field, Simulation};
+    pub use crate::sim::SimWorkspace;
     pub use crate::source::ModalSource;
 }

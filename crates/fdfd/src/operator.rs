@@ -27,7 +27,6 @@ use boson_num::banded::{BandedMatrix, SingularMatrixError};
 use boson_num::complex::{vmul, vmul_add};
 use boson_num::{Array2, Complex64};
 use boson_sparse::multigrid::{FineStencil, Multigrid};
-use boson_sparse::{CooMatrix, CsrMatrix};
 
 /// All coefficients of one assembled stencil row.
 #[derive(Debug, Clone, Copy)]
@@ -424,42 +423,6 @@ impl boson_num::krylov::LinearOp for StencilOp<'_> {
     }
 }
 
-/// Assembles the same operator in CSR form (used by the BiCGSTAB
-/// cross-check and by tests).
-///
-/// # Panics
-///
-/// Panics if `eps` does not have shape `(ny, nx)`.
-pub fn assemble_csr(grid: &SimGrid, s: &SFactors, eps: &Array2<f64>, omega: f64) -> CsrMatrix {
-    assert_eq!(
-        eps.shape(),
-        (grid.ny, grid.nx),
-        "eps shape must be (ny, nx)"
-    );
-    let n = grid.n();
-    let mut coo = CooMatrix::new(n, n);
-    for iy in 0..grid.ny {
-        for ix in 0..grid.nx {
-            let k = grid.idx(ix, iy);
-            let row = stencil_row(grid, s, eps, omega, ix, iy);
-            coo.push(k, k, row.center);
-            if ix > 0 {
-                coo.push(k, k - 1, row.west);
-            }
-            if ix + 1 < grid.nx {
-                coo.push(k, k + 1, row.east);
-            }
-            if iy > 0 {
-                coo.push(k, k - grid.nx, row.south);
-            }
-            if iy + 1 < grid.ny {
-                coo.push(k, k + grid.nx, row.north);
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// The right-hand-side scaling applied to a raw current source `Jz`:
 /// `b_k = -i·ω·sx(i)·sy(j)·Jz_k` (row scaling of the symmetrised system).
 pub fn scale_source(grid: &SimGrid, s: &SFactors, omega: f64, jz: &[Complex64]) -> Vec<Complex64> {
@@ -521,27 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_and_csr_agree() {
-        let (grid, s, mut eps, omega) = setup(25, 22);
-        // Non-trivial permittivity.
-        for iy in 0..22 {
-            for ix in 0..25 {
-                eps[(iy, ix)] = 1.0 + 11.0 * ((ix * iy) % 3 == 0) as u8 as f64;
-            }
-        }
-        let ab = assemble_banded(&grid, &s, &eps, omega);
-        let ac = assemble_csr(&grid, &s, &eps, omega);
-        let x: Vec<Complex64> = (0..grid.n())
-            .map(|k| c64((k as f64 * 0.01).sin(), (k as f64 * 0.03).cos()))
-            .collect();
-        let yb = ab.matvec(&x);
-        let yc = ac.matvec(&x);
-        for (p, q) in yb.iter().zip(&yc) {
-            assert!((*p - *q).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn interior_stencil_matches_helmholtz() {
         // Away from the PML the row must be the plain 5-point Helmholtz
         // stencil: (E_w + E_e + E_s + E_n - 4E_c)/dx² + k0²ε E_c.
@@ -560,7 +502,7 @@ mod tests {
         // A discrete plane wave with the discrete dispersion relation
         // satisfies the interior equation to machine precision.
         let (grid, s, eps, omega) = setup(40, 40);
-        let a = assemble_csr(&grid, &s, &eps, omega);
+        let a = assemble_banded(&grid, &s, &eps, omega);
         // Discrete dispersion: (4/dx²) sin²(β dx/2) = ω² ε  (1-D propagation).
         let beta = (2.0 / grid.dx) * ((omega * grid.dx / 2.0).sin()).asin();
         // Solve actual discrete relation: sin(β dx/2) = ω dx/2 → β as below.
@@ -584,6 +526,59 @@ mod tests {
                     y[k].abs()
                 );
             }
+        }
+    }
+
+    /// The banded image agrees with a compressed-row (CSR-layout) image of
+    /// the same per-row stencil: storage layout and band offsets are right.
+    #[test]
+    fn banded_and_csr_agree() {
+        let (grid, s, mut eps, omega) = setup(25, 22);
+        // Non-trivial permittivity.
+        for iy in 0..22 {
+            for ix in 0..25 {
+                eps[(iy, ix)] = 1.0 + 11.0 * ((ix * iy) % 3 == 0) as u8 as f64;
+            }
+        }
+        let ab = assemble_banded(&grid, &s, &eps, omega);
+        // Compressed rows: (column, value) entries of every row, in order.
+        let mut row_ptr = vec![0usize];
+        let mut entries: Vec<(usize, Complex64)> = Vec::new();
+        for iy in 0..grid.ny {
+            for ix in 0..grid.nx {
+                let k = grid.idx(ix, iy);
+                let row = stencil_row(&grid, &s, &eps, omega, ix, iy);
+                if iy > 0 {
+                    entries.push((k - grid.nx, row.south));
+                }
+                if ix > 0 {
+                    entries.push((k - 1, row.west));
+                }
+                entries.push((k, row.center));
+                if ix + 1 < grid.nx {
+                    entries.push((k + 1, row.east));
+                }
+                if iy + 1 < grid.ny {
+                    entries.push((k + grid.nx, row.north));
+                }
+                row_ptr.push(entries.len());
+            }
+        }
+        let x: Vec<Complex64> = (0..grid.n())
+            .map(|k| c64((k as f64 * 0.01).sin(), (k as f64 * 0.03).cos()))
+            .collect();
+        let yb = ab.matvec(&x);
+        let yc: Vec<Complex64> = row_ptr
+            .windows(2)
+            .map(|w| {
+                entries[w[0]..w[1]]
+                    .iter()
+                    .fold(Complex64::ZERO, |acc, &(j, v)| acc + v * x[j])
+            })
+            .collect();
+        assert_eq!(yc.len(), grid.n());
+        for (p, q) in yb.iter().zip(&yc) {
+            assert!((*p - *q).abs() < 1e-10);
         }
     }
 

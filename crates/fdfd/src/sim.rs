@@ -1,12 +1,14 @@
-//! The forward/adjoint FDFD simulation driver.
+//! The forward/adjoint FDFD factor-and-solve workspace.
 //!
-//! [`Simulation`] owns a grid, a permittivity map and a factored operator.
-//! The expensive step is [`Simulation::new`] (banded LU factorisation);
-//! each subsequent source solve or adjoint solve is a cheap triangular
-//! substitution against the same factors — the core economy of the adjoint
-//! method: *gradient = two solves, one factorisation*.
+//! [`SimWorkspace`] prepares the operator of one permittivity map (one
+//! variation *corner*) and solves it for blocks of right-hand sides. The
+//! expensive step is the preparation ([`SimWorkspace::factor`]: a banded
+//! LU factorisation); every subsequent source solve or adjoint solve is a
+//! cheap triangular substitution against the same factors — the core
+//! economy of the adjoint method: *gradient = two solves, one
+//! factorisation*.
 //!
-//! The adjoint identity implemented by [`Simulation::grad_eps`]: with the
+//! The adjoint identity implemented by [`grad_eps_accumulate`]: with the
 //! symmetrised operator `Ã(ε)·E = b̃`, a real objective `F(E)` with
 //! Wirtinger gradient `g = ∂F/∂E` (convention `dF = 2Re(gᵀdE)`), and
 //! `λ = Ã⁻¹g` (symmetric ⇒ transpose solve = plain solve),
@@ -17,28 +19,31 @@
 //!
 //! # Workspace / ownership contract
 //!
-//! [`Simulation`] allocates per construction (it owns its permittivity and
-//! factor storage) — convenient for one-off solves and tests. Hot loops
-//! that re-factor the *same grid* for many permittivities (the variation
-//! corners of every optimisation iteration) should instead keep one
-//! [`SimWorkspace`] per thread:
+//! Keep one [`SimWorkspace`] per thread and reuse it for every corner on
+//! the *same grid*:
 //!
-//! * [`SimWorkspace::factor`] reuses the cached [`SFactors`] and stencil
+//! * [`SimWorkspace::prepare_corner`] (with [`SimWorkspace::factor`] as
+//!   its direct case) reuses the cached [`SFactors`] and stencil
 //!   couplings, kept in a small LRU set of **per-ω slots** (one per
 //!   `(grid, ω)` pair, up to [`MAX_OMEGA_SLOTS`] wavelengths resident at
 //!   once — a multi-wavelength sweep revisits its ωs allocation-free),
 //!   reassembles into a retained [`boson_num::banded::BandedMatrix`] and
 //!   refactors into a retained [`boson_num::banded::BandedLu`] — after
 //!   the first corner of each ω, **zero heap allocations**;
-//! * the batched solve methods write into caller-owned buffers and push
-//!   all right-hand sides (every excitation's forward solve, then every
-//!   adjoint) through a single [`boson_num::banded::BandedLu::solve_many`]
-//!   sweep over the factors.
+//! * [`SimWorkspace::solve_block`] solves a caller-owned column-major
+//!   block in place: every excitation's forward solve (currents scaled by
+//!   [`crate::operator::scale_source_into`]) in one block, then every
+//!   adjoint in another, each through a single
+//!   [`boson_num::banded::BandedLu::solve_many`] sweep over the factors.
 //!
 //! Buffers passed to the workspace are resized on first use and retain
 //! their capacity afterwards, so a steady-state iteration of the corner
 //! loop touches the allocator not at all (verified by the
 //! `tests/zero_alloc.rs` counting-allocator test).
+//!
+//! A one-off solve outside any corner loop (a calibration reference, a
+//! test) can factor a fresh [`crate::operator::assemble_banded`] matrix
+//! instead.
 //!
 //! # Corner solver strategies
 //!
@@ -69,7 +74,7 @@
 //!   adaptive fallback policy.
 
 use crate::grid::SimGrid;
-use crate::operator::{assemble_banded, scale_source, scale_source_into, StencilCache, StencilOp};
+use crate::operator::{StencilCache, StencilOp};
 use crate::pml::SFactors;
 use boson_num::banded::{BandedLu, BandedLuF32, BandedMatrix, SingularMatrixError};
 use boson_num::krylov::{
@@ -83,180 +88,10 @@ use boson_sparse::multigrid::{
 };
 use serde::{Deserialize, Serialize};
 
-/// A solved `Ez` field on the simulation grid.
-#[derive(Debug, Clone)]
-pub struct Field {
-    /// Flat field values (x-fastest ordering; see [`SimGrid::idx`]).
-    pub ez: Vec<Complex64>,
-    /// Grid the field lives on.
-    pub grid: SimGrid,
-}
-
-impl Field {
-    /// Views the field as a `(ny, nx)` array.
-    pub fn to_array(&self) -> Array2<Complex64> {
-        Array2::from_fn(self.grid.ny, self.grid.nx, |iy, ix| {
-            self.ez[self.grid.idx(ix, iy)]
-        })
-    }
-
-    /// Field magnitude squared as a `(ny, nx)` array (for visualisation).
-    pub fn intensity(&self) -> Array2<f64> {
-        Array2::from_fn(self.grid.ny, self.grid.nx, |iy, ix| {
-            self.ez[self.grid.idx(ix, iy)].norm_sqr()
-        })
-    }
-}
-
-/// A factored FDFD problem: grid + permittivity + LU factors.
-pub struct Simulation {
-    grid: SimGrid,
-    omega: f64,
-    eps: Array2<f64>,
-    sfactors: SFactors,
-    lu: BandedLu,
-}
-
-impl std::fmt::Debug for Simulation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Simulation({}x{}, ω={:.4}, npml={})",
-            self.grid.nx, self.grid.ny, self.omega, self.grid.npml
-        )
-    }
-}
-
-impl Simulation {
-    /// Assembles and factors the operator for `eps` at angular frequency
-    /// `omega` (= 2π/λ with c = 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the operator is singular (which
-    /// indicates an unphysical configuration, e.g. ω = 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` does not have shape `(ny, nx)`.
-    pub fn new(grid: SimGrid, omega: f64, eps: Array2<f64>) -> Result<Self, SingularMatrixError> {
-        assert_eq!(
-            eps.shape(),
-            (grid.ny, grid.nx),
-            "eps shape must be (ny, nx)"
-        );
-        let sfactors = SFactors::new(&grid, omega);
-        let a = assemble_banded(&grid, &sfactors, &eps, omega);
-        let lu = a.factor()?;
-        Ok(Self {
-            grid,
-            omega,
-            eps,
-            sfactors,
-            lu,
-        })
-    }
-
-    /// The simulation grid.
-    pub fn grid(&self) -> &SimGrid {
-        &self.grid
-    }
-
-    /// Angular frequency.
-    pub fn omega(&self) -> f64 {
-        self.omega
-    }
-
-    /// The permittivity map used to assemble the operator.
-    pub fn eps(&self) -> &Array2<f64> {
-        &self.eps
-    }
-
-    /// PML stretch factors.
-    pub fn sfactors(&self) -> &SFactors {
-        &self.sfactors
-    }
-
-    /// Solves the forward problem for a raw current distribution `jz`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jz.len()` does not match the grid.
-    pub fn solve_current(&self, jz: &[Complex64]) -> Field {
-        let mut b = scale_source(&self.grid, &self.sfactors, self.omega, jz);
-        self.lu.solve(&mut b);
-        Field {
-            ez: b,
-            grid: self.grid,
-        }
-    }
-
-    /// Solves the adjoint problem `Ã λ = g` for a Wirtinger objective
-    /// gradient `g = ∂F/∂E`.
-    ///
-    /// The operator is complex-symmetric so this is a plain solve; the
-    /// transpose path exists for independent verification.
-    ///
-    /// Copies `g` into a fresh vector; hot paths should build the adjoint
-    /// source in a reusable buffer and call
-    /// [`Simulation::solve_adjoint_in_place`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.len()` does not match the grid.
-    pub fn solve_adjoint(&self, g: &[Complex64]) -> Vec<Complex64> {
-        let mut lam = g.to_vec();
-        self.solve_adjoint_in_place(&mut lam);
-        lam
-    }
-
-    /// In-place adjoint solve: `g` (the Wirtinger gradient `∂F/∂E`) is
-    /// overwritten with `λ = Ã⁻¹g`. No heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.len()` does not match the grid.
-    pub fn solve_adjoint_in_place(&self, g: &mut [Complex64]) {
-        assert_eq!(g.len(), self.grid.n(), "adjoint source length mismatch");
-        self.lu.solve(g);
-    }
-
-    /// Adjoint solve through `Ãᵀ` — must agree with
-    /// [`Simulation::solve_adjoint`] up to round-off because the operator
-    /// is symmetric. Used in tests as an internal consistency check.
-    pub fn solve_adjoint_transpose(&self, g: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(g.len(), self.grid.n(), "adjoint source length mismatch");
-        let mut lam = g.to_vec();
-        self.lu.solve_transpose(&mut lam);
-        lam
-    }
-
-    /// Computes `dF/dε` for every grid cell from a forward field and the
-    /// adjoint field `λ = Ã⁻¹(∂F/∂E)`.
-    ///
-    /// Returns a `(ny, nx)` array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the field/adjoint lengths do not match the grid.
-    pub fn grad_eps(&self, field: &Field, lambda: &[Complex64]) -> Array2<f64> {
-        let mut out = Array2::zeros(self.grid.ny, self.grid.nx);
-        grad_eps_accumulate(
-            &self.grid,
-            &self.sfactors,
-            self.omega,
-            &field.ez,
-            lambda,
-            &mut out,
-        );
-        out
-    }
-}
-
 /// Accumulates the adjoint permittivity gradient
 /// `out[k] += -2·Re(λ_k·sx_k·sy_k·E_k)·ω²` into a caller-owned array.
 ///
-/// Shared by [`Simulation::grad_eps`] and [`SimWorkspace`]; allocation-free.
+/// Backs [`SimWorkspace::grad_eps_accumulate`]; allocation-free.
 ///
 /// # Panics
 ///
@@ -951,26 +786,32 @@ enum SolveMode {
 ///
 /// ```no_run
 /// # use boson_fdfd::grid::SimGrid;
+/// # use boson_fdfd::operator::scale_source_into;
 /// # use boson_fdfd::sim::SimWorkspace;
 /// # use boson_num::{Array2, Complex64};
 /// # let grid = SimGrid::new(40, 30, 0.05, 8);
 /// # let omega = 2.0 * std::f64::consts::PI / 1.55;
 /// # let eps_of_corner = |_c: usize| Array2::filled(30, 40, 1.0);
 /// # let jz = vec![Complex64::ZERO; grid.n()];
+/// # let adjoint_source = |_field: &[Complex64], _g: &mut [Complex64]| {};
 /// let mut ws = SimWorkspace::new();
-/// let mut field = Vec::new();
+/// let mut field = vec![Complex64::ZERO; grid.n()];
+/// let mut lambda = vec![Complex64::ZERO; grid.n()];
+/// let mut grad = Array2::zeros(grid.ny, grid.nx);
 /// for corner in 0..8 {
 ///     let eps = eps_of_corner(corner);
-///     ws.factor(grid, omega, &eps).unwrap();     // alloc-free after warm-up
-///     ws.solve_current_into(&jz, &mut field);    // forward solve
-///     ws.solve_adjoint_in_place(&mut field);     // adjoint reuses factors
+///     ws.factor(grid, omega, &eps).unwrap(); // alloc-free after warm-up
+///     scale_source_into(&grid, ws.sfactors(), omega, &jz, &mut field);
+///     ws.solve_block(&mut field, 1).unwrap(); // forward solve
+///     adjoint_source(&field, &mut lambda); // ∂F/∂E
+///     ws.solve_block(&mut lambda, 1).unwrap(); // adjoint reuses the factors
+///     ws.grad_eps_accumulate(&field, &lambda, &mut grad);
 /// }
 /// ```
 ///
-/// Corner sweeps that want to amortise the factorisation use
-/// [`SimWorkspace::prepare_corner`] +
-/// [`SimWorkspace::solve_block`] instead of `factor` + direct solves; see
-/// [`SolverStrategy::PreconditionedIterative`].
+/// Corner sweeps that want to amortise the factorisation prepare each
+/// corner with [`SimWorkspace::prepare_corner`] under an iterative
+/// [`SolverStrategy`] instead of `factor`; the solves stay the same.
 #[derive(Debug)]
 pub struct SimWorkspace {
     grid: Option<SimGrid>,
@@ -1192,7 +1033,10 @@ impl SimWorkspace {
         self.omega = omega;
     }
 
-    /// Assembles and factors the operator for `eps`, reusing every buffer.
+    /// Assembles and factors the operator for `eps`, reusing every buffer:
+    /// the direct corner preparation. Subsequent
+    /// [`SimWorkspace::solve_block`] calls solve on the fresh factors, and
+    /// [`SimWorkspace::last_report`] restarts at this one factorisation.
     ///
     /// The [`SFactors`] and the ε-independent stencil couplings are
     /// recomputed only when `(grid, omega)` differs from the previous
@@ -1220,6 +1064,12 @@ impl SimWorkspace {
             (grid.ny, grid.nx),
             "eps shape must be (ny, nx)"
         );
+        // A new corner: nothing of the previous corner's report carries
+        // over.
+        self.report = CornerSolveReport {
+            converged: true,
+            ..CornerSolveReport::default()
+        };
         self.ensure_geometry(grid, omega);
         let stencil = &self.slots[self.active].stencil;
         stencil.diag_into(eps, &mut self.diag);
@@ -1230,6 +1080,7 @@ impl SimWorkspace {
         self.a.factor_swap_into(&mut self.lu)?;
         self.factored = true;
         self.mode = SolveMode::DirectLu;
+        self.report.factorizations = 1;
         Ok(())
     }
 
@@ -1272,6 +1123,11 @@ impl SimWorkspace {
         strategy: SolverStrategy,
         ctx: Option<&CornerContext<'_>>,
     ) -> Result<(), SingularMatrixError> {
+        let (tol, max_iters) = match strategy {
+            SolverStrategy::Direct => return self.factor(grid, omega, eps),
+            SolverStrategy::PreconditionedIterative { tol, max_iters }
+            | SolverStrategy::MultigridIterative { tol, max_iters } => (tol, max_iters),
+        };
         self.report = CornerSolveReport {
             // The per-corner path always delivers converged results (the
             // direct fallback guarantees it); batched sweeps overwrite
@@ -1279,86 +1135,75 @@ impl SimWorkspace {
             converged: true,
             ..CornerSolveReport::default()
         };
-        match strategy {
-            SolverStrategy::Direct => {
-                self.factor(grid, omega, eps)?;
-                self.report.factorizations = 1;
+        let ctx = ctx.expect("iterative strategies require a CornerContext");
+        assert_eq!(
+            eps.shape(),
+            (grid.ny, grid.nx),
+            "eps shape must be (ny, nx)"
+        );
+        self.ensure_geometry(grid, omega);
+        self.factored = false;
+        let slot = &mut self.slots[self.active];
+        if strategy.uses_multigrid(grid.n()) {
+            // Multigrid preconditioning: the nominal surrogate hierarchy
+            // plus boundary-band strips replace the nominal factor
+            // entirely — no banded factor is built above the hierarchy's
+            // coarsest level or thicker than the band strips. The nominal
+            // corner itself goes through the iterative path too (its
+            // preconditioner targets its own operator, so it converges in
+            // a few iterations).
+            if slot.mg_epoch != Some(ctx.epoch) {
+                slot.rebuild_mg(grid, ctx.nominal_eps)?;
+                slot.mg_epoch = Some(ctx.epoch);
+                self.report.factorizations += 1;
             }
-            SolverStrategy::PreconditionedIterative { tol, max_iters }
-            | SolverStrategy::MultigridIterative { tol, max_iters } => {
-                let ctx = ctx.expect("iterative strategies require a CornerContext");
-                assert_eq!(
-                    eps.shape(),
-                    (grid.ny, grid.nx),
-                    "eps shape must be (ny, nx)"
-                );
-                self.ensure_geometry(grid, omega);
-                self.factored = false;
-                let slot = &mut self.slots[self.active];
-                if strategy.uses_multigrid(grid.n()) {
-                    // Multigrid preconditioning: the nominal surrogate
-                    // hierarchy plus boundary-band strips replace the
-                    // nominal factor entirely — no banded factor is built
-                    // above the hierarchy's coarsest level or thicker
-                    // than the band strips. The nominal corner itself
-                    // goes through the iterative path too (its
-                    // preconditioner targets its own operator, so it
-                    // converges in a few iterations).
-                    if slot.mg_epoch != Some(ctx.epoch) {
-                        slot.rebuild_mg(grid, ctx.nominal_eps)?;
-                        slot.mg_epoch = Some(ctx.epoch);
-                        self.report.factorizations += 1;
-                    }
-                    slot.stencil.diag_into(eps, &mut self.diag);
-                    if ctx.force_direct {
-                        slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                        self.a.factor_swap_into(&mut self.lu)?;
-                        self.factored = true;
-                        self.mode = SolveMode::DirectLu;
-                        self.report.factorizations += 1;
-                    } else {
-                        self.mode = SolveMode::Iterative {
-                            tol,
-                            max_iters,
-                            mg: true,
-                        };
-                        self.report.used_iterative = true;
-                    }
+            slot.stencil.diag_into(eps, &mut self.diag);
+            if ctx.force_direct {
+                slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
+                self.a.factor_swap_into(&mut self.lu)?;
+                self.factored = true;
+                self.mode = SolveMode::DirectLu;
+                self.report.factorizations += 1;
+            } else {
+                self.mode = SolveMode::Iterative {
+                    tol,
+                    max_iters,
+                    mg: true,
+                };
+                self.report.used_iterative = true;
+            }
+        } else {
+            self.report.factorizations += refresh_nominal_banded(
+                slot,
+                &mut self.diag,
+                &mut self.a,
+                ctx.nominal_eps,
+                ctx.epoch,
+                self.factor_lag,
+            )?;
+            // The nominal corner solves directly on the nominal factor
+            // only while the factor actually *is* this epoch's nominal
+            // operator; a lag-kept stale factor would silently answer last
+            // epoch's physics, so the nominal corner then rides the
+            // iterative path like any drifted corner (its "perturbation"
+            // is the bounded diagonal drift — a few iterations).
+            if ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch) {
+                self.mode = SolveMode::NominalDirect;
+            } else {
+                slot.stencil.diag_into(eps, &mut self.diag);
+                if ctx.force_direct {
+                    slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
+                    self.a.factor_swap_into(&mut self.lu)?;
+                    self.factored = true;
+                    self.mode = SolveMode::DirectLu;
+                    self.report.factorizations += 1;
                 } else {
-                    self.report.factorizations += refresh_nominal_banded(
-                        slot,
-                        &mut self.diag,
-                        &mut self.a,
-                        ctx.nominal_eps,
-                        ctx.epoch,
-                        self.factor_lag,
-                    )?;
-                    // The nominal corner solves directly on the nominal
-                    // factor only while the factor actually *is* this
-                    // epoch's nominal operator; a lag-kept stale factor
-                    // would silently answer last epoch's physics, so the
-                    // nominal corner then rides the iterative path like
-                    // any drifted corner (its "perturbation" is the
-                    // bounded diagonal drift — a few iterations).
-                    if ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch) {
-                        self.mode = SolveMode::NominalDirect;
-                    } else {
-                        slot.stencil.diag_into(eps, &mut self.diag);
-                        if ctx.force_direct {
-                            slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                            self.a.factor_swap_into(&mut self.lu)?;
-                            self.factored = true;
-                            self.mode = SolveMode::DirectLu;
-                            self.report.factorizations += 1;
-                        } else {
-                            self.mode = SolveMode::Iterative {
-                                tol,
-                                max_iters,
-                                mg: false,
-                            };
-                            self.report.used_iterative = true;
-                        }
-                    }
+                    self.mode = SolveMode::Iterative {
+                        tol,
+                        max_iters,
+                        mg: false,
+                    };
+                    self.report.used_iterative = true;
                 }
             }
         }
@@ -1607,8 +1452,10 @@ impl SimWorkspace {
         Ok(())
     }
 
-    /// What the solver did for the last [`SimWorkspace::prepare_corner`]
-    /// (factorisations, iteration counts, residuals, fallback).
+    /// What the solver did for the corner of the last
+    /// [`SimWorkspace::prepare_corner`] or [`SimWorkspace::factor`] and
+    /// its solves since (factorisations, iteration counts, residuals,
+    /// fallback).
     pub fn last_report(&self) -> &CornerSolveReport {
         &self.report
     }
@@ -2017,88 +1864,6 @@ impl SimWorkspace {
         }
     }
 
-    /// The current factorisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace is not factored.
-    pub fn lu(&self) -> &BandedLu {
-        assert!(self.factored, "SimWorkspace not factored");
-        &self.lu
-    }
-
-    /// Solves the forward problem for one raw current distribution,
-    /// writing the field into `out` (resized once, then reused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace is not factored or `jz` has the wrong
-    /// length.
-    pub fn solve_current_into(&self, jz: &[Complex64], out: &mut Vec<Complex64>) {
-        assert!(self.factored, "SimWorkspace not factored");
-        let grid = self.grid();
-        let n = grid.n();
-        out.clear();
-        out.resize(n, Complex64::ZERO);
-        scale_source_into(grid, self.sfactors(), self.omega, jz, out);
-        self.lu.solve(out);
-    }
-
-    /// Batched forward solve: scales every `jz` into one column-major
-    /// right-hand-side block and pushes all of them through a single
-    /// [`BandedLu::solve_many`] sweep. Column `c` of `out` (stride `n`)
-    /// holds the field of `jzs[c]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace is not factored or any source has the wrong
-    /// length.
-    pub fn solve_currents_batched(&self, jzs: &[&[Complex64]], out: &mut Vec<Complex64>) {
-        assert!(self.factored, "SimWorkspace not factored");
-        let grid = self.grid();
-        let n = grid.n();
-        out.clear();
-        out.resize(n * jzs.len(), Complex64::ZERO);
-        for (c, jz) in jzs.iter().enumerate() {
-            scale_source_into(
-                grid,
-                self.sfactors(),
-                self.omega,
-                jz,
-                &mut out[c * n..(c + 1) * n],
-            );
-        }
-        self.lu.solve_many(out, jzs.len());
-    }
-
-    /// In-place adjoint solve (`g` becomes `λ`); the symmetrised operator
-    /// makes this a plain solve against the shared factors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace is not factored or `g` has the wrong
-    /// length.
-    pub fn solve_adjoint_in_place(&self, g: &mut [Complex64]) {
-        assert!(self.factored, "SimWorkspace not factored");
-        assert_eq!(g.len(), self.grid().n(), "adjoint source length mismatch");
-        self.lu.solve(g);
-    }
-
-    /// Batched in-place adjoint solve over `nrhs` column-major gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workspace is not factored or `g.len() != n·nrhs`.
-    pub fn solve_adjoints_batched_in_place(&self, g: &mut [Complex64], nrhs: usize) {
-        assert!(self.factored, "SimWorkspace not factored");
-        assert_eq!(
-            g.len(),
-            self.grid().n() * nrhs,
-            "adjoint block length mismatch"
-        );
-        self.lu.solve_many(g, nrhs);
-    }
-
     /// Accumulates `dF/dε` from a forward field and its adjoint into a
     /// caller-owned `(ny, nx)` array (see [`grad_eps_accumulate`]).
     ///
@@ -2121,6 +1886,7 @@ mod tests {
     use super::*;
     use crate::grid::{Axis, Sign};
     use crate::monitor::{FluxMonitor, ModalMonitor};
+    use crate::operator::{assemble_banded, scale_source, scale_source_into};
     use crate::port::Port;
     use crate::source::ModalSource;
     use boson_num::c64;
@@ -2148,11 +1914,21 @@ mod tests {
         SimGrid::new(60, 50, 0.05, 10)
     }
 
+    /// Forward field of the raw current `jz` through a direct workspace
+    /// solve.
+    fn direct_field(grid: SimGrid, eps: &Array2<f64>, jz: &[Complex64]) -> Vec<Complex64> {
+        let mut ws = SimWorkspace::new();
+        ws.factor(grid, omega(), eps).unwrap();
+        let mut field = vec![Complex64::ZERO; grid.n()];
+        scale_source_into(&grid, ws.sfactors(), omega(), jz, &mut field);
+        ws.solve_block(&mut field, 1).unwrap();
+        field
+    }
+
     #[test]
     fn straight_waveguide_unity_transmission() {
         let grid = test_grid();
         let eps = straight_wg(&grid, 4); // 0.4 µm core
-        let sim = Simulation::new(grid, omega(), eps.clone()).unwrap();
 
         let port_in = Port::new("in", Axis::X, 14, 10, 40);
         let port_out = Port::new("out", Axis::X, 45, 10, 40);
@@ -2161,7 +1937,7 @@ mod tests {
         assert_eq!(modes_in.len(), 1);
 
         let src = ModalSource::new(port_in.clone(), modes_in[0].clone(), Sign::Plus);
-        let field = sim.solve_current(&src.current(&grid));
+        let field = direct_field(grid, &eps, &src.current(&grid));
 
         let mon_in = ModalMonitor::new(
             &grid,
@@ -2170,8 +1946,8 @@ mod tests {
             Sign::Plus,
         );
         let mon_out = ModalMonitor::new(&grid, &port_out, &modes_out[0], Sign::Plus);
-        let p_in = mon_in.power(&field.ez);
-        let p_out = mon_out.power(&field.ez);
+        let p_in = mon_in.power(&field);
+        let p_out = mon_out.power(&field);
         assert!(p_in > 1e-6, "input power should be nonzero: {p_in}");
         let t = p_out / p_in;
         assert!(
@@ -2184,11 +1960,10 @@ mod tests {
     fn source_is_unidirectional() {
         let grid = test_grid();
         let eps = straight_wg(&grid, 4);
-        let sim = Simulation::new(grid, omega(), eps.clone()).unwrap();
         let port_in = Port::new("in", Axis::X, 25, 10, 40);
         let modes = port_in.solve_modes(&grid, &eps, omega(), 1);
         let src = ModalSource::new(port_in, modes[0].clone(), Sign::Plus);
-        let field = sim.solve_current(&src.current(&grid));
+        let field = direct_field(grid, &eps, &src.current(&grid));
         // Backward power measured behind the source must be tiny.
         let mon_fwd = ModalMonitor::new(
             &grid,
@@ -2202,8 +1977,8 @@ mod tests {
             &modes[0],
             Sign::Minus,
         );
-        let pf = mon_fwd.power(&field.ez);
-        let pb = mon_bwd.power(&field.ez);
+        let pf = mon_fwd.power(&field);
+        let pb = mon_bwd.power(&field);
         assert!(pf > 1e-6);
         assert!(pb / pf < 5e-3, "backward/forward = {}", pb / pf);
     }
@@ -2212,15 +1987,14 @@ mod tests {
     fn energy_conservation_flux_in_equals_flux_out() {
         let grid = test_grid();
         let eps = straight_wg(&grid, 4);
-        let sim = Simulation::new(grid, omega(), eps.clone()).unwrap();
         let port_in = Port::new("in", Axis::X, 14, 10, 40);
         let modes = port_in.solve_modes(&grid, &eps, omega(), 1);
         let src = ModalSource::new(port_in, modes[0].clone(), Sign::Plus);
-        let field = sim.solve_current(&src.current(&grid));
+        let field = direct_field(grid, &eps, &src.current(&grid));
         let f1 = FluxMonitor::new("a", &grid, Axis::X, 20, 10, 40, Sign::Plus, omega());
         let f2 = FluxMonitor::new("b", &grid, Axis::X, 44, 10, 40, Sign::Plus, omega());
-        let p1 = f1.power(&field.ez);
-        let p2 = f2.power(&field.ez);
+        let p1 = f1.power(&field);
+        let p2 = f2.power(&field);
         assert!(p1 > 0.0);
         assert!(
             (p1 - p2).abs() / p1 < 0.02,
@@ -2234,10 +2008,9 @@ mod tests {
         // be (nearly) independent of the box size — no reflections.
         let grid = SimGrid::new(60, 60, 0.05, 12);
         let eps = Array2::filled(60, 60, 1.0);
-        let sim = Simulation::new(grid, omega(), eps).unwrap();
         let mut jz = vec![Complex64::ZERO; grid.n()];
         jz[grid.idx(30, 30)] = Complex64::ONE;
-        let field = sim.solve_current(&jz);
+        let field = direct_field(grid, &eps, &jz);
         let box_flux = |half: usize| -> f64 {
             let (c, lo, hi) = (30usize, 30 - half, 30 + half);
             let _ = c;
@@ -2245,10 +2018,7 @@ mod tests {
             let left = FluxMonitor::new("l", &grid, Axis::X, lo, lo, hi, Sign::Minus, omega());
             let top = FluxMonitor::new("t", &grid, Axis::Y, hi, lo, hi, Sign::Plus, omega());
             let bot = FluxMonitor::new("b", &grid, Axis::Y, lo, lo, hi, Sign::Minus, omega());
-            right.power(&field.ez)
-                + left.power(&field.ez)
-                + top.power(&field.ez)
-                + bot.power(&field.ez)
+            right.power(&field) + left.power(&field) + top.power(&field) + bot.power(&field)
         };
         let p_small = box_flux(8);
         let p_large = box_flux(14);
@@ -2263,12 +2033,15 @@ mod tests {
     fn adjoint_transpose_consistency() {
         let grid = SimGrid::new(40, 36, 0.05, 8);
         let eps = straight_wg(&grid, 3);
-        let sim = Simulation::new(grid, omega(), eps).unwrap();
+        let mut ws = SimWorkspace::new();
+        ws.factor(grid, omega(), &eps).unwrap();
         let g: Vec<Complex64> = (0..grid.n())
             .map(|k| c64((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
             .collect();
-        let a = sim.solve_adjoint(&g);
-        let b = sim.solve_adjoint_transpose(&g);
+        let mut a = g.clone();
+        ws.solve_block(&mut a, 1).unwrap();
+        let mut b = g.clone();
+        ws.solve_block_transpose(&mut b, 1).unwrap();
         let num: f64 = a
             .iter()
             .zip(&b)
@@ -2283,70 +2056,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn workspace_reuse_matches_fresh_simulation_across_corners() {
-        let grid = SimGrid::new(40, 36, 0.05, 8);
-        let mut ws = SimWorkspace::new();
-        let mut field_ws = Vec::new();
-        for corner in 0..3 {
-            let mut eps = straight_wg(&grid, 3);
-            eps[(18, 20)] = 4.0 + corner as f64; // per-corner perturbation
-            let sim = Simulation::new(grid, omega(), eps.clone()).unwrap();
-            ws.factor(grid, omega(), &eps).unwrap();
-
-            let port = Port::new("in", Axis::X, 12, 9, 27);
-            let modes = port.solve_modes(&grid, &eps, omega(), 1);
-            let src = ModalSource::new(port, modes[0].clone(), Sign::Plus);
-            let jz = src.current(&grid);
-
-            let fresh = sim.solve_current(&jz);
-            ws.solve_current_into(&jz, &mut field_ws);
-            for (p, q) in fresh.ez.iter().zip(&field_ws) {
-                assert!((*p - *q).abs() < 1e-10, "corner {corner}");
-            }
-
-            // In-place adjoint ≡ copying adjoint.
-            let g: Vec<Complex64> = (0..grid.n())
-                .map(|k| c64((k as f64 * 0.011).sin(), (k as f64 * 0.017).cos()))
-                .collect();
-            let lam_copy = sim.solve_adjoint(&g);
-            let mut lam_inplace = g.clone();
-            ws.solve_adjoint_in_place(&mut lam_inplace);
-            for (p, q) in lam_copy.iter().zip(&lam_inplace) {
-                assert!((*p - *q).abs() < 1e-10, "corner {corner}");
-            }
-
-            // Gradient accumulation matches the allocating path.
-            let dense = sim.grad_eps(&fresh, &lam_copy);
-            let mut accum = Array2::zeros(grid.ny, grid.nx);
-            ws.grad_eps_accumulate(&field_ws, &lam_inplace, &mut accum);
-            for (p, q) in dense.as_slice().iter().zip(accum.as_slice()) {
-                assert!((p - q).abs() < 1e-10 * (1.0 + p.abs()), "corner {corner}");
-            }
-        }
-    }
-
+    /// One multi-RHS `solve_block` (forward and transpose) equals solving
+    /// each column on its own.
     #[test]
     fn batched_solves_match_individual_solves() {
         let grid = SimGrid::new(36, 30, 0.05, 8);
         let eps = straight_wg(&grid, 3);
         let mut ws = SimWorkspace::new();
         ws.factor(grid, omega(), &eps).unwrap();
+        let n = grid.n();
 
-        let mut jz1 = vec![Complex64::ZERO; grid.n()];
+        let mut jz1 = vec![Complex64::ZERO; n];
         jz1[grid.idx(14, 15)] = Complex64::ONE;
-        let mut jz2 = vec![Complex64::ZERO; grid.n()];
+        let mut jz2 = vec![Complex64::ZERO; n];
         jz2[grid.idx(20, 12)] = c64(0.0, 2.0);
         jz2[grid.idx(21, 12)] = c64(-1.0, 0.0);
 
-        let mut f1 = Vec::new();
-        let mut f2 = Vec::new();
-        ws.solve_current_into(&jz1, &mut f1);
-        ws.solve_current_into(&jz2, &mut f2);
-
-        let mut block = Vec::new();
-        ws.solve_currents_batched(&[&jz1, &jz2], &mut block);
-        let n = grid.n();
+        let mut f1 = vec![Complex64::ZERO; n];
+        let mut f2 = vec![Complex64::ZERO; n];
+        scale_source_into(&grid, ws.sfactors(), omega(), &jz1, &mut f1);
+        scale_source_into(&grid, ws.sfactors(), omega(), &jz2, &mut f2);
+        let mut block: Vec<Complex64> = f1.iter().chain(&f2).copied().collect();
+        ws.solve_block(&mut f1, 1).unwrap();
+        ws.solve_block(&mut f2, 1).unwrap();
+        ws.solve_block(&mut block, 2).unwrap();
         for (p, q) in f1.iter().zip(&block[..n]) {
             assert!((*p - *q).abs() < 1e-11);
         }
@@ -2360,12 +2093,105 @@ mod tests {
             .collect();
         let mut col0 = g_block[..n].to_vec();
         let mut col1 = g_block[n..].to_vec();
-        ws.solve_adjoints_batched_in_place(&mut g_block, 2);
-        ws.solve_adjoint_in_place(&mut col0);
-        ws.solve_adjoint_in_place(&mut col1);
+        ws.solve_block_transpose(&mut g_block, 2).unwrap();
+        ws.solve_block_transpose(&mut col0, 1).unwrap();
+        ws.solve_block_transpose(&mut col1, 1).unwrap();
         for (p, q) in col0.iter().chain(&col1).zip(&g_block) {
             assert!((*p - *q).abs() < 1e-11);
         }
+    }
+
+    /// A reused workspace answers every corner exactly like a fresh
+    /// assemble-and-factor of that corner alone: forward field, adjoint
+    /// and accumulated gradient.
+    #[test]
+    fn workspace_reuse_matches_fresh_simulation_across_corners() {
+        let grid = SimGrid::new(40, 36, 0.05, 8);
+        let om = omega();
+        let mut ws = SimWorkspace::new();
+        let mut field_ws = vec![Complex64::ZERO; grid.n()];
+        for corner in 0..3 {
+            let mut eps = straight_wg(&grid, 3);
+            eps[(18, 20)] = 4.0 + corner as f64; // per-corner perturbation
+            let sf = SFactors::new(&grid, om);
+            let lu = assemble_banded(&grid, &sf, &eps, om).factor().unwrap();
+            ws.factor(grid, om, &eps).unwrap();
+
+            let port = Port::new("in", Axis::X, 12, 9, 27);
+            let modes = port.solve_modes(&grid, &eps, om, 1);
+            let src = ModalSource::new(port, modes[0].clone(), Sign::Plus);
+            let jz = src.current(&grid);
+
+            let mut fresh = scale_source(&grid, &sf, om, &jz);
+            lu.solve(&mut fresh);
+            scale_source_into(&grid, ws.sfactors(), om, &jz, &mut field_ws);
+            ws.solve_block(&mut field_ws, 1).unwrap();
+            for (p, q) in fresh.iter().zip(&field_ws) {
+                assert!((*p - *q).abs() < 1e-10, "corner {corner}");
+            }
+
+            let g: Vec<Complex64> = (0..grid.n())
+                .map(|k| c64((k as f64 * 0.011).sin(), (k as f64 * 0.017).cos()))
+                .collect();
+            let mut lam_fresh = g.clone();
+            lu.solve(&mut lam_fresh);
+            let mut lam_ws = g.clone();
+            ws.solve_block(&mut lam_ws, 1).unwrap();
+            for (p, q) in lam_fresh.iter().zip(&lam_ws) {
+                assert!((*p - *q).abs() < 1e-10, "corner {corner}");
+            }
+
+            let mut dense = Array2::zeros(grid.ny, grid.nx);
+            grad_eps_accumulate(&grid, &sf, om, &fresh, &lam_fresh, &mut dense);
+            let mut accum = Array2::zeros(grid.ny, grid.nx);
+            ws.grad_eps_accumulate(&field_ws, &lam_ws, &mut accum);
+            for (p, q) in dense.as_slice().iter().zip(accum.as_slice()) {
+                assert!((p - q).abs() < 1e-10 * (1.0 + p.abs()), "corner {corner}");
+            }
+        }
+    }
+
+    /// `factor` starts a new corner: its report must not inherit the
+    /// iterations, flags or factorisation count of the corner before.
+    #[test]
+    fn factor_resets_the_report_of_the_previous_corner() {
+        let grid = SimGrid::new(40, 36, 0.05, 8);
+        let corners = corner_family(&grid);
+        let nominal = corners[0].clone();
+        let n = grid.n();
+        let b: Vec<Complex64> = (0..n).map(|k| c64((k as f64 * 0.01).sin(), 0.3)).collect();
+        let mut ws = SimWorkspace::new();
+        let ctx = CornerContext {
+            nominal_eps: &nominal,
+            epoch: 1,
+            is_nominal: false,
+            force_direct: false,
+        };
+        ws.prepare_corner(
+            grid,
+            omega(),
+            &corners[1],
+            SolverStrategy::preconditioned_iterative(),
+            Some(&ctx),
+        )
+        .unwrap();
+        let mut x = b.clone();
+        ws.solve_block(&mut x, 1).unwrap();
+        assert!(ws.last_report().used_iterative);
+        assert!(ws.last_report().total_iterations > 0);
+
+        ws.factor(grid, omega(), &corners[2]).unwrap();
+        let mut x = b.clone();
+        ws.solve_block(&mut x, 1).unwrap();
+        assert_eq!(
+            *ws.last_report(),
+            CornerSolveReport {
+                converged: true,
+                factorizations: 1,
+                solves: 1,
+                ..CornerSolveReport::default()
+            }
+        );
     }
 
     /// Corner permittivities around a nominal waveguide: index 0 is the
@@ -2857,51 +2683,97 @@ mod tests {
         }
     }
 
+    /// The definitive check: dF/dε from the adjoint method vs central
+    /// finite differences of the full solve, for a modal-power objective,
+    /// through the per-corner entry production runs take
+    /// (`prepare_corner` + `solve_block`): direct, and iterative on a
+    /// non-nominal corner — the path of the runner's worst-case corner.
+    /// The finite differences use direct solves.
     #[test]
     fn adjoint_gradient_matches_finite_difference() {
-        // The definitive check: dF/dε from the adjoint method vs central
-        // finite differences of the full solve, for a modal-power objective.
         let grid = SimGrid::new(36, 30, 0.05, 8);
-        let mut eps = straight_wg(&grid, 3);
-        // Slight perturbation so the problem is not perfectly uniform.
-        eps[(15, 18)] = 6.0;
         let om = omega();
+        let n = grid.n();
+        let mut nominal = straight_wg(&grid, 3);
+        // Slight perturbation so the problem is not perfectly uniform.
+        nominal[(15, 18)] = 6.0;
+        // The corner under test: a thermo-optic-style core shift.
+        let eps = nominal.map(|&e| if e > 1.0 { e + 0.03 } else { e });
         let port_in = Port::new("in", Axis::X, 10, 8, 22);
         let port_out = Port::new("out", Axis::X, 26, 8, 22);
-        let modes = port_in.solve_modes(&grid, &eps, om, 1);
+        let modes = port_in.solve_modes(&grid, &nominal, om, 1);
         let src = ModalSource::new(port_in, modes[0].clone(), Sign::Plus);
         let jz = src.current(&grid);
-
-        let objective = |eps_map: &Array2<f64>| -> f64 {
-            let sim = Simulation::new(grid, om, eps_map.clone()).unwrap();
-            let f = sim.solve_current(&jz);
-            let mon = ModalMonitor::new(&grid, &port_out, &modes[0], Sign::Plus);
-            mon.power(&f.ez)
-        };
-
-        // Adjoint gradient.
-        let sim = Simulation::new(grid, om, eps.clone()).unwrap();
-        let field = sim.solve_current(&jz);
         let mon = ModalMonitor::new(&grid, &port_out, &modes[0], Sign::Plus);
-        let mut g = vec![Complex64::ZERO; grid.n()];
-        mon.accumulate_power_grad(&field.ez, 1.0, &mut g);
-        let lam = sim.solve_adjoint(&g);
-        let grad = sim.grad_eps(&field, &lam);
+        let objective = |eps_map: &Array2<f64>| mon.power(&direct_field(grid, eps_map, &jz));
 
-        // Compare at several cells (inside the "design region").
+        // Central differences at several cells (inside the "design
+        // region").
         let h = 1e-5;
-        for &(ix, iy) in &[(18usize, 15usize), (17, 14), (19, 16), (16, 15)] {
-            let mut ep = eps.clone();
-            ep[(iy, ix)] += h;
-            let fp = objective(&ep);
-            ep[(iy, ix)] -= 2.0 * h;
-            let fm = objective(&ep);
-            let fd = (fp - fm) / (2.0 * h);
-            let ad = grad[(iy, ix)];
-            assert!(
-                (fd - ad).abs() < 1e-6 + 2e-3 * fd.abs().max(ad.abs()),
-                "adjoint {ad} vs FD {fd} at ({ix},{iy})"
-            );
+        let cells = [(18usize, 15usize), (17, 14), (19, 16), (16, 15)];
+        let fd: Vec<f64> = cells
+            .iter()
+            .map(|&(ix, iy)| {
+                let mut ep = eps.clone();
+                ep[(iy, ix)] += h;
+                let fp = objective(&ep);
+                ep[(iy, ix)] -= 2.0 * h;
+                let fm = objective(&ep);
+                (fp - fm) / (2.0 * h)
+            })
+            .collect();
+
+        let fd_scale = fd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+
+        // Tolerance. Central differences: 2e-3 of the cell's own value
+        // (O(h²) truncation) plus 1e-6 of the gradient scale (round-off,
+        // and cells whose gradient nearly vanishes). An iterative solve
+        // stops at a true relative residual ≤ `tol`, so its relative
+        // field error is at most κ₂(A)·tol; the gradient −2Re(λ·sxy·E)·ω²
+        // is bilinear in the forward field E and the adjoint λ, so to
+        // first order it may move by 2·κ₂·tol of its scale. κ₂ of this
+        // corner operator is ≈ 2.0e3 (power iterations on AᴴA and
+        // (AᴴA)⁻¹: σ_max ≈ 2.95e4, 1/σ_min ≈ 6.8e-2).
+        const KAPPA: f64 = 2.0e3;
+        let ctx = CornerContext {
+            nominal_eps: &nominal,
+            epoch: 1,
+            is_nominal: false,
+            force_direct: false,
+        };
+        for strategy in [
+            SolverStrategy::Direct,
+            SolverStrategy::preconditioned_iterative(),
+        ] {
+            let mut ws = SimWorkspace::new();
+            ws.prepare_corner(grid, om, &eps, strategy, Some(&ctx))
+                .unwrap();
+            let mut field = vec![Complex64::ZERO; n];
+            scale_source_into(&grid, ws.sfactors(), om, &jz, &mut field);
+            ws.solve_block(&mut field, 1).unwrap();
+            let mut lam = vec![Complex64::ZERO; n];
+            mon.accumulate_power_grad(&field, 1.0, &mut lam);
+            ws.solve_block(&mut lam, 1).unwrap();
+            let report = ws.last_report();
+            let krylov_rel = match strategy.iterative_params() {
+                None => 0.0,
+                Some((tol, _)) => {
+                    assert!(
+                        report.used_iterative && !report.fell_back,
+                        "the iterative path must solve this corner: {report:?}"
+                    );
+                    2.0 * KAPPA * tol
+                }
+            };
+            let mut grad = Array2::zeros(grid.ny, grid.nx);
+            ws.grad_eps_accumulate(&field, &lam, &mut grad);
+            for (&(ix, iy), &fd) in cells.iter().zip(&fd) {
+                let ad = grad[(iy, ix)];
+                assert!(
+                    (fd - ad).abs() < 2e-3 * fd.abs() + (1e-6 + krylov_rel) * fd_scale,
+                    "{strategy:?}: adjoint {ad} vs FD {fd} at ({ix},{iy})"
+                );
+            }
         }
     }
 }

@@ -10,6 +10,7 @@
 //! libtest runs with.
 
 use boson_fdfd::grid::SimGrid;
+use boson_fdfd::operator::scale_source_into;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
 use boson_num::{Array2, Complex64};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -86,29 +87,30 @@ fn steady_state_solve_path_performs_no_heap_allocations() {
         .collect();
 
     let mut ws = SimWorkspace::new();
-    let mut field = Vec::new();
+    let mut field = vec![Complex64::ZERO; grid.n()];
     let mut lambda = vec![Complex64::ZERO; grid.n()];
     let mut grad = Array2::zeros(grid.ny, grid.nx);
+    let mut corner = |ws: &mut SimWorkspace, eps: &Array2<f64>| {
+        ws.prepare_corner(grid, omega, eps, SolverStrategy::Direct, None)
+            .unwrap();
+        scale_source_into(&grid, ws.sfactors(), omega, &jz, &mut field);
+        ws.solve_block(&mut field, 1).unwrap();
+        lambda.copy_from_slice(&g);
+        ws.solve_block(&mut lambda, 1).unwrap();
+        ws.grad_eps_accumulate(&field, &lambda, &mut grad);
+    };
 
     // Warm-up: sizes every buffer (two rounds so Vec growth settles).
     for round in 0..2 {
         eps[(20, 24)] = 2.0 + round as f64;
-        ws.factor(grid, omega, &eps).unwrap();
-        ws.solve_current_into(&jz, &mut field);
-        lambda.copy_from_slice(&g);
-        ws.solve_adjoint_in_place(&mut lambda);
-        ws.grad_eps_accumulate(&field, &lambda, &mut grad);
+        corner(&mut ws, &eps);
     }
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for round in 0..4 {
         // Per-corner permittivity change, mutated in place.
         eps[(20, 24)] = 3.0 + round as f64;
-        ws.factor(grid, omega, &eps).unwrap();
-        ws.solve_current_into(&jz, &mut field);
-        lambda.copy_from_slice(&g);
-        ws.solve_adjoint_in_place(&mut lambda);
-        ws.grad_eps_accumulate(&field, &lambda, &mut grad);
+        corner(&mut ws, &eps);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 

@@ -1546,6 +1546,27 @@ mod tests {
         assert!(ws.stats()[0].residual.is_infinite());
     }
 
+    /// A non-finite operator entry poisons the Krylov scalars; the column
+    /// must break down on the first poisoned quantity, not spend its
+    /// whole iteration budget.
+    #[test]
+    fn non_finite_operator_breaks_down_without_spending_the_budget() {
+        let n = 24;
+        let a = random_banded(n, 2, 2, 23);
+        let mut nominal = a.clone().factor().unwrap();
+        let mut corner = perturb_diagonal(&a, 0.05, 9);
+        corner.add(0, 1, c64(f64::NAN, 0.0));
+        let b: Vec<Complex64> = (0..n).map(|k| c64(1.0 + k as f64 * 0.1, -0.4)).collect();
+        let mut x = vec![Complex64::ZERO; n];
+        let mut ws = KrylovWorkspace::new();
+        let opts = IterativeOptions::default();
+        let q = bicgstab_precond_many(&corner, &mut nominal, &b, &mut x, 1, &opts, &mut ws);
+        assert!(!q.converged, "{q:?}");
+        let stats = ws.stats()[0];
+        assert!(stats.iterations <= 2, "broke down only after {stats:?}");
+        assert!(stats.residual.is_infinite(), "{stats:?}");
+    }
+
     #[test]
     fn workspace_is_allocation_stable_across_reuse() {
         let n = 24;

@@ -1,695 +1,81 @@
-//! # boson-sparse — multigrid preconditioning and sparse iterative solvers
+//! # boson-sparse — multigrid preconditioning
 //!
-//! The large-grid solver engine of the BOSON-1 stack, in two layers:
+//! The large-grid preconditioning engine of the BOSON-1 stack:
+//! [`multigrid`] is a matrix-free **geometric multigrid V-cycle** with
+//! `O(n)` setup and per-application cost. This is what breaks the
+//! `O(n·b²)` banded-LU wall: above a grid-size threshold the FDFD corner
+//! sweeps precondition BiCGSTAB with a V-cycle instead of a banded
+//! factor, so 256×256+ footprints solve in a handful of Krylov iterations
+//! without ever materialising a factorisation above the coarsest level.
 //!
-//! * [`multigrid`] — a matrix-free **geometric multigrid V-cycle**
-//!   preconditioner with `O(n)` setup and per-application cost. This is
-//!   what breaks the `O(n·b²)` banded-LU wall: above a grid-size
-//!   threshold the FDFD corner sweeps precondition BiCGSTAB with a
-//!   V-cycle instead of a banded factor, so 256×256+ footprints solve in
-//!   a handful of Krylov iterations without ever materialising a
-//!   factorisation above the coarsest level.
-//! * A compact CSR implementation plus a standalone BiCGSTAB solver,
-//!   used to cross-validate the banded direct path on the exact same
-//!   FDFD operators. [`CsrMatrix`] also implements
-//!   [`boson_num::krylov::LinearOp`], so it can drive the production
-//!   Krylov machinery (`bicgstab_precond_many` and friends) directly.
+//! The Krylov solver itself is [`boson_num::krylov`]; the multigrid
+//! engines plug into it through its
+//! [`Precondition`](boson_num::krylov::Precondition) seam.
 //!
 //! # Examples
 //!
-//! ```
-//! use boson_sparse::{CooMatrix, bicgstab, BicgstabOptions};
-//! use boson_num::{c64, Complex64};
+//! A V-cycle preconditioning the production BiCGSTAB on a complex-shifted
+//! 2-D Laplacian (the FDFD Helmholtz operator enters the same way through
+//! its stencil arrays):
 //!
-//! let mut coo = CooMatrix::new(2, 2);
-//! coo.push(0, 0, c64(4.0, 0.0));
-//! coo.push(1, 1, c64(2.0, 0.0));
-//! coo.push(0, 1, c64(1.0, 0.0));
-//! let a = coo.to_csr();
-//! let b = [c64(9.0, 0.0), c64(4.0, 0.0)];
-//! let sol = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap();
-//! assert!((sol.x[1] - c64(2.0, 0.0)).abs() < 1e-8);
+//! ```
+//! use boson_num::krylov::{bicgstab_precond_many, IterativeOptions, KrylovWorkspace, LinearOp};
+//! use boson_num::{c64, Complex64};
+//! use boson_sparse::multigrid::{
+//!     FineStencil, MgPrecond, MgScratch, Multigrid, MultigridOptions,
+//! };
+//!
+//! let (nx, ny) = (33, 33);
+//! let n = nx * ny;
+//! // Neighbour couplings of -1, zeroed across the outer boundary.
+//! let coupling = |keep: fn(usize, usize, usize, usize) -> bool| -> Vec<Complex64> {
+//!     (0..n)
+//!         .map(|k| if keep(k % nx, k / nx, nx, ny) { c64(-1.0, 0.0) } else { Complex64::ZERO })
+//!         .collect()
+//! };
+//! let west = coupling(|i, _, _, _| i > 0);
+//! let east = coupling(|i, _, nx, _| i + 1 < nx);
+//! let south = coupling(|_, j, _, _| j > 0);
+//! let north = coupling(|_, j, _, ny| j + 1 < ny);
+//! let diag = vec![c64(4.2, 0.3); n];
+//! let fine = FineStencil { nx, ny, west: &west, east: &east, south: &south, north: &north, diag: &diag };
+//!
+//! let mut mg = Multigrid::new(MultigridOptions { coarse_max_dim: 8, ..MultigridOptions::default() });
+//! mg.rebuild(&fine)?;
+//!
+//! // The fine operator, applied matrix-free (complex-symmetric: Aᵀ = A).
+//! struct Fine<'a>(&'a Multigrid);
+//! impl LinearOp for Fine<'_> {
+//!     fn dim(&self) -> usize {
+//!         self.0.dim()
+//!     }
+//!     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
+//!         self.0.apply_fine(x, y);
+//!     }
+//!     fn apply_transpose(&self, x: &[Complex64], y: &mut [Complex64]) {
+//!         self.0.apply_fine(x, y);
+//!     }
+//! }
+//!
+//! let b: Vec<Complex64> = (0..n).map(|k| c64((k as f64 * 0.01).sin(), 0.1)).collect();
+//! let mut x = vec![Complex64::ZERO; n];
+//! let mut scratch = MgScratch::new();
+//! let mut precond = MgPrecond { mg: &mg, scratch: &mut scratch };
+//! let quality = bicgstab_precond_many(
+//!     &Fine(&mg),
+//!     &mut precond,
+//!     &b,
+//!     &mut x,
+//!     1,
+//!     &IterativeOptions::default(),
+//!     &mut KrylovWorkspace::new(),
+//! );
+//! assert!(quality.converged);
+//! assert!(quality.max_iterations < 20);
+//! # Ok::<(), boson_num::banded::SingularMatrixError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![allow(clippy::needless_range_loop)]
 
 pub mod multigrid;
-
-use boson_num::Complex64;
-use std::fmt;
-
-/// Triplet-format sparse matrix builder.
-///
-/// Duplicate entries are *summed* when converting to CSR, which is exactly
-/// what stencil assembly wants.
-#[derive(Debug, Clone, Default)]
-pub struct CooMatrix {
-    nrows: usize,
-    ncols: usize,
-    entries: Vec<(usize, usize, Complex64)>,
-}
-
-impl CooMatrix {
-    /// Creates an empty `nrows × ncols` builder.
-    pub fn new(nrows: usize, ncols: usize) -> Self {
-        Self {
-            nrows,
-            ncols,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Appends entry `(i, j, v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn push(&mut self, i: usize, j: usize, v: Complex64) {
-        assert!(
-            i < self.nrows && j < self.ncols,
-            "entry ({i},{j}) out of bounds"
-        );
-        self.entries.push((i, j, v));
-    }
-
-    /// Number of raw (pre-deduplication) entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Converts to CSR, summing duplicates.
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut order: Vec<usize> = (0..self.entries.len()).collect();
-        order.sort_by_key(|&k| {
-            let (i, j, _) = self.entries[k];
-            (i, j)
-        });
-        let mut row_ptr = vec![0usize; self.nrows + 1];
-        let mut col_idx = Vec::with_capacity(self.entries.len());
-        let mut values: Vec<Complex64> = Vec::with_capacity(self.entries.len());
-        let mut last: Option<(usize, usize)> = None;
-        for &k in &order {
-            let (i, j, v) = self.entries[k];
-            if last == Some((i, j)) {
-                *values.last_mut().expect("non-empty") += v;
-            } else {
-                col_idx.push(j);
-                values.push(v);
-                row_ptr[i + 1] += 1;
-                last = Some((i, j));
-            }
-        }
-        for r in 0..self.nrows {
-            row_ptr[r + 1] += row_ptr[r];
-        }
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-}
-
-/// Compressed sparse row matrix over [`Complex64`].
-#[derive(Clone, PartialEq)]
-pub struct CsrMatrix {
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<Complex64>,
-}
-
-impl fmt::Debug for CsrMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "CsrMatrix({}x{}, nnz={})",
-            self.nrows,
-            self.ncols,
-            self.values.len()
-        )
-    }
-}
-
-impl CsrMatrix {
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Returns entry `(i, j)` (zero if not stored).
-    pub fn get(&self, i: usize, j: usize) -> Complex64 {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        match self.col_idx[lo..hi].binary_search(&j) {
-            Ok(k) => self.values[lo + k],
-            Err(_) => Complex64::ZERO,
-        }
-    }
-
-    /// Matrix–vector product `y = A x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[Complex64]) -> Vec<Complex64> {
-        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
-        let mut y = vec![Complex64::ZERO; self.nrows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// Matrix–vector product writing into a caller-provided buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn matvec_into(&self, x: &[Complex64], y: &mut [Complex64]) {
-        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
-        for i in 0..self.nrows {
-            let mut acc = Complex64::ZERO;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            y[i] = acc;
-        }
-    }
-
-    /// Transposed matrix–vector product `y = Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != nrows`.
-    pub fn matvec_transpose(&self, x: &[Complex64]) -> Vec<Complex64> {
-        let mut y = vec![Complex64::ZERO; self.ncols];
-        self.matvec_transpose_into(x, &mut y);
-        y
-    }
-
-    /// Transposed matrix–vector product writing into a caller-provided
-    /// buffer (allocation-free counterpart of
-    /// [`CsrMatrix::matvec_transpose`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions mismatch.
-    pub fn matvec_transpose_into(&self, x: &[Complex64], y: &mut [Complex64]) {
-        assert_eq!(x.len(), self.nrows, "matvec_transpose dimension mismatch");
-        assert_eq!(
-            y.len(),
-            self.ncols,
-            "matvec_transpose output dimension mismatch"
-        );
-        y.fill(Complex64::ZERO);
-        for i in 0..self.nrows {
-            let xi = x[i];
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                y[self.col_idx[k]] += self.values[k] * xi;
-            }
-        }
-    }
-
-    /// The diagonal of the matrix (used by the Jacobi preconditioner).
-    pub fn diagonal(&self) -> Vec<Complex64> {
-        (0..self.nrows.min(self.ncols))
-            .map(|i| self.get(i, i))
-            .collect()
-    }
-
-    /// Maximum relative asymmetry over stored entries, `0` for symmetric.
-    pub fn asymmetry(&self) -> f64 {
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for i in 0..self.nrows {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                let a = self.values[k];
-                let b = self.get(j, i);
-                num = num.max((a - b).abs());
-                den = den.max(a.abs());
-            }
-        }
-        if den == 0.0 {
-            0.0
-        } else {
-            num / den
-        }
-    }
-}
-
-/// A square [`CsrMatrix`] is a [`boson_num::krylov::LinearOp`], so it can
-/// drive `bicgstab_precond_many` and the rest of the production Krylov
-/// machinery directly.
-impl boson_num::krylov::LinearOp for CsrMatrix {
-    fn dim(&self) -> usize {
-        assert_eq!(self.nrows, self.ncols, "LinearOp requires a square matrix");
-        self.nrows
-    }
-
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.matvec_into(x, y);
-    }
-
-    fn apply_transpose(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.matvec_transpose_into(x, y);
-    }
-}
-
-/// Options controlling [`bicgstab`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BicgstabOptions {
-    /// Relative residual tolerance ‖r‖/‖b‖ at which to declare convergence.
-    pub tol: f64,
-    /// Maximum number of iterations.
-    pub max_iter: usize,
-    /// Whether to apply Jacobi (diagonal) preconditioning.
-    pub jacobi_precondition: bool,
-}
-
-impl Default for BicgstabOptions {
-    fn default() -> Self {
-        Self {
-            tol: 1e-10,
-            max_iter: 10_000,
-            jacobi_precondition: true,
-        }
-    }
-}
-
-/// Successful BiCGSTAB result.
-#[derive(Debug, Clone)]
-pub struct BicgstabSolution {
-    /// The solution vector.
-    pub x: Vec<Complex64>,
-    /// Iterations actually performed.
-    pub iterations: usize,
-    /// Final relative residual.
-    pub residual: f64,
-}
-
-/// Error returned when [`bicgstab`] fails to converge or breaks down.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveBreakdownError {
-    /// Iterations performed before the failure.
-    pub iterations: usize,
-    /// Relative residual at the point of failure.
-    pub residual: f64,
-    /// Human-readable cause.
-    pub cause: &'static str,
-}
-
-impl fmt::Display for SolveBreakdownError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bicgstab failed after {} iterations (residual {:.3e}): {}",
-            self.iterations, self.residual, self.cause
-        )
-    }
-}
-
-impl std::error::Error for SolveBreakdownError {}
-
-fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
-    a.iter().zip(b).map(|(x, y)| x.conj() * *y).sum()
-}
-
-fn norm(a: &[Complex64]) -> f64 {
-    a.iter().map(|x| x.norm_sqr()).sum::<f64>().sqrt()
-}
-
-/// Solves `A x = b` with (optionally Jacobi-preconditioned) BiCGSTAB.
-///
-/// # Errors
-///
-/// Returns [`SolveBreakdownError`] if the method stagnates, breaks down
-/// (`ρ ≈ 0` or `ω ≈ 0`), encounters a non-finite right-hand side, scalar,
-/// or residual norm (NaN/Inf fail immediately instead of sweeping the
-/// iteration budget), or exhausts `max_iter` without reaching `tol`.
-///
-/// # Panics
-///
-/// Panics if `A` is not square or `b.len() != A.nrows()`.
-pub fn bicgstab(
-    a: &CsrMatrix,
-    b: &[Complex64],
-    opts: &BicgstabOptions,
-) -> Result<BicgstabSolution, SolveBreakdownError> {
-    assert_eq!(a.nrows(), a.ncols(), "bicgstab requires a square matrix");
-    assert_eq!(b.len(), a.nrows(), "rhs dimension mismatch");
-    let n = b.len();
-    let bnorm_raw = norm(b);
-    if !bnorm_raw.is_finite() {
-        return Err(SolveBreakdownError {
-            iterations: 0,
-            residual: f64::NAN,
-            cause: "non-finite right-hand side",
-        });
-    }
-    let bnorm = bnorm_raw.max(f64::MIN_POSITIVE);
-
-    let minv: Option<Vec<Complex64>> = if opts.jacobi_precondition {
-        Some(
-            a.diagonal()
-                .iter()
-                .map(|d| {
-                    if d.abs() > 0.0 {
-                        d.inv()
-                    } else {
-                        Complex64::ONE
-                    }
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    let precond = |v: &[Complex64]| -> Vec<Complex64> {
-        match &minv {
-            Some(m) => v.iter().zip(m).map(|(x, mi)| *x * *mi).collect(),
-            None => v.to_vec(),
-        }
-    };
-
-    let mut x = vec![Complex64::ZERO; n];
-    let mut r = b.to_vec();
-    let r_hat = r.clone();
-    let mut rho = Complex64::ONE;
-    let mut alpha = Complex64::ONE;
-    let mut omega = Complex64::ONE;
-    let mut v = vec![Complex64::ZERO; n];
-    let mut p = vec![Complex64::ZERO; n];
-    let mut res = norm(&r) / bnorm;
-    if res <= opts.tol {
-        return Ok(BicgstabSolution {
-            x,
-            iterations: 0,
-            residual: res,
-        });
-    }
-
-    for it in 1..=opts.max_iter {
-        let rho_new = dot(&r_hat, &r);
-        if !rho_new.abs().is_finite() {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "non-finite rho",
-            });
-        }
-        if rho_new.abs() < 1e-300 {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "rho breakdown",
-            });
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        let p_hat = precond(&p);
-        v = a.matvec(&p_hat);
-        let denom = dot(&r_hat, &v);
-        if !denom.abs().is_finite() {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "non-finite alpha denominator",
-            });
-        }
-        if denom.abs() < 1e-300 {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "alpha breakdown",
-            });
-        }
-        alpha = rho / denom;
-        let s: Vec<Complex64> = (0..n).map(|i| r[i] - alpha * v[i]).collect();
-        let snorm = norm(&s) / bnorm;
-        if !snorm.is_finite() {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "non-finite residual norm",
-            });
-        }
-        if snorm <= opts.tol {
-            for i in 0..n {
-                x[i] += alpha * p_hat[i];
-            }
-            return Ok(BicgstabSolution {
-                x,
-                iterations: it,
-                residual: snorm,
-            });
-        }
-        let s_hat = precond(&s);
-        let t = a.matvec(&s_hat);
-        let tt = dot(&t, &t);
-        if !tt.abs().is_finite() {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "non-finite omega denominator",
-            });
-        }
-        if tt.abs() < 1e-300 {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "omega breakdown",
-            });
-        }
-        omega = dot(&t, &s) / tt;
-        for i in 0..n {
-            x[i] += alpha * p_hat[i] + omega * s_hat[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        res = norm(&r) / bnorm;
-        if !res.is_finite() {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "non-finite residual norm",
-            });
-        }
-        if res <= opts.tol {
-            return Ok(BicgstabSolution {
-                x,
-                iterations: it,
-                residual: res,
-            });
-        }
-        if omega.abs() < 1e-300 {
-            return Err(SolveBreakdownError {
-                iterations: it,
-                residual: res,
-                cause: "omega breakdown",
-            });
-        }
-    }
-    Err(SolveBreakdownError {
-        iterations: opts.max_iter,
-        residual: res,
-        cause: "max iterations exceeded",
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use boson_num::c64;
-
-    fn laplacian_2d(nx: usize, ny: usize) -> CsrMatrix {
-        // Standard 5-point Laplacian + small complex shift (well conditioned).
-        let n = nx * ny;
-        let mut coo = CooMatrix::new(n, n);
-        for j in 0..ny {
-            for i in 0..nx {
-                let k = j * nx + i;
-                coo.push(k, k, c64(4.2, 0.35));
-                if i > 0 {
-                    coo.push(k, k - 1, c64(-1.0, 0.0));
-                }
-                if i + 1 < nx {
-                    coo.push(k, k + 1, c64(-1.0, 0.0));
-                }
-                if j > 0 {
-                    coo.push(k, k - nx, c64(-1.0, 0.0));
-                }
-                if j + 1 < ny {
-                    coo.push(k, k + nx, c64(-1.0, 0.0));
-                }
-            }
-        }
-        coo.to_csr()
-    }
-
-    #[test]
-    fn coo_duplicates_are_summed() {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, c64(1.0, 0.0));
-        coo.push(0, 0, c64(2.0, 1.0));
-        coo.push(1, 1, c64(5.0, 0.0));
-        let a = coo.to_csr();
-        assert_eq!(a.nnz(), 2);
-        assert_eq!(a.get(0, 0), c64(3.0, 1.0));
-        assert_eq!(a.get(1, 1), c64(5.0, 0.0));
-        assert_eq!(a.get(1, 0), Complex64::ZERO);
-    }
-
-    #[test]
-    fn matvec_small_dense_check() {
-        let mut coo = CooMatrix::new(2, 3);
-        coo.push(0, 0, c64(1.0, 0.0));
-        coo.push(0, 2, c64(2.0, 0.0));
-        coo.push(1, 1, c64(-1.0, 1.0));
-        let a = coo.to_csr();
-        let x = [Complex64::ONE, c64(2.0, 0.0), c64(3.0, 0.0)];
-        let y = a.matvec(&x);
-        assert_eq!(y[0], c64(7.0, 0.0));
-        assert_eq!(y[1], c64(-2.0, 2.0));
-        let yt = a.matvec_transpose(&y);
-        assert_eq!(yt.len(), 3);
-        assert_eq!(yt[2], c64(14.0, 0.0));
-    }
-
-    #[test]
-    fn bicgstab_solves_laplacian() {
-        let a = laplacian_2d(12, 9);
-        let n = a.nrows();
-        let b: Vec<Complex64> = (0..n).map(|i| c64((i as f64 * 0.1).sin(), 0.2)).collect();
-        let sol = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap();
-        let r = a.matvec(&sol.x);
-        let err: f64 = r
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (*p - *q).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        assert!(err < 1e-8, "residual {err} after {} iters", sol.iterations);
-    }
-
-    #[test]
-    fn bicgstab_without_preconditioner() {
-        let a = laplacian_2d(6, 6);
-        let b = vec![Complex64::ONE; a.nrows()];
-        let opts = BicgstabOptions {
-            jacobi_precondition: false,
-            ..Default::default()
-        };
-        let sol = bicgstab(&a, &b, &opts).unwrap();
-        let r = a.matvec(&sol.x);
-        let err: f64 = r
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (*p - *q).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        assert!(err < 1e-8);
-    }
-
-    #[test]
-    fn bicgstab_zero_rhs_trivial() {
-        let a = laplacian_2d(4, 4);
-        let b = vec![Complex64::ZERO; a.nrows()];
-        let sol = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap();
-        assert_eq!(sol.iterations, 0);
-        assert!(sol.x.iter().all(|v| v.abs() == 0.0));
-    }
-
-    #[test]
-    fn bicgstab_max_iter_error() {
-        let a = laplacian_2d(8, 8);
-        let b = vec![Complex64::ONE; a.nrows()];
-        let opts = BicgstabOptions {
-            max_iter: 1,
-            tol: 1e-300,
-            ..Default::default()
-        };
-        let err = bicgstab(&a, &b, &opts).unwrap_err();
-        assert!(format!("{err}").contains("bicgstab failed"));
-    }
-
-    #[test]
-    fn bicgstab_nonfinite_rhs_is_immediate_breakdown() {
-        let a = laplacian_2d(4, 4);
-        let mut b = vec![Complex64::ONE; a.nrows()];
-        b[3] = c64(f64::NAN, 0.0);
-        let err = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap_err();
-        assert_eq!(err.iterations, 0, "must fail before iterating");
-        assert_eq!(err.cause, "non-finite right-hand side");
-
-        b[3] = c64(f64::INFINITY, 0.0);
-        let err = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap_err();
-        assert_eq!(err.iterations, 0);
-    }
-
-    #[test]
-    fn bicgstab_nonfinite_matrix_is_breakdown_not_budget_sweep() {
-        // A NaN matrix entry poisons the Krylov scalars; the solver must
-        // bail on the first poisoned quantity instead of running the full
-        // 10k-iteration budget.
-        let mut coo = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            coo.push(i, i, c64(2.0, 0.0));
-        }
-        coo.push(0, 1, c64(f64::NAN, 0.0));
-        let a = coo.to_csr();
-        let b = vec![Complex64::ONE; 4];
-        let err = bicgstab(&a, &b, &BicgstabOptions::default()).unwrap_err();
-        assert!(err.cause.contains("non-finite"), "cause: {}", err.cause);
-        assert!(err.iterations <= 2, "failed only after {}", err.iterations);
-    }
-
-    #[test]
-    fn csr_linear_op_matches_matvec() {
-        use boson_num::krylov::LinearOp;
-        let a = laplacian_2d(5, 4);
-        let n = a.nrows();
-        assert_eq!(LinearOp::dim(&a), n);
-        let x: Vec<Complex64> = (0..n).map(|i| c64(i as f64 * 0.3, -0.1)).collect();
-        let mut y = vec![Complex64::ZERO; n];
-        a.apply(&x, &mut y);
-        assert_eq!(y, a.matvec(&x));
-        a.apply_transpose(&x, &mut y);
-        assert_eq!(y, a.matvec_transpose(&x));
-    }
-
-    #[test]
-    fn symmetry_detector() {
-        let a = laplacian_2d(5, 5);
-        assert!(a.asymmetry() < 1e-15);
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 1, c64(1.0, 0.0));
-        coo.push(0, 0, c64(1.0, 0.0));
-        coo.push(1, 1, c64(1.0, 0.0));
-        assert!(coo.to_csr().asymmetry() > 0.5);
-    }
-
-    #[test]
-    fn diagonal_extraction() {
-        let a = laplacian_2d(3, 3);
-        let d = a.diagonal();
-        assert_eq!(d.len(), 9);
-        assert!(d.iter().all(|v| (*v - c64(4.2, 0.35)).abs() < 1e-15));
-    }
-}

@@ -7,7 +7,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`num`] | complex scalar, arrays, FFT, banded LU, eigensolvers |
-//! | [`sparse`] | CSR matrices + BiCGSTAB cross-check solver |
+//! | [`sparse`] | geometric multigrid preconditioning |
 //! | [`fdfd`] | 2-D FDFD electromagnetic solver with adjoints |
 //! | [`litho`] | differentiable partially-coherent lithography |
 //! | [`fab`] | etch projection, EOLE η fields, variation corners |

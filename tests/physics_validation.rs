@@ -1,15 +1,17 @@
-//! Cross-crate physics validation: the FDFD solver against the iterative
-//! solver, reciprocity, and frequency scaling.
+//! Cross-crate physics validation: the direct FDFD solver against the
+//! production Krylov solver, reciprocity, and frequency scaling.
 
 use boson1::fdfd::grid::{Axis, Sign, SimGrid};
 use boson1::fdfd::monitor::ModalMonitor;
-use boson1::fdfd::operator::{assemble_banded, assemble_csr};
+use boson1::fdfd::operator::{assemble_banded, scale_source_into};
 use boson1::fdfd::pml::SFactors;
 use boson1::fdfd::port::Port;
-use boson1::fdfd::sim::Simulation;
+use boson1::fdfd::sim::SimWorkspace;
 use boson1::fdfd::source::ModalSource;
+use boson1::num::krylov::{
+    bicgstab_precond_many, bicgstab_precond_transpose_many, IterativeOptions, KrylovWorkspace,
+};
 use boson1::num::{Array2, Complex64};
-use boson1::sparse::{bicgstab, BicgstabOptions};
 
 const OMEGA: f64 = 2.0 * std::f64::consts::PI / 1.55;
 
@@ -25,54 +27,77 @@ fn straight_wg(grid: &SimGrid) -> Array2<f64> {
 
 #[test]
 fn direct_and_iterative_solvers_agree() {
-    // Same operator, same right-hand side: banded LU vs BiCGSTAB.
-    // (A lossy diagonal shift keeps the Krylov iteration well-behaved —
-    // we check both solvers against the *same* shifted system.)
+    // Same operator, same right-hand sides: banded LU vs the production
+    // BiCGSTAB, forward and transpose. The operator is a perturbed corner
+    // (a lossy diagonal shift of the waveguide operator); the Krylov
+    // solves are preconditioned by the unshifted (nominal) factors, the
+    // pairing the iterative corner strategy runs.
     let grid = SimGrid::new(30, 26, 0.05, 8);
     let s = SFactors::new(&grid, OMEGA);
     let eps = straight_wg(&grid);
-    let banded = assemble_banded(&grid, &s, &eps, OMEGA);
-    let csr = assemble_csr(&grid, &s, &eps, OMEGA);
-    // Build shifted copies.
+    let nominal = assemble_banded(&grid, &s, &eps, OMEGA);
     let n = grid.n();
-    let shift = Complex64::new(0.0, 25.0);
-    let mut banded_shifted = banded.clone();
-    let mut coo = boson1::sparse::CooMatrix::new(n, n);
+    let mut corner = nominal.clone();
     for i in 0..n {
-        banded_shifted.add(i, i, shift);
-        for j in i.saturating_sub(grid.nx)..(i + grid.nx + 1).min(n) {
-            let v = csr.get(i, j);
-            if v != Complex64::ZERO {
-                coo.push(i, j, v);
-            }
-        }
-        coo.push(i, i, shift);
+        corner.add(i, i, Complex64::new(0.0, 25.0));
     }
-    let csr_shifted = coo.to_csr();
-    let rhs: Vec<Complex64> = (0..n)
+    let mut precond = nominal.factor().unwrap();
+    let lu = corner.clone().factor().unwrap();
+    let nrhs = 2;
+    let rhs: Vec<Complex64> = (0..n * nrhs)
         .map(|k| Complex64::new((k as f64 * 0.05).sin(), (k as f64 * 0.02).cos()))
         .collect();
-    let lu = banded_shifted.factor().unwrap();
-    let x_direct = lu.solve_vec(&rhs);
-    let x_iter = bicgstab(
-        &csr_shifted,
+    let opts = IterativeOptions {
+        tol: 1e-12,
+        max_iters: 200,
+        ..IterativeOptions::default()
+    };
+    let mut ws = KrylovWorkspace::new();
+    let rel_err = |x_direct: &[Complex64], x_iter: &[Complex64]| {
+        let num: f64 = x_direct
+            .iter()
+            .zip(x_iter)
+            .map(|(a, b)| (*a - *b).norm_sqr())
+            .sum::<f64>()
+            .sqrt();
+        let den: f64 = x_direct.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        num / den
+    };
+
+    let mut x_direct = rhs.clone();
+    lu.solve_many(&mut x_direct, nrhs);
+    let mut x_iter = vec![Complex64::ZERO; n * nrhs];
+    let quality = bicgstab_precond_many(
+        &corner,
+        &mut precond,
         &rhs,
-        &BicgstabOptions {
-            tol: 1e-12,
-            max_iter: 20_000,
-            jacobi_precondition: true,
-        },
-    )
-    .expect("bicgstab convergence")
-    .x;
-    let num: f64 = x_direct
-        .iter()
-        .zip(&x_iter)
-        .map(|(a, b)| (*a - *b).norm_sqr())
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = x_direct.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-    assert!(num / den < 1e-7, "solver disagreement: {}", num / den);
+        &mut x_iter,
+        nrhs,
+        &opts,
+        &mut ws,
+    );
+    assert!(quality.converged, "BiCGSTAB did not converge: {quality:?}");
+    let err = rel_err(&x_direct, &x_iter);
+    assert!(err < 1e-7, "solver disagreement: {err}");
+
+    let mut xt_direct = rhs.clone();
+    lu.solve_transpose_many(&mut xt_direct, nrhs);
+    let mut xt_iter = vec![Complex64::ZERO; n * nrhs];
+    let quality = bicgstab_precond_transpose_many(
+        &corner,
+        &mut precond,
+        &rhs,
+        &mut xt_iter,
+        nrhs,
+        &opts,
+        &mut ws,
+    );
+    assert!(
+        quality.converged,
+        "transpose BiCGSTAB did not converge: {quality:?}"
+    );
+    let err = rel_err(&xt_direct, &xt_iter);
+    assert!(err < 1e-7, "transpose solver disagreement: {err}");
 }
 
 #[test]
@@ -87,21 +112,31 @@ fn reciprocity_left_to_right_equals_right_to_left() {
             eps[(iy, ix)] = 12.11;
         }
     }
-    let sim = Simulation::new(grid, OMEGA, eps.clone()).unwrap();
     let port_l = Port::new("l", Axis::X, 14, 10, 40);
     let port_r = Port::new("r", Axis::X, 45, 10, 40);
     let mode_l = port_l.solve_modes(&grid, &eps, OMEGA, 1).remove(0);
     let mode_r = port_r.solve_modes(&grid, &eps, OMEGA, 1).remove(0);
-
     let fwd_src = ModalSource::new(port_l.clone(), mode_l.clone(), Sign::Plus);
-    let f_fwd = sim.solve_current(&fwd_src.current(&grid));
-    let mon_r = ModalMonitor::new(&grid, &port_r, &mode_r, Sign::Plus);
-    let t_lr = mon_r.power(&f_fwd.ez);
+    let bwd_src = ModalSource::new(port_r.clone(), mode_r.clone(), Sign::Minus);
 
-    let bwd_src = ModalSource::new(port_r, mode_r, Sign::Minus);
-    let f_bwd = sim.solve_current(&bwd_src.current(&grid));
+    // Both launches in one two-column block against one factorisation.
+    let mut ws = SimWorkspace::new();
+    ws.factor(grid, OMEGA, &eps).unwrap();
+    let n = grid.n();
+    let mut fields = vec![Complex64::ZERO; 2 * n];
+    for (src, col) in [&fwd_src, &bwd_src]
+        .into_iter()
+        .zip(fields.chunks_exact_mut(n))
+    {
+        scale_source_into(&grid, ws.sfactors(), OMEGA, &src.current(&grid), col);
+    }
+    ws.solve_block(&mut fields, 2).unwrap();
+    let (f_fwd, f_bwd) = fields.split_at(n);
+
+    let mon_r = ModalMonitor::new(&grid, &port_r, &mode_r, Sign::Plus);
+    let t_lr = mon_r.power(f_fwd);
     let mon_l = ModalMonitor::new(&grid, &port_l, &mode_l, Sign::Minus);
-    let t_rl = mon_l.power(&f_bwd.ez);
+    let t_rl = mon_l.power(f_bwd);
 
     assert!(t_lr > 1e-8);
     assert!(
