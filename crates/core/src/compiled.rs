@@ -96,9 +96,8 @@ pub struct CornerProductSolve<'a> {
     /// Solver strategy. [`SolverStrategy::Direct`] factors every column
     /// on its own, fanned out across `threads` lanes. The iterative
     /// strategies advance every non-nominal, non-pinned column through
-    /// one fused lockstep batch; the tolerance/budget pair and the
-    /// preconditioner (banded nominal factor or multigrid hierarchy) come
-    /// from the strategy.
+    /// one fused lockstep batch, preconditioned by each ω's banded
+    /// nominal factor; the tolerance/budget pair comes from the strategy.
     pub strategy: SolverStrategy,
     /// Permittivity of the nominal corner this epoch (ω-independent).
     pub nominal_eps: &'a Array2<f64>,

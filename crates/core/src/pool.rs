@@ -6,8 +6,8 @@
 //! run. [`WorkerPool`] now spawns nothing at all: jobs are queued with
 //! [`WorkerPool::submit`] and executed on the process-lifetime
 //! [`boson_num::pool`] substrate — the same long-lived workers that drive
-//! the fused preconditioner sweeps and the parallel multigrid column
-//! chunks — so one pool serves direct fan-out, fused sweeps, and many
+//! the fused preconditioner sweeps and the per-column Krylov stages —
+//! so one pool serves direct fan-out, fused sweeps, and many
 //! concurrent runs, and a steady-state robust iteration spawns **zero**
 //! threads.
 //!

@@ -176,6 +176,9 @@ pub struct IterationRecord {
     /// corner fan-out (`0.0` when no iterative solves ran). The
     /// observable cross-iteration Krylov recycling is judged by.
     pub mean_bicgstab_iterations: f64,
+    /// The objective or a gradient entry was non-finite, so this
+    /// iteration did not step: θ and the optimiser state are unchanged.
+    pub step_skipped: bool,
 }
 
 /// Result of an optimisation run.
@@ -357,8 +360,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
     fn lanes(&self) -> usize {
         match self.config.solver {
             SolverStrategy::Direct => self.config.threads.max(1),
-            SolverStrategy::PreconditionedIterative { .. }
-            | SolverStrategy::MultigridIterative { .. } => 1,
+            SolverStrategy::PreconditionedIterative { .. } => 1,
         }
     }
 
@@ -933,7 +935,12 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             }
 
             let grad_theta = self.param.vjp(&theta, &v_mask_total);
-            adam.step(&mut theta, &grad_theta);
+            // A non-finite value must not reach Adam: its moments would
+            // carry it into every later iterate.
+            let step_skipped = !objective.is_finite() || grad_theta.iter().any(|g| !g.is_finite());
+            if !step_skipped {
+                adam.step(&mut theta, &grad_theta);
+            }
 
             let (readings_nominal, fom_nominal) =
                 nominal_readings.expect("at least one term evaluated");
@@ -950,6 +957,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 } else {
                     0.0
                 },
+                step_skipped,
             });
         }
 
@@ -1718,6 +1726,101 @@ mod tests {
         for (ta, tb) in recycled.theta.iter().zip(&recycled_threaded.theta) {
             assert_eq!(ta, tb);
         }
+    }
+
+    /// Test-only parameterisation that poisons one entry of the gradient
+    /// on the `nan_call`-th `vjp` call (one call per iteration).
+    struct NanGradientAt<'p, P> {
+        inner: &'p P,
+        nan_call: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<P: Parameterization> Parameterization for NanGradientAt<'_, P> {
+        fn num_params(&self) -> usize {
+            self.inner.num_params()
+        }
+
+        fn design_shape(&self) -> (usize, usize) {
+            self.inner.design_shape()
+        }
+
+        fn forward(&self, theta: &[f64]) -> Array2<f64> {
+            self.inner.forward(theta)
+        }
+
+        fn vjp(&self, theta: &[f64], v: &Array2<f64>) -> Vec<f64> {
+            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let mut grad = self.inner.vjp(theta, v);
+            if call == self.nan_call {
+                grad[0] = f64::NAN;
+            }
+            grad
+        }
+    }
+
+    /// A non-finite gradient skips that one Adam step and leaves θ
+    /// finite; the iterations before it are bit-identical to a clean run.
+    #[test]
+    fn non_finite_gradient_skips_the_step_and_keeps_theta_finite() {
+        let compiled = CompiledProblem::compile(bending()).unwrap();
+        let problem = compiled.problem().clone();
+        let param = levelset_param(&problem, false);
+        let config = RunnerConfig {
+            iterations: 4,
+            ..tiny_config(1, SamplingStrategy::NominalOnly)
+        };
+        let nan_iter = 2;
+        let mut designer = InverseDesigner::new(
+            &compiled,
+            &param,
+            standard_chain(&problem),
+            VariationSpace::default(),
+            config.clone(),
+        );
+        let theta0 = designer.initial_theta(&mut StdRng::seed_from_u64(3));
+        let clean = designer.run(theta0.clone());
+        let poisoned_param = NanGradientAt {
+            inner: &param,
+            nan_call: nan_iter,
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let poisoned = InverseDesigner::new(
+            &compiled,
+            &poisoned_param,
+            standard_chain(&problem),
+            VariationSpace::default(),
+            config,
+        )
+        .run(theta0);
+        assert!(poisoned.theta.iter().all(|t| t.is_finite()), "θ poisoned");
+        let skipped: Vec<usize> = poisoned
+            .trajectory
+            .iter()
+            .filter(|r| r.step_skipped)
+            .map(|r| r.iter)
+            .collect();
+        assert_eq!(skipped, vec![nan_iter]);
+        assert!(clean.trajectory.iter().all(|r| !r.step_skipped));
+        for (a, b) in clean.trajectory.iter().zip(&poisoned.trajectory) {
+            if a.iter > nan_iter {
+                break;
+            }
+            assert_eq!(
+                a.objective.to_bits(),
+                b.objective.to_bits(),
+                "iter {}",
+                a.iter
+            );
+            assert_eq!(
+                a.fom_nominal.to_bits(),
+                b.fom_nominal.to_bits(),
+                "iter {}",
+                a.iter
+            );
+            assert_eq!(a.factorizations, b.factorizations, "iter {}", a.iter);
+        }
+        assert!(poisoned.trajectory.iter().all(|r| r.objective.is_finite()));
     }
 
     #[test]

@@ -23,10 +23,9 @@
 
 use crate::grid::SimGrid;
 use crate::pml::SFactors;
-use boson_num::banded::{BandedMatrix, SingularMatrixError};
+use boson_num::banded::BandedMatrix;
 use boson_num::complex::{vmul, vmul_add};
 use boson_num::{Array2, Complex64};
-use boson_sparse::multigrid::{FineStencil, Multigrid};
 
 /// All coefficients of one assembled stencil row.
 #[derive(Debug, Clone, Copy)]
@@ -249,31 +248,6 @@ impl StencilCache {
         self.n
     }
 
-    /// Grid width (fastest-varying index).
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Borrowed [`FineStencil`] view of this cache bound to `diag` — the
-    /// lingua franca of the [`boson_sparse::multigrid`] machinery
-    /// (hierarchy rebuilds, boundary-band assembly, residual products).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag.len()` does not match the cached grid size.
-    pub fn fine_stencil<'a>(&'a self, diag: &'a [Complex64]) -> FineStencil<'a> {
-        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
-        FineStencil {
-            nx: self.nx,
-            ny: self.n / self.nx,
-            west: &self.west,
-            east: &self.east,
-            south: &self.south,
-            north: &self.north,
-            diag,
-        }
-    }
-
     /// Writes the full operator diagonal for `eps` into `diag` (resized
     /// once, then reused): `diag[k] = diag0[k] + sx·sy·(k₀²·ε_k)`.
     ///
@@ -289,28 +263,6 @@ impl StencilCache {
                 .zip(&self.sxy)
                 .zip(eps.as_slice())
                 .map(|((&d0, &sxy), &e)| d0 + sxy * (self.k2 * e)),
-        );
-    }
-
-    /// Like [`StencilCache::diag_into`] but with a complex shift on the
-    /// mass term: `diag[k] = diag0[k] + (1 + i·beta)·sx·sy·(k₀²·ε_k)` —
-    /// the Erlangga-style damped-Helmholtz diagonal whose operator
-    /// geometric multigrid converges on (the undamped indefinite operator
-    /// admits no stable coarse correction at realistic wavenumbers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eps` does not match the cached grid size.
-    pub fn shifted_diag_into(&self, eps: &Array2<f64>, beta: f64, diag: &mut Vec<Complex64>) {
-        assert_eq!(eps.as_slice().len(), self.n, "eps size mismatch");
-        let shift = Complex64::new(1.0, beta);
-        diag.clear();
-        diag.extend(
-            self.diag0
-                .iter()
-                .zip(&self.sxy)
-                .zip(eps.as_slice())
-                .map(|((&d0, &sxy), &e)| d0 + shift * sxy * (self.k2 * e)),
         );
     }
 
@@ -369,28 +321,6 @@ impl StencilCache {
         vmul_add(&self.east[..n - 1], &x[1..], &mut y[..n - 1]);
         vmul_add(&self.south[nx..], &x[..n - nx], &mut y[nx..]);
         vmul_add(&self.north[..n - nx], &x[nx..], &mut y[..n - nx]);
-    }
-
-    /// (Re)builds a geometric multigrid hierarchy for the operator
-    /// `A(ε)` whose diagonal `diag` was produced by
-    /// [`StencilCache::diag_into`]. All hierarchy storage is reused, so a
-    /// same-grid rebuild (a new nominal ε epoch) performs no heap
-    /// allocation beyond the first call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the Galerkin-coarsened
-    /// coarsest-level operator is singular.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag.len()` does not match the cached grid size.
-    pub fn rebuild_multigrid(
-        &self,
-        diag: &[Complex64],
-        mg: &mut Multigrid,
-    ) -> Result<(), SingularMatrixError> {
-        mg.rebuild(&self.fine_stencil(diag))
     }
 }
 

@@ -79,13 +79,10 @@ use crate::pml::SFactors;
 use boson_num::banded::{BandedLu, BandedLuF32, BandedMatrix, SingularMatrixError};
 use boson_num::krylov::{
     bicgstab_precond_many, bicgstab_precond_transpose_many, ColumnOp, IterativeOptions,
-    KrylovWorkspace, PrecondFamily, Precondition, RecycleSpace, RhsStats,
+    KrylovWorkspace, PrecondFamily, RecycleSpace, RhsStats,
 };
 use boson_num::pool;
 use boson_num::{Array2, Complex64};
-use boson_sparse::multigrid::{
-    BandScratch, BoundaryBand, MgBandPrecond, MgScratch, Multigrid, MultigridOptions,
-};
 use serde::{Deserialize, Serialize};
 
 /// Accumulates the adjoint permittivity gradient
@@ -144,45 +141,7 @@ pub enum SolverStrategy {
         /// Iteration budget per solve before the direct fallback fires.
         max_iters: usize,
     },
-    /// Like [`SolverStrategy::PreconditionedIterative`], but the nominal
-    /// preconditioner is a matrix-free geometric **multigrid V-cycle**
-    /// ([`boson_sparse::multigrid`]) instead of a banded factorisation —
-    /// `O(n)` setup and per-application cost at **any** grid size, with
-    /// no `BandedLu`/`BandedLuF32` factor materialised above the
-    /// hierarchy's coarsest level. This is what
-    /// [`SolverStrategy::PreconditionedIterative`] auto-selects above
-    /// [`MULTIGRID_MIN_CELLS`] cells; the explicit variant forces
-    /// multigrid at any size (tests, benchmarks, tuning). Budget misses
-    /// still fall back to a bit-exact direct factorisation.
-    MultigridIterative {
-        /// Relative residual at which a right-hand side is converged.
-        tol: f64,
-        /// Iteration budget per solve before the direct fallback fires.
-        max_iters: usize,
-    },
 }
-
-/// Grid-cell count at which [`SolverStrategy::PreconditionedIterative`]
-/// switches its nominal preconditioner from the banded factorisation to
-/// the geometric multigrid V-cycle. Below it the banded factor is cheap
-/// and its triangular sweeps converge in fewer iterations; above it the
-/// `O(n·b²)` factor time and `O(n·b)` factor image dwarf the V-cycle's
-/// `O(n)` setup and apply (at 256×256 the factor alone costs seconds).
-pub const MULTIGRID_MIN_CELLS: usize = 128 * 128;
-
-/// Complex shift `β` of the multigrid surrogate operator's mass term
-/// (`diag0 + (1 + iβ)·sxy·k₀²ε`, see
-/// [`StencilCache::shifted_diag_into`]). The indefinite Helmholtz
-/// operator admits no stable Galerkin coarse correction at realistic
-/// wavenumbers; the imaginary shift damps the wave modes enough for the
-/// V-cycle to contract while staying close enough to the true operator
-/// for the outer Krylov iteration to converge in a few steps.
-pub const MG_SHIFT_BETA: f64 = 0.5;
-
-/// Overlap margin (in cells) the boundary-band strips extend past the
-/// PML, so the strip interfaces sit in the unstretched interior where
-/// the surrogate hierarchy is accurate.
-pub const MG_BAND_MARGIN: usize = 6;
 
 impl SolverStrategy {
     /// The iterative strategy with its production defaults — those of
@@ -192,31 +151,12 @@ impl SolverStrategy {
         SolverStrategy::PreconditionedIterative { tol, max_iters }
     }
 
-    /// The forced-multigrid iterative strategy with the defaults of
-    /// [`IterativeOptions::default`] (`tol = 1e-6`, `max_iters = 24`).
-    pub fn multigrid_iterative() -> Self {
-        let IterativeOptions { tol, max_iters, .. } = IterativeOptions::default();
-        SolverStrategy::MultigridIterative { tol, max_iters }
-    }
-
     /// `(tol, max_iters)` of an iterative strategy, `None` for
     /// [`SolverStrategy::Direct`].
     pub fn iterative_params(&self) -> Option<(f64, usize)> {
         match *self {
             SolverStrategy::Direct => None,
-            SolverStrategy::PreconditionedIterative { tol, max_iters }
-            | SolverStrategy::MultigridIterative { tol, max_iters } => Some((tol, max_iters)),
-        }
-    }
-
-    /// Whether corner sweeps under this strategy precondition with the
-    /// multigrid V-cycle on a grid of `cells` unknowns (as opposed to the
-    /// banded nominal factorisation).
-    pub fn uses_multigrid(&self, cells: usize) -> bool {
-        match self {
-            SolverStrategy::Direct => false,
-            SolverStrategy::PreconditionedIterative { .. } => cells >= MULTIGRID_MIN_CELLS,
-            SolverStrategy::MultigridIterative { .. } => true,
+            SolverStrategy::PreconditionedIterative { tol, max_iters } => Some((tol, max_iters)),
         }
     }
 }
@@ -278,9 +218,6 @@ pub struct CornerSolveReport {
 /// `O(n·b²)` refactor into `O(n)` drift math most iterations. The
 /// existing budget-miss → direct-fallback machinery keeps results
 /// correct regardless of how stale a kept factor is.
-///
-/// Only the banded-LU preconditioner lags; the multigrid hierarchy's
-/// per-epoch rebuild is already `O(n)` and stays eager.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorLag {
     /// Maximum epochs a nominal factor may be reused past the epoch it
@@ -334,15 +271,6 @@ const F32_PRECOND_MIN_TOL: f64 = 1e-8;
 /// any lane count.
 pub const FUSED_SPLIT_MIN_COLS: usize = 16;
 
-/// Packed active-column count at which a fused-batch **multigrid**
-/// preconditioner application splits its column chunks across pool
-/// lanes. A V-cycle + boundary-band application costs orders of
-/// magnitude more per column than a banded triangular sweep (the
-/// large-grid regime it serves), so even two columns are worth a
-/// dispatch; columns are independent (`MgBandPrecond::solve_block`
-/// iterates them one at a time), keeping any lane count bit-identical.
-pub const MG_SPLIT_MIN_COLS: usize = 2;
-
 /// Maximum number of per-ω slots a [`SimWorkspace`] retains. A broadband
 /// robust iteration keys its geometry caches and nominal factors by
 /// `(grid, ω)`; up to this many wavelengths stay resident simultaneously
@@ -382,74 +310,8 @@ struct OmegaSlot {
     /// Budget misses recorded against the **stale** factor since it was
     /// built; any miss trips a refactor at the next epoch check.
     factor_miss_streak: usize,
-    /// Multigrid hierarchy of this ω's nominal **surrogate** operator —
-    /// the hard-walled, shift-damped stand-in the V-cycle contracts on
-    /// (multigrid preconditioning); empty until a multigrid sweep first
-    /// runs on this slot, rebuilt allocation-free per epoch afterwards.
-    nominal_mg: Multigrid,
-    /// Boundary-band Schwarz strips of the **true** nominal operator —
-    /// the companion of `nominal_mg` that removes the boundary-localised
-    /// modes the surrogate cannot represent (see
-    /// [`boson_sparse::multigrid::BoundaryBand`]).
-    nominal_band: BoundaryBand,
-    /// The true nominal operator diagonal `nominal_band` and the
-    /// preconditioner's intermediate residuals are formed against.
-    nominal_diag: Vec<Complex64>,
-    /// Hard-walled (`npml = 0`) stencil of this ω on the same grid
-    /// footprint — the surrogate's couplings. Built on the first
-    /// multigrid epoch, then reused (ε-independent).
-    surrogate: Option<StencilCache>,
-    /// Shift-damped surrogate diagonal buffer (see [`MG_SHIFT_BETA`]).
-    surrogate_diag: Vec<Complex64>,
-    /// Epoch `nominal_mg`/`nominal_band` belong to; `None` = invalid.
-    /// Tracked independently of `nominal_epoch` so mixed strategies never
-    /// reuse a stale hierarchy (and an LU-only run never pays for one).
-    mg_epoch: Option<u64>,
     /// LRU stamp (workspace clock at last use).
     last_used: u64,
-}
-
-impl OmegaSlot {
-    /// Refreshes the multigrid preconditioner pair for this ω's nominal
-    /// operator: the V-cycle hierarchy from the hard-walled shift-damped
-    /// surrogate, and the boundary-band strips from the true operator.
-    /// Allocation-free after the first multigrid epoch (the surrogate
-    /// stencil is ε-independent and built once).
-    fn rebuild_mg(
-        &mut self,
-        grid: SimGrid,
-        nominal_eps: &Array2<f64>,
-    ) -> Result<(), SingularMatrixError> {
-        let omega = self.omega;
-        let surrogate = self.surrogate.get_or_insert_with(|| {
-            let hard_wall = SimGrid::new(grid.nx, grid.ny, grid.dx, 0);
-            let sfactors = SFactors::new(&hard_wall, omega);
-            StencilCache::build(&hard_wall, &sfactors, omega)
-        });
-        surrogate.shifted_diag_into(nominal_eps, MG_SHIFT_BETA, &mut self.surrogate_diag);
-        surrogate.rebuild_multigrid(&self.surrogate_diag, &mut self.nominal_mg)?;
-        self.stencil.diag_into(nominal_eps, &mut self.nominal_diag);
-        self.nominal_band.rebuild(
-            &self.stencil.fine_stencil(&self.nominal_diag),
-            grid.npml + MG_BAND_MARGIN,
-        )
-    }
-
-    /// The combined V-cycle + boundary-band preconditioner of this ω's
-    /// nominal operator, borrowing the caller's scratches.
-    fn mg_precond<'a>(
-        &'a self,
-        mg_scratch: &'a mut MgScratch,
-        band_scratch: &'a mut BandScratch,
-    ) -> MgBandPrecond<'a> {
-        MgBandPrecond {
-            mg: &self.nominal_mg,
-            band: &self.nominal_band,
-            fine: self.stencil.fine_stencil(&self.nominal_diag),
-            mg_scratch,
-            band_scratch,
-        }
-    }
 }
 
 /// The matrix-free operator family of a **fused** (corner × ω) sweep:
@@ -493,43 +355,23 @@ impl ColumnOp for FusedCornerOp<'_> {
     }
 }
 
-/// One pool lane's private multigrid application scratch: a V-cycle
-/// scratch plus a boundary-band scratch. Every slot's hierarchy shares
-/// one grid, so one lane's pair serves any ω's [`OmegaSlot::mg_precond`];
-/// giving each lane its own pair is what lets independent column chunks
-/// of a multigrid-preconditioned fused sweep run in parallel.
-#[derive(Debug, Default)]
-struct MgLane {
-    mg: MgScratch,
-    band: BandScratch,
-}
-
 /// The per-column preconditioner family of a fused (corner × ω) sweep:
 /// every packed column is preconditioned by **its own wavelength's**
 /// nominal factor. Columns of one ω form contiguous runs in the ω-major
 /// packed block, so each run costs one factor sweep — and runs above
-/// [`FUSED_SPLIT_MIN_COLS`] (banded) / [`MG_SPLIT_MIN_COLS`] (multigrid)
-/// total active columns split into independent contiguous column chunks
-/// dispatched on the process-wide `boson_num::pool` (columns are solved
-/// independently; any split is bit-identical to the serial sweep).
+/// [`FUSED_SPLIT_MIN_COLS`] total active columns split into independent
+/// contiguous column chunks dispatched on the process-wide
+/// `boson_num::pool` (columns are solved independently; any split is
+/// bit-identical to the serial sweep).
 struct FusedPrecond<'a> {
     slots: &'a [OmegaSlot],
     fused_slots: &'a [usize],
     omega_of_corner: &'a [usize],
     cols_per_corner: usize,
-    /// Sweep the single-precision factor copies (ordinary tolerances;
-    /// banded preconditioning only).
+    /// Sweep the single-precision factor copies (ordinary tolerances).
     use_f32: bool,
-    /// Precondition with each ω's nominal multigrid pair (surrogate
-    /// V-cycle + boundary band) instead of its banded factors (large
-    /// grids).
-    mg: bool,
-    /// One multigrid scratch pair per pool lane (multigrid
-    /// preconditioning only); the slice length *is* the split width
-    /// (1 = serial).
-    mg_lanes: &'a mut [MgLane],
-    /// One f32 conversion scratch per lane (banded preconditioning
-    /// only); the slice length *is* the split width (1 = serial).
+    /// One f32 conversion scratch per lane; the slice length *is* the
+    /// split width (1 = serial).
     scratches: &'a mut [Vec<f32>],
 }
 
@@ -540,12 +382,8 @@ impl FusedPrecond<'_> {
 
     fn solve_runs(&mut self, b: &mut [Complex64], cols: &[usize], transpose: bool) {
         let n = self.slots[self.fused_slots[0]].stencil.n();
-        let (workers, min_cols) = if self.mg {
-            (self.mg_lanes.len(), MG_SPLIT_MIN_COLS)
-        } else {
-            (self.scratches.len(), FUSED_SPLIT_MIN_COLS)
-        };
-        let split = workers > 1 && cols.len() >= min_cols;
+        let workers = self.scratches.len();
+        let split = workers > 1 && cols.len() >= FUSED_SPLIT_MIN_COLS;
         let workers = if split { workers } else { 1 };
         let mut rest = b;
         let mut start = 0usize;
@@ -557,24 +395,15 @@ impl FusedPrecond<'_> {
             }
             let (run, tail) = rest.split_at_mut((end - start) * n);
             rest = tail;
-            let slot = &self.slots[slot_idx];
-            if self.mg {
-                // The multigrid pair approximates A⁻ᵀ = A⁻¹ on the
-                // complex-symmetric operator, so the transpose
-                // application is the plain one (see
-                // `boson_sparse::multigrid::MgBandPrecond`).
-                mg_solve_slot_run(slot, run, end - start, n, &mut self.mg_lanes[..workers]);
-            } else {
-                solve_slot_run(
-                    slot,
-                    run,
-                    end - start,
-                    n,
-                    self.use_f32,
-                    transpose,
-                    &mut self.scratches[..workers],
-                );
-            }
+            solve_slot_run(
+                &self.slots[slot_idx],
+                run,
+                end - start,
+                n,
+                self.use_f32,
+                transpose,
+                &mut self.scratches[..workers],
+            );
             start = end;
         }
     }
@@ -631,35 +460,6 @@ fn solve_slot_run(
     let per = run_cols.div_ceil(workers);
     pool::global().chunks_with(run, per * n, scratches, |_part, chunk, scratch| {
         solve_chunk(chunk, scratch)
-    });
-}
-
-/// Multigrid counterpart of [`solve_slot_run`]: applies one ω's nominal
-/// multigrid pair (surrogate V-cycle + boundary band) to a contiguous
-/// run of packed columns, split into contiguous column chunks dispatched
-/// on the process-wide pool — each chunk on its own [`MgLane`] scratch
-/// pair (`mg_lanes.len()` is the split width). Columns are applied one
-/// at a time inside `solve_block`, so the chunking (and therefore the
-/// lane count) never changes results; no transpose variant is needed —
-/// the pair approximates `A⁻ᵀ = A⁻¹` on the complex-symmetric operator.
-fn mg_solve_slot_run(
-    slot: &OmegaSlot,
-    run: &mut [Complex64],
-    run_cols: usize,
-    n: usize,
-    mg_lanes: &mut [MgLane],
-) {
-    let workers = mg_lanes.len();
-    if workers <= 1 || run_cols < 2 {
-        let lane = &mut mg_lanes[0];
-        let mut precond = slot.mg_precond(&mut lane.mg, &mut lane.band);
-        precond.solve_block(run, run_cols);
-        return;
-    }
-    let per = run_cols.div_ceil(workers);
-    pool::global().chunks_with(run, per * n, mg_lanes, |_part, chunk, lane| {
-        let mut precond = slot.mg_precond(&mut lane.mg, &mut lane.band);
-        precond.solve_block(chunk, chunk.len() / n);
     });
 }
 
@@ -769,14 +569,8 @@ enum SolveMode {
     /// The corner *is* the nominal corner: solve on `nominal_lu`.
     NominalDirect,
     /// Matrix-free iterative path, preconditioned by the nominal banded
-    /// factors (`mg == false`) or the nominal multigrid V-cycle
-    /// (`mg == true`), falling back to [`SolveMode::DirectLu`] on budget
-    /// miss.
-    Iterative {
-        tol: f64,
-        max_iters: usize,
-        mg: bool,
-    },
+    /// factors, falling back to [`SolveMode::DirectLu`] on budget miss.
+    Iterative { tol: f64, max_iters: usize },
 }
 
 /// Reusable factor-and-solve workspace for repeated simulations on one
@@ -853,20 +647,6 @@ pub struct SimWorkspace {
     /// Per-lane f32 conversion scratches for (possibly split) fused
     /// preconditioner sweeps; grown once, then reused.
     fused_scratches: Vec<Vec<f32>>,
-    /// Per-lane multigrid scratch pairs for (possibly split)
-    /// multigrid-preconditioned fused sweeps; grown once, then reused.
-    mg_lanes: Vec<MgLane>,
-    /// Boundary-band application scratch, shared by every slot's band
-    /// (same grid ⇒ same strip shapes).
-    band_scratch: BandScratch,
-    /// V-cycle application scratch, shared by every slot's multigrid
-    /// hierarchy (one grid ⇒ identical level shapes); sized once, then
-    /// reused allocation-free.
-    mg_scratch: MgScratch,
-    /// The current batch preconditions with multigrid (set by
-    /// [`SimWorkspace::fused_batch_begin`] from the strategy and grid
-    /// size).
-    batch_mg: bool,
     /// Lagged-nominal-factor policy; `None` (default) = eager refactor
     /// every epoch, bit-identical to the pre-lag behaviour.
     factor_lag: Option<FactorLag>,
@@ -906,10 +686,6 @@ impl SimWorkspace {
             fused_omega_of_corner: Vec::new(),
             fused_slots: Vec::new(),
             fused_scratches: Vec::new(),
-            mg_lanes: Vec::new(),
-            band_scratch: BandScratch::new(),
-            mg_scratch: MgScratch::new(),
-            batch_mg: false,
             factor_lag: None,
             recycle_x0: Vec::new(),
         }
@@ -919,8 +695,7 @@ impl SimWorkspace {
     /// each ω slot's banded nominal factorisation survives across epochs
     /// until diagonal drift, age, or a budget miss trips a rebuild (see
     /// [`FactorLag`]); with `None` (the default) every epoch refactors
-    /// eagerly, bit-identical to the pre-lag behaviour. The multigrid
-    /// hierarchy is unaffected (its per-epoch rebuild is already `O(n)`).
+    /// eagerly, bit-identical to the pre-lag behaviour.
     ///
     /// While a kept factor is stale the *nominal corner itself* is solved
     /// iteratively (preconditioned by the stale factor, converging in a
@@ -1001,12 +776,6 @@ impl SimWorkspace {
                 factor_epoch: None,
                 factor_diag: Vec::new(),
                 factor_miss_streak: 0,
-                nominal_mg: Multigrid::new(MultigridOptions::default()),
-                nominal_band: BoundaryBand::new(),
-                nominal_diag: Vec::new(),
-                surrogate: None,
-                surrogate_diag: Vec::new(),
-                mg_epoch: None,
                 // Stamp the clock at *insertion*, not first reuse: a slot
                 // born with stamp 0 would be the LRU minimum and could be
                 // evicted by the very next new ω — with
@@ -1094,13 +863,6 @@ impl SimWorkspace {
     ///   iterative path for this corner: an `O(n)` diagonal rewrite
     ///   replaces the `O(n·b²)` factorisation. The nominal corner itself
     ///   and corners with [`CornerContext::force_direct`] solve directly.
-    ///   Above [`MULTIGRID_MIN_CELLS`] cells the nominal preconditioner
-    ///   is the multigrid V-cycle (below).
-    /// * [`SolverStrategy::MultigridIterative`] — as above, but the
-    ///   nominal preconditioner is the geometric multigrid V-cycle at
-    ///   **any** grid size: `O(n)` setup per epoch, no banded factor
-    ///   above the hierarchy's coarsest level. Every non-`force_direct`
-    ///   corner — including the nominal one — solves iteratively.
     ///
     /// Subsequent [`SimWorkspace::solve_block`] /
     /// [`SimWorkspace::solve_block_transpose`] calls dispatch on the
@@ -1125,8 +887,7 @@ impl SimWorkspace {
     ) -> Result<(), SingularMatrixError> {
         let (tol, max_iters) = match strategy {
             SolverStrategy::Direct => return self.factor(grid, omega, eps),
-            SolverStrategy::PreconditionedIterative { tol, max_iters }
-            | SolverStrategy::MultigridIterative { tol, max_iters } => (tol, max_iters),
+            SolverStrategy::PreconditionedIterative { tol, max_iters } => (tol, max_iters),
         };
         self.report = CornerSolveReport {
             // The per-corner path always delivers converged results (the
@@ -1144,19 +905,23 @@ impl SimWorkspace {
         self.ensure_geometry(grid, omega);
         self.factored = false;
         let slot = &mut self.slots[self.active];
-        if strategy.uses_multigrid(grid.n()) {
-            // Multigrid preconditioning: the nominal surrogate hierarchy
-            // plus boundary-band strips replace the nominal factor
-            // entirely — no banded factor is built above the hierarchy's
-            // coarsest level or thicker than the band strips. The nominal
-            // corner itself goes through the iterative path too (its
-            // preconditioner targets its own operator, so it converges in
-            // a few iterations).
-            if slot.mg_epoch != Some(ctx.epoch) {
-                slot.rebuild_mg(grid, ctx.nominal_eps)?;
-                slot.mg_epoch = Some(ctx.epoch);
-                self.report.factorizations += 1;
-            }
+        self.report.factorizations += refresh_nominal_banded(
+            slot,
+            &mut self.diag,
+            &mut self.a,
+            ctx.nominal_eps,
+            ctx.epoch,
+            self.factor_lag,
+        )?;
+        // The nominal corner solves directly on the nominal factor
+        // only while the factor actually *is* this epoch's nominal
+        // operator; a lag-kept stale factor would silently answer last
+        // epoch's physics, so the nominal corner then rides the
+        // iterative path like any drifted corner (its "perturbation"
+        // is the bounded diagonal drift — a few iterations).
+        if ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch) {
+            self.mode = SolveMode::NominalDirect;
+        } else {
             slot.stencil.diag_into(eps, &mut self.diag);
             if ctx.force_direct {
                 slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
@@ -1165,46 +930,8 @@ impl SimWorkspace {
                 self.mode = SolveMode::DirectLu;
                 self.report.factorizations += 1;
             } else {
-                self.mode = SolveMode::Iterative {
-                    tol,
-                    max_iters,
-                    mg: true,
-                };
+                self.mode = SolveMode::Iterative { tol, max_iters };
                 self.report.used_iterative = true;
-            }
-        } else {
-            self.report.factorizations += refresh_nominal_banded(
-                slot,
-                &mut self.diag,
-                &mut self.a,
-                ctx.nominal_eps,
-                ctx.epoch,
-                self.factor_lag,
-            )?;
-            // The nominal corner solves directly on the nominal factor
-            // only while the factor actually *is* this epoch's nominal
-            // operator; a lag-kept stale factor would silently answer last
-            // epoch's physics, so the nominal corner then rides the
-            // iterative path like any drifted corner (its "perturbation"
-            // is the bounded diagonal drift — a few iterations).
-            if ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch) {
-                self.mode = SolveMode::NominalDirect;
-            } else {
-                slot.stencil.diag_into(eps, &mut self.diag);
-                if ctx.force_direct {
-                    slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                    self.a.factor_swap_into(&mut self.lu)?;
-                    self.factored = true;
-                    self.mode = SolveMode::DirectLu;
-                    self.report.factorizations += 1;
-                } else {
-                    self.mode = SolveMode::Iterative {
-                        tol,
-                        max_iters,
-                        mg: false,
-                    };
-                    self.report.used_iterative = true;
-                }
             }
         }
         Ok(())
@@ -1283,83 +1010,7 @@ impl SimWorkspace {
                     nominal_lu.solve_many(b, nrhs);
                 }
             }
-            SolveMode::Iterative {
-                tol,
-                max_iters,
-                mg: true,
-            } => {
-                self.rhs.clear();
-                self.rhs.extend_from_slice(b);
-                let slot = &self.slots[self.active];
-                let op = StencilOp {
-                    cache: &slot.stencil,
-                    diag: &self.diag,
-                };
-                let opts = IterativeOptions {
-                    tol,
-                    max_iters,
-                    use_initial_guess: false,
-                    threads: 1,
-                };
-                // The V-cycle + band sweep is f64 throughout (smoothing,
-                // coarse solve and strip sweeps are O(n) — there is no
-                // memory-bound full factor image for an f32 copy to
-                // halve).
-                let mut precond = slot.mg_precond(&mut self.mg_scratch, &mut self.band_scratch);
-                let quality = if transpose {
-                    bicgstab_precond_transpose_many(
-                        &op,
-                        &mut precond,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    )
-                } else {
-                    bicgstab_precond_many(
-                        &op,
-                        &mut precond,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    )
-                };
-                self.report.max_iterations = self.report.max_iterations.max(quality.max_iterations);
-                self.report.total_iterations += self
-                    .krylov
-                    .stats()
-                    .iter()
-                    .map(|s| s.iterations)
-                    .sum::<usize>();
-                self.report.max_residual = self.report.max_residual.max(quality.max_residual);
-                if !quality.converged {
-                    // Budget miss: factor this corner and re-solve the
-                    // snapshot directly — bit-identical to the Direct
-                    // path, exactly like the banded-preconditioned
-                    // fallback below.
-                    self.report.fell_back = true;
-                    self.report.factorizations += 1;
-                    let slot = &self.slots[self.active];
-                    slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                    self.a.factor_swap_into(&mut self.lu)?;
-                    self.factored = true;
-                    self.mode = SolveMode::DirectLu;
-                    b.copy_from_slice(&self.rhs);
-                    if transpose {
-                        self.lu.solve_transpose_many(b, nrhs);
-                    } else {
-                        self.lu.solve_many(b, nrhs);
-                    }
-                }
-            }
-            SolveMode::Iterative {
-                tol,
-                max_iters,
-                mg: false,
-            } => {
+            SolveMode::Iterative { tol, max_iters } => {
                 self.rhs.clear();
                 self.rhs.extend_from_slice(b);
                 let slot = &mut self.slots[self.active];
@@ -1483,9 +1134,7 @@ impl SimWorkspace {
     /// **one** batch, and a single-wavelength sweep is the one-ω case.
     ///
     /// Returns the number of nominal factorisations performed (one per ω
-    /// whose cached nominal preconditioner — banded factor or multigrid
-    /// hierarchy, per the strategy and grid size — was stale for
-    /// `epoch`).
+    /// whose cached nominal factor was stale for `epoch`).
     ///
     /// # Errors
     ///
@@ -1521,27 +1170,17 @@ impl SimWorkspace {
         let (tol, max_iters) = strategy
             .iterative_params()
             .expect("batched sweeps require an iterative strategy");
-        self.batch_mg = strategy.uses_multigrid(grid.n());
         let mut factorizations = 0;
         for &omega in omegas {
             self.ensure_geometry(grid, omega);
-            let slot = &mut self.slots[self.active];
-            if self.batch_mg {
-                if slot.mg_epoch != Some(epoch) {
-                    slot.rebuild_mg(grid, nominal_eps)?;
-                    slot.mg_epoch = Some(epoch);
-                    factorizations += 1;
-                }
-            } else {
-                factorizations += refresh_nominal_banded(
-                    slot,
-                    &mut self.diag,
-                    &mut self.a,
-                    nominal_eps,
-                    epoch,
-                    self.factor_lag,
-                )?;
-            }
+            factorizations += refresh_nominal_banded(
+                &mut self.slots[self.active],
+                &mut self.diag,
+                &mut self.a,
+                nominal_eps,
+                epoch,
+                self.factor_lag,
+            )?;
         }
         // Pin the batch's slots only after every geometry is ensured: the
         // insertion-time LRU stamps above guarantee the batch's own ωs
@@ -1652,8 +1291,8 @@ impl SimWorkspace {
     /// only through sweep packing, never through values, so results are
     /// bit-identical to running K separate single-ω batches. When the
     /// packed active-column count reaches
-    /// [`FUSED_SPLIT_MIN_COLS`] (banded) / [`MG_SPLIT_MIN_COLS`]
-    /// (multigrid) and `threads > 1`, each preconditioner run splits
+    /// [`FUSED_SPLIT_MIN_COLS`] and `threads > 1`, each preconditioner
+    /// run splits
     /// into independent contiguous column chunks dispatched on the
     /// process-wide `boson_num::pool` — no threads are spawned, and the
     /// per-column Krylov stages ride the same substrate (bit-identical
@@ -1735,12 +1374,10 @@ impl SimWorkspace {
             fused_slots,
             fused_omega_of_corner,
             fused_scratches,
-            mg_lanes,
             batch_diags,
             batch_count,
             batch_opts,
             batch_reports,
-            batch_mg,
             krylov,
             factor_lag,
             recycle_x0,
@@ -1763,9 +1400,6 @@ impl SimWorkspace {
         let workers = threads.max(1);
         if fused_scratches.len() < workers {
             fused_scratches.resize_with(workers, Vec::new);
-        }
-        if *batch_mg && mg_lanes.len() < workers {
-            mg_lanes.resize_with(workers, MgLane::default);
         }
         {
             let op = FusedCornerOp {
@@ -1808,13 +1442,7 @@ impl SimWorkspace {
                 fused_slots,
                 omega_of_corner: fused_omega_of_corner,
                 cols_per_corner,
-                use_f32: !*batch_mg && batch_opts.tol >= F32_PRECOND_MIN_TOL,
-                mg: *batch_mg,
-                mg_lanes: if *batch_mg {
-                    &mut mg_lanes[..workers]
-                } else {
-                    &mut []
-                },
+                use_f32: batch_opts.tol >= F32_PRECOND_MIN_TOL,
                 scratches: &mut fused_scratches[..workers],
             };
             let opts = IterativeOptions {
@@ -1849,7 +1477,7 @@ impl SimWorkspace {
             }
         }
         merge_stats_into_reports(krylov.stats(), batch_reports, *batch_count, cols_per_corner);
-        if factor_lag.is_some() && !*batch_mg {
+        if factor_lag.is_some() {
             // Budget misses against a lag-kept stale factor trip that
             // slot's refactor at the next epoch check (the caller's
             // direct fallback keeps this epoch's results exact).

@@ -1,14 +1,12 @@
 //! Worker-count bit-identity of the pooled fused sweep.
 //!
 //! The fused (corner × ω) lockstep batch dispatches its preconditioner
-//! half-sweeps, multigrid column chunks and per-column Krylov stages on
-//! the process-wide `boson_num::pool`. The substrate's contract is that
+//! half-sweeps and per-column Krylov stages on the process-wide `boson_num::pool`. The substrate's contract is that
 //! the worker count **never changes results**: parts are contiguous
 //! column chunks whose content depends only on the batch shape, never on
 //! which lane executes them. These regression tests pin that contract
 //! through the public solve paths at 1 ↔ 2 ↔ 8 workers — the banded
-//! fused sweep, the multigrid-preconditioned fused sweep, and the
-//! recycled + lagged cross-epoch path.
+//! fused sweep and the recycled + lagged cross-epoch path.
 
 use boson_fdfd::grid::SimGrid;
 use boson_fdfd::sim::{
@@ -95,28 +93,6 @@ fn banded_fused_sweep_bit_identical_across_1_2_8_workers() {
         let (xt, rt) = sweep_on(grid, &omegas, &nominal, &corners, strategy, threads);
         assert!(x1 == xt, "{threads}-worker banded sweep diverged bitwise");
         assert!(r1 == rt, "{threads}-worker banded reports diverged");
-    }
-}
-
-#[test]
-fn multigrid_fused_sweep_bit_identical_across_1_2_8_workers() {
-    let grid = SimGrid::new(48, 40, 0.05, 8);
-    let nominal = waveguide(&grid);
-    let corners = corner_family(&nominal, 4);
-    let omegas: Vec<f64> = [1.0, 1.02].iter().map(|s| omega_c() * s).collect();
-    // Force the multigrid pair regardless of grid size — this is the
-    // path the `split = !mg` exclusion used to keep serial.
-    let strategy = SolverStrategy::MultigridIterative {
-        tol: 1e-6,
-        max_iters: 40,
-    };
-
-    let (x1, r1) = sweep_on(grid, &omegas, &nominal, &corners, strategy, 1);
-    assert!(r1.iter().all(|r| r.converged), "reference MG sweep missed");
-    for threads in [2usize, 8] {
-        let (xt, rt) = sweep_on(grid, &omegas, &nominal, &corners, strategy, threads);
-        assert!(x1 == xt, "{threads}-worker MG sweep diverged bitwise");
-        assert!(r1 == rt, "{threads}-worker MG reports diverged");
     }
 }
 

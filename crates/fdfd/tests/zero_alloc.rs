@@ -201,88 +201,6 @@ fn steady_state_iterative_corner_path_performs_no_heap_allocations() {
 }
 
 #[test]
-fn steady_state_multigrid_corner_sweep_performs_no_heap_allocations() {
-    let _serial = serial();
-    // The forced-multigrid corner path: the surrogate hierarchy, its
-    // boundary-band strips and both scratches are sized during warm-up
-    // (first epoch builds the hard-walled surrogate stencil once per ω
-    // slot), after which per-epoch hierarchy rebuilds, band refactors and
-    // V-cycle + Schwarz preconditioner applications all reuse storage.
-    let grid = SimGrid::new(48, 40, 0.02, 6);
-    let omega = 2.0 * std::f64::consts::PI / 1.55;
-    let nominal = Array2::from_fn(grid.ny, grid.nx, |iy, _| {
-        if iy.abs_diff(grid.ny / 2) < 4 {
-            12.11
-        } else {
-            1.0
-        }
-    });
-    let mut eps = nominal.clone();
-    let g: Vec<Complex64> = (0..grid.n())
-        .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
-        .collect();
-    let strategy = SolverStrategy::multigrid_iterative();
-
-    let mut ws = SimWorkspace::new();
-    let n = grid.n();
-    let mut block = vec![Complex64::ZERO; n];
-    let mut grad = Array2::zeros(grid.ny, grid.nx);
-
-    let run_epoch = |ws: &mut SimWorkspace,
-                     eps: &mut Array2<f64>,
-                     grad: &mut Array2<f64>,
-                     block: &mut Vec<Complex64>,
-                     epoch: u64| {
-        for corner in 0..4usize {
-            for (dst, &nom) in eps.as_mut_slice().iter_mut().zip(nominal.as_slice()) {
-                *dst = if nom > 1.0 {
-                    nom + 0.01 * corner as f64
-                } else {
-                    nom
-                };
-            }
-            let ctx = CornerContext {
-                nominal_eps: &nominal,
-                epoch,
-                is_nominal: corner == 0,
-                force_direct: false,
-            };
-            ws.prepare_corner(grid, omega, eps, strategy, Some(&ctx))
-                .unwrap();
-            block.copy_from_slice(&g);
-            ws.solve_block(block, 1).unwrap();
-            assert!(!ws.last_report().fell_back, "corner {corner} fell back");
-            block.copy_from_slice(&g);
-            ws.solve_block_transpose(block, 1).unwrap();
-            assert!(
-                !ws.last_report().fell_back,
-                "corner {corner} adjoint fell back"
-            );
-            ws.grad_eps_accumulate(&g, block, grad);
-        }
-    };
-
-    for epoch in 0..2 {
-        run_epoch(&mut ws, &mut eps, &mut grad, &mut block, epoch);
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    for epoch in 2..6 {
-        run_epoch(&mut ws, &mut eps, &mut grad, &mut block, epoch);
-    }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state multigrid corner sweep performed {} heap allocations",
-        after - before
-    );
-    assert!(block.iter().any(|v| v.abs() > 0.0));
-    assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
-}
-
-#[test]
 fn steady_state_spectral_batched_corner_sweep_performs_no_heap_allocations() {
     let _serial = serial();
     // Single-ω batched sweeps revisiting a broadband ω set: per epoch,

@@ -16,8 +16,8 @@
 //! * [`pool`] — the process-lifetime parallel substrate: long-lived
 //!   workers, deterministic contiguous-chunk parallel-for,
 //!   allocation-free steady-state dispatch; every parallel stage of the
-//!   stack (fused preconditioner sweeps, multigrid column chunks,
-//!   per-column Krylov stages, corner fan-out) runs on this one pool;
+//!   stack (fused preconditioner sweeps, per-column Krylov stages,
+//!   corner fan-out) runs on this one pool;
 //! * [`tridiag`] — symmetric tridiagonal eigensolver (Sturm bisection +
 //!   inverse iteration) used by the slab waveguide mode solver;
 //! * [`jacobi`] — cyclic Jacobi eigensolver for the EOLE covariance

@@ -2,9 +2,9 @@
 //! contiguous-chunk parallel-for, allocation-free steady-state dispatch.
 //!
 //! Every parallel stage of the solver stack — the fused (corner × ω)
-//! preconditioner half-sweeps, the multigrid column chunks, the per-column
-//! Krylov stages, the runner's direct corner fan-out — runs on **one**
-//! pool of workers spawned once per process ([`global`]). The scoped-spawn
+//! preconditioner half-sweeps, the per-column Krylov stages, the
+//! runner's direct corner fan-out — runs on **one** pool of workers
+//! spawned once per process ([`global`]). The scoped-spawn
 //! generation this replaces paid a fresh `std::thread::scope` (thread
 //! creation, stack setup, join) per preconditioner half-sweep — hundreds
 //! of spawns per robust iteration; pool dispatch costs a mutex hand-off

@@ -7,7 +7,6 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`num`] | complex scalar, arrays, FFT, banded LU, eigensolvers |
-//! | [`sparse`] | geometric multigrid preconditioning |
 //! | [`fdfd`] | 2-D FDFD electromagnetic solver with adjoints |
 //! | [`litho`] | differentiable partially-coherent lithography |
 //! | [`fab`] | etch projection, EOLE η fields, variation corners |
@@ -38,4 +37,3 @@ pub use boson_fdfd as fdfd;
 pub use boson_litho as litho;
 pub use boson_num as num;
 pub use boson_param as param;
-pub use boson_sparse as sparse;
