@@ -2,11 +2,14 @@
 //! LU factorisation, triangular solves, and direct vs iterative corner
 //! solves.
 
+use boson_core::fabchain::assemble_eps;
+use boson_core::problem::bending;
+use boson_fab::temperature::T_NOMINAL;
 use boson_fdfd::grid::SimGrid;
-use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into};
+use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
-use boson_num::banded::reference;
+use boson_num::banded::{reference, BandedLu, BandedMatrix};
 use boson_num::{Array2, Complex64};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -54,6 +57,53 @@ fn bench_factor_and_solve(c: &mut Criterion) {
     c.bench_function("banded_lu_solve_transpose_64x64", |b| {
         b.iter(|| black_box(lu.solve_transpose_vec(&rhs)))
     });
+}
+
+/// One bend corner factored in place from scratch (`fresh`) vs resumed at
+/// the design window's first cell (`resumed`), as
+/// [`SimWorkspace`] does for a corner that differs from the factor's
+/// operator only inside the window. Both sides produce the same factor
+/// bit for bit; `scripts/bench.sh` records the two medians ungated.
+fn bench_refactor(c: &mut Criterion) {
+    let bend = bending();
+    let (grid, omega) = (bend.grid, bend.omega);
+    let (dr, dc) = bend.design_shape;
+    let eps_of = |rho: &Array2<f64>| {
+        assemble_eps(&bend.background_solid, bend.design_origin, rho, T_NOMINAL)
+    };
+    let nominal = eps_of(&Array2::filled(dr, dc, 0.5));
+    let corner = eps_of(&Array2::from_fn(dr, dc, |r, c| {
+        if (r + c) % 3 == 0 {
+            0.8
+        } else {
+            0.5
+        }
+    }));
+    let s = SFactors::new(&grid, omega);
+    let stencil = StencilCache::build(&grid, &s, omega);
+    let (mut diag_nominal, mut diag_corner) = (Vec::new(), Vec::new());
+    stencil.diag_into(&nominal, &mut diag_nominal);
+    stencil.diag_into(&corner, &mut diag_corner);
+    let start = (0..grid.n())
+        .find(|&k| diag_nominal[k] != diag_corner[k])
+        .expect("the corner differs from the nominal");
+    let (n, nx) = (grid.n(), grid.nx);
+    let assemble =
+        |a: &mut BandedMatrix, start: usize| stencil.assemble_with_diag(&diag_corner, start, a);
+    let mut lu = BandedLu::placeholder();
+    lu.refactor(n, nx, nx, 0, |a, start| {
+        stencil.assemble_with_diag(&diag_nominal, start, a)
+    })
+    .unwrap();
+    let mut group = c.benchmark_group("banded_refactor_80x80");
+    group.sample_size(10);
+    group.bench_function("fresh", |b| {
+        b.iter(|| black_box(lu.refactor(n, nx, nx, 0, assemble).unwrap()))
+    });
+    group.bench_function("resumed", |b| {
+        b.iter(|| black_box(lu.refactor(n, nx, nx, start, assemble).unwrap()))
+    });
+    group.finish();
 }
 
 /// The acceptance benchmark of the zero-allocation pipeline: one full
@@ -204,7 +254,7 @@ fn bench_corner_solve(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_assembly, bench_factor_and_solve, bench_corner_loop, bench_rhs_blocking,
-        bench_corner_solve
+    targets = bench_assembly, bench_factor_and_solve, bench_refactor, bench_corner_loop,
+        bench_rhs_blocking, bench_corner_solve
 }
 criterion_main!(benches);

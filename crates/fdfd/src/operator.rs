@@ -266,38 +266,51 @@ impl StencilCache {
         );
     }
 
-    /// Writes the banded image of the operator whose diagonal is `diag`
-    /// (as produced by [`StencilCache::diag_into`]) into `a`, reshaping /
-    /// zeroing in place — the fast-path replacement for
-    /// [`assemble_banded_into`].
+    /// Writes columns `start..` of the banded image of the operator whose
+    /// diagonal is `diag` (as produced by [`StencilCache::diag_into`])
+    /// into `a` — the fast-path replacement for [`assemble_banded_into`].
+    ///
+    /// Only the stencil entries are written: the rest of those columns
+    /// must already be zero, as in a fresh matrix, one this cache
+    /// assembled before, or the storage [`boson_num::banded::BandedLu::refactor`]
+    /// lends. A matrix of another shape is reshaped (zeroed) first, which
+    /// needs `start = 0`. Columns before `start` are left untouched.
     ///
     /// # Panics
     ///
-    /// Panics if `diag.len()` does not match the cached grid size.
-    pub fn assemble_with_diag(&self, diag: &[Complex64], a: &mut BandedMatrix) {
+    /// Panics if `diag.len()` does not match the cached grid size, or if
+    /// `a` has another shape and `start > 0`.
+    pub fn assemble_with_diag(&self, diag: &[Complex64], start: usize, a: &mut BandedMatrix) {
         assert_eq!(diag.len(), self.n, "diagonal size mismatch");
         let nx = self.nx;
-        if a.n() == self.n && a.kl() == nx && a.ku() == nx {
-            a.reset();
-        } else {
+        if a.n() != self.n || a.kl() != nx || a.ku() != nx {
+            assert_eq!(start, 0, "reshaping assembly must start at column 0");
             a.reshape(self.n, nx, nx);
         }
-        for (k, &d) in diag.iter().enumerate() {
-            a.set(k, k, d);
+        // Row k's entries lie in columns k − nx ..= k + nx.
+        for (k, &d) in diag.iter().enumerate().skip(start.saturating_sub(nx)) {
             let ix = k % nx;
-            if ix > 0 {
+            if k >= start {
+                a.set(k, k, d);
+            }
+            if ix > 0 && k > start {
                 a.set(k, k - 1, self.west[k]);
             }
-            if ix + 1 < nx {
+            if ix + 1 < nx && k + 1 >= start {
                 a.set(k, k + 1, self.east[k]);
             }
-            if k >= nx {
+            if k >= nx && k - nx >= start {
                 a.set(k, k - nx, self.south[k]);
             }
-            if k + nx < self.n {
+            if k + nx < self.n && k + nx >= start {
                 a.set(k, k + nx, self.north[k]);
             }
         }
+    }
+
+    /// Grid extent along the fast axis: the operator's band half-width.
+    pub fn nx(&self) -> usize {
+        self.nx
     }
 
     /// Matrix-free operator application `y = A x` with diagonal `diag`,
@@ -546,18 +559,30 @@ mod tests {
         let mut diag = Vec::new();
         cache.diag_into(&eps, &mut diag);
         let mut fast = BandedMatrix::new(1, 0, 0); // wrong shape on purpose
-        cache.assemble_with_diag(&diag, &mut fast);
+        cache.assemble_with_diag(&diag, 0, &mut fast);
         let full = assemble_banded(&grid, &s, &eps, omega);
         for i in 0..grid.n() {
             for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {
                 assert_eq!(fast.get(i, j), full.get(i, j), "entry ({i},{j}) differs");
             }
         }
-        // Temperature-style corner: only ε changes → only the diagonal
-        // rewrite is needed, and it must again match the full assembly.
-        let eps2 = eps.map(|&e| if e > 1.0 { e + 0.037 } else { e });
+        // Temperature-style corner over the upper half: only ε changes →
+        // only the diagonal rewrite is needed, and rewriting the columns
+        // from the first changed cell on must again match the full
+        // assembly.
+        let mut eps2 = eps.clone();
+        for iy in 12..24 {
+            for ix in 0..26 {
+                if eps2[(iy, ix)] > 1.0 {
+                    eps2[(iy, ix)] += 0.037;
+                }
+            }
+        }
+        let old_diag = diag.clone();
         cache.diag_into(&eps2, &mut diag);
-        cache.assemble_with_diag(&diag, &mut fast);
+        let start = (0..grid.n()).find(|&k| diag[k] != old_diag[k]).unwrap();
+        assert!(start >= grid.idx(0, 12));
+        cache.assemble_with_diag(&diag, start, &mut fast);
         let full2 = assemble_banded(&grid, &s, &eps2, omega);
         for i in 0..grid.n() {
             for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {

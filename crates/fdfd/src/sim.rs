@@ -27,9 +27,18 @@
 //!   couplings, kept in a small LRU set of **per-ω slots** (one per
 //!   `(grid, ω)` pair, up to [`MAX_OMEGA_SLOTS`] wavelengths resident at
 //!   once — a multi-wavelength sweep revisits its ωs allocation-free),
-//!   reassembles into a retained [`boson_num::banded::BandedMatrix`] and
-//!   refactors into a retained [`boson_num::banded::BandedLu`] — after
-//!   the first corner of each ω, **zero heap allocations**;
+//!   and refactors a retained [`boson_num::banded::BandedLu`] **in
+//!   place** ([`boson_num::banded::BandedLu::refactor`]) — after the
+//!   first corner of each ω, **zero heap allocations**;
+//! * a corner is assembled straight into the factor's own storage, and
+//!   its factorisation resumes at the first cell whose operator diagonal
+//!   differs bitwise from the diagonal that storage factors. The
+//!   couplings depend only on `(grid, ω)`, so every LU column before that
+//!   cell is the previous factor's, bit for bit, and is kept: a corner
+//!   that differs only inside a design window skips every column before
+//!   the window's first cell, and the result is still bit-identical to a
+//!   fresh factorisation. Each ω slot's nominal factor refreshes the same
+//!   way;
 //! * [`SimWorkspace::solve_block`] solves a caller-owned column-major
 //!   block in place: every excitation's forward solve (currents scaled by
 //!   [`crate::operator::scale_source_into`]) in one block, then every
@@ -76,7 +85,7 @@
 use crate::grid::SimGrid;
 use crate::operator::{StencilCache, StencilOp};
 use crate::pml::SFactors;
-use boson_num::banded::{BandedLu, BandedLuF32, BandedMatrix, SingularMatrixError};
+use boson_num::banded::{BandedLu, BandedLuF32, SingularMatrixError};
 use boson_num::krylov::{
     bicgstab_precond_many, bicgstab_precond_transpose_many, ColumnOp, IterativeOptions,
     KrylovWorkspace, PrecondFamily, RecycleSpace, RhsStats,
@@ -304,8 +313,9 @@ struct OmegaSlot {
     /// [`FactorLag`] policy kept a stale factor.
     factor_epoch: Option<u64>,
     /// Nominal operator diagonal the current factor was built from — the
-    /// reference of the `‖Δdiag‖∞ / ‖diag‖∞` drift monitor. Filled only
-    /// on refactor; O(n) storage per slot.
+    /// reference of the `‖Δdiag‖∞ / ‖diag‖∞` drift monitor and the
+    /// record the next nominal refactor resumes from. Filled only on
+    /// refactor, cleared when one fails; O(n) storage per slot.
     factor_diag: Vec<Complex64>,
     /// Budget misses recorded against the **stale** factor since it was
     /// built; any miss trips a refactor at the next epoch check.
@@ -486,6 +496,45 @@ fn diag_drift(diag: &[Complex64], reference: &[Complex64]) -> f64 {
     }
 }
 
+/// Refactors `lu` in place for the operator of `stencil` with diagonal
+/// `diag` — the one factorisation path behind every [`SimWorkspace`]
+/// factor (direct corners, forced-direct corners, budget-miss fallbacks
+/// and nominal refreshes).
+///
+/// `factored` records the diagonal `lu` currently factors with
+/// `stencil`'s couplings (empty: nothing to keep). The couplings depend
+/// only on `(grid, ω)`, so the two operators agree in every column before
+/// the first entry where the diagonals differ bitwise: the factorisation
+/// resumes there ([`BandedLu::refactor`], bit-identical to a fresh one)
+/// and only the columns from it on are assembled, straight into the
+/// factor's storage. On success `factored` becomes `diag`; on failure it
+/// is cleared, so the next call starts at column 0.
+fn refactor_lu(
+    lu: &mut BandedLu,
+    factored: &mut Vec<Complex64>,
+    stencil: &StencilCache,
+    diag: &[Complex64],
+) -> Result<(), SingularMatrixError> {
+    let bits = |z: &Complex64| (z.re.to_bits(), z.im.to_bits());
+    let start = if factored.len() == diag.len() {
+        diag.iter()
+            .zip(factored.iter())
+            .position(|(d, f)| bits(d) != bits(f))
+            .unwrap_or(diag.len())
+    } else {
+        0
+    };
+    let (n, nx) = (stencil.n(), stencil.nx());
+    let result = lu.refactor(n, nx, nx, start, |a, start| {
+        stencil.assemble_with_diag(diag, start, a)
+    });
+    factored.clear();
+    if result.is_ok() {
+        factored.extend_from_slice(diag);
+    }
+    result.map(drop)
+}
+
 /// Refreshes one ω slot's banded nominal factorisation for `epoch` —
 /// the shared epoch gate of [`SimWorkspace::prepare_corner`] and
 /// [`SimWorkspace::fused_batch_begin`].
@@ -498,12 +547,12 @@ fn diag_drift(diag: &[Complex64], reference: &[Complex64]) -> f64 {
 /// a budget miss; otherwise the stale factor is kept and only the epoch
 /// stamp advances.
 ///
-/// Returns the number of factorisations performed (0 or 1). `diag` and
-/// `a` are the workspace's assembly scratch buffers.
+/// Returns the number of factorisations performed (0 or 1). `diag` is
+/// the workspace's diagonal scratch buffer. A failed refactor leaves the
+/// slot without a nominal factor.
 fn refresh_nominal_banded(
     slot: &mut OmegaSlot,
     diag: &mut Vec<Complex64>,
-    a: &mut BandedMatrix,
     nominal_eps: &Array2<f64>,
     epoch: u64,
     lag: Option<FactorLag>,
@@ -522,11 +571,18 @@ fn refresh_nominal_banded(
             return Ok(0);
         }
     }
-    slot.stencil.assemble_with_diag(diag, a);
-    a.factor_swap_into(&mut slot.nominal_lu)?;
+    if let Err(e) = refactor_lu(
+        &mut slot.nominal_lu,
+        &mut slot.factor_diag,
+        &slot.stencil,
+        diag,
+    ) {
+        // The failed attempt overwrote the factor.
+        slot.factor_epoch = None;
+        slot.nominal_epoch = None;
+        return Err(e);
+    }
     slot.nominal_lu32.assign_from(&slot.nominal_lu);
-    slot.factor_diag.clear();
-    slot.factor_diag.extend_from_slice(diag);
     slot.factor_epoch = Some(epoch);
     slot.factor_miss_streak = 0;
     slot.nominal_epoch = Some(epoch);
@@ -606,6 +662,14 @@ enum SolveMode {
 /// Corner sweeps that want to amortise the factorisation prepare each
 /// corner with [`SimWorkspace::prepare_corner`] under an iterative
 /// [`SolverStrategy`] instead of `factor`; the solves stay the same.
+///
+/// Every factorisation — a direct corner, a forced-direct corner, a
+/// budget-miss fallback, a nominal refresh — runs in place in the band
+/// storage of the factor it replaces and resumes at the first cell whose
+/// diagonal changed (see the module docs). The workspace therefore holds
+/// one band buffer for the corner factor plus one per resident ω slot's
+/// nominal factor (iterative strategy only), and no assembly buffer; each
+/// factor keeps an `n`-entry record of the diagonal it factors.
 #[derive(Debug)]
 pub struct SimWorkspace {
     grid: Option<SimGrid>,
@@ -620,8 +684,13 @@ pub struct SimWorkspace {
     active: usize,
     /// Monotonic use counter driving the LRU eviction.
     clock: u64,
-    a: BandedMatrix,
+    /// The prepared corner's own factorisation (direct modes), refactored
+    /// in place from corner to corner.
     lu: BandedLu,
+    /// Operator diagonal `lu`'s storage factors (empty: none) …
+    lu_diag: Vec<Complex64>,
+    /// … with the couplings of this `(grid, ω)`.
+    lu_key: Option<(SimGrid, f64)>,
     factored: bool,
     /// Diagonal of the currently-prepared corner operator.
     diag: Vec<Complex64>,
@@ -671,8 +740,9 @@ impl SimWorkspace {
             slots: Vec::new(),
             active: 0,
             clock: 0,
-            a: BandedMatrix::new(1, 0, 0),
             lu: BandedLu::placeholder(),
+            lu_diag: Vec::new(),
+            lu_key: None,
             factored: false,
             diag: Vec::new(),
             rhs: Vec::new(),
@@ -811,8 +881,10 @@ impl SimWorkspace {
     /// recomputed only when `(grid, omega)` differs from the previous
     /// call — a corner assembly rewrites the diagonal `k₀²·ε·sx·sy` band
     /// and copies the cached couplings instead of re-deriving them. The
-    /// band assembly and LU storage are reused whenever the grid size is
-    /// unchanged.
+    /// operator is assembled into the LU storage itself, reused whenever
+    /// the grid size is unchanged, and the factorisation resumes at the
+    /// first cell whose diagonal differs from the previous corner's at
+    /// the same `(grid, omega)` (bit-identical to a fresh factor).
     ///
     /// # Errors
     ///
@@ -840,16 +912,34 @@ impl SimWorkspace {
             ..CornerSolveReport::default()
         };
         self.ensure_geometry(grid, omega);
-        let stencil = &self.slots[self.active].stencil;
-        stencil.diag_into(eps, &mut self.diag);
-        stencil.assemble_with_diag(&self.diag, &mut self.a);
+        self.slots[self.active]
+            .stencil
+            .diag_into(eps, &mut self.diag);
+        self.factor_direct()?;
+        self.report.factorizations = 1;
+        Ok(())
+    }
+
+    /// Factors the active slot's operator with diagonal `self.diag` into
+    /// `self.lu` and arms [`SolveMode::DirectLu`]: the direct preparation
+    /// of [`SimWorkspace::factor`], of a forced-direct corner and of the
+    /// budget-miss fallback. Resumes from the first cell whose diagonal
+    /// differs from the one `lu` factors (see [`refactor_lu`]).
+    fn factor_direct(&mut self) -> Result<(), SingularMatrixError> {
+        let key = (self.grid.expect("SimWorkspace not prepared"), self.omega);
+        if self.lu_key != Some(key) {
+            self.lu_diag.clear();
+            self.lu_key = Some(key);
+        }
         self.factored = false;
-        // The assembly is rebuilt from scratch every corner, so the band
-        // image can be donated to the factorisation instead of copied.
-        self.a.factor_swap_into(&mut self.lu)?;
+        refactor_lu(
+            &mut self.lu,
+            &mut self.lu_diag,
+            &self.slots[self.active].stencil,
+            &self.diag,
+        )?;
         self.factored = true;
         self.mode = SolveMode::DirectLu;
-        self.report.factorizations = 1;
         Ok(())
     }
 
@@ -908,7 +998,6 @@ impl SimWorkspace {
         self.report.factorizations += refresh_nominal_banded(
             slot,
             &mut self.diag,
-            &mut self.a,
             ctx.nominal_eps,
             ctx.epoch,
             self.factor_lag,
@@ -924,10 +1013,7 @@ impl SimWorkspace {
         } else {
             slot.stencil.diag_into(eps, &mut self.diag);
             if ctx.force_direct {
-                slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                self.a.factor_swap_into(&mut self.lu)?;
-                self.factored = true;
-                self.mode = SolveMode::DirectLu;
+                self.factor_direct()?;
                 self.report.factorizations += 1;
             } else {
                 self.mode = SolveMode::Iterative { tol, max_iters };
@@ -1087,10 +1173,7 @@ impl SimWorkspace {
                     }
                     self.report.fell_back = true;
                     self.report.factorizations += 1;
-                    slot.stencil.assemble_with_diag(&self.diag, &mut self.a);
-                    self.a.factor_swap_into(&mut self.lu)?;
-                    self.factored = true;
-                    self.mode = SolveMode::DirectLu;
+                    self.factor_direct()?;
                     b.copy_from_slice(&self.rhs);
                     if transpose {
                         self.lu.solve_transpose_many(b, nrhs);
@@ -1176,7 +1259,6 @@ impl SimWorkspace {
             factorizations += refresh_nominal_banded(
                 &mut self.slots[self.active],
                 &mut self.diag,
-                &mut self.a,
                 nominal_eps,
                 epoch,
                 self.factor_lag,
@@ -1775,6 +1857,176 @@ mod tests {
             ws.grad_eps_accumulate(&field_ws, &lam_ws, &mut accum);
             for (p, q) in dense.as_slice().iter().zip(accum.as_slice()) {
                 assert!((p - q).abs() < 1e-10 * (1.0 + p.abs()), "corner {corner}");
+            }
+        }
+    }
+
+    /// Solves a two-column block forward and transposed on the prepared
+    /// corner of `ws` and checks both bit for bit against a fresh
+    /// `assemble_banded(..).factor()` of `eps`.
+    fn assert_matches_fresh_factor(
+        ws: &mut SimWorkspace,
+        grid: SimGrid,
+        om: f64,
+        eps: &Array2<f64>,
+        what: &str,
+    ) {
+        let fresh = assemble_banded(&grid, &SFactors::new(&grid, om), eps, om)
+            .factor()
+            .unwrap();
+        let n = grid.n();
+        let b: Vec<Complex64> = (0..2 * n)
+            .map(|k| c64((k as f64 * 0.37).sin(), (k as f64 * 0.11).cos()))
+            .collect();
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let (mut got, mut want) = (b.clone(), b.clone());
+        ws.solve_block(&mut got, 2).unwrap();
+        fresh.solve_many(&mut want, 2);
+        assert!(bits(&got) == bits(&want), "{what}: forward solve differs");
+        let (mut got, mut want) = (b.clone(), b);
+        ws.solve_block_transpose(&mut got, 2).unwrap();
+        fresh.solve_transpose_many(&mut want, 2);
+        assert!(bits(&got) == bits(&want), "{what}: transpose solve differs");
+    }
+
+    /// Every factorisation resumes from the first cell whose operator
+    /// diagonal differs from the one its storage factors, and still
+    /// answers exactly like a fresh factor of the corner alone, through
+    /// every path that factors: direct corners (window changes, earlier
+    /// temperature-style changes, ω and grid switches), forced-direct
+    /// corners, the budget-miss fallback and nominal refreshes with and
+    /// without a factor lag.
+    #[test]
+    fn in_place_refactors_match_fresh_factors_through_a_corner_sequence() {
+        let grid = SimGrid::new(24, 22, 0.05, 6);
+        let om = omega();
+        let om2 = 2.0 * std::f64::consts::PI / 1.50;
+        // An input guide in rows 4..6, a design window in rows 9..15.
+        let base = Array2::from_fn(grid.ny, grid.nx, |iy, ix| {
+            if (4..6).contains(&iy) || ((9..15).contains(&iy) && (8..16).contains(&ix)) {
+                12.11
+            } else {
+                1.0
+            }
+        });
+        let with = |eps: &Array2<f64>, cells: &[(usize, usize)], v: f64| {
+            let mut e = eps.clone();
+            for &(iy, ix) in cells {
+                e[(iy, ix)] = v;
+            }
+            e
+        };
+        let temperature =
+            |eps: &Array2<f64>, dt: f64| eps.map(|&e| if e > 1.0 { e + dt } else { e });
+        let mut ws = SimWorkspace::new();
+
+        let mut eps = base.clone();
+        ws.factor(grid, om, &eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om, &eps, "first corner");
+        for (step, cells) in [
+            &[(13usize, 12usize)][..],
+            &[(10, 9)],          // before the previous start
+            &[(14, 15), (9, 8)], // the window's first cell
+            &[(12, 10)],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            eps = with(&eps, cells, 4.0 + step as f64);
+            ws.factor(grid, om, &eps).unwrap();
+            assert_matches_fresh_factor(&mut ws, grid, om, &eps, &format!("window {step}"));
+        }
+        // Temperature shifts change the guide too: an earlier first change.
+        eps = temperature(&eps, 0.05);
+        ws.factor(grid, om, &eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om, &eps, "temperature");
+        ws.factor(grid, om, &base).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om, &base, "back to base");
+        // ω switch and back.
+        ws.factor(grid, om2, &eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om2, &eps, "omega switch");
+        ws.factor(grid, om, &eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om, &eps, "omega back");
+        // Grid switch (same cell count, another band) and back.
+        let tall = SimGrid::new(22, 24, 0.05, 6);
+        let tall_eps =
+            Array2::from_fn(tall.ny, tall.nx, |iy, _| if iy == 11 { 12.11 } else { 1.0 });
+        ws.factor(tall, om, &tall_eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, tall, om, &tall_eps, "grid switch");
+        ws.factor(grid, om, &eps).unwrap();
+        assert_matches_fresh_factor(&mut ws, grid, om, &eps, "grid back");
+
+        // The iterative strategy's factor sites.
+        let strategy = SolverStrategy::preconditioned_iterative();
+        let miss = SolverStrategy::PreconditionedIterative {
+            tol: 1e-14,
+            max_iters: 1,
+        };
+        let mut nominal = base.clone();
+        let mut epoch = 0;
+        let corner = |ws: &mut SimWorkspace,
+                      nominal: &Array2<f64>,
+                      epoch: u64,
+                      eps: &Array2<f64>,
+                      strategy: SolverStrategy,
+                      is_nominal: bool,
+                      force_direct: bool| {
+            let ctx = CornerContext {
+                nominal_eps: nominal,
+                epoch,
+                is_nominal,
+                force_direct,
+            };
+            ws.prepare_corner(grid, om, eps, strategy, Some(&ctx))
+                .unwrap();
+        };
+        for (pass, lag) in [
+            None,
+            Some(FactorLag {
+                max_lag: 8,
+                drift_tol: 1e-3,
+            }),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            ws.set_factor_lag(lag);
+            for round in 0..3 {
+                epoch += 1;
+                // A window change in the nominal: the refresh resumes.
+                let v = 3.0 + (round + 3 * pass) as f64;
+                nominal = with(&nominal, &[(11 + round, 9 + 2 * round)], v);
+                corner(&mut ws, &nominal, epoch, &nominal, strategy, true, false);
+                assert_eq!(
+                    ws.last_report().factorizations,
+                    1,
+                    "nominal refresh {epoch}"
+                );
+                assert!(!ws.last_report().used_iterative);
+                assert_matches_fresh_factor(&mut ws, grid, om, &nominal, "nominal");
+                let forced = temperature(&nominal, 0.02 * (round + 1) as f64);
+                corner(&mut ws, &nominal, epoch, &forced, strategy, false, true);
+                assert_matches_fresh_factor(&mut ws, grid, om, &forced, "force_direct");
+                let hard = with(&nominal, &[(14, 8 + round), (15, 3)], 9.0);
+                corner(&mut ws, &nominal, epoch, &hard, miss, false, false);
+                assert_matches_fresh_factor(&mut ws, grid, om, &hard, "fallback");
+                assert!(ws.last_report().fell_back, "epoch {epoch}: no budget miss");
+            }
+            if lag.is_some() {
+                // A drift below the lag's tolerance keeps the stale factor …
+                epoch += 1;
+                nominal = temperature(&nominal, 1e-9);
+                corner(&mut ws, &nominal, epoch, &nominal, strategy, true, false);
+                assert_eq!(ws.last_report().factorizations, 0);
+                // … and the next refresh resumes against the diagonal that
+                // factor was built from, not the kept epoch's.
+                epoch += 1;
+                nominal = with(&nominal, &[(12, 12)], 7.0);
+                corner(&mut ws, &nominal, epoch, &nominal, strategy, true, false);
+                assert_eq!(ws.last_report().factorizations, 1);
+                assert_matches_fresh_factor(&mut ws, grid, om, &nominal, "lagged refresh");
             }
         }
     }

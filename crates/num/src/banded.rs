@@ -12,23 +12,36 @@
 //!
 //! # Workspace / ownership contract
 //!
-//! The solver supports two usage styles:
+//! The solver supports three usage styles:
 //!
 //! * **One-shot** — [`BandedMatrix::factor`] consumes the matrix and moves
 //!   its storage into the returned [`BandedLu`]; each call allocates fresh
 //!   band storage via [`BandedMatrix::new`]. Simple, but in a hot loop the
 //!   `(2·kl+ku+1)·n` complex allocation and its zero-fill dominate.
-//! * **Workspace reuse** — the caller keeps one [`BandedMatrix`] (reset
-//!   with [`BandedMatrix::reset`] / [`BandedMatrix::reshape`] between
-//!   assemblies) and one [`BandedLu`] created once via
+//! * **Copy into a kept factor** — the caller keeps one [`BandedMatrix`]
+//!   (reset with [`BandedMatrix::reset`] / [`BandedMatrix::reshape`]
+//!   between assemblies) and one [`BandedLu`] created once via
 //!   [`BandedLu::placeholder`], then refilled with
-//!   [`BandedMatrix::factor_into`]. After the first call, `factor_into`
-//!   performs **zero heap allocations**: the band image is `memcpy`ed into
-//!   the factor's existing buffer and factored in place. Multi-RHS solves
-//!   go through [`BandedLu::solve_many`] / [`BandedLu::solve_transpose_many`]
-//!   which make a *single* pass over the factors for all right-hand sides.
+//!   [`BandedMatrix::factor_into`]: the band image is `memcpy`ed into the
+//!   factor's existing buffer and factored there, with **zero heap
+//!   allocations** after the first call. The assembly survives the call.
+//! * **In-place refactor** — the caller keeps only a [`BandedLu`] and
+//!   refactors it with [`BandedLu::refactor`], which lends the factor's
+//!   own storage to the assembly: one band buffer instead of two, no
+//!   copy, no allocation once warm. When the new matrix agrees with the
+//!   one the storage factors in every column before some `start`, those
+//!   columns and their pivots are kept: only columns `start..` are
+//!   assembled, the kept elimination steps that reach them are replayed
+//!   onto them, and the elimination resumes at `start` — bit-identical to
+//!   a fresh factorisation. Matrices that differ only late (a
+//!   variation corner whose perturbed cells come late in the ordering)
+//!   skip the leading share of the `O(n·kl·(kl+ku))` work.
 //!
-//! The factorisation kernel is shared by both styles and is written in
+//! Multi-RHS solves go through [`BandedLu::solve_many`] /
+//! [`BandedLu::solve_transpose_many`], which make a *single* pass over
+//! the factors for all right-hand sides.
+//!
+//! The factorisation kernel is shared by all three styles and is written in
 //! slice/iterator form (no bounds checks in the inner loops). Its complex
 //! axpy updates, like those of the substitution sweeps and of the `f32`
 //! preconditioner sweeps, go through a kernel dispatched at runtime: an
@@ -358,13 +371,14 @@ impl BandedMatrix {
     /// Returns [`SingularMatrixError`] if an exactly-zero pivot is met.
     pub fn factor(mut self) -> Result<BandedLu, SingularMatrixError> {
         let mut ipiv = vec![0usize; self.n];
-        factor_kernel(self.n, self.kl, self.ku, &mut self.ab, &mut ipiv)?;
+        factor_kernel(self.n, self.kl, self.ku, &mut self.ab, &mut ipiv, 0)?;
         Ok(BandedLu {
             n: self.n,
             kl: self.kl,
             ku: self.ku,
             ab: std::mem::take(&mut self.ab),
             ipiv,
+            kept: self.n,
         })
     }
 
@@ -373,8 +387,10 @@ impl BandedMatrix {
     ///
     /// The band image is copied into `lu`'s existing storage and factored
     /// there; once `lu` has been used with the same dimensions before, the
-    /// call performs no heap allocation. This is the workhorse of the
-    /// zero-allocation simulation pipeline.
+    /// call performs no heap allocation. Callers that assemble only to
+    /// factor should assemble straight into the factor's storage with
+    /// [`BandedLu::refactor`] instead, which skips the copy and the
+    /// unchanged leading columns.
     ///
     /// # Errors
     ///
@@ -388,7 +404,10 @@ impl BandedMatrix {
         lu.ab.extend_from_slice(&self.ab);
         lu.ipiv.clear();
         lu.ipiv.resize(self.n, 0);
-        factor_kernel(self.n, self.kl, self.ku, &mut lu.ab, &mut lu.ipiv)
+        lu.kept = 0;
+        factor_kernel(self.n, self.kl, self.ku, &mut lu.ab, &mut lu.ipiv, 0)?;
+        lu.kept = self.n;
+        Ok(())
     }
 
     /// [`BandedMatrix::factor_into`] through the portable `axpy_neg` loop,
@@ -405,41 +424,25 @@ impl BandedMatrix {
             self.ku,
             &mut ab,
             &mut ipiv,
+            0,
             crate::complex::axpy_neg_scalar,
         )?;
         Ok((ab, ipiv))
     }
-
-    /// Like [`BandedMatrix::factor_into`] but *swaps* band storage with
-    /// `lu` instead of copying it, then factors in place — the band image
-    /// in `self` is **destroyed** (replaced by `lu`'s previous storage,
-    /// zero-padded to the right size, contents unspecified).
-    ///
-    /// This is the cheapest refactorisation path for workspaces that
-    /// re-assemble from scratch each round anyway (call
-    /// [`BandedMatrix::reset`] before the next assembly, as usual): it
-    /// skips the `(2·kl+ku+1)·n` copy entirely and still performs zero
-    /// heap allocations once both buffers are warm.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if an exactly-zero pivot is met.
-    pub fn factor_swap_into(&mut self, lu: &mut BandedLu) -> Result<(), SingularMatrixError> {
-        lu.n = self.n;
-        lu.kl = self.kl;
-        lu.ku = self.ku;
-        std::mem::swap(&mut self.ab, &mut lu.ab);
-        // `self` inherited `lu`'s previous storage; keep its length
-        // consistent with the declared shape for the next reset+assembly.
-        self.ab.resize(self.ldab() * self.n, Complex64::ZERO);
-        lu.ipiv.clear();
-        lu.ipiv.resize(self.n, 0);
-        factor_kernel(self.n, self.kl, self.ku, &mut lu.ab, &mut lu.ipiv)
-    }
 }
 
-/// The in-place `zgbtrf`-style kernel shared by [`BandedMatrix::factor`]
-/// and [`BandedMatrix::factor_into`].
+/// The in-place `zgbtrf`-style kernel behind [`BandedMatrix::factor`],
+/// [`BandedMatrix::factor_into`] and [`BandedLu::refactor`], resuming the
+/// elimination at column `start`.
+///
+/// Columns before `start` and `ipiv[..start]` must hold a finished
+/// factorisation of a matrix whose columns before `start` equal this
+/// one's; columns from `start` on hold this matrix's entries. The kept
+/// steps `j < start` whose row swap and rank-1 update reach past `start`
+/// are replayed onto columns `[start, start + kl + ku)` in step order
+/// before the elimination continues, so every column receives the
+/// operations of a from-scratch factorisation in the same order:
+/// bit-identical for any `start`.
 ///
 /// Pivot selection compares `|·|²` (same argmax as `|·|`, no `hypot`), the
 /// column scaling multiplies by the precomputed pivot inverse, and the
@@ -451,8 +454,9 @@ fn factor_kernel(
     ku: usize,
     ab: &mut [Complex64],
     ipiv: &mut [usize],
+    start: usize,
 ) -> Result<(), SingularMatrixError> {
-    factor_kernel_with(n, kl, ku, ab, ipiv, axpy_neg)
+    factor_kernel_with(n, kl, ku, ab, ipiv, start, axpy_neg)
 }
 
 /// [`factor_kernel`] over a given `y -= a·x` kernel, so the tests can run
@@ -463,14 +467,32 @@ fn factor_kernel_with(
     ku: usize,
     ab: &mut [Complex64],
     ipiv: &mut [usize],
+    start: usize,
     axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
 ) -> Result<(), SingularMatrixError> {
     let ldab = 2 * kl + ku + 1;
     let kv = kl + ku;
     debug_assert_eq!(ab.len(), ldab * n);
     debug_assert_eq!(ipiv.len(), n);
+    debug_assert!(start <= n);
 
-    for j in 0..n {
+    // Replay the kept steps that reach columns at or after `start`.
+    for j in start.saturating_sub(kv)..start {
+        let chi = (j + kv).min(n - 1);
+        if chi >= start {
+            eliminate(
+                ab,
+                ldab,
+                kv,
+                kl.min(n - 1 - j),
+                j,
+                ipiv[j],
+                start..=chi,
+                &axpy_neg,
+            );
+        }
+    }
+    for j in start..n {
         // Number of sub-diagonal rows present in this column.
         let km = kl.min(n - 1 - j);
         let col = j * ldab + kv; // diagonal position within column j
@@ -488,36 +510,47 @@ fn factor_kernel_with(
         if best == 0.0 {
             return Err(SingularMatrixError { column: j });
         }
-        // Swap rows j and j+jp over columns j..=min(j+kv, n-1).
-        let chi = (j + kv).min(n - 1);
-        if jp != 0 {
-            for c in j..=chi {
-                // Row r of A in column c sits at ab[c*ldab + kv + r - c].
-                let base = c * ldab + kv;
-                ab.swap(base + j - c, base + j + jp - c);
-            }
-        }
-        // Compute multipliers.
+        // Swap rows j and j+jp in the pivot column, compute the
+        // multipliers, then apply the step to the columns it reaches.
+        ab.swap(col, col + jp);
         let piv_inv = ab[col].inv();
         scal(piv_inv, &mut ab[col + 1..=col + km]);
-        if km == 0 {
-            continue;
-        }
-        // Rank-1 update of the trailing submatrix within the band. The
-        // multiplier column (column j) always precedes column c in
-        // storage, so a split at c's column start yields disjoint slices.
-        for c in (j + 1)..=chi {
-            let d = c - j;
-            let (head, tail) = ab.split_at_mut(c * ldab);
-            let t = tail[kv - d]; // A(j, c)
-            if t.re != 0.0 || t.im != 0.0 {
-                let src = &head[col + 1..=col + km];
-                let dst = &mut tail[kv - d + 1..=kv - d + km];
-                axpy_neg(t, src, dst);
-            }
-        }
+        let chi = (j + kv).min(n - 1);
+        eliminate(ab, ldab, kv, km, j, j + jp, j + 1..=chi, &axpy_neg);
     }
     Ok(())
+}
+
+/// Applies elimination step `j` to the columns `cols` (all right of `j`):
+/// the swap of rows `j` and `p`, then the rank-1 update by the `km`
+/// multipliers stored below column `j`'s diagonal.
+#[allow(clippy::too_many_arguments)] // the band geometry + one step
+#[inline(always)]
+fn eliminate(
+    ab: &mut [Complex64],
+    ldab: usize,
+    kv: usize,
+    km: usize,
+    j: usize,
+    p: usize,
+    cols: std::ops::RangeInclusive<usize>,
+    axpy_neg: &impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
+    let col = j * ldab + kv;
+    for c in cols {
+        // Row r of A in column c sits at ab[c*ldab + kv + r - c]. The
+        // multiplier column (column j) always precedes column c in
+        // storage, so a split at c's column start yields disjoint slices.
+        let d = c - j;
+        let (head, tail) = ab.split_at_mut(c * ldab);
+        tail.swap(kv - d, kv - d + (p - j));
+        let t = tail[kv - d]; // A(j, c)
+        if t.re != 0.0 || t.im != 0.0 {
+            let src = &head[col + 1..=col + km];
+            let dst = &mut tail[kv - d + 1..=kv - d + km];
+            axpy_neg(t, src, dst);
+        }
+    }
 }
 
 /// Default number of right-hand-side columns per factor sweep in
@@ -541,6 +574,10 @@ pub struct BandedLu {
     ku: usize,
     ab: Vec<Complex64>,
     ipiv: Vec<usize>,
+    /// Leading columns (with their pivots) that hold a finished
+    /// factorisation: `n` after a successful one, 0 otherwise. Bounds the
+    /// column a [`BandedLu::refactor`] may resume from.
+    kept: usize,
 }
 
 impl fmt::Debug for BandedLu {
@@ -557,7 +594,8 @@ impl BandedLu {
     }
 
     /// An empty factorisation slot for workspace reuse: fill it with
-    /// [`BandedMatrix::factor_into`] before solving.
+    /// [`BandedLu::refactor`] or [`BandedMatrix::factor_into`] before
+    /// solving.
     pub fn placeholder() -> Self {
         Self {
             n: 0,
@@ -565,7 +603,117 @@ impl BandedLu {
             ku: 0,
             ab: Vec::new(),
             ipiv: Vec::new(),
+            kept: 0,
         }
+    }
+
+    /// Refactors in place for an `n×n` matrix with `kl`/`ku` diagonals
+    /// that agrees with the matrix this storage factors in every column
+    /// before `start`, assembling straight into the factor's storage.
+    ///
+    /// Columns before `start` and their pivots are kept. The columns from
+    /// `start` on are zeroed and lent to `assemble` as a [`BandedMatrix`],
+    /// together with the start column; `assemble` writes the new matrix's
+    /// entries in those columns and must neither touch the columns before
+    /// `start` (they hold the kept factor) nor reshape the matrix. The
+    /// kept elimination steps that reach past `start` (a row swap plus a
+    /// rank-1 update each) are then replayed onto the lent columns in step
+    /// order, and the elimination continues at `start`. Every column thus
+    /// receives exactly the operations of a from-scratch factorisation, in
+    /// the same order: the result is bit-identical to
+    /// [`BandedMatrix::factor`] of the whole matrix.
+    ///
+    /// `start` is clamped to the columns the storage keeps: none for a
+    /// [`BandedLu::placeholder`], after a shape change or after a failed
+    /// factorisation; all `n` after a successful one. `start = 0` is a
+    /// from-scratch factorisation, `start = n` keeps the factor as it is.
+    /// Once the storage has the requested shape, the call performs no
+    /// heap allocation.
+    ///
+    /// Returns the column the elimination resumed at.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use boson_num::banded::{BandedLu, BandedMatrix};
+    /// use boson_num::c64;
+    ///
+    /// // Tridiagonal matrices that differ only in their last diagonal entry.
+    /// let n = 6;
+    /// let assemble = |last: f64| {
+    ///     move |a: &mut BandedMatrix, start: usize| {
+    ///         for j in start..n {
+    ///             a.set(j, j, c64(if j + 1 == n { last } else { 4.0 }, 0.0));
+    ///             if j > 0 {
+    ///                 a.set(j - 1, j, c64(-1.0, 0.0));
+    ///             }
+    ///             if j + 1 < n {
+    ///                 a.set(j + 1, j, c64(-1.0, 0.0));
+    ///             }
+    ///         }
+    ///     }
+    /// };
+    /// let mut lu = BandedLu::placeholder();
+    /// assert_eq!(lu.refactor(n, 1, 1, 0, assemble(4.0))?, 0);
+    /// // Only the last column changes: resume there.
+    /// assert_eq!(lu.refactor(n, 1, 1, n - 1, assemble(5.0))?, n - 1);
+    /// let mut fresh = BandedMatrix::new(n, 1, 1);
+    /// assemble(5.0)(&mut fresh, 0);
+    /// let b = vec![c64(1.0, 0.0); n];
+    /// assert_eq!(lu.solve_vec(&b), fresh.factor()?.solve_vec(&b));
+    /// # Ok::<(), boson_num::banded::SingularMatrixError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] if an exactly-zero pivot is met; the
+    /// storage then keeps no column, so the next refactor starts at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assemble` reshapes the lent matrix.
+    pub fn refactor(
+        &mut self,
+        n: usize,
+        kl: usize,
+        ku: usize,
+        start: usize,
+        assemble: impl FnOnce(&mut BandedMatrix, usize),
+    ) -> Result<usize, SingularMatrixError> {
+        let ldab = 2 * kl + ku + 1;
+        // A storage length off its shape means an `assemble` panicked
+        // while it held the storage: start over like a new shape.
+        if (self.n, self.kl, self.ku, self.ab.len()) != (n, kl, ku, ldab * n) {
+            self.n = n;
+            self.kl = kl;
+            self.ku = ku;
+            self.ab.clear();
+            self.ab.resize(ldab * n, Complex64::ZERO);
+            self.ipiv.clear();
+            self.ipiv.resize(n, 0);
+            self.kept = 0;
+        }
+        let start = start.min(self.kept);
+        if start == n {
+            return Ok(start);
+        }
+        self.kept = 0;
+        self.ab[start * ldab..].fill(Complex64::ZERO);
+        let mut lent = BandedMatrix {
+            n,
+            kl,
+            ku,
+            ab: std::mem::take(&mut self.ab),
+        };
+        assemble(&mut lent, start);
+        assert!(
+            (lent.n, lent.kl, lent.ku, lent.ab.len()) == (n, kl, ku, ldab * n),
+            "refactor: the lent matrix was reshaped"
+        );
+        self.ab = lent.ab;
+        factor_kernel(n, kl, ku, &mut self.ab, &mut self.ipiv, start)?;
+        self.kept = n;
+        Ok(start)
     }
 
     /// Matrix dimension (0 for a [`BandedLu::placeholder`] never filled).
@@ -1155,6 +1303,7 @@ pub mod reference {
             ku,
             ab: std::mem::take(ab),
             ipiv,
+            kept: n,
         })
     }
 
@@ -1648,6 +1797,98 @@ mod tests {
                 assert!((*p - *q).abs() < 1e-10, "transpose n={n} kl={kl} ku={ku}");
             }
         }
+    }
+
+    /// A random band matrix without a dominant diagonal, so the
+    /// factorisation pivots.
+    fn pivoting_banded(n: usize, kl: usize, ku: usize, seed: u64) -> BandedMatrix {
+        let mut a = random_banded(n, kl, ku, seed);
+        for i in 0..n {
+            a.add(i, i, -c64(3.0 + (kl + ku) as f64, 1.0));
+        }
+        a
+    }
+
+    /// Assembly closure for [`BandedLu::refactor`] copying `src`'s
+    /// columns from the start column on.
+    fn columns_of(src: &BandedMatrix) -> impl FnOnce(&mut BandedMatrix, usize) + '_ {
+        move |a, start| {
+            for j in start..src.n {
+                for i in j.saturating_sub(src.ku)..=(j + src.kl).min(src.n - 1) {
+                    a.set(i, j, src.get(i, j));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_refactor_is_bit_identical_to_a_fresh_factor() {
+        for &(n, kl, ku, seed) in &[
+            (600usize, 12usize, 12usize, 1u64),
+            (97, 3, 5, 2),
+            (64, 7, 1, 3),
+        ] {
+            let kv = kl + ku;
+            let mut saw_pivot_past_start = false;
+            for start in [0, 1, kv - 1, kv, kv + 1, n / 2, n - 1, n] {
+                let mut old = pivoting_banded(n, kl, ku, seed);
+                if start > 0 && start < n {
+                    // Make the last kept step pivot on row `start`.
+                    old.set(start, start - 1, c64(100.0, -50.0));
+                }
+                // The new matrix keeps the columns before `start` and
+                // redraws every entry from `start` on.
+                let redraw = pivoting_banded(n, kl, ku, seed + 100);
+                let mut new = old.clone();
+                for j in start..n {
+                    for i in j.saturating_sub(ku)..=(j + kl).min(n - 1) {
+                        new.set(i, j, redraw.get(i, j));
+                    }
+                }
+                let mut lu = BandedLu::placeholder();
+                assert_eq!(lu.refactor(n, kl, ku, start, columns_of(&old)), Ok(0));
+                let (_, kept_pivots) = lu.raw_parts();
+                saw_pivot_past_start |=
+                    (start.saturating_sub(kv)..start).any(|j| kept_pivots[j] >= start);
+                assert_eq!(lu.refactor(n, kl, ku, start, columns_of(&new)), Ok(start));
+                let fresh = new.clone().factor().unwrap();
+                let (ab, ipiv) = lu.raw_parts();
+                let (fresh_ab, fresh_ipiv) = fresh.raw_parts();
+                assert_eq!(
+                    ipiv, fresh_ipiv,
+                    "pivots n={n} kl={kl} ku={ku} start={start}"
+                );
+                let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert!(
+                    bits(ab) == bits(fresh_ab),
+                    "factor storage n={n} kl={kl} ku={ku} start={start}"
+                );
+            }
+            assert!(saw_pivot_past_start, "no kept step pivoted past start");
+        }
+    }
+
+    #[test]
+    fn refactor_after_a_singular_tail_starts_at_column_zero() {
+        let (n, kl, ku) = (120, 4, 6);
+        let good = pivoting_banded(n, kl, ku, 9);
+        let mut singular = good.clone();
+        for i in (n - 1 - ku)..n {
+            singular.set(i, n - 1, Complex64::ZERO);
+        }
+        let mut lu = BandedLu::placeholder();
+        // A shape change keeps nothing: the first refactor starts at 0.
+        assert_eq!(lu.refactor(n, kl, ku, n / 2, columns_of(&good)), Ok(0));
+        let err = lu.refactor(n, kl, ku, n / 2, columns_of(&singular));
+        assert_eq!(err, Err(SingularMatrixError { column: n - 1 }));
+        assert_eq!(lu.refactor(n, kl, ku, n / 2, columns_of(&good)), Ok(0));
+        let fresh = good.factor().unwrap();
+        assert_eq!(lu.raw_parts().1, fresh.raw_parts().1);
+        assert!(lu.raw_parts().0 == fresh.raw_parts().0);
+        // An unchanged matrix keeps the factor as it is.
+        assert_eq!(lu.refactor(n, kl, ku, n, |_, _| unreachable!()), Ok(n));
     }
 
     #[test]

@@ -33,6 +33,7 @@ spectral_naive_recompile_ns spectral_batched_ns       spectral_batch_speedup    
 subspace_full_sweep_ns      subspace_adaptive_ns      subspace_speedup          subspace_27corner_3wl/full_sweep       subspace_27corner_3wl/adaptive               1.5
 recycle_baseline_ns         recycle_recycled_ns       recycle_speedup           recycle_27corner_3wl/baseline          recycle_27corner_3wl/recycled                1.5
 pool_split_16_serial_ns     pool_split_16_pooled_ns   -                         pool_split/cols16_serial               pool_split/cols16_pooled                     -
+banded_refactor_fresh_ns    banded_refactor_resumed_ns -                        banded_refactor_80x80/fresh            banded_refactor_80x80/resumed                -
 EOF
 
 export BOSON_BENCH_JSON="$RAW"
