@@ -167,8 +167,8 @@ pub struct CornerProductSolve<'a> {
 /// non-recycled pipeline (regression-tested).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecycleConfig {
-    /// Deflation directions `W` retained per (corner, ω) store (both
-    /// orientations keep their own `W`). `0` disables recycling — and,
+    /// Deflation directions `W` retained per (corner, ω) store (forward
+    /// and adjoint solves keep their own `W`). `0` disables recycling — and,
     /// together with `max_lag == 0`, the whole temporal axis.
     pub directions: usize,
     /// Maximum epochs a nominal banded factor may be reused past the
@@ -260,13 +260,13 @@ pub struct EvalScratch {
     /// ω) batch can warm-start every column from its own wavelength's
     /// nominal solution simultaneously.
     warm: Vec<WarmSlot>,
-    /// Forward-orientation Krylov deflation stores, indexed by the
-    /// stable product-column key (see [`CornerProductSolve::recycle`]).
+    /// Forward-solve Krylov deflation stores, indexed by the stable
+    /// product-column key (see [`CornerProductSolve::recycle`]).
     /// Empty until [`EvalScratch::configure_recycling`] arms recycling.
     recycle_fwd: Vec<RecycleSpace>,
-    /// Adjoint (transpose-orientation) deflation stores — the transpose
-    /// Krylov space differs from the forward one, so the orientations
-    /// never share directions.
+    /// Adjoint-solve deflation stores: the adjoint right-hand sides span
+    /// other Krylov directions than the forward ones, so the two never
+    /// share a store.
     recycle_adj: Vec<RecycleSpace>,
     /// Batch-slot → store-key scratch for the recycled fused solves.
     recycle_keys: Vec<usize>,
@@ -322,7 +322,7 @@ impl EvalScratch {
         self.sim.set_factor_lag(config.factor_lag());
     }
 
-    /// Grows both orientations' store pools to cover keys `0..count`,
+    /// Grows the forward and adjoint store pools to cover keys `0..count`,
     /// keeping existing stores (and their harvested directions) intact.
     /// Returns `true` when recycling is armed. Allocation-free once the
     /// pools cover the product.
@@ -1046,7 +1046,6 @@ impl CompiledProblem {
                         FusedRecycle {
                             spaces: recycle_fwd,
                             keys: recycle_keys,
-                            transpose: false,
                             epoch: set.epoch,
                         },
                     );
@@ -1178,8 +1177,7 @@ impl CompiledProblem {
                         // The fused operator is complex-symmetric, so the
                         // adjoint rides the same apply — but its Krylov
                         // directions come from a different right-hand-side
-                        // family, so the transpose orientation keeps its
-                        // own stores.
+                        // family, so the adjoint keeps its own stores.
                         sim.fused_batch_solve_recycled(
                             batch_adj,
                             batch_adj_x,
@@ -1189,7 +1187,6 @@ impl CompiledProblem {
                             FusedRecycle {
                                 spaces: recycle_adj,
                                 keys: recycle_keys,
-                                transpose: true,
                                 epoch: set.epoch,
                             },
                         );

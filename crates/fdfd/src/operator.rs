@@ -114,10 +114,11 @@ fn stencil_row(
 }
 
 /// Assembles the symmetrised Helmholtz operator as a banded matrix with
-/// `kl = ku = nx` (x-fastest flat ordering).
+/// `kl = ku = nx` (x-fastest flat ordering), row by row from the stencil.
 ///
-/// Allocates fresh band storage; hot loops should keep a workspace matrix
-/// and use [`assemble_banded_into`] instead.
+/// Allocates fresh band storage: this is the reference assembly for
+/// one-off solves and tests. Corner loops assemble through a
+/// [`StencilCache`] instead, straight into the factor's storage.
 ///
 /// # Panics
 ///
@@ -128,38 +129,12 @@ pub fn assemble_banded(
     eps: &Array2<f64>,
     omega: f64,
 ) -> BandedMatrix {
-    let mut a = BandedMatrix::new(grid.n(), grid.nx, grid.nx);
-    fill_banded(grid, s, eps, omega, &mut a);
-    a
-}
-
-/// Assembles the operator into a caller-owned matrix, reshaping/zeroing it
-/// in place — no heap allocation once `a` has the right capacity.
-///
-/// # Panics
-///
-/// Panics if `eps` does not have shape `(ny, nx)`.
-pub fn assemble_banded_into(
-    grid: &SimGrid,
-    s: &SFactors,
-    eps: &Array2<f64>,
-    omega: f64,
-    a: &mut BandedMatrix,
-) {
-    if a.n() == grid.n() && a.kl() == grid.nx && a.ku() == grid.nx {
-        a.reset();
-    } else {
-        a.reshape(grid.n(), grid.nx, grid.nx);
-    }
-    fill_banded(grid, s, eps, omega, a);
-}
-
-fn fill_banded(grid: &SimGrid, s: &SFactors, eps: &Array2<f64>, omega: f64, a: &mut BandedMatrix) {
     assert_eq!(
         eps.shape(),
         (grid.ny, grid.nx),
         "eps shape must be (ny, nx)"
     );
+    let mut a = BandedMatrix::new(grid.n(), grid.nx, grid.nx);
     for iy in 0..grid.ny {
         for ix in 0..grid.nx {
             let k = grid.idx(ix, iy);
@@ -179,6 +154,7 @@ fn fill_banded(grid: &SimGrid, s: &SFactors, eps: &Array2<f64>, omega: f64, a: &
             }
         }
     }
+    a
 }
 
 /// Cached ε-independent stencil coefficients for one `(grid, ω)`.
@@ -196,7 +172,7 @@ fn fill_banded(grid: &SimGrid, s: &SFactors, eps: &Array2<f64>, omega: f64, a: &
 ///
 /// Coefficients come from the same `stencil_parts` helper as the per-row
 /// assembly, so cache-based assembly is bit-identical to
-/// [`assemble_banded_into`] (asserted in tests).
+/// [`assemble_banded`] (asserted in tests).
 #[derive(Debug, Clone)]
 pub struct StencilCache {
     nx: usize,
@@ -268,7 +244,7 @@ impl StencilCache {
 
     /// Writes columns `start..` of the banded image of the operator whose
     /// diagonal is `diag` (as produced by [`StencilCache::diag_into`])
-    /// into `a` — the fast-path replacement for [`assemble_banded_into`].
+    /// into `a` — the fast-path replacement for [`assemble_banded`].
     ///
     /// Only the stencil entries are written: the rest of those columns
     /// must already be zero, as in a fresh matrix, one this cache
@@ -334,35 +310,6 @@ impl StencilCache {
         vmul_add(&self.east[..n - 1], &x[1..], &mut y[..n - 1]);
         vmul_add(&self.south[nx..], &x[..n - nx], &mut y[nx..]);
         vmul_add(&self.north[..n - nx], &x[nx..], &mut y[..n - nx]);
-    }
-}
-
-/// A [`StencilCache`] bound to one corner's diagonal, usable as the
-/// matrix-free operator of [`boson_num::krylov`].
-///
-/// The symmetrised FDFD operator is complex-symmetric by construction
-/// (the east coupling of a cell equals the west coupling of its
-/// neighbour), so the transpose application is the plain application.
-#[derive(Debug, Clone, Copy)]
-pub struct StencilOp<'a> {
-    /// Cached ε-independent couplings.
-    pub cache: &'a StencilCache,
-    /// Operator diagonal for the current corner.
-    pub diag: &'a [Complex64],
-}
-
-impl boson_num::krylov::LinearOp for StencilOp<'_> {
-    fn dim(&self) -> usize {
-        self.cache.n()
-    }
-
-    fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.cache.apply(self.diag, x, y);
-    }
-
-    fn apply_transpose(&self, x: &[Complex64], y: &mut [Complex64]) {
-        // Complex-symmetric operator: Aᵀ = A.
-        self.cache.apply(self.diag, x, y);
     }
 }
 
@@ -525,11 +472,16 @@ mod tests {
         }
     }
 
+    /// Reassembling a used matrix through the stencil cache overwrites
+    /// the previous operator entirely.
     #[test]
     fn assemble_into_reuse_matches_fresh_assembly() {
         let (grid, s, eps, omega) = setup(24, 20);
+        let cache = StencilCache::build(&grid, &s, omega);
+        let mut diag = Vec::new();
+        cache.diag_into(&eps, &mut diag);
         let mut ws = BandedMatrix::new(1, 0, 0); // wrong shape on purpose
-        assemble_banded_into(&grid, &s, &eps, omega, &mut ws);
+        cache.assemble_with_diag(&diag, 0, &mut ws);
         // Second assembly with a different permittivity must fully
         // overwrite the first.
         let mut eps2 = eps.clone();
@@ -538,11 +490,12 @@ mod tests {
                 eps2[(iy, ix)] = 1.0 + ((ix + 2 * iy) % 4) as f64;
             }
         }
-        assemble_banded_into(&grid, &s, &eps2, omega, &mut ws);
+        cache.diag_into(&eps2, &mut diag);
+        cache.assemble_with_diag(&diag, 0, &mut ws);
         let fresh = assemble_banded(&grid, &s, &eps2, omega);
         for i in 0..grid.n() {
             for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {
-                assert!((ws.get(i, j) - fresh.get(i, j)).abs() < 1e-15, "({i},{j})");
+                assert_eq!(ws.get(i, j), fresh.get(i, j), "({i},{j})");
             }
         }
     }
@@ -613,15 +566,6 @@ mod tests {
         for (k, (p, q)) in fast.iter().zip(&dense).enumerate() {
             assert!((*p - *q).abs() < 1e-12 * scale, "cell {k}: {p:?} vs {q:?}");
         }
-        // Transpose application equals the plain one (complex-symmetric).
-        use boson_num::krylov::LinearOp;
-        let op = StencilOp {
-            cache: &cache,
-            diag: &diag,
-        };
-        let mut yt = vec![Complex64::ZERO; grid.n()];
-        op.apply_transpose(&x, &mut yt);
-        assert_eq!(yt, fast);
     }
 
     #[test]

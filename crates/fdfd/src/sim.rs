@@ -81,14 +81,18 @@
 //!   column into shared factor sweeps (a single-wavelength sweep is the
 //!   one-ω case) and reports per-corner convergence for the caller's
 //!   adaptive fallback policy.
+//!
+//!   Both entry families run the same iterative kernel: a per-corner
+//!   solve is a fused batch of one corner at one ω, so its results are
+//!   bit-identical to that corner's columns in a fused sweep.
 
 use crate::grid::SimGrid;
-use crate::operator::{StencilCache, StencilOp};
+use crate::operator::StencilCache;
 use crate::pml::SFactors;
 use boson_num::banded::{BandedLu, BandedLuF32, SingularMatrixError};
 use boson_num::krylov::{
-    bicgstab_precond_many, bicgstab_precond_transpose_many, ColumnOp, IterativeOptions,
-    KrylovWorkspace, PrecondFamily, RecycleSpace, RhsStats,
+    bicgstab_precond_many, ColumnOp, IterativeOptions, KrylovWorkspace, PrecondFamily,
+    RecycleSpace, RhsStats,
 };
 use boson_num::pool;
 use boson_num::{Array2, Complex64};
@@ -239,9 +243,12 @@ pub struct FactorLag {
 
 /// Caller-owned recycling state of one
 /// [`SimWorkspace::fused_batch_solve_recycled`] call: the deflation
-/// stores, the batch-corner → store mapping, the operator orientation,
-/// and the optimiser epoch stamped on harvests and checked on
-/// applications.
+/// stores, the batch-corner → store mapping, and the optimiser epoch
+/// stamped on harvests and checked on applications.
+///
+/// A store remembers the solves of one kind of right-hand side: keep
+/// forward and adjoint solves in separate stores (the operator is the
+/// same for both, since it is complex-symmetric).
 #[derive(Debug)]
 pub struct FusedRecycle<'a> {
     /// The caller's per-column deflation stores (typically keyed by the
@@ -252,9 +259,6 @@ pub struct FusedRecycle<'a> {
     /// `keys[corner]` = index into `spaces` of batch corner `corner`;
     /// shared by all of that corner's right-hand-side columns.
     pub keys: &'a [usize],
-    /// Apply/harvest against the transpose operator orientation (the
-    /// adjoint phase — keep separate stores per orientation).
-    pub transpose: bool,
     /// Optimiser epoch of this solve.
     pub epoch: u64,
 }
@@ -324,12 +328,11 @@ struct OmegaSlot {
     last_used: u64,
 }
 
-/// The matrix-free operator family of a **fused** (corner × ω) sweep:
-/// column `col` belongs to corner `col / cols_per_corner`, and applies
-/// that corner's diagonal through *its own wavelength's* cached stencil
-/// couplings.
-struct FusedCornerOp<'a> {
-    slots: &'a [OmegaSlot],
+/// The corners one iterative solve advances: a fused (corner × ω) batch,
+/// or the single prepared corner of a per-corner solve. Column `col`
+/// belongs to corner `col / cols_per_corner`.
+#[derive(Clone, Copy)]
+struct Batch<'a> {
     /// Slot index per batch-local ω.
     fused_slots: &'a [usize],
     /// Batch-local ω index per corner.
@@ -340,44 +343,44 @@ struct FusedCornerOp<'a> {
     cols_per_corner: usize,
 }
 
-impl FusedCornerOp<'_> {
-    fn apply_corner_col(&self, col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        let corner = col / self.cols_per_corner;
-        let slot = &self.slots[self.fused_slots[self.omega_of_corner[corner]]];
-        let n = slot.stencil.n();
-        slot.stencil
-            .apply(&self.diags[corner * n..(corner + 1) * n], x, y);
+impl Batch<'_> {
+    /// Slot index of column `col`'s wavelength.
+    fn slot_of_col(&self, col: usize) -> usize {
+        self.fused_slots[self.omega_of_corner[col / self.cols_per_corner]]
     }
+}
+
+/// The matrix-free operator family of a batch: column `col` applies its
+/// corner's diagonal through *its own wavelength's* cached stencil
+/// couplings.
+struct FusedCornerOp<'a> {
+    slots: &'a [OmegaSlot],
+    batch: Batch<'a>,
 }
 
 impl ColumnOp for FusedCornerOp<'_> {
     fn dim(&self) -> usize {
-        self.slots[self.fused_slots[0]].stencil.n()
+        self.slots[self.batch.fused_slots[0]].stencil.n()
     }
 
     fn apply_col(&self, col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_corner_col(col, x, y);
-    }
-
-    fn apply_col_transpose(&self, col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        // Complex-symmetric operator: Aᵀ = A.
-        self.apply_corner_col(col, x, y);
+        let corner = col / self.batch.cols_per_corner;
+        let stencil = &self.slots[self.batch.slot_of_col(col)].stencil;
+        let n = stencil.n();
+        stencil.apply(&self.batch.diags[corner * n..(corner + 1) * n], x, y);
     }
 }
 
-/// The per-column preconditioner family of a fused (corner × ω) sweep:
-/// every packed column is preconditioned by **its own wavelength's**
-/// nominal factor. Columns of one ω form contiguous runs in the ω-major
-/// packed block, so each run costs one factor sweep — and runs above
-/// [`FUSED_SPLIT_MIN_COLS`] total active columns split into independent
-/// contiguous column chunks dispatched on the process-wide
-/// `boson_num::pool` (columns are solved independently; any split is
-/// bit-identical to the serial sweep).
+/// The per-column preconditioner family of a batch: every packed column
+/// is preconditioned by **its own wavelength's** nominal factor. Columns
+/// of one ω form contiguous runs in the ω-major packed block, so each run
+/// costs one factor sweep — and runs above [`FUSED_SPLIT_MIN_COLS`] total
+/// active columns split into independent contiguous column chunks
+/// dispatched on the process-wide `boson_num::pool` (columns are solved
+/// independently; any split is bit-identical to the serial sweep).
 struct FusedPrecond<'a> {
     slots: &'a [OmegaSlot],
-    fused_slots: &'a [usize],
-    omega_of_corner: &'a [usize],
-    cols_per_corner: usize,
+    batch: Batch<'a>,
     /// Sweep the single-precision factor copies (ordinary tolerances).
     use_f32: bool,
     /// One f32 conversion scratch per lane; the slice length *is* the
@@ -385,22 +388,22 @@ struct FusedPrecond<'a> {
     scratches: &'a mut [Vec<f32>],
 }
 
-impl FusedPrecond<'_> {
-    fn slot_of_col(&self, col: usize) -> usize {
-        self.fused_slots[self.omega_of_corner[col / self.cols_per_corner]]
+impl PrecondFamily for FusedPrecond<'_> {
+    fn dim(&self) -> usize {
+        self.slots[self.batch.fused_slots[0]].stencil.n()
     }
 
-    fn solve_runs(&mut self, b: &mut [Complex64], cols: &[usize], transpose: bool) {
-        let n = self.slots[self.fused_slots[0]].stencil.n();
+    fn solve_packed(&mut self, b: &mut [Complex64], cols: &[usize]) {
+        let n = self.dim();
         let workers = self.scratches.len();
         let split = workers > 1 && cols.len() >= FUSED_SPLIT_MIN_COLS;
         let workers = if split { workers } else { 1 };
         let mut rest = b;
         let mut start = 0usize;
         while start < cols.len() {
-            let slot_idx = self.slot_of_col(cols[start]);
+            let slot_idx = self.batch.slot_of_col(cols[start]);
             let mut end = start + 1;
-            while end < cols.len() && self.slot_of_col(cols[end]) == slot_idx {
+            while end < cols.len() && self.batch.slot_of_col(cols[end]) == slot_idx {
                 end += 1;
             }
             let (run, tail) = rest.split_at_mut((end - start) * n);
@@ -411,25 +414,10 @@ impl FusedPrecond<'_> {
                 end - start,
                 n,
                 self.use_f32,
-                transpose,
                 &mut self.scratches[..workers],
             );
             start = end;
         }
-    }
-}
-
-impl PrecondFamily for FusedPrecond<'_> {
-    fn dim(&self) -> usize {
-        self.slots[self.fused_slots[0]].stencil.n()
-    }
-
-    fn solve_packed(&mut self, b: &mut [Complex64], cols: &[usize]) {
-        self.solve_runs(b, cols, false);
-    }
-
-    fn solve_packed_transpose(&mut self, b: &mut [Complex64], cols: &[usize]) {
-        self.solve_runs(b, cols, true);
     }
 }
 
@@ -446,20 +434,15 @@ fn solve_slot_run(
     run_cols: usize,
     n: usize,
     use_f32: bool,
-    transpose: bool,
     scratches: &mut [Vec<f32>],
 ) {
     let solve_chunk = |chunk: &mut [Complex64], scratch: &mut Vec<f32>| {
         let ccols = chunk.len() / n;
-        match (use_f32, transpose) {
-            (true, false) => slot
-                .nominal_lu32
-                .solve_many_with_scratch(scratch, chunk, ccols),
-            (true, true) => slot
-                .nominal_lu32
-                .solve_transpose_many_with_scratch(scratch, chunk, ccols),
-            (false, false) => slot.nominal_lu.solve_many(chunk, ccols),
-            (false, true) => slot.nominal_lu.solve_transpose_many(chunk, ccols),
+        if use_f32 {
+            slot.nominal_lu32
+                .solve_many_with_scratch(scratch, chunk, ccols);
+        } else {
+            slot.nominal_lu.solve_many(chunk, ccols);
         }
     };
     let workers = scratches.len();
@@ -471,6 +454,132 @@ fn solve_slot_run(
     pool::global().chunks_with(run, per * n, scratches, |_part, chunk, scratch| {
         solve_chunk(chunk, scratch)
     });
+}
+
+/// The reusable state of a workspace's one iterative solve kernel
+/// ([`KrylovEngine::solve`]), grown once and then reused.
+#[derive(Debug, Default)]
+struct KrylovEngine {
+    krylov: KrylovWorkspace,
+    /// Per-lane f32 conversion scratches of the (possibly split)
+    /// preconditioner sweeps.
+    scratches: Vec<Vec<f32>>,
+    /// Initial-guess snapshot of a recycled solve, so converged
+    /// corrections `x − x₀` can be harvested afterwards.
+    recycle_x0: Vec<Complex64>,
+}
+
+impl KrylovEngine {
+    /// Lockstep-solves every column of `batch` with BiCGSTAB, each column
+    /// preconditioned by its own ω's nominal factor (on the f32 copy for
+    /// tolerances of at least [`F32_PRECOND_MIN_TOL`]) and
+    /// stencil-applied through its own ω's couplings; returns the
+    /// per-column stats. `opts.threads` (≥ 1) is the lane budget of the
+    /// sweeps and vector stages; `b`, `x` and `recycle` are as in
+    /// [`SimWorkspace::fused_batch_solve_recycled`].
+    ///
+    /// This is the one iterative kernel of a [`SimWorkspace`]: fused
+    /// sweeps run it over the whole batch, a per-corner solve as a batch
+    /// of one corner. A budget miss against a lag-kept stale nominal
+    /// factor trips that slot's refactor at the next epoch check.
+    fn solve(
+        &mut self,
+        slots: &mut [OmegaSlot],
+        batch: Batch<'_>,
+        b: &[Complex64],
+        x: &mut [Complex64],
+        mut opts: IterativeOptions,
+        mut recycle: Option<FusedRecycle<'_>>,
+    ) -> &[RhsStats] {
+        let Self {
+            krylov,
+            scratches,
+            recycle_x0,
+        } = self;
+        let n = slots[batch.fused_slots[0]].stencil.n();
+        let corners = batch.diags.len() / n;
+        let ncols = corners * batch.cols_per_corner;
+        assert_eq!(b.len(), n * ncols, "fused rhs block length mismatch");
+        assert_eq!(x.len(), n * ncols, "fused solution block length mismatch");
+        let workers = opts.threads;
+        if scratches.len() < workers {
+            scratches.resize_with(workers, Vec::new);
+        }
+        {
+            let op = FusedCornerOp {
+                slots: &*slots,
+                batch,
+            };
+            if let Some(rec) = recycle.as_mut() {
+                assert!(
+                    rec.keys.len() >= corners,
+                    "recycle keys shorter than the fused batch"
+                );
+                // Recycled pre-pass: turn every column's start into an
+                // explicit initial guess (zeroed when the caller had
+                // none — `b − A·0` is exactly `b`, so a cold column
+                // behaves as before), then Galerkin-project each
+                // column's residual onto its deflation store.
+                if !opts.use_initial_guess {
+                    x.fill(Complex64::ZERO);
+                }
+                opts.use_initial_guess = true;
+                for c in 0..ncols {
+                    let space = &mut rec.spaces[rec.keys[c / batch.cols_per_corner]];
+                    space.ensure_dim(n);
+                    space.try_apply(
+                        &op,
+                        c,
+                        &b[c * n..(c + 1) * n],
+                        &mut x[c * n..(c + 1) * n],
+                        rec.epoch,
+                    );
+                }
+                // Snapshot x₀ so corrections can be harvested after the
+                // solve; grown once, then reused.
+                recycle_x0.clear();
+                recycle_x0.extend_from_slice(x);
+            }
+            let mut family = FusedPrecond {
+                slots: &*slots,
+                batch,
+                use_f32: opts.tol >= F32_PRECOND_MIN_TOL,
+                scratches: &mut scratches[..workers],
+            };
+            bicgstab_precond_many(&op, &mut family, b, x, ncols, &opts, krylov);
+            if let Some(rec) = recycle.as_mut() {
+                // Harvest converged corrections x − x₀ (in place over the
+                // snapshot). A column that converged at its starting
+                // point contributes a zero correction, which harvest
+                // rejects while still advancing the store's epoch stamp.
+                for (c, stats) in krylov.stats().iter().enumerate() {
+                    if !stats.converged {
+                        continue;
+                    }
+                    let col = c * n..(c + 1) * n;
+                    let correction = &mut recycle_x0[col.clone()];
+                    for (d, &xi) in correction.iter_mut().zip(&x[col.clone()]) {
+                        *d = xi - *d;
+                    }
+                    let space = &mut rec.spaces[rec.keys[c / batch.cols_per_corner]];
+                    space.harvest(correction, rec.epoch);
+                    // Remember the full solution too: next epoch's
+                    // `try_apply` starts from it when its residual beats
+                    // the shared warm start (for multi-column corners the
+                    // last column wins — a mismatched remembered solution
+                    // is rejected by the residual gate, never committed).
+                    space.remember_solution(&x[col], rec.epoch);
+                }
+            }
+        }
+        for (c, stats) in krylov.stats().iter().enumerate() {
+            let slot = &mut slots[batch.slot_of_col(c)];
+            if !stats.converged && slot.factor_epoch != slot.nominal_epoch {
+                slot.factor_miss_streak += 1;
+            }
+        }
+        krylov.stats()
+    }
 }
 
 /// Relative ∞-norm drift `‖diag − ref‖∞ / ‖diag‖∞` of a nominal operator
@@ -589,23 +698,16 @@ fn refresh_nominal_banded(
     Ok(1)
 }
 
-/// Folds per-column Krylov stats into per-corner solve reports (shared by
-/// the per-ω and fused batched sweeps; repeated solves of one batch —
-/// forwards, then adjoints — merge into the same reports).
+/// Folds per-column Krylov stats into per-corner solve reports, column
+/// `col` into `reports[col / cols_per_corner]` (fused sweeps: one report
+/// per batch corner, the adjoint phase merging into the forward phase's;
+/// per-corner solves: the prepared corner's report, once per
+/// [`SimWorkspace::solve_block`] call).
 fn merge_stats_into_reports(
     stats: &[RhsStats],
-    reports: &mut Vec<CornerSolveReport>,
-    batch_count: usize,
+    reports: &mut [CornerSolveReport],
     cols_per_corner: usize,
 ) {
-    reports.resize(
-        batch_count,
-        CornerSolveReport {
-            converged: true,
-            used_iterative: true,
-            ..CornerSolveReport::default()
-        },
-    );
     for (col, stats) in stats.iter().enumerate() {
         let report = &mut reports[col / cols_per_corner];
         report.used_iterative = true;
@@ -696,7 +798,9 @@ pub struct SimWorkspace {
     diag: Vec<Complex64>,
     /// RHS snapshot so a direct fallback can re-solve the same systems.
     rhs: Vec<Complex64>,
-    krylov: KrylovWorkspace,
+    /// The iterative solve kernel's state, shared by per-corner and
+    /// fused solves.
+    engine: KrylovEngine,
     mode: SolveMode,
     report: CornerSolveReport,
     /// Concatenated per-corner diagonals of the current batched sweep.
@@ -713,15 +817,9 @@ pub struct SimWorkspace {
     /// Slot index (into `slots`) of each fused-batch ω, pinned for the
     /// duration of the batch.
     fused_slots: Vec<usize>,
-    /// Per-lane f32 conversion scratches for (possibly split) fused
-    /// preconditioner sweeps; grown once, then reused.
-    fused_scratches: Vec<Vec<f32>>,
     /// Lagged-nominal-factor policy; `None` (default) = eager refactor
     /// every epoch, bit-identical to the pre-lag behaviour.
     factor_lag: Option<FactorLag>,
-    /// Initial-guess snapshot of a recycled fused solve (so converged
-    /// corrections `x − x₀` can be harvested afterwards); grown once.
-    recycle_x0: Vec<Complex64>,
 }
 
 impl Default for SimWorkspace {
@@ -746,7 +844,7 @@ impl SimWorkspace {
             factored: false,
             diag: Vec::new(),
             rhs: Vec::new(),
-            krylov: KrylovWorkspace::new(),
+            engine: KrylovEngine::default(),
             mode: SolveMode::DirectLu,
             report: CornerSolveReport::default(),
             batch_diags: Vec::new(),
@@ -755,9 +853,7 @@ impl SimWorkspace {
             batch_reports: Vec::new(),
             fused_omega_of_corner: Vec::new(),
             fused_slots: Vec::new(),
-            fused_scratches: Vec::new(),
             factor_lag: None,
-            recycle_x0: Vec::new(),
         }
     }
 
@@ -952,10 +1048,10 @@ impl SimWorkspace {
     ///   [`CornerContext::nominal_eps`]) and arms the matrix-free
     ///   iterative path for this corner: an `O(n)` diagonal rewrite
     ///   replaces the `O(n·b²)` factorisation. The nominal corner itself
-    ///   and corners with [`CornerContext::force_direct`] solve directly.
+    ///   (unless a [`FactorLag`] policy kept its factor stale) and corners
+    ///   with [`CornerContext::force_direct`] solve directly.
     ///
-    /// Subsequent [`SimWorkspace::solve_block`] /
-    /// [`SimWorkspace::solve_block_transpose`] calls dispatch on the
+    /// Subsequent [`SimWorkspace::solve_block`] calls dispatch on the
     /// prepared mode; [`SimWorkspace::last_report`] tells what happened.
     /// Steady-state corner preparation performs no heap allocation.
     ///
@@ -1024,12 +1120,15 @@ impl SimWorkspace {
     }
 
     /// Solves `A X = B` for the prepared corner, `nrhs` column-major
-    /// right-hand sides in `b` (overwritten with the solutions).
+    /// right-hand sides in `b` (overwritten with the solutions). The
+    /// operator is complex-symmetric, so adjoint systems `Aᵀ λ = g` are
+    /// solved by this same call.
     ///
     /// Direct modes run one batched triangular sweep; the iterative mode
-    /// runs nominal-factor-preconditioned BiCGSTAB and, if any right-hand
-    /// side misses its budget, transparently factors this corner and
-    /// re-solves everything directly (recorded in
+    /// runs the fused-batch kernel as a batch of this one corner
+    /// (nominal-factor-preconditioned BiCGSTAB, cold start) and, if any
+    /// right-hand side misses its budget, transparently factors this
+    /// corner and re-solves everything directly (recorded in
     /// [`SimWorkspace::last_report`] — the results are then bit-identical
     /// to the [`SolverStrategy::Direct`] path).
     ///
@@ -1046,63 +1145,26 @@ impl SimWorkspace {
         b: &mut [Complex64],
         nrhs: usize,
     ) -> Result<(), SingularMatrixError> {
-        self.solve_block_impl(b, nrhs, false)
-    }
-
-    /// Transpose counterpart of [`SimWorkspace::solve_block`]: solves
-    /// `Aᵀ X = B`. The symmetrised operator makes this numerically equal
-    /// to the plain solve; it exists for independent verification and for
-    /// adjoints of non-symmetric extensions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the direct fallback hits a
-    /// singular operator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no corner is prepared or `b.len() != n·nrhs`.
-    pub fn solve_block_transpose(
-        &mut self,
-        b: &mut [Complex64],
-        nrhs: usize,
-    ) -> Result<(), SingularMatrixError> {
-        self.solve_block_impl(b, nrhs, true)
-    }
-
-    fn solve_block_impl(
-        &mut self,
-        b: &mut [Complex64],
-        nrhs: usize,
-        transpose: bool,
-    ) -> Result<(), SingularMatrixError> {
         let n = self.grid.expect("SimWorkspace not prepared").n();
         assert_eq!(b.len(), n * nrhs, "solve_block dimension mismatch");
-        self.report.solves += nrhs;
         match self.mode {
             SolveMode::DirectLu => {
                 assert!(self.factored, "SimWorkspace not factored");
-                if transpose {
-                    self.lu.solve_transpose_many(b, nrhs);
-                } else {
-                    self.lu.solve_many(b, nrhs);
-                }
+                self.report.solves += nrhs;
+                self.lu.solve_many(b, nrhs);
             }
             SolveMode::NominalDirect => {
-                let nominal_lu = &self.slots[self.active].nominal_lu;
-                if transpose {
-                    nominal_lu.solve_transpose_many(b, nrhs);
-                } else {
-                    nominal_lu.solve_many(b, nrhs);
-                }
+                self.report.solves += nrhs;
+                self.slots[self.active].nominal_lu.solve_many(b, nrhs);
             }
             SolveMode::Iterative { tol, max_iters } => {
                 self.rhs.clear();
                 self.rhs.extend_from_slice(b);
-                let slot = &mut self.slots[self.active];
-                let op = StencilOp {
-                    cache: &slot.stencil,
-                    diag: &self.diag,
+                let batch = Batch {
+                    fused_slots: std::slice::from_ref(&self.active),
+                    omega_of_corner: &[0],
+                    diags: &self.diag,
+                    cols_per_corner: nrhs,
                 };
                 let opts = IterativeOptions {
                     tol,
@@ -1110,76 +1172,20 @@ impl SimWorkspace {
                     use_initial_guess: false,
                     threads: 1,
                 };
-                // Memory-bound triangular sweeps dominate the iteration;
-                // the f32 factor copy halves their traffic. Only very
-                // tight tolerances (which f32 preconditioning could slow
-                // down near its noise floor) pay for f64 sweeps.
-                let use_f32 = tol >= F32_PRECOND_MIN_TOL;
-                let quality = match (transpose, use_f32) {
-                    (false, true) => bicgstab_precond_many(
-                        &op,
-                        &mut slot.nominal_lu32,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    ),
-                    (true, true) => bicgstab_precond_transpose_many(
-                        &op,
-                        &mut slot.nominal_lu32,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    ),
-                    (false, false) => bicgstab_precond_many(
-                        &op,
-                        &mut slot.nominal_lu,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    ),
-                    (true, false) => bicgstab_precond_transpose_many(
-                        &op,
-                        &mut slot.nominal_lu,
-                        &self.rhs,
-                        b,
-                        nrhs,
-                        &opts,
-                        &mut self.krylov,
-                    ),
-                };
-                self.report.max_iterations = self.report.max_iterations.max(quality.max_iterations);
-                self.report.total_iterations += self
-                    .krylov
-                    .stats()
-                    .iter()
-                    .map(|s| s.iterations)
-                    .sum::<usize>();
-                self.report.max_residual = self.report.max_residual.max(quality.max_residual);
-                if !quality.converged {
+                let stats = self
+                    .engine
+                    .solve(&mut self.slots, batch, &self.rhs, b, opts, None);
+                merge_stats_into_reports(stats, std::slice::from_mut(&mut self.report), nrhs);
+                if !self.report.converged {
                     // Budget miss: factor this corner and re-solve the
                     // snapshot directly; later solves of this corner go
-                    // direct as well.
-                    if slot.factor_epoch != slot.nominal_epoch {
-                        // The miss happened against a lag-kept stale
-                        // factor: trip a refactor at the next epoch
-                        // check.
-                        slot.factor_miss_streak += 1;
-                    }
+                    // direct as well, and every column is converged.
+                    self.report.converged = true;
                     self.report.fell_back = true;
                     self.report.factorizations += 1;
                     self.factor_direct()?;
                     b.copy_from_slice(&self.rhs);
-                    if transpose {
-                        self.lu.solve_transpose_many(b, nrhs);
-                    } else {
-                        self.lu.solve_many(b, nrhs);
-                    }
+                    self.lu.solve_many(b, nrhs);
                 }
             }
         }
@@ -1449,129 +1455,35 @@ impl SimWorkspace {
         cols_per_corner: usize,
         use_initial_guess: bool,
         threads: usize,
-        mut recycle: Option<FusedRecycle<'_>>,
+        recycle: Option<FusedRecycle<'_>>,
     ) {
-        let Self {
-            slots,
-            fused_slots,
-            fused_omega_of_corner,
-            fused_scratches,
-            batch_diags,
-            batch_count,
-            batch_opts,
-            batch_reports,
-            krylov,
-            factor_lag,
-            recycle_x0,
-            ..
-        } = self;
         assert!(
-            !fused_slots.is_empty(),
+            !self.fused_slots.is_empty(),
             "fused_batch_begin before fused_batch_solve"
         );
-        let n = slots[fused_slots[0]].stencil.n();
-        let ncols = *batch_count * cols_per_corner;
-        assert_eq!(b.len(), n * ncols, "fused rhs block length mismatch");
-        assert_eq!(x.len(), n * ncols, "fused solution block length mismatch");
-        if let Some(rec) = recycle.as_ref() {
-            assert!(
-                rec.keys.len() >= *batch_count,
-                "recycle keys shorter than the fused batch"
-            );
-        }
-        let workers = threads.max(1);
-        if fused_scratches.len() < workers {
-            fused_scratches.resize_with(workers, Vec::new);
-        }
-        {
-            let op = FusedCornerOp {
-                slots,
-                fused_slots,
-                omega_of_corner: fused_omega_of_corner,
-                diags: batch_diags,
-                cols_per_corner,
-            };
-            let mut start_from_guess = use_initial_guess;
-            if let Some(rec) = recycle.as_mut() {
-                // Recycled pre-pass: turn every column's start into an
-                // explicit initial guess (zeroed when the caller had
-                // none — `b − A·0` is exactly `b`, so a cold column
-                // behaves as before), then Galerkin-project each
-                // column's residual onto its deflation store.
-                if !use_initial_guess {
-                    x.fill(Complex64::ZERO);
-                }
-                start_from_guess = true;
-                for c in 0..ncols {
-                    let space = &mut rec.spaces[rec.keys[c / cols_per_corner]];
-                    space.ensure_dim(n);
-                    space.try_apply(
-                        &op,
-                        c,
-                        rec.transpose,
-                        &b[c * n..(c + 1) * n],
-                        &mut x[c * n..(c + 1) * n],
-                        rec.epoch,
-                    );
-                }
-                // Snapshot x₀ so corrections can be harvested after the
-                // solve; grown once, then reused.
-                recycle_x0.clear();
-                recycle_x0.extend_from_slice(x);
-            }
-            let mut family = FusedPrecond {
-                slots,
-                fused_slots,
-                omega_of_corner: fused_omega_of_corner,
-                cols_per_corner,
-                use_f32: batch_opts.tol >= F32_PRECOND_MIN_TOL,
-                scratches: &mut fused_scratches[..workers],
-            };
-            let opts = IterativeOptions {
-                use_initial_guess: start_from_guess,
-                threads: workers,
-                ..*batch_opts
-            };
-            bicgstab_precond_many(&op, &mut family, b, x, ncols, &opts, krylov);
-            if let Some(rec) = recycle.as_mut() {
-                // Harvest converged corrections x − x₀ (in place over the
-                // snapshot). A column that converged at its starting
-                // point contributes a zero correction, which harvest
-                // rejects while still advancing the store's epoch stamp.
-                for (c, stats) in krylov.stats().iter().enumerate() {
-                    if !stats.converged {
-                        continue;
-                    }
-                    let col = c * n..(c + 1) * n;
-                    let correction = &mut recycle_x0[col.clone()];
-                    for (d, &xi) in correction.iter_mut().zip(&x[col.clone()]) {
-                        *d = xi - *d;
-                    }
-                    let space = &mut rec.spaces[rec.keys[c / cols_per_corner]];
-                    space.harvest(correction, rec.epoch);
-                    // Remember the full solution too: next epoch's
-                    // `try_apply` starts from it when its residual beats
-                    // the shared warm start (for multi-column corners the
-                    // last column wins — a mismatched remembered solution
-                    // is rejected by the residual gate, never committed).
-                    space.remember_solution(&x[col], rec.epoch);
-                }
-            }
-        }
-        merge_stats_into_reports(krylov.stats(), batch_reports, *batch_count, cols_per_corner);
-        if factor_lag.is_some() {
-            // Budget misses against a lag-kept stale factor trip that
-            // slot's refactor at the next epoch check (the caller's
-            // direct fallback keeps this epoch's results exact).
-            for (c, stats) in krylov.stats().iter().enumerate() {
-                if !stats.converged {
-                    let slot = &mut slots[fused_slots[fused_omega_of_corner[c / cols_per_corner]]];
-                    if slot.factor_epoch != slot.nominal_epoch {
-                        slot.factor_miss_streak += 1;
-                    }
-                }
-            }
-        }
+        let batch = Batch {
+            fused_slots: &self.fused_slots,
+            omega_of_corner: &self.fused_omega_of_corner,
+            diags: &self.batch_diags,
+            cols_per_corner,
+        };
+        let opts = IterativeOptions {
+            use_initial_guess,
+            threads: threads.max(1),
+            ..self.batch_opts
+        };
+        let stats = self
+            .engine
+            .solve(&mut self.slots, batch, b, x, opts, recycle);
+        self.batch_reports.resize(
+            self.batch_count,
+            CornerSolveReport {
+                converged: true,
+                used_iterative: true,
+                ..CornerSolveReport::default()
+            },
+        );
+        merge_stats_into_reports(stats, &mut self.batch_reports, cols_per_corner);
     }
 
     /// Accumulates `dF/dε` from a forward field and its adjoint into a
@@ -1739,19 +1651,23 @@ mod tests {
         );
     }
 
+    /// The symmetrised operator is complex-symmetric, so its transpose
+    /// solve equals its plain solve: why every adjoint runs through
+    /// [`SimWorkspace::solve_block`] and the fused kernel, which have no
+    /// transpose orientation.
     #[test]
     fn adjoint_transpose_consistency() {
         let grid = SimGrid::new(40, 36, 0.05, 8);
         let eps = straight_wg(&grid, 3);
-        let mut ws = SimWorkspace::new();
-        ws.factor(grid, omega(), &eps).unwrap();
+        let om = omega();
+        let lu = assemble_banded(&grid, &SFactors::new(&grid, om), &eps, om)
+            .factor()
+            .unwrap();
         let g: Vec<Complex64> = (0..grid.n())
             .map(|k| c64((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
             .collect();
-        let mut a = g.clone();
-        ws.solve_block(&mut a, 1).unwrap();
-        let mut b = g.clone();
-        ws.solve_block_transpose(&mut b, 1).unwrap();
+        let a = lu.solve_vec(&g);
+        let b = lu.solve_transpose_vec(&g);
         let num: f64 = a
             .iter()
             .zip(&b)
@@ -1766,8 +1682,7 @@ mod tests {
         );
     }
 
-    /// One multi-RHS `solve_block` (forward and transpose) equals solving
-    /// each column on its own.
+    /// One multi-RHS `solve_block` equals solving each column on its own.
     #[test]
     fn batched_solves_match_individual_solves() {
         let grid = SimGrid::new(36, 30, 0.05, 8);
@@ -1794,19 +1709,6 @@ mod tests {
             assert!((*p - *q).abs() < 1e-11);
         }
         for (p, q) in f2.iter().zip(&block[n..]) {
-            assert!((*p - *q).abs() < 1e-11);
-        }
-
-        // Batched adjoint block ≡ per-column adjoints.
-        let mut g_block: Vec<Complex64> = (0..2 * n)
-            .map(|k| c64((k as f64 * 0.003).cos(), (k as f64 * 0.005).sin()))
-            .collect();
-        let mut col0 = g_block[..n].to_vec();
-        let mut col1 = g_block[n..].to_vec();
-        ws.solve_block_transpose(&mut g_block, 2).unwrap();
-        ws.solve_block_transpose(&mut col0, 1).unwrap();
-        ws.solve_block_transpose(&mut col1, 1).unwrap();
-        for (p, q) in col0.iter().chain(&col1).zip(&g_block) {
             assert!((*p - *q).abs() < 1e-11);
         }
     }
@@ -1861,9 +1763,9 @@ mod tests {
         }
     }
 
-    /// Solves a two-column block forward and transposed on the prepared
-    /// corner of `ws` and checks both bit for bit against a fresh
-    /// `assemble_banded(..).factor()` of `eps`.
+    /// Solves a two-column block on the prepared corner of `ws` and checks
+    /// it bit for bit against a fresh `assemble_banded(..).factor()` of
+    /// `eps`.
     fn assert_matches_fresh_factor(
         ws: &mut SimWorkspace,
         grid: SimGrid,
@@ -1881,14 +1783,10 @@ mod tests {
         let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
             v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
         };
-        let (mut got, mut want) = (b.clone(), b.clone());
+        let (mut got, mut want) = (b.clone(), b);
         ws.solve_block(&mut got, 2).unwrap();
         fresh.solve_many(&mut want, 2);
-        assert!(bits(&got) == bits(&want), "{what}: forward solve differs");
-        let (mut got, mut want) = (b.clone(), b);
-        ws.solve_block_transpose(&mut got, 2).unwrap();
-        fresh.solve_transpose_many(&mut want, 2);
-        assert!(bits(&got) == bits(&want), "{what}: transpose solve differs");
+        assert!(bits(&got) == bits(&want), "{what}: solve differs");
     }
 
     /// Every factorisation resumes from the first cell whose operator
@@ -2138,25 +2036,6 @@ mod tests {
                 err / scale < 1e-7,
                 "corner {ci}: iterative vs direct rel err {}",
                 err / scale
-            );
-
-            // Transpose path agrees with the direct transpose solve too.
-            let mut xt_iter = b.clone();
-            ws.prepare_corner(grid, omega(), eps, strategy, Some(&ctx))
-                .unwrap();
-            ws.solve_block_transpose(&mut xt_iter, 2).unwrap();
-            let mut xt_direct = b.clone();
-            ws_direct.solve_block_transpose(&mut xt_direct, 2).unwrap();
-            let errt: f64 = xt_iter
-                .iter()
-                .zip(&xt_direct)
-                .map(|(p, q)| (*p - *q).norm_sqr())
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                errt / scale < 1e-7,
-                "corner {ci}: transpose rel err {}",
-                errt / scale
             );
         }
     }

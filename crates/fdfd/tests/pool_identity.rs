@@ -149,7 +149,6 @@ fn recycled_lagged_protocol(threads: usize) -> Vec<Complex64> {
             FusedRecycle {
                 spaces: &mut spaces,
                 keys: &keys,
-                transpose: false,
                 epoch,
             },
         );

@@ -445,7 +445,7 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
     let _serial = serial();
     // The temporal-axis steady state: the fused (corner × ω) sweep with
     // BOTH cross-iteration Krylov recycling (per-column deflation stores,
-    // forward and adjoint orientation) and the lagged nominal-factor
+    // forward and adjoint stores) and the lagged nominal-factor
     // policy enabled. After warm-up the deflation stores are dimensioned,
     // the x₀ snapshot buffer is grown, and the kept factors make every
     // epoch's nominal refresh O(n) drift math — none of which may touch
@@ -526,7 +526,7 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
             }
         }
         // Forward phase, then the adjoint-pattern phase, each against its
-        // own orientation's deflation stores.
+        // own deflation stores.
         x.fill(Complex64::ZERO);
         ws.fused_batch_solve_recycled(
             &rhs,
@@ -537,7 +537,6 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
             FusedRecycle {
                 spaces: fwd,
                 keys: &keys,
-                transpose: false,
                 epoch,
             },
         );
@@ -551,7 +550,6 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
             FusedRecycle {
                 spaces: adj,
                 keys: &keys,
-                transpose: true,
                 epoch,
             },
         );

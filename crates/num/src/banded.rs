@@ -12,23 +12,17 @@
 //!
 //! # Workspace / ownership contract
 //!
-//! The solver supports three usage styles:
+//! The solver supports two usage styles:
 //!
 //! * **One-shot** — [`BandedMatrix::factor`] consumes the matrix and moves
 //!   its storage into the returned [`BandedLu`]; each call allocates fresh
 //!   band storage via [`BandedMatrix::new`]. Simple, but in a hot loop the
 //!   `(2·kl+ku+1)·n` complex allocation and its zero-fill dominate.
-//! * **Copy into a kept factor** — the caller keeps one [`BandedMatrix`]
-//!   (reset with [`BandedMatrix::reset`] / [`BandedMatrix::reshape`]
-//!   between assemblies) and one [`BandedLu`] created once via
-//!   [`BandedLu::placeholder`], then refilled with
-//!   [`BandedMatrix::factor_into`]: the band image is `memcpy`ed into the
-//!   factor's existing buffer and factored there, with **zero heap
-//!   allocations** after the first call. The assembly survives the call.
-//! * **In-place refactor** — the caller keeps only a [`BandedLu`] and
-//!   refactors it with [`BandedLu::refactor`], which lends the factor's
-//!   own storage to the assembly: one band buffer instead of two, no
-//!   copy, no allocation once warm. When the new matrix agrees with the
+//! * **In-place refactor** — the caller keeps one [`BandedLu`], created
+//!   once via [`BandedLu::placeholder`], and refactors it with
+//!   [`BandedLu::refactor`], which lends the factor's own storage to the
+//!   assembly: one band buffer, no copy, **zero heap allocations** once
+//!   warm. When the new matrix agrees with the
 //!   one the storage factors in every column before some `start`, those
 //!   columns and their pivots are kept: only columns `start..` are
 //!   assembled, the kept elimination steps that reach them are replayed
@@ -41,7 +35,7 @@
 //! [`BandedLu::solve_transpose_many`], which make a *single* pass over
 //! the factors for all right-hand sides.
 //!
-//! The factorisation kernel is shared by all three styles and is written in
+//! The factorisation kernel is shared by both styles and is written in
 //! slice/iterator form (no bounds checks in the inner loops). Its complex
 //! axpy updates, like those of the substitution sweeps and of the `f32`
 //! preconditioner sweeps, go through a kernel dispatched at runtime: an
@@ -82,12 +76,12 @@
 //! use boson_num::banded::{BandedLu, BandedMatrix};
 //! use boson_num::c64;
 //!
-//! let mut a = BandedMatrix::new(4, 1, 1);
 //! let mut lu = BandedLu::placeholder();
 //! for shift in [2.0, 3.0] {
-//!     a.reset();
-//!     for i in 0..4 { a.set(i, i, c64(shift, 0.0)); }
-//!     a.factor_into(&mut lu).unwrap();
+//!     lu.refactor(4, 1, 1, 0, |a: &mut BandedMatrix, _| {
+//!         for i in 0..4 { a.set(i, i, c64(shift, 0.0)); }
+//!     })
+//!     .unwrap();
 //!     let mut x = vec![c64(1.0, 0.0); 4];
 //!     lu.solve(&mut x);
 //!     assert!((x[0].re - 1.0 / shift).abs() < 1e-14);
@@ -337,8 +331,8 @@ impl BandedMatrix {
     /// Factors the matrix (partial pivoting), consuming it.
     ///
     /// The band storage moves into the returned factorisation without a
-    /// copy. For repeated factorisations prefer
-    /// [`BandedMatrix::factor_into`], which keeps the assembly buffer.
+    /// copy. For repeated factorisations prefer [`BandedLu::refactor`],
+    /// which assembles into a kept factor's storage.
     ///
     /// # Examples
     ///
@@ -382,36 +376,9 @@ impl BandedMatrix {
         })
     }
 
-    /// Factors the matrix into a caller-owned [`BandedLu`], leaving the
-    /// assembly intact.
-    ///
-    /// The band image is copied into `lu`'s existing storage and factored
-    /// there; once `lu` has been used with the same dimensions before, the
-    /// call performs no heap allocation. Callers that assemble only to
-    /// factor should assemble straight into the factor's storage with
-    /// [`BandedLu::refactor`] instead, which skips the copy and the
-    /// unchanged leading columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if an exactly-zero pivot is met (in
-    /// which case `lu` holds garbage and must be refilled before use).
-    pub fn factor_into(&self, lu: &mut BandedLu) -> Result<(), SingularMatrixError> {
-        lu.n = self.n;
-        lu.kl = self.kl;
-        lu.ku = self.ku;
-        lu.ab.clear();
-        lu.ab.extend_from_slice(&self.ab);
-        lu.ipiv.clear();
-        lu.ipiv.resize(self.n, 0);
-        lu.kept = 0;
-        factor_kernel(self.n, self.kl, self.ku, &mut lu.ab, &mut lu.ipiv, 0)?;
-        lu.kept = self.n;
-        Ok(())
-    }
-
-    /// [`BandedMatrix::factor_into`] through the portable `axpy_neg` loop,
-    /// returning the factor storage and pivots.
+    /// [`BandedMatrix::factor`] through the portable `axpy_neg` loop,
+    /// leaving the matrix intact and returning the factor storage and
+    /// pivots.
     #[cfg(test)]
     pub(crate) fn factor_portable(
         &self,
@@ -431,8 +398,8 @@ impl BandedMatrix {
     }
 }
 
-/// The in-place `zgbtrf`-style kernel behind [`BandedMatrix::factor`],
-/// [`BandedMatrix::factor_into`] and [`BandedLu::refactor`], resuming the
+/// The in-place `zgbtrf`-style kernel behind [`BandedMatrix::factor`] and
+/// [`BandedLu::refactor`], resuming the
 /// elimination at column `start`.
 ///
 /// Columns before `start` and `ipiv[..start]` must hold a finished
@@ -594,8 +561,7 @@ impl BandedLu {
     }
 
     /// An empty factorisation slot for workspace reuse: fill it with
-    /// [`BandedLu::refactor`] or [`BandedMatrix::factor_into`] before
-    /// solving.
+    /// [`BandedLu::refactor`] before solving.
     pub fn placeholder() -> Self {
         Self {
             n: 0,
@@ -1014,24 +980,7 @@ impl BandedLuF32 {
             ipiv,
             scratch,
         } = self;
-        solve32_with(*n, *kl, *ku, ab, ipiv, scratch, b, nrhs, false);
-    }
-
-    /// Transpose counterpart of [`BandedLuF32::solve_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n·nrhs` or the slot was never assigned.
-    pub fn solve_transpose_many(&mut self, b: &mut [Complex64], nrhs: usize) {
-        let Self {
-            n,
-            kl,
-            ku,
-            ab,
-            ipiv,
-            scratch,
-        } = self;
-        solve32_with(*n, *kl, *ku, ab, ipiv, scratch, b, nrhs, true);
+        solve32_with(*n, *kl, *ku, ab, ipiv, scratch, b, nrhs);
     }
 
     /// [`BandedLuF32::solve_many`] with a **caller-owned** conversion
@@ -1051,23 +1000,7 @@ impl BandedLuF32 {
         nrhs: usize,
     ) {
         solve32_with(
-            self.n, self.kl, self.ku, &self.ab, &self.ipiv, scratch, b, nrhs, false,
-        );
-    }
-
-    /// Transpose counterpart of [`BandedLuF32::solve_many_with_scratch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n·nrhs` or the slot was never assigned.
-    pub fn solve_transpose_many_with_scratch(
-        &self,
-        scratch: &mut Vec<f32>,
-        b: &mut [Complex64],
-        nrhs: usize,
-    ) {
-        solve32_with(
-            self.n, self.kl, self.ku, &self.ab, &self.ipiv, scratch, b, nrhs, true,
+            self.n, self.kl, self.ku, &self.ab, &self.ipiv, scratch, b, nrhs,
         );
     }
 }
@@ -1085,7 +1018,6 @@ fn solve32_with(
     scratch: &mut Vec<f32>,
     b: &mut [Complex64],
     nrhs: usize,
-    transpose: bool,
 ) {
     assert!(n > 0, "BandedLuF32 never assigned");
     assert_eq!(b.len(), n * nrhs, "solve dimension mismatch");
@@ -1095,11 +1027,7 @@ fn solve32_with(
     let chunk_len = 2 * n * RHS_BLOCK;
     let ldab = 2 * kl + ku + 1;
     for chunk in scratch.chunks_mut(chunk_len) {
-        if transpose {
-            sweep32_transpose(n, kl, ku, ldab, ab, ipiv, chunk);
-        } else {
-            sweep32(n, kl, ku, ldab, ab, ipiv, chunk);
-        }
+        sweep32(n, kl, ku, ldab, ab, ipiv, chunk);
     }
     for (dst, pair) in b.iter_mut().zip(scratch.chunks_exact(2)) {
         *dst = Complex64::new(pair[0] as f64, pair[1] as f64);
@@ -1129,19 +1057,6 @@ pub(crate) fn axpy_neg32_scalar(a_re: f32, a_im: f32, x: &[f32], y: &mut [f32]) 
         yp[0] -= xp[0] * a_re - xp[1] * a_im;
         yp[1] -= xp[0] * a_im + xp[1] * a_re;
     }
-}
-
-/// Unconjugated dot product over interleaved-complex `f32` slices.
-#[inline]
-fn dotu32(x: &[f32], y: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(x.len(), y.len());
-    let mut re = 0.0f32;
-    let mut im = 0.0f32;
-    for (xp, yp) in x.chunks_exact(2).zip(y.chunks_exact(2)) {
-        re += xp[0] * yp[0] - xp[1] * yp[1];
-        im += xp[0] * yp[1] + xp[1] * yp[0];
-    }
-    (re, im)
 }
 
 /// Single-precision port of the forward sweep (`solve_sweep`) over
@@ -1179,52 +1094,6 @@ fn sweep32(n: usize, kl: usize, ku: usize, ldab: usize, ab: &[f32], ipiv: &[usiz
             rhs[2 * j] = re;
             rhs[2 * j + 1] = im;
             axpy_neg32(re, im, u, &mut rhs[2 * (j - reach)..2 * j]);
-        }
-    }
-}
-
-/// Single-precision port of the transpose sweep
-/// (`solve_transpose_sweep`).
-fn sweep32_transpose(
-    n: usize,
-    kl: usize,
-    ku: usize,
-    ldab: usize,
-    ab: &[f32],
-    ipiv: &[usize],
-    b: &mut [f32],
-) {
-    let kv = kl + ku;
-    // Uᵀ y = b: forward substitution.
-    for j in 0..n {
-        let col = 2 * (j * ldab + kv);
-        let (dre, dim_) = (ab[col], ab[col + 1]);
-        let dn = dre * dre + dim_ * dim_;
-        let (ire, iim) = (dre / dn, -dim_ / dn);
-        let reach = kv.min(j);
-        let u = &ab[col - 2 * reach..col];
-        for rhs in b.chunks_exact_mut(2 * n) {
-            let (sre, sim) = dotu32(u, &rhs[2 * (j - reach)..2 * j]);
-            let bre = rhs[2 * j] - sre;
-            let bim = rhs[2 * j + 1] - sim;
-            rhs[2 * j] = bre * ire - bim * iim;
-            rhs[2 * j + 1] = bre * iim + bim * ire;
-        }
-    }
-    // Lᵀ z = y: backward, applying pivots in reverse.
-    for j in (0..n).rev() {
-        let km = kl.min(n - 1 - j);
-        let col = 2 * (j * ldab + kv);
-        let p = ipiv[j];
-        let l = &ab[col + 2..col + 2 + 2 * km];
-        for rhs in b.chunks_exact_mut(2 * n) {
-            let (sre, sim) = dotu32(l, &rhs[2 * (j + 1)..2 * (j + 1 + km)]);
-            rhs[2 * j] -= sre;
-            rhs[2 * j + 1] -= sim;
-            if p != j {
-                rhs.swap(2 * j, 2 * p);
-                rhs.swap(2 * j + 1, 2 * p + 1);
-            }
         }
     }
 }
@@ -1572,11 +1441,11 @@ mod tests {
     }
 
     #[test]
-    fn factor_into_matches_consuming_factor() {
+    fn refactor_from_column_zero_matches_consuming_factor() {
         let a = random_banded(24, 3, 2, 5);
         let lu1 = a.clone().factor().unwrap();
         let mut lu2 = BandedLu::placeholder();
-        a.factor_into(&mut lu2).unwrap();
+        assert_eq!(lu2.refactor(24, 3, 2, 0, columns_of(&a)), Ok(0));
         let b: Vec<_> = (0..24).map(|i| c64(i as f64, -0.5 * i as f64)).collect();
         let x1 = lu1.solve_vec(&b);
         let x2 = lu2.solve_vec(&b);
@@ -1586,23 +1455,17 @@ mod tests {
     }
 
     #[test]
-    fn factor_into_is_allocation_stable_across_reuse() {
+    fn refactor_is_allocation_stable_across_reuse() {
         // Buffer pointers must not move between reuses with equal shapes —
         // the workspace contract behind the zero-allocation pipeline.
-        let mut a = random_banded(20, 2, 2, 1);
         let mut lu = BandedLu::placeholder();
-        a.factor_into(&mut lu).unwrap();
+        lu.refactor(20, 2, 2, 0, columns_of(&random_banded(20, 2, 2, 1)))
+            .unwrap();
         let ab_ptr = lu.ab.as_ptr();
         let ipiv_ptr = lu.ipiv.as_ptr();
         for seed in 2..6 {
-            a.reset();
             let fresh = random_banded(20, 2, 2, seed);
-            for i in 0..20usize {
-                for j in i.saturating_sub(2)..=(i + 2).min(19) {
-                    a.set(i, j, fresh.get(i, j));
-                }
-            }
-            a.factor_into(&mut lu).unwrap();
+            lu.refactor(20, 2, 2, 0, columns_of(&fresh)).unwrap();
             assert_eq!(lu.ab.as_ptr(), ab_ptr, "factor storage reallocated");
             assert_eq!(lu.ipiv.as_ptr(), ipiv_ptr, "pivot storage reallocated");
         }
@@ -1669,24 +1532,14 @@ mod tests {
             .map(|k| c64((k as f64 * 0.13).sin(), (k as f64 * 0.09).cos()))
             .collect();
         let mut scratch = Vec::new();
-        for transpose in [false, true] {
-            let mut internal = b0.clone();
-            let mut external = b0.clone();
-            if transpose {
-                lu32.solve_transpose_many(&mut internal, nrhs);
-            } else {
-                lu32.solve_many(&mut internal, nrhs);
-            }
-            // Shared borrow + external scratch.
-            let shared: &BandedLuF32 = &lu32;
-            if transpose {
-                shared.solve_transpose_many_with_scratch(&mut scratch, &mut external, nrhs);
-            } else {
-                shared.solve_many_with_scratch(&mut scratch, &mut external, nrhs);
-            }
-            assert_eq!(internal, external, "transpose={transpose}");
-            assert!(scratch.capacity() >= lu32.scratch_len(nrhs));
-        }
+        let mut internal = b0.clone();
+        let mut external = b0;
+        lu32.solve_many(&mut internal, nrhs);
+        // Shared borrow + external scratch.
+        let shared: &BandedLuF32 = &lu32;
+        shared.solve_many_with_scratch(&mut scratch, &mut external, nrhs);
+        assert_eq!(internal, external);
+        assert!(scratch.capacity() >= lu32.scratch_len(nrhs));
     }
 
     #[test]
@@ -1728,29 +1581,18 @@ mod tests {
         let b0: Vec<Complex64> = (0..n * nrhs)
             .map(|k| c64((k as f64 * 0.11).sin(), (k as f64 * 0.07).cos()))
             .collect();
-        for transpose in [false, true] {
-            let mut exact = b0.clone();
-            let mut approx = b0.clone();
-            if transpose {
-                lu.solve_transpose_many(&mut exact, nrhs);
-                lu32.solve_transpose_many(&mut approx, nrhs);
-            } else {
-                lu.solve_many(&mut exact, nrhs);
-                lu32.solve_many(&mut approx, nrhs);
-            }
-            let scale: f64 = exact.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
-            let err: f64 = exact
-                .iter()
-                .zip(&approx)
-                .map(|(p, q)| (*p - *q).norm_sqr())
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                err / scale < 1e-5,
-                "transpose={transpose}: f32 sweep error {}",
-                err / scale
-            );
-        }
+        let mut exact = b0.clone();
+        let mut approx = b0;
+        lu.solve_many(&mut exact, nrhs);
+        lu32.solve_many(&mut approx, nrhs);
+        let scale: f64 = exact.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
+        let err: f64 = exact
+            .iter()
+            .zip(&approx)
+            .map(|(p, q)| (*p - *q).norm_sqr())
+            .sum::<f64>()
+            .sqrt();
+        assert!(err / scale < 1e-5, "f32 sweep error {}", err / scale);
         // Reassignment reuses buffers.
         let ab_ptr = {
             lu32.assign_from(&lu);

@@ -14,11 +14,11 @@
 //! # Preconditioner contract
 //!
 //! The preconditioner `M` is applied as `M⁻¹v` through
-//! [`BandedLu::solve_many`] (or [`BandedLu::solve_transpose_many`] for the
-//! transpose variant). Right preconditioning solves `A M⁻¹ y = b` and
+//! [`BandedLu::solve_many`]. Right preconditioning solves `A M⁻¹ y = b` and
 //! recovers `x = M⁻¹ y`, so **residuals are true residuals of the original
 //! system** — the convergence test and the quality report both refer to
 //! `‖b − A x‖ / ‖b‖` and are meaningful regardless of how strong `M` is.
+//!
 //! Any nonsingular factorisation of the same dimension is admissible; the
 //! closer `M` is to `A`, the faster the iteration. With `M` the factored
 //! nominal corner operator and `A` a mildly perturbed corner, convergence
@@ -29,6 +29,10 @@
 //! direct factorisation** when `iterations` hits `max_iters` or the final
 //! residual exceeds the configured tolerance (see
 //! `boson_fdfd::sim::SimWorkspace`, which caches that decision per corner).
+//!
+//! There is one orientation, `A X = B`. The symmetrised FDFD operator is
+//! complex-symmetric (`Aᵀ = A`), so adjoint systems are solved exactly
+//! like forward ones.
 //!
 //! # Workspace contract
 //!
@@ -81,8 +85,6 @@ pub trait LinearOp {
     fn dim(&self) -> usize;
     /// `y = A x` (overwrites `y`).
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]);
-    /// `y = Aᵀ x` (overwrites `y`).
-    fn apply_transpose(&self, x: &[Complex64], y: &mut [Complex64]);
 }
 
 impl LinearOp for BandedMatrix {
@@ -92,10 +94,6 @@ impl LinearOp for BandedMatrix {
 
     fn apply(&self, x: &[Complex64], y: &mut [Complex64]) {
         self.matvec_into(x, y);
-    }
-
-    fn apply_transpose(&self, x: &[Complex64], y: &mut [Complex64]) {
-        self.matvec_transpose_into(x, y);
     }
 }
 
@@ -110,8 +108,6 @@ pub trait ColumnOp {
     fn dim(&self) -> usize;
     /// `y = A_col x` (overwrites `y`).
     fn apply_col(&self, col: usize, x: &[Complex64], y: &mut [Complex64]);
-    /// `y = A_colᵀ x` (overwrites `y`).
-    fn apply_col_transpose(&self, col: usize, x: &[Complex64], y: &mut [Complex64]);
 }
 
 impl<T: LinearOp> ColumnOp for T {
@@ -121,10 +117,6 @@ impl<T: LinearOp> ColumnOp for T {
 
     fn apply_col(&self, _col: usize, x: &[Complex64], y: &mut [Complex64]) {
         self.apply(x, y);
-    }
-
-    fn apply_col_transpose(&self, _col: usize, x: &[Complex64], y: &mut [Complex64]) {
-        self.apply_transpose(x, y);
     }
 }
 
@@ -138,8 +130,6 @@ pub trait Precondition {
     fn dim(&self) -> usize;
     /// Applies `M⁻¹` to `nrhs` column-major right-hand sides in place.
     fn solve_block(&mut self, b: &mut [Complex64], nrhs: usize);
-    /// Applies `M⁻ᵀ` to `nrhs` column-major right-hand sides in place.
-    fn solve_block_transpose(&mut self, b: &mut [Complex64], nrhs: usize);
 }
 
 impl Precondition for BandedLu {
@@ -150,10 +140,6 @@ impl Precondition for BandedLu {
     fn solve_block(&mut self, b: &mut [Complex64], nrhs: usize) {
         self.solve_many(b, nrhs);
     }
-
-    fn solve_block_transpose(&mut self, b: &mut [Complex64], nrhs: usize) {
-        self.solve_transpose_many(b, nrhs);
-    }
 }
 
 impl Precondition for BandedLuF32 {
@@ -163,10 +149,6 @@ impl Precondition for BandedLuF32 {
 
     fn solve_block(&mut self, b: &mut [Complex64], nrhs: usize) {
         self.solve_many(b, nrhs);
-    }
-
-    fn solve_block_transpose(&mut self, b: &mut [Complex64], nrhs: usize) {
-        self.solve_transpose_many(b, nrhs);
     }
 }
 
@@ -193,8 +175,6 @@ pub trait PrecondFamily {
     /// (`b.len() == dim()·cols.len()`); packed slot `i` holds global
     /// column `cols[i]`.
     fn solve_packed(&mut self, b: &mut [Complex64], cols: &[usize]);
-    /// Transpose counterpart of [`PrecondFamily::solve_packed`].
-    fn solve_packed_transpose(&mut self, b: &mut [Complex64], cols: &[usize]);
 }
 
 impl<P: Precondition> PrecondFamily for P {
@@ -204,10 +184,6 @@ impl<P: Precondition> PrecondFamily for P {
 
     fn solve_packed(&mut self, b: &mut [Complex64], cols: &[usize]) {
         self.solve_block(b, cols.len());
-    }
-
-    fn solve_packed_transpose(&mut self, b: &mut [Complex64], cols: &[usize]) {
-        self.solve_block_transpose(b, cols.len());
     }
 }
 
@@ -284,8 +260,7 @@ enum ColState {
     Broken,
 }
 
-/// Reusable buffers for [`bicgstab_precond_many`] /
-/// [`bicgstab_precond_transpose_many`]: eight `n × nrhs` Krylov blocks
+/// Reusable buffers for [`bicgstab_precond_many`]: eight `n × nrhs` Krylov blocks
 /// plus per-column scalar state. Grown once, then allocation-free.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
@@ -407,6 +382,18 @@ fn scalar_breaks(z: Complex64) -> bool {
     !z.is_finite() || z.abs() < BREAKDOWN
 }
 
+/// Collects the still-active columns into `ws.active` and records each
+/// one's packed slot in `ws.slot_of`.
+fn collect_active(ws: &mut KrylovWorkspace, nrhs: usize) {
+    ws.active.clear();
+    for c in 0..nrhs {
+        if ws.state[c] == ColState::Active {
+            ws.slot_of[c] = ws.active.len();
+            ws.active.push(c);
+        }
+    }
+}
+
 /// Solves `A X = B` for `nrhs` column-major right-hand sides with
 /// right-preconditioned BiCGSTAB, `M⁻¹` applied through
 /// [`PrecondFamily::solve_packed`] (a plain [`Precondition`] engine — the
@@ -481,65 +468,11 @@ pub fn bicgstab_precond_many<Op: ColumnOp + Sync, P: PrecondFamily>(
     opts: &IterativeOptions,
     ws: &mut KrylovWorkspace,
 ) -> SolveQuality {
-    bicgstab_driver(op, precond, b, x, nrhs, opts, ws, false)
-}
-
-/// Transpose counterpart of [`bicgstab_precond_many`]: solves `Aᵀ X = B`
-/// through [`ColumnOp::apply_col_transpose`] and
-/// [`Precondition::solve_block_transpose`] — the adjoint path, sharing
-/// the same nominal factorisation.
-///
-/// # Panics
-///
-/// Panics if `op`, `precond`, `b` and `x` disagree on dimensions.
-pub fn bicgstab_precond_transpose_many<Op: ColumnOp + Sync, P: PrecondFamily>(
-    op: &Op,
-    precond: &mut P,
-    b: &[Complex64],
-    x: &mut [Complex64],
-    nrhs: usize,
-    opts: &IterativeOptions,
-    ws: &mut KrylovWorkspace,
-) -> SolveQuality {
-    bicgstab_driver(op, precond, b, x, nrhs, opts, ws, true)
-}
-
-/// Collects the still-active columns into `ws.active` and records each
-/// one's packed slot in `ws.slot_of`.
-fn collect_active(ws: &mut KrylovWorkspace, nrhs: usize) {
-    ws.active.clear();
-    for c in 0..nrhs {
-        if ws.state[c] == ColState::Active {
-            ws.slot_of[c] = ws.active.len();
-            ws.active.push(c);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal driver shared by the two public faces
-fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
-    op: &Op,
-    precond: &mut P,
-    b: &[Complex64],
-    x: &mut [Complex64],
-    nrhs: usize,
-    opts: &IterativeOptions,
-    ws: &mut KrylovWorkspace,
-    transpose: bool,
-) -> SolveQuality {
     let n = op.dim();
     assert_eq!(precond.dim(), n, "preconditioner dimension mismatch");
     assert_eq!(b.len(), n * nrhs, "rhs block dimension mismatch");
     assert_eq!(x.len(), n * nrhs, "solution block dimension mismatch");
     ws.resize(n, nrhs);
-
-    let apply = |c: usize, x: &[Complex64], y: &mut [Complex64]| {
-        if transpose {
-            op.apply_col_transpose(c, x, y);
-        } else {
-            op.apply_col(c, x, y);
-        }
-    };
 
     // Lane budget for the per-column stages below. Columns are
     // data-disjoint and each column's arithmetic is serial, so the lane
@@ -589,7 +522,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
                     return;
                 }
                 if opts.use_initial_guess {
-                    apply(c, x, t);
+                    op.apply_col(c, x, t);
                     r.copy_from_slice(bcol);
                     axpy_neg(Complex64::ONE, t, r);
                 } else {
@@ -667,11 +600,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
         let nactive = ws.active.len();
         {
             let (p_hat, active) = (&mut ws.p_hat, &ws.active);
-            if transpose {
-                precond.solve_packed_transpose(&mut p_hat[..nactive * n], active);
-            } else {
-                precond.solve_packed(&mut p_hat[..nactive * n], active);
-            }
+            precond.solve_packed(&mut p_hat[..nactive * n], active);
         }
         {
             let active = &ws.active;
@@ -692,7 +621,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
                 // column writes and scalar slots never alias.
                 unsafe {
                     let v = vs.slice(c * n, n);
-                    apply(c, &p_hat[slot.clone()], v);
+                    op.apply_col(c, &p_hat[slot.clone()], v);
                     let denom = dot_conj(&r_hat[col.clone()], v);
                     if scalar_breaks(denom) {
                         *states.get(c) = ColState::Broken;
@@ -737,11 +666,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
         }
         {
             let (s_hat, s_active) = (&mut ws.s_hat, &ws.s_active);
-            if transpose {
-                precond.solve_packed_transpose(&mut s_hat[..s_slots * n], s_active);
-            } else {
-                precond.solve_packed(&mut s_hat[..s_slots * n], s_active);
-            }
+            precond.solve_packed(&mut s_hat[..s_slots * n], s_active);
         }
         {
             // `s_active` holds exactly the still-active columns in
@@ -768,7 +693,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
                 // column writes and scalar slots never alias.
                 unsafe {
                     let t = ts.slice(c * n, n);
-                    apply(c, &s_hat[sh.clone()], t);
+                    op.apply_col(c, &s_hat[sh.clone()], t);
                     let tt = dot_conj(t, t);
                     if scalar_breaks(tt) {
                         *states.get(c) = ColState::Broken;
@@ -821,7 +746,7 @@ fn bicgstab_driver<Op: ColumnOp + Sync, P: PrecondFamily>(
                     0.0
                 } else {
                     let t = ts.slice(c * n, n);
-                    apply(c, &x[col.clone()], t);
+                    op.apply_col(c, &x[col.clone()], t);
                     let r = rs.slice(c * n, n);
                     r.copy_from_slice(&b[col]);
                     axpy_neg(Complex64::ONE, t, r);
@@ -887,8 +812,7 @@ const RECYCLE_PIVOT_TOL: f64 = 1e-280;
 /// ```
 ///
 /// applied matrix-free through the same [`ColumnOp`] seam the lockstep
-/// iteration uses, so forward and adjoint (transpose) phases each recycle
-/// their own store against their own operator orientation.
+/// iteration uses.
 ///
 /// # Safety net: a recycled space can only skip, never worsen
 ///
@@ -1130,8 +1054,8 @@ impl RecycleSpace {
         true
     }
 
-    /// Improves the initial guess `x` for `A x = b` (or `Aᵀ x = b` when
-    /// `transpose`) in two stages, applying the operator matrix-free
+    /// Improves the initial guess `x` for `A x = b` in two stages,
+    /// applying the operator matrix-free
     /// through `op`'s column `col`:
     ///
     /// 1. **Start substitution** — if a solution remembered by
@@ -1156,7 +1080,6 @@ impl RecycleSpace {
         &mut self,
         op: &Op,
         col: usize,
-        transpose: bool,
         b: &[Complex64],
         x: &mut [Complex64],
         epoch: u64,
@@ -1189,13 +1112,7 @@ impl RecycleSpace {
         if self.count == 0 && !prev_ok {
             return false;
         }
-        let apply = |v: &[Complex64], out: &mut [Complex64]| {
-            if transpose {
-                op.apply_col_transpose(col, v, out);
-            } else {
-                op.apply_col(col, v, out);
-            }
-        };
+        let apply = |v: &[Complex64], out: &mut [Complex64]| op.apply_col(col, v, out);
         // r = b − A x₀.
         apply(x, &mut self.r);
         for (ri, &bi) in self.r.iter_mut().zip(b) {
@@ -1384,35 +1301,6 @@ mod tests {
             assert!(res < 1e-6, "column {c} residual {res}");
             assert!(ws.stats()[c].converged);
         }
-    }
-
-    #[test]
-    fn transpose_variant_solves_transpose_system() {
-        let n = 30;
-        let a = random_banded(n, 2, 4, 21);
-        let mut nominal = a.clone().factor().unwrap();
-        let corner = perturb_diagonal(&a, 0.08, 5);
-        let b: Vec<Complex64> = (0..n).map(|k| c64(1.0 / (k + 1) as f64, 0.2)).collect();
-        let mut x = vec![Complex64::ZERO; n];
-        let mut ws = KrylovWorkspace::new();
-        let q = bicgstab_precond_transpose_many(
-            &corner,
-            &mut nominal,
-            &b,
-            &mut x,
-            1,
-            &IterativeOptions::default(),
-            &mut ws,
-        );
-        assert!(q.converged, "{q:?}");
-        let atx = corner.matvec_transpose(&x);
-        let res: f64 = atx
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (*p - *q).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        assert!(res < 1e-6, "transpose residual {res}");
     }
 
     #[test]
@@ -1661,7 +1549,7 @@ mod tests {
         let c1 = perturb_diagonal(&a, 0.3, 6);
         let mut x_warm = x0.clone();
         let r_before = residual_of(&c1, &x_warm, &b);
-        assert!(space.try_apply(&c1, 0, false, &b, &mut x_warm, 1));
+        assert!(space.try_apply(&c1, 0, &b, &mut x_warm, 1));
         let r_after = residual_of(&c1, &x_warm, &b);
         assert!(
             r_after < r_before,
@@ -1686,48 +1574,6 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(err < 1e-6, "recycled vs plain solution drift {err}");
-    }
-
-    /// Transpose recycling projects through `Aᵀ` and reduces the
-    /// transpose-system residual.
-    #[test]
-    fn recycle_apply_works_for_transpose_systems() {
-        let n = 40;
-        let a = random_banded(n, 2, 4, 31);
-        let mut nominal = a.clone().factor().unwrap();
-        let b: Vec<Complex64> = (0..n).map(|k| c64(0.5 + k as f64 * 0.03, -0.2)).collect();
-        let opts = IterativeOptions {
-            tol: 1e-10,
-            max_iters: 40,
-            use_initial_guess: true,
-            threads: 1,
-        };
-        let c0 = perturb_diagonal(&a, 0.25, 9);
-        let mut x0 = vec![Complex64::ZERO; n];
-        let mut ws = KrylovWorkspace::new();
-        let q0 = bicgstab_precond_transpose_many(&c0, &mut nominal, &b, &mut x0, 1, &opts, &mut ws);
-        assert!(q0.converged);
-        let mut space = RecycleSpace::new(4);
-        space.ensure_dim(n);
-        assert!(space.harvest(&x0, 3));
-        let c1 = perturb_diagonal(&a, 0.25, 10);
-        let mut x = x0.clone();
-        let atx = c1.matvec_transpose(&x);
-        let r_before: f64 = atx
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (*p - *q).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        assert!(space.try_apply(&c1, 0, true, &b, &mut x, 4));
-        let atx = c1.matvec_transpose(&x);
-        let r_after: f64 = atx
-            .iter()
-            .zip(&b)
-            .map(|(p, q)| (*p - *q).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        assert!(r_after < r_before, "{r_after} vs {r_before}");
     }
 
     /// A remembered solution replaces a worse caller guess (residual
@@ -1762,7 +1608,7 @@ mod tests {
         let c1 = perturb_diagonal(&a, 0.2, 12);
         let mut x = vec![Complex64::ZERO; n];
         let r_cold = residual_of(&c1, &x, &b);
-        assert!(space.try_apply(&c1, 0, false, &b, &mut x, 1));
+        assert!(space.try_apply(&c1, 0, &b, &mut x, 1));
         let r_sub = residual_of(&c1, &x, &b);
         assert!(
             r_sub < r_cold,
@@ -1775,11 +1621,11 @@ mod tests {
         let q1 = bicgstab_precond_many(&c1, &mut nominal, &b, &mut x_exact, 1, &opts, &mut ws);
         assert!(q1.converged);
         let x_best = x_exact.clone();
-        assert!(!space.try_apply(&c1, 0, false, &b, &mut x_exact, 1));
+        assert!(!space.try_apply(&c1, 0, &b, &mut x_exact, 1));
         assert_eq!(x_exact, x_best, "a better guess must be kept");
         // Past the epoch window the remembered solution is dropped.
         let mut x_cold = vec![Complex64::ZERO; n];
-        assert!(!space.try_apply(&c1, 0, false, &b, &mut x_cold, 5));
+        assert!(!space.try_apply(&c1, 0, &b, &mut x_cold, 5));
         assert!(x_cold.iter().all(|v| *v == Complex64::ZERO));
     }
 
@@ -1799,12 +1645,12 @@ mod tests {
         let mut x = vec![Complex64::ZERO; n];
         let x_before = x.clone();
         // Epoch 4 is two past the harvest stamp: too stale.
-        assert!(!space.try_apply(&a, 0, false, &b, &mut x, 4));
+        assert!(!space.try_apply(&a, 0, &b, &mut x, 4));
         assert_eq!(x, x_before, "stale application must not touch x");
         assert!(space.is_empty(), "stale store must be dropped");
         // A backwards jump (optimiser reset) also invalidates.
         assert!(space.harvest(&dir, 9));
-        assert!(!space.try_apply(&a, 0, false, &b, &mut x, 3));
+        assert!(!space.try_apply(&a, 0, &b, &mut x, 3));
         assert!(space.is_empty());
     }
 
@@ -1855,7 +1701,7 @@ mod tests {
         let mut x = vec![Complex64::ZERO; n];
         for epoch in 1..6 {
             space.ensure_dim(n);
-            space.try_apply(&a, 0, false, &b, &mut x, epoch);
+            space.try_apply(&a, 0, &b, &mut x, epoch);
             let dir: Vec<Complex64> = (0..n)
                 .map(|k| c64((k as f64 * epoch as f64).cos(), 0.1 * epoch as f64))
                 .collect();

@@ -3,10 +3,7 @@
 use boson_num::banded::{BandedLuF32, BandedMatrix};
 use boson_num::fft::{fft, ifft};
 use boson_num::jacobi::sym_eigen;
-use boson_num::krylov::{
-    bicgstab_precond_many, bicgstab_precond_transpose_many, IterativeOptions, KrylovWorkspace,
-    RecycleSpace, SolveQuality,
-};
+use boson_num::krylov::{bicgstab_precond_many, IterativeOptions, KrylovWorkspace, RecycleSpace};
 use boson_num::tridiag::SymTridiag;
 use boson_num::{c64, Array2, Complex64};
 use proptest::prelude::*;
@@ -206,7 +203,8 @@ proptest! {
         }
     }
 
-    // Workspace reuse (reset + factor_into twice) ≡ fresh allocations.
+    // Workspace reuse (refactoring one kept factor twice) ≡ fresh
+    // allocations.
     #[test]
     fn workspace_reuse_equals_fresh_allocation(
         e1 in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 20 * 6),
@@ -216,18 +214,18 @@ proptest! {
         use boson_num::banded::BandedLu;
         let n = 20;
         let (kl, ku) = (2, 3);
-        let mut ws = BandedMatrix::new(n, kl, ku);
         let mut lu = BandedLu::placeholder();
         for entries in [&e1, &e2] {
             // Reused path.
-            ws.reset();
             let fresh = dominant_banded(n, kl, ku, entries);
-            for i in 0..n {
-                for j in i.saturating_sub(kl)..=(i + ku).min(n - 1) {
-                    ws.set(i, j, fresh.get(i, j));
+            lu.refactor(n, kl, ku, 0, |a, _| {
+                for i in 0..n {
+                    for j in i.saturating_sub(kl)..=(i + ku).min(n - 1) {
+                        a.set(i, j, fresh.get(i, j));
+                    }
                 }
-            }
-            ws.factor_into(&mut lu).expect("dominant matrix is nonsingular");
+            })
+            .expect("dominant matrix is nonsingular");
             let mut x_reused = rhs.clone();
             lu.solve(&mut x_reused);
             // Fresh-allocation path.
@@ -241,8 +239,8 @@ proptest! {
     // Nominal-factor-preconditioned BiCGSTAB agrees with the direct solve
     // of the perturbed operator to (well within) the configured
     // tolerance, for random diagonal perturbations of random strength —
-    // the ε/temperature/etch corner shape — on both the forward and the
-    // transpose path, with both the f64 and the f32 preconditioner.
+    // the ε/temperature/etch corner shape — with both the f64 and the
+    // f32 preconditioner.
     #[test]
     fn preconditioned_iterative_matches_direct_solve(
         entries in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 26 * 6),
@@ -271,14 +269,6 @@ proptest! {
         let err = x.iter().zip(&x_direct).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
         prop_assert!(err <= 100.0 * tol * (1.0 + xnorm(&x_direct)), "forward error {err}");
 
-        // Transpose path (the adjoint), f64 preconditioner.
-        let mut xt = vec![Complex64::ZERO; n];
-        let qt = bicgstab_precond_transpose_many(&corner, &mut m, &rhs, &mut xt, 1, &opts, &mut ws);
-        prop_assert!(qt.converged, "transpose did not converge: {qt:?}");
-        let xt_direct = direct.solve_transpose_vec(&rhs);
-        let errt = xt.iter().zip(&xt_direct).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
-        prop_assert!(errt <= 100.0 * tol * (1.0 + xnorm(&xt_direct)), "transpose error {errt}");
-
         // f32 preconditioner at an ordinary tolerance.
         let mut m32 = BandedLuF32::placeholder();
         m32.assign_from(&m);
@@ -303,9 +293,8 @@ proptest! {
     // the previous ε epoch's converged solves, Galerkin-projected onto
     // the next epoch's initial guess, yields the same solution as a
     // cold start — to (well within) the configured tolerance — across
-    // random diagonal ε perturbations of random strength and drift, on
-    // both the forward and the transpose (adjoint) path. The projection
-    // also never worsens the true initial residual (the store's commit
+    // random diagonal ε perturbations of random strength and drift. The
+    // projection also never worsens the true initial residual (the store's commit
     // rule), so convergence is at worst the cold start's.
     #[test]
     fn recycled_start_bicgstab_matches_cold_start(
@@ -335,64 +324,45 @@ proptest! {
             corner1.add(i, i, c64(strength * (re + 0.2 * dre), strength * (im + 0.2 * dim)));
         }
 
-        for transpose in [false, true] {
-            let run = |a: &BandedMatrix,
-                       m: &mut boson_num::banded::BandedLu,
-                       x: &mut [Complex64],
-                       opts: &IterativeOptions,
-                       ws: &mut KrylovWorkspace|
-             -> SolveQuality {
-                if transpose {
-                    bicgstab_precond_transpose_many(a, m, &rhs, x, 1, opts, ws)
-                } else {
-                    bicgstab_precond_many(a, m, &rhs, x, 1, opts, ws)
-                }
-            };
-            let mut space = RecycleSpace::new(4);
-            space.ensure_dim(n);
+        let mut space = RecycleSpace::new(4);
+        space.ensure_dim(n);
 
-            // Epoch 0: converge cold, harvest the correction (the full
-            // solution — the start was zero).
-            let mut x0 = vec![Complex64::ZERO; n];
-            let q0 = run(&corner0, &mut m, &mut x0, &cold, &mut ws);
-            prop_assert!(q0.converged, "epoch-0 solve did not converge: {q0:?}");
-            space.harvest(&x0, 0);
+        // Epoch 0: converge cold, harvest the correction (the full
+        // solution — the start was zero).
+        let mut x0 = vec![Complex64::ZERO; n];
+        let q0 = bicgstab_precond_many(&corner0, &mut m, &rhs, &mut x0, 1, &cold, &mut ws);
+        prop_assert!(q0.converged, "epoch-0 solve did not converge: {q0:?}");
+        space.harvest(&x0, 0);
 
-            // Epoch 1, cold start: the reference.
-            let mut x_cold = vec![Complex64::ZERO; n];
-            let qc = run(&corner1, &mut m, &mut x_cold, &cold, &mut ws);
-            prop_assert!(qc.converged, "cold epoch-1 solve did not converge: {qc:?}");
+        // Epoch 1, cold start: the reference.
+        let mut x_cold = vec![Complex64::ZERO; n];
+        let qc = bicgstab_precond_many(&corner1, &mut m, &rhs, &mut x_cold, 1, &cold, &mut ws);
+        prop_assert!(qc.converged, "cold epoch-1 solve did not converge: {qc:?}");
 
-            // Epoch 1, recycled start: Galerkin projection over the
-            // harvested directions, then the same solver warm-started.
-            let mut x_rec = vec![Complex64::ZERO; n];
-            let bnorm = xnorm(&rhs);
-            space.try_apply(&corner1, 0, transpose, &rhs, &mut x_rec, 1);
-            // Never-worsen: the projected start's true residual is no
-            // larger than the cold start's (‖b‖, up to roundoff).
-            let mut ax = vec![Complex64::ZERO; n];
-            if transpose {
-                corner1.matvec_transpose_into(&x_rec, &mut ax);
-            } else {
-                corner1.matvec_into(&x_rec, &mut ax);
-            }
-            let r_start = ax.iter().zip(&rhs).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
-            prop_assert!(
-                r_start <= bnorm * (1.0 + 1e-12) + 1e-12,
-                "projection worsened the start: {r_start} vs {bnorm}"
-            );
-            let qr = run(&corner1, &mut m, &mut x_rec, &warm, &mut ws);
-            prop_assert!(qr.converged, "recycled epoch-1 solve did not converge: {qr:?}");
+        // Epoch 1, recycled start: Galerkin projection over the
+        // harvested directions, then the same solver warm-started.
+        let mut x_rec = vec![Complex64::ZERO; n];
+        let bnorm = xnorm(&rhs);
+        space.try_apply(&corner1, 0, &rhs, &mut x_rec, 1);
+        // Never-worsen: the projected start's true residual is no
+        // larger than the cold start's (‖b‖, up to roundoff).
+        let mut ax = vec![Complex64::ZERO; n];
+        corner1.matvec_into(&x_rec, &mut ax);
+        let r_start = ax.iter().zip(&rhs).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
+        prop_assert!(
+            r_start <= bnorm * (1.0 + 1e-12) + 1e-12,
+            "projection worsened the start: {r_start} vs {bnorm}"
+        );
+        let qr = bicgstab_precond_many(&corner1, &mut m, &rhs, &mut x_rec, 1, &warm, &mut ws);
+        prop_assert!(qr.converged, "recycled epoch-1 solve did not converge: {qr:?}");
 
-            // Both solutions agree with each other to tolerance.
-            let err = x_rec.iter().zip(&x_cold)
-                .map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
-            prop_assert!(
-                err <= 200.0 * tol * (1.0 + xnorm(&x_cold)),
-                "{} recycled/cold mismatch {err}",
-                if transpose { "transpose" } else { "forward" }
-            );
-        }
+        // Both solutions agree with each other to tolerance.
+        let err = x_rec.iter().zip(&x_cold)
+            .map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
+        prop_assert!(
+            err <= 200.0 * tol * (1.0 + xnorm(&x_cold)),
+            "recycled/cold mismatch {err}"
+        );
     }
 
     // The optimised kernels agree with the seed's scalar reference

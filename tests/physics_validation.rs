@@ -8,9 +8,7 @@ use boson1::fdfd::pml::SFactors;
 use boson1::fdfd::port::Port;
 use boson1::fdfd::sim::SimWorkspace;
 use boson1::fdfd::source::ModalSource;
-use boson1::num::krylov::{
-    bicgstab_precond_many, bicgstab_precond_transpose_many, IterativeOptions, KrylovWorkspace,
-};
+use boson1::num::krylov::{bicgstab_precond_many, IterativeOptions, KrylovWorkspace};
 use boson1::num::{Array2, Complex64};
 
 const OMEGA: f64 = 2.0 * std::f64::consts::PI / 1.55;
@@ -28,10 +26,10 @@ fn straight_wg(grid: &SimGrid) -> Array2<f64> {
 #[test]
 fn direct_and_iterative_solvers_agree() {
     // Same operator, same right-hand sides: banded LU vs the production
-    // BiCGSTAB, forward and transpose. The operator is a perturbed corner
-    // (a lossy diagonal shift of the waveguide operator); the Krylov
-    // solves are preconditioned by the unshifted (nominal) factors, the
-    // pairing the iterative corner strategy runs.
+    // BiCGSTAB. The operator is a perturbed corner (a lossy diagonal
+    // shift of the waveguide operator); the Krylov solves are
+    // preconditioned by the unshifted (nominal) factors, the pairing the
+    // iterative corner strategy runs.
     let grid = SimGrid::new(30, 26, 0.05, 8);
     let s = SFactors::new(&grid, OMEGA);
     let eps = straight_wg(&grid);
@@ -80,23 +78,11 @@ fn direct_and_iterative_solvers_agree() {
     let err = rel_err(&x_direct, &x_iter);
     assert!(err < 1e-7, "solver disagreement: {err}");
 
+    // The corner stays complex-symmetric, so the same forward solve
+    // answers the adjoint (transpose) system too.
     let mut xt_direct = rhs.clone();
     lu.solve_transpose_many(&mut xt_direct, nrhs);
-    let mut xt_iter = vec![Complex64::ZERO; n * nrhs];
-    let quality = bicgstab_precond_transpose_many(
-        &corner,
-        &mut precond,
-        &rhs,
-        &mut xt_iter,
-        nrhs,
-        &opts,
-        &mut ws,
-    );
-    assert!(
-        quality.converged,
-        "transpose BiCGSTAB did not converge: {quality:?}"
-    );
-    let err = rel_err(&xt_direct, &xt_iter);
+    let err = rel_err(&xt_direct, &x_iter);
     assert!(err < 1e-7, "transpose solver disagreement: {err}");
 }
 
