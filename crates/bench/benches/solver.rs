@@ -60,10 +60,14 @@ fn bench_factor_and_solve(c: &mut Criterion) {
 }
 
 /// One bend corner factored in place from scratch (`fresh`) vs resumed at
-/// the design window's first cell (`resumed`), as
-/// [`SimWorkspace`] does for a corner that differs from the factor's
-/// operator only inside the window. Both sides produce the same factor
-/// bit for bit; `scripts/bench.sh` records the two medians ungated.
+/// the design window's first cell (`resumed`), as the plain banded LU
+/// does for a corner that differs from the factor's operator only inside
+/// the window; both produce the same factor bit for bit. `window_slab`
+/// is the same corner as [`SimWorkspace`] factors it with the design
+/// window's rows set: the fixed top and bottom slabs come from its warm
+/// slab cache, and only the window's Schur complement is refactored,
+/// resuming at the window's first design cell. `scripts/bench.sh`
+/// records the three medians ungated.
 fn bench_refactor(c: &mut Criterion) {
     let bend = bending();
     let (grid, omega) = (bend.grid, bend.omega);
@@ -102,6 +106,21 @@ fn bench_refactor(c: &mut Criterion) {
     });
     group.bench_function("resumed", |b| {
         b.iter(|| black_box(lu.refactor(n, nx, nx, start, assemble).unwrap()))
+    });
+    let (oy, h) = (bend.design_origin.0, bend.design_shape.0);
+    let mut ws = SimWorkspace::new();
+    ws.set_window_rows(Some(oy..oy + h));
+    ws.factor(grid, omega, &nominal).unwrap();
+    // Alternating the two permittivities makes every factor resume at
+    // the design window's first cell; the slabs hit the cache.
+    let mut flip = false;
+    group.bench_function("window_slab", |b| {
+        b.iter(|| {
+            flip = !flip;
+            let eps = if flip { &corner } else { &nominal };
+            ws.factor(grid, omega, eps).unwrap();
+            black_box(&ws);
+        })
     });
     group.finish();
 }

@@ -32,6 +32,7 @@ use boson_fdfd::sim::{
     CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
+use boson_fdfd::window::SlabCache;
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
 use boson_num::pool::{self, DisjointSlots};
@@ -680,7 +681,7 @@ impl CompiledProblem {
         scratch: &mut EvalScratch,
         omega_idx: usize,
     ) -> Result<Evaluation, SingularMatrixError> {
-        self.evaluate_eps_impl(eps, with_grad, spec, scratch, None, omega_idx)
+        self.evaluate_eps_impl(eps, with_grad, spec, scratch, None, omega_idx, None)
     }
 
     /// [`CompiledProblem::evaluate_eps_scratch`] with explicit per-corner
@@ -708,12 +709,22 @@ impl CompiledProblem {
         corner: Option<&CornerSolve<'_>>,
     ) -> Result<Evaluation, SingularMatrixError> {
         let omega_idx = corner.map_or(self.nominal_omega_idx, |cs| cs.omega_idx);
-        self.evaluate_eps_impl(eps, with_grad, spec, scratch, corner, omega_idx)
+        self.evaluate_eps_impl(eps, with_grad, spec, scratch, corner, omega_idx, None)
+    }
+
+    /// The design window's grid rows: every direct factor condenses the
+    /// fixed slabs above and below them out (see [`boson_fdfd::window`]).
+    fn window_rows(&self) -> std::ops::Range<usize> {
+        let oy = self.problem.design_origin.0;
+        oy..oy + self.problem.design_shape.0
     }
 
     /// Shared body of every single-ε evaluation entry point, at the
-    /// `omega_idx`-th compiled wavelength.
+    /// `omega_idx`-th compiled wavelength. `lent` carries a direct
+    /// fan-out's shared slab cache (see
+    /// [`CompiledProblem::evaluate_direct_columns`]).
     #[allow(clippy::needless_range_loop)] // excitation index addresses four parallel blocks
+    #[allow(clippy::too_many_arguments)] // the entry points' arguments, passed through
     fn evaluate_eps_impl(
         &self,
         eps: &Array2<f64>,
@@ -722,18 +733,22 @@ impl CompiledProblem {
         scratch: &mut EvalScratch,
         corner: Option<&CornerSolve<'_>>,
         omega_idx: usize,
+        lent: Option<&SlabCache>,
     ) -> Result<Evaluation, SingularMatrixError> {
         let grid = self.problem.grid;
         let n = grid.n();
         let cal = &self.cals[omega_idx];
         let nexc = cal.sources.len();
-        match corner {
-            None => {
+        scratch.sim.set_window_rows(Some(self.window_rows()));
+        match (corner, lent) {
+            // Lent slabs come only with the direct fan-out's columns.
+            (_, Some(slabs)) => scratch.sim.factor_lent(grid, cal.omega, eps, slabs)?,
+            (None, None) => {
                 scratch
                     .sim
                     .prepare_corner(grid, cal.omega, eps, SolverStrategy::Direct, None)?
             }
-            Some(cs) => {
+            (Some(cs), None) => {
                 let ctx = CornerContext {
                     nominal_eps: cs.nominal_eps,
                     epoch: cs.epoch,
@@ -842,8 +857,12 @@ impl CompiledProblem {
     /// factor-and-solve, and the columns fan out over up to `set.threads`
     /// lanes of the process-wide `boson_num::pool`, each lane with its
     /// own [`EvalScratch`] (lane 0 is `scratch`; the others live inside
-    /// it and are built on first use). Columns are independent, so any
-    /// lane count is bit-identical.
+    /// it and are built on first use). Every direct factor condenses the
+    /// fixed slabs around the design window out of the operator (see
+    /// [`boson_fdfd::window`]); with several lanes, the slabs all columns
+    /// need are built on `scratch` first and its slab cache is lent to
+    /// every lane. Columns are independent and cached slabs equal fresh
+    /// ones bit for bit, so any lane count is bit-identical.
     ///
     /// Under the iterative strategies each ω's nominal corner is
     /// evaluated first on `scratch` (refreshing that ω's factor and
@@ -1339,9 +1358,12 @@ impl CompiledProblem {
     /// Evaluates the `cols` entries of `epss` as plain direct
     /// factor-and-solves, one pool part per column on up to `lanes`
     /// lanes. Lane 0 runs on `scratch`, lanes `1..` on the scratches kept
-    /// in its `lanes` field (built on first use, then reused). Every
-    /// column is independent, so the lane count never changes a result.
-    /// Results come back in `cols` order.
+    /// in its `lanes` field (built on first use, then reused). With more
+    /// than one lane, every slab the columns need is built on `scratch`
+    /// before the dispatch and its cache lent read-only to all lanes
+    /// ([`SimWorkspace::take_window_slabs`]); one lane builds on demand.
+    /// Every column is independent, so the lane count never changes a
+    /// result. Results come back in `cols` order.
     #[allow(clippy::too_many_arguments)] // the product call's context, passed through
     fn evaluate_direct_columns(
         &self,
@@ -1355,6 +1377,17 @@ impl CompiledProblem {
     ) -> Vec<Result<Evaluation, SingularMatrixError>> {
         let pool = pool::global();
         let lanes = lanes.min(cols.len()).min(pool.lanes()).max(1);
+        // Several lanes: build every slab the columns need on the
+        // caller's workspace first and lend that one cache to all lanes.
+        let slabs = (lanes > 1).then(|| {
+            scratch.sim.set_window_rows(Some(self.window_rows()));
+            let corners = cols
+                .iter()
+                .map(|&ci| (self.cals[set.omega_idx[ci]].omega, &epss[ci]));
+            scratch
+                .sim
+                .take_window_slabs(self.problem.grid, lanes, corners)
+        });
         let mut extra = std::mem::take(&mut scratch.lanes);
         if extra.len() < lanes - 1 {
             extra.resize_with(lanes - 1, EvalScratch::new);
@@ -1384,17 +1417,22 @@ impl CompiledProblem {
                 // scratch is never aliased.
                 unsafe {
                     let lane_scratch: &mut EvalScratch = scratches.get(lane);
-                    *outs.get(part) = Some(self.evaluate_eps_corner(
+                    *outs.get(part) = Some(self.evaluate_eps_impl(
                         &epss[ci],
                         with_grad,
                         spec,
                         lane_scratch,
                         Some(&cs),
+                        cs.omega_idx,
+                        slabs.as_ref(),
                     ));
                 }
             });
         }
         scratch.lanes = extra;
+        if let Some(slabs) = slabs {
+            scratch.sim.restore_window_slabs(slabs);
+        }
         out.into_iter()
             .map(|ev| ev.expect("every direct column ran"))
             .collect()

@@ -5,7 +5,8 @@
 //!
 //! * stretched-coordinate PML absorbing boundaries ([`pml`]),
 //! * a complex-*symmetric* operator assembly so forward and adjoint solves
-//!   share one banded LU factorisation ([`operator`], [`sim`]),
+//!   share one banded LU factorisation ([`operator`], [`sim`]), condensed
+//!   to the design window's rows for direct corners ([`window`]),
 //! * slab-waveguide eigenmode ports ([`modes`], [`port`]),
 //! * unidirectional two-line modal sources ([`source`]),
 //! * direction-separating modal monitors and Poynting-flux monitors, all
@@ -54,6 +55,7 @@ pub mod port;
 pub mod render;
 pub mod sim;
 pub mod source;
+pub mod window;
 
 /// Convenient glob-import of the main API surface.
 pub mod prelude {

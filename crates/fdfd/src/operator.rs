@@ -284,6 +284,123 @@ impl StencilCache {
         }
     }
 
+    /// Writes columns `start..` of the banded image of the operator's
+    /// principal block on the unknowns `rows` (whole grid rows, so the
+    /// block keeps the half-width `nx`), with diagonal `diag` (the whole
+    /// grid's, as produced by [`StencilCache::diag_into`]). Local unknown
+    /// `k` is global `rows.start + k`, or `rows.end − 1 − k` when
+    /// `reversed`: the block of the last grid rows in reversed order puts
+    /// the rows next to the block above it last.
+    ///
+    /// Couplings to unknowns outside `rows` are dropped. As in
+    /// [`StencilCache::assemble_with_diag`], only the stencil entries are
+    /// written and the rest of those columns must already be zero; the
+    /// whole grid, not reversed, gives the same image bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag.len()` does not match the cached grid size, `rows`
+    /// is not whole grid rows inside it, or `a` is not
+    /// `rows.len() × rows.len()` with half-widths `nx`.
+    pub fn assemble_block_with_diag(
+        &self,
+        diag: &[Complex64],
+        rows: std::ops::Range<usize>,
+        reversed: bool,
+        start: usize,
+        a: &mut BandedMatrix,
+    ) {
+        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
+        let nx = self.nx;
+        assert!(
+            rows.start.is_multiple_of(nx)
+                && rows.end.is_multiple_of(nx)
+                && rows.start < rows.end
+                && rows.end <= self.n,
+            "block rows must be whole grid rows"
+        );
+        let m = rows.len();
+        assert!(
+            a.n() == m && a.kl() == nx && a.ku() == nx,
+            "block matrix has the wrong shape"
+        );
+        let global = |k: usize| {
+            if reversed {
+                rows.end - 1 - k
+            } else {
+                rows.start + k
+            }
+        };
+        // Local row k's entries lie in local columns k − nx ..= k + nx.
+        for k in start.saturating_sub(nx)..m {
+            let g = global(k);
+            let ix = g % nx;
+            // (local column, coefficient) of each neighbour inside the block.
+            let west = (ix > 0).then(|| (g - 1, self.west[g]));
+            let east = (ix + 1 < nx).then(|| (g + 1, self.east[g]));
+            let south = (g >= rows.start + nx).then(|| (g - nx, self.south[g]));
+            let north = (g + nx < rows.end).then(|| (g + nx, self.north[g]));
+            if k >= start {
+                a.set(k, k, diag[g]);
+            }
+            for (h, v) in [west, east, south, north].into_iter().flatten() {
+                let l = if reversed {
+                    rows.end - 1 - h
+                } else {
+                    h - rows.start
+                };
+                if l >= start {
+                    a.set(k, l, v);
+                }
+            }
+        }
+    }
+
+    /// Coupling `A(k, k − nx)` of every unknown (zero on the first grid
+    /// row).
+    pub(crate) fn south(&self) -> &[Complex64] {
+        &self.south
+    }
+
+    /// Coupling `A(k, k + nx)` of every unknown (zero on the last grid
+    /// row).
+    pub(crate) fn north(&self) -> &[Complex64] {
+        &self.north
+    }
+
+    /// The largest `|a_ij|` of the operator with diagonal `diag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag.len()` does not match the cached grid size.
+    pub fn max_abs_entry(&self, diag: &[Complex64]) -> f64 {
+        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
+        [diag, &self.west, &self.east, &self.south, &self.north]
+            .iter()
+            .flat_map(|v| v.iter())
+            .fold(0.0f64, |m, z| m.max(z.abs()))
+    }
+
+    /// `‖A‖∞`, the largest absolute row sum, of the operator with
+    /// diagonal `diag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag.len()` does not match the cached grid size.
+    pub fn norm_inf(&self, diag: &[Complex64]) -> f64 {
+        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
+        let mut norm = 0.0f64;
+        for (k, d) in diag.iter().enumerate() {
+            let row = d.abs()
+                + self.west[k].abs()
+                + self.east[k].abs()
+                + self.south[k].abs()
+                + self.north[k].abs();
+            norm = norm.max(row);
+        }
+        norm
+    }
+
     /// Grid extent along the fast axis: the operator's band half-width.
     pub fn nx(&self) -> usize {
         self.nx

@@ -39,6 +39,16 @@
 //!   the window's first cell, and the result is still bit-identical to a
 //!   fresh factorisation. Each ω slot's nominal factor refreshes the same
 //!   way;
+//! * with the design window's grid rows set
+//!   ([`SimWorkspace::set_window_rows`]), a direct corner factors only the
+//!   window's rows: the fixed slabs above and below it are factored once
+//!   per `(grid, ω, slab diagonal)` into a [`crate::window::SlabCache`]
+//!   and condensed out, and the window's Schur complement is refactored
+//!   in place from its first changed column ([`crate::window`]). Every
+//!   such solve is backward-error checked and falls back to the plain
+//!   banded LU on failure. A direct fan-out builds the slabs on its
+//!   caller's workspace and lends that cache to every lane
+//!   ([`SimWorkspace::take_window_slabs`], [`SimWorkspace::factor_lent`]);
 //! * [`SimWorkspace::solve_block`] solves a caller-owned column-major
 //!   block in place: every excitation's forward solve (currents scaled by
 //!   [`crate::operator::scale_source_into`]) in one block, then every
@@ -61,7 +71,8 @@
 //! [`SolverStrategy`] selects how [`SimWorkspace`] treats them:
 //!
 //! * [`SolverStrategy::Direct`] — assemble + LU-factor every corner
-//!   (`O(n·b²)` each); the exact reference path.
+//!   (`O(n·b²)` each, the window's rows only when window rows are set);
+//!   the exact reference path.
 //! * [`SolverStrategy::PreconditionedIterative`] — factor only the
 //!   nominal operator per `(grid, ω, epoch)` — each resident ω slot
 //!   caches its own nominal factor, so a broadband (corner × ω) sweep
@@ -89,6 +100,7 @@
 use crate::grid::SimGrid;
 use crate::operator::StencilCache;
 use crate::pml::SFactors;
+use crate::window::{backward_error_ok, SlabCache, Split, WindowFactor};
 use boson_num::banded::{BandedLu, BandedLuF32, SingularMatrixError};
 use boson_num::krylov::{
     bicgstab_precond_many, ColumnOp, IterativeOptions, KrylovWorkspace, PrecondFamily,
@@ -220,6 +232,12 @@ pub struct CornerSolveReport {
     pub total_iterations: usize,
     /// Worst per-RHS final true relative residual of an iterative solve.
     pub max_residual: f64,
+    /// Direct factors or solves of this corner that left the
+    /// design-window path for the plain banded LU: a singular slab or
+    /// window factor, or a window solve that failed its backward-error
+    /// check (see [`crate::window`]). Each one is a full plain
+    /// factorisation, bit-identical to a corner without a window.
+    pub window_fallbacks: usize,
 }
 
 /// Lagged-nominal-factor policy of a [`SimWorkspace`] (see
@@ -724,6 +742,10 @@ fn merge_stats_into_reports(
 enum SolveMode {
     /// `lu` holds this corner's own factorisation.
     DirectLu,
+    /// `window` holds this corner's design-window factor over the cached
+    /// slabs of this split; every solve is backward-error checked and
+    /// falls back to [`SolveMode::DirectLu`].
+    Window(Split),
     /// The corner *is* the nominal corner: solve on `nominal_lu`.
     NominalDirect,
     /// Matrix-free iterative path, preconditioned by the nominal banded
@@ -768,10 +790,17 @@ enum SolveMode {
 /// Every factorisation — a direct corner, a forced-direct corner, a
 /// budget-miss fallback, a nominal refresh — runs in place in the band
 /// storage of the factor it replaces and resumes at the first cell whose
-/// diagonal changed (see the module docs). The workspace therefore holds
-/// one band buffer for the corner factor plus one per resident ω slot's
-/// nominal factor (iterative strategy only), and no assembly buffer; each
-/// factor keeps an `n`-entry record of the diagonal it factors.
+/// diagonal changed (see the module docs); each factor keeps a record of
+/// the diagonal it factors, and there is no assembly buffer.
+///
+/// With design-window rows set ([`SimWorkspace::set_window_rows`]), a
+/// direct corner factors only the window's rows: the fixed slabs above
+/// and below it come factored from a [`SlabCache`] (see
+/// [`crate::window`]), and the corner's factor is the window's Schur
+/// complement, a band buffer over the window rows. Without window rows,
+/// or on a window fallback, the corner factor is one full band buffer,
+/// allocated on first use. Each resident ω slot's nominal factor
+/// (iterative strategy only) is a full band buffer either way.
 #[derive(Debug)]
 pub struct SimWorkspace {
     grid: Option<SimGrid>,
@@ -786,8 +815,21 @@ pub struct SimWorkspace {
     active: usize,
     /// Monotonic use counter driving the LRU eviction.
     clock: u64,
-    /// The prepared corner's own factorisation (direct modes), refactored
-    /// in place from corner to corner.
+    /// Design-window grid rows of direct corner factors (`None`: plain
+    /// banded factors).
+    window_rows: Option<std::ops::Range<usize>>,
+    /// The prepared corner's design-window factor, refactored in place
+    /// from corner to corner.
+    window: WindowFactor,
+    /// Factored slabs around the design window, built on demand.
+    slabs: SlabCache,
+    /// `‖A‖∞` of the prepared corner (window mode's backward-error check).
+    a_norm: f64,
+    /// Residual scratch of the backward-error check.
+    resid: Vec<Complex64>,
+    /// The prepared corner's own plain factorisation (direct modes
+    /// without a window, and window fallbacks), refactored in place from
+    /// corner to corner.
     lu: BandedLu,
     /// Operator diagonal `lu`'s storage factors (empty: none) …
     lu_diag: Vec<Complex64>,
@@ -838,6 +880,11 @@ impl SimWorkspace {
             slots: Vec::new(),
             active: 0,
             clock: 0,
+            window_rows: None,
+            window: WindowFactor::new(),
+            slabs: SlabCache::new(),
+            a_norm: 0.0,
+            resid: Vec::new(),
             lu: BandedLu::placeholder(),
             lu_diag: Vec::new(),
             lu_key: None,
@@ -968,6 +1015,18 @@ impl SimWorkspace {
         self.omega = omega;
     }
 
+    /// Sets the design-window grid rows of direct corner factors (`None`,
+    /// the default: plain banded factors). With a window, every direct
+    /// factorisation — [`SimWorkspace::factor`], forced-direct corners and
+    /// budget-miss fallbacks — condenses the fixed slabs above and below
+    /// it out of the operator and factors only the window rows (see
+    /// [`crate::window`]); nominal factors stay plain. A window on the
+    /// grid's first or last row leaves a slab empty and keeps the plain
+    /// path. Setting the same rows again is free.
+    pub fn set_window_rows(&mut self, rows: Option<std::ops::Range<usize>>) {
+        self.window_rows = rows;
+    }
+
     /// Assembles and factors the operator for `eps`, reusing every buffer:
     /// the direct corner preparation. Subsequent
     /// [`SimWorkspace::solve_block`] calls solve on the fresh factors, and
@@ -977,10 +1036,12 @@ impl SimWorkspace {
     /// recomputed only when `(grid, omega)` differs from the previous
     /// call — a corner assembly rewrites the diagonal `k₀²·ε·sx·sy` band
     /// and copies the cached couplings instead of re-deriving them. The
-    /// operator is assembled into the LU storage itself, reused whenever
-    /// the grid size is unchanged, and the factorisation resumes at the
-    /// first cell whose diagonal differs from the previous corner's at
-    /// the same `(grid, omega)` (bit-identical to a fresh factor).
+    /// operator is assembled into the factor's storage itself, reused
+    /// whenever the grid size is unchanged, and the factorisation resumes
+    /// at the first column that differs from the previous corner's at the
+    /// same `(grid, omega)` (bit-identical to a fresh factor). With window
+    /// rows set, only the window's rows are factored, over slabs from this
+    /// workspace's [`SlabCache`].
     ///
     /// # Errors
     ///
@@ -995,6 +1056,38 @@ impl SimWorkspace {
         grid: SimGrid,
         omega: f64,
         eps: &Array2<f64>,
+    ) -> Result<(), SingularMatrixError> {
+        self.factor_corner(grid, omega, eps, None)
+    }
+
+    /// [`SimWorkspace::factor`] over slabs lent from another workspace's
+    /// cache (a direct fan-out lane; see
+    /// [`SimWorkspace::take_window_slabs`]). A slab missing from `slabs`
+    /// is built into this workspace's own cache: slower, never different.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimWorkspace::factor`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SimWorkspace::factor`].
+    pub fn factor_lent(
+        &mut self,
+        grid: SimGrid,
+        omega: f64,
+        eps: &Array2<f64>,
+        slabs: &SlabCache,
+    ) -> Result<(), SingularMatrixError> {
+        self.factor_corner(grid, omega, eps, Some(slabs))
+    }
+
+    fn factor_corner(
+        &mut self,
+        grid: SimGrid,
+        omega: f64,
+        eps: &Array2<f64>,
+        lent: Option<&SlabCache>,
     ) -> Result<(), SingularMatrixError> {
         assert_eq!(
             eps.shape(),
@@ -1011,17 +1104,104 @@ impl SimWorkspace {
         self.slots[self.active]
             .stencil
             .diag_into(eps, &mut self.diag);
-        self.factor_direct()?;
-        self.report.factorizations = 1;
+        self.factor_direct(lent)?;
+        self.report.factorizations += 1;
         Ok(())
     }
 
+    /// The design-window split of `grid`'s direct factors (`None`: plain).
+    fn window_split(&self, grid: &SimGrid) -> Option<Split> {
+        self.window_rows.as_ref().and_then(|r| Split::new(grid, r))
+    }
+
+    /// Builds, into this workspace's [`SlabCache`], every slab the direct
+    /// factors of `corners` (`(ω, ε)` pairs on `grid`) use under the
+    /// current window rows, pins them, sizes the cache's budget for
+    /// `lanes` lanes, and hands the cache out to be lent read-only to
+    /// every lane's [`SimWorkspace::factor_lent`]. Give it back with
+    /// [`SimWorkspace::restore_window_slabs`]. Without window rows the
+    /// cache comes back untouched. The workspace's prepared corner, if
+    /// any, is dropped: prepare one again before solving.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an `ε` does not have shape `(ny, nx)`.
+    pub fn take_window_slabs<'e>(
+        &mut self,
+        grid: SimGrid,
+        lanes: usize,
+        corners: impl IntoIterator<Item = (f64, &'e Array2<f64>)>,
+    ) -> SlabCache {
+        if let Some(split) = self.window_split(&grid) {
+            self.factored = false;
+            self.slabs.hold_lanes(lanes);
+            self.slabs.pin();
+            for (omega, eps) in corners {
+                assert_eq!(
+                    eps.shape(),
+                    (grid.ny, grid.nx),
+                    "eps shape must be (ny, nx)"
+                );
+                self.ensure_geometry(grid, omega);
+                let stencil = &self.slots[self.active].stencil;
+                stencil.diag_into(eps, &mut self.diag);
+                self.slabs.ensure(grid, omega, split, stencil, &self.diag);
+            }
+        }
+        std::mem::take(&mut self.slabs)
+    }
+
+    /// Takes back the cache [`SimWorkspace::take_window_slabs`] handed
+    /// out, unpins it and evicts down to its budget.
+    pub fn restore_window_slabs(&mut self, mut slabs: SlabCache) {
+        slabs.unpin();
+        self.slabs = slabs;
+    }
+
+    /// Factors the active slot's operator with diagonal `self.diag` and
+    /// arms its direct solve mode: the direct preparation of
+    /// [`SimWorkspace::factor`], of a forced-direct corner and of the
+    /// budget-miss fallback. With window rows it factors the window over
+    /// cached slabs ([`SolveMode::Window`]; slabs come from `lent` when
+    /// it holds them); a singular slab or window factor falls back to the
+    /// plain factor ([`SolveMode::DirectLu`]), counted in the report.
+    fn factor_direct(&mut self, lent: Option<&SlabCache>) -> Result<(), SingularMatrixError> {
+        let grid = self.grid.expect("SimWorkspace not prepared");
+        self.factored = false;
+        if let Some(split) = self.window_split(&grid) {
+            // Drop the previous corner's slabs first, so a cache miss can
+            // reuse the storage of one it evicts.
+            self.window.release_slabs();
+            let stencil = &self.slots[self.active].stencil;
+            let slabs = match lent.and_then(|c| c.find(grid, self.omega, split, &self.diag)) {
+                Some(pair) => pair,
+                None => self
+                    .slabs
+                    .ensure(grid, self.omega, split, stencil, &self.diag),
+            };
+            if !slabs.0.is_singular()
+                && !slabs.1.is_singular()
+                && self
+                    .window
+                    .factor(grid, self.omega, split, stencil, &self.diag, slabs)
+                    .is_ok()
+            {
+                self.a_norm = stencil.norm_inf(&self.diag);
+                self.factored = true;
+                self.mode = SolveMode::Window(split);
+                return Ok(());
+            }
+            self.window.release_slabs();
+            self.report.window_fallbacks += 1;
+        }
+        self.factor_plain()
+    }
+
     /// Factors the active slot's operator with diagonal `self.diag` into
-    /// `self.lu` and arms [`SolveMode::DirectLu`]: the direct preparation
-    /// of [`SimWorkspace::factor`], of a forced-direct corner and of the
-    /// budget-miss fallback. Resumes from the first cell whose diagonal
-    /// differs from the one `lu` factors (see [`refactor_lu`]).
-    fn factor_direct(&mut self) -> Result<(), SingularMatrixError> {
+    /// the plain banded `self.lu` and arms [`SolveMode::DirectLu`].
+    /// Resumes from the first cell whose diagonal differs from the one
+    /// `lu` factors (see [`refactor_lu`]).
+    fn factor_plain(&mut self) -> Result<(), SingularMatrixError> {
         let key = (self.grid.expect("SimWorkspace not prepared"), self.omega);
         if self.lu_key != Some(key) {
             self.lu_diag.clear();
@@ -1039,6 +1219,40 @@ impl SimWorkspace {
         Ok(())
     }
 
+    /// Solves the prepared direct corner in place: on the window factor
+    /// (backward-error checked; a failed check re-solves through the
+    /// plain factor, counted in the report) or on the plain factor.
+    fn solve_direct(
+        &mut self,
+        b: &mut [Complex64],
+        nrhs: usize,
+    ) -> Result<(), SingularMatrixError> {
+        assert!(self.factored, "SimWorkspace not factored");
+        if let SolveMode::Window(split) = self.mode {
+            self.rhs.clear();
+            self.rhs.extend_from_slice(b);
+            let stencil = &self.slots[self.active].stencil;
+            self.window.solve(stencil, split, b, nrhs);
+            if backward_error_ok(
+                stencil,
+                &self.diag,
+                self.a_norm,
+                b,
+                &self.rhs,
+                &mut self.resid,
+            ) {
+                return Ok(());
+            }
+            self.report.window_fallbacks += 1;
+            self.report.factorizations += 1;
+            self.window.release_slabs();
+            self.factor_plain()?;
+            b.copy_from_slice(&self.rhs);
+        }
+        self.lu.solve_many(b, nrhs);
+        Ok(())
+    }
+
     /// Prepares a variation-corner evaluation under `strategy`.
     ///
     /// * [`SolverStrategy::Direct`] — identical to
@@ -1049,7 +1263,11 @@ impl SimWorkspace {
     ///   iterative path for this corner: an `O(n)` diagonal rewrite
     ///   replaces the `O(n·b²)` factorisation. The nominal corner itself
     ///   (unless a [`FactorLag`] policy kept its factor stale) and corners
-    ///   with [`CornerContext::force_direct`] solve directly.
+    ///   with [`CornerContext::force_direct`] solve directly — with window
+    ///   rows set, forced corners on their own window factor, and so does
+    ///   the nominal corner unless a [`FactorLag`] policy is set: without
+    ///   one, a run whose every other corner falls back solves exactly as
+    ///   under [`SolverStrategy::Direct`].
     ///
     /// Subsequent [`SimWorkspace::solve_block`] calls dispatch on the
     /// prepared mode; [`SimWorkspace::last_report`] tells what happened.
@@ -1090,6 +1308,7 @@ impl SimWorkspace {
         );
         self.ensure_geometry(grid, omega);
         self.factored = false;
+        let windowed = self.window_split(&grid).is_some();
         let slot = &mut self.slots[self.active];
         self.report.factorizations += refresh_nominal_banded(
             slot,
@@ -1103,13 +1322,20 @@ impl SimWorkspace {
         // operator; a lag-kept stale factor would silently answer last
         // epoch's physics, so the nominal corner then rides the
         // iterative path like any drifted corner (its "perturbation"
-        // is the bounded diagonal drift — a few iterations).
-        if ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch) {
+        // is the bounded diagonal drift — a few iterations). With design
+        // window rows and no lag policy, a fresh nominal corner is
+        // factored on the window path instead, like every other directly
+        // solved corner, so a run whose every other corner falls back
+        // solves exactly as under `Direct`. Under a lag policy no run can
+        // match `Direct` (stale epochs solve the nominal corner
+        // iteratively), and the fresh one keeps its free solve.
+        let nominal_fresh = ctx.is_nominal && slot.factor_epoch == Some(ctx.epoch);
+        if nominal_fresh && (self.factor_lag.is_some() || !windowed) {
             self.mode = SolveMode::NominalDirect;
         } else {
             slot.stencil.diag_into(eps, &mut self.diag);
-            if ctx.force_direct {
-                self.factor_direct()?;
+            if ctx.force_direct || nominal_fresh {
+                self.factor_direct(None)?;
                 self.report.factorizations += 1;
             } else {
                 self.mode = SolveMode::Iterative { tol, max_iters };
@@ -1148,10 +1374,9 @@ impl SimWorkspace {
         let n = self.grid.expect("SimWorkspace not prepared").n();
         assert_eq!(b.len(), n * nrhs, "solve_block dimension mismatch");
         match self.mode {
-            SolveMode::DirectLu => {
-                assert!(self.factored, "SimWorkspace not factored");
+            SolveMode::DirectLu | SolveMode::Window(_) => {
                 self.report.solves += nrhs;
-                self.lu.solve_many(b, nrhs);
+                self.solve_direct(b, nrhs)?;
             }
             SolveMode::NominalDirect => {
                 self.report.solves += nrhs;
@@ -1183,13 +1408,27 @@ impl SimWorkspace {
                     self.report.converged = true;
                     self.report.fell_back = true;
                     self.report.factorizations += 1;
-                    self.factor_direct()?;
+                    self.factor_direct(None)?;
                     b.copy_from_slice(&self.rhs);
-                    self.lu.solve_many(b, nrhs);
+                    self.solve_direct(b, nrhs)?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Element growth of the prepared direct corner factor: the largest
+    /// `|u_ij|` of its upper factors (window mode: the window factor's and
+    /// both slabs') over the largest `|a_ij|` of the operator. A solve's
+    /// backward error scales with it. `None` unless a direct corner is
+    /// prepared.
+    pub fn direct_factor_growth(&self) -> Option<f64> {
+        let u = match (self.factored, self.mode) {
+            (true, SolveMode::Window(_)) => self.window.max_abs_upper(),
+            (true, SolveMode::DirectLu) => self.lu.max_abs_upper(),
+            _ => return None,
+        };
+        Some(u / self.slots[self.active].stencil.max_abs_entry(&self.diag))
     }
 
     /// What the solver did for the corner of the last

@@ -6,13 +6,15 @@
 //! column chunks whose content depends only on the batch shape, never on
 //! which lane executes them. These regression tests pin that contract
 //! through the public solve paths at 1 ↔ 2 ↔ 8 workers — the banded
-//! fused sweep and the recycled + lagged cross-epoch path.
+//! fused sweep, the recycled + lagged cross-epoch path, and the direct
+//! corner fan-out whose lanes share one lent slab cache.
 
 use boson_fdfd::grid::SimGrid;
 use boson_fdfd::sim::{
     FactorLag, FusedRecycle, SimWorkspace, SolverStrategy, FUSED_SPLIT_MIN_COLS,
 };
 use boson_num::krylov::RecycleSpace;
+use boson_num::pool::{self, DisjointSlots};
 use boson_num::{Array2, Complex64};
 
 const LAMBDA: f64 = 1.55;
@@ -170,5 +172,105 @@ fn recycled_lagged_fused_sweep_bit_identical_across_1_2_8_workers() {
             reference == got,
             "{threads}-worker recycled+lagged pipeline diverged bitwise"
         );
+    }
+}
+
+/// Design-window grid rows of [`window_corners`].
+const WINDOW_ROWS: std::ops::Range<usize> = 12..22;
+
+/// Six direct corners of a small crossing-like device: three axial
+/// temperatures (every slab changes with them) × two design patterns.
+fn window_corners(grid: &SimGrid) -> Vec<Array2<f64>> {
+    let mut out = Vec::new();
+    for t in [250.0, 300.0, 350.0] {
+        let n_si = 3.48 + 1.8e-4 * (t - 300.0);
+        let si = n_si * n_si;
+        for pattern in [0.0, 0.7] {
+            out.push(Array2::from_fn(grid.ny, grid.nx, |iy, ix| {
+                let design = WINDOW_ROWS.contains(&iy) && (12..24).contains(&ix);
+                let guide = (15..19).contains(&iy) || (16..20).contains(&ix);
+                if design {
+                    1.0 + (si - 1.0)
+                        * (0.5 + 0.5 * (0.4 * ix as f64 + 0.3 * iy as f64 + pattern).sin())
+                } else if guide {
+                    si
+                } else {
+                    1.0
+                }
+            }));
+        }
+    }
+    out
+}
+
+/// The direct corner fan-out as `boson_core::compiled` runs it, at up
+/// to `lanes` pool lanes: one workspace per lane, and with several lanes
+/// every slab built on lane 0's workspace first and its cache lent to all
+/// of them. Returns every corner's forward + adjoint solutions, in corner
+/// order.
+fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<Vec<Complex64>> {
+    let omega = omega_c();
+    let n = grid.n();
+    let pool = pool::global();
+    let lanes = lanes.min(corners.len()).min(pool.lanes()).max(1);
+    let mut workspaces: Vec<SimWorkspace> = (0..lanes)
+        .map(|_| {
+            let mut ws = SimWorkspace::new();
+            ws.set_window_rows(Some(WINDOW_ROWS));
+            ws
+        })
+        .collect();
+    let slabs = (lanes > 1)
+        .then(|| workspaces[0].take_window_slabs(grid, lanes, corners.iter().map(|e| (omega, e))));
+    let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
+    {
+        let lane_ws = DisjointSlots::new(&mut workspaces);
+        let slots = DisjointSlots::new(&mut outs);
+        pool.run(corners.len(), lanes, &|lane, part| {
+            // SAFETY: each part runs exactly once, so output slot `part`
+            // has one writer, and lane `lane` is owned by one OS thread
+            // for the dispatch, so its workspace is never aliased.
+            let (ws, out) = unsafe { (lane_ws.get(lane), slots.get(part)) };
+            let eps = &corners[part];
+            match &slabs {
+                Some(slabs) => ws.factor_lent(grid, omega, eps, slabs).unwrap(),
+                None => ws.factor(grid, omega, eps).unwrap(),
+            }
+            let mut x = rhs_block(n, 2);
+            ws.solve_block(&mut x[..n], 1).unwrap();
+            ws.solve_block(&mut x[n..], 1).unwrap();
+            assert_eq!(ws.last_report().window_fallbacks, 0);
+            *out = x;
+        });
+    }
+    if let Some(slabs) = slabs {
+        workspaces[0].restore_window_slabs(slabs);
+    }
+    outs
+}
+
+#[test]
+fn direct_window_fan_out_bit_identical_across_1_2_8_lanes() {
+    let grid = SimGrid::new(36, 34, 0.05, 6);
+    let corners = window_corners(&grid);
+    let reference = direct_fan_out(grid, &corners, 1);
+    for lanes in [2usize, 8] {
+        let got = direct_fan_out(grid, &corners, lanes);
+        assert!(
+            reference == got,
+            "{lanes}-lane direct fan-out diverged bitwise"
+        );
+    }
+    // A second sweep on the warm lanes (resumed window factors) is the
+    // first one, too.
+    let mut ws = SimWorkspace::new();
+    ws.set_window_rows(Some(WINDOW_ROWS));
+    for (eps, want) in corners.iter().zip(&reference) {
+        ws.factor(grid, omega_c(), eps).unwrap();
+        let mut x = rhs_block(grid.n(), 2);
+        let n = grid.n();
+        ws.solve_block(&mut x[..n], 1).unwrap();
+        ws.solve_block(&mut x[n..], 1).unwrap();
+        assert!(&x == want, "a serial workspace diverged from the fan-out");
     }
 }

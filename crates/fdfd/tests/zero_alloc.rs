@@ -135,6 +135,104 @@ fn steady_state_solve_path_performs_no_heap_allocations() {
     assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
 }
 
+/// The design-window direct path on a warm slab cache: a sweep over the
+/// three axial temperatures (each its own bottom slab; the top slab holds
+/// no temperature-dependent material) with per-corner design changes,
+/// once on the owning workspace and once on a fan-out lane that borrows
+/// the cache, touches the heap not at all.
+#[test]
+fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
+    let grid = SimGrid::new(48, 40, 0.05, 8);
+    let omega = 2.0 * std::f64::consts::PI / 1.55;
+    let rows = 14..26;
+    let eps_at = |t: f64, design: f64| {
+        let n_si = 3.48 + 1.8e-4 * (t - 300.0);
+        let si = n_si * n_si;
+        Array2::from_fn(grid.ny, grid.nx, |iy, ix| {
+            let guide = ((18..22).contains(&iy) && ix < 16) || ((20..28).contains(&ix) && iy >= 26);
+            if rows.contains(&iy) && (16..32).contains(&ix) {
+                1.0 + (si - 1.0) * (0.5 + 0.5 * (0.3 * (ix + iy) as f64 + design).sin())
+            } else if guide {
+                si
+            } else {
+                1.0
+            }
+        })
+    };
+    let temperatures = [250.0, 300.0, 350.0];
+    let mut corners: Vec<Array2<f64>> = temperatures.iter().map(|&t| eps_at(t, 0.0)).collect();
+    let mut jz = vec![Complex64::ZERO; grid.n()];
+    jz[grid.idx(12, 20)] = Complex64::ONE;
+    let g: Vec<Complex64> = (0..grid.n())
+        .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
+        .collect();
+    let mut field = vec![Complex64::ZERO; grid.n()];
+    let mut lambda = vec![Complex64::ZERO; grid.n()];
+    let mut grad = Array2::zeros(grid.ny, grid.nx);
+    let mut solves = |ws: &mut SimWorkspace| {
+        scale_source_into(&grid, ws.sfactors(), omega, &jz, &mut field);
+        ws.solve_block(&mut field, 1).unwrap();
+        lambda.copy_from_slice(&g);
+        ws.solve_block(&mut lambda, 1).unwrap();
+        ws.grad_eps_accumulate(&field, &lambda, &mut grad);
+        assert_eq!(ws.last_report().window_fallbacks, 0);
+    };
+
+    let mut owner = SimWorkspace::new();
+    owner.set_window_rows(Some(rows.clone()));
+    let mut lane = SimWorkspace::new();
+    lane.set_window_rows(Some(rows.clone()));
+    let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
+        // A two-lane fan-out: the owner builds and lends, the lane borrows.
+        let slabs = owner.take_window_slabs(grid, 2, corners.iter().map(|e| (omega, e)));
+        for eps in corners {
+            lane.factor_lent(grid, omega, eps, &slabs).unwrap();
+            solves(lane);
+        }
+        owner.restore_window_slabs(slabs);
+        // The owner's own serial corners hit the same cache.
+        for eps in corners {
+            owner.factor(grid, omega, eps).unwrap();
+            solves(owner);
+        }
+    };
+
+    // Warm-up: builds the four slabs and sizes every buffer.
+    for round in 0..2 {
+        for eps in &mut corners {
+            eps[(20, 16 + round)] += 0.5;
+        }
+        sweep(&mut owner, &mut lane, &corners);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for round in 0..3 {
+        // Per-corner design change, mutated in place.
+        for eps in &mut corners {
+            eps[(24, 20 + round)] += 0.25;
+        }
+        sweep(&mut owner, &mut lane, &corners);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state window direct sweep performed {} heap allocations",
+        after - before
+    );
+    assert!(field.iter().any(|v| v.abs() > 0.0));
+    assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
+    let slabs = owner.take_window_slabs(grid, 1, []);
+    assert_eq!(
+        slabs.len(),
+        4,
+        "one top and three bottom slabs stay resident"
+    );
+    owner.restore_window_slabs(slabs);
+}
+
 #[test]
 fn steady_state_iterative_corner_path_performs_no_heap_allocations() {
     let _serial = serial();

@@ -688,6 +688,22 @@ impl BandedLu {
         self.n
     }
 
+    /// The largest `|u_ij|` of the upper factor (0 for an unfilled
+    /// placeholder): over the largest `|a_ij|`, the element growth factor
+    /// of the elimination, the quantity a backward-error bound of the
+    /// solves scales with.
+    pub fn max_abs_upper(&self) -> f64 {
+        let (ldab, kv) = (self.ldab(), self.kl + self.ku);
+        let mut max = 0.0f64;
+        for j in 0..self.n {
+            let col = j * ldab + kv;
+            for u in &self.ab[col - kv.min(j)..=col] {
+                max = max.max(u.abs());
+            }
+        }
+        max
+    }
+
     #[inline(always)]
     fn ldab(&self) -> usize {
         2 * self.kl + self.ku + 1
@@ -784,24 +800,69 @@ impl BandedLu {
     /// [`BandedLu::solve_many`] body).
     fn solve_sweep(&self, b: &mut [Complex64]) {
         let n = self.n;
-        let kl = self.kl;
-        let ldab = self.ldab();
-        let kv = kl + self.ku;
-        // Solve L x = P b.
-        for j in 0..n {
-            let p = self.ipiv[j];
+        self.forward_steps(0, 0..n, b);
+        self.back_substitute(b);
+    }
+
+    /// Applies elimination steps `steps` of `L⁻¹·P` — each a row swap
+    /// followed by the unit-lower update of the rows below it — to every
+    /// column of `b`, where each column holds rows `lo..n` of a right-hand
+    /// side (`n − lo` entries).
+    ///
+    /// Step `j` only reads and writes rows `j..n`, so a window that
+    /// starts at or before the first step holds everything the steps
+    /// touch. Steps `0..n` on full columns are the forward half of
+    /// [`BandedLu::solve_many`]; splitting them into consecutive ranges
+    /// gives the same result bit for bit, and a right-hand side whose rows
+    /// before `r` are zero may skip every step before `r − kl` (those
+    /// steps swap and update only rows before `r`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `steps` is not within `lo..=n` or `b` is not a whole
+    /// number of `n − lo`-row columns.
+    pub fn forward_steps(&self, lo: usize, steps: std::ops::Range<usize>, b: &mut [Complex64]) {
+        let n = self.n;
+        assert!(
+            lo <= steps.start && steps.start <= steps.end && steps.end <= n,
+            "forward_steps: steps {steps:?} outside rows {lo}..{n}"
+        );
+        let len = n - lo;
+        assert!(
+            len > 0 && b.len().is_multiple_of(len),
+            "forward_steps: block is not whole columns"
+        );
+        let (kl, ldab, kv) = (self.kl, self.ldab(), self.kl + self.ku);
+        for j in steps {
+            let p = self.ipiv[j] - lo;
             let km = kl.min(n - 1 - j);
             let col = j * ldab + kv;
             let l = &self.ab[col + 1..=col + km];
-            for rhs in b.chunks_exact_mut(n) {
-                if p != j {
-                    rhs.swap(j, p);
+            let r = j - lo;
+            for rhs in b.chunks_exact_mut(len) {
+                if p != r {
+                    rhs.swap(r, p);
                 }
-                let bj = rhs[j];
-                axpy_neg(bj, l, &mut rhs[j + 1..=j + km]);
+                let bj = rhs[r];
+                axpy_neg(bj, l, &mut rhs[r + 1..=r + km]);
             }
         }
-        // Solve U x = b (U has kv super-diagonals).
+    }
+
+    /// Back substitution `U x = y` in place on every full-length column of
+    /// `b` — the second half of [`BandedLu::solve_many`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is not a whole number of `n`-row columns.
+    pub fn back_substitute(&self, b: &mut [Complex64]) {
+        let n = self.n;
+        assert!(
+            n > 0 && b.len().is_multiple_of(n),
+            "back_substitute: block is not whole columns"
+        );
+        let ldab = self.ldab();
+        let kv = self.kl + self.ku;
         for j in (0..n).rev() {
             let col = j * ldab + kv;
             let dinv = self.ab[col].inv();
@@ -813,6 +874,75 @@ impl BandedLu {
                 axpy_neg(bj, u, &mut rhs[j - reach..j]);
             }
         }
+    }
+
+    /// Back substitution restricted to the trailing `k` rows: each
+    /// `k`-entry column of `tail` holds rows `n − k..n` of `y` and
+    /// receives rows `n − k..n` of `U⁻¹·y`. `U` is upper triangular, so
+    /// those rows depend on no earlier row; the cost is `O(k²)` per column
+    /// instead of a whole sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0 or exceeds `n`, or `tail` is not a whole number
+    /// of `k`-row columns.
+    pub fn back_substitute_trailing(&self, tail: &mut [Complex64], k: usize) {
+        let n = self.n;
+        assert!(
+            k > 0 && k <= n && tail.len().is_multiple_of(k),
+            "back_substitute_trailing: bad trailing block"
+        );
+        let ldab = self.ldab();
+        let kv = self.kl + self.ku;
+        let top = n - k;
+        for j in (top..n).rev() {
+            let col = j * ldab + kv;
+            let dinv = self.ab[col].inv();
+            let reach = kv.min(j - top);
+            let u = &self.ab[col - reach..col];
+            let r = j - top;
+            for rhs in tail.chunks_exact_mut(k) {
+                let bj = rhs[r] * dinv;
+                rhs[r] = bj;
+                axpy_neg(bj, u, &mut rhs[r - reach..r]);
+            }
+        }
+    }
+
+    /// Writes the trailing `k×k` block of `A⁻¹` (rows and columns
+    /// `n − k..n`) column-major into `out`, using `work` as scratch.
+    ///
+    /// Column `c` is `A⁻¹·e_{n−k+c}` restricted to its last `k` rows. The
+    /// unit vector is zero before row `n − k`, so its forward sweep skips
+    /// every step before `n − k − kl` (see [`BandedLu::forward_steps`])
+    /// and the back substitution runs on the trailing `k` rows only
+    /// ([`BandedLu::back_substitute_trailing`]): `O(k·(k + kl)·kl)` work
+    /// instead of `k` whole solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0 or exceeds `n`, or `out.len() != k²`.
+    pub fn trailing_inverse_block(
+        &self,
+        k: usize,
+        out: &mut [Complex64],
+        work: &mut Vec<Complex64>,
+    ) {
+        let n = self.n;
+        assert!(k > 0 && k <= n, "trailing_inverse_block: bad block size");
+        assert_eq!(out.len(), k * k, "trailing_inverse_block: output size");
+        let lo = (n - k).saturating_sub(self.kl);
+        let len = n - lo;
+        work.clear();
+        work.resize(len * k, Complex64::ZERO);
+        for (c, col) in work.chunks_exact_mut(len).enumerate() {
+            col[n - k + c - lo] = Complex64::ONE;
+        }
+        self.forward_steps(lo, lo..n, work);
+        for (dst, col) in out.chunks_exact_mut(k).zip(work.chunks_exact(len)) {
+            dst.copy_from_slice(&col[len - k..]);
+        }
+        self.back_substitute_trailing(out, k);
     }
 
     /// Solves `Aᵀ x = b` in place using the same factorisation.
@@ -916,8 +1046,9 @@ impl BandedLu {
 /// the `f32` storage (the factors are approximate qua preconditioner
 /// anyway). Do **not** use this type for direct solves.
 ///
-/// The right-hand-side conversion scratch lives inside the struct, so
-/// applies take `&mut self` and perform no heap allocation after warm-up.
+/// Applies go through [`BandedLuF32::solve_many_with_scratch`], which
+/// takes the right-hand-side conversion scratch from the caller: the
+/// factors stay shared, and a warm scratch makes the apply allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct BandedLuF32 {
     n: usize,
@@ -927,8 +1058,6 @@ pub struct BandedLuF32 {
     /// `2·ldab·n` floats.
     ab: Vec<f32>,
     ipiv: Vec<usize>,
-    /// Interleaved f32 RHS scratch for whole-block applies.
-    scratch: Vec<f32>,
 }
 
 impl BandedLuF32 {
@@ -965,30 +1094,12 @@ impl BandedLuF32 {
     }
 
     /// Applies `M⁻¹` to `nrhs` column-major `f64` right-hand sides in
-    /// place: converts to `f32`, sweeps the single-precision factors, and
-    /// converts back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n·nrhs` or the slot was never assigned.
-    pub fn solve_many(&mut self, b: &mut [Complex64], nrhs: usize) {
-        let Self {
-            n,
-            kl,
-            ku,
-            ab,
-            ipiv,
-            scratch,
-        } = self;
-        solve32_with(*n, *kl, *ku, ab, ipiv, scratch, b, nrhs);
-    }
-
-    /// [`BandedLuF32::solve_many`] with a **caller-owned** conversion
-    /// scratch, leaving `self` shared. This is what lets several threads
-    /// (or a per-column preconditioner family holding many factors behind
-    /// one shared borrow) sweep the same factor image concurrently — each
-    /// caller brings its own scratch, the factors are read-only.
-    /// Bit-identical to [`BandedLuF32::solve_many`].
+    /// place: converts to `f32` in the **caller-owned** `scratch`, sweeps
+    /// the single-precision factors, and converts back. `self` stays
+    /// shared, which is what lets several threads (or a per-column
+    /// preconditioner family holding many factors behind one shared
+    /// borrow) sweep the same factor image concurrently — each caller
+    /// brings its own scratch, the factors are read-only.
     ///
     /// # Panics
     ///
@@ -1005,8 +1116,8 @@ impl BandedLuF32 {
     }
 }
 
-/// Shared body of every [`BandedLuF32`] apply: converts the `f64` block
-/// into the interleaved-`f32` scratch, sweeps [`RHS_BLOCK`]-column chunks
+/// Body of [`BandedLuF32::solve_many_with_scratch`]: converts the `f64`
+/// block into the interleaved-`f32` scratch, sweeps [`RHS_BLOCK`]-column chunks
 /// over the single-precision factors, and converts back.
 #[allow(clippy::too_many_arguments)] // destructured BandedLuF32 + solve args
 fn solve32_with(
@@ -1517,9 +1628,9 @@ mod tests {
         }
     }
 
-    /// The caller-owned-scratch f32 applies are bit-identical to the
-    /// internal-scratch ones (same sweeps, same chunking — only where the
-    /// conversion buffer lives differs).
+    /// The caller-owned conversion scratch carries no state between
+    /// applies: a fresh scratch and one left dirty by a wider apply give
+    /// bit-identical results through a shared borrow of the factors.
     #[test]
     fn f32_solve_with_external_scratch_is_bit_identical() {
         let n = 26;
@@ -1531,14 +1642,17 @@ mod tests {
         let b0: Vec<Complex64> = (0..n * nrhs)
             .map(|k| c64((k as f64 * 0.13).sin(), (k as f64 * 0.09).cos()))
             .collect();
-        let mut scratch = Vec::new();
-        let mut internal = b0.clone();
-        let mut external = b0;
-        lu32.solve_many(&mut internal, nrhs);
-        // Shared borrow + external scratch.
+        let mut fresh_scratch = Vec::new();
+        let mut fresh = b0.clone();
+        lu32.solve_many_with_scratch(&mut fresh_scratch, &mut fresh, nrhs);
+        // Shared borrow + a scratch holding a wider, unrelated apply.
         let shared: &BandedLuF32 = &lu32;
-        shared.solve_many_with_scratch(&mut scratch, &mut external, nrhs);
-        assert_eq!(internal, external);
+        let mut scratch = Vec::new();
+        let mut wide = vec![c64(3.0, -1.0); n * (nrhs + 2)];
+        shared.solve_many_with_scratch(&mut scratch, &mut wide, nrhs + 2);
+        let mut reused = b0;
+        shared.solve_many_with_scratch(&mut scratch, &mut reused, nrhs);
+        assert_eq!(fresh, reused);
         assert!(scratch.capacity() >= lu32.scratch_len(nrhs));
     }
 
@@ -1584,7 +1698,7 @@ mod tests {
         let mut exact = b0.clone();
         let mut approx = b0;
         lu.solve_many(&mut exact, nrhs);
-        lu32.solve_many(&mut approx, nrhs);
+        lu32.solve_many_with_scratch(&mut Vec::new(), &mut approx, nrhs);
         let scale: f64 = exact.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
         let err: f64 = exact
             .iter()
@@ -1637,6 +1751,63 @@ mod tests {
             reference::solve_transpose(&slow, &mut xts);
             for (p, q) in xtf.iter().zip(&xts) {
                 assert!((*p - *q).abs() < 1e-10, "transpose n={n} kl={kl} ku={ku}");
+            }
+        }
+    }
+
+    /// Split forward steps plus the back substitution are the solve, bit
+    /// for bit; a zero-headed right-hand side may skip the steps that
+    /// cannot reach it; the trailing back substitution and the trailing
+    /// inverse block match whole solves.
+    #[test]
+    fn partial_sweeps_match_whole_solves() {
+        let (n, kl, ku) = (37usize, 5usize, 5usize);
+        let lu = pivoting_banded(n, kl, ku, 91).factor().unwrap();
+        let b0: Vec<Complex64> = (0..2 * n)
+            .map(|k| c64((k as f64 * 0.31).sin(), (k as f64 * 0.17).cos()))
+            .collect();
+        let mut whole = b0.clone();
+        lu.solve_many(&mut whole, 2);
+        let mut split = b0.clone();
+        lu.forward_steps(0, 0..11, &mut split);
+        lu.forward_steps(0, 11..n, &mut split);
+        lu.back_substitute(&mut split);
+        assert_eq!(split, whole);
+
+        // Rows before r zero: steps from r − kl on, over the window
+        // starting there, give the same forward result.
+        let r = 20;
+        let mut headless = b0[..n].to_vec();
+        headless[..r].fill(Complex64::ZERO);
+        let mut full = headless.clone();
+        lu.forward_steps(0, 0..n, &mut full);
+        let lo = r - kl;
+        let mut window = headless[lo..].to_vec();
+        lu.forward_steps(lo, lo..n, &mut window);
+        assert!(full[..lo].iter().all(|z| *z == Complex64::ZERO));
+        assert_eq!(&full[lo..], &window[..]);
+
+        // Trailing back substitution = the tail of a whole one.
+        let k = 9;
+        let mut y = b0[..n].to_vec();
+        lu.forward_steps(0, 0..n, &mut y);
+        let mut tail = y[n - k..].to_vec();
+        lu.back_substitute(&mut y);
+        lu.back_substitute_trailing(&mut tail, k);
+        assert_eq!(&y[n - k..], &tail[..]);
+
+        // Trailing inverse block = the tails of solves against unit
+        // vectors (to rounding: the skipped steps reorder nothing, but
+        // the whole solve sweeps explicit zeros through the axpys).
+        let mut block = vec![Complex64::ZERO; k * k];
+        let mut work = Vec::new();
+        lu.trailing_inverse_block(k, &mut block, &mut work);
+        for c in 0..k {
+            let mut e = vec![Complex64::ZERO; n];
+            e[n - k + c] = Complex64::ONE;
+            lu.solve(&mut e);
+            for (i, v) in e[n - k..].iter().enumerate() {
+                assert!((*v - block[c * k + i]).abs() <= 1e-12 * (1.0 + v.abs()));
             }
         }
     }

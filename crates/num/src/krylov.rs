@@ -71,7 +71,7 @@
 //! assert!(q.converged && q.max_iterations <= 4);
 //! ```
 
-use crate::banded::{BandedLu, BandedLuF32, BandedMatrix};
+use crate::banded::{BandedLu, BandedMatrix};
 use crate::complex::{axpy, axpy_neg};
 use crate::pool::{self, DisjointSlots};
 use crate::Complex64;
@@ -124,7 +124,8 @@ impl<T: LinearOp> ColumnOp for T {
 /// block.
 ///
 /// Takes `&mut self` so implementations may keep conversion scratch
-/// (see [`BandedLuF32`]) without interior mutability.
+/// (for a [`crate::banded::BandedLuF32`] sweep) without interior
+/// mutability.
 pub trait Precondition {
     /// Preconditioner dimension.
     fn dim(&self) -> usize;
@@ -133,16 +134,6 @@ pub trait Precondition {
 }
 
 impl Precondition for BandedLu {
-    fn dim(&self) -> usize {
-        self.n()
-    }
-
-    fn solve_block(&mut self, b: &mut [Complex64], nrhs: usize) {
-        self.solve_many(b, nrhs);
-    }
-}
-
-impl Precondition for BandedLuF32 {
     fn dim(&self) -> usize {
         self.n()
     }

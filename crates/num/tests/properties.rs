@@ -3,10 +3,29 @@
 use boson_num::banded::{BandedLuF32, BandedMatrix};
 use boson_num::fft::{fft, ifft};
 use boson_num::jacobi::sym_eigen;
-use boson_num::krylov::{bicgstab_precond_many, IterativeOptions, KrylovWorkspace, RecycleSpace};
+use boson_num::krylov::{
+    bicgstab_precond_many, IterativeOptions, KrylovWorkspace, Precondition, RecycleSpace,
+};
 use boson_num::tridiag::SymTridiag;
 use boson_num::{c64, Array2, Complex64};
 use proptest::prelude::*;
+
+/// The single-precision preconditioner as a [`Precondition`] engine: the
+/// factor copy plus the conversion scratch its sweeps borrow.
+struct F32Precond {
+    lu: BandedLuF32,
+    scratch: Vec<f32>,
+}
+
+impl Precondition for F32Precond {
+    fn dim(&self) -> usize {
+        self.lu.n()
+    }
+
+    fn solve_block(&mut self, b: &mut [Complex64], nrhs: usize) {
+        self.lu.solve_many_with_scratch(&mut self.scratch, b, nrhs);
+    }
+}
 
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), len..=len)
@@ -270,8 +289,8 @@ proptest! {
         prop_assert!(err <= 100.0 * tol * (1.0 + xnorm(&x_direct)), "forward error {err}");
 
         // f32 preconditioner at an ordinary tolerance.
-        let mut m32 = BandedLuF32::placeholder();
-        m32.assign_from(&m);
+        let mut m32 = F32Precond { lu: BandedLuF32::placeholder(), scratch: Vec::new() };
+        m32.lu.assign_from(&m);
         let opts32 = IterativeOptions { tol: 1e-6, max_iters: 60, use_initial_guess: false, threads: 1 };
         let mut x32 = vec![Complex64::ZERO; n];
         let q32 = bicgstab_precond_many(&corner, &mut m32, &rhs, &mut x32, 1, &opts32, &mut ws);

@@ -25,7 +25,8 @@ BENCHES="solver corner_scaling spectral subspace recycle pool_split"
 # One row per ratio: the BENCH_solver.json keys of the numerator median,
 # the denominator median and their ratio, the numerator and denominator
 # bench ids, and the floor the ratio must reach. A ratio key and floor of
-# "-" record the two medians without a gate.
+# "-" record the two medians without a gate; a numerator key and id of
+# "-" as well record the denominator median alone.
 cat > "$TABLE" <<'EOF'
 corner_loop_naive_ns        corner_loop_workspace_ns  corner_loop_speedup       corner_loop/naive_alloc_per_call       corner_loop/workspace_pipeline               1.5
 corner_sweep_direct_ns      corner_sweep_iterative_ns corner_iterative_speedup  one_robust_iteration/corner_sweep_27sims one_robust_iteration/corner_iterative_27sims 2.0
@@ -34,6 +35,7 @@ subspace_full_sweep_ns      subspace_adaptive_ns      subspace_speedup          
 recycle_baseline_ns         recycle_recycled_ns       recycle_speedup           recycle_27corner_3wl/baseline          recycle_27corner_3wl/recycled                1.5
 pool_split_16_serial_ns     pool_split_16_pooled_ns   -                         pool_split/cols16_serial               pool_split/cols16_pooled                     -
 banded_refactor_fresh_ns    banded_refactor_resumed_ns -                        banded_refactor_80x80/fresh            banded_refactor_80x80/resumed                -
+-                           banded_refactor_slab_ns   -                         -                                      banded_refactor_80x80/window_slab            -
 EOF
 
 export BOSON_BENCH_JSON="$RAW"
@@ -83,14 +85,14 @@ END {
     failed = 0
     for (r = 0; r < rows; r++) {
         split(row[r], f, " ")
-        num = median[f[4]]
+        num = (f[1] == "-" ? 1 : median[f[4]])
         den = median[f[5]]
         if (!(num > 0 && den > 0)) {
             printf "FAIL  %s: medians of %s / %s missing from bench output\n", (f[3] == "-" ? f[1] : f[3]), f[4], f[5]
             failed++
             continue
         }
-        printf ",\n  \"%s\": %.1f", f[1], num > out
+        if (f[1] != "-") printf ",\n  \"%s\": %.1f", f[1], num > out
         printf ",\n  \"%s\": %.1f", f[2], den > out
         if (f[3] == "-") continue
         ratio = sprintf("%.3f", num / den)
