@@ -18,6 +18,21 @@
 //! that wavelength's gradient bit for bit and these entries match
 //! exactly too (measured relative deviation of objective and FoM: 0).
 //!
+//! The whole fixture was re-recorded when direct corner factors started
+//! condensing the fixed slabs above and below the design window out of
+//! the operator (`boson_fdfd::window`): a direct solve now eliminates the
+//! slabs first and factors the window's Schur complement, a different
+//! summation order from the plain banded LU. Without a factor lag, the
+//! fresh nominal corner of an iterative run is factored the same way (its
+//! plain factor stays the preconditioner), so the starved entry counts
+//! three more factorisations per iteration. Measured against the previous
+//! fixture, the largest relative change of the robust objective was
+//! 1.2e-14 over the direct entries (`isolator/direct/k3`) and 9.2e-11
+//! over all entries (`isolator/iterative/k3`, iteration 1, where the
+//! Krylov tolerance of 1e-6 meets a changed warm start and direct
+//! fallback); of the nominal figure of merit 3.6e-14 (`isolator/direct/k1`),
+//! over all entries as well.
+//!
 //! Re-record (prints the fixture to stdout):
 //!
 //! ```text
