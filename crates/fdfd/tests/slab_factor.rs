@@ -293,6 +293,39 @@ fn degenerate_windows_take_the_plain_path() {
     }
 }
 
+/// A window solve that fails its backward-error check — here through a
+/// NaN permittivity in the design window — is re-solved on the plain
+/// banded LU, counted in the report, and bit-identical to a workspace
+/// without window rows; the next finite corner takes the window path
+/// again.
+#[test]
+fn failed_backward_error_check_falls_back_to_the_plain_lu() {
+    let g = grid();
+    let om = omega(1.55);
+    let b = rhs(&g, om);
+    let mut e = eps(Device::Bend, T_NOMINAL, 0.0);
+    e[(40, 40)] = f64::NAN;
+    let mut ws = window_workspace();
+    let x = solve_on(&mut ws, om, &e, &b);
+    let report = ws.last_report();
+    assert_eq!(report.window_fallbacks, 1, "{report:?}");
+    assert_eq!(report.factorizations, 2, "{report:?}");
+    let plain = solve_on(&mut SimWorkspace::new(), om, &e, &b);
+    let bits = |v: &[Complex64]| {
+        v.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert!(
+        bits(&x) == bits(&plain),
+        "the fallback differs from the plain path"
+    );
+    let finite = eps(Device::Bend, T_NOMINAL, 0.0);
+    let x = solve_on(&mut ws, om, &finite, &b);
+    assert_eq!(ws.last_report().window_fallbacks, 0);
+    assert!(x == solve_on(&mut window_workspace(), om, &finite, &b));
+}
+
 /// A corner sequence that switches temperature and wavelength on one
 /// workspace — cache hits, misses and least-recently-used evictions with
 /// slab storage reuse — solves every corner bit-identically to a fresh
