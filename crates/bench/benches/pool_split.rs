@@ -78,7 +78,7 @@ fn bench_pool_split(c: &mut Criterion) {
                         }
                     }
                     x.fill(Complex64::ZERO);
-                    ws.fused_batch_solve(&rhs, x, 1, false, threads);
+                    ws.fused_batch_solve(&rhs, x, 1, false, threads, None);
                     x[n / 2]
                 };
                 run(&mut ws, &mut x); // warm-up: untimed

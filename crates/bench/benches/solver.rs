@@ -54,9 +54,6 @@ fn bench_factor_and_solve(c: &mut Criterion) {
     c.bench_function("banded_lu_solve_64x64", |b| {
         b.iter(|| black_box(lu.solve_vec(&rhs)))
     });
-    c.bench_function("banded_lu_solve_transpose_64x64", |b| {
-        b.iter(|| black_box(lu.solve_transpose_vec(&rhs)))
-    });
 }
 
 /// One bend corner factored in place from scratch (`fresh`) vs resumed at

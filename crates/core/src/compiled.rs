@@ -596,6 +596,9 @@ impl CompiledProblem {
     /// monitors and (optionally) produces `∂objective/∂ε` by the adjoint
     /// method, using the problem's own objective.
     ///
+    /// Allocates a fresh [`EvalScratch`] per call; hot loops should keep
+    /// one and use [`CompiledProblem::evaluate_eps_scratch`].
+    ///
     /// # Errors
     ///
     /// Returns [`SingularMatrixError`] if the operator factorisation
@@ -605,29 +608,8 @@ impl CompiledProblem {
         eps: &Array2<f64>,
         with_grad: bool,
     ) -> Result<Evaluation, SingularMatrixError> {
-        let spec = self.problem.objective.clone();
-        self.evaluate_eps_with(eps, with_grad, &spec)
-    }
-
-    /// Like [`CompiledProblem::evaluate_eps`] but with a caller-supplied
-    /// objective (used by the sparse-objective ablation, which strips the
-    /// auxiliary constraints).
-    ///
-    /// Allocates a fresh [`EvalScratch`] per call; hot loops should keep
-    /// one and use [`CompiledProblem::evaluate_eps_scratch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrixError`] if the operator factorisation
-    /// fails.
-    pub fn evaluate_eps_with(
-        &self,
-        eps: &Array2<f64>,
-        with_grad: bool,
-        spec: &crate::objective::ObjectiveSpec,
-    ) -> Result<Evaluation, SingularMatrixError> {
         let mut scratch = EvalScratch::new();
-        self.evaluate_eps_scratch(eps, with_grad, spec, &mut scratch)
+        self.evaluate_eps_scratch(eps, with_grad, &self.problem.objective, &mut scratch)
     }
 
     /// The zero-allocation evaluation path: factors the operator into the
@@ -1055,22 +1037,18 @@ impl CompiledProblem {
                     recycle_keys,
                     ..
                 } = &mut *scratch;
-                if recycling {
-                    sim.fused_batch_solve_recycled(
-                        batch_rhs,
-                        batch_x,
-                        nexc,
-                        warm,
-                        set.threads,
-                        FusedRecycle {
-                            spaces: recycle_fwd,
-                            keys: recycle_keys,
-                            epoch: set.epoch,
-                        },
-                    );
-                } else {
-                    sim.fused_batch_solve(batch_rhs, batch_x, nexc, warm, set.threads);
-                }
+                sim.fused_batch_solve(
+                    batch_rhs,
+                    batch_x,
+                    nexc,
+                    warm,
+                    set.threads,
+                    recycling.then_some(FusedRecycle {
+                        spaces: recycle_fwd,
+                        keys: recycle_keys,
+                        epoch: set.epoch,
+                    }),
+                );
             }
 
             // Forward-phase budget misses re-evaluate directly.
@@ -1192,26 +1170,22 @@ impl CompiledProblem {
                         recycle_keys,
                         ..
                     } = &mut *scratch;
-                    if recycling {
-                        // The fused operator is complex-symmetric, so the
-                        // adjoint rides the same apply — but its Krylov
-                        // directions come from a different right-hand-side
-                        // family, so the adjoint keeps its own stores.
-                        sim.fused_batch_solve_recycled(
-                            batch_adj,
-                            batch_adj_x,
-                            nexc,
-                            warm,
-                            set.threads,
-                            FusedRecycle {
-                                spaces: recycle_adj,
-                                keys: recycle_keys,
-                                epoch: set.epoch,
-                            },
-                        );
-                    } else {
-                        sim.fused_batch_solve(batch_adj, batch_adj_x, nexc, warm, set.threads);
-                    }
+                    // The fused operator is complex-symmetric, so the
+                    // adjoint rides the same apply — but its Krylov
+                    // directions come from a different right-hand-side
+                    // family, so the adjoint keeps its own stores.
+                    sim.fused_batch_solve(
+                        batch_adj,
+                        batch_adj_x,
+                        nexc,
+                        warm,
+                        set.threads,
+                        recycling.then_some(FusedRecycle {
+                            spaces: recycle_adj,
+                            keys: recycle_keys,
+                            epoch: set.epoch,
+                        }),
+                    );
                 }
             }
             let merged_reports = scratch.sim.batch_reports().to_vec();

@@ -479,15 +479,34 @@ mod tests {
         (grid, s, eps, omega)
     }
 
+    /// Vacuum, a straight waveguide, and a lossy diagonal shift of the
+    /// waveguide operator (the shape of a perturbed corner).
     #[test]
     fn operator_is_complex_symmetric() {
-        let (grid, s, eps, omega) = setup(30, 26);
-        let a = assemble_banded(&grid, &s, &eps, omega);
-        assert!(
-            a.asymmetry() < 1e-13,
-            "symmetrised operator asymmetry = {}",
-            a.asymmetry()
-        );
+        let (grid, s, vacuum, omega) = setup(30, 26);
+        let cy = grid.ny / 2;
+        let waveguide = Array2::from_fn(grid.ny, grid.nx, |iy, _| {
+            if iy.abs_diff(cy) <= 2 {
+                12.11
+            } else {
+                1.0
+            }
+        });
+        let mut corner = assemble_banded(&grid, &s, &waveguide, omega);
+        for i in 0..grid.n() {
+            corner.add(i, i, c64(0.0, 25.0));
+        }
+        for (name, a) in [
+            ("vacuum", assemble_banded(&grid, &s, &vacuum, omega)),
+            ("waveguide", assemble_banded(&grid, &s, &waveguide, omega)),
+            ("lossy corner", corner),
+        ] {
+            assert!(
+                a.asymmetry() < 1e-13,
+                "{name}: symmetrised operator asymmetry = {}",
+                a.asymmetry()
+            );
+        }
     }
 
     #[test]

@@ -259,8 +259,8 @@ pub struct FactorLag {
     pub drift_tol: f64,
 }
 
-/// Caller-owned recycling state of one
-/// [`SimWorkspace::fused_batch_solve_recycled`] call: the deflation
+/// Caller-owned recycling state of one recycled
+/// [`SimWorkspace::fused_batch_solve`] call: the deflation
 /// stores, the batch-corner → store mapping, and the optimiser epoch
 /// stamped on harvests and checked on applications.
 ///
@@ -494,7 +494,7 @@ impl KrylovEngine {
     /// stencil-applied through its own ω's couplings; returns the
     /// per-column stats. `opts.threads` (≥ 1) is the lane budget of the
     /// sweeps and vector stages; `b`, `x` and `recycle` are as in
-    /// [`SimWorkspace::fused_batch_solve_recycled`].
+    /// [`SimWorkspace::fused_batch_solve`].
     ///
     /// This is the one iterative kernel of a [`SimWorkspace`]: fused
     /// sweeps run it over the whole batch, a per-corner solve as a batch
@@ -923,11 +923,6 @@ impl SimWorkspace {
     /// The current lagged-nominal-factor policy.
     pub fn factor_lag(&self) -> Option<FactorLag> {
         self.factor_lag
-    }
-
-    /// `true` once [`SimWorkspace::factor`] has succeeded.
-    pub fn is_factored(&self) -> bool {
-        self.factored
     }
 
     /// The grid of the current factorisation.
@@ -1560,15 +1555,6 @@ impl SimWorkspace {
         slot
     }
 
-    /// Angular frequency of the `omega_idx`-th fused-batch wavelength.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `omega_idx` is outside the current fused batch's ω list.
-    pub fn fused_omega(&self, omega_idx: usize) -> f64 {
-        self.slots[self.fused_slots[omega_idx]].omega
-    }
-
     /// PML stretch factors of the `omega_idx`-th fused-batch wavelength
     /// (for building that ω's right-hand sides while the batch is
     /// pinned).
@@ -1625,6 +1611,20 @@ impl SimWorkspace {
     /// per-column Krylov stages ride the same substrate (bit-identical
     /// at any thread count).
     ///
+    /// With `recycle`, the solve also runs **cross-iteration Krylov
+    /// recycling**: before the lockstep iteration starts, every column's
+    /// initial guess is improved by the Galerkin projection of its
+    /// residual onto its [`RecycleSpace`] (see
+    /// [`boson_num::krylov::RecycleSpace::try_apply`] — applied through
+    /// the same matrix-free operator the iteration uses, and guaranteed
+    /// never to worsen a column, only skip); after the solve, every
+    /// converged column's correction `x − x₀` is harvested back into its
+    /// space for the next epoch. `recycle.keys[corner]` maps each batch
+    /// corner to its store in `recycle.spaces`, shared by that corner's
+    /// `cols_per_corner` columns. Results differ from the unrecycled
+    /// solve only through the improved starting point — converged
+    /// solutions satisfy the same residual tolerance.
+    ///
     /// No direct fallback happens here: corners whose columns miss the
     /// budget are reported with `converged == false` in
     /// [`SimWorkspace::batch_reports`] and the caller re-evaluates them
@@ -1633,61 +1633,9 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if no fused batch is begun or the block lengths disagree
-    /// with it.
-    pub fn fused_batch_solve(
-        &mut self,
-        b: &[Complex64],
-        x: &mut [Complex64],
-        cols_per_corner: usize,
-        use_initial_guess: bool,
-        threads: usize,
-    ) {
-        self.fused_batch_solve_impl(b, x, cols_per_corner, use_initial_guess, threads, None);
-    }
-
-    /// [`SimWorkspace::fused_batch_solve`] with **cross-iteration Krylov
-    /// recycling**: before the lockstep iteration starts, every column's
-    /// initial guess is improved by the Galerkin projection of its
-    /// residual onto its [`RecycleSpace`] (see
-    /// [`boson_num::krylov::RecycleSpace::try_apply`] — applied through
-    /// the same matrix-free operator the iteration uses, and guaranteed
-    /// never to worsen a column, only skip); after the solve, every
-    /// converged column's correction `x − x₀` is harvested back into its
-    /// space for the next epoch.
-    ///
-    /// `recycle.spaces` holds the caller's deflation stores (keyed
-    /// however the caller likes — e.g. by stable product-column index so
-    /// dormant subspace columns keep stale-but-monitored state);
-    /// `recycle.keys[corner]` maps each batch corner to its store, shared
-    /// by that corner's `cols_per_corner` columns. Results differ from
-    /// the unrecycled solve only through the improved starting point —
-    /// converged solutions satisfy the same residual tolerance.
-    ///
-    /// # Panics
-    ///
     /// Panics if no fused batch is begun, the block lengths disagree with
     /// it, or `recycle.keys` is shorter than the batch.
-    pub fn fused_batch_solve_recycled(
-        &mut self,
-        b: &[Complex64],
-        x: &mut [Complex64],
-        cols_per_corner: usize,
-        use_initial_guess: bool,
-        threads: usize,
-        recycle: FusedRecycle<'_>,
-    ) {
-        self.fused_batch_solve_impl(
-            b,
-            x,
-            cols_per_corner,
-            use_initial_guess,
-            threads,
-            Some(recycle),
-        );
-    }
-
-    fn fused_batch_solve_impl(
+    pub fn fused_batch_solve(
         &mut self,
         b: &[Complex64],
         x: &mut [Complex64],
@@ -1890,34 +1838,20 @@ mod tests {
         );
     }
 
-    /// The symmetrised operator is complex-symmetric, so its transpose
-    /// solve equals its plain solve: why every adjoint runs through
-    /// [`SimWorkspace::solve_block`] and the fused kernel, which have no
-    /// transpose orientation.
+    /// The symmetrised operator is complex-symmetric (`Aᵀ = A`, checked
+    /// entry by entry), so its transpose solve is its plain solve: why
+    /// every adjoint runs through [`SimWorkspace::solve_block`] and the
+    /// fused kernel, which have no transpose orientation.
     #[test]
     fn adjoint_transpose_consistency() {
         let grid = SimGrid::new(40, 36, 0.05, 8);
         let eps = straight_wg(&grid, 3);
         let om = omega();
-        let lu = assemble_banded(&grid, &SFactors::new(&grid, om), &eps, om)
-            .factor()
-            .unwrap();
-        let g: Vec<Complex64> = (0..grid.n())
-            .map(|k| c64((k as f64 * 0.013).sin(), (k as f64 * 0.007).cos()))
-            .collect();
-        let a = lu.solve_vec(&g);
-        let b = lu.solve_transpose_vec(&g);
-        let num: f64 = a
-            .iter()
-            .zip(&b)
-            .map(|(x, y)| (*x - *y).norm_sqr())
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = a.iter().map(|x| x.norm_sqr()).sum::<f64>().sqrt();
+        let a = assemble_banded(&grid, &SFactors::new(&grid, om), &eps, om);
         assert!(
-            num / den < 1e-9,
-            "operator not symmetric: rel err {}",
-            num / den
+            a.asymmetry() < 1e-13,
+            "operator not symmetric: asymmetry {}",
+            a.asymmetry()
         );
     }
 
@@ -2398,7 +2332,7 @@ mod tests {
             rhs[c * n..(c + 1) * n].copy_from_slice(&b);
         }
         let mut x = vec![Complex64::ZERO; n * ncorner];
-        ws.fused_batch_solve(&rhs, &mut x, 1, false, 1);
+        ws.fused_batch_solve(&rhs, &mut x, 1, false, 1, None);
         assert!(ws.batch_reports().iter().all(|r| r.converged));
         assert_eq!(ws.batch_reports().len(), ncorner);
 
@@ -2610,9 +2544,9 @@ mod tests {
                 rhs[c * n..(c + 1) * n].copy_from_slice(&b);
             }
             let mut x = vec![Complex64::ZERO; n * total];
-            ws.fused_batch_solve(&rhs, &mut x, 1, false, 1);
+            ws.fused_batch_solve(&rhs, &mut x, 1, false, 1, None);
             let mut x2 = vec![Complex64::ZERO; n * total];
-            ws.fused_batch_solve(&rhs, &mut x2, 1, false, 1);
+            ws.fused_batch_solve(&rhs, &mut x2, 1, false, 1, None);
             (x, x2, ws.batch_reports().to_vec())
         };
 
@@ -2670,7 +2604,7 @@ mod tests {
                 }
             }
             let mut x = vec![Complex64::ZERO; n * total];
-            ws.fused_batch_solve(&rhs, &mut x, cols_per_corner, false, threads);
+            ws.fused_batch_solve(&rhs, &mut x, cols_per_corner, false, threads, None);
             results.push((threads, x, ws.batch_reports().to_vec()));
         }
         let (_, x_serial, reports_serial) = &results[0];

@@ -42,7 +42,7 @@ use crate::grid::SimGrid;
 use crate::operator::StencilCache;
 use boson_num::banded::{BandedLu, BandedMatrix, SingularMatrixError, RHS_BLOCK};
 use boson_num::Complex64;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Largest normwise backward error `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`
 /// a window-factored solve may have; beyond it the corner is re-solved
@@ -481,9 +481,11 @@ pub(crate) struct WindowFactor {
     key: Option<(SimGrid, u64, Split)>,
     /// Window part of the operator diagonal `lu` factors (empty: none) …
     diag: Vec<Complex64>,
-    /// … and the top and bottom Schur blocks subtracted from it.
-    top_block: Vec<Complex64>,
-    bottom_block: Vec<Complex64>,
+    /// … and the top and bottom slabs whose Schur blocks were subtracted
+    /// from it. A slab is immutable behind its `Arc`, and while a `Weak`
+    /// lives its allocation cannot be reused, so pointer equality means
+    /// the same blocks.
+    condensed: Option<(Weak<Slab>, Weak<Slab>)>,
     /// The slabs of the current factor.
     slabs: Option<(Arc<Slab>, Arc<Slab>)>,
     scratch: SolveScratch,
@@ -495,8 +497,7 @@ impl WindowFactor {
             lu: BandedLu::placeholder(),
             key: None,
             diag: Vec::new(),
-            top_block: Vec::new(),
-            bottom_block: Vec::new(),
+            condensed: None,
             slabs: None,
             scratch: SolveScratch::default(),
         }
@@ -518,32 +519,35 @@ impl WindowFactor {
         self.slabs = None;
     }
 
-    /// The first column of `S` that differs from the one `lu` factors.
-    fn resume_column(&self, split: Split, diag: &[Complex64], top: &Slab, bottom: &Slab) -> usize {
+    /// A column of `S` no later than the first that differs from the one
+    /// `lu` factors: the first changed window diagonal entry, column 0 if
+    /// the top slab changed (its block sits in the first `nx` columns),
+    /// and column `nw − nx` if the bottom slab did (the last `nx`).
+    fn resume_column(
+        &self,
+        split: Split,
+        diag: &[Complex64],
+        top: &Arc<Slab>,
+        bottom: &Arc<Slab>,
+    ) -> usize {
         let nw = split.window_len();
-        if self.diag.len() != nw {
+        let Some((old_top, old_bottom)) = &self.condensed else {
+            return 0;
+        };
+        if self.diag.len() != nw || old_top.as_ptr() != Arc::as_ptr(top) {
             return 0;
         }
-        let nx = split.nx;
-        let first_col = |old: &[Complex64], new: &[Complex64]| {
-            old.iter()
-                .zip(new)
-                .position(|(o, n)| bits(o) != bits(n))
-                .map(|k| k / nx)
-        };
-        let mut start = self
+        let start = self
             .diag
             .iter()
             .zip(&diag[split.lo..split.hi])
             .position(|(o, n)| bits(o) != bits(n))
             .unwrap_or(nw);
-        if let Some(c) = first_col(&self.top_block, &top.schur) {
-            start = start.min(c);
+        if old_bottom.as_ptr() == Arc::as_ptr(bottom) {
+            start
+        } else {
+            start.min(nw - split.nx)
         }
-        if let Some(c) = first_col(&self.bottom_block, &bottom.schur) {
-            start = start.min(nw - nx + c);
-        }
-        start
     }
 
     /// Factors `S` for the operator with diagonal `diag` condensed with
@@ -576,14 +580,12 @@ impl WindowFactor {
             assemble_window(stencil, diag, split, &top.schur, &bottom.schur, s, a)
         });
         self.diag.clear();
-        self.top_block.clear();
-        self.bottom_block.clear();
         if result.is_ok() {
             self.diag.extend_from_slice(&diag[split.lo..split.hi]);
-            self.top_block.extend_from_slice(&top.schur);
-            self.bottom_block.extend_from_slice(&bottom.schur);
+            self.condensed = Some((Arc::downgrade(top), Arc::downgrade(bottom)));
             self.slabs = Some(slabs);
         } else {
+            self.condensed = None;
             self.slabs = None;
         }
         result.map(drop)

@@ -39,7 +39,7 @@ fn sweep(
     }
     let n = grid.n();
     let mut x = vec![Complex64::ZERO; n * 3];
-    ws.fused_batch_solve(rhs, &mut x, 1, false, 1);
+    ws.fused_batch_solve(rhs, &mut x, 1, false, 1, None);
     assert!(
         ws.batch_reports().iter().all(|r| r.converged),
         "sweep at epoch {epoch} did not converge"

@@ -102,9 +102,9 @@ proptest! {
             }
         }
         let mut x = vec![Complex64::ZERO; n * total * cols_per_corner];
-        ws.fused_batch_solve(&rhs, &mut x, cols_per_corner, false, 1);
+        ws.fused_batch_solve(&rhs, &mut x, cols_per_corner, false, 1, None);
         let mut x2 = vec![Complex64::ZERO; n * total * cols_per_corner];
-        ws.fused_batch_solve(&rhs, &mut x2, cols_per_corner, false, 1);
+        ws.fused_batch_solve(&rhs, &mut x2, cols_per_corner, false, 1, None);
         prop_assert_eq!(ws.batch_reports().len(), total);
 
         // Per-ω reference: K separate single-ω batches, same corners and
@@ -118,14 +118,14 @@ proptest! {
             }
             let group = &rhs[oi * ncorner * bl..(oi + 1) * ncorner * bl];
             let mut x1 = vec![Complex64::ZERO; ncorner * bl];
-            ws1.fused_batch_solve(group, &mut x1, cols_per_corner, false, 1);
+            ws1.fused_batch_solve(group, &mut x1, cols_per_corner, false, 1, None);
             prop_assert!(
                 x[oi * ncorner * bl..(oi + 1) * ncorner * bl] == *x1.as_slice(),
                 "ω index {} forward phase diverged",
                 oi
             );
             let mut x1b = vec![Complex64::ZERO; ncorner * bl];
-            ws1.fused_batch_solve(group, &mut x1b, cols_per_corner, false, 1);
+            ws1.fused_batch_solve(group, &mut x1b, cols_per_corner, false, 1, None);
             prop_assert!(
                 x2[oi * ncorner * bl..(oi + 1) * ncorner * bl] == *x1b.as_slice(),
                 "ω index {} second phase diverged",

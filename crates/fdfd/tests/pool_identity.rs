@@ -71,7 +71,7 @@ fn sweep_on(
         }
     }
     let mut x = vec![Complex64::ZERO; n * total];
-    ws.fused_batch_solve(&rhs, &mut x, 1, false, threads);
+    ws.fused_batch_solve(&rhs, &mut x, 1, false, threads, None);
     (x, ws.batch_reports().to_vec())
 }
 
@@ -142,17 +142,17 @@ fn recycled_lagged_protocol(threads: usize) -> Vec<Complex64> {
             }
         }
         let mut x = vec![Complex64::ZERO; n * total];
-        ws.fused_batch_solve_recycled(
+        ws.fused_batch_solve(
             &rhs,
             &mut x,
             1,
             false,
             threads,
-            FusedRecycle {
+            Some(FusedRecycle {
                 spaces: &mut spaces,
                 keys: &keys,
                 epoch,
-            },
+            }),
         );
         assert!(
             ws.batch_reports().iter().all(|r| r.converged),

@@ -387,27 +387,33 @@ fn cache_history_never_changes_a_result() {
 }
 
 /// The window factor resumes at its first changed column — a design
-/// cell, a bottom-slab block change (temperature) or, after a top-slab
-/// change, column 0 — and every resumed factor solves bit-identically to
-/// a fresh one.
+/// cell — or earlier when a slab it was condensed with changed: at the
+/// window's last grid row for a new bottom slab (temperature, or a
+/// bottom-slab cell alone), at column 0 for a new top slab. Every
+/// resumed factor solves bit-identically to a fresh one.
 #[test]
 fn resumed_window_factor_is_bit_identical_to_a_fresh_one() {
     let g = grid();
     let om = omega(1.55);
     let mut ws = window_workspace();
-    let steps = [
-        (Device::Bend, T_NOMINAL, 0.0),
+    // (device, temperature, window perturbation, perturbed slab rows)
+    let steps: [(Device, f64, f64, &[usize]); 8] = [
+        (Device::Bend, T_NOMINAL, 0.0, &[]),
         // Design cells only.
-        (Device::Bend, T_NOMINAL, 0.3),
+        (Device::Bend, T_NOMINAL, 0.3, &[]),
         // Temperature: the bottom slab and the design cells.
-        (Device::Bend, T_HI, 0.3),
+        (Device::Bend, T_HI, 0.3, &[]),
         // A late design cell only.
-        (Device::Bend, T_HI, 0.3001),
+        (Device::Bend, T_HI, 0.3001, &[]),
+        // A bottom-slab row only: the window's diagonal is unchanged.
+        (Device::Bend, T_HI, 0.3001, &[60]),
+        // A top-slab row only.
+        (Device::Bend, T_HI, 0.3001, &[60, 20]),
         // The crossing: its top slab changes too.
-        (Device::Crossing, T_HI, 0.3001),
-        (Device::Crossing, T_LO, 0.3001),
+        (Device::Crossing, T_HI, 0.3001, &[]),
+        (Device::Crossing, T_LO, 0.3001, &[]),
     ];
-    for (k, &(device, t, pattern)) in steps.iter().enumerate() {
+    for (k, &(device, t, pattern, slab_rows)) in steps.iter().enumerate() {
         let mut e = eps(device, t, 0.0);
         if pattern != 0.0 {
             // Perturb the window's last rows only, so the resume point
@@ -416,6 +422,11 @@ fn resumed_window_factor_is_bit_identical_to_a_fresh_one() {
                 for ix in 26..54 {
                     e[(iy, ix)] += pattern;
                 }
+            }
+        }
+        for &iy in slab_rows {
+            for ix in 26..54 {
+                e[(iy, ix)] += 0.5;
             }
         }
         let b = rhs(&g, om);

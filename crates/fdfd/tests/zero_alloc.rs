@@ -357,7 +357,7 @@ fn steady_state_spectral_batched_corner_sweep_performs_no_heap_allocations() {
                 ws.fused_batch_push(eps, 0);
             }
             x.fill(Complex64::ZERO);
-            ws.fused_batch_solve(&rhs, x, 1, false, 1);
+            ws.fused_batch_solve(&rhs, x, 1, false, 1, None);
             assert!(ws.batch_reports().iter().all(|r| r.converged));
         }
     };
@@ -435,8 +435,8 @@ fn steady_state_fused_cross_omega_sweep_performs_no_heap_allocations() {
         }
         x.fill(Complex64::ZERO);
         // Forward phase + a second (adjoint-pattern) phase per epoch.
-        ws.fused_batch_solve(&rhs, x, 1, false, 1);
-        ws.fused_batch_solve(&rhs, x, 1, false, 1);
+        ws.fused_batch_solve(&rhs, x, 1, false, 1, None);
+        ws.fused_batch_solve(&rhs, x, 1, false, 1, None);
         assert!(ws.batch_reports().iter().all(|r| r.converged));
     };
 
@@ -516,7 +516,7 @@ fn steady_state_pooled_fused_sweep_performs_no_heap_allocations() {
             }
         }
         x.fill(Complex64::ZERO);
-        ws.fused_batch_solve(&rhs, x, 1, false, threads);
+        ws.fused_batch_solve(&rhs, x, 1, false, threads, None);
         assert!(ws.batch_reports().iter().all(|r| r.converged));
     };
 
@@ -626,30 +626,30 @@ fn steady_state_recycled_lagged_sweep_performs_no_heap_allocations() {
         // Forward phase, then the adjoint-pattern phase, each against its
         // own deflation stores.
         x.fill(Complex64::ZERO);
-        ws.fused_batch_solve_recycled(
+        ws.fused_batch_solve(
             &rhs,
             x,
             1,
             false,
             1,
-            FusedRecycle {
+            Some(FusedRecycle {
                 spaces: fwd,
                 keys: &keys,
                 epoch,
-            },
+            }),
         );
         x.fill(Complex64::ZERO);
-        ws.fused_batch_solve_recycled(
+        ws.fused_batch_solve(
             &rhs,
             x,
             1,
             false,
             1,
-            FusedRecycle {
+            Some(FusedRecycle {
                 spaces: adj,
                 keys: &keys,
                 epoch,
-            },
+            }),
         );
         assert!(ws.batch_reports().iter().all(|r| r.converged));
     };

@@ -4,8 +4,10 @@
 //! along the fast axis its bandwidth equals the fast-axis extent, so a
 //! banded direct solver (the algorithm of LAPACK's `zgbtrf`/`zgbtrs`)
 //! factors it in `O(n·b²)` time and solves each right-hand side in
-//! `O(n·b)`. Both the forward solve and the transpose solve are provided —
-//! the adjoint method solves `Aᵀλ = g` against the *same* factorisation.
+//! `O(n·b)`. Only the forward orientation `A x = b` is provided: the
+//! symmetrised FDFD operator is complex-symmetric (`Aᵀ = A`, checked by
+//! [`BandedMatrix::asymmetry`]), so the adjoint method's `Aᵀλ = g` is the
+//! same solve against the *same* factorisation.
 //!
 //! Storage is column-major LAPACK band format with `2·kl + ku + 1` rows per
 //! column: the top `kl` rows are fill space for pivoting.
@@ -31,9 +33,8 @@
 //!   variation corner whose perturbed cells come late in the ordering)
 //!   skip the leading share of the `O(n·kl·(kl+ku))` work.
 //!
-//! Multi-RHS solves go through [`BandedLu::solve_many`] /
-//! [`BandedLu::solve_transpose_many`], which make a *single* pass over
-//! the factors for all right-hand sides.
+//! Multi-RHS solves go through [`BandedLu::solve_many`], which makes a
+//! *single* pass over the factors for all right-hand sides.
 //!
 //! The factorisation kernel is shared by both styles and is written in
 //! slice/iterator form (no bounds checks in the inner loops). Its complex
@@ -88,7 +89,7 @@
 //! }
 //! ```
 
-use crate::complex::{axpy_neg, dotu, scal};
+use crate::complex::{axpy_neg, scal};
 use crate::Complex64;
 use std::fmt;
 
@@ -272,37 +273,6 @@ impl BandedMatrix {
             let ihi = (j + self.kl).min(self.n - 1);
             let base = self.idx(ilo, j);
             crate::complex::axpy(xj, &self.ab[base..=base + (ihi - ilo)], &mut y[ilo..=ihi]);
-        }
-    }
-
-    /// Transposed matrix–vector product `y = Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n`.
-    pub fn matvec_transpose(&self, x: &[Complex64]) -> Vec<Complex64> {
-        let mut y = vec![Complex64::ZERO; self.n];
-        self.matvec_transpose_into(x, &mut y);
-        y
-    }
-
-    /// Allocation-free transposed matrix–vector product `y = Aᵀ x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != n` or `y.len() != n`.
-    pub fn matvec_transpose_into(&self, x: &[Complex64], y: &mut [Complex64]) {
-        assert_eq!(x.len(), self.n, "matvec_transpose dimension mismatch");
-        assert_eq!(
-            y.len(),
-            self.n,
-            "matvec_transpose output dimension mismatch"
-        );
-        for (j, yj) in y.iter_mut().enumerate() {
-            let ilo = j.saturating_sub(self.ku);
-            let ihi = (j + self.kl).min(self.n - 1);
-            let base = self.idx(ilo, j);
-            *yj = dotu(&self.ab[base..=base + (ihi - ilo)], &x[ilo..=ihi]);
         }
     }
 
@@ -521,7 +491,7 @@ fn eliminate(
 }
 
 /// Default number of right-hand-side columns per factor sweep in
-/// [`BandedLu::solve_many`] / [`BandedLu::solve_transpose_many`].
+/// [`BandedLu::solve_many`].
 ///
 /// Each factor column touches a `kl + ku + 1` window in every RHS; 32
 /// columns keep those windows comfortably inside L2 for FDFD-scale
@@ -945,90 +915,10 @@ impl BandedLu {
         self.back_substitute_trailing(out, k);
     }
 
-    /// Solves `Aᵀ x = b` in place using the same factorisation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n`.
-    pub fn solve_transpose(&self, b: &mut [Complex64]) {
-        assert_eq!(b.len(), self.n, "solve_transpose dimension mismatch");
-        self.solve_transpose_many(b, 1);
-    }
-
-    /// Transpose counterpart of [`BandedLu::solve_many`]: solves
-    /// `Aᵀ X = B` for `nrhs` column-major right-hand sides, sweeping the
-    /// factors once per [`RHS_BLOCK`]-column chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n * nrhs`.
-    pub fn solve_transpose_many(&self, b: &mut [Complex64], nrhs: usize) {
-        self.solve_transpose_many_blocked(b, nrhs, RHS_BLOCK);
-    }
-
-    /// [`BandedLu::solve_transpose_many`] with an explicit RHS block size
-    /// (see [`BandedLu::solve_many_blocked`] for the trade-off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n * nrhs` or `block == 0`.
-    pub fn solve_transpose_many_blocked(&self, b: &mut [Complex64], nrhs: usize, block: usize) {
-        assert_eq!(
-            b.len(),
-            self.n * nrhs,
-            "solve_transpose_many dimension mismatch"
-        );
-        assert!(block > 0, "RHS block size must be positive");
-        for chunk in b.chunks_mut(self.n * block) {
-            self.solve_transpose_sweep(chunk);
-        }
-    }
-
-    /// One factor sweep of the transpose substitution over all columns of
-    /// `b`.
-    fn solve_transpose_sweep(&self, b: &mut [Complex64]) {
-        let n = self.n;
-        let kl = self.kl;
-        let ldab = self.ldab();
-        let kv = kl + self.ku;
-        // Solve Uᵀ y = b: forward substitution.
-        for j in 0..n {
-            let col = j * ldab + kv;
-            let dinv = self.ab[col].inv();
-            let reach = kv.min(j);
-            let u = &self.ab[col - reach..col];
-            for rhs in b.chunks_exact_mut(n) {
-                let s = rhs[j] - dotu(u, &rhs[j - reach..j]);
-                rhs[j] = s * dinv;
-            }
-        }
-        // Solve Lᵀ z = y: backward, applying pivots in reverse.
-        for j in (0..n).rev() {
-            let km = kl.min(n - 1 - j);
-            let col = j * ldab + kv;
-            let p = self.ipiv[j];
-            let l = &self.ab[col + 1..=col + km];
-            for rhs in b.chunks_exact_mut(n) {
-                let s = rhs[j] - dotu(l, &rhs[j + 1..=j + km]);
-                rhs[j] = s;
-                if p != j {
-                    rhs.swap(j, p);
-                }
-            }
-        }
-    }
-
     /// Convenience: solves into a fresh vector.
     pub fn solve_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
         let mut x = b.to_vec();
         self.solve(&mut x);
-        x
-    }
-
-    /// Convenience: transpose-solves into a fresh vector.
-    pub fn solve_transpose_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
-        let mut x = b.to_vec();
-        self.solve_transpose(&mut x);
         x
     }
 }
@@ -1321,43 +1211,6 @@ pub mod reference {
             }
         }
     }
-
-    /// Scalar single-RHS transpose substitution (the seed's
-    /// `solve_transpose`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != lu.n()`.
-    pub fn solve_transpose(lu: &BandedLu, b: &mut [Complex64]) {
-        assert_eq!(b.len(), lu.n, "solve_transpose dimension mismatch");
-        let n = lu.n;
-        let kl = lu.kl;
-        let ku = lu.ku;
-        let ldab = 2 * kl + ku + 1;
-        let kv = kl + ku;
-        for j in 0..n {
-            let col = j * ldab + kl + ku;
-            let mut s = b[j];
-            let reach = kv.min(j);
-            for i in 1..=reach {
-                s -= lu.ab[col - i] * b[j - i];
-            }
-            b[j] = s / lu.ab[col];
-        }
-        for j in (0..n).rev() {
-            let km = kl.min(n - 1 - j);
-            let col = j * ldab + kl + ku;
-            let mut s = b[j];
-            for i in 1..=km {
-                s -= lu.ab[col + i] * b[j + i];
-            }
-            b[j] = s;
-            let p = lu.ipiv[j];
-            if p != j {
-                b.swap(j, p);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1434,30 +1287,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_solve_random_systems() {
-        for &(n, kl, ku) in &[(5usize, 1usize, 2usize), (12, 3, 3), (33, 6, 4), (48, 5, 9)] {
-            let a = random_banded(n, kl, ku, (n * 13 + kl + ku * 3) as u64);
-            let b: Vec<_> = (0..n)
-                .map(|i| c64(1.0 / (i + 1) as f64, 0.3 * i as f64))
-                .collect();
-            let lu = a.clone().factor().unwrap();
-            let x = lu.solve_transpose_vec(&b);
-            // Residual against Aᵀ x = b.
-            let atx = a.matvec_transpose(&x);
-            let r = atx
-                .iter()
-                .zip(&b)
-                .map(|(p, q)| (*p - *q).norm_sqr())
-                .sum::<f64>()
-                .sqrt();
-            assert!(
-                r < 1e-10,
-                "transpose residual {r} for n={n} kl={kl} ku={ku}"
-            );
-        }
-    }
-
-    #[test]
     fn pivoting_handles_zero_diagonal() {
         // A = [[0, 1], [1, 0]] requires a row swap.
         let mut a = BandedMatrix::new(2, 1, 1);
@@ -1516,10 +1345,6 @@ mod tests {
         assert_eq!(y[0], c64(5.0, 0.0));
         assert_eq!(y[1], c64(26.0, 0.0));
         assert_eq!(y[2], c64(33.0, 0.0));
-        let yt = a.matvec_transpose(&x);
-        assert_eq!(yt[0], c64(7.0, 0.0));
-        assert_eq!(yt[1], c64(28.0, 0.0));
-        assert_eq!(yt[2], c64(31.0, 0.0));
     }
 
     #[test]
@@ -1605,29 +1430,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn solve_transpose_many_matches_column_by_column() {
-        let n = 28;
-        let a = random_banded(n, 3, 4, 55);
-        let lu = a.clone().factor().unwrap();
-        let nrhs = 3;
-        let cols: Vec<Vec<Complex64>> = (0..nrhs)
-            .map(|r| {
-                (0..n)
-                    .map(|i| c64((i + 2 * r) as f64 * 0.2, (i * i) as f64 * 0.01))
-                    .collect()
-            })
-            .collect();
-        let mut block: Vec<Complex64> = cols.iter().flatten().copied().collect();
-        lu.solve_transpose_many(&mut block, nrhs);
-        for (r, col) in cols.iter().enumerate() {
-            let x = lu.solve_transpose_vec(col);
-            for (p, q) in x.iter().zip(&block[r * n..(r + 1) * n]) {
-                assert!((*p - *q).abs() < 1e-12, "rhs {r} diverged");
-            }
-        }
-    }
-
     /// The caller-owned conversion scratch carries no state between
     /// applies: a fresh scratch and one left dirty by a wider apply give
     /// bit-identical results through a shared borrow of the factors.
@@ -1667,15 +1469,10 @@ mod tests {
             .collect();
         let mut reference = block0.clone();
         lu.solve_many_blocked(&mut reference, nrhs, nrhs); // single sweep
-        let mut reference_t = block0.clone();
-        lu.solve_transpose_many_blocked(&mut reference_t, nrhs, nrhs);
         for block in [1usize, 2, 3, 4, 8, 16, 64] {
             let mut b = block0.clone();
             lu.solve_many_blocked(&mut b, nrhs, block);
             assert_eq!(b, reference, "block={block}");
-            let mut bt = block0.clone();
-            lu.solve_transpose_many_blocked(&mut bt, nrhs, block);
-            assert_eq!(bt, reference_t, "transpose block={block}");
         }
         // The default path is one of them.
         let mut b = block0.clone();
@@ -1726,9 +1523,6 @@ mod tests {
         let mut y = vec![c64(9.0, 9.0); n]; // poisoned: must be overwritten
         a.matvec_into(&x, &mut y);
         assert_eq!(y, a.matvec(&x));
-        let mut yt = vec![c64(-3.0, 7.0); n];
-        a.matvec_transpose_into(&x, &mut yt);
-        assert_eq!(yt, a.matvec_transpose(&x));
     }
 
     #[test]
@@ -1745,12 +1539,6 @@ mod tests {
             reference::solve(&slow, &mut xs);
             for (p, q) in xf.iter().zip(&xs) {
                 assert!((*p - *q).abs() < 1e-10, "n={n} kl={kl} ku={ku}");
-            }
-            let xtf = fast.solve_transpose_vec(&b);
-            let mut xts = b.clone();
-            reference::solve_transpose(&slow, &mut xts);
-            for (p, q) in xtf.iter().zip(&xts) {
-                assert!((*p - *q).abs() < 1e-10, "transpose n={n} kl={kl} ku={ku}");
             }
         }
     }

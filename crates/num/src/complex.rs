@@ -450,24 +450,6 @@ pub fn scal(a: Complex64, x: &mut [Complex64]) {
     }
 }
 
-/// Unconjugated dot product `Σ x[i]·y[i]` (the bilinear form used by the
-/// transpose substitutions; *not* the Hermitian inner product).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[inline]
-pub fn dotu(x: &[Complex64], y: &[Complex64]) -> Complex64 {
-    assert_eq!(x.len(), y.len(), "dotu length mismatch");
-    let mut re = 0.0;
-    let mut im = 0.0;
-    for (&xi, &yi) in x.iter().zip(y) {
-        re += xi.re * yi.re - xi.im * yi.im;
-        im += xi.re * yi.im + xi.im * yi.re;
-    }
-    c64(re, im)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,10 +575,6 @@ mod tests {
         for (p, &xi) in z.iter().zip(&x) {
             assert!((*p - xi * a).abs() < 1e-14);
         }
-
-        let d = dotu(&x, &expect);
-        let manual: Complex64 = x.iter().zip(&expect).map(|(&p, &q)| p * q).sum();
-        assert!((d - manual).abs() < 1e-12);
     }
 
     #[test]

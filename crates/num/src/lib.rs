@@ -8,8 +8,9 @@
 //!   permittivity maps;
 //! * [`fft`] — radix-2 1-D/2-D FFTs powering the lithography convolutions;
 //! * [`banded`] — LAPACK-style complex banded LU with partial pivoting, the
-//!   direct solver behind the FDFD electromagnetic simulations (forward
-//!   *and* transpose solves, so adjoint systems reuse the factorisation);
+//!   direct solver behind the FDFD electromagnetic simulations (the
+//!   operator is complex-symmetric, so one forward-oriented solve serves
+//!   both the forward and the adjoint systems);
 //! * [`krylov`] — preconditioned multi-RHS BiCGSTAB taking any
 //!   [`banded::BandedLu`] as preconditioner; amortises one nominal
 //!   factorisation across many nearby variation-corner solves;
@@ -53,7 +54,6 @@
 pub mod array2;
 pub mod banded;
 pub mod complex;
-pub mod dense;
 pub mod fft;
 pub mod jacobi;
 pub mod krylov;

@@ -23,8 +23,7 @@
 //! ```
 //!
 //! (IEEE addition is commutative, so the swapped order of the `im` sum is
-//! exact). Dot products (`dotu`) stay portable: a SIMD reduction would
-//! reorder their sums.
+//! exact).
 
 #[cfg(target_arch = "x86_64")]
 use crate::{banded::axpy_neg32_scalar, complex::axpy_neg_scalar, Complex64};

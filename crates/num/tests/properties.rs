@@ -111,11 +111,6 @@ proptest! {
         let res: f64 = ax.iter().zip(&rhs).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
         let scale: f64 = rhs.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
         prop_assert!(res <= 1e-8 * (1.0 + scale), "residual {res}");
-        // Transpose solve residual too.
-        let xt = lu.solve_transpose_vec(&rhs);
-        let atx = a.matvec_transpose(&xt);
-        let rest: f64 = atx.iter().zip(&rhs).map(|(p, q)| (*p - *q).norm_sqr()).sum::<f64>().sqrt();
-        prop_assert!(rest <= 1e-8 * (1.0 + scale), "transpose residual {rest}");
     }
 
     #[test]
@@ -209,15 +204,6 @@ proptest! {
             let x = lu.solve_vec(&block[r * n..(r + 1) * n]);
             for (p, q) in x.iter().zip(&batched[r * n..(r + 1) * n]) {
                 prop_assert!((*p - *q).abs() < 1e-10, "rhs {r}");
-            }
-        }
-        // Transpose flavour too.
-        let mut batched_t = block.clone();
-        lu.solve_transpose_many(&mut batched_t, 4);
-        for r in 0..4 {
-            let x = lu.solve_transpose_vec(&block[r * n..(r + 1) * n]);
-            for (p, q) in x.iter().zip(&batched_t[r * n..(r + 1) * n]) {
-                prop_assert!((*p - *q).abs() < 1e-10, "transpose rhs {r}");
             }
         }
     }
@@ -385,7 +371,7 @@ proptest! {
     }
 
     // The optimised kernels agree with the seed's scalar reference
-    // implementation (forward and transpose).
+    // implementation.
     #[test]
     fn optimised_kernels_match_scalar_reference(
         entries in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 28 * 8),
@@ -400,12 +386,6 @@ proptest! {
         let mut x_slow = rhs.clone();
         reference::solve(&slow, &mut x_slow);
         for (p, q) in x_fast.iter().zip(&x_slow) {
-            prop_assert!((*p - *q).abs() < 1e-9 * (1.0 + q.abs()));
-        }
-        let xt_fast = fast.solve_transpose_vec(&rhs);
-        let mut xt_slow = rhs.clone();
-        reference::solve_transpose(&slow, &mut xt_slow);
-        for (p, q) in xt_fast.iter().zip(&xt_slow) {
             prop_assert!((*p - *q).abs() < 1e-9 * (1.0 + q.abs()));
         }
     }

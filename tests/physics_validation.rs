@@ -80,10 +80,8 @@ fn direct_and_iterative_solvers_agree() {
 
     // The corner stays complex-symmetric, so the same forward solve
     // answers the adjoint (transpose) system too.
-    let mut xt_direct = rhs.clone();
-    lu.solve_transpose_many(&mut xt_direct, nrhs);
-    let err = rel_err(&xt_direct, &x_iter);
-    assert!(err < 1e-7, "transpose solver disagreement: {err}");
+    let asym = corner.asymmetry();
+    assert!(asym < 1e-13, "corner operator asymmetry = {asym}");
 }
 
 #[test]
