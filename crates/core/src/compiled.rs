@@ -35,7 +35,7 @@ use boson_fdfd::source::ModalSource;
 use boson_fdfd::window::SlabCache;
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
-use boson_num::pool::{self, DisjointSlots};
+use boson_num::pool;
 use boson_num::{Array2, Complex64};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -58,11 +58,8 @@ pub struct Evaluation {
     pub fom: f64,
     /// `∂objective/∂ε` over the full grid (present when requested).
     pub grad_eps: Option<Array2<f64>>,
-    /// Number of linear-system factorisations performed.
-    pub factorizations: usize,
-    /// What the corner solver did (iteration counts, residuals, whether
-    /// the adaptive direct fallback fired). Default for plain direct
-    /// evaluations.
+    /// What the corner solver did: factorisations, solves, iteration
+    /// counts, residuals, whether the adaptive direct fallback fired.
     pub solve: CornerSolveReport,
 }
 
@@ -827,7 +824,6 @@ impl CompiledProblem {
             objective,
             fom,
             grad_eps,
-            factorizations: solve.factorizations,
             solve,
         })
     }
@@ -859,6 +855,11 @@ impl CompiledProblem {
     /// direct factorisation per (corner, ω), bit-identical to
     /// [`SolverStrategy::Direct`], and are flagged in
     /// [`Evaluation::solve`] so the caller's adaptive policy can pin them.
+    ///
+    /// Every direct column — the `Direct` fan-out, the pinned columns,
+    /// both phases' budget misses and the adjoint skip's consistency pass
+    /// — goes through one private direct-columns path, one call per
+    /// phase.
     ///
     /// Returns one [`Evaluation`] per entry of `epss`, in order.
     ///
@@ -924,16 +925,16 @@ impl CompiledProblem {
         // Direct columns: all of them under `Direct`, fanned over
         // `set.threads` lanes; the policy-pinned ones otherwise. Pinned
         // columns are rare, so they stay on the caller's scratch rather
-        // than paying another lane workspace (a banded LU plus assembly).
-        let direct: Vec<usize> = (0..count)
+        // than paying another lane workspace (a banded LU plus assembly),
+        // as do the budget-miss fallbacks and the consistency pass below.
+        let direct: Vec<(usize, Option<&CornerSolveReport>)> = (0..count)
             .filter(|&ci| evals[ci].is_none() && (all_direct || set.force_direct[ci]))
+            .map(|ci| (ci, None))
             .collect();
         let lanes = if all_direct { set.threads } else { 1 };
-        let direct_evals =
-            self.evaluate_direct_columns(epss, &direct, with_grad, spec, scratch, set, lanes);
-        for (&ci, ev) in direct.iter().zip(direct_evals) {
-            evals[ci] = Some(ev?);
-        }
+        self.evaluate_direct_columns(
+            epss, &direct, with_grad, spec, scratch, set, lanes, &mut evals,
+        )?;
 
         // Everything else — all remaining (corner, ω) pairs — advances in
         // one fused lockstep batch.
@@ -1053,21 +1054,15 @@ impl CompiledProblem {
 
             // Forward-phase budget misses re-evaluate directly.
             let forward_reports = scratch.sim.batch_reports().to_vec();
-            for (slot, &ci) in batched.iter().enumerate() {
-                if !forward_reports[slot].converged {
-                    evals[ci] = Some(self.fallback_eval(
-                        &epss[ci],
-                        with_grad,
-                        spec,
-                        scratch,
-                        set.strategy,
-                        set.nominal_eps,
-                        set.epoch,
-                        set.omega_idx[ci],
-                        &forward_reports[slot],
-                    )?);
-                }
-            }
+            let missed: Vec<(usize, Option<&CornerSolveReport>)> = batched
+                .iter()
+                .zip(&forward_reports)
+                .filter(|(_, report)| !report.converged)
+                .map(|(&ci, report)| (ci, Some(report)))
+                .collect();
+            self.evaluate_direct_columns(
+                epss, &missed, with_grad, spec, scratch, set, 1, &mut evals,
+            )?;
 
             // Readings phase for the surviving corners, each against its
             // own wavelength's calibration.
@@ -1087,52 +1082,19 @@ impl CompiledProblem {
             // With every forward objective in hand, the aggregation's
             // exact gradient weights are known — drop the adjoint solves
             // of zero-weight entries when the caller opted in.
-            let mut needs_grad = vec![true; count];
-            if with_grad {
-                if let Some((agg, fab_idx)) = set.skip_zero_weight_adjoints {
-                    assert_eq!(fab_idx.len(), count, "fabrication index count mismatch");
-                    let mut obj_of = vec![0.0; count];
-                    for (ci, ev) in evals.iter().enumerate() {
-                        if let Some(ev) = ev {
-                            obj_of[ci] = ev.objective;
-                        }
-                    }
+            let needs_grad = match set.skip_zero_weight_adjoints {
+                Some((agg, fab_idx)) if with_grad => {
+                    let mut obj_of: Vec<f64> = evals
+                        .iter()
+                        .map(|ev| ev.as_ref().map_or(0.0, |ev| ev.objective))
+                        .collect();
                     for &(_, ci, _, objective, _) in &partials {
                         obj_of[ci] = objective;
                     }
-                    let nfab = fab_idx.iter().copied().max().map_or(0, |m| m + 1);
-                    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nfab];
-                    for (ci, &f) in fab_idx.iter().enumerate() {
-                        groups[f].push(ci);
-                    }
-                    // The weight↔entry correspondence below assumes each
-                    // corner's entries arrive ω-ascending (the ω-major
-                    // product — full or any subset of it — does).
-                    debug_assert!(
-                        groups.iter().all(|g| g
-                            .windows(2)
-                            .all(|w| set.omega_idx[w[0]] < set.omega_idx[w[1]])),
-                        "corner group entries must be in ascending-ω order"
-                    );
-                    let mut values = Vec::new();
-                    let mut sweights = Vec::new();
-                    for group in &groups {
-                        if group.is_empty() {
-                            continue;
-                        }
-                        values.clear();
-                        values.extend(group.iter().map(|&ci| obj_of[ci]));
-                        sweights.clear();
-                        sweights.resize(group.len(), 0.0);
-                        agg.weights_into(&values, &mut sweights);
-                        for (pos, &ci) in group.iter().enumerate() {
-                            if sweights[pos] == 0.0 {
-                                needs_grad[ci] = false;
-                            }
-                        }
-                    }
+                    weighted_entries(agg, fab_idx, set.omega_idx, &obj_of)
                 }
-            }
+                _ => vec![true; count],
+            };
 
             // Adjoint phase: sources only for the entries whose gradient
             // can reach the objective (the rest stay zero-RHS columns,
@@ -1190,21 +1152,12 @@ impl CompiledProblem {
             }
             let merged_reports = scratch.sim.batch_reports().to_vec();
 
+            let mut missed: Vec<(usize, Option<&CornerSolveReport>)> = Vec::new();
             for (slot, ci, readings, objective, fom) in partials {
                 let report = &merged_reports[slot];
                 if !report.converged {
                     // Adjoint-phase budget miss: full direct re-evaluation.
-                    evals[ci] = Some(self.fallback_eval(
-                        &epss[ci],
-                        with_grad,
-                        spec,
-                        scratch,
-                        set.strategy,
-                        set.nominal_eps,
-                        set.epoch,
-                        set.omega_idx[ci],
-                        report,
-                    )?);
+                    missed.push((ci, Some(report)));
                     continue;
                 }
                 let grad_eps = if with_grad && needs_grad[ci] {
@@ -1234,80 +1187,44 @@ impl CompiledProblem {
                     objective,
                     fom,
                     grad_eps,
-                    factorizations: 0,
                     solve,
                 });
             }
+            self.evaluate_direct_columns(
+                epss, &missed, with_grad, spec, scratch, set, 1, &mut evals,
+            )?;
 
             // Consistency pass for the adjoint skip: an adjoint-phase
             // fallback re-evaluates its corner *directly*, nudging its
             // objective within solver tolerance — which can move a
             // group's aggregation argmin onto an entry whose adjoint was
             // skipped. Re-derive the weights from the final objectives
-            // and give every weighted-but-gradient-less entry a full
-            // direct evaluation; each pass only ever adds gradients, so
-            // the loop terminates (and in practice never runs — it needs
-            // an adjoint-only budget miss landing between two nearly-tied
+            // and give every weighted-but-gradient-less entry a plain
+            // direct evaluation — NOT a budget miss, so `fell_back` stays
+            // unset and the caller's adaptive policy does not pin its
+            // corner. Each pass only ever adds gradients, so the loop
+            // terminates (and in practice never runs — it needs an
+            // adjoint-only budget miss landing between two nearly-tied
             // wavelengths).
             if with_grad {
                 if let Some((agg, fab_idx)) = set.skip_zero_weight_adjoints {
-                    let mut groups: Vec<Vec<usize>> = Vec::new();
-                    for (ci, &f) in fab_idx.iter().enumerate() {
-                        if groups.len() <= f {
-                            groups.resize_with(f + 1, Vec::new);
-                        }
-                        groups[f].push(ci);
-                    }
                     loop {
-                        let mut missing: Vec<usize> = Vec::new();
-                        let mut values = Vec::new();
-                        let mut sweights = Vec::new();
-                        for group in &groups {
-                            if group.is_empty() {
-                                continue;
-                            }
-                            values.clear();
-                            values.extend(group.iter().map(|&ci| {
-                                evals[ci]
-                                    .as_ref()
-                                    .expect("every corner evaluated")
-                                    .objective
-                            }));
-                            sweights.clear();
-                            sweights.resize(group.len(), 0.0);
-                            agg.weights_into(&values, &mut sweights);
-                            for (pos, &ci) in group.iter().enumerate() {
-                                let has_grad =
-                                    evals[ci].as_ref().is_some_and(|ev| ev.grad_eps.is_some());
-                                if sweights[pos] != 0.0 && !has_grad {
-                                    missing.push(ci);
-                                }
-                            }
-                        }
+                        // Every entry is evaluated by now.
+                        let objectives: Vec<f64> =
+                            evals.iter().flatten().map(|ev| ev.objective).collect();
+                        let weighted = weighted_entries(agg, fab_idx, set.omega_idx, &objectives);
+                        let has_grad =
+                            |ci: usize| evals[ci].as_ref().is_some_and(|ev| ev.grad_eps.is_some());
+                        let missing: Vec<(usize, Option<&CornerSolveReport>)> = (0..count)
+                            .filter(|&ci| weighted[ci] && !has_grad(ci))
+                            .map(|ci| (ci, None))
+                            .collect();
                         if missing.is_empty() {
                             break;
                         }
-                        for ci in missing {
-                            // A plain direct evaluation — NOT a budget
-                            // miss, so `fell_back` stays unset and the
-                            // caller's adaptive policy does not pin this
-                            // corner.
-                            let cs = CornerSolve {
-                                strategy: set.strategy,
-                                nominal_eps: set.nominal_eps,
-                                epoch: set.epoch,
-                                is_nominal: false,
-                                force_direct: true,
-                                omega_idx: set.omega_idx[ci],
-                            };
-                            evals[ci] = Some(self.evaluate_eps_corner(
-                                &epss[ci],
-                                with_grad,
-                                spec,
-                                scratch,
-                                Some(&cs),
-                            )?);
-                        }
+                        self.evaluate_direct_columns(
+                            epss, &missing, with_grad, spec, scratch, set, 1, &mut evals,
+                        )?;
                     }
                 }
             }
@@ -1317,7 +1234,6 @@ impl CompiledProblem {
             // the first batched evaluation.
             if extra_factorizations > 0 {
                 if let Some(ev) = evals[batched[0]].as_mut() {
-                    ev.factorizations += extra_factorizations;
                     ev.solve.factorizations += extra_factorizations;
                 }
             }
@@ -1329,26 +1245,35 @@ impl CompiledProblem {
             .collect())
     }
 
-    /// Evaluates the `cols` entries of `epss` as plain direct
-    /// factor-and-solves, one pool part per column on up to `lanes`
-    /// lanes. Lane 0 runs on `scratch`, lanes `1..` on the scratches kept
-    /// in its `lanes` field (built on first use, then reused). With more
-    /// than one lane, every slab the columns need is built on `scratch`
-    /// before the dispatch and its cache lent read-only to all lanes
-    /// ([`SimWorkspace::take_window_slabs`]); one lane builds on demand.
-    /// Every column is independent, so the lane count never changes a
-    /// result. Results come back in `cols` order.
+    /// Evaluates the entries of `epss` that `cols` names as plain direct
+    /// factor-and-solves into `evals` — the one direct path of
+    /// [`CompiledProblem::evaluate_corner_product`] — one pool part per
+    /// column on up to `lanes` lanes. Lane 0 runs on `scratch`, lanes
+    /// `1..` on the scratches kept in its `lanes` field (built on first
+    /// use, then reused). With more than one lane, every slab the columns
+    /// need is built on `scratch` before the dispatch and its cache lent
+    /// read-only to all lanes ([`SimWorkspace::take_window_slabs`]); one
+    /// lane builds on demand. Every column is independent, so the lane
+    /// count never changes a result. The first failing column's error, in
+    /// `cols` order, is returned.
+    ///
+    /// A column paired with its failed batched attempt's report is a
+    /// budget-miss fallback: its report takes `used_iterative`,
+    /// `fell_back` and the attempt's worst iteration count and residual.
+    /// Every batched ω's nominal factor is fresh for the epoch, so the
+    /// result is bit-identical to the direct strategy's.
     #[allow(clippy::too_many_arguments)] // the product call's context, passed through
     fn evaluate_direct_columns(
         &self,
         epss: &[Array2<f64>],
-        cols: &[usize],
+        cols: &[(usize, Option<&CornerSolveReport>)],
         with_grad: bool,
         spec: &crate::objective::ObjectiveSpec,
         scratch: &mut EvalScratch,
         set: &CornerProductSolve<'_>,
         lanes: usize,
-    ) -> Vec<Result<Evaluation, SingularMatrixError>> {
+        evals: &mut [Option<Evaluation>],
+    ) -> Result<(), SingularMatrixError> {
         let pool = pool::global();
         let lanes = lanes.min(cols.len()).min(pool.lanes()).max(1);
         // Several lanes: build every slab the columns need on the
@@ -1357,7 +1282,7 @@ impl CompiledProblem {
             scratch.sim.set_window_rows(Some(self.window_rows()));
             let corners = cols
                 .iter()
-                .map(|&ci| (self.cals[set.omega_idx[ci]].omega, &epss[ci]));
+                .map(|&(ci, _)| (self.cals[set.omega_idx[ci]].omega, &epss[ci]));
             scratch
                 .sim
                 .take_window_slabs(self.problem.grid, lanes, corners)
@@ -1366,83 +1291,37 @@ impl CompiledProblem {
         if extra.len() < lanes - 1 {
             extra.resize_with(lanes - 1, EvalScratch::new);
         }
-        let mut out: Vec<Option<Result<Evaluation, SingularMatrixError>>> =
-            (0..cols.len()).map(|_| None).collect();
-        {
-            let mut lane_scratch: Vec<&mut EvalScratch> = std::iter::once(&mut *scratch)
-                .chain(extra.iter_mut())
-                .take(lanes)
-                .collect();
-            let scratches = DisjointSlots::new(&mut lane_scratch);
-            let outs = DisjointSlots::new(&mut out);
-            pool.run(cols.len(), lanes, &|lane, part| {
-                let ci = cols[part];
-                let cs = CornerSolve {
-                    strategy: SolverStrategy::Direct,
-                    nominal_eps: set.nominal_eps,
-                    epoch: set.epoch,
-                    is_nominal: false,
-                    force_direct: false,
-                    omega_idx: set.omega_idx[ci],
-                };
-                // SAFETY: the pool runs every part exactly once, so output
-                // slot `part` has one writer, and it owns lane `lane` with
-                // exactly one OS thread per dispatch, so that lane's
-                // scratch is never aliased.
-                unsafe {
-                    let lane_scratch: &mut EvalScratch = scratches.get(lane);
-                    *outs.get(part) = Some(self.evaluate_eps_impl(
-                        &epss[ci],
-                        with_grad,
-                        spec,
-                        lane_scratch,
-                        Some(&cs),
-                        cs.omega_idx,
-                        slabs.as_ref(),
-                    ));
-                }
-            });
-        }
+        let mut lane_scratch: Vec<&mut EvalScratch> = std::iter::once(&mut *scratch)
+            .chain(extra.iter_mut())
+            .take(lanes)
+            .collect();
+        let results = pool.map_with(cols.to_vec(), &mut lane_scratch, |(ci, attempt), lane| {
+            let mut ev = self.evaluate_eps_impl(
+                &epss[ci],
+                with_grad,
+                spec,
+                lane,
+                None,
+                set.omega_idx[ci],
+                slabs.as_ref(),
+            )?;
+            if let Some(attempt) = attempt {
+                ev.solve.used_iterative = true;
+                ev.solve.fell_back = true;
+                ev.solve.max_iterations = ev.solve.max_iterations.max(attempt.max_iterations);
+                ev.solve.max_residual = ev.solve.max_residual.max(attempt.max_residual);
+            }
+            Ok((ci, ev))
+        });
         scratch.lanes = extra;
         if let Some(slabs) = slabs {
             scratch.sim.restore_window_slabs(slabs);
         }
-        out.into_iter()
-            .map(|ev| ev.expect("every direct column ran"))
-            .collect()
-    }
-
-    /// Direct re-evaluation of a corner whose batched iteration missed
-    /// its budget (`omega_idx` names the corner's own wavelength); the
-    /// result is bit-identical to the direct strategy and carries the
-    /// failed attempt's statistics with `fell_back` set.
-    #[allow(clippy::too_many_arguments)] // the product call's context, passed through
-    fn fallback_eval(
-        &self,
-        eps: &Array2<f64>,
-        with_grad: bool,
-        spec: &crate::objective::ObjectiveSpec,
-        scratch: &mut EvalScratch,
-        strategy: SolverStrategy,
-        nominal_eps: &Array2<f64>,
-        epoch: u64,
-        omega_idx: usize,
-        attempt: &CornerSolveReport,
-    ) -> Result<Evaluation, SingularMatrixError> {
-        let cs = CornerSolve {
-            strategy,
-            nominal_eps,
-            epoch,
-            is_nominal: false,
-            force_direct: true,
-            omega_idx,
-        };
-        let mut ev = self.evaluate_eps_corner(eps, with_grad, spec, scratch, Some(&cs))?;
-        ev.solve.used_iterative = true;
-        ev.solve.fell_back = true;
-        ev.solve.max_iterations = ev.solve.max_iterations.max(attempt.max_iterations);
-        ev.solve.max_residual = ev.solve.max_residual.max(attempt.max_residual);
-        Ok(ev)
+        for result in results {
+            let (ci, ev) = result?;
+            evals[ci] = Some(ev);
+        }
+        Ok(())
     }
 
     /// `∂objective/∂reading` per excitation, with residual-monitor
@@ -1475,6 +1354,43 @@ impl CompiledProblem {
         }
         dr
     }
+}
+
+/// Which product entries `agg` weighs: `false` where an entry's exact
+/// aggregation weight within its fabrication corner (`fab_idx`) is zero
+/// at the entries' `objectives` — the adjoints that the fused product's
+/// skip drops and whose gradients its consistency pass restores.
+fn weighted_entries(
+    agg: SpectralAggregation,
+    fab_idx: &[usize],
+    omega_idx: &[usize],
+    objectives: &[f64],
+) -> Vec<bool> {
+    assert_eq!(fab_idx.len(), objectives.len(), "fab_idx length");
+    let nfab = fab_idx.iter().max().map_or(0, |m| m + 1);
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); nfab];
+    for (ci, &f) in fab_idx.iter().enumerate() {
+        groups[f].push(ci);
+    }
+    // The weight↔entry correspondence assumes each corner's entries
+    // arrive ω-ascending (the ω-major product — full or any subset of
+    // it — does).
+    debug_assert!(
+        groups
+            .iter()
+            .all(|g| g.windows(2).all(|w| omega_idx[w[0]] < omega_idx[w[1]])),
+        "corner group entries must be in ascending-ω order"
+    );
+    let mut weighted = vec![true; objectives.len()];
+    for group in groups.iter().filter(|g| !g.is_empty()) {
+        let values: Vec<f64> = group.iter().map(|&ci| objectives[ci]).collect();
+        let mut weights = vec![0.0; group.len()];
+        agg.weights_into(&values, &mut weights);
+        for (&ci, &w) in group.iter().zip(&weights) {
+            weighted[ci] = w != 0.0;
+        }
+    }
+    weighted
 }
 
 /// Builds the scaled forward right-hand side of every excitation of one
@@ -1680,53 +1596,63 @@ mod tests {
         }
     }
 
+    /// The bend compiled at 3 wavelengths, and its seed permittivity with
+    /// the solid cells shifted by each of `deltas` (one fabrication
+    /// corner each; `deltas[0] = 0.0` is the nominal one).
+    fn spectral_bend(deltas: &[f64]) -> (CompiledProblem, Vec<Array2<f64>>) {
+        let axis = boson_fab::SpectralAxis::around(0.02, 3);
+        let c = CompiledProblem::compile_spectral(bending(), axis).unwrap();
+        let rho = seed_rho(c.problem(), &c.problem().seed.clone());
+        let nominal = c.eps_for(&rho, 300.0);
+        let fab = deltas
+            .iter()
+            .map(|&delta| nominal.map(|&v| if v > 2.0 { v + delta } else { v }))
+            .collect();
+        (c, fab)
+    }
+
+    /// Evaluates the ω-major (fabrication corner × ω) product of `fab`
+    /// (corner 0 nominal) with `strategy` and, when `skip`, the
+    /// WorstCase zero-weight adjoint skip.
+    fn worst_case_product(
+        c: &CompiledProblem,
+        fab: &[Array2<f64>],
+        strategy: SolverStrategy,
+        skip: bool,
+    ) -> Vec<Evaluation> {
+        let (k, nf) = (c.omega_count(), fab.len());
+        let epss: Vec<Array2<f64>> = (0..k).flat_map(|_| fab.iter().cloned()).collect();
+        let omega_idx: Vec<usize> = (0..k * nf).map(|ci| ci / nf).collect();
+        let is_nominal: Vec<bool> = (0..k * nf).map(|ci| ci % nf == 0).collect();
+        let fab_idx: Vec<usize> = (0..k * nf).map(|ci| ci % nf).collect();
+        let set = CornerProductSolve {
+            strategy,
+            nominal_eps: &fab[0],
+            epoch: 1,
+            omega_idx: &omega_idx,
+            is_nominal: &is_nominal,
+            force_direct: &vec![false; k * nf],
+            threads: 1,
+            skip_zero_weight_adjoints: skip
+                .then_some((SpectralAggregation::WorstCase, fab_idx.as_slice())),
+            recycle: None,
+        };
+        let spec = &c.problem().objective;
+        c.evaluate_corner_product(&epss, true, spec, &mut EvalScratch::new(), &set)
+            .unwrap()
+    }
+
     /// The fused product's zero-weight adjoint skip is a pure work
     /// deletion: objectives are bitwise unchanged, every weighted entry
     /// still carries its (bitwise identical) gradient, and exactly the
     /// aggregation's zero-weight entries come back without one.
     #[test]
     fn fused_product_skip_drops_only_zero_weight_gradients() {
-        use crate::objective::SpectralAggregation;
-        use boson_fab::SpectralAxis;
-        let k = 3;
-        let c =
-            CompiledProblem::compile_spectral(bending(), SpectralAxis::around(0.02, k)).unwrap();
-        let p = c.problem().clone();
-        let rho = seed_rho(&p, &p.seed.clone());
-        let nominal = c.eps_for(&rho, 300.0);
-        let mut bumped = nominal.clone();
-        for v in bumped.as_mut_slice().iter_mut() {
-            if *v > 2.0 {
-                *v += 0.04;
-            }
-        }
-        let fab = [nominal.clone(), bumped];
-        let nf = fab.len();
-        let epss: Vec<Array2<f64>> = (0..k).flat_map(|_| fab.iter().cloned()).collect();
-        let omega_idx: Vec<usize> = (0..k).flat_map(|oi| std::iter::repeat_n(oi, nf)).collect();
-        let is_nominal: Vec<bool> = (0..k).flat_map(|_| [true, false]).collect();
-        let fab_idx: Vec<usize> = (0..k * nf).map(|ci| ci % nf).collect();
-        let force_direct = vec![false; k * nf];
-        let agg = SpectralAggregation::WorstCase;
-        let spec = p.objective.clone();
-        let run = |skip: bool| {
-            let mut scratch = EvalScratch::new();
-            let set = CornerProductSolve {
-                strategy: SolverStrategy::preconditioned_iterative(),
-                nominal_eps: &fab[0],
-                epoch: 1,
-                omega_idx: &omega_idx,
-                is_nominal: &is_nominal,
-                force_direct: &force_direct,
-                threads: 1,
-                skip_zero_weight_adjoints: skip.then_some((agg, fab_idx.as_slice())),
-                recycle: None,
-            };
-            c.evaluate_corner_product(&epss, true, &spec, &mut scratch, &set)
-                .unwrap()
-        };
-        let full = run(false);
-        let skipped = run(true);
+        let (c, fab) = spectral_bend(&[0.0, 0.04]);
+        let (k, nf) = (c.omega_count(), fab.len());
+        let iterative = SolverStrategy::preconditioned_iterative();
+        let full = worst_case_product(&c, &fab, iterative, false);
+        let skipped = worst_case_product(&c, &fab, iterative, true);
         let mut values = vec![0.0; k];
         let mut weights = vec![0.0; k];
         let mut dropped = 0usize;
@@ -1736,12 +1662,12 @@ mod tests {
                 assert_eq!(a.objective, b.objective, "corner {f} ω {oi}");
                 values[oi] = a.objective;
             }
-            agg.weights_into(&values, &mut weights);
+            SpectralAggregation::WorstCase.weights_into(&values, &mut weights);
             for oi in 0..k {
                 let (a, b) = (&full[oi * nf + f], &skipped[oi * nf + f]);
                 // Nominal entries are evaluated outside the batch and
                 // always keep their gradient.
-                if weights[oi] != 0.0 || is_nominal[oi * nf + f] {
+                if weights[oi] != 0.0 || f == 0 {
                     assert_eq!(
                         a.grad_eps.as_ref().unwrap().as_slice(),
                         b.grad_eps.as_ref().unwrap().as_slice(),
@@ -1757,6 +1683,36 @@ mod tests {
         // WorstCase keeps one ω per corner; the non-nominal corner's two
         // other wavelengths (and possibly the nominal's) are dropped.
         assert!(dropped >= k - 1, "skip never fired ({dropped} dropped)");
+    }
+
+    /// A starved budget makes every batched column miss in the forward
+    /// phase, so the product's fallback path carries every non-nominal
+    /// entry: under WorstCase with the adjoint skip on, each one matches a
+    /// `Direct` product bit for bit and reports the fallback.
+    #[test]
+    fn starved_product_falls_back_to_direct_bitwise() {
+        let (c, fab) = spectral_bend(&[0.0, 0.04, -0.04]);
+        let direct = worst_case_product(&c, &fab, SolverStrategy::Direct, true);
+        let starved = SolverStrategy::PreconditionedIterative {
+            tol: 1e-300,
+            max_iters: 2,
+        };
+        let starved = worst_case_product(&c, &fab, starved, true);
+        for ci in (0..direct.len()).filter(|ci| ci % fab.len() != 0) {
+            let (d, s) = (&direct[ci], &starved[ci]);
+            assert_eq!(d.objective.to_bits(), s.objective.to_bits(), "entry {ci}");
+            assert_eq!(d.fom.to_bits(), s.fom.to_bits(), "entry {ci}");
+            assert_eq!(
+                d.grad_eps.as_ref().unwrap().as_slice(),
+                s.grad_eps
+                    .as_ref()
+                    .expect("fallbacks carry gradients")
+                    .as_slice(),
+                "entry {ci}"
+            );
+            assert!(s.solve.fell_back && s.solve.used_iterative, "entry {ci}");
+            assert!(!d.solve.fell_back && !d.solve.used_iterative, "entry {ci}");
+        }
     }
 
     #[test]

@@ -1,28 +1,15 @@
 //! Persistent corner-evaluation fan-out on the process-wide substrate.
 //!
-//! The seed spawned a fresh set of scoped threads (plus a fresh results
-//! mutex) for **every** corner batch of **every** optimisation iteration;
-//! a first rework amortised that to one scoped spawn per optimisation
-//! run. [`WorkerPool`] now spawns nothing at all: jobs are queued with
-//! [`WorkerPool::submit`] and executed on the process-lifetime
-//! [`boson_num::pool`] substrate — the same long-lived workers that drive
-//! the fused preconditioner sweeps and the per-column Krylov stages —
-//! so one pool serves direct fan-out, fused sweeps, and many
-//! concurrent runs, and a steady-state robust iteration spawns **zero**
-//! threads.
-//!
-//! What survives from the previous generations is the *worker-state*
-//! contract: `make_worker(i)` builds one closure per worker lane,
-//! capturing whatever expensive private state the caller wants kept warm
-//! (an `EvalScratch` with its factor buffers, for the corner loop). The
-//! substrate guarantees each lane index is owned by exactly one OS
-//! thread per dispatch, which is what makes handing lane `i`'s closure
-//! its jobs sound without any further locking.
-//!
-//! A panic inside a worker's job is caught, stored with the job's slot,
-//! and re-raised on the thread calling [`WorkerPool::recv`] — matching
-//! the loud-failure behaviour of the generations this replaces (a
-//! silently hung run would otherwise be the failure mode).
+//! [`WorkerPool`] queues jobs with [`WorkerPool::submit`] and runs them
+//! on the process-lifetime [`boson_num::pool`] workers, spawning no
+//! threads of its own. `make_worker(i)` builds one closure per lane,
+//! capturing whatever private state the caller wants kept warm (an
+//! `EvalScratch` with its factor buffers, for the corner loop). Each
+//! flush is one `boson_num::pool::WorkPool::map_with` dispatch with the
+//! closures as lane contexts, so a closure runs on one thread at a time.
+//! A panic inside a job is caught, stored with the job's slot, and
+//! re-raised on the thread calling [`WorkerPool::recv`] — a loud
+//! failure, never a hung run.
 //!
 //! No library code calls [`WorkerPool`]: the runner's direct corner
 //! fan-out runs inside
@@ -34,7 +21,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use boson_num::pool::{self, DisjointSlots};
+use boson_num::pool;
 
 /// A fixed set of worker closures processing jobs of type `J` into
 /// results of type `R` on the process-wide pool. `'env` is the lifetime
@@ -47,8 +34,8 @@ use boson_num::pool::{self, DisjointSlots};
 pub struct WorkerPool<'env, J: Send, R: Send> {
     /// One closure per worker lane, each owning its private state.
     workers: Vec<Box<dyn FnMut(J) -> R + Send + 'env>>,
-    /// Jobs queued since the last flush (`None` = already taken).
-    queue: Vec<Option<J>>,
+    /// Jobs queued since the last flush.
+    queue: Vec<J>,
     /// Finished results in submission order, drained by `recv`.
     results: VecDeque<std::thread::Result<R>>,
 }
@@ -88,7 +75,7 @@ impl<'env, J: Send, R: Send> WorkerPool<'env, J, R> {
     /// result (batch submission then keeps a single pool dispatch for
     /// the whole fan-out).
     pub fn submit(&mut self, job: J) {
-        self.queue.push(Some(job));
+        self.queue.push(job);
     }
 
     /// Blocks for the next finished result, in submission order.
@@ -112,33 +99,11 @@ impl<'env, J: Send, R: Send> WorkerPool<'env, J, R> {
     /// Runs every queued job on the process-wide pool, filling
     /// `self.results` in submission order.
     fn flush(&mut self) {
-        let njobs = self.queue.len();
-        if njobs == 0 {
-            return;
-        }
-        let lanes = self.workers.len();
-        let mut out: Vec<Option<std::thread::Result<R>>> = Vec::with_capacity(njobs);
-        out.resize_with(njobs, || None);
-        {
-            let jobs = DisjointSlots::new(&mut self.queue);
-            let outs = DisjointSlots::new(&mut out);
-            let workers = DisjointSlots::new(&mut self.workers);
-            pool::global().run(njobs, lanes, &|lane, part| {
-                // SAFETY: part `part` owns job and output slot `part`
-                // exclusively (each part runs exactly once), and the
-                // substrate guarantees lane `lane` is owned by exactly
-                // one OS thread per dispatch, so its worker closure (and
-                // the private state it captures) is never aliased.
-                unsafe {
-                    let job = jobs.get(part).take().expect("job not yet taken");
-                    let work = workers.get(lane);
-                    *outs.get(part) = Some(catch_unwind(AssertUnwindSafe(|| work(job))));
-                }
-            });
-        }
-        self.queue.clear();
-        self.results
-            .extend(out.into_iter().map(|r| r.expect("every part ran")));
+        let jobs = std::mem::take(&mut self.queue);
+        let results = pool::global().map_with(jobs, &mut self.workers, |job, work| {
+            catch_unwind(AssertUnwindSafe(|| work(job)))
+        });
+        self.results.extend(results);
     }
 }
 

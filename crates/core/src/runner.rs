@@ -42,14 +42,13 @@ use crate::schedule::{BetaSchedule, RelaxationSchedule};
 use crate::subspace::{ActiveSetRecord, SubspaceConfig, SubspaceScheduler, SweepPlan};
 use boson_fab::{EtchProjection, SamplingStrategy, VariationCorner, VariationSpace};
 use boson_fdfd::sim::SolverStrategy;
-use boson_num::pool::{self, DisjointSlots};
+use boson_num::pool;
 use boson_num::Array2;
 use boson_param::Parameterization;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 /// How to initialise the latent variables.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -227,46 +226,29 @@ struct Sweep {
     nominal_eps: Array2<f64>,
 }
 
-/// The adaptive per-corner solver policy: corners whose iterative solve
-/// ever missed its budget are pinned to the direct path for the rest of
-/// the run. It is read before and updated after each sweep on the
-/// calling thread; the mutex (far off the solve path) keeps the designer
-/// shareable with the pool lanes that run the per-corner work.
+/// The adaptive per-corner solver policy: the labels of the corners
+/// whose iterative solve ever missed its budget, pinned to the direct
+/// path for the rest of the run. It is local state of one run, like the
+/// subspace scheduler: read before and updated after each sweep on the
+/// calling thread, and touched by no pool part.
 ///
-/// Decisions are cached only for *stable* corners — the axial/sweep
-/// excursions, whose label names the same perturbation every iteration.
-/// Worst-case and random corners carry a fresh EOLE field `ξ` each
-/// iteration, so a past budget miss says nothing about the next draw and
-/// they always retry the iterative path (falling back individually when
-/// needed).
+/// Decisions are cached only for *stable* corners (empty `ξ`) — the
+/// axial/sweep excursions, whose label names the same perturbation every
+/// iteration. Worst-case and random corners carry a fresh EOLE field `ξ`
+/// each iteration, so a past budget miss says nothing about the next draw
+/// and they always retry the iterative path (falling back individually
+/// when needed).
 #[derive(Debug, Default)]
-struct CornerPolicy {
-    direct: Mutex<HashSet<String>>,
-}
+struct CornerPolicy(HashSet<String>);
 
 impl CornerPolicy {
-    /// `true` when the corner's label identifies the same perturbation
-    /// every iteration. Spatial-field corners (non-empty `ξ`) are
-    /// resampled or re-derived per iteration.
-    fn is_stable(corner: &VariationCorner) -> bool {
-        corner.xi.is_empty()
-    }
-
     fn force_direct(&self, corner: &VariationCorner) -> bool {
-        Self::is_stable(corner)
-            && self
-                .direct
-                .lock()
-                .expect("policy lock")
-                .contains(&corner.label)
+        corner.xi.is_empty() && self.0.contains(&corner.label)
     }
 
-    fn mark_direct(&self, corner: &VariationCorner) {
-        if Self::is_stable(corner) {
-            self.direct
-                .lock()
-                .expect("policy lock")
-                .insert(corner.label.clone());
+    fn mark_direct(&mut self, corner: &VariationCorner) {
+        if corner.xi.is_empty() {
+            self.0.insert(corner.label.clone());
         }
     }
 }
@@ -279,7 +261,6 @@ pub struct InverseDesigner<'a, P: Parameterization + Sync> {
     space: VariationSpace,
     config: RunnerConfig,
     objective: ObjectiveSpec,
-    policy: CornerPolicy,
 }
 
 impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
@@ -335,7 +316,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             space,
             config,
             objective,
-            policy: CornerPolicy::default(),
         }
     }
 
@@ -368,25 +348,14 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
     /// collected in index order. One part per index, so any lane count
     /// gives bit-identical results.
     fn par_map<T: Send>(&self, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        {
-            let slots = DisjointSlots::new(&mut out);
-            pool::global().run(n, self.lanes(), &|_lane, i| {
-                let value = f(i);
-                // SAFETY: the pool runs every part exactly once, so slot
-                // `i` has exactly one writer.
-                unsafe { *slots.get(i) = Some(value) };
-            });
-        }
-        out.into_iter()
-            .map(|v| v.expect("every part ran"))
-            .collect()
+        pool::global().map_with((0..n).collect(), &mut vec![(); self.lanes()], |i, _| f(i))
     }
 
     /// Evaluates one extra corner (the worst-case corner) on the caller's
     /// scratch: fabrication forward, EM forward + adjoint through a
     /// [`CornerSolve`] of the run's strategy (`nominal_eps`/`epoch` name
     /// the iterative strategies' shared preconditioner), chain backward.
+    #[allow(clippy::too_many_arguments)] // one call site, the iteration's context
     fn eval_corner(
         &self,
         rho: &Array2<f64>,
@@ -395,6 +364,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         scratch: &mut EvalScratch,
         nominal_eps: &Array2<f64>,
         epoch: u64,
+        policy: &mut CornerPolicy,
     ) -> CornerOutcome {
         let problem = self.compiled.problem();
         let fwd = self.chain.forward_with_etch(rho, corner, false, etch);
@@ -409,7 +379,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             nominal_eps,
             epoch,
             is_nominal: false,
-            force_direct: self.policy.force_direct(corner),
+            force_direct: policy.force_direct(corner),
             omega_idx: corner.omega_idx,
         };
         let ev = self
@@ -419,7 +389,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         if ev.solve.fell_back {
             // This corner's perturbation defeats the nominal
             // preconditioner: pin it to the direct path.
-            self.policy.mark_direct(corner);
+            policy.mark_direct(corner);
         }
         let v_rho = grad_eps_to_rho(
             ev.grad_eps.as_ref().expect("gradient requested"),
@@ -433,7 +403,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             readings: ev.readings,
             v_mask: self.chain.vjp_mask_with_etch(&fwd, &v_rho, etch),
             variation_grads: None,
-            factorizations: ev.factorizations,
+            factorizations: ev.solve.factorizations,
             bicgstab_iterations: ev.solve.total_iterations,
             bicgstab_solves: if ev.solve.used_iterative {
                 ev.solve.solves
@@ -498,6 +468,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         scratch: &mut EvalScratch,
         active: &[bool],
         observations: &mut Vec<Observation>,
+        policy: &mut CornerPolicy,
     ) -> Sweep {
         let problem = self.compiled.problem();
         let k = self.compiled.omega_count();
@@ -565,7 +536,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         let epss: Vec<Array2<f64>> = sel.iter().map(|&(_, li)| fwds[li].1.clone()).collect();
         let force_direct: Vec<bool> = sel
             .iter()
-            .map(|&(ci, _)| self.policy.force_direct(&corners[ci]))
+            .map(|&(ci, _)| policy.force_direct(&corners[ci]))
             .collect();
         let omega_idx: Vec<usize> = sel.iter().map(|&(ci, _)| corners[ci].omega_idx).collect();
         let is_nominal: Vec<bool> = sel
@@ -601,7 +572,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         // Adaptive-policy updates stay per (corner, ω) label.
         for (&(ci, _), ev) in sel.iter().zip(&evals) {
             if ev.solve.fell_back {
-                self.policy.mark_direct(&corners[ci]);
+                policy.mark_direct(&corners[ci]);
             }
         }
 
@@ -701,7 +672,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 readings: centre.readings.clone(),
                 v_mask,
                 variation_grads,
-                factorizations: active_evals.clone().map(|ev| ev.factorizations).sum(),
+                factorizations: active_evals.clone().map(|ev| ev.solve.factorizations).sum(),
                 bicgstab_iterations: active_evals
                     .clone()
                     .map(|ev| ev.solve.total_iterations)
@@ -767,13 +738,13 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             self.param.num_params(),
             "theta length mismatch"
         );
-        let this: &Self = self;
-        this.run_inner(theta0)
+        self.run_inner(theta0).0
     }
 
-    /// The loop body. Parallel stages execute on the process-lifetime
-    /// `boson_num::pool` substrate, so a run spawns no threads of its own.
-    fn run_inner(&self, theta0: Vec<f64>) -> RunResult {
+    /// The loop body; also returns the run's final [`CornerPolicy`].
+    /// Parallel stages execute on the process-lifetime `boson_num::pool`
+    /// substrate, so a run spawns no threads of its own.
+    fn run_inner(&self, theta0: Vec<f64>) -> (RunResult, CornerPolicy) {
         let mut theta = theta0;
         let mut adam = Adam::new(theta.len(), self.config.adam);
         let beta_sched = BetaSchedule::new(
@@ -805,6 +776,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             });
         // One iteration's sweep observations, reused across iterations.
         let mut observations: Vec<Observation> = Vec::new();
+        let mut policy = CornerPolicy::default();
 
         for iter in 0..self.config.iterations {
             let etch = EtchProjection::new(beta_sched.beta(iter));
@@ -858,6 +830,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                     &mut scratch,
                     &plan.active,
                     &mut observations,
+                    &mut policy,
                 );
                 if let Some(s) = subspace.as_mut() {
                     for &(ci, obj, w, g) in &observations {
@@ -885,6 +858,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                             &mut scratch,
                             &sweep.nominal_eps,
                             iter as u64,
+                            &mut policy,
                         );
                         outcomes.push(o);
                     }
@@ -962,12 +936,13 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         }
 
         let mask = self.param.forward(&theta);
-        RunResult {
+        let result = RunResult {
             theta,
             mask,
             trajectory,
             factorizations,
-        }
+        };
+        (result, policy)
     }
 }
 
@@ -1046,7 +1021,7 @@ mod tests {
     /// The iterative corner solver must also be an implementation detail
     /// of the fan-out: threaded and serial runs stay bit-identical
     /// because every worker preconditions against bit-identical nominal
-    /// factors and the adaptive policy is shared.
+    /// factors and the adaptive policy is updated on the calling thread.
     #[test]
     fn iterative_parallel_and_serial_runs_agree() {
         let compiled = CompiledProblem::compile(bending()).unwrap();
@@ -1144,7 +1119,7 @@ mod tests {
         let param = levelset_param(&problem, false);
         let space = VariationSpace::default();
         let run_with = |solver: SolverStrategy| {
-            let mut designer = InverseDesigner::new(
+            let designer = InverseDesigner::new(
                 &compiled,
                 &param,
                 standard_chain(&problem),
@@ -1156,11 +1131,8 @@ mod tests {
             );
             let mut rng = StdRng::seed_from_u64(3);
             let theta0 = designer.initial_theta(&mut rng);
-            let marked = designer.policy.direct.lock().unwrap().len();
-            assert_eq!(marked, 0);
-            let res = designer.run(theta0);
-            let marked = designer.policy.direct.lock().unwrap().len();
-            (res, marked)
+            let (res, policy) = designer.run_inner(theta0);
+            (res, policy.0.len())
         };
         let (direct, _) = run_with(SolverStrategy::Direct);
         // An impossible tolerance within a one-iteration budget: every
@@ -1499,7 +1471,7 @@ mod tests {
         };
         // A starved budget: every evaluated varied column falls back and
         // is pinned.
-        let mut designer = InverseDesigner::new(
+        let designer = InverseDesigner::new(
             &compiled,
             &param,
             standard_chain(&problem),
@@ -1522,11 +1494,11 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(3);
         let theta0 = designer.initial_theta(&mut rng);
-        let res = designer.run(theta0);
+        let (res, policy) = designer.run_inner(theta0);
         assert_eq!(res.trajectory.len(), 4);
         // The full product's varied stable columns: 3 varied corners × 3
         // ω — all seen by the iteration-0 refresh epoch, all pinned.
-        let marked = designer.policy.direct.lock().unwrap().len();
+        let marked = policy.0.len();
         assert_eq!(marked, 9, "refresh epoch should pin every hard column");
     }
 

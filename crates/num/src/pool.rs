@@ -34,6 +34,10 @@
 //! inside `f` are caught, the first is re-raised on the caller after the
 //! dispatch drains — a loud failure, never a hung run.
 //!
+//! [`WorkPool::map_with`] is the safe form for callers outside this
+//! module: inputs by value, one context per lane (a lane's private
+//! scratch), results in input order.
+//!
 //! Dispatch is intentionally single-flight: a `run` issued while another
 //! is in flight (or from inside a worker) executes inline on the calling
 //! thread — by the determinism contract the results are identical, so
@@ -296,6 +300,53 @@ impl WorkPool {
             // so no two lanes ever touch the same element.
             unsafe { f(part, data.slice(start, len), data_ctx(&ctx, part)) }
         });
+    }
+
+    /// Ordered parallel map with one context per lane: executes
+    /// `f(input, &mut ctx[lane])` for every input, one part each, on up
+    /// to `ctx.len()` lanes, and returns the results in input order.
+    /// Each lane's context is used by one thread at a time, so it may
+    /// hold that lane's private scratch. Which lane runs which input is
+    /// not deterministic: only the input may determine a result (the
+    /// determinism contract above), and then any lane count gives the
+    /// same results.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is non-empty and `ctx` is empty, and re-raises
+    /// the first panic that occurred inside `f` after the dispatch has
+    /// drained.
+    pub fn map_with<T: Send, C: Send, R: Send>(
+        &self,
+        inputs: Vec<T>,
+        ctx: &mut [C],
+        f: impl Fn(T, &mut C) -> R + Sync,
+    ) -> Vec<R> {
+        let parts = inputs.len();
+        assert!(
+            parts == 0 || !ctx.is_empty(),
+            "map_with needs at least one lane context"
+        );
+        let mut inputs: Vec<Option<T>> = inputs.into_iter().map(Some).collect();
+        let mut out: Vec<Option<R>> = (0..parts).map(|_| None).collect();
+        {
+            let lanes = ctx.len();
+            let ins = DisjointSlots::new(&mut inputs);
+            let outs = DisjointSlots::new(&mut out);
+            let ctx = DisjointSlots::new(ctx);
+            self.run(parts, lanes, &|lane, part| {
+                // SAFETY: the pool runs every part exactly once, so input
+                // and output slot `part` have one user each; `run` never
+                // hands out a lane index ≥ `lanes` = `ctx.len()`, and each
+                // lane index is owned by exactly one OS thread per
+                // dispatch, so context `lane` is never aliased.
+                let (input, slot, c) = unsafe { (ins.get(part), outs.get(part), ctx.get(lane)) };
+                *slot = Some(f(input.take().expect("each input is mapped once"), c));
+            });
+        }
+        out.into_iter()
+            .map(|r| r.expect("every part ran"))
+            .collect()
     }
 }
 
@@ -710,6 +761,65 @@ mod tests {
         });
         let expected: Vec<u64> = (0..9).map(|part| 10 + part).collect();
         assert_eq!(ctx, expected);
+    }
+
+    #[test]
+    fn map_with_keeps_input_order_at_one_two_and_eight_lanes() {
+        // Uneven per-input work, so parts retire out of input order.
+        let work = |x: u64| (0..x % 7 * 50).fold(x, |a, i| std::hint::black_box(a ^ i));
+        let inputs: Vec<u64> = (0..300).rev().collect();
+        let serial: Vec<u64> = inputs.iter().map(|&x| work(x)).collect();
+        for threads in [1usize, 2, 8] {
+            // Lane contexts count their parts; the counts depend on the
+            // schedule, the results must not.
+            let mut ctx = vec![0usize; 8];
+            let got = pool(threads).map_with(inputs.clone(), &mut ctx, |x, count| {
+                *count += 1;
+                work(x)
+            });
+            assert_eq!(got, serial, "threads = {threads}");
+            assert_eq!(ctx.iter().sum::<usize>(), inputs.len());
+        }
+        assert!(pool(2)
+            .map_with(Vec::<u64>::new(), &mut [(); 0], |x, _| x)
+            .is_empty());
+    }
+
+    #[test]
+    fn map_with_uses_each_lane_context_on_one_thread_at_a_time() {
+        let p = pool(4);
+        let in_use: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
+        for _round in 0..20 {
+            // Each context: its lane's index and the thread that used it.
+            let mut ctx: Vec<(usize, Option<std::thread::ThreadId>)> =
+                (0..4).map(|lane| (lane, None)).collect();
+            p.map_with((0..64u64).collect(), &mut ctx, |_, (lane, owner)| {
+                let busy = in_use[*lane].fetch_add(1, Ordering::SeqCst);
+                assert_eq!(busy, 0, "lane {lane}'s context used by two threads");
+                let me = std::thread::current().id();
+                assert_eq!(*owner.get_or_insert(me), me, "lane {lane} changed thread");
+                std::thread::yield_now();
+                in_use[*lane].fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+    }
+
+    #[test]
+    fn map_with_reraises_a_panic_after_the_dispatch_drains() {
+        let p = pool(4);
+        let ran = AtomicUsize::new(0);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            p.map_with((0..64u64).collect(), &mut [(); 4], |x, _| {
+                assert_ne!(x, 13, "input 13 exploded");
+                ran.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let payload = result.expect_err("the panic must reach the caller");
+        let message = payload.downcast_ref::<String>().expect("formatted message");
+        assert!(message.contains("input 13 exploded"), "{message}");
+        // Every other part retired before the panic was re-raised.
+        assert_eq!(ran.load(Ordering::SeqCst), 63);
+        assert_eq!(p.map_with(vec![3u64], &mut [()], |x, _| x + 1), vec![4]);
     }
 
     #[test]

@@ -123,13 +123,7 @@ pub fn default_config() -> Config {
             // Fixtures deliberately violate every rule.
             "crates/xtask/tests/fixtures/",
         ],
-        allow_sync: vec![AllowEntry {
-            file: "crates/core/src/runner.rs",
-            token: "Mutex",
-            reason: "CornerPolicy's direct-solve pin set: a tiny once-per-run \
-                     HashSet shared across worker lanes; contention-free and \
-                     far from the dispatch hot path",
-        }],
+        allow_sync: Vec::new(),
     }
 }
 
@@ -648,10 +642,9 @@ mod tests {
             &cfg,
         );
         assert_eq!(rules_of(&v), vec![Rule::SyncPrimitive]);
-        // The runner's pin-set Mutex is allowlisted.
-        assert!(
-            lint_source("crates/core/src/runner.rs", "use std::sync::Mutex;\n", &cfg).is_empty()
-        );
+        // No file is allowlisted: a raw Mutex in the runner is flagged too.
+        let v = lint_source("crates/core/src/runner.rs", "use std::sync::Mutex;\n", &cfg);
+        assert_eq!(rules_of(&v), vec![Rule::SyncPrimitive]);
         // Atomics are covered by the Atomic* family token.
         let v = lint_source(
             "crates/foo/src/a.rs",
