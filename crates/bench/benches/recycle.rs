@@ -69,10 +69,7 @@ fn bench_recycle(c: &mut Criterion) {
     let etch = EtchProjection::new(10.0);
     let agg = SpectralAggregation::Mean;
     let (dr, dc) = problem.design_shape;
-    let threads = std::env::var("BOSON_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |v| v.get()));
+    let threads = boson_num::pool::default_threads();
     // Every column of the full ω-major product, in order — the stable
     // recycle keys (column `oi·nf + f` is corner `f` at ω `oi`).
     let global_cols: Vec<usize> = (0..columns).collect();
@@ -127,8 +124,8 @@ fn bench_recycle(c: &mut Criterion) {
                 for oi in 0..WAVELENGTHS {
                     values[oi] = evals[oi * nf + f].objective;
                 }
-                obj += w * agg.aggregate(&values);
-                agg.weights_into(&values, &mut sweights);
+                obj += w * agg.aggregate_masked(&values, &[true; WAVELENGTHS]);
+                agg.weights_into_masked(&values, &[true; WAVELENGTHS], &mut sweights);
                 let mut seed = Array2::<f64>::zeros(dr, dc);
                 for oi in 0..WAVELENGTHS {
                     let wk = sweights[oi];

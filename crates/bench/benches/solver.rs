@@ -89,11 +89,12 @@ fn bench_refactor(c: &mut Criterion) {
         .find(|&k| diag_nominal[k] != diag_corner[k])
         .expect("the corner differs from the nominal");
     let (n, nx) = (grid.n(), grid.nx);
-    let assemble =
-        |a: &mut BandedMatrix, start: usize| stencil.assemble_with_diag(&diag_corner, start, a);
+    let assemble = |a: &mut BandedMatrix, start: usize| {
+        stencil.assemble_block_with_diag(&diag_corner, 0..n, false, start, a)
+    };
     let mut lu = BandedLu::placeholder();
     lu.refactor(n, nx, nx, 0, |a, start| {
-        stencil.assemble_with_diag(&diag_nominal, start, a)
+        stencil.assemble_block_with_diag(&diag_nominal, 0..n, false, start, a)
     })
     .unwrap();
     let mut group = c.benchmark_group("banded_refactor_80x80");

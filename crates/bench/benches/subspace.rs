@@ -69,10 +69,7 @@ fn bench_subspace(c: &mut Criterion) {
     let (dr, dc) = problem.design_shape;
     // `BOSON_THREADS` overrides the sweep-split width (the bench crate's
     // standard knob); default: all cores, like a production run.
-    let threads = std::env::var("BOSON_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |v| v.get()));
+    let threads = boson_num::pool::default_threads();
     // ω-major product metadata: column oi·nf + f is corner f at ω oi.
     let forced: Vec<bool> = (0..columns).map(|ci| ci % nf == nominal_idx).collect();
 

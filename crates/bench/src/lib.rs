@@ -31,7 +31,8 @@ pub struct ExpConfig {
     pub iterations: usize,
     /// Monte-Carlo samples for post-fab evaluation.
     pub mc_samples: usize,
-    /// Worker threads.
+    /// Worker threads: [`boson_num::pool::default_threads`], so an
+    /// invalid `BOSON_THREADS` fails loudly.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -53,7 +54,7 @@ impl ExpConfig {
         Self {
             iterations: geti("BOSON_ITERS", if fast { 4 } else { default_iters }),
             mc_samples: geti("BOSON_MC", if fast { 3 } else { default_mc }),
-            threads: geti("BOSON_THREADS", 8),
+            threads: boson_num::pool::default_threads(),
             seed: geti("BOSON_SEED", 7) as u64,
         }
     }

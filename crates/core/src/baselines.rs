@@ -203,7 +203,7 @@ pub struct BaseRunConfig {
     pub lr: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads.
+    /// Worker threads; defaults to [`boson_num::pool::default_threads`].
     pub threads: usize,
     /// Corner linear-solver strategy (a runtime knob, not a method
     /// property: every method row can run under either solver).
@@ -216,7 +216,7 @@ impl Default for BaseRunConfig {
             iterations: 40,
             lr: 0.02,
             seed: 7,
-            threads: 8,
+            threads: boson_num::pool::default_threads(),
             solver: SolverStrategy::Direct,
         }
     }

@@ -1385,7 +1385,7 @@ fn weighted_entries(
     for group in groups.iter().filter(|g| !g.is_empty()) {
         let values: Vec<f64> = group.iter().map(|&ci| objectives[ci]).collect();
         let mut weights = vec![0.0; group.len()];
-        agg.weights_into(&values, &mut weights);
+        agg.weights_into_masked(&values, &vec![true; group.len()], &mut weights);
         for (&ci, &w) in group.iter().zip(&weights) {
             weighted[ci] = w != 0.0;
         }
@@ -1655,6 +1655,7 @@ mod tests {
         let skipped = worst_case_product(&c, &fab, iterative, true);
         let mut values = vec![0.0; k];
         let mut weights = vec![0.0; k];
+        let all = vec![true; k];
         let mut dropped = 0usize;
         for f in 0..nf {
             for oi in 0..k {
@@ -1662,7 +1663,7 @@ mod tests {
                 assert_eq!(a.objective, b.objective, "corner {f} ω {oi}");
                 values[oi] = a.objective;
             }
-            SpectralAggregation::WorstCase.weights_into(&values, &mut weights);
+            SpectralAggregation::WorstCase.weights_into_masked(&values, &all, &mut weights);
             for oi in 0..k {
                 let (a, b) = (&full[oi * nf + f], &skipped[oi * nf + f]);
                 // Nominal entries are evaluated outside the batch and

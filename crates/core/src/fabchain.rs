@@ -136,17 +136,9 @@ impl FabChain {
         self.litho.vjp(&fwd.aerial, &v_intensity)
     }
 
-    /// Back-propagates `v = ∂L/∂ρ_fab` to the EOLE weights:
-    /// `∂L/∂ξ` (used by the worst-case corner search).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the forward pass was run with `hard = true`.
-    pub fn vjp_xi(&self, fwd: &FabForward, v: &Array2<f64>) -> Vec<f64> {
-        self.vjp_xi_with_etch(fwd, v, self.etch)
-    }
-
-    /// EOLE-weight backward pass matching [`FabChain::forward_with_etch`].
+    /// Back-propagates `v = ∂L/∂ρ_fab` to the EOLE weights, `∂L/∂ξ`
+    /// (used by the worst-case corner search), through the forward pass
+    /// of [`FabChain::forward_with_etch`].
     ///
     /// # Panics
     ///
@@ -366,7 +358,7 @@ mod tests {
         let _ = &space;
         let w = Array2::from_fn(n, n, |r, c| ((r + c) % 3) as f64 * 0.2 - 0.2);
         let fwd = ch.forward(&mask, &corner, false);
-        let gxi = ch.vjp_xi(&fwd, &w);
+        let gxi = ch.vjp_xi_with_etch(&fwd, &w, *ch.etch());
         let h = 1e-6;
         let loss = |xi: &[f64]| -> f64 {
             let mut c2 = corner.clone();

@@ -75,8 +75,8 @@ pub type Readings = Vec<HashMap<String, f64>>;
 /// axis' analogue of the corner-weighted sum).
 ///
 /// Both variants expose exact gradients through
-/// [`SpectralAggregation::weights_into`]: the aggregate is a weighted sum
-/// `Σ w_k·obj_k` with `Σ w_k = 1` and `∂agg/∂obj_k = w_k` (for
+/// [`SpectralAggregation::weights_into_masked`]: the aggregate is a
+/// weighted sum `Σ w_k·obj_k` with `Σ w_k = 1` and `∂agg/∂obj_k = w_k` (for
 /// [`SpectralAggregation::WorstCase`] this is the subgradient at the
 /// active wavelength, exact almost everywhere), so the per-ω adjoint
 /// gradients flow through unchanged — no finite differencing.
@@ -92,37 +92,16 @@ pub enum SpectralAggregation {
 }
 
 impl SpectralAggregation {
-    /// The aggregate of `values` (one objective per wavelength).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn aggregate(&self, values: &[f64]) -> f64 {
-        assert!(!values.is_empty(), "no wavelengths to aggregate");
-        match self {
-            // Σ (w·v) with w = 1/K, matching `weights_into` term-for-term
-            // so aggregate and gradient weights are exactly consistent
-            // (and K = 1 reduces to `1.0 * v`, bit-identical to v alone
-            // inside the runner's weighted corner sum).
-            SpectralAggregation::Mean => {
-                let w = 1.0 / values.len() as f64;
-                values.iter().map(|v| w * v).sum()
-            }
-            SpectralAggregation::WorstCase => values.iter().copied().fold(f64::INFINITY, f64::min),
-        }
-    }
-
-    /// The aggregate over the `active` subset of `values` — the partial
-    /// sweep's view of a fabrication corner whose dormant wavelengths
-    /// were not evaluated this iteration (the adaptive subspace
-    /// scheduler, [`crate::subspace`]). Inactive entries are ignored
-    /// entirely: they contribute neither value nor weight, exactly as if
-    /// the corner's spectral axis had only its active samples.
-    ///
-    /// An all-`true` mask is **bit-identical** to
-    /// [`SpectralAggregation::aggregate`] (same terms, same order), which
-    /// is what makes the `M = full` subspace schedule indistinguishable
-    /// from the fused full sweep.
+    /// The aggregate over the `active` subset of `values` (one objective
+    /// per wavelength). An all-`true` mask aggregates every wavelength —
+    /// the full sweep; a partial mask is the partial sweep's view of a
+    /// fabrication corner whose dormant wavelengths were not evaluated
+    /// this iteration (the adaptive subspace scheduler,
+    /// [`crate::subspace`]). Inactive entries are ignored entirely: they
+    /// contribute neither value nor weight, exactly as if the corner's
+    /// spectral axis had only its active samples — which is what makes
+    /// the `M = full` subspace schedule indistinguishable from the fused
+    /// full sweep.
     ///
     /// # Panics
     ///
@@ -133,6 +112,10 @@ impl SpectralAggregation {
         let count = active.iter().filter(|&&a| a).count();
         assert!(count > 0, "no active wavelengths to aggregate");
         match self {
+            // Σ (w·v) with w = 1/K, matching `weights_into_masked`
+            // term-for-term so aggregate and gradient weights are exactly
+            // consistent (and K = 1 reduces to `1.0 * v`, bit-identical to
+            // v alone inside the runner's weighted corner sum).
             SpectralAggregation::Mean => {
                 let w = 1.0 / count as f64;
                 values
@@ -151,10 +134,18 @@ impl SpectralAggregation {
         }
     }
 
-    /// Masked counterpart of [`SpectralAggregation::weights_into`]:
-    /// gradient weights over the `active` subset, inactive entries
-    /// receiving exactly `0.0` (their values are never read). An
-    /// all-`true` mask is bit-identical to `weights_into`.
+    /// Writes the per-wavelength gradient weights `w_k = ∂agg/∂obj_k` of
+    /// [`SpectralAggregation::aggregate_masked`] into `out`: `Σ w_k = 1`
+    /// over the `active` subset, inactive entries receiving exactly `0.0`
+    /// (their values are never read).
+    ///
+    /// [`SpectralAggregation::WorstCase`] puts all weight on the
+    /// **lowest-index** active minimiser: when two wavelengths share the
+    /// exact minimum the subgradient is not unique, and a deterministic,
+    /// order-independent tie-break (strict `<` scan from the first active
+    /// index) keeps the gradient — and therefore whole optimisation
+    /// trajectories — reproducible across evaluation orders, serial ↔
+    /// threaded runs and fused ↔ per-ω sweeps.
     ///
     /// # Panics
     ///
@@ -176,8 +167,11 @@ impl SpectralAggregation {
                 }
             }
             SpectralAggregation::WorstCase => {
-                // Same strict-< lowest-index tie-break as the unmasked
-                // scan, restricted to the active entries.
+                // Explicit strict-< scan: ties keep the earliest active
+                // ω index, by construction rather than by iterator
+                // implementation detail. (A NaN compares false, so it
+                // never displaces an earlier entry; the runner never
+                // produces one — the solver breaks down first.)
                 let mut argmin: Option<usize> = None;
                 for (i, (&v, &a)) in values.iter().zip(active).enumerate() {
                     if a && argmin.is_none_or(|am| v < values[am]) {
@@ -185,42 +179,6 @@ impl SpectralAggregation {
                     }
                 }
                 out[argmin.expect("active subset is non-empty")] = 1.0;
-            }
-        }
-    }
-
-    /// Writes the per-wavelength gradient weights `w_k = ∂agg/∂obj_k`
-    /// into `out` (`Σ w_k = 1`).
-    ///
-    /// [`SpectralAggregation::WorstCase`] puts all weight on the
-    /// **lowest-index** minimiser: when two wavelengths share the exact
-    /// minimum the subgradient is not unique, and a deterministic,
-    /// order-independent tie-break (strict `<` scan from index 0) keeps
-    /// the gradient — and therefore whole optimisation trajectories —
-    /// reproducible across evaluation orders, serial ↔ threaded runs and
-    /// fused ↔ per-ω sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` and `out` differ in length or are empty.
-    pub fn weights_into(&self, values: &[f64], out: &mut [f64]) {
-        assert!(!values.is_empty(), "no wavelengths to aggregate");
-        assert_eq!(values.len(), out.len(), "weight buffer length mismatch");
-        match self {
-            SpectralAggregation::Mean => out.fill(1.0 / values.len() as f64),
-            SpectralAggregation::WorstCase => {
-                out.fill(0.0);
-                // Explicit strict-< scan: ties keep the earliest ω index,
-                // by construction rather than by iterator implementation
-                // detail. (NaN objectives never win the scan; the runner
-                // never produces them — the solver breaks down first.)
-                let mut argmin = 0usize;
-                for (i, &v) in values.iter().enumerate().skip(1) {
-                    if v < values[argmin] {
-                        argmin = i;
-                    }
-                }
-                out[argmin] = 1.0;
             }
         }
     }
@@ -461,32 +419,36 @@ mod tests {
     #[test]
     fn spectral_aggregation_values_and_weights() {
         let vs = [0.8, 0.3, 0.6];
+        let all = [true; 3];
         let mut w = [0.0; 3];
 
         let mean = SpectralAggregation::Mean;
-        assert!((mean.aggregate(&vs) - (0.8 + 0.3 + 0.6) / 3.0).abs() < 1e-12);
-        mean.weights_into(&vs, &mut w);
+        assert!((mean.aggregate_masked(&vs, &all) - (0.8 + 0.3 + 0.6) / 3.0).abs() < 1e-12);
+        mean.weights_into_masked(&vs, &all, &mut w);
         assert!(w.iter().all(|&x| (x - 1.0 / 3.0).abs() < 1e-12));
 
         let worst = SpectralAggregation::WorstCase;
-        assert_eq!(worst.aggregate(&vs), 0.3);
-        worst.weights_into(&vs, &mut w);
+        assert_eq!(worst.aggregate_masked(&vs, &all), 0.3);
+        worst.weights_into_masked(&vs, &all, &mut w);
         assert_eq!(w, [0.0, 1.0, 0.0]);
 
         // The aggregate is the weight-consistent sum: Σ w·v == agg.
         for agg in [mean, worst] {
-            agg.weights_into(&vs, &mut w);
+            agg.weights_into_masked(&vs, &all, &mut w);
             let sum: f64 = w.iter().zip(&vs).map(|(wk, v)| wk * v).sum();
-            assert!((sum - agg.aggregate(&vs)).abs() < 1e-12, "{agg:?}");
+            assert!(
+                (sum - agg.aggregate_masked(&vs, &all)).abs() < 1e-12,
+                "{agg:?}"
+            );
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
 
         // K = 1: both aggregations are the identity — the spectral axis
         // degenerates away exactly.
         for agg in [mean, worst] {
-            assert_eq!(agg.aggregate(&[0.7]), 0.7, "{agg:?}");
+            assert_eq!(agg.aggregate_masked(&[0.7], &[true]), 0.7, "{agg:?}");
             let mut w1 = [0.0];
-            agg.weights_into(&[0.7], &mut w1);
+            agg.weights_into_masked(&[0.7], &[true], &mut w1);
             assert_eq!(w1, [1.0], "{agg:?}");
         }
     }
@@ -495,19 +457,6 @@ mod tests {
     fn masked_aggregation_ignores_inactive_entries() {
         let vs = [0.8, 0.3, 0.6];
         let mut w = [0.0; 3];
-        for agg in [SpectralAggregation::Mean, SpectralAggregation::WorstCase] {
-            // All-true mask: bit-identical to the unmasked API.
-            let all = [true; 3];
-            assert_eq!(
-                agg.aggregate_masked(&vs, &all),
-                agg.aggregate(&vs),
-                "{agg:?}"
-            );
-            let mut wm = [0.0; 3];
-            agg.weights_into(&vs, &mut w);
-            agg.weights_into_masked(&vs, &all, &mut wm);
-            assert_eq!(w, wm, "{agg:?}");
-        }
         // Partial mask: the inactive middle entry (the global minimum)
         // contributes nothing — values or weights.
         let active = [true, false, true];
@@ -543,21 +492,22 @@ mod tests {
     #[test]
     fn worst_case_tied_minimum_takes_lowest_omega_index() {
         let worst = SpectralAggregation::WorstCase;
+        let all = [true; 3];
         let mut w = [0.0; 3];
 
         // Tie between indices 1 and 2 → weight on 1.
-        worst.weights_into(&[0.8, 0.3, 0.3], &mut w);
+        worst.weights_into_masked(&[0.8, 0.3, 0.3], &all, &mut w);
         assert_eq!(w, [0.0, 1.0, 0.0]);
         // Tie between indices 0 and 2 → weight on 0.
-        worst.weights_into(&[0.3, 0.8, 0.3], &mut w);
+        worst.weights_into_masked(&[0.3, 0.8, 0.3], &all, &mut w);
         assert_eq!(w, [1.0, 0.0, 0.0]);
         // All tied → weight on 0.
-        worst.weights_into(&[0.3, 0.3, 0.3], &mut w);
+        worst.weights_into_masked(&[0.3, 0.3, 0.3], &all, &mut w);
         assert_eq!(w, [1.0, 0.0, 0.0]);
         // Signed zeros compare equal: -0.0 at a later index must not
         // displace +0.0 at an earlier one.
         let mut w2 = [0.0; 2];
-        worst.weights_into(&[0.0, -0.0], &mut w2);
+        worst.weights_into_masked(&[0.0, -0.0], &[true; 2], &mut w2);
         assert_eq!(w2, [1.0, 0.0]);
 
         // The aggregate stays the weight-consistent sum at a tie, and the
@@ -565,12 +515,12 @@ mod tests {
         // moves the weight to the (new) lowest index, never "the one seen
         // last".
         let tied = [0.5, 0.2, 0.2];
-        assert_eq!(worst.aggregate(&tied), 0.2);
-        worst.weights_into(&tied, &mut w);
+        assert_eq!(worst.aggregate_masked(&tied, &all), 0.2);
+        worst.weights_into_masked(&tied, &all, &mut w);
         let sum: f64 = w.iter().zip(&tied).map(|(wk, v)| wk * v).sum();
-        assert_eq!(sum, worst.aggregate(&tied));
+        assert_eq!(sum, worst.aggregate_masked(&tied, &all));
         let reversed = [0.2, 0.2, 0.5];
-        worst.weights_into(&reversed, &mut w);
+        worst.weights_into_masked(&reversed, &all, &mut w);
         assert_eq!(w, [1.0, 0.0, 0.0]);
     }
 

@@ -54,11 +54,6 @@ impl Adam {
         &self.config
     }
 
-    /// Overrides the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.config.lr = lr;
-    }
-
     /// One ascent step: `params += lr·m̂/(√v̂ + ε)`.
     ///
     /// # Panics
@@ -157,12 +152,5 @@ mod tests {
         let mut p = vec![0.0; 3];
         let mut opt = Adam::new(2, AdamConfig::default());
         opt.step(&mut p, &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn lr_override() {
-        let mut opt = Adam::new(1, AdamConfig::default());
-        opt.set_lr(0.5);
-        assert_eq!(opt.config().lr, 0.5);
     }
 }

@@ -102,28 +102,6 @@ pub struct DeviceProblem {
     pub mode_count: usize,
 }
 
-impl DeviceProblem {
-    /// Design-region pitch (equals the grid pitch).
-    pub fn design_dx(&self) -> f64 {
-        self.grid.dx
-    }
-
-    /// Physical size `(width, height)` of the design region in µm.
-    pub fn design_size(&self) -> (f64, f64) {
-        (
-            self.design_shape.1 as f64 * self.grid.dx,
-            self.design_shape.0 as f64 * self.grid.dx,
-        )
-    }
-
-    /// `true` if grid cell `(iy, ix)` lies inside the design region.
-    pub fn in_design_region(&self, iy: usize, ix: usize) -> bool {
-        let (oy, ox) = self.design_origin;
-        let (h, w) = self.design_shape;
-        iy >= oy && iy < oy + h && ix >= ox && ix < ox + w
-    }
-}
-
 fn strip_y(solid: &mut Array2<f64>, iy_lo: usize, iy_hi: usize, ix_lo: usize, ix_hi: usize) {
     for iy in iy_lo..iy_hi {
         for ix in ix_lo..ix_hi {
@@ -640,16 +618,6 @@ mod tests {
         assert!(c.seed.contains(0.7, 0.05) && c.seed.contains(0.7, 1.35));
         let iso = isolator();
         assert!(iso.seed.contains(0.05, 0.9) && iso.seed.contains(1.95, 0.9));
-    }
-
-    #[test]
-    fn design_region_membership() {
-        let p = bending();
-        assert!(p.in_design_region(26, 26));
-        assert!(p.in_design_region(53, 53));
-        assert!(!p.in_design_region(54, 53));
-        assert!(!p.in_design_region(10, 10));
-        assert_eq!(p.design_size(), (1.4000000000000001, 1.4000000000000001));
     }
 
     #[test]

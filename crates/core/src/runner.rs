@@ -91,11 +91,12 @@ pub struct RunnerConfig {
     /// [`SolverStrategy::Direct`] the direct columns, fabrication
     /// forwards and chain VJPs of each iteration; under the iterative
     /// strategies the split fused preconditioner sweeps. Defaults to
-    /// the `BOSON_THREADS` environment override when set, 8 otherwise —
-    /// an invalid `BOSON_THREADS` value fails **loudly** (panic at
-    /// config construction) rather than silently running serial; see
-    /// [`boson_num::pool::env_threads`]. Worker count never changes
-    /// results: every parallel decomposition in the stack is
+    /// [`boson_num::pool::default_threads`]: the `BOSON_THREADS`
+    /// environment override when set, the host's available parallelism
+    /// otherwise — an invalid `BOSON_THREADS` value fails **loudly**
+    /// (panic at config construction) rather than silently running
+    /// serial; see [`boson_num::pool::env_threads`]. Worker count never
+    /// changes results: every parallel decomposition in the stack is
     /// bit-identical at any thread count.
     pub threads: usize,
     /// Corner linear-solver strategy: direct per-corner factorisation or
@@ -137,7 +138,7 @@ impl Default for RunnerConfig {
             fab_aware: true,
             init: InitKind::Seeded,
             seed: 7,
-            threads: boson_num::pool::env_threads().unwrap_or(8),
+            threads: pool::default_threads(),
             solver: SolverStrategy::Direct,
             spectral_agg: SpectralAggregation::Mean,
             subspace: SubspaceConfig::default(),
@@ -701,12 +702,9 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
     }
 
     /// Evaluates the unrestricted ("ideal") term: the raw density drives
-    /// the permittivity directly, bypassing litho and etch.
-    fn eval_free(
-        &self,
-        rho: &Array2<f64>,
-        scratch: &mut EvalScratch,
-    ) -> (f64, f64, Readings, Array2<f64>) {
+    /// the permittivity directly, bypassing litho and etch. Returns the
+    /// evaluation and its gradient with respect to `rho`.
+    fn eval_free(&self, rho: &Array2<f64>, scratch: &mut EvalScratch) -> (Evaluation, Array2<f64>) {
         let problem = self.compiled.problem();
         let eps = assemble_eps(
             &problem.background_solid,
@@ -724,7 +722,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             problem.design_shape,
             boson_fab::temperature::T_NOMINAL,
         );
-        (ev.objective, ev.fom, ev.readings, v_rho)
+        (ev, v_rho)
     }
 
     /// Runs the optimisation from `theta0`.
@@ -892,10 +890,9 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
             }
 
             if p < 1.0 {
-                let (obj_free, fom_free, readings_free, v_free) =
-                    self.eval_free(&rho, &mut scratch);
-                factorizations += 1;
-                objective += (1.0 - p) * obj_free;
+                let (free, v_free) = self.eval_free(&rho, &mut scratch);
+                factorizations += free.solve.factorizations;
+                objective += (1.0 - p) * free.objective;
                 for (dst, src) in v_mask_total
                     .as_mut_slice()
                     .iter_mut()
@@ -904,7 +901,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                     *dst += (1.0 - p) * src;
                 }
                 if nominal_readings.is_none() {
-                    nominal_readings = Some((readings_free, fom_free));
+                    nominal_readings = Some((free.readings, free.fom));
                 }
             }
 
@@ -1793,6 +1790,78 @@ mod tests {
             assert_eq!(a.factorizations, b.factorizations, "iter {}", a.iter);
         }
         assert!(poisoned.trajectory.iter().all(|r| r.objective.is_finite()));
+    }
+
+    /// Test-only parameterisation that puts a NaN into one design cell of
+    /// ρ on the `nan_call`-th `forward` call (one call per iteration).
+    struct NanDensityAt<'p, P> {
+        inner: &'p P,
+        nan_call: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl<P: Parameterization> Parameterization for NanDensityAt<'_, P> {
+        fn num_params(&self) -> usize {
+            self.inner.num_params()
+        }
+
+        fn design_shape(&self) -> (usize, usize) {
+            self.inner.design_shape()
+        }
+
+        fn forward(&self, theta: &[f64]) -> Array2<f64> {
+            let call = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let mut rho = self.inner.forward(theta);
+            if call == self.nan_call {
+                let (dr, dc) = rho.shape();
+                rho[(dr / 2, dc / 2)] = f64::NAN;
+            }
+            rho
+        }
+
+        fn vjp(&self, theta: &[f64], v: &Array2<f64>) -> Vec<f64> {
+            self.inner.vjp(theta, v)
+        }
+    }
+
+    /// The free term counts the factorisations its solve reports: a NaN
+    /// in ρ fails the design-window solve's backward-error check, so that
+    /// iteration's operator is factored again on the plain banded LU —
+    /// two factorisations. The clean iterations around it factor once.
+    #[test]
+    fn free_term_counts_the_window_fallback_factorisation() {
+        let compiled = CompiledProblem::compile(bending()).unwrap();
+        let problem = compiled.problem().clone();
+        let param = levelset_param(&problem, false);
+        let config = RunnerConfig {
+            iterations: 3,
+            fab_aware: false,
+            ..tiny_config(1, SamplingStrategy::NominalOnly)
+        };
+        let theta0 = InverseDesigner::new(
+            &compiled,
+            &param,
+            standard_chain(&problem),
+            VariationSpace::default(),
+            config.clone(),
+        )
+        .initial_theta(&mut StdRng::seed_from_u64(3));
+        let poisoned_param = NanDensityAt {
+            inner: &param,
+            nan_call: 1,
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let res = InverseDesigner::new(
+            &compiled,
+            &poisoned_param,
+            standard_chain(&problem),
+            VariationSpace::default(),
+            config,
+        )
+        .run(theta0);
+        let counts: Vec<usize> = res.trajectory.iter().map(|r| r.factorizations).collect();
+        assert_eq!(counts, vec![1, 2, 1]);
+        assert_eq!(res.factorizations, 4);
     }
 
     #[test]

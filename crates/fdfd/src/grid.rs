@@ -115,39 +115,9 @@ impl SimGrid {
         self.ny as f64 * self.dx
     }
 
-    /// Physical x coordinate of column `ix` (cell centres).
-    pub fn x_of(&self, ix: usize) -> f64 {
-        (ix as f64 + 0.5) * self.dx
-    }
-
-    /// Physical y coordinate of row `iy`.
-    pub fn y_of(&self, iy: usize) -> f64 {
-        (iy as f64 + 0.5) * self.dx
-    }
-
-    /// Column index nearest to physical coordinate `x` (clamped).
-    pub fn ix_of(&self, x: f64) -> usize {
-        ((x / self.dx - 0.5).round().max(0.0) as usize).min(self.nx - 1)
-    }
-
-    /// Row index nearest to physical coordinate `y` (clamped).
-    pub fn iy_of(&self, y: f64) -> usize {
-        ((y / self.dx - 0.5).round().max(0.0) as usize).min(self.ny - 1)
-    }
-
     /// Range of x indices outside the PML.
     pub fn interior_x(&self) -> Range<usize> {
         self.npml..self.nx - self.npml
-    }
-
-    /// Range of y indices outside the PML.
-    pub fn interior_y(&self) -> Range<usize> {
-        self.npml..self.ny - self.npml
-    }
-
-    /// `true` when `(ix, iy)` lies in the PML skirt.
-    pub fn in_pml(&self, ix: usize, iy: usize) -> bool {
-        ix < self.npml || ix >= self.nx - self.npml || iy < self.npml || iy >= self.ny - self.npml
     }
 }
 
@@ -170,20 +140,12 @@ mod tests {
     fn physical_coordinates() {
         let g = SimGrid::new(40, 40, 0.025, 8);
         assert!((g.width() - 1.0).abs() < 1e-12);
-        assert!((g.x_of(0) - 0.0125).abs() < 1e-12);
-        assert_eq!(g.ix_of(0.0126), 0);
-        assert_eq!(g.ix_of(0.9), g.ix_of(g.x_of(g.ix_of(0.9))));
-        assert_eq!(g.iy_of(-5.0), 0);
-        assert_eq!(g.iy_of(99.0), 39);
+        assert!((g.height() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn pml_membership() {
         let g = SimGrid::new(30, 30, 0.05, 6);
-        assert!(g.in_pml(0, 15));
-        assert!(g.in_pml(29, 15));
-        assert!(g.in_pml(15, 5));
-        assert!(!g.in_pml(15, 15));
         assert_eq!(g.interior_x(), 6..24);
     }
 

@@ -52,7 +52,6 @@ pub mod monitor;
 pub mod operator;
 pub mod pml;
 pub mod port;
-pub mod render;
 pub mod sim;
 pub mod source;
 pub mod window;

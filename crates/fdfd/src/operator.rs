@@ -166,8 +166,8 @@ pub fn assemble_banded(
 /// per `(grid, ω)` so a corner needs just
 ///
 /// * [`StencilCache::diag_into`] — an `O(n)` rewrite of the diagonal — and
-/// * either [`StencilCache::assemble_with_diag`] (banded image for a
-///   direct factorisation) or [`StencilCache::apply`] (matrix-free
+/// * either [`StencilCache::assemble_block_with_diag`] (banded image for
+///   a direct factorisation) or [`StencilCache::apply`] (matrix-free
 ///   `O(5n)` operator application for the preconditioned iterative path).
 ///
 /// Coefficients come from the same `stencil_parts` helper as the per-row
@@ -242,48 +242,6 @@ impl StencilCache {
         );
     }
 
-    /// Writes columns `start..` of the banded image of the operator whose
-    /// diagonal is `diag` (as produced by [`StencilCache::diag_into`])
-    /// into `a` — the fast-path replacement for [`assemble_banded`].
-    ///
-    /// Only the stencil entries are written: the rest of those columns
-    /// must already be zero, as in a fresh matrix, one this cache
-    /// assembled before, or the storage [`boson_num::banded::BandedLu::refactor`]
-    /// lends. A matrix of another shape is reshaped (zeroed) first, which
-    /// needs `start = 0`. Columns before `start` are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag.len()` does not match the cached grid size, or if
-    /// `a` has another shape and `start > 0`.
-    pub fn assemble_with_diag(&self, diag: &[Complex64], start: usize, a: &mut BandedMatrix) {
-        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
-        let nx = self.nx;
-        if a.n() != self.n || a.kl() != nx || a.ku() != nx {
-            assert_eq!(start, 0, "reshaping assembly must start at column 0");
-            a.reshape(self.n, nx, nx);
-        }
-        // Row k's entries lie in columns k − nx ..= k + nx.
-        for (k, &d) in diag.iter().enumerate().skip(start.saturating_sub(nx)) {
-            let ix = k % nx;
-            if k >= start {
-                a.set(k, k, d);
-            }
-            if ix > 0 && k > start {
-                a.set(k, k - 1, self.west[k]);
-            }
-            if ix + 1 < nx && k + 1 >= start {
-                a.set(k, k + 1, self.east[k]);
-            }
-            if k >= nx && k - nx >= start {
-                a.set(k, k - nx, self.south[k]);
-            }
-            if k + nx < self.n && k + nx >= start {
-                a.set(k, k + nx, self.north[k]);
-            }
-        }
-    }
-
     /// Writes columns `start..` of the banded image of the operator's
     /// principal block on the unknowns `rows` (whole grid rows, so the
     /// block keeps the half-width `nx`), with diagonal `diag` (the whole
@@ -292,10 +250,14 @@ impl StencilCache {
     /// `reversed`: the block of the last grid rows in reversed order puts
     /// the rows next to the block above it last.
     ///
-    /// Couplings to unknowns outside `rows` are dropped. As in
-    /// [`StencilCache::assemble_with_diag`], only the stencil entries are
-    /// written and the rest of those columns must already be zero; the
-    /// whole grid, not reversed, gives the same image bit for bit.
+    /// Couplings to unknowns outside `rows` are dropped, so the whole
+    /// grid, not reversed, is the full operator: the same image as
+    /// [`assemble_banded`] bit for bit (the fast-path replacement for it).
+    /// Only the stencil entries are written: the rest of those columns
+    /// must already be zero, as in a fresh matrix, one this cache
+    /// assembled before, or the storage
+    /// [`boson_num::banded::BandedLu::refactor`] lends. Columns before
+    /// `start` are left untouched.
     ///
     /// # Panics
     ///
@@ -608,16 +570,28 @@ mod tests {
         }
     }
 
+    /// Every entry of the band of `a` and `b`, bit for bit.
+    fn assert_same_band(a: &BandedMatrix, b: &BandedMatrix, nx: usize, what: &str) {
+        let n = a.n();
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        for i in 0..n {
+            for j in i.saturating_sub(nx)..=(i + nx).min(n - 1) {
+                assert_eq!(bits(a.get(i, j)), bits(b.get(i, j)), "{what} ({i},{j})");
+            }
+        }
+    }
+
     /// Reassembling a used matrix through the stencil cache overwrites
     /// the previous operator entirely.
     #[test]
     fn assemble_into_reuse_matches_fresh_assembly() {
         let (grid, s, eps, omega) = setup(24, 20);
+        let (n, nx) = (grid.n(), grid.nx);
         let cache = StencilCache::build(&grid, &s, omega);
         let mut diag = Vec::new();
         cache.diag_into(&eps, &mut diag);
-        let mut ws = BandedMatrix::new(1, 0, 0); // wrong shape on purpose
-        cache.assemble_with_diag(&diag, 0, &mut ws);
+        let mut ws = BandedMatrix::new(n, nx, nx);
+        cache.assemble_block_with_diag(&diag, 0..n, false, 0, &mut ws);
         // Second assembly with a different permittivity must fully
         // overwrite the first.
         let mut eps2 = eps.clone();
@@ -627,18 +601,18 @@ mod tests {
             }
         }
         cache.diag_into(&eps2, &mut diag);
-        cache.assemble_with_diag(&diag, 0, &mut ws);
+        cache.assemble_block_with_diag(&diag, 0..n, false, 0, &mut ws);
         let fresh = assemble_banded(&grid, &s, &eps2, omega);
-        for i in 0..grid.n() {
-            for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {
-                assert_eq!(ws.get(i, j), fresh.get(i, j), "({i},{j})");
-            }
-        }
+        assert_same_band(&ws, &fresh, nx, "entry");
     }
 
+    /// The whole grid, not reversed, is the full operator bit for bit —
+    /// also when a resumed assembly rewrites only the columns from
+    /// `start > 0` on.
     #[test]
     fn stencil_cache_assembly_is_bit_identical_to_full_assembly() {
         let (grid, s, mut eps, omega) = setup(26, 24);
+        let (n, nx) = (grid.n(), grid.nx);
         for iy in 0..24 {
             for ix in 0..26 {
                 eps[(iy, ix)] = 1.0 + 11.11 * (((ix * 7 + iy * 3) % 5) as f64) / 4.0;
@@ -647,14 +621,10 @@ mod tests {
         let cache = StencilCache::build(&grid, &s, omega);
         let mut diag = Vec::new();
         cache.diag_into(&eps, &mut diag);
-        let mut fast = BandedMatrix::new(1, 0, 0); // wrong shape on purpose
-        cache.assemble_with_diag(&diag, 0, &mut fast);
+        let mut fast = BandedMatrix::new(n, nx, nx);
+        cache.assemble_block_with_diag(&diag, 0..n, false, 0, &mut fast);
         let full = assemble_banded(&grid, &s, &eps, omega);
-        for i in 0..grid.n() {
-            for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {
-                assert_eq!(fast.get(i, j), full.get(i, j), "entry ({i},{j}) differs");
-            }
-        }
+        assert_same_band(&fast, &full, nx, "entry");
         // Temperature-style corner over the upper half: only ε changes →
         // only the diagonal rewrite is needed, and rewriting the columns
         // from the first changed cell on must again match the full
@@ -669,15 +639,11 @@ mod tests {
         }
         let old_diag = diag.clone();
         cache.diag_into(&eps2, &mut diag);
-        let start = (0..grid.n()).find(|&k| diag[k] != old_diag[k]).unwrap();
+        let start = (0..n).find(|&k| diag[k] != old_diag[k]).unwrap();
         assert!(start >= grid.idx(0, 12));
-        cache.assemble_with_diag(&diag, start, &mut fast);
+        cache.assemble_block_with_diag(&diag, 0..n, false, start, &mut fast);
         let full2 = assemble_banded(&grid, &s, &eps2, omega);
-        for i in 0..grid.n() {
-            for j in i.saturating_sub(grid.nx)..=(i + grid.nx).min(grid.n() - 1) {
-                assert_eq!(fast.get(i, j), full2.get(i, j), "corner entry ({i},{j})");
-            }
-        }
+        assert_same_band(&fast, &full2, nx, "corner entry");
     }
 
     #[test]

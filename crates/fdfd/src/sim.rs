@@ -653,7 +653,7 @@ fn refactor_lu(
     };
     let (n, nx) = (stencil.n(), stencil.nx());
     let result = lu.refactor(n, nx, nx, start, |a, start| {
-        stencil.assemble_with_diag(diag, start, a)
+        stencil.assemble_block_with_diag(diag, 0..n, false, start, a)
     });
     factored.clear();
     if result.is_ok() {

@@ -43,11 +43,6 @@ impl Default for LithoConfig {
 }
 
 impl LithoConfig {
-    /// Diffraction-limited minimum feature size `λ/(2·NA)` in µm.
-    pub fn min_feature(&self) -> f64 {
-        self.lambda / (2.0 * self.na)
-    }
-
     /// Pupil cutoff frequency `NA/λ` in cycles/µm.
     pub fn cutoff(&self) -> f64 {
         self.na / self.lambda
@@ -154,12 +149,6 @@ pub fn transfer_function(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn min_feature_matches_rayleigh() {
-        let cfg = LithoConfig::default();
-        assert!((cfg.min_feature() - 0.193 / 1.2).abs() < 1e-12);
-    }
 
     #[test]
     fn corner_settings() {

@@ -75,11 +75,6 @@ impl LithoModel {
         &self.config
     }
 
-    /// Mask shape `(rows, cols)` accepted by this model.
-    pub fn mask_shape(&self) -> (usize, usize) {
-        (self.mask_rows, self.mask_cols)
-    }
-
     fn corner_index(corner: LithoCorner) -> usize {
         match corner {
             LithoCorner::Min => 0,

@@ -125,11 +125,6 @@ impl<T: Clone> Array2<T> {
             .collect()
     }
 
-    /// Transposed copy.
-    pub fn transposed(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)].clone())
-    }
-
     /// Extracts the rectangular sub-array with rows `r0..r0+h`, cols `c0..c0+w`.
     ///
     /// # Panics
@@ -202,11 +197,6 @@ impl<T> Array2<T> {
     #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the array and returns the backing vector.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Element-wise map producing a new array.
@@ -283,29 +273,9 @@ impl Array2<f64> {
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
-
-    /// Promotes to a complex array with zero imaginary part.
-    pub fn to_complex(&self) -> Array2<Complex64> {
-        self.map(|&v| Complex64::from_real(v))
-    }
 }
 
 impl Array2<Complex64> {
-    /// Sum of all elements.
-    pub fn sum_c(&self) -> Complex64 {
-        self.data.iter().copied().sum()
-    }
-
-    /// Element-wise squared magnitudes.
-    pub fn norm_sqr_map(&self) -> Array2<f64> {
-        self.map(|v| v.norm_sqr())
-    }
-
-    /// Real parts.
-    pub fn re_map(&self) -> Array2<f64> {
-        self.map(|v| v.re)
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt()
@@ -401,13 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = Array2::from_fn(3, 5, |r, c| (r * 100 + c) as f64);
-        assert_eq!(a.transposed().transposed(), a);
-        assert_eq!(a.transposed()[(4, 2)], a[(2, 4)]);
-    }
-
-    #[test]
     fn window_and_paste_round_trip() {
         let a = Array2::from_fn(6, 6, |r, c| (r * 6 + c) as f64);
         let w = a.window(2, 3, 2, 2);
@@ -443,11 +406,7 @@ mod tests {
     #[test]
     fn complex_helpers() {
         let a = Array2::filled(2, 2, c64(3.0, 4.0));
-        assert_eq!(a.norm_sqr_map().sum(), 100.0);
-        assert_eq!(a.sum_c(), c64(12.0, 16.0));
         assert!((a.norm() - 10.0).abs() < 1e-12);
-        let r = Array2::filled(1, 2, 2.0).to_complex();
-        assert_eq!(r[(0, 1)], c64(2.0, 0.0));
     }
 
     #[test]

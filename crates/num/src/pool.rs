@@ -457,7 +457,8 @@ pub fn default_threads() -> usize {
 }
 
 /// The `BOSON_THREADS` override: lane count for the process-wide pool
-/// (and the default worker count of `boson_core`'s `RunnerConfig`).
+/// (and, through [`default_threads`], the default worker count of every
+/// run configuration).
 ///
 /// Worker count **never changes results** — every parallel decomposition
 /// in the stack is bit-identical at any lane count — so this knob only
