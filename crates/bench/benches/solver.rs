@@ -9,7 +9,7 @@ use boson_fdfd::grid::SimGrid;
 use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
-use boson_num::banded::{reference, BandedLu, BandedMatrix};
+use boson_num::banded::{reference, BandedLdl, BandedLu, BandedMatrix};
 use boson_num::{Array2, Complex64};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -63,8 +63,11 @@ fn bench_factor_and_solve(c: &mut Criterion) {
 /// is the same corner as [`SimWorkspace`] factors it with the design
 /// window's rows set: the fixed top and bottom slabs come from its warm
 /// slab cache, and only the window's Schur complement is refactored,
-/// resuming at the window's first design cell. `scripts/bench.sh`
-/// records the three medians ungated.
+/// resuming at the window's first design cell. `window_lu` and
+/// `window_ldl` factor that Schur complement `S` from column 0 both
+/// ways, with the pivoted banded LU and with the complex-symmetric
+/// `L·D·Lᵀ` the workspace uses, each assembled by copying `S`'s band.
+/// `scripts/bench.sh` records the five medians ungated.
 fn bench_refactor(c: &mut Criterion) {
     let bend = bending();
     let (grid, omega) = (bend.grid, bend.omega);
@@ -106,6 +109,53 @@ fn bench_refactor(c: &mut Criterion) {
         b.iter(|| black_box(lu.refactor(n, nx, nx, start, assemble).unwrap()))
     });
     let (oy, h) = (bend.design_origin.0, bend.design_shape.0);
+    let s_window = window_schur(&stencil, &diag_corner, nx, oy * nx..(oy + h) * nx);
+    let nw = s_window.n();
+    {
+        // S⁻¹·f_W is the window part of A⁻¹·f for f zero off the window.
+        let lo = oy * nx;
+        let mut f = vec![Complex64::ZERO; n];
+        for (k, v) in f[lo..lo + nw].iter_mut().enumerate() {
+            *v = Complex64::new((k as f64 * 0.37).sin(), (k as f64 * 0.11).cos());
+        }
+        let x_w = s_window
+            .clone()
+            .factor()
+            .unwrap()
+            .solve_vec(&f[lo..lo + nw]);
+        lu.refactor(n, nx, nx, 0, assemble).unwrap();
+        lu.solve(&mut f);
+        let scale = f.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+        for (p, q) in x_w.iter().zip(&f[lo..lo + nw]) {
+            assert!((*p - *q).abs() <= 1e-9 * scale, "window Schur complement");
+        }
+    }
+    let mut w_lu = BandedLu::placeholder();
+    group.bench_function("window_lu", |b| {
+        b.iter(|| {
+            let copy = |a: &mut BandedMatrix, start: usize| {
+                for j in start..nw {
+                    for i in j.saturating_sub(nx)..=(j + nx).min(nw - 1) {
+                        a.set(i, j, s_window.get(i, j));
+                    }
+                }
+            };
+            black_box(w_lu.refactor(nw, nx, nx, 0, copy).unwrap())
+        })
+    });
+    let mut w_ldl = BandedLdl::placeholder();
+    group.bench_function("window_ldl", |b| {
+        b.iter(|| {
+            let copy = |a: &mut BandedLdl, start: usize| {
+                for j in start..nw {
+                    for i in j..=(j + nx).min(nw - 1) {
+                        a.set(i, j, s_window.get(i, j));
+                    }
+                }
+            };
+            black_box(w_ldl.refactor(nw, nx, 0, copy).unwrap())
+        })
+    });
     let mut ws = SimWorkspace::new();
     ws.set_window_rows(Some(oy..oy + h));
     ws.factor(grid, omega, &nominal).unwrap();
@@ -121,6 +171,49 @@ fn bench_refactor(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// The Schur complement `S = A_WW − A_WA·A_AA⁻¹·A_AW − A_WB·A_BB⁻¹·A_BW`
+/// of the operator with diagonal `diag` on the window unknowns `rows`
+/// (whole grid rows), with the half-width `nx` band of `A_WW`: each slab
+/// couples only to the window's adjacent grid row, through the trailing
+/// `nx×nx` block of its inverse (the bottom slab factored in reversed
+/// order, so its rows next to the window come last too).
+fn window_schur(
+    stencil: &StencilCache,
+    diag: &[Complex64],
+    nx: usize,
+    rows: std::ops::Range<usize>,
+) -> BandedMatrix {
+    let n = stencil.n();
+    let mut full = BandedMatrix::new(n, nx, nx);
+    stencil.assemble_block_with_diag(diag, 0..n, false, 0, &mut full);
+    let mut s = BandedMatrix::new(rows.len(), nx, nx);
+    stencil.assemble_block_with_diag(diag, rows.clone(), false, 0, &mut s);
+    // (slab rows, reversed, first window row, the slab's adjacent row)
+    for (slab, reversed, w0, a0) in [
+        (0..rows.start, false, rows.start, rows.start - nx),
+        (rows.end..n, true, rows.end - nx, rows.end),
+    ] {
+        let mut lu = BandedLu::placeholder();
+        lu.refactor(slab.len(), nx, nx, 0, |a, start| {
+            stencil.assemble_block_with_diag(diag, slab.clone(), reversed, start, a)
+        })
+        .unwrap();
+        let mut inv = vec![Complex64::ZERO; nx * nx];
+        lu.trailing_inverse_block(nx, &mut inv, &mut Vec::new());
+        // Slab unknown a0 + k sits at trailing index k (top) or
+        // nx − 1 − k (bottom, reversed).
+        let t = |k: usize| if reversed { nx - 1 - k } else { k };
+        for j in 0..nx {
+            for i in 0..nx {
+                let v = full.get(w0 + i, a0 + i) * inv[t(j) * nx + t(i)] * full.get(a0 + j, w0 + j);
+                let (si, sj) = (w0 + i - rows.start, w0 + j - rows.start);
+                s.add(si, sj, -v);
+            }
+        }
+    }
+    s
 }
 
 /// The acceptance benchmark of the zero-allocation pipeline: one full

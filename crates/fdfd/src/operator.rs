@@ -318,6 +318,12 @@ impl StencilCache {
         }
     }
 
+    /// Coupling `A(k, k − 1)` of every unknown (meaningful only off the
+    /// first grid column).
+    pub(crate) fn west(&self) -> &[Complex64] {
+        &self.west
+    }
+
     /// Coupling `A(k, k − nx)` of every unknown (zero on the first grid
     /// row).
     pub(crate) fn south(&self) -> &[Complex64] {

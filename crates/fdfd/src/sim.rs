@@ -44,7 +44,8 @@
 //!   window's rows: the fixed slabs above and below it are factored once
 //!   per `(grid, ω, slab diagonal)` into a [`crate::window::SlabCache`]
 //!   and condensed out, and the window's Schur complement is refactored
-//!   in place from its first changed column ([`crate::window`]). Every
+//!   in place from its first changed column, as a complex-symmetric
+//!   `L·D·Lᵀ` without pivoting ([`crate::window`]). Every
 //!   such solve is backward-error checked and falls back to the plain
 //!   banded LU on failure. A direct fan-out builds the slabs on its
 //!   caller's workspace and lends that cache to every lane
@@ -796,8 +797,9 @@ enum SolveMode {
 /// With design-window rows set ([`SimWorkspace::set_window_rows`]), a
 /// direct corner factors only the window's rows: the fixed slabs above
 /// and below it come factored from a [`SlabCache`] (see
-/// [`crate::window`]), and the corner's factor is the window's Schur
-/// complement, a band buffer over the window rows. Without window rows,
+/// [`crate::window`]), and the corner's factor is the `L·D·Lᵀ` of the
+/// window's Schur complement, a lower-band buffer over the window rows.
+/// Without window rows,
 /// or on a window fallback, the corner factor is one full band buffer,
 /// allocated on first use. Each resident ω slot's nominal factor
 /// (iterative strategy only) is a full band buffer either way.
@@ -1413,13 +1415,16 @@ impl SimWorkspace {
     }
 
     /// Element growth of the prepared direct corner factor: the largest
-    /// `|u_ij|` of its upper factors (window mode: the window factor's and
-    /// both slabs') over the largest `|a_ij|` of the operator. A solve's
-    /// backward error scales with it. `None` unless a direct corner is
-    /// prepared.
+    /// term of its factor products over the largest `|a_ij|` of the
+    /// operator — for a pivoted LU (the plain factor, the slabs) the
+    /// largest `|u_ij|`, for the window's `L·D·Lᵀ` the largest
+    /// `|l_ik|·|d_k|·|l_jk|` ([`boson_num::banded::BandedLdl::max_abs_term`]);
+    /// window mode takes the largest over the window factor and both
+    /// slabs. A solve's backward error scales with it. `None` unless a
+    /// direct corner is prepared.
     pub fn direct_factor_growth(&self) -> Option<f64> {
         let u = match (self.factored, self.mode) {
-            (true, SolveMode::Window(_)) => self.window.max_abs_upper(),
+            (true, SolveMode::Window(_)) => self.window.max_abs_term(),
             (true, SolveMode::DirectLu) => self.lu.max_abs_upper(),
             _ => return None,
         };

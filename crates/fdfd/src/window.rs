@@ -18,8 +18,12 @@
 //! block on `W`'s first grid row, inside `S`'s band. A slab holds no
 //! design cell, so its banded LU and that block depend only on
 //! `(grid, ω, the slab's diagonal)`: a [`SlabCache`] keeps them across
-//! corners, and a corner factors only `S` — `W`'s rows — with the plain
-//! banded kernel, resuming at its first changed column.
+//! corners, and a corner factors only `S` — `W`'s rows — resuming at its
+//! first changed column. `S` is complex-symmetric like the operator, so it
+//! is factored as `L·D·Lᵀ` from its lower triangle without pivoting
+//! ([`boson_num::banded::BandedLdl`]): `nx + 1` stored entries per column
+//! instead of the pivoted LU's `3·nx + 1`, and about a quarter of the
+//! elimination work.
 //!
 //! `B` is factored in reversed row order, so the rows next to `W` come
 //! last in both slabs and each interface block is the *trailing* block of
@@ -33,14 +37,15 @@
 //! only the forward steps that reach those rows are replayed before each
 //! slab's back sweep.
 //!
-//! The slab order of elimination is a static pivoting choice, so every
-//! solve's normwise backward error is checked against
-//! [`WINDOW_BACKWARD_TOL`]; a failed check, or a singular slab or window
-//! factor, falls back to the plain banded LU.
+//! The slab order of elimination is a static pivoting choice and the
+//! window factor does not pivot at all, so every solve's normwise
+//! backward error is checked against [`WINDOW_BACKWARD_TOL`]; a failed
+//! check, a singular slab or a zero window pivot falls back to the plain
+//! banded LU.
 
 use crate::grid::SimGrid;
 use crate::operator::StencilCache;
-use boson_num::banded::{BandedLu, BandedMatrix, SingularMatrixError, RHS_BLOCK};
+use boson_num::banded::{BandedLdl, BandedLu, SingularMatrixError, RHS_BLOCK};
 use boson_num::Complex64;
 use std::sync::{Arc, Weak};
 
@@ -471,15 +476,15 @@ struct SolveScratch {
     iface: Vec<Complex64>,
 }
 
-/// The window part of a direct corner factor: the banded LU of the
-/// Schur complement `S` on the window rows, the slabs it was condensed
-/// with, and the record it resumes from.
+/// The window part of a direct corner factor: the banded `L·D·Lᵀ` of
+/// the Schur complement `S` on the window rows, the slabs it was
+/// condensed with, and the record it resumes from.
 #[derive(Debug)]
 pub(crate) struct WindowFactor {
-    lu: BandedLu,
+    ldl: BandedLdl,
     /// `(grid, ω bits, split)` of the couplings the record refers to.
     key: Option<(SimGrid, u64, Split)>,
-    /// Window part of the operator diagonal `lu` factors (empty: none) …
+    /// Window part of the operator diagonal `ldl` factors (empty: none) …
     diag: Vec<Complex64>,
     /// … and the top and bottom slabs whose Schur blocks were subtracted
     /// from it. A slab is immutable behind its `Arc`, and while a `Weak`
@@ -494,7 +499,7 @@ pub(crate) struct WindowFactor {
 impl WindowFactor {
     pub(crate) fn new() -> Self {
         WindowFactor {
-            lu: BandedLu::placeholder(),
+            ldl: BandedLdl::placeholder(),
             key: None,
             diag: Vec::new(),
             condensed: None,
@@ -503,14 +508,15 @@ impl WindowFactor {
         }
     }
 
-    /// The largest `|u_ij|` over the window factor's and its slabs'
-    /// upper factors.
-    pub(crate) fn max_abs_upper(&self) -> f64 {
+    /// The largest term of the factor products over the window factor
+    /// ([`BandedLdl::max_abs_term`]) and its slabs (whose pivoted
+    /// multipliers are at most 1: their largest `|u_ij|`).
+    pub(crate) fn max_abs_term(&self) -> f64 {
         let slabs = self
             .slabs
             .as_ref()
             .map_or(0.0, |(t, b)| t.lu.max_abs_upper().max(b.lu.max_abs_upper()));
-        self.lu.max_abs_upper().max(slabs)
+        self.ldl.max_abs_term().max(slabs)
     }
 
     /// Drops the current factor's slabs, so a cache eviction can reuse
@@ -520,7 +526,7 @@ impl WindowFactor {
     }
 
     /// A column of `S` no later than the first that differs from the one
-    /// `lu` factors: the first changed window diagonal entry, column 0 if
+    /// `ldl` factors: the first changed window diagonal entry, column 0 if
     /// the top slab changed (its block sits in the first `nx` columns),
     /// and column `nw − nx` if the bottom slab did (the last `nx`).
     fn resume_column(
@@ -576,7 +582,7 @@ impl WindowFactor {
         }
         let start = self.resume_column(split, diag, top, bottom);
         let (nw, nx) = (split.window_len(), split.nx);
-        let result = self.lu.refactor(nw, nx, nx, start, |a, s| {
+        let result = self.ldl.refactor(nw, nx, start, |a, s| {
             assemble_window(stencil, diag, split, &top.schur, &bottom.schur, s, a)
         });
         self.diag.clear();
@@ -617,7 +623,7 @@ impl WindowFactor {
         let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
         for chunk in b.chunks_mut(split.n * RHS_BLOCK) {
             solve_chunk(
-                &self.lu,
+                &self.ldl,
                 top,
                 bottom,
                 stencil,
@@ -629,9 +635,9 @@ impl WindowFactor {
     }
 }
 
-/// Writes columns `start..` of `S`: the window block of the operator,
-/// minus the top slab's block on the first window grid row and the
-/// bottom slab's on the last.
+/// Writes the lower triangle of columns `start..` of `S`: the window
+/// block of the operator, minus the lower halves of the top slab's block
+/// on the first window grid row and of the bottom slab's on the last.
 fn assemble_window(
     stencil: &StencilCache,
     diag: &[Complex64],
@@ -639,18 +645,30 @@ fn assemble_window(
     top: &[Complex64],
     bottom: &[Complex64],
     start: usize,
-    a: &mut BandedMatrix,
+    a: &mut BandedLdl,
 ) {
-    let (nw, nx) = (split.window_len(), split.nx);
-    stencil.assemble_block_with_diag(diag, split.lo..split.hi, false, start, a);
+    let (nw, nx, lo) = (split.window_len(), split.nx, split.lo);
+    let (west, south) = (stencil.west(), stencil.south());
+    for j in start..nw {
+        let g = lo + j;
+        a.set(j, j, diag[g]);
+        // Below the diagonal, column j holds the couplings of its east
+        // neighbour (same grid row) and its north neighbour to it.
+        if (g + 1) % nx != 0 {
+            a.set(j + 1, j, west[g + 1]);
+        }
+        if j + nx < nw {
+            a.set(j + nx, j, south[g + nx]);
+        }
+    }
     for j in start..nx {
-        for i in 0..nx {
+        for i in j..nx {
             a.add(i, j, -top[j * nx + i]);
         }
     }
     let b0 = nw - nx;
     for j in start.max(b0)..nw {
-        for i in 0..nx {
+        for i in j - b0..nx {
             a.add(b0 + i, j, -bottom[(j - b0) * nx + i]);
         }
     }
@@ -658,7 +676,7 @@ fn assemble_window(
 
 /// [`WindowFactor::solve`] on at most [`RHS_BLOCK`] columns.
 fn solve_chunk(
-    w_lu: &BandedLu,
+    window: &BandedLdl,
     top: &Slab,
     bottom: &Slab,
     stencil: &StencilCache,
@@ -730,7 +748,7 @@ fn solve_chunk(
             wc[nw - nx + i] -= north[hi - nx + i] * tb[nx - 1 - i];
         }
     }
-    w_lu.solve_many(&mut s.window, cols);
+    window.solve_many(&mut s.window, cols);
     // Each slab's RHS minus its coupling to the window solution, replayed
     // through the forward steps that reach it, then the back sweep.
     for (c, wc) in s.window.chunks_exact(nw).enumerate() {

@@ -1,5 +1,6 @@
 //! The design-window direct factor (`boson_fdfd::window`) against the
-//! plain banded LU: agreement on the paper's bend and crossing operators,
+//! plain banded LU: agreement on the paper's bend, crossing and isolator
+//! operators,
 //! the degenerate windows that must stay plain, cache-history and resume
 //! bit-identity, and a finite-difference check of the adjoint gradient
 //! through the window path.
@@ -27,6 +28,15 @@ fn grid() -> SimGrid {
 /// Design-window grid rows of the bend and the crossing.
 const WINDOW: std::ops::Range<usize> = 26..54;
 
+/// The isolator's grid (92×80 cells, its design region at
+/// `ix ∈ 26..66`, `iy ∈ ISOLATOR_WINDOW`).
+fn isolator_grid() -> SimGrid {
+    SimGrid::new(92, 80, 0.05, 10)
+}
+
+/// Design-window grid rows of the isolator.
+const ISOLATOR_WINDOW: std::ops::Range<usize> = 22..58;
+
 const T_NOMINAL: f64 = 300.0;
 const T_LO: f64 = 250.0;
 const T_HI: f64 = 350.0;
@@ -45,13 +55,27 @@ fn omega(lambda: f64) -> f64 {
 enum Device {
     Bend,
     Crossing,
+    Isolator,
 }
 
 /// The device's permittivity at temperature `t`: its fixed guides (as in
 /// `boson_core::problem`) plus a deterministic grey pattern over the
-/// (26..54)² design region, scaled by `pattern`.
+/// design region ((26..54)², the isolator's 26..66 × 22..58), scaled by
+/// `pattern`.
 fn eps(device: Device, t: f64, pattern: f64) -> Array2<f64> {
     let si = eps_si(t);
+    if let Device::Isolator = device {
+        // A 1.5 µm multimode guide through the whole domain.
+        return Array2::from_fn(80, 92, |iy, ix| {
+            let solid = if ISOLATOR_WINDOW.contains(&iy) && (26..66).contains(&ix) {
+                let phase = 0.37 * ix as f64 + 0.23 * iy as f64 + pattern;
+                0.5 + 0.5 * phase.sin()
+            } else {
+                f64::from(u8::from((25..55).contains(&iy)))
+            };
+            1.0 + (si - 1.0) * solid
+        });
+    }
     Array2::from_fn(80, 80, |iy, ix| {
         let in_window = WINDOW.contains(&iy) && (26..54).contains(&ix);
         let solid = if in_window {
@@ -61,12 +85,12 @@ fn eps(device: Device, t: f64, pattern: f64) -> Array2<f64> {
             let horizontal = (36..44).contains(&iy)
                 && match device {
                     Device::Bend => ix < 26,
-                    Device::Crossing => !(26..54).contains(&ix),
+                    _ => !(26..54).contains(&ix),
                 };
             let vertical = (36..44).contains(&ix)
                 && match device {
                     Device::Bend => iy >= 54,
-                    Device::Crossing => !WINDOW.contains(&iy),
+                    _ => !WINDOW.contains(&iy),
                 };
             f64::from(u8::from(horizontal || vertical))
         };
@@ -96,14 +120,16 @@ fn window_workspace() -> SimWorkspace {
     ws
 }
 
-/// Factors and solves `b` (whole columns) on `ws`; returns the solution.
+/// Factors and solves `b` (whole columns) on `ws` on the grid of `eps`'s
+/// shape; returns the solution.
 fn solve_on(
     ws: &mut SimWorkspace,
     omega: f64,
     eps: &Array2<f64>,
     b: &[Complex64],
 ) -> Vec<Complex64> {
-    let g = grid();
+    let (ny, nx) = eps.shape();
+    let g = SimGrid::new(nx, ny, 0.05, 10);
     ws.factor(g, omega, eps).expect("factorisation failed");
     let mut x = b.to_vec();
     ws.solve_block(&mut x, b.len() / g.n())
@@ -174,9 +200,10 @@ fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
     est
 }
 
-/// Window and plain solves of the bend and crossing operators agree at
-/// every axial temperature and two wavelengths, within a tolerance
-/// derived from the problem size and the measured element growth.
+/// Window and plain solves of the bend, crossing and isolator operators
+/// agree at every axial temperature and two wavelengths, within a
+/// tolerance derived from the problem size and the measured element
+/// growth, and no window solve leaves the window path.
 ///
 /// Derivation. An LU solve with partial pivoting is backward stable
 /// (Higham, Thm. 9.4): the computed `x` solves `(A + ΔA)·x = b` with
@@ -190,12 +217,18 @@ fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
 /// ‖A·x − b‖∞ / (‖A‖∞·‖x‖∞) ≤ γ_{3w}·(kl + 1)·w·ρ·max|a_ij| / ‖A‖∞,
 /// ```
 ///
-/// `ρ = max|u_ij| / max|a_ij|` the measured element growth of the factor
-/// (the window path's over its slab and window factors). The window
-/// path eliminates whole slabs before the window (block elimination with
-/// pivoting inside each block), whose coupling multipliers are not
-/// bounded by 1; its growth ρ is measured the same way, and the check
-/// the workspace runs on every window solve bounds its backward error by
+/// `ρ = max|u_ij| / max|a_ij|` the measured element growth of the factor.
+/// The window path eliminates whole slabs before the window (block
+/// elimination with pivoting inside each block), whose coupling
+/// multipliers are not bounded by 1, and factors the window's Schur
+/// complement `S` as `L·D·Lᵀ` without pivoting, whose multipliers are
+/// not bounded either. The same theorem with `U = D·Lᵀ` gives
+/// `|ΔS| ≤ γ_{3(nx+1)}·|L||D||Lᵀ|`, each entry a sum of at most
+/// `(nx + 1)²` terms `|l_ik|·|d_k|·|l_jk|` (fewer than the
+/// `(kl + 1)·w` above), so the bound holds with `ρ` the largest such
+/// term over `max|a_ij|` — what `direct_factor_growth` reports for the
+/// window path, over its slab and window factors. The check the
+/// workspace runs on every window solve bounds its backward error by
 /// `WINDOW_BACKWARD_TOL` besides. By first-order perturbation theory two
 /// solutions with relative residuals `η₁, η₂` differ by at most
 /// `κ∞(A)·(η₁ + η₂)` relative to `‖x‖∞`; `κ∞ = ‖A‖∞·‖A⁻¹‖∞` comes from
@@ -203,13 +236,17 @@ fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
 /// bound carries a factor 10.
 #[test]
 fn window_solves_agree_with_the_banded_lu() {
-    let g = grid();
-    let n = g.n();
     let u = f64::EPSILON / 2.0;
-    let w = 3 * g.nx + 1;
     let gamma = |k: usize| k as f64 * u / (1.0 - k as f64 * u);
-    let mut ws = window_workspace();
-    for device in [Device::Bend, Device::Crossing] {
+    for (device, g, rows) in [
+        (Device::Bend, grid(), WINDOW),
+        (Device::Crossing, grid(), WINDOW),
+        (Device::Isolator, isolator_grid(), ISOLATOR_WINDOW),
+    ] {
+        let n = g.n();
+        let w = 3 * g.nx + 1;
+        let mut ws = SimWorkspace::new();
+        ws.set_window_rows(Some(rows));
         for lambda in [1.55, 1.50] {
             let om = omega(lambda);
             let sf = SFactors::new(&g, om);

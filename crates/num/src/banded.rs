@@ -1,4 +1,5 @@
-//! Complex banded matrices and LU factorisation with partial pivoting.
+//! Complex banded matrices, their LU factorisation with partial pivoting,
+//! and the unpivoted `L·D·Lᵀ` of complex-symmetric bands.
 //!
 //! The 2-D FDFD Helmholtz operator is a 5-point stencil: with grid ordering
 //! along the fast axis its bandwidth equals the fast-axis extent, so a
@@ -35,6 +36,13 @@
 //!
 //! Multi-RHS solves go through [`BandedLu::solve_many`], which makes a
 //! *single* pass over the factors for all right-hand sides.
+//!
+//! [`BandedLdl`] factors a complex-symmetric band from its lower triangle
+//! without pivoting: a third of the LU's storage and about a quarter of
+//! its elimination work, with the same in-place refactor and resume
+//! contract, but no bound on the multipliers. It serves the design-window
+//! Schur complement, whose solves are backward-error checked with the
+//! pivoted LU to fall back on.
 //!
 //! The factorisation kernel is shared by both styles and is written in
 //! slice/iterator form (no bounds checks in the inner loops). Its complex
@@ -89,7 +97,7 @@
 //! }
 //! ```
 
-use crate::complex::{axpy_neg, scal};
+use crate::complex::{axpy_neg, dotu, scal};
 use crate::Complex64;
 use std::fmt;
 
@@ -176,25 +184,6 @@ impl BandedMatrix {
     fn idx(&self, i: usize, j: usize) -> usize {
         // row within column j's band block: kl + ku + i - j
         j * self.ldab() + (self.kl + self.ku + i - j)
-    }
-
-    /// Zeroes the band storage in place, keeping the allocation.
-    ///
-    /// Part of the workspace-reuse contract: call before re-assembling an
-    /// operator into a matrix that was already factored from.
-    pub fn reset(&mut self) {
-        self.ab.fill(Complex64::ZERO);
-    }
-
-    /// Reshapes to an all-zero `n×n` band with `kl`/`ku` diagonals,
-    /// reusing the existing allocation when it is large enough.
-    pub fn reshape(&mut self, n: usize, kl: usize, ku: usize) {
-        let ldab = 2 * kl + ku + 1;
-        self.n = n;
-        self.kl = kl;
-        self.ku = ku;
-        self.ab.clear();
-        self.ab.resize(ldab * n, Complex64::ZERO);
     }
 
     /// `true` when `(i, j)` lies inside the stored band.
@@ -920,6 +909,330 @@ impl BandedLu {
         let mut x = b.to_vec();
         self.solve(&mut x);
         x
+    }
+}
+
+/// The `L·D·Lᵀ` factorisation of a complex-symmetric band matrix
+/// (`Aᵀ = A`, half-bandwidth `m`) without pivoting: `L` unit lower
+/// triangular with `m` sub-diagonals, `D` diagonal.
+///
+/// Storage is the lower band only, column-major with `m + 1` entries per
+/// column: column `j` holds `d_j`, then the multipliers
+/// `l_{j+1,j} … l_{j+m,j}` (zero past row `n − 1`). With no row swaps
+/// nothing leaves the band, so the factor stores `m + 1` entries per
+/// column against the `3m + 1` of a [`BandedLu`] of the same matrix, and
+/// elimination step `j` updates the `m(m+1)/2` entries of the lower
+/// triangle it reaches against the LU's `m·2m`.
+///
+/// Nothing bounds the multipliers, so the factorisation is only as stable
+/// as the matrix makes it: use it where a solve's backward error is
+/// checked, with a [`BandedLu`] to fall back on. An exactly zero pivot is
+/// a [`SingularMatrixError`] even when the matrix is not singular
+/// (`[[0, 1], [1, 0]]`).
+///
+/// # Examples
+///
+/// ```
+/// use boson_num::banded::BandedLdl;
+/// use boson_num::c64;
+///
+/// // A complex-symmetric tridiagonal matrix, lower triangle only.
+/// let n = 6;
+/// let mut ldl = BandedLdl::placeholder();
+/// ldl.refactor(n, 1, 0, |a: &mut BandedLdl, start| {
+///     for j in start..n {
+///         a.set(j, j, c64(3.0, 0.5));
+///         if j + 1 < n {
+///             a.set(j + 1, j, c64(-1.0, 0.25));
+///         }
+///     }
+/// })?;
+/// let x = ldl.solve_vec(&vec![c64(1.0, 0.0); n]);
+/// // Row 0 of A·x: 3.5·x₀ + (−1 + 0.25i)·x₁ = 1.
+/// let r = c64(3.0, 0.5) * x[0] + c64(-1.0, 0.25) * x[1];
+/// assert!((r - c64(1.0, 0.0)).abs() < 1e-14);
+/// # Ok::<(), boson_num::banded::SingularMatrixError>(())
+/// ```
+#[derive(Clone, Default)]
+pub struct BandedLdl {
+    n: usize,
+    m: usize,
+    ab: Vec<Complex64>,
+    /// Leading columns that hold a finished factorisation: `n` after a
+    /// successful one, 0 otherwise.
+    kept: usize,
+    /// First column [`BandedLdl::set`] and [`BandedLdl::add`] may write:
+    /// the resume column while [`BandedLdl::refactor`] lends the storage
+    /// to its assembly, `n` (none) otherwise.
+    open: usize,
+}
+
+impl fmt::Debug for BandedLdl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "BandedLdl(n={}, m={})", self.n, self.m)
+    }
+}
+
+impl BandedLdl {
+    /// An empty factorisation slot for workspace reuse: fill it with
+    /// [`BandedLdl::refactor`] before solving.
+    pub fn placeholder() -> Self {
+        Self::default()
+    }
+
+    /// Matrix dimension (0 for a placeholder never filled).
+    #[inline(always)]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Refactors in place for an `n×n` complex-symmetric matrix with
+    /// half-bandwidth `m` that agrees with the matrix this storage
+    /// factors in every column before `start`, assembling straight into
+    /// the factor's storage.
+    ///
+    /// Columns before `start` are kept. The columns from `start` on are
+    /// zeroed, and `assemble` receives the factor and the start column:
+    /// it writes the lower triangle of those columns (`A(i, j)` for
+    /// `j ≥ start`, `j ≤ i ≤ j + m`) through [`BandedLdl::set`] and
+    /// [`BandedLdl::add`]. The kept elimination steps
+    /// `[start − m, start)` are then replayed onto the columns they reach,
+    /// in step order, and the elimination continues at `start`: every
+    /// column receives the operations of a from-scratch factorisation in
+    /// the same order, so the result is bit-identical to `start = 0`.
+    ///
+    /// Step `j` scales column `j` by `d_j⁻¹` into the multipliers, then
+    /// subtracts `t_c · l_{c..,j}` from each column `c` it reaches, with
+    /// `t_c = d_j·l_{cj}`: the column's unscaled entry, recomputed from
+    /// the stored factor so a replayed step needs nothing else. Each
+    /// column update is one dispatched `axpy_neg`.
+    ///
+    /// `start` is clamped to the columns the storage keeps: none for a
+    /// placeholder, after a shape change or after a failed factorisation;
+    /// all `n` after a successful one (`start = n` keeps the factor as it
+    /// is). Once the storage has the requested shape, the call performs
+    /// no heap allocation. Returns the column the elimination resumed at.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] at the first exactly-zero pivot
+    /// `d_j`; the storage then keeps no column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assemble` refactors the storage it was lent.
+    pub fn refactor(
+        &mut self,
+        n: usize,
+        m: usize,
+        start: usize,
+        assemble: impl FnOnce(&mut BandedLdl, usize),
+    ) -> Result<usize, SingularMatrixError> {
+        // A storage length off its shape means an `assemble` panicked
+        // while it held the storage: start over like a new shape.
+        if (self.n, self.m, self.ab.len()) != (n, m, (m + 1) * n) {
+            self.n = n;
+            self.m = m;
+            self.ab.clear();
+            self.ab.resize((m + 1) * n, Complex64::ZERO);
+            self.kept = 0;
+        }
+        let start = start.min(self.kept);
+        if start == n {
+            return Ok(start);
+        }
+        self.kept = 0;
+        self.ab[start * (m + 1)..].fill(Complex64::ZERO);
+        self.open = start;
+        assemble(self, start);
+        assert!(
+            (self.n, self.m, self.ab.len(), self.open) == (n, m, (m + 1) * n, start),
+            "refactor: the lent storage was refactored"
+        );
+        self.open = n;
+        ldl_kernel(n, m, &mut self.ab, start, axpy_neg)?;
+        self.kept = n;
+        Ok(start)
+    }
+
+    /// Flat index of lower-band entry `(i, j)`, if `i ≥ j` lie in the
+    /// band and column `j` is open for assembly.
+    #[inline(always)]
+    fn open_idx(&self, i: usize, j: usize) -> usize {
+        assert!(
+            self.open <= j && j <= i && i <= j + self.m && i < self.n,
+            "entry ({i},{j}) outside the open lower band (n={}, m={}, open from {})",
+            self.n,
+            self.m,
+            self.open
+        );
+        j * (self.m + 1) + (i - j)
+    }
+
+    /// Overwrites lower-band entry `(i, j)` of the matrix being assembled.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside [`BandedLdl::refactor`]'s `assemble`, or if `(i, j)`
+    /// is not in the lower band (`j ≤ i ≤ j + m`) of a column from the
+    /// start column on.
+    #[inline]
+    pub fn set(&mut self, i: usize, j: usize, v: Complex64) {
+        let k = self.open_idx(i, j);
+        self.ab[k] = v;
+    }
+
+    /// Adds `v` to lower-band entry `(i, j)` of the matrix being
+    /// assembled.
+    ///
+    /// # Panics
+    ///
+    /// As [`BandedLdl::set`].
+    #[inline]
+    pub fn add(&mut self, i: usize, j: usize, v: Complex64) {
+        let k = self.open_idx(i, j);
+        self.ab[k] += v;
+    }
+
+    /// The largest term `|l_ik|·|d_k|·|l_jk|` of the sums in `|L||D||Lᵀ|`
+    /// (0 for an unfilled placeholder): over the largest `|a_ij|`, the
+    /// element growth a solve's backward error scales with
+    /// (`|ΔA| ≤ γ·|L||D||Lᵀ|`). It plays the role of
+    /// [`BandedLu::max_abs_upper`], whose multipliers pivoting bounds
+    /// by 1.
+    pub fn max_abs_term(&self) -> f64 {
+        if self.kept == 0 {
+            return 0.0;
+        }
+        self.ab
+            .chunks_exact(self.m + 1)
+            .map(|col| {
+                let l = col[1..].iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                col[0].abs() * l * l
+            })
+            .fold(0.0, f64::max)
+    }
+
+    /// Solves `A x = b` in place (`b` becomes `x`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != n`.
+    pub fn solve(&self, b: &mut [Complex64]) {
+        self.solve_many(b, 1);
+    }
+
+    /// Solves `A X = B` in place for `nrhs` right-hand sides stored
+    /// column-major in `b`, [`RHS_BLOCK`] columns per sweep over the
+    /// factor: the unit-lower forward sweep `L z = b` (one dispatched
+    /// axpy per factor column), then, in reverse, the diagonal scale and
+    /// the `Lᵀ` back sweep `x_j = z_j/d_j − Σ_i l_ij·x_i` (one dispatched
+    /// dot product per factor column).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != n·nrhs` or the slot was never filled.
+    pub fn solve_many(&self, b: &mut [Complex64], nrhs: usize) {
+        assert!(self.kept == self.n && self.n > 0, "BandedLdl not factored");
+        assert_eq!(b.len(), self.n * nrhs, "solve_many dimension mismatch");
+        for chunk in b.chunks_mut(self.n * RHS_BLOCK) {
+            ldl_sweep(self.n, self.m, &self.ab, chunk, axpy_neg, dotu);
+        }
+    }
+
+    /// Convenience: solves into a fresh vector.
+    pub fn solve_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
+        let mut x = b.to_vec();
+        self.solve(&mut x);
+        x
+    }
+}
+
+/// The `L·D·Lᵀ` elimination behind [`BandedLdl::refactor`] over a given
+/// `y -= a·x` kernel, resuming at column `start` (see there).
+fn ldl_kernel(
+    n: usize,
+    m: usize,
+    ab: &mut [Complex64],
+    start: usize,
+    axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) -> Result<(), SingularMatrixError> {
+    let ld = m + 1;
+    debug_assert_eq!(ab.len(), ld * n);
+    // Replay the kept steps that reach columns at or after `start`.
+    for j in start.saturating_sub(m)..start {
+        let chi = (j + m).min(n - 1);
+        if chi >= start {
+            ldl_update(ab, ld, m.min(n - 1 - j), j, start..=chi, &axpy_neg);
+        }
+    }
+    for j in start..n {
+        let col = j * ld;
+        let d = ab[col];
+        if d.re == 0.0 && d.im == 0.0 {
+            return Err(SingularMatrixError { column: j });
+        }
+        let km = m.min(n - 1 - j);
+        scal(d.inv(), &mut ab[col + 1..=col + km]);
+        ldl_update(ab, ld, km, j, j + 1..=j + km, &axpy_neg);
+    }
+    Ok(())
+}
+
+/// Applies elimination step `j` (its `km` multipliers below `d_j`) to the
+/// columns `cols` right of `j`: column `c` loses `d_j·l_cj` times the
+/// multipliers of rows `c..=j + km`.
+#[inline(always)]
+fn ldl_update(
+    ab: &mut [Complex64],
+    ld: usize,
+    km: usize,
+    j: usize,
+    cols: std::ops::RangeInclusive<usize>,
+    axpy_neg: &impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
+    let col = j * ld;
+    let d = ab[col];
+    for c in cols {
+        let r = c - j;
+        // Column j precedes column c in storage: the split at c's
+        // column start yields disjoint slices.
+        let (head, tail) = ab.split_at_mut(c * ld);
+        let l = &head[col + r..=col + km];
+        let t = d * l[0];
+        if t.re != 0.0 || t.im != 0.0 {
+            axpy_neg(t, l, &mut tail[..=km - r]);
+        }
+    }
+}
+
+/// One [`BandedLdl::solve_many`] sweep over whole `n`-row columns of `b`,
+/// through the given axpy and dot kernels.
+fn ldl_sweep(
+    n: usize,
+    m: usize,
+    ab: &[Complex64],
+    b: &mut [Complex64],
+    axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+    dotu: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
+) {
+    let ld = m + 1;
+    for j in 0..n {
+        let km = m.min(n - 1 - j);
+        let l = &ab[j * ld + 1..=j * ld + km];
+        for rhs in b.chunks_exact_mut(n) {
+            let zj = rhs[j];
+            axpy_neg(zj, l, &mut rhs[j + 1..=j + km]);
+        }
+    }
+    for j in (0..n).rev() {
+        let km = m.min(n - 1 - j);
+        let dinv = ab[j * ld].inv();
+        let l = &ab[j * ld + 1..=j * ld + km];
+        for rhs in b.chunks_exact_mut(n) {
+            let (head, tail) = rhs.split_at_mut(j + 1);
+            head[j] = head[j] * dinv - dotu(l, &tail[..km]);
+        }
     }
 }
 
@@ -1692,33 +2005,277 @@ mod tests {
         assert_eq!(lu.refactor(n, kl, ku, n, |_, _| unreachable!()), Ok(n));
     }
 
+    /// One `BandedLu` slot refactored across shape changes: a shape
+    /// change keeps no column, and refilling the first shape again
+    /// solves bit-identically to the first factor.
     #[test]
-    fn reset_and_reshape_keep_solutions_correct() {
-        let mut a = random_banded(16, 2, 3, 9);
-        let lu1 = a.clone().factor().unwrap();
+    fn refactor_across_shapes_keeps_solutions_correct() {
+        let a = random_banded(16, 2, 3, 9);
         let b: Vec<_> = (0..16).map(|i| c64(1.0 + i as f64, 0.0)).collect();
-        let x1 = lu1.solve_vec(&b);
-        // Reset and refill with the identical matrix: same solution.
-        let copy = random_banded(16, 2, 3, 9);
-        a.reset();
-        for i in 0..16usize {
-            for j in i.saturating_sub(2)..=(i + 3).min(15) {
-                a.set(i, j, copy.get(i, j));
+        let mut lu = BandedLu::placeholder();
+        assert_eq!(lu.refactor(16, 2, 3, 0, columns_of(&a)), Ok(0));
+        let x1 = lu.solve_vec(&b);
+        assert!(residual(&a, &x1, &b) < 1e-12);
+        // A diagonal system of another shape.
+        let diag = |m: &mut BandedMatrix, start: usize| {
+            for i in start..8 {
+                m.set(i, i, c64(2.0, 0.0));
+            }
+        };
+        assert_eq!(lu.refactor(8, 1, 1, 8, diag), Ok(0));
+        for v in lu.solve_vec(&[Complex64::ONE; 8]) {
+            assert_eq!(v, c64(0.5, 0.0));
+        }
+        assert_eq!(lu.refactor(16, 2, 3, 16, columns_of(&a)), Ok(0));
+        assert_eq!(lu.solve_vec(&b), x1);
+    }
+
+    /// A random complex-symmetric band matrix (`kl = ku = m`), entries
+    /// in `[−½, ½)²`, with the diagonal shifted by `shift`.
+    fn random_symmetric(n: usize, m: usize, seed: u64, shift: Complex64) -> BandedMatrix {
+        let mut r = random_banded(n, m, m, seed);
+        for i in 0..n {
+            r.add(i, i, -c64(3.0 + (2 * m) as f64, 1.0));
+        }
+        let mut a = BandedMatrix::new(n, m, m);
+        for j in 0..n {
+            for i in j..=(j + m).min(n - 1) {
+                let v = if i == j {
+                    r.get(i, j) + shift
+                } else {
+                    r.get(i, j)
+                };
+                a.set(i, j, v);
+                a.set(j, i, v);
             }
         }
-        let x2 = a.clone().factor().unwrap().solve_vec(&b);
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((*p - *q).abs() < 1e-13);
+        a
+    }
+
+    /// Assembly closure for [`BandedLdl::refactor`] copying the lower
+    /// triangle of `src`'s columns from the start column on.
+    fn lower_of(src: &BandedMatrix) -> impl FnOnce(&mut BandedLdl, usize) + '_ {
+        move |a, start| {
+            for j in start..src.n {
+                for i in j..=(j + src.kl).min(src.n - 1) {
+                    a.set(i, j, src.get(i, j));
+                }
+            }
         }
-        // Reshape to a different bandwidth and solve a diagonal system.
-        a.reshape(8, 1, 1);
-        assert_eq!(a.n(), 8);
-        for i in 0..8 {
-            a.set(i, i, c64(2.0, 0.0));
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// LDLᵀ solves of random complex-symmetric bands agree with the
+    /// pivoted LU's within a bound derived from both backward errors.
+    ///
+    /// Derivation. The LDLᵀ solve is backward stable relative to its
+    /// factors (Higham, *Accuracy and Stability of Numerical
+    /// Algorithms*, Thms. 9.3–9.4 and 10.4 with `U = D·Lᵀ`): the computed
+    /// `x` solves `(A + ΔA)·x = b` with `|ΔA| ≤ γ_{3w}·|L||D||Lᵀ|`,
+    /// `γ_k = k·u/(1 − k·u)`, `w = m + 1` the most terms of any inner
+    /// product, so its residual obeys `|b − A·x| ≤ γ_{3w}·|L||D||Lᵀ|·|x|`,
+    /// evaluated here from the computed factor. The pivoted LU's obeys
+    /// `‖b − A·x‖∞ ≤ γ_{3w'}·(m + 1)·w'·max|u_ij|·‖x‖∞` (`|l_ij| ≤ 1`,
+    /// `m + 1` entries per row of `L`, `w' = 3m + 1` per row of `U`). The
+    /// two solutions differ by `A⁻¹` times the difference of their
+    /// residuals, so
+    /// `‖x₁ − x₂‖∞ ≤ ‖A⁻¹‖∞·(‖r₁‖∞ + ‖r₂‖∞)`; `‖A⁻¹‖∞` comes from LU
+    /// solves of the unit vectors, and a factor 2 covers the second-order
+    /// terms and the computed inverse.
+    #[test]
+    fn ldl_solves_agree_with_the_lu_within_the_backward_error_bound() {
+        let u = f64::EPSILON / 2.0;
+        let gamma = |k: usize| k as f64 * u / (1.0 - k as f64 * u);
+        for &(n, m, seed) in &[(12usize, 2usize, 1u64), (40, 5, 2), (64, 8, 3), (90, 12, 4)] {
+            // A weakly shifted diagonal: the LU pivots, the LDLᵀ grows.
+            let a = random_symmetric(n, m, seed, c64(0.5, 0.25));
+            assert!(a.asymmetry() == 0.0);
+            let lu = a.clone().factor().unwrap();
+            assert!(
+                lu.ipiv.iter().enumerate().any(|(j, &p)| p != j),
+                "n={n}: the LU must pivot"
+            );
+            let mut ldl = BandedLdl::placeholder();
+            assert_eq!(ldl.refactor(n, m, 0, lower_of(&a)), Ok(0));
+            let b: Vec<_> = (0..n)
+                .map(|i| c64((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
+                .collect();
+            let x_ldl = ldl.solve_vec(&b);
+            let x_lu = lu.solve_vec(&b);
+
+            // Componentwise |L||D||Lᵀ|·|x| from the factor.
+            let ld = m + 1;
+            let l = |i: usize, k: usize| -> f64 {
+                match i.checked_sub(k) {
+                    Some(0) => 1.0,
+                    Some(r) if r <= m => ldl.ab[k * ld + r].abs(),
+                    _ => 0.0,
+                }
+            };
+            let dlt_x: Vec<f64> = (0..n)
+                .map(|k| {
+                    let s: f64 = (k..=(k + m).min(n - 1))
+                        .map(|j| l(j, k) * x_ldl[j].abs())
+                        .sum();
+                    ldl.ab[k * ld].abs() * s
+                })
+                .collect();
+            let ldlt_x: Vec<f64> = (0..n)
+                .map(|i| (i.saturating_sub(m)..=i).map(|k| l(i, k) * dlt_x[k]).sum())
+                .collect();
+            let inf = |v: &[Complex64]| v.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+            let r_ldl = gamma(3 * ld) * ldlt_x.iter().fold(0.0f64, |m, v| m.max(*v));
+            let w = 3 * m + 1;
+            let r_lu = gamma(3 * w) * (m + 1) as f64 * w as f64 * lu.max_abs_upper() * inf(&x_lu);
+            let inv_norm = (0..n)
+                .map(|i| {
+                    let mut e = vec![Complex64::ZERO; n];
+                    e[i] = Complex64::ONE;
+                    lu.solve_vec(&e)
+                })
+                .fold(vec![0.0f64; n], |mut rows, col| {
+                    for (r, v) in rows.iter_mut().zip(&col) {
+                        *r += v.abs();
+                    }
+                    rows
+                })
+                .into_iter()
+                .fold(0.0f64, f64::max);
+            let limit = 2.0 * inv_norm * (r_ldl + r_lu);
+            let diff: Vec<Complex64> = x_ldl.iter().zip(&x_lu).map(|(p, q)| *p - *q).collect();
+            assert!(
+                inf(&diff) <= limit,
+                "n={n} m={m}: solutions differ by {:e} > {limit:e}",
+                inf(&diff)
+            );
+            assert!(
+                limit < 1e-6 * inf(&x_lu),
+                "n={n} m={m}: vacuous bound {limit:e}"
+            );
+            // Row by row, the LDLᵀ residual stays within its own bound
+            // plus the rounding of the residual's evaluation,
+            // γ_{2m+1}·|A|·|x|.
+            let ax = a.matvec(&x_ldl);
+            for i in 0..n {
+                let abs_ax: f64 = (i.saturating_sub(m)..=(i + m).min(n - 1))
+                    .map(|j| a.get(i, j).abs() * x_ldl[j].abs())
+                    .sum();
+                let r = (b[i] - ax[i]).abs();
+                let tol = gamma(3 * ld) * ldlt_x[i] + gamma(2 * m + 1) * abs_ax;
+                assert!(r <= tol, "n={n} m={m} row {i}: residual {r:e} > {tol:e}");
+            }
+            // The growth term is the largest |l_ik|·|d_k|·|l_jk|.
+            let brute = (0..n)
+                .flat_map(|k| (k..=(k + m).min(n - 1)).map(move |i| (i, k)))
+                .flat_map(|(i, k)| (k..=(k + m).min(n - 1)).map(move |j| (i, j, k)))
+                .map(|(i, j, k)| l(i, k) * ldl.ab[k * ld].abs() * l(j, k))
+                .fold(0.0f64, f64::max);
+            assert_eq!(ldl.max_abs_term(), brute);
         }
-        let x3 = a.factor().unwrap().solve_vec(&[Complex64::ONE; 8]);
-        for v in &x3 {
-            assert!((*v - c64(0.5, 0.0)).abs() < 1e-14);
+    }
+
+    /// A refactor resumed at `start` leaves the storage bit-identical to
+    /// a fresh factor of the new matrix, without reallocating it.
+    #[test]
+    fn resumed_ldl_refactor_is_bit_identical_to_a_fresh_factor() {
+        for &(n, m, seed) in &[(97usize, 5usize, 1u64), (300, 12, 2), (40, 7, 3)] {
+            for start in [0, 1, m, n / 2, n] {
+                let old = random_symmetric(n, m, seed, c64(0.5, 0.25));
+                // The new matrix keeps every lower entry of the columns
+                // before `start` and redraws the trailing block.
+                let redraw = random_symmetric(n, m, seed + 100, c64(0.5, 0.25));
+                let mut new = old.clone();
+                for j in start..n {
+                    for i in j..=(j + m).min(n - 1) {
+                        new.set(i, j, redraw.get(i, j));
+                        new.set(j, i, redraw.get(i, j));
+                    }
+                }
+                let mut ldl = BandedLdl::placeholder();
+                assert_eq!(ldl.refactor(n, m, start, lower_of(&old)), Ok(0));
+                let ptr = ldl.ab.as_ptr();
+                assert_eq!(ldl.refactor(n, m, start, lower_of(&new)), Ok(start));
+                assert_eq!(ldl.ab.as_ptr(), ptr, "factor storage reallocated");
+                let mut fresh = BandedLdl::placeholder();
+                fresh.refactor(n, m, 0, lower_of(&new)).unwrap();
+                assert!(
+                    bits(&ldl.ab) == bits(&fresh.ab),
+                    "factor storage n={n} m={m} start={start}"
+                );
+            }
+        }
+    }
+
+    /// An exactly zero pivot stops the LDLᵀ, here at an embedded
+    /// `[[0, 1], [1, 0]]` block, which the pivoted LU factors; the failed
+    /// storage keeps no column.
+    #[test]
+    fn zero_pivot_is_singular_for_the_ldl_but_not_the_lu() {
+        let (n, m) = (10usize, 2usize);
+        let mut a = random_symmetric(n, m, 7, c64(6.0, 1.0));
+        // Rows 4 and 5 decouple from the rest and swap each other.
+        for i in 4..6usize {
+            for k in i.saturating_sub(m)..=(i + m).min(n - 1) {
+                a.set(i, k, Complex64::ZERO);
+                a.set(k, i, Complex64::ZERO);
+            }
+        }
+        a.set(5, 4, Complex64::ONE);
+        a.set(4, 5, Complex64::ONE);
+        let mut ldl = BandedLdl::placeholder();
+        assert_eq!(
+            ldl.refactor(n, m, 0, lower_of(&a)),
+            Err(SingularMatrixError { column: 4 })
+        );
+        assert_eq!(ldl.max_abs_term(), 0.0);
+        let lu = a.clone().factor().unwrap();
+        let b: Vec<_> = (0..n).map(|i| c64(i as f64, 1.0)).collect();
+        assert!(residual(&a, &lu.solve_vec(&b), &b) < 1e-12);
+        // The next refactor starts over at column 0.
+        let good = random_symmetric(n, m, 8, c64(6.0, 1.0));
+        assert_eq!(ldl.refactor(n, m, n / 2, lower_of(&good)), Ok(0));
+        assert!(residual(&good, &ldl.solve_vec(&b), &b) < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the open lower band")]
+    fn ldl_writes_before_the_start_column_panic() {
+        let a = random_symmetric(12, 2, 5, c64(6.0, 1.0));
+        let mut ldl = BandedLdl::placeholder();
+        ldl.refactor(12, 2, 0, lower_of(&a)).unwrap();
+        let _ = ldl.refactor(12, 2, 6, |l: &mut BandedLdl, _| l.set(5, 5, Complex64::ONE));
+    }
+
+    /// The dispatched factor and solve kernels are bit-identical to the
+    /// portable loops (trivially so on a host without AVX).
+    #[test]
+    fn dispatched_ldl_is_bit_identical_to_the_portable_kernels() {
+        use crate::complex::{axpy_neg_scalar, dotu_scalar};
+        for &(n, m) in &[(33usize, 4usize), (70, 9), (128, 16)] {
+            let a = random_symmetric(n, m, n as u64, c64(0.5, 0.25));
+            let mut ldl = BandedLdl::placeholder();
+            ldl.refactor(n, m, 0, lower_of(&a)).unwrap();
+            let mut portable = BandedLdl {
+                n,
+                m,
+                ab: vec![Complex64::ZERO; (m + 1) * n],
+                kept: 0,
+                open: 0,
+            };
+            lower_of(&a)(&mut portable, 0);
+            ldl_kernel(n, m, &mut portable.ab, 0, axpy_neg_scalar).unwrap();
+            assert!(bits(&ldl.ab) == bits(&portable.ab), "n={n} m={m} factor");
+            let b0: Vec<Complex64> = (0..3 * n)
+                .map(|k| c64((k as f64 * 0.19).sin(), (k as f64 * 0.41).cos()))
+                .collect();
+            let mut fast = b0.clone();
+            ldl.solve_many(&mut fast, 3);
+            let mut slow = b0;
+            ldl_sweep(n, m, &ldl.ab, &mut slow, axpy_neg_scalar, dotu_scalar);
+            assert!(bits(&fast) == bits(&slow), "n={n} m={m} solve");
         }
     }
 }

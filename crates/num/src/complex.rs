@@ -389,6 +389,49 @@ pub(crate) fn axpy_neg_scalar(a: Complex64, x: &[Complex64], y: &mut [Complex64]
     }
 }
 
+/// The unconjugated dot product `Σ x[i]·y[i]` over exact-length slices.
+///
+/// Runs an AVX kernel when the CPU has AVX and the portable loop
+/// otherwise; both sum in one fixed order (see [`dotu_scalar`]), so they
+/// give bit-identical results.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub(crate) fn dotu(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    assert_eq!(x.len(), y.len(), "dotu length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx() {
+        // SAFETY: AVX support was detected at runtime just above.
+        return unsafe { crate::simd::dotu_avx(x, y) };
+    }
+    dotu_scalar(x, y)
+}
+
+/// The portable loop behind [`dotu`], in the AVX kernel's order: the
+/// products of even and of odd positions accumulate separately, the two
+/// sums are added, and an odd last product comes after.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub(crate) fn dotu_scalar(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    assert_eq!(x.len(), y.len(), "dotu length mismatch");
+    let mut acc = [Complex64::ZERO; 2];
+    let (mut xs, mut ys) = (x.chunks_exact(2), y.chunks_exact(2));
+    for (xc, yc) in (&mut xs).zip(&mut ys) {
+        acc[0] += xc[0] * yc[0];
+        acc[1] += xc[1] * yc[1];
+    }
+    let mut sum = acc[0] + acc[1];
+    if let ([a], [b]) = (xs.remainder(), ys.remainder()) {
+        sum += *a * *b;
+    }
+    sum
+}
+
 /// `y[i] += a·x[i]` over exact-length slices.
 ///
 /// # Panics

@@ -10,7 +10,8 @@
 //! * [`banded`] — LAPACK-style complex banded LU with partial pivoting, the
 //!   direct solver behind the FDFD electromagnetic simulations (the
 //!   operator is complex-symmetric, so one forward-oriented solve serves
-//!   both the forward and the adjoint systems);
+//!   both the forward and the adjoint systems), and the unpivoted
+//!   complex-symmetric banded `L·D·Lᵀ` of the design-window factor;
 //! * [`krylov`] — preconditioned multi-RHS BiCGSTAB taking any
 //!   [`banded::BandedLu`] as preconditioner; amortises one nominal
 //!   factorisation across many nearby variation-corner solves;

@@ -1,11 +1,14 @@
 //! Runtime-dispatched AVX kernels for the interleaved-complex update
-//! `y[i] -= a·x[i]`.
+//! `y[i] -= a·x[i]` and the dot product `Σ x[i]·y[i]`.
 //!
-//! The banded LU ([`crate::banded`]) spends nearly all of its time in this
-//! one shape: the rank-1 trailing update of `factor_kernel`, both
+//! The banded LU ([`crate::banded`]) spends nearly all of its time in the
+//! first shape: the rank-1 trailing update of `factor_kernel`, both
 //! substitution sweeps of [`crate::banded::BandedLu::solve_many`] and the
 //! single-precision preconditioner sweeps of
-//! [`crate::banded::BandedLuF32`]. The Krylov vector stages use it too.
+//! [`crate::banded::BandedLuF32`]. The Krylov vector stages use it too,
+//! and so do the update and the forward sweep of
+//! [`crate::banded::BandedLdl`], whose `Lᵀ` back sweep is the dot
+//! product.
 //! The default release build has no `target-cpu`, so LLVM compiles the
 //! portable loop for baseline x86-64 (SSE2), where the interleaved re/im
 //! shuffle keeps it scalar; even with `-C target-cpu=native` the portable
@@ -23,15 +26,17 @@
 //! ```
 //!
 //! (IEEE addition is commutative, so the swapped order of the `im` sum is
-//! exact).
+//! exact). The dot product adds its products in one fixed order, the
+//! same on both paths (see [`dotu_avx`]).
 
 #[cfg(target_arch = "x86_64")]
 use crate::{banded::axpy_neg32_scalar, complex::axpy_neg_scalar, Complex64};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
-    _mm256_addsub_pd, _mm256_addsub_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd,
-    _mm256_mul_ps, _mm256_permute_pd, _mm256_permute_ps, _mm256_set1_pd, _mm256_set1_ps,
-    _mm256_storeu_pd, _mm256_storeu_ps, _mm256_sub_pd, _mm256_sub_ps,
+    _mm256_add_pd, _mm256_addsub_pd, _mm256_addsub_ps, _mm256_loadu_pd, _mm256_loadu_ps,
+    _mm256_movedup_pd, _mm256_mul_pd, _mm256_mul_ps, _mm256_permute_pd, _mm256_permute_ps,
+    _mm256_set1_pd, _mm256_set1_ps, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_storeu_ps,
+    _mm256_sub_pd, _mm256_sub_ps,
 };
 
 /// `true` when this process may run the AVX kernels. The standard
@@ -77,6 +82,45 @@ pub(crate) unsafe fn axpy_neg_avx(a: Complex64, x: &[Complex64], y: &mut [Comple
     axpy_neg_scalar(a, xs.remainder(), ys.into_remainder());
 }
 
+/// The unconjugated dot product `Σ x[i]·y[i]` over `f64` complex slices:
+/// one 256-bit accumulator holds the running sums of the even and the odd
+/// positions, which are added at the end; an odd last product takes the
+/// portable expression. Each product takes the two `mul`s and the
+/// `addsub` of [`axpy_neg_avx`], the exact operations of `Complex64`'s
+/// `*`, so the result is bit-identical to [`crate::complex::dotu_scalar`].
+///
+/// # Safety
+///
+/// The CPU must support AVX ([`avx`] returned `true`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+pub(crate) unsafe fn dotu_avx(x: &[Complex64], y: &[Complex64]) -> Complex64 {
+    debug_assert_eq!(x.len(), y.len());
+    let mut acc = _mm256_setzero_pd();
+    let (mut xs, mut ys) = (x.chunks_exact(2), y.chunks_exact(2));
+    for (xc, yc) in (&mut xs).zip(&mut ys) {
+        // SAFETY: as in `axpy_neg_avx`, each chunk is four contiguous f64.
+        let (xv, yv) = unsafe {
+            (
+                _mm256_loadu_pd(xc.as_ptr().cast()),
+                _mm256_loadu_pd(yc.as_ptr().cast()),
+            )
+        };
+        // [x.re·y.re, x.im·y.re] ∓ [x.im·y.im, x.re·y.im]
+        let re_part = _mm256_mul_pd(xv, _mm256_movedup_pd(yv));
+        let im_part = _mm256_mul_pd(_mm256_permute_pd(xv, 0b0101), _mm256_permute_pd(yv, 0b1111));
+        acc = _mm256_add_pd(acc, _mm256_addsub_pd(re_part, im_part));
+    }
+    let mut lanes = [Complex64::ZERO; 2];
+    // SAFETY: two `Complex64` are four contiguous f64: one 256-bit store.
+    unsafe { _mm256_storeu_pd(lanes.as_mut_ptr().cast(), acc) };
+    let mut sum = lanes[0] + lanes[1];
+    if let ([a], [b]) = (xs.remainder(), ys.remainder()) {
+        sum += *a * *b;
+    }
+    sum
+}
+
 /// `y[i] -= a·x[i]` over interleaved-complex `f32` slices, four elements
 /// (eight floats) per 256-bit register; the tail takes the portable loop.
 ///
@@ -111,7 +155,7 @@ pub(crate) unsafe fn axpy_neg32_avx(a_re: f32, a_im: f32, x: &[f32], y: &mut [f3
 #[cfg(test)]
 mod tests {
     use crate::banded::BandedMatrix;
-    use crate::complex::{axpy_neg, axpy_neg_scalar};
+    use crate::complex::{axpy_neg, axpy_neg_scalar, dotu, dotu_scalar};
     use crate::{c64, Complex64};
 
     /// Deterministic xorshift values in roughly `[-4, 4)`.
@@ -211,6 +255,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn check_dotu(gen: fn(u64, usize) -> Vec<f64>) {
+        for len in 0..=33usize {
+            for seed in 1..=6u64 {
+                let raw = gen(seed * 107 + len as u64, 4 * len);
+                let (x, y) = (complexes(&raw[..2 * len]), complexes(&raw[2 * len..]));
+                let (p, q) = (dotu(&x, &y), dotu_scalar(&x, &y));
+                assert!(
+                    same(p.re, q.re) && same(p.im, q.im),
+                    "len {len} seed {seed}: {p:?} vs {q:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_dotu_is_bit_identical_on_random_values() {
+        check_dotu(values);
+    }
+
+    #[test]
+    fn dispatched_dotu_is_bit_identical_on_zeros_subnormals_and_infinities() {
+        check_dotu(specials);
     }
 
     #[test]
