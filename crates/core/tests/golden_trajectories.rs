@@ -33,6 +33,16 @@
 //! fallback); of the nominal figure of merit 3.6e-14 (`isolator/direct/k1`),
 //! over all entries as well.
 //!
+//! It was re-recorded again when the window's Schur complement moved from
+//! the pivoted banded LU to the unpivoted complex-symmetric `L·D·Lᵀ`
+//! (`boson_num::banded::BandedLdl`), another summation order. Every
+//! direct entry, `bend/starved/k3` and `isolator/iterative/k3` moved;
+//! factorisation counts and active sets did not. Largest relative change
+//! of the robust objective: 1.3e-14 over the direct entries
+//! (`isolator/direct/k3`), 1.1e-10 over all entries
+//! (`isolator/iterative/k3`); of the nominal figure of merit 2.9e-14
+//! (`isolator/direct/k1` and `k3`).
+//!
 //! Re-record (prints the fixture to stdout):
 //!
 //! ```text
