@@ -947,13 +947,14 @@ impl BandedLu {
 ///         }
 ///     }
 /// })?;
-/// let x = ldl.solve_vec(&vec![c64(1.0, 0.0); n]);
+/// let mut x = vec![c64(1.0, 0.0); n];
+/// ldl.solve_many(&mut x, 1);
 /// // Row 0 of A·x: 3.5·x₀ + (−1 + 0.25i)·x₁ = 1.
 /// let r = c64(3.0, 0.5) * x[0] + c64(-1.0, 0.25) * x[1];
 /// assert!((r - c64(1.0, 0.0)).abs() < 1e-14);
 /// # Ok::<(), boson_num::banded::SingularMatrixError>(())
 /// ```
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct BandedLdl {
     n: usize,
     m: usize,
@@ -978,12 +979,6 @@ impl BandedLdl {
     /// [`BandedLdl::refactor`] before solving.
     pub fn placeholder() -> Self {
         Self::default()
-    }
-
-    /// Matrix dimension (0 for a placeholder never filled).
-    #[inline(always)]
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Refactors in place for an `n×n` complex-symmetric matrix with
@@ -1028,9 +1023,7 @@ impl BandedLdl {
         start: usize,
         assemble: impl FnOnce(&mut BandedLdl, usize),
     ) -> Result<usize, SingularMatrixError> {
-        // A storage length off its shape means an `assemble` panicked
-        // while it held the storage: start over like a new shape.
-        if (self.n, self.m, self.ab.len()) != (n, m, (m + 1) * n) {
+        if (self.n, self.m) != (n, m) {
             self.n = n;
             self.m = m;
             self.ab.clear();
@@ -1055,8 +1048,8 @@ impl BandedLdl {
         Ok(start)
     }
 
-    /// Flat index of lower-band entry `(i, j)`, if `i ≥ j` lie in the
-    /// band and column `j` is open for assembly.
+    /// Flat index of entry `(i, j)`, which must lie in the lower band
+    /// (`j ≤ i ≤ j + m`, `i < n`) of a column open for assembly.
     #[inline(always)]
     fn open_idx(&self, i: usize, j: usize) -> usize {
         assert!(
@@ -1113,15 +1106,6 @@ impl BandedLdl {
             .fold(0.0, f64::max)
     }
 
-    /// Solves `A x = b` in place (`b` becomes `x`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n`.
-    pub fn solve(&self, b: &mut [Complex64]) {
-        self.solve_many(b, 1);
-    }
-
     /// Solves `A X = B` in place for `nrhs` right-hand sides stored
     /// column-major in `b`, [`RHS_BLOCK`] columns per sweep over the
     /// factor: the unit-lower forward sweep `L z = b` (one dispatched
@@ -1138,13 +1122,6 @@ impl BandedLdl {
         for chunk in b.chunks_mut(self.n * RHS_BLOCK) {
             ldl_sweep(self.n, self.m, &self.ab, chunk, axpy_neg, dotu);
         }
-    }
-
-    /// Convenience: solves into a fresh vector.
-    pub fn solve_vec(&self, b: &[Complex64]) -> Vec<Complex64> {
-        let mut x = b.to_vec();
-        self.solve(&mut x);
-        x
     }
 }
 
@@ -2064,6 +2041,12 @@ mod tests {
         }
     }
 
+    fn ldl_solve(ldl: &BandedLdl, b: &[Complex64]) -> Vec<Complex64> {
+        let mut x = b.to_vec();
+        ldl.solve_many(&mut x, 1);
+        x
+    }
+
     fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
@@ -2103,7 +2086,7 @@ mod tests {
             let b: Vec<_> = (0..n)
                 .map(|i| c64((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
                 .collect();
-            let x_ldl = ldl.solve_vec(&b);
+            let x_ldl = ldl_solve(&ldl, &b);
             let x_lu = lu.solve_vec(&b);
 
             // Componentwise |L||D||Lᵀ|·|x| from the factor.
@@ -2237,7 +2220,7 @@ mod tests {
         // The next refactor starts over at column 0.
         let good = random_symmetric(n, m, 8, c64(6.0, 1.0));
         assert_eq!(ldl.refactor(n, m, n / 2, lower_of(&good)), Ok(0));
-        assert!(residual(&good, &ldl.solve_vec(&b), &b) < 1e-12);
+        assert!(residual(&good, &ldl_solve(&ldl, &b), &b) < 1e-12);
     }
 
     #[test]

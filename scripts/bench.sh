@@ -36,6 +36,7 @@ recycle_baseline_ns         recycle_recycled_ns       recycle_speedup           
 pool_split_16_serial_ns     pool_split_16_pooled_ns   -                         pool_split/cols16_serial               pool_split/cols16_pooled                     -
 banded_refactor_fresh_ns    banded_refactor_resumed_ns -                        banded_refactor_80x80/fresh            banded_refactor_80x80/resumed                -
 -                           banded_refactor_slab_ns   -                         -                                      banded_refactor_80x80/window_slab            -
+banded_refactor_window_lu_ns banded_refactor_window_ldl_ns -                    banded_refactor_80x80/window_lu        banded_refactor_80x80/window_ldl             -
 EOF
 
 export BOSON_BENCH_JSON="$RAW"
