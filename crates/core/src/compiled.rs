@@ -29,7 +29,8 @@ use boson_fdfd::monitor::ModalMonitor;
 use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{
-    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SolverStrategy,
+    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SlabUse,
+    SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
 use boson_fdfd::window::SlabCache;
@@ -1282,7 +1283,7 @@ impl CompiledProblem {
             scratch.sim.set_window_rows(Some(self.window_rows()));
             let corners = cols
                 .iter()
-                .map(|&(ci, _)| (self.cals[set.omega_idx[ci]].omega, &epss[ci]));
+                .map(|&(ci, _)| (SlabUse::Full(self.cals[set.omega_idx[ci]].omega), &epss[ci]));
             scratch
                 .sim
                 .take_window_slabs(self.problem.grid, lanes, corners)

@@ -739,6 +739,161 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         self.run_inner(theta0).0
     }
 
+    /// One robust iteration's objective and its gradient with respect to
+    /// θ, at `theta`: the value `run_inner` records and the gradient it
+    /// steps Adam with. `scratch`, `subspace`, `observations` and
+    /// `policy` are the run's state across iterations.
+    #[allow(clippy::too_many_arguments)] // the run's state, passed through
+    fn iteration(
+        &self,
+        theta: &[f64],
+        iter: usize,
+        beta_sched: &BetaSchedule,
+        scratch: &mut EvalScratch,
+        subspace: &mut Option<SubspaceScheduler>,
+        observations: &mut Vec<Observation>,
+        policy: &mut CornerPolicy,
+    ) -> IterationEval {
+        let (dr, dc) = self.param.design_shape();
+        let mut factorizations = 0usize;
+        let etch = EtchProjection::new(beta_sched.beta(iter));
+        let rho = self.param.forward(theta);
+        let p = if self.config.fab_aware {
+            self.config.relaxation.p(iter)
+        } else {
+            0.0
+        };
+
+        let mut v_mask_total = Array2::<f64>::zeros(dr, dc);
+        let mut objective = 0.0;
+        let mut nominal_readings: Option<(Readings, f64)> = None;
+        let mut active_set: Option<ActiveSetRecord> = None;
+        let (mut bicg_iters, mut bicg_solves) = (0usize, 0usize);
+
+        if self.config.fab_aware {
+            let mut rng =
+                StdRng::seed_from_u64(self.config.seed ^ (iter as u64).wrapping_mul(0x9E37));
+            let lambda_c = 2.0 * std::f64::consts::PI / self.compiled.problem().omega;
+            // The (fabrication corner × ω) cross product, ω-major; a
+            // single-wavelength space degenerates to the plain corner
+            // set bit-identically.
+            let corners = self
+                .space
+                .spectral_corners(self.config.sampling, lambda_c, &mut rng);
+            // The subspace scheduler's plan for this iteration (all
+            // columns when disabled). The forced set — always-active
+            // columns — is the fabrication-nominal corner at every ω.
+            let plan = match subspace.as_ref() {
+                Some(s) => {
+                    let forced: Vec<bool> = corners.iter().map(|c| !c.is_varied()).collect();
+                    let plan = s.plan(iter, &forced);
+                    active_set = Some(plan.record());
+                    plan
+                }
+                // Disabled scheduler: a full sweep, `refresh` true per
+                // SweepPlan's contract (every column active).
+                None => SweepPlan {
+                    active: vec![true; corners.len()],
+                    refresh: true,
+                },
+            };
+            observations.clear();
+            let sweep = self.eval_sweep(
+                &rho,
+                &corners,
+                etch,
+                iter as u64,
+                scratch,
+                &plan.active,
+                observations,
+                policy,
+            );
+            if let Some(s) = subspace.as_mut() {
+                for &(ci, obj, w, g) in observations.iter() {
+                    s.record(ci, obj, w);
+                    // Zero-weight columns skipped their adjoints
+                    // (gnorm NaN): no gradient observation for them.
+                    if g.is_finite() {
+                        s.record_gradient(ci, g);
+                    }
+                }
+            }
+
+            // Worst-case corner from the nominal gradients, searched
+            // and evaluated at the centre wavelength (its gradients
+            // were taken there).
+            let mut outcomes = sweep.outcomes;
+            if self.config.sampling.needs_worst_case() {
+                if let Some((dt, dxi)) = &outcomes[sweep.nominal].variation_grads {
+                    let mut worst = self.space.worst_case_corner(*dt, dxi);
+                    worst.omega_idx = self.compiled.nominal_omega_idx();
+                    let o = self.eval_corner(
+                        &rho,
+                        &worst,
+                        etch,
+                        scratch,
+                        &sweep.nominal_eps,
+                        iter as u64,
+                        policy,
+                    );
+                    outcomes.push(o);
+                }
+            }
+            for o in &outcomes {
+                factorizations += o.factorizations;
+                bicg_iters += o.bicgstab_iterations;
+                bicg_solves += o.bicgstab_solves;
+            }
+            // Robust objective: uniform weight over the live
+            // fabrication corners and the worst-case corner, each
+            // contributing the spectral aggregate of its evaluated
+            // per-ω objectives (K = 1: the value itself). The
+            // gradients arrive pre-weighted by the aggregation
+            // through each corner's folded chain VJP.
+            let w = 1.0 / outcomes.len() as f64;
+            let mut obj_fab = 0.0;
+            let mut v_fab = Array2::<f64>::zeros(dr, dc);
+            for o in &outcomes {
+                obj_fab += w * o.objective;
+                for (dst, src) in v_fab.as_mut_slice().iter_mut().zip(o.v_mask.as_slice()) {
+                    *dst += w * src;
+                }
+            }
+            let nominal = &outcomes[sweep.nominal];
+            nominal_readings = Some((nominal.readings.clone(), nominal.fom));
+            objective += p * obj_fab;
+            for (dst, src) in v_mask_total.as_mut_slice().iter_mut().zip(v_fab.as_slice()) {
+                *dst += p * src;
+            }
+        }
+
+        if p < 1.0 {
+            let (free, v_free) = self.eval_free(&rho, scratch);
+            factorizations += free.solve.factorizations;
+            objective += (1.0 - p) * free.objective;
+            for (dst, src) in v_mask_total
+                .as_mut_slice()
+                .iter_mut()
+                .zip(v_free.as_slice())
+            {
+                *dst += (1.0 - p) * src;
+            }
+            if nominal_readings.is_none() {
+                nominal_readings = Some((free.readings, free.fom));
+            }
+        }
+        IterationEval {
+            objective,
+            p,
+            grad_theta: self.param.vjp(theta, &v_mask_total),
+            nominal_readings: nominal_readings.expect("at least one term evaluated"),
+            active_set,
+            factorizations,
+            bicg_iters,
+            bicg_solves,
+        }
+    }
+
     /// The loop body; also returns the run's final [`CornerPolicy`].
     /// Parallel stages execute on the process-lifetime `boson_num::pool`
     /// substrate, so a run spawns no threads of its own.
@@ -752,7 +907,6 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         );
         let mut trajectory = Vec::with_capacity(self.config.iterations);
         let mut factorizations = 0usize;
-        let (dr, dc) = self.param.design_shape();
 
         // The run's scratch: it hosts the corner sweep (and, under the
         // direct strategy, the extra lanes' scratches), the worst-case
@@ -777,135 +931,25 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         let mut policy = CornerPolicy::default();
 
         for iter in 0..self.config.iterations {
-            let etch = EtchProjection::new(beta_sched.beta(iter));
-            let rho = self.param.forward(&theta);
-            let p = if self.config.fab_aware {
-                self.config.relaxation.p(iter)
-            } else {
-                0.0
-            };
-
-            let mut v_mask_total = Array2::<f64>::zeros(dr, dc);
-            let mut objective = 0.0;
-            let mut nominal_readings: Option<(Readings, f64)> = None;
-            let mut active_set: Option<ActiveSetRecord> = None;
-            let fact_before = factorizations;
-            let (mut bicg_iters, mut bicg_solves) = (0usize, 0usize);
-
-            if self.config.fab_aware {
-                let mut rng =
-                    StdRng::seed_from_u64(self.config.seed ^ (iter as u64).wrapping_mul(0x9E37));
-                let lambda_c = 2.0 * std::f64::consts::PI / self.compiled.problem().omega;
-                // The (fabrication corner × ω) cross product, ω-major; a
-                // single-wavelength space degenerates to the plain corner
-                // set bit-identically.
-                let corners = self
-                    .space
-                    .spectral_corners(self.config.sampling, lambda_c, &mut rng);
-                // The subspace scheduler's plan for this iteration (all
-                // columns when disabled). The forced set — always-active
-                // columns — is the fabrication-nominal corner at every ω.
-                let plan = match subspace.as_ref() {
-                    Some(s) => {
-                        let forced: Vec<bool> = corners.iter().map(|c| !c.is_varied()).collect();
-                        let plan = s.plan(iter, &forced);
-                        active_set = Some(plan.record());
-                        plan
-                    }
-                    // Disabled scheduler: a full sweep, `refresh` true per
-                    // SweepPlan's contract (every column active).
-                    None => SweepPlan {
-                        active: vec![true; corners.len()],
-                        refresh: true,
-                    },
-                };
-                observations.clear();
-                let sweep = self.eval_sweep(
-                    &rho,
-                    &corners,
-                    etch,
-                    iter as u64,
-                    &mut scratch,
-                    &plan.active,
-                    &mut observations,
-                    &mut policy,
-                );
-                if let Some(s) = subspace.as_mut() {
-                    for &(ci, obj, w, g) in &observations {
-                        s.record(ci, obj, w);
-                        // Zero-weight columns skipped their adjoints
-                        // (gnorm NaN): no gradient observation for them.
-                        if g.is_finite() {
-                            s.record_gradient(ci, g);
-                        }
-                    }
-                }
-
-                // Worst-case corner from the nominal gradients, searched
-                // and evaluated at the centre wavelength (its gradients
-                // were taken there).
-                let mut outcomes = sweep.outcomes;
-                if self.config.sampling.needs_worst_case() {
-                    if let Some((dt, dxi)) = &outcomes[sweep.nominal].variation_grads {
-                        let mut worst = self.space.worst_case_corner(*dt, dxi);
-                        worst.omega_idx = self.compiled.nominal_omega_idx();
-                        let o = self.eval_corner(
-                            &rho,
-                            &worst,
-                            etch,
-                            &mut scratch,
-                            &sweep.nominal_eps,
-                            iter as u64,
-                            &mut policy,
-                        );
-                        outcomes.push(o);
-                    }
-                }
-                for o in &outcomes {
-                    factorizations += o.factorizations;
-                    bicg_iters += o.bicgstab_iterations;
-                    bicg_solves += o.bicgstab_solves;
-                }
-                // Robust objective: uniform weight over the live
-                // fabrication corners and the worst-case corner, each
-                // contributing the spectral aggregate of its evaluated
-                // per-ω objectives (K = 1: the value itself). The
-                // gradients arrive pre-weighted by the aggregation
-                // through each corner's folded chain VJP.
-                let w = 1.0 / outcomes.len() as f64;
-                let mut obj_fab = 0.0;
-                let mut v_fab = Array2::<f64>::zeros(dr, dc);
-                for o in &outcomes {
-                    obj_fab += w * o.objective;
-                    for (dst, src) in v_fab.as_mut_slice().iter_mut().zip(o.v_mask.as_slice()) {
-                        *dst += w * src;
-                    }
-                }
-                let nominal = &outcomes[sweep.nominal];
-                nominal_readings = Some((nominal.readings.clone(), nominal.fom));
-                objective += p * obj_fab;
-                for (dst, src) in v_mask_total.as_mut_slice().iter_mut().zip(v_fab.as_slice()) {
-                    *dst += p * src;
-                }
-            }
-
-            if p < 1.0 {
-                let (free, v_free) = self.eval_free(&rho, &mut scratch);
-                factorizations += free.solve.factorizations;
-                objective += (1.0 - p) * free.objective;
-                for (dst, src) in v_mask_total
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(v_free.as_slice())
-                {
-                    *dst += (1.0 - p) * src;
-                }
-                if nominal_readings.is_none() {
-                    nominal_readings = Some((free.readings, free.fom));
-                }
-            }
-
-            let grad_theta = self.param.vjp(&theta, &v_mask_total);
+            let IterationEval {
+                objective,
+                p,
+                grad_theta,
+                nominal_readings,
+                active_set,
+                factorizations: iter_factorizations,
+                bicg_iters,
+                bicg_solves,
+            } = self.iteration(
+                &theta,
+                iter,
+                &beta_sched,
+                &mut scratch,
+                &mut subspace,
+                &mut observations,
+                &mut policy,
+            );
+            factorizations += iter_factorizations;
             // A non-finite value must not reach Adam: its moments would
             // carry it into every later iterate.
             let step_skipped = !objective.is_finite() || grad_theta.iter().any(|g| !g.is_finite());
@@ -913,8 +957,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 adam.step(&mut theta, &grad_theta);
             }
 
-            let (readings_nominal, fom_nominal) =
-                nominal_readings.expect("at least one term evaluated");
+            let (readings_nominal, fom_nominal) = nominal_readings;
             trajectory.push(IterationRecord {
                 iter,
                 objective,
@@ -922,7 +965,7 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
                 readings_nominal,
                 p,
                 active_set,
-                factorizations: factorizations - fact_before,
+                factorizations: iter_factorizations,
                 mean_bicgstab_iterations: if bicg_solves > 0 {
                     bicg_iters as f64 / bicg_solves as f64
                 } else {
@@ -941,6 +984,20 @@ impl<'a, P: Parameterization + Sync> InverseDesigner<'a, P> {
         };
         (result, policy)
     }
+}
+
+/// One robust iteration's products (see `InverseDesigner::iteration`).
+struct IterationEval {
+    objective: f64,
+    /// The relaxation weight of the fabrication-aware term.
+    p: f64,
+    grad_theta: Vec<f64>,
+    /// The nominal readings and FoM the iteration reports.
+    nominal_readings: (Readings, f64),
+    active_set: Option<ActiveSetRecord>,
+    factorizations: usize,
+    bicg_iters: usize,
+    bicg_solves: usize,
 }
 
 /// Parameterisations that can be seeded from geometry (both built-in
@@ -1892,5 +1949,138 @@ mod tests {
         let res = designer.run(theta0);
         assert_eq!(res.trajectory.len(), 2);
         assert!(res.factorizations > 0);
+    }
+
+    /// θ-level gradient check through one full `Direct` runner iteration
+    /// on the design-window path — the fabrication sweep (its nominal
+    /// entry full-field, the other corners window-only) and the free term
+    /// (window-only), folded through the fabrication chain and the
+    /// level-set VJP — for the bend and the isolator (whose ports reach
+    /// into both slabs): the directional derivative `∇J·v` along a fixed
+    /// unit direction against central differences of `J` itself.
+    ///
+    /// Tolerance, as in `boson_fdfd`'s ε-level checks: central
+    /// differences carry 2e-3 of the derivative's own value (O(h²)
+    /// truncation) plus 1e-6 of the gradient scale `‖∇J‖₂` (round-off).
+    /// Every window solve passes its backward-error check, so its relative
+    /// field error is at most `κ∞(A)·WINDOW_BACKWARD_TOL`; the gradient,
+    /// bilinear in the field and the adjoint, moves by at most
+    /// `2·κ∞·WINDOW_BACKWARD_TOL` of its scale. `κ∞` is Hager's estimate
+    /// (× 10) for the nominal corner's operator.
+    #[test]
+    fn direct_iteration_gradient_matches_finite_difference() {
+        use crate::problem::isolator;
+        use boson_fdfd::operator::{assemble_banded, StencilCache};
+        use boson_fdfd::pml::SFactors;
+        use boson_fdfd::window::WINDOW_BACKWARD_TOL;
+        use boson_num::Complex64;
+        for problem in [bending(), isolator()] {
+            let name = problem.name.clone();
+            let compiled = CompiledProblem::compile(problem.clone()).unwrap();
+            let param = levelset_param(&problem, false);
+            let config = RunnerConfig {
+                relaxation: RelaxationSchedule::over(4),
+                ..tiny_config(2, SamplingStrategy::AxialDoubleSided)
+            };
+            assert!(config.relaxation.p(0) < 1.0, "the free term runs too");
+            let designer = InverseDesigner::new(
+                &compiled,
+                &param,
+                standard_chain(&problem),
+                VariationSpace::default(),
+                config.clone(),
+            );
+            let theta0 = designer.initial_theta(&mut StdRng::seed_from_u64(3));
+            let beta = BetaSchedule::new(config.beta_start, config.beta_end, config.iterations);
+            let iteration = |theta: &[f64]| {
+                designer.iteration(
+                    theta,
+                    0,
+                    &beta,
+                    &mut EvalScratch::new(),
+                    &mut None,
+                    &mut Vec::new(),
+                    &mut CornerPolicy::default(),
+                )
+            };
+            let at = iteration(&theta0);
+            let v: Vec<f64> = (0..theta0.len())
+                .map(|i| (0.37 * i as f64 + 0.11).sin())
+                .collect();
+            let vnorm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let v: Vec<f64> = v.iter().map(|x| x / vnorm).collect();
+            let ad: f64 = at.grad_theta.iter().zip(&v).map(|(g, d)| g * d).sum();
+            let h = 1e-4;
+            let shifted = |sign: f64| {
+                let theta: Vec<f64> = theta0
+                    .iter()
+                    .zip(&v)
+                    .map(|(t, d)| t + sign * h * d)
+                    .collect();
+                iteration(&theta).objective
+            };
+            let fd = (shifted(1.0) - shifted(-1.0)) / (2.0 * h);
+            let scale = at.grad_theta.iter().map(|g| g * g).sum::<f64>().sqrt();
+
+            let grid = compiled.problem().grid;
+            let omega = compiled.problem().omega;
+            let sf = SFactors::new(&grid, omega);
+            let rho = param.forward(&theta0);
+            let eps = compiled.eps_for(
+                &standard_chain(&problem)
+                    .forward_with_etch(
+                        &rho,
+                        &VariationCorner::nominal(),
+                        false,
+                        EtchProjection::new(beta.beta(0)),
+                    )
+                    .rho_fab,
+                boson_fab::temperature::T_NOMINAL,
+            );
+            let plain = assemble_banded(&grid, &sf, &eps, omega).factor().unwrap();
+            let stencil = StencilCache::build(&grid, &sf, omega);
+            let mut diag = Vec::new();
+            stencil.diag_into(&eps, &mut diag);
+            // Hager's estimate of ‖A⁻¹‖∞ (complex-symmetric A).
+            let n = grid.n();
+            let conj = |x: &[Complex64]| -> Vec<Complex64> { x.iter().map(|z| z.conj()).collect() };
+            let mut x = vec![Complex64::new(1.0 / n as f64, 0.0); n];
+            let mut inv_norm = 0.0;
+            for _ in 0..5 {
+                let y = plain.solve_vec(&x);
+                inv_norm = y.iter().map(|z| z.abs()).sum::<f64>();
+                let sign: Vec<Complex64> = y
+                    .iter()
+                    .map(|z| {
+                        if z.abs() > 0.0 {
+                            *z * (1.0 / z.abs())
+                        } else {
+                            Complex64::ONE
+                        }
+                    })
+                    .collect();
+                let z = conj(&plain.solve_vec(&conj(&sign)));
+                let (j, zmax) = z.iter().enumerate().fold((0, 0.0f64), |(j, m), (i, w)| {
+                    if w.abs() > m {
+                        (i, w.abs())
+                    } else {
+                        (j, m)
+                    }
+                });
+                let ztx: f64 = z.iter().zip(&x).map(|(z, x)| (z.conj() * *x).re).sum();
+                if zmax <= ztx {
+                    break;
+                }
+                x = vec![Complex64::ZERO; n];
+                x[j] = Complex64::ONE;
+            }
+            let kappa = 10.0 * stencil.norm_inf(&diag) * inv_norm;
+            let window_rel = 2.0 * kappa * WINDOW_BACKWARD_TOL;
+            let limit = 2e-3 * fd.abs() + (1e-6 + window_rel) * scale;
+            assert!(
+                (fd - ad).abs() <= limit,
+                "{name}: ∇J·v = {ad:e} vs FD {fd:e} (limit {limit:e}, κ∞ ≈ {kappa:e})"
+            );
+        }
     }
 }

@@ -97,6 +97,11 @@ impl ModalMonitor {
         }
     }
 
+    /// The linear form `A(E)` this monitor reads.
+    pub fn form(&self) -> &LinearForm {
+        &self.form
+    }
+
     /// Complex modal amplitude `A`.
     pub fn amplitude(&self, e: &[Complex64]) -> Complex64 {
         self.form.eval(e)

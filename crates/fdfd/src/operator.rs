@@ -324,6 +324,12 @@ impl StencilCache {
         &self.west
     }
 
+    /// Coupling `A(k, k + 1)` of every unknown (meaningful only off the
+    /// last grid column).
+    pub(crate) fn east(&self) -> &[Complex64] {
+        &self.east
+    }
+
     /// Coupling `A(k, k − nx)` of every unknown (zero on the first grid
     /// row).
     pub(crate) fn south(&self) -> &[Complex64] {
@@ -382,19 +388,46 @@ impl StencilCache {
     ///
     /// Panics if the slice lengths do not match the cached grid size.
     pub fn apply(&self, diag: &[Complex64], x: &[Complex64], y: &mut [Complex64]) {
-        let n = self.n;
-        assert_eq!(diag.len(), n, "diagonal size mismatch");
-        assert_eq!(x.len(), n, "input size mismatch");
-        assert_eq!(y.len(), n, "output size mismatch");
+        self.apply_block(diag, 0..self.n, x, y);
+    }
+
+    /// `y = A_RR·x`: the operator's principal block on the unknowns
+    /// `rows` (whole grid rows, in grid order) applied to `x`, with the
+    /// whole grid's diagonal `diag`; couplings to unknowns outside `rows`
+    /// are dropped. On the whole grid this is [`StencilCache::apply`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag` does not match the cached grid size, `rows` is
+    /// not whole grid rows inside it, or `x` and `y` are not `rows.len()`
+    /// long.
+    pub fn apply_block(
+        &self,
+        diag: &[Complex64],
+        rows: std::ops::Range<usize>,
+        x: &[Complex64],
+        y: &mut [Complex64],
+    ) {
         let nx = self.nx;
-        vmul(diag, x, y);
+        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
+        assert!(
+            rows.start.is_multiple_of(nx)
+                && rows.end.is_multiple_of(nx)
+                && rows.start < rows.end
+                && rows.end <= self.n,
+            "block rows must be whole grid rows"
+        );
+        let (lo, hi, m) = (rows.start, rows.end, rows.len());
+        assert_eq!(x.len(), m, "input size mismatch");
+        assert_eq!(y.len(), m, "output size mismatch");
+        vmul(&diag[lo..hi], x, y);
         // West/east couplings are zero at row boundaries (ix = 0 /
         // ix = nx−1), so the shifted whole-array updates cannot couple
         // across grid rows.
-        vmul_add(&self.west[1..], &x[..n - 1], &mut y[1..]);
-        vmul_add(&self.east[..n - 1], &x[1..], &mut y[..n - 1]);
-        vmul_add(&self.south[nx..], &x[..n - nx], &mut y[nx..]);
-        vmul_add(&self.north[..n - nx], &x[nx..], &mut y[..n - nx]);
+        vmul_add(&self.west[lo + 1..hi], &x[..m - 1], &mut y[1..]);
+        vmul_add(&self.east[lo..hi - 1], &x[1..], &mut y[..m - 1]);
+        vmul_add(&self.south[lo + nx..hi], &x[..m - nx], &mut y[nx..]);
+        vmul_add(&self.north[lo..hi - nx], &x[nx..], &mut y[..m - nx]);
     }
 }
 

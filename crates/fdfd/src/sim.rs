@@ -101,7 +101,7 @@
 use crate::grid::SimGrid;
 use crate::operator::StencilCache;
 use crate::pml::SFactors;
-use crate::window::{backward_error_ok, SlabCache, Split, WindowFactor};
+use crate::window::{backward_error_ok, Need, SlabCache, Split, WindowFactor, WindowTerms};
 use boson_num::banded::{BandedLu, BandedLuF32, SingularMatrixError};
 use boson_num::krylov::{
     bicgstab_precond_many, ColumnOp, IterativeOptions, KrylovWorkspace, PrecondFamily,
@@ -110,6 +110,7 @@ use boson_num::krylov::{
 use boson_num::pool;
 use boson_num::{Array2, Complex64};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Accumulates the adjoint permittivity gradient
 /// `out[k] += -2·Re(λ_k·sx_k·sy_k·E_k)·ω²` into a caller-owned array.
@@ -127,14 +128,30 @@ pub fn grad_eps_accumulate(
     lambda: &[Complex64],
     out: &mut Array2<f64>,
 ) {
-    assert_eq!(ez.len(), grid.n(), "field length mismatch");
-    assert_eq!(lambda.len(), grid.n(), "adjoint length mismatch");
+    grad_eps_accumulate_rows(grid, sfactors, omega, 0..grid.ny, ez, lambda, out);
+}
+
+/// [`grad_eps_accumulate`] on the grid rows `rows` only, from fields and
+/// adjoints given on those rows.
+fn grad_eps_accumulate_rows(
+    grid: &SimGrid,
+    sfactors: &SFactors,
+    omega: f64,
+    rows: std::ops::Range<usize>,
+    ez: &[Complex64],
+    lambda: &[Complex64],
+    out: &mut Array2<f64>,
+) {
+    let len = rows.len() * grid.nx;
+    assert_eq!(ez.len(), len, "field length mismatch");
+    assert_eq!(lambda.len(), len, "adjoint length mismatch");
     assert_eq!(out.shape(), (grid.ny, grid.nx), "gradient shape mismatch");
     let k2 = omega * omega;
-    for iy in 0..grid.ny {
+    for iy in rows.clone() {
         let row = iy * grid.nx;
-        let lam_row = &lambda[row..row + grid.nx];
-        let ez_row = &ez[row..row + grid.nx];
+        let local = row - rows.start * grid.nx;
+        let lam_row = &lambda[local..local + grid.nx];
+        let ez_row = &ez[local..local + grid.nx];
         let out_row = &mut out.as_mut_slice()[row..row + grid.nx];
         for (ix, (dst, (&l, &e))) in out_row
             .iter_mut()
@@ -747,11 +764,55 @@ enum SolveMode {
     /// slabs of this split; every solve is backward-error checked and
     /// falls back to [`SolveMode::DirectLu`].
     Window(Split),
+    /// As [`SolveMode::Window`], over slabs condensed for the prepared
+    /// terms that need not keep their LUs: window-only solves.
+    WindowTerms(Split),
     /// The corner *is* the nominal corner: solve on `nominal_lu`.
     NominalDirect,
     /// Matrix-free iterative path, preconditioned by the nominal banded
     /// factors, falling back to [`SolveMode::DirectLu`] on budget miss.
     Iterative { tol: f64, max_iters: usize },
+}
+
+/// What a full-field direct factor needs from its slabs: their LUs.
+const FULL_FIELD: Need<'static> = Need {
+    terms: None,
+    lu: true,
+};
+
+/// How a corner of a direct fan-out will use its slabs (see
+/// [`SimWorkspace::take_window_slabs`]).
+#[derive(Debug, Clone, Copy)]
+pub enum SlabUse<'a> {
+    /// Full-field solves at this ω ([`SimWorkspace::factor_lent`]).
+    Full(f64),
+    /// Solves of these terms ([`SimWorkspace::factor_terms`]), window-only
+    /// unless `full`.
+    Terms {
+        /// The right-hand sides and output forms.
+        terms: &'a Arc<WindowTerms>,
+        /// Full-field solves as well.
+        full: bool,
+    },
+}
+
+impl SlabUse<'_> {
+    fn omega(&self) -> f64 {
+        match self {
+            SlabUse::Full(omega) => *omega,
+            SlabUse::Terms { terms, .. } => terms.omega(),
+        }
+    }
+
+    fn need(&self) -> Need<'_> {
+        match self {
+            SlabUse::Full(_) => FULL_FIELD,
+            SlabUse::Terms { terms, full } => Need {
+                terms: Some(terms),
+                lu: *full,
+            },
+        }
+    }
 }
 
 /// Reusable factor-and-solve workspace for repeated simulations on one
@@ -825,6 +886,11 @@ pub struct SimWorkspace {
     window: WindowFactor,
     /// Factored slabs around the design window, built on demand.
     slabs: SlabCache,
+    /// The terms of the prepared corner's window-only solves.
+    terms: Option<Arc<WindowTerms>>,
+    /// Whole-grid solution block of a window-only solve that left the
+    /// window path.
+    full: Vec<Complex64>,
     /// `‖A‖∞` of the prepared corner (window mode's backward-error check).
     a_norm: f64,
     /// Residual scratch of the backward-error check.
@@ -885,6 +951,8 @@ impl SimWorkspace {
             window_rows: None,
             window: WindowFactor::new(),
             slabs: SlabCache::new(),
+            terms: None,
+            full: Vec::new(),
             a_norm: 0.0,
             resid: Vec::new(),
             lu: BandedLu::placeholder(),
@@ -1054,7 +1122,7 @@ impl SimWorkspace {
         omega: f64,
         eps: &Array2<f64>,
     ) -> Result<(), SingularMatrixError> {
-        self.factor_corner(grid, omega, eps, None)
+        self.factor_corner(grid, omega, eps, None, FULL_FIELD)
     }
 
     /// [`SimWorkspace::factor`] over slabs lent from another workspace's
@@ -1076,7 +1144,7 @@ impl SimWorkspace {
         eps: &Array2<f64>,
         slabs: &SlabCache,
     ) -> Result<(), SingularMatrixError> {
-        self.factor_corner(grid, omega, eps, Some(slabs))
+        self.factor_corner(grid, omega, eps, Some(slabs), FULL_FIELD)
     }
 
     fn factor_corner(
@@ -1085,6 +1153,7 @@ impl SimWorkspace {
         omega: f64,
         eps: &Array2<f64>,
         lent: Option<&SlabCache>,
+        need: Need<'_>,
     ) -> Result<(), SingularMatrixError> {
         assert_eq!(
             eps.shape(),
@@ -1101,9 +1170,44 @@ impl SimWorkspace {
         self.slots[self.active]
             .stencil
             .diag_into(eps, &mut self.diag);
-        self.factor_direct(lent)?;
+        self.factor_direct(lent, need)?;
         self.report.factorizations += 1;
         Ok(())
+    }
+
+    /// Prepares the direct corner `eps` for the right-hand sides and
+    /// output forms of `terms`, at their ω: the design window's rows are
+    /// factored over slabs condensed for `terms` (lent from `lent` when it
+    /// holds them, else built into this workspace's cache), and
+    /// [`SimWorkspace::solve_terms`] and
+    /// [`SimWorkspace::solve_terms_adjoint`] then solve only the window's
+    /// rows, with no slab sweep. With `full`, the slabs also keep their
+    /// LUs, so [`SimWorkspace::solve_block`] solves the whole grid as
+    /// after [`SimWorkspace::factor`]; without it, a `solve_block` first
+    /// prepares the corner again that way. Without window rows, or on a
+    /// window fallback, every solve runs on the plain banded LU.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimWorkspace::factor`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SimWorkspace::factor`].
+    pub fn factor_terms(
+        &mut self,
+        grid: SimGrid,
+        eps: &Array2<f64>,
+        terms: &Arc<WindowTerms>,
+        full: bool,
+        lent: Option<&SlabCache>,
+    ) -> Result<(), SingularMatrixError> {
+        self.terms = Some(Arc::clone(terms));
+        let need = Need {
+            terms: Some(terms),
+            lu: full,
+        };
+        self.factor_corner(grid, terms.omega(), eps, lent, need)
     }
 
     /// The design-window split of `grid`'s direct factors (`None`: plain).
@@ -1112,10 +1216,13 @@ impl SimWorkspace {
     }
 
     /// Builds, into this workspace's [`SlabCache`], every slab the direct
-    /// factors of `corners` (`(ω, ε)` pairs on `grid`) use under the
-    /// current window rows, pins them, sizes the cache's budget for
-    /// `lanes` lanes, and hands the cache out to be lent read-only to
-    /// every lane's [`SimWorkspace::factor_lent`]. Give it back with
+    /// factors of `corners` on `grid` use under the current window rows,
+    /// pins them, sizes the cache's budget for `lanes` lanes, and hands
+    /// the cache out to be lent read-only to every lane's
+    /// [`SimWorkspace::factor_lent`] or [`SimWorkspace::factor_terms`].
+    /// The missing slabs are built here, in corner order, in the cache's
+    /// one build storage: a build holds a whole slab LU while it runs, so
+    /// builds on several lanes would hold several. Give the cache back with
     /// [`SimWorkspace::restore_window_slabs`]. Without window rows the
     /// cache comes back untouched. The workspace's prepared corner, if
     /// any, is dropped: prepare one again before solving.
@@ -1127,29 +1234,31 @@ impl SimWorkspace {
         &mut self,
         grid: SimGrid,
         lanes: usize,
-        corners: impl IntoIterator<Item = (f64, &'e Array2<f64>)>,
+        corners: impl IntoIterator<Item = (SlabUse<'e>, &'e Array2<f64>)>,
     ) -> SlabCache {
         if let Some(split) = self.window_split(&grid) {
             self.factored = false;
             self.slabs.hold_lanes(lanes);
             self.slabs.pin();
-            for (omega, eps) in corners {
+            for (slab_use, eps) in corners {
                 assert_eq!(
                     eps.shape(),
                     (grid.ny, grid.nx),
                     "eps shape must be (ny, nx)"
                 );
+                let omega = slab_use.omega();
                 self.ensure_geometry(grid, omega);
                 let stencil = &self.slots[self.active].stencil;
                 stencil.diag_into(eps, &mut self.diag);
-                self.slabs.ensure(grid, omega, split, stencil, &self.diag);
+                self.slabs
+                    .ensure(grid, omega, split, stencil, &self.diag, slab_use.need());
             }
         }
         std::mem::take(&mut self.slabs)
     }
 
     /// Takes back the cache [`SimWorkspace::take_window_slabs`] handed
-    /// out, unpins it and evicts down to its budget.
+    /// out, unpins it and trims it to its budget.
     pub fn restore_window_slabs(&mut self, mut slabs: SlabCache) {
         slabs.unpin();
         self.slabs = slabs;
@@ -1157,12 +1266,19 @@ impl SimWorkspace {
 
     /// Factors the active slot's operator with diagonal `self.diag` and
     /// arms its direct solve mode: the direct preparation of
-    /// [`SimWorkspace::factor`], of a forced-direct corner and of the
-    /// budget-miss fallback. With window rows it factors the window over
-    /// cached slabs ([`SolveMode::Window`]; slabs come from `lent` when
-    /// it holds them); a singular slab or window factor falls back to the
-    /// plain factor ([`SolveMode::DirectLu`]), counted in the report.
-    fn factor_direct(&mut self, lent: Option<&SlabCache>) -> Result<(), SingularMatrixError> {
+    /// [`SimWorkspace::factor`], [`SimWorkspace::factor_terms`], of a
+    /// forced-direct corner and of the budget-miss fallback. With window
+    /// rows it factors the window over cached slabs that serve `need`
+    /// ([`SolveMode::Window`] when they keep their LUs,
+    /// [`SolveMode::WindowTerms`] otherwise; slabs come from `lent` when
+    /// it holds them); an unusable slab or a singular window factor falls
+    /// back to the plain factor ([`SolveMode::DirectLu`]), counted in the
+    /// report.
+    fn factor_direct(
+        &mut self,
+        lent: Option<&SlabCache>,
+        need: Need<'_>,
+    ) -> Result<(), SingularMatrixError> {
         let grid = self.grid.expect("SimWorkspace not prepared");
         self.factored = false;
         if let Some(split) = self.window_split(&grid) {
@@ -1170,22 +1286,26 @@ impl SimWorkspace {
             // reuse the storage of one it evicts.
             self.window.release_slabs();
             let stencil = &self.slots[self.active].stencil;
-            let slabs = match lent.and_then(|c| c.find(grid, self.omega, split, &self.diag)) {
+            let slabs = match lent.and_then(|c| c.find(grid, self.omega, split, &self.diag, need)) {
                 Some(pair) => pair,
                 None => self
                     .slabs
-                    .ensure(grid, self.omega, split, stencil, &self.diag),
+                    .ensure(grid, self.omega, split, stencil, &self.diag, need),
             };
-            if !slabs.0.is_singular()
-                && !slabs.1.is_singular()
+            if !slabs.0.is_unusable()
+                && !slabs.1.is_unusable()
                 && self
                     .window
                     .factor(grid, self.omega, split, stencil, &self.diag, slabs)
                     .is_ok()
             {
-                self.a_norm = stencil.norm_inf(&self.diag);
                 self.factored = true;
-                self.mode = SolveMode::Window(split);
+                self.mode = if need.lu {
+                    self.a_norm = stencil.norm_inf(&self.diag);
+                    SolveMode::Window(split)
+                } else {
+                    SolveMode::WindowTerms(split)
+                };
                 return Ok(());
             }
             self.window.release_slabs();
@@ -1240,14 +1360,183 @@ impl SimWorkspace {
             ) {
                 return Ok(());
             }
-            self.report.window_fallbacks += 1;
-            self.report.factorizations += 1;
-            self.window.release_slabs();
-            self.factor_plain()?;
+            self.leave_window()?;
             b.copy_from_slice(&self.rhs);
         }
         self.lu.solve_many(b, nrhs);
         Ok(())
+    }
+
+    /// Re-prepares the current corner on the plain banded LU after a
+    /// window solve failed its check, counted in the report.
+    fn leave_window(&mut self) -> Result<(), SingularMatrixError> {
+        self.report.window_fallbacks += 1;
+        self.report.factorizations += 1;
+        self.window.release_slabs();
+        self.factor_plain()
+    }
+
+    /// The unknowns the window-only solves of the prepared corner return:
+    /// the design window's rows, or the whole grid without a window split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no corner was prepared.
+    pub fn window_unknowns(&self) -> std::ops::Range<usize> {
+        let grid = self.grid.expect("SimWorkspace not prepared");
+        self.window_split(&grid)
+            .map_or(0..grid.n(), |split| split.window())
+    }
+
+    /// Window-only forward solve of the corner prepared by
+    /// [`SimWorkspace::factor_terms`]: for each right-hand side of its
+    /// terms, the solution on [`SimWorkspace::window_unknowns`] into
+    /// `fields` (column-major, one column per excitation), and each
+    /// output form's reading `w·E` of its excitation's solution into
+    /// `amps`. On slabs without LUs this sweeps no slab; a solve that
+    /// fails its check on the window rows is re-solved on the plain
+    /// banded LU (counted in the report). After a window fallback, or
+    /// without a window, the whole grid is solved and read exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] if a fallback factorisation fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corner was not prepared by
+    /// [`SimWorkspace::factor_terms`].
+    pub fn solve_terms(
+        &mut self,
+        fields: &mut Vec<Complex64>,
+        amps: &mut Vec<Complex64>,
+    ) -> Result<(), SingularMatrixError> {
+        assert!(self.factored, "SimWorkspace not factored");
+        let terms = Arc::clone(self.terms.as_ref().expect("factor_terms not called"));
+        self.report.solves += terms.excitations();
+        if let SolveMode::WindowTerms(split) = self.mode {
+            let stencil = &self.slots[self.active].stencil;
+            if self
+                .window
+                .solve_terms(stencil, &self.diag, split, fields, amps, &mut self.resid)
+            {
+                return Ok(());
+            }
+            self.leave_window()?;
+        }
+        let mut full = std::mem::take(&mut self.full);
+        full.clear();
+        full.extend_from_slice(terms.rhs());
+        let result = self.solve_direct(&mut full, terms.excitations());
+        if result.is_ok() {
+            let n = self.grid().n();
+            let window = self.window_unknowns();
+            fields.clear();
+            for col in full.chunks_exact(n) {
+                fields.extend_from_slice(&col[window.clone()]);
+            }
+            amps.clear();
+            amps.extend(
+                terms
+                    .forms()
+                    .iter()
+                    .map(|(e, form)| form.eval(&full[e * n..(e + 1) * n])),
+            );
+        }
+        self.full = full;
+        result
+    }
+
+    /// Window-only adjoint solve of the corner prepared by
+    /// [`SimWorkspace::factor_terms`]: for each excitation, the solution
+    /// of `A·λ = Σ_f coef_f·w_f` over the output forms `f` that read it
+    /// (the adjoint source of a reading `F(w·E)` has this shape), on
+    /// [`SimWorkspace::window_unknowns`], into `lambdas` (column-major,
+    /// exactly zero for an excitation with no non-zero coefficient).
+    /// The operator is complex-symmetric, so this is the adjoint solve.
+    /// Checks and fallbacks as in [`SimWorkspace::solve_terms`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SingularMatrixError`] if a fallback factorisation fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the corner was not prepared by
+    /// [`SimWorkspace::factor_terms`], or `coef` does not hold one
+    /// coefficient per form.
+    pub fn solve_terms_adjoint(
+        &mut self,
+        coef: &[Complex64],
+        lambdas: &mut Vec<Complex64>,
+    ) -> Result<(), SingularMatrixError> {
+        assert!(self.factored, "SimWorkspace not factored");
+        let terms = Arc::clone(self.terms.as_ref().expect("factor_terms not called"));
+        assert_eq!(coef.len(), terms.form_count(), "one coefficient per form");
+        let nexc = terms.excitations();
+        let active = (0..nexc)
+            .filter(|&e| {
+                terms
+                    .forms()
+                    .iter()
+                    .zip(coef)
+                    .any(|((fe, _), c)| *fe == e && *c != Complex64::ZERO)
+            })
+            .count();
+        self.report.solves += active;
+        if let SolveMode::WindowTerms(split) = self.mode {
+            let stencil = &self.slots[self.active].stencil;
+            if self.window.solve_terms_adjoint(
+                stencil,
+                &self.diag,
+                split,
+                coef,
+                lambdas,
+                &mut self.resid,
+            ) {
+                return Ok(());
+            }
+            self.leave_window()?;
+        }
+        let n = self.grid().n();
+        let window = self.window_unknowns();
+        let mut full = std::mem::take(&mut self.full);
+        full.clear();
+        full.resize(nexc * n, Complex64::ZERO);
+        for ((e, form), &c) in terms.forms().iter().zip(coef) {
+            if c != Complex64::ZERO {
+                form.accumulate(c, &mut full[e * n..(e + 1) * n]);
+            }
+        }
+        let result = self.solve_direct(&mut full, nexc);
+        if result.is_ok() {
+            lambdas.clear();
+            for col in full.chunks_exact(n) {
+                lambdas.extend_from_slice(&col[window.clone()]);
+            }
+        }
+        self.full = full;
+        result
+    }
+
+    /// [`SimWorkspace::grad_eps_accumulate`] of a window-only forward and
+    /// adjoint solution pair (on [`SimWorkspace::window_unknowns`]): the
+    /// gradient on the window's rows, nothing elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices do not cover the window's unknowns or `out`
+    /// does not match the grid.
+    pub fn grad_eps_accumulate_window(
+        &self,
+        ez: &[Complex64],
+        lambda: &[Complex64],
+        out: &mut Array2<f64>,
+    ) {
+        let grid = self.grid();
+        let window = self.window_unknowns();
+        let rows = window.start / grid.nx..window.end / grid.nx;
+        grad_eps_accumulate_rows(grid, self.sfactors(), self.omega, rows, ez, lambda, out);
     }
 
     /// Prepares a variation-corner evaluation under `strategy`.
@@ -1332,7 +1621,7 @@ impl SimWorkspace {
         } else {
             slot.stencil.diag_into(eps, &mut self.diag);
             if ctx.force_direct || nominal_fresh {
-                self.factor_direct(None)?;
+                self.factor_direct(None, FULL_FIELD)?;
                 self.report.factorizations += 1;
             } else {
                 self.mode = SolveMode::Iterative { tol, max_iters };
@@ -1371,6 +1660,19 @@ impl SimWorkspace {
         let n = self.grid.expect("SimWorkspace not prepared").n();
         assert_eq!(b.len(), n * nrhs, "solve_block dimension mismatch");
         match self.mode {
+            SolveMode::WindowTerms(_) => {
+                // Window-only slabs keep no LU: prepare the corner again
+                // on slabs that do.
+                let terms = self.terms.clone();
+                let need = Need {
+                    terms: terms.as_ref(),
+                    lu: true,
+                };
+                self.factor_direct(None, need)?;
+                self.report.factorizations += 1;
+                self.report.solves += nrhs;
+                self.solve_direct(b, nrhs)?;
+            }
             SolveMode::DirectLu | SolveMode::Window(_) => {
                 self.report.solves += nrhs;
                 self.solve_direct(b, nrhs)?;
@@ -1405,7 +1707,7 @@ impl SimWorkspace {
                     self.report.converged = true;
                     self.report.fell_back = true;
                     self.report.factorizations += 1;
-                    self.factor_direct(None)?;
+                    self.factor_direct(None, FULL_FIELD)?;
                     b.copy_from_slice(&self.rhs);
                     self.solve_direct(b, nrhs)?;
                 }
@@ -1424,7 +1726,7 @@ impl SimWorkspace {
     /// direct corner is prepared.
     pub fn direct_factor_growth(&self) -> Option<f64> {
         let u = match (self.factored, self.mode) {
-            (true, SolveMode::Window(_)) => self.window.max_abs_term(),
+            (true, SolveMode::Window(_) | SolveMode::WindowTerms(_)) => self.window.max_abs_term(),
             (true, SolveMode::DirectLu) => self.lu.max_abs_upper(),
             _ => return None,
         };

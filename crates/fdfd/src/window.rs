@@ -16,8 +16,8 @@
 //! and eliminating both slabs leaves the Schur complement `S` on `W`.
 //! `A_WA·A_AA⁻¹·A_AW` is `diag · [A_AA⁻¹]_tail · diag`: a dense `nx×nx`
 //! block on `W`'s first grid row, inside `S`'s band. A slab holds no
-//! design cell, so its banded LU and that block depend only on
-//! `(grid, ω, the slab's diagonal)`: a [`SlabCache`] keeps them across
+//! design cell, so everything derived from it depends only on
+//! `(grid, ω, side, the slab's diagonal)`: a [`SlabCache`] keeps it across
 //! corners, and a corner factors only `S` — `W`'s rows — resuming at its
 //! first changed column. `S` is complex-symmetric like the operator, so it
 //! is factored as `L·D·Lᵀ` from its lower triangle without pivoting
@@ -30,20 +30,54 @@
 //! a slab inverse ([`boson_num::banded::BandedLu::trailing_inverse_block`],
 //! `O(nx³)`).
 //!
-//! A solve makes one forward and one back sweep per slab plus one solve
-//! on `S`: the forward sweeps give the slabs' interface rows, which
-//! condense the window's right-hand side; after the window solve, the
-//! slabs' own right-hand sides change only in their interface rows, so
-//! only the forward steps that reach those rows are replayed before each
-//! slab's back sweep.
+//! # What a slab entry holds
+//!
+//! A slab is factored once, by the cache's one reusable LU storage, and
+//! an entry keeps its key, its `nx×nx` interface block, and — for the
+//! [`WindowTerms`] of its ω, when the build was given them — the
+//! condensed data of every fixed right-hand side `f` and output form `w`
+//! (a linear functional `w·E`, e.g. a modal monitor):
+//!
+//! * per right-hand side, `A_WA·A_AA⁻¹·f_A` on the window's adjacent row;
+//! * per form, its image `A_AWᵀ·A_AA⁻¹·w_A` on that row, and the scalar
+//!   `w_A·A_AA⁻¹·f_A` against its own right-hand side.
+//!
+//! Each is zero when `f` or `w` does not reach the slab, and the build
+//! spends one slab solve on each one that does. An entry keeps the
+//! slab's banded LU too only when full-field solves need it; without
+//! it, an entry is its `nx×nx` block plus a few `nx`-vectors.
+//!
+//! # Two solve kinds
+//!
+//! * **Full field** ([`WindowFactor::solve`]): one forward and one back
+//!   sweep per slab LU plus one solve on `S`. The forward sweeps give the
+//!   slabs' interface rows, which condense the window's right-hand side;
+//!   after the window solve, the slabs' own right-hand sides change only
+//!   in their interface rows, so only the forward steps that reach those
+//!   rows are replayed before each slab's back sweep. Every solve's
+//!   normwise backward error on the whole grid is checked against
+//!   [`WINDOW_BACKWARD_TOL`].
+//! * **Window only** ([`WindowFactor::solve_terms`],
+//!   [`WindowFactor::solve_terms_adjoint`]): the field on the window rows
+//!   and the readings of the terms' forms, with no slab sweep. The
+//!   window's right-hand side is `f_W` minus the slabs' condensed
+//!   right-hand sides, and a form reads `w_W·E_W − u_A·E_W − u_B·E_W +
+//!   w_A·A_AA⁻¹·f_A + w_B·A_BB⁻¹·f_B` (its images `u` on the boundary
+//!   rows). The operator is complex-symmetric, so an adjoint source
+//!   `Σ c·w` condenses to `Σ c·(w_W − u_A − u_B)` from the same images.
+//!   Every solve is checked on the window rows: the slabs' interface
+//!   rows are rebuilt from the condensed data (`A_WA·E_A = A_WA·A_AA⁻¹·f_A
+//!   − [A_WA·A_AA⁻¹·A_AW]·E_W`), which makes the window rows' residual
+//!   that of `S·E_W = g_W`, and its normwise backward error is checked
+//!   against [`WINDOW_BACKWARD_TOL`]. Each slab's own solves are
+//!   residual-checked once, when it is built.
 //!
 //! The slab order of elimination is a static pivoting choice and the
-//! window factor does not pivot at all, so every solve's normwise
-//! backward error is checked against [`WINDOW_BACKWARD_TOL`]; a failed
-//! check, a singular slab or a zero window pivot falls back to the plain
-//! banded LU.
+//! window factor does not pivot at all: a failed check, a singular slab
+//! or a zero window pivot falls back to the plain banded LU.
 
 use crate::grid::SimGrid;
+use crate::monitor::LinearForm;
 use crate::operator::StencilCache;
 use boson_num::banded::{BandedLdl, BandedLu, SingularMatrixError, RHS_BLOCK};
 use boson_num::Complex64;
@@ -51,7 +85,8 @@ use std::sync::{Arc, Weak};
 
 /// Largest normwise backward error `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`
 /// a window-factored solve may have; beyond it the corner is re-solved
-/// through the plain banded LU.
+/// through the plain banded LU. A window-only solve is held to it on
+/// the window's condensed system, and a slab build on each slab solve.
 ///
 /// A backward-stable banded solve stays within a modest multiple of the
 /// unit roundoff (`1.1e-16`) times the pivot growth; the window solves of
@@ -92,6 +127,11 @@ impl Split {
         })
     }
 
+    /// The window's unknowns.
+    pub(crate) fn window(&self) -> std::ops::Range<usize> {
+        self.lo..self.hi
+    }
+
     fn window_len(&self) -> usize {
         self.hi - self.lo
     }
@@ -111,11 +151,42 @@ impl Split {
         }
     }
 
-    /// Global unknown of `side`'s slab-local index `k`.
+    /// Global unknown of `side`'s slab-local index `k`, and back (the
+    /// map is its own inverse).
     fn global(&self, side: Side, k: usize) -> usize {
         match side {
             Side::Top => k,
             Side::Bottom => self.n - 1 - k,
+        }
+    }
+
+    /// The interface of `side`'s slab at window boundary cell `i` (cell
+    /// `i` of the window's first row for the top slab, of its last row
+    /// for the bottom one): the slab-local index of its neighbour `s`,
+    /// the window-local index `b` of the cell, `A(b, s)` and `A(s, b)`.
+    /// The two couplings are the same bits: the operator's off-diagonal
+    /// part is symmetric exactly.
+    fn interface(
+        &self,
+        side: Side,
+        stencil: &StencilCache,
+        i: usize,
+    ) -> (usize, usize, Complex64, Complex64) {
+        let (south, north) = (stencil.south(), stencil.north());
+        let (nx, nw) = (self.nx, self.window_len());
+        match side {
+            Side::Top => (
+                self.lo - nx + i,
+                i,
+                south[self.lo + i],
+                north[self.lo - nx + i],
+            ),
+            Side::Bottom => (
+                self.n - self.hi - 1 - i,
+                nw - nx + i,
+                north[self.hi - nx + i],
+                south[self.hi + i],
+            ),
         }
     }
 
@@ -126,105 +197,270 @@ impl Split {
     }
 }
 
-/// One fixed slab: its diagonal (the cache key, in slab order), its
-/// banded LU in slab order and its Schur contribution on the adjacent
-/// window grid row.
-#[derive(Debug)]
-pub(crate) struct Slab {
+/// The identity of a slab's operator besides its diagonal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SlabKey {
     grid: SimGrid,
-    omega: f64,
+    /// ω's bits.
+    omega: u64,
     split: Split,
     side: Side,
-    diag: Vec<Complex64>,
-    lu: BandedLu,
-    /// The slab operator is singular: corners that need it take the
-    /// plain banded path.
-    singular: bool,
-    /// `A_W·[slab⁻¹]_tail·A_slab,W` on the window's adjacent grid row,
-    /// `nx×nx` column-major in that row's cell indices.
-    schur: Vec<Complex64>,
 }
 
-impl Slab {
-    /// The slab operator is singular (no factor).
-    pub(crate) fn is_singular(&self) -> bool {
-        self.singular
-    }
+/// The fixed right-hand sides and output forms of window-only solves at
+/// one `(grid, ω)` (see the module docs): the excitations of a compiled
+/// device and the forms its monitors read. Built once per wavelength and
+/// shared behind an [`Arc`]: a slab condensed for one is found again only
+/// through that same `Arc`.
+#[derive(Debug)]
+pub struct WindowTerms {
+    omega: f64,
+    n: usize,
+    /// Right-hand sides, column-major `n × excitations`.
+    rhs: Vec<Complex64>,
+    /// Output forms, each with the right-hand side (column) it reads.
+    forms: Vec<(usize, LinearForm)>,
+}
 
-    fn empty(grid: SimGrid, split: Split) -> Self {
-        Slab {
-            grid,
-            omega: f64::NAN,
-            split,
-            side: Side::Top,
-            diag: Vec::new(),
-            lu: BandedLu::placeholder(),
-            singular: true,
-            schur: Vec::new(),
+impl WindowTerms {
+    /// Terms at `omega` on `grid`: `rhs` holds one scaled right-hand side
+    /// per excitation (column-major, `grid.n()` each), `forms` the output
+    /// forms with the excitation each one reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rhs` is empty or not whole columns, or a form names an
+    /// excitation or an unknown out of range.
+    pub fn new(
+        grid: &SimGrid,
+        omega: f64,
+        rhs: Vec<Complex64>,
+        forms: Vec<(usize, LinearForm)>,
+    ) -> Self {
+        let n = grid.n();
+        assert!(
+            !rhs.is_empty() && rhs.len().is_multiple_of(n),
+            "window terms need whole right-hand sides"
+        );
+        let nexc = rhs.len() / n;
+        assert!(
+            forms
+                .iter()
+                .all(|(e, f)| *e < nexc && f.weights.iter().all(|&(k, _)| k < n)),
+            "a window form is out of range"
+        );
+        WindowTerms {
+            omega,
+            n,
+            rhs,
+            forms,
         }
     }
 
-    fn same_operator_family(&self, grid: SimGrid, omega: f64, split: Split, side: Side) -> bool {
-        self.grid == grid
-            && self.omega.to_bits() == omega.to_bits()
-            && self.split == split
-            && self.side == side
+    /// The angular frequency the terms belong to.
+    pub fn omega(&self) -> f64 {
+        self.omega
+    }
+
+    /// Number of right-hand sides (excitations).
+    pub fn excitations(&self) -> usize {
+        self.rhs.len() / self.n
+    }
+
+    /// Number of output forms.
+    pub fn form_count(&self) -> usize {
+        self.forms.len()
+    }
+
+    /// The excitation each output form reads, in form order.
+    pub fn form_excitations(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.forms.iter().map(|(e, _)| *e)
+    }
+
+    /// The right-hand sides, column-major `n × excitations`.
+    pub(crate) fn rhs(&self) -> &[Complex64] {
+        &self.rhs
+    }
+
+    /// The output forms with the excitation each one reads.
+    pub(crate) fn forms(&self) -> &[(usize, LinearForm)] {
+        &self.forms
+    }
+}
+
+/// One slab's condensed data for a [`WindowTerms`] (see the module docs;
+/// each vector holds `nx` entries per item, in window boundary-cell
+/// order).
+#[derive(Debug)]
+struct Condensed {
+    terms: Arc<WindowTerms>,
+    /// `A_W,slab·slab⁻¹·f_slab` per right-hand side.
+    rhs: Vec<Complex64>,
+    /// `A_slab,Wᵀ·slab⁻¹·w_slab` per form.
+    forms: Vec<Complex64>,
+    /// `w_slab·slab⁻¹·f_slab` per form, against its own right-hand side.
+    offsets: Vec<Complex64>,
+}
+
+/// What a direct corner needs from its slabs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Need<'a> {
+    /// Condensed data for these terms (window-only solves).
+    pub(crate) terms: Option<&'a Arc<WindowTerms>>,
+    /// The slab's banded LU (full-field solves).
+    pub(crate) lu: bool,
+}
+
+/// One fixed slab: its key and diagonal (slab order), its Schur
+/// contribution on the adjacent window grid row, and what the build was
+/// asked for — condensed data and the banded LU.
+#[derive(Debug)]
+pub(crate) struct Slab {
+    key: SlabKey,
+    diag: Vec<Complex64>,
+    /// The slab operator is singular or failed its build check: corners
+    /// that need it take the plain banded path.
+    unusable: bool,
+    /// The slab LU's largest `|u_ij|`, recorded at build.
+    growth: f64,
+    /// `A_W·[slab⁻¹]_tail·A_slab,W` on the window's adjacent grid row,
+    /// `nx×nx` column-major in that row's cell indices.
+    schur: Vec<Complex64>,
+    /// Row sums of `|schur|`.
+    schur_rows: Vec<f64>,
+    cond: Option<Condensed>,
+    /// The banded LU in slab order, kept only for full-field solves.
+    lu: Option<BandedLu>,
+}
+
+impl Slab {
+    /// The slab is singular or failed its build check (no factor).
+    pub(crate) fn is_unusable(&self) -> bool {
+        self.unusable
     }
 
     /// `true` when this slab is the one `diag` (the whole grid's) gives
-    /// at `(grid, ω)`: equal keys and a bitwise-equal slab diagonal.
-    fn matches(
-        &self,
-        grid: SimGrid,
-        omega: f64,
-        split: Split,
-        side: Side,
-        diag: &[Complex64],
-    ) -> bool {
-        self.same_operator_family(grid, omega, split, side)
+    /// for `key`: equal keys and a bitwise-equal slab diagonal.
+    fn matches(&self, key: &SlabKey, diag: &[Complex64]) -> bool {
+        self.key == *key
             && self
                 .diag
                 .iter()
                 .enumerate()
-                .all(|(k, d)| bits(d) == bits(&diag[split.global(side, k)]))
+                .all(|(k, d)| bits(d) == bits(&diag[key.split.global(key.side, k)]))
     }
 
-    /// Rows of slab factor band storage (the budget's unit; the key and
-    /// the interface block are `O(n_slab + nx²)` and not counted).
-    fn band_rows(&self) -> usize {
-        self.split.slab_len(self.side)
+    /// `true` when this slab holds what `need` asks for (an unusable slab
+    /// answers every need: with a fallback).
+    fn serves(&self, need: &Need<'_>) -> bool {
+        let terms_ok = need
+            .terms
+            .is_none_or(|t| self.cond.as_ref().is_some_and(|c| Arc::ptr_eq(&c.terms, t)));
+        self.unusable || (terms_ok && (!need.lu || self.lu.is_some()))
     }
 
-    /// Refactors this slab (storage reused) as `side`'s slab of the
-    /// operator with diagonal `diag` and computes its Schur block. When
-    /// the storage already holds a factor of the same `(grid, ω, split,
-    /// side)`, the factorisation resumes at the first changed diagonal
-    /// entry, bit-identical to a fresh one.
-    #[allow(clippy::too_many_arguments)] // the slab's key + its operator
-    fn rebuild(
+    /// Heap bytes of the entry.
+    fn bytes(&self) -> usize {
+        let c = std::mem::size_of::<Complex64>();
+        let cond = self
+            .cond
+            .as_ref()
+            .map_or(0, |d| d.rhs.len() + d.forms.len() + d.offsets.len());
+        (self.diag.len() + self.schur.len() + cond) * c
+            + self.schur_rows.len() * std::mem::size_of::<f64>()
+            + self.lu.as_ref().map_or(0, BandedLu::bytes)
+    }
+}
+
+fn bits(z: &Complex64) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
+fn max_abs(v: &[Complex64]) -> f64 {
+    v.iter().fold(0.0f64, |m, z| m.max(z.abs()))
+}
+
+/// The storage and scratch a slab build runs in: one banded LU storage,
+/// reused from build to build (a build with the same key resumes at the
+/// first changed diagonal entry, bit-identical to a fresh factor), and
+/// the scratch of the interface block and the build's slab solves.
+#[derive(Debug)]
+struct SlabBuilder {
+    lu: BandedLu,
+    /// Key of the factor `lu` holds (`None`: nothing to resume from) …
+    record: Option<SlabKey>,
+    /// … and its slab diagonal.
+    diag: Vec<Complex64>,
+    /// Forward-sweep scratch of the interface-block computation.
+    work: Vec<Complex64>,
+    /// The trailing inverse block of the slab being built.
+    inv: Vec<Complex64>,
+    /// The build's right-hand-side solutions (slab order, per excitation).
+    ysol: Vec<Complex64>,
+    /// One slab solve: its right-hand side and solution (slab order) …
+    b: Vec<Complex64>,
+    x: Vec<Complex64>,
+    /// … and its residual check's scratch (grid order).
+    glob: Vec<Complex64>,
+    res: Vec<Complex64>,
+}
+
+impl Default for SlabBuilder {
+    fn default() -> Self {
+        SlabBuilder {
+            lu: BandedLu::placeholder(),
+            record: None,
+            diag: Vec::new(),
+            work: Vec::new(),
+            inv: Vec::new(),
+            ysol: Vec::new(),
+            b: Vec::new(),
+            x: Vec::new(),
+            glob: Vec::new(),
+            res: Vec::new(),
+        }
+    }
+}
+
+impl SlabBuilder {
+    /// Heap bytes of the builder (its LU storage and scratch).
+    fn bytes(&self) -> usize {
+        let scratch = [
+            &self.diag, &self.work, &self.inv, &self.ysol, &self.b, &self.x, &self.glob, &self.res,
+        ]
+        .iter()
+        .map(|v| v.capacity())
+        .sum::<usize>();
+        self.lu.bytes() + scratch * std::mem::size_of::<Complex64>()
+    }
+
+    /// Drops the LU storage (and its record).
+    fn release(&mut self) {
+        self.lu = BandedLu::placeholder();
+        self.record = None;
+    }
+
+    /// Builds `key`'s slab of the operator with (whole-grid) diagonal
+    /// `diag`: factors it, computes its interface block and what `need`
+    /// asks for, and residual-checks the build's slab solves. With
+    /// `need.lu` the entry takes the LU storage.
+    fn build(
         &mut self,
-        grid: SimGrid,
-        omega: f64,
-        split: Split,
-        side: Side,
+        key: SlabKey,
         stencil: &StencilCache,
         diag: &[Complex64],
-        work: &mut Vec<Complex64>,
-        inv: &mut Vec<Complex64>,
-    ) {
-        let m = split.slab_len(side);
-        let nx = split.nx;
-        let start = if self.same_operator_family(grid, omega, split, side) && !self.singular {
+        need: Need<'_>,
+    ) -> Slab {
+        let SlabKey { split, side, .. } = key;
+        let (m, nx) = (split.slab_len(side), split.nx);
+        let start = if self.record == Some(key) {
             (0..m)
                 .position(|k| bits(&self.diag[k]) != bits(&diag[split.global(side, k)]))
                 .unwrap_or(m)
         } else {
             0
         };
-        self.grid = grid;
-        self.omega = omega;
-        self.split = split;
-        self.side = side;
+        self.record = None;
         self.diag.clear();
         self.diag
             .extend((0..m).map(|k| diag[split.global(side, k)]));
@@ -233,56 +469,210 @@ impl Slab {
         let result = self.lu.refactor(m, nx, nx, start, |a, s| {
             stencil.assemble_block_with_diag(diag, rows, reversed, s, a)
         });
-        self.singular = result.is_err();
-        self.schur.clear();
-        if self.singular {
-            return;
+        let mut slab = Slab {
+            key,
+            diag: self.diag.clone(),
+            unusable: true,
+            growth: 0.0,
+            schur: Vec::new(),
+            schur_rows: Vec::new(),
+            cond: None,
+            lu: None,
+        };
+        if result.is_err() {
+            return slab;
         }
-        inv.clear();
-        inv.resize(nx * nx, Complex64::ZERO);
-        self.lu.trailing_inverse_block(nx, inv, work);
+        self.record = Some(key);
+        slab.growth = self.lu.max_abs_upper();
+        self.inv.clear();
+        self.inv.resize(nx * nx, Complex64::ZERO);
+        self.lu
+            .trailing_inverse_block(nx, &mut self.inv, &mut self.work);
         let (south, north) = (stencil.south(), stencil.north());
-        self.schur.resize(nx * nx, Complex64::ZERO);
+        slab.schur = vec![Complex64::ZERO; nx * nx];
         for j in 0..nx {
             for i in 0..nx {
-                self.schur[j * nx + i] = match side {
+                slab.schur[j * nx + i] = match side {
                     // Window cell i of its first row couples to top-slab
                     // unknown lo − nx + i (trailing index i).
-                    Side::Top => south[split.lo + i] * inv[j * nx + i] * north[split.lo - nx + j],
+                    Side::Top => {
+                        south[split.lo + i] * self.inv[j * nx + i] * north[split.lo - nx + j]
+                    }
                     // Window cell i of its last row couples to bottom
                     // unknown hi + i (trailing index nx − 1 − i).
                     Side::Bottom => {
                         let (p, q) = (nx - 1 - i, nx - 1 - j);
-                        north[split.hi - nx + i] * inv[q * nx + p] * south[split.hi + j]
+                        north[split.hi - nx + i] * self.inv[q * nx + p] * south[split.hi + j]
                     }
                 };
             }
         }
+        slab.schur_rows = (0..nx)
+            .map(|i| (0..nx).map(|j| slab.schur[j * nx + i].abs()).sum())
+            .collect();
+        slab.unusable = !self.condense(key, stencil, diag, need.terms, &mut slab);
+        if !slab.unusable && need.lu {
+            slab.lu = Some(std::mem::replace(&mut self.lu, BandedLu::placeholder()));
+            self.record = None;
+        }
+        slab
+    }
+
+    /// The build's slab solves, each residual-checked: a probe along the
+    /// slab's coupling to the window, then the condensed data of `terms`
+    /// into `slab`. Returns `false` when a check fails.
+    fn condense(
+        &mut self,
+        key: SlabKey,
+        stencil: &StencilCache,
+        diag: &[Complex64],
+        terms: Option<&Arc<WindowTerms>>,
+        slab: &mut Slab,
+    ) -> bool {
+        let SlabKey { split, side, .. } = key;
+        let (m, nx) = (split.slab_len(side), split.nx);
+        let rows = split.slab_rows(side);
+        let norm = (rows.start..rows.end)
+            .map(|g| {
+                let inside = |h: usize| rows.contains(&h);
+                diag[g].abs()
+                    + stencil.west()[g].abs()
+                    + stencil.east()[g].abs()
+                    + if g >= stencil.nx() && inside(g - stencil.nx()) {
+                        stencil.south()[g].abs()
+                    } else {
+                        0.0
+                    }
+                    + if inside(g + stencil.nx()) {
+                        stencil.north()[g].abs()
+                    } else {
+                        0.0
+                    }
+            })
+            .fold(0.0f64, f64::max);
+        // The probe: the slab's right-hand side of a unit window row.
+        self.b.clear();
+        self.b.resize(m, Complex64::ZERO);
+        for i in 0..nx {
+            let (s, _, _, a_sw) = split.interface(side, stencil, i);
+            self.b[s] = a_sw;
+        }
+        if !self.solve_checked(key, stencil, diag, norm) {
+            return false;
+        }
+        let Some(terms) = terms else {
+            return true;
+        };
+        let (nexc, nf) = (terms.excitations(), terms.form_count());
+        let mut cond = Condensed {
+            terms: Arc::clone(terms),
+            rhs: vec![Complex64::ZERO; nexc * nx],
+            forms: vec![Complex64::ZERO; nf * nx],
+            offsets: vec![Complex64::ZERO; nf],
+        };
+        self.ysol.clear();
+        self.ysol.resize(m * nexc, Complex64::ZERO);
+        for (e, f) in terms.rhs().chunks_exact(terms.n).enumerate() {
+            self.b.clear();
+            self.b.extend((0..m).map(|k| f[split.global(side, k)]));
+            if self.b.iter().all(|z| *z == Complex64::ZERO) {
+                continue;
+            }
+            if !self.solve_checked(key, stencil, diag, norm) {
+                return false;
+            }
+            self.ysol[e * m..(e + 1) * m].copy_from_slice(&self.x);
+            for i in 0..nx {
+                let (s, _, a_ws, _) = split.interface(side, stencil, i);
+                cond.rhs[e * nx + i] = a_ws * self.x[s];
+            }
+        }
+        for (fi, (e, form)) in terms.forms().iter().enumerate() {
+            let inside = form.weights.iter().filter(|(g, _)| rows.contains(g));
+            if inside.clone().next().is_none() {
+                continue;
+            }
+            self.b.clear();
+            self.b.resize(m, Complex64::ZERO);
+            let y = &self.ysol[e * m..(e + 1) * m];
+            let mut offset = Complex64::ZERO;
+            for &(g, w) in inside {
+                let k = split.global(side, g);
+                self.b[k] += w;
+                offset += w * y[k];
+            }
+            cond.offsets[fi] = offset;
+            if !self.solve_checked(key, stencil, diag, norm) {
+                return false;
+            }
+            for i in 0..nx {
+                let (s, _, _, a_sw) = split.interface(side, stencil, i);
+                cond.forms[fi * nx + i] = a_sw * self.x[s];
+            }
+        }
+        slab.cond = Some(cond);
+        true
+    }
+
+    /// Solves the slab for `b` into `x` and checks its normwise backward
+    /// error against [`WINDOW_BACKWARD_TOL`] (`norm` is `‖A_slab‖∞`).
+    fn solve_checked(
+        &mut self,
+        key: SlabKey,
+        stencil: &StencilCache,
+        diag: &[Complex64],
+        norm: f64,
+    ) -> bool {
+        let SlabKey { split, side, .. } = key;
+        let rows = split.slab_rows(side);
+        self.x.clear();
+        self.x.extend_from_slice(&self.b);
+        self.lu.solve(&mut self.x);
+        if !self.x.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
+            return false;
+        }
+        let m = rows.len();
+        self.glob.clear();
+        self.glob
+            .extend((rows.start..rows.end).map(|g| self.x[split.global(side, g)]));
+        self.res.clear();
+        self.res.resize(m, Complex64::ZERO);
+        stencil.apply_block(diag, rows.clone(), &self.glob, &mut self.res);
+        let resid = (rows.start..rows.end)
+            .zip(&self.res)
+            .fold(0.0f64, |r, (g, ax)| {
+                r.max((*ax - self.b[split.global(side, g)]).abs())
+            });
+        resid <= WINDOW_BACKWARD_TOL * (norm * max_abs(&self.x) + max_abs(&self.b))
     }
 }
 
-fn bits(z: &Complex64) -> (u64, u64) {
-    (z.re.to_bits(), z.im.to_bits())
-}
-
-/// Least-recently-used cache of factored slabs, shared by every lane of
+/// Least-recently-used cache of built slabs, shared by every lane of
 /// a direct fan-out.
 ///
 /// Slabs are keyed by `(grid, ω, side, the slab's diagonal)` and
-/// compared bitwise, so a lookup can only return the slab a fresh build
-/// would produce: results never depend on the cache's history. The
-/// cache's byte budget is, per lane that holds a direct factor, the band
-/// rows a plain `n×(3b+1)` factor holds beyond the window factor; a miss
-/// evicts least-recently-used slabs until the new one fits, and reuses an
-/// evicted slab's storage when no workspace still holds it. Slabs in use
-/// by the current corner or direct fan-out are never evicted; if they
-/// alone exceed the budget the cache runs over it until the fan-out ends.
-/// The budget counts slab band storage only; each slab's `O(n)` key and
-/// `nx×nx` interface block come on top.
+/// compared bitwise, and a build depends on nothing else (its terms are
+/// found by `Arc` identity), so a lookup can only return the slab a fresh
+/// build would produce: results never depend on the cache's history.
+///
+/// The cache budgets bytes: per lane that holds a direct factor, the band
+/// storage a plain `n×(3b+1)` factor holds beyond the window factor, plus
+/// one such allowance for builds. Resident bytes count every entry (key,
+/// interface block, condensed data, and the LU of an entry that keeps
+/// one) and the build scratch — the one reusable LU storage and the
+/// interface-block scratch. A build first evicts least-recently-used
+/// entries until it fits (an evicted LU no one holds becomes the build
+/// storage); after a fan-out or a serial build, an over-budget cache
+/// drops the build storage first, then least-recently-used entries.
+/// Entries in use by the current corner or direct fan-out are never
+/// evicted; if they alone exceed the budget the cache runs over it until
+/// the fan-out ends. Entries without an LU are small, so the whole working
+/// set of a run fits.
 ///
 /// A [`crate::sim::SimWorkspace`] owns one and builds into it on demand;
-/// a direct fan-out builds every slab its corners need on the caller's
-/// workspace first and lends the cache to every lane read-only (see
+/// a direct fan-out builds every slab its corners miss on the caller's
+/// workspace first, in the one build storage, and lends the cache to
+/// every lane read-only (see
 /// [`crate::sim::SimWorkspace::take_window_slabs`]).
 #[derive(Debug, Default)]
 pub struct SlabCache {
@@ -295,10 +685,8 @@ pub struct SlabCache {
     lanes: usize,
     /// Stamp from which entries are pinned (in use by the current fan-out).
     pinned_from: Option<u64>,
-    /// Forward-sweep scratch of the interface-block computation.
-    work: Vec<Complex64>,
-    /// The trailing inverse block of the slab being built.
-    inv: Vec<Complex64>,
+    /// The build storage and scratch.
+    builder: SlabBuilder,
 }
 
 impl SlabCache {
@@ -317,27 +705,22 @@ impl SlabCache {
         self.entries.is_empty()
     }
 
-    /// Bytes of resident slab factor storage (band storage only).
+    /// Number of resident slabs that keep their banded LU.
+    pub fn factored_len(&self) -> usize {
+        self.entries.iter().filter(|(s, _)| s.lu.is_some()).count()
+    }
+
+    /// Bytes of resident slab entries and build scratch.
     pub fn resident_bytes(&self) -> usize {
-        self.resident_rows() * self.row_bytes()
+        self.entries.iter().map(|(s, _)| s.bytes()).sum::<usize>() + self.builder.bytes()
     }
 
-    /// The byte budget of slab band storage for the current grid and
-    /// window (0 before the first slab).
+    /// The byte budget for the current grid and window (0 before the
+    /// first slab).
     pub fn budget_bytes(&self) -> usize {
-        self.key.map_or(0, |(_, split)| {
-            self.lanes.max(1) * split.lane_allowance() * self.row_bytes()
+        self.key.map_or(0, |(grid, split)| {
+            (self.lanes.max(1) + 1) * split.lane_allowance() * row_bytes(&grid)
         })
-    }
-
-    fn row_bytes(&self) -> usize {
-        self.key.map_or(0, |(grid, _)| {
-            (3 * grid.nx + 1) * std::mem::size_of::<Complex64>()
-        })
-    }
-
-    fn resident_rows(&self) -> usize {
-        self.entries.iter().map(|(s, _)| s.band_rows()).sum()
     }
 
     /// Raises the budget multiplier to `lanes`.
@@ -350,10 +733,25 @@ impl SlabCache {
         self.pinned_from = Some(self.clock + 1);
     }
 
-    /// Ends a pin and evicts down to the budget.
+    /// Ends a pin and trims to the budget.
     pub(crate) fn unpin(&mut self) {
         self.pinned_from = None;
-        self.evict_to_fit(0, u64::MAX);
+        self.trim(u64::MAX);
+    }
+
+    /// Forgets every slab of another grid or split.
+    fn rekey(&mut self, grid: SimGrid, split: Split) {
+        if self.key != Some((grid, split)) {
+            self.entries.clear();
+            self.key = Some((grid, split));
+        }
+    }
+
+    /// The resident slab `key` of `diag` serving `need`.
+    fn lookup(&self, key: &SlabKey, diag: &[Complex64], need: &Need<'_>) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(s, _)| s.matches(key, diag) && s.serves(need))
     }
 
     /// The slab pair `diag` needs, if resident.
@@ -363,12 +761,12 @@ impl SlabCache {
         omega: f64,
         split: Split,
         diag: &[Complex64],
+        need: Need<'_>,
     ) -> Option<(Arc<Slab>, Arc<Slab>)> {
         let find = |side| {
-            self.entries
-                .iter()
-                .find(|(s, _)| s.matches(grid, omega, split, side, diag))
-                .map(|(s, _)| Arc::clone(s))
+            let key = slab_key(grid, omega, split, side);
+            self.lookup(&key, diag, &need)
+                .map(|i| Arc::clone(&self.entries[i].0))
         };
         Some((find(Side::Top)?, find(Side::Bottom)?))
     }
@@ -382,63 +780,55 @@ impl SlabCache {
         split: Split,
         stencil: &StencilCache,
         diag: &[Complex64],
+        need: Need<'_>,
     ) -> (Arc<Slab>, Arc<Slab>) {
-        if self.key != Some((grid, split)) {
-            self.entries.clear();
-            self.key = Some((grid, split));
-        }
+        self.rekey(grid, split);
         let pin = self.pinned_from.unwrap_or(self.clock + 1);
-        let top = self.ensure_side(grid, omega, split, Side::Top, stencil, diag, pin);
-        let bottom = self.ensure_side(grid, omega, split, Side::Bottom, stencil, diag, pin);
-        (top, bottom)
+        let mut side = |side| {
+            let key = slab_key(grid, omega, split, side);
+            self.clock += 1;
+            if let Some(i) = self.lookup(&key, diag, &need) {
+                self.entries[i].1 = self.clock;
+                return Arc::clone(&self.entries[i].0);
+            }
+            self.make_room(entry_bytes(&key), self.storage_bytes(&key), pin);
+            let slab = Arc::new(self.builder.build(key, stencil, diag, need));
+            self.entries.push((Arc::clone(&slab), self.clock));
+            slab
+        };
+        let pair = (side(Side::Top), side(Side::Bottom));
+        if self.pinned_from.is_none() {
+            self.trim(pin);
+        }
+        pair
     }
 
-    #[allow(clippy::too_many_arguments)] // the slab's key + its operator
-    fn ensure_side(
-        &mut self,
-        grid: SimGrid,
-        omega: f64,
-        split: Split,
-        side: Side,
-        stencil: &StencilCache,
-        diag: &[Complex64],
-        pin: u64,
-    ) -> Arc<Slab> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some((slab, stamp)) = self
-            .entries
-            .iter_mut()
-            .find(|(s, _)| s.matches(grid, omega, split, side, diag))
-        {
-            *stamp = clock;
-            return Arc::clone(slab);
+    /// The LU storage a build of `key` allocates: none while the
+    /// builder holds storage to reuse.
+    fn storage_bytes(&self, key: &SlabKey) -> usize {
+        if self.builder.lu.bytes() == 0 {
+            key.split.slab_len(key.side) * row_bytes(&key.grid)
+        } else {
+            0
         }
-        let reuse = self.evict_to_fit(split.slab_len(side), pin);
-        let mut slab = reuse.unwrap_or_else(|| Slab::empty(grid, split));
-        slab.rebuild(
-            grid,
-            omega,
-            split,
-            side,
-            stencil,
-            diag,
-            &mut self.work,
-            &mut self.inv,
-        );
-        let slab = Arc::new(slab);
-        self.entries.push((Arc::clone(&slab), clock));
-        slab
     }
 
     /// Evicts least-recently-used entries stamped before `pin` until
-    /// `extra` more rows fit the budget (or nothing evictable is left).
-    /// Returns one evicted slab no one else holds, for its storage.
-    fn evict_to_fit(&mut self, extra: usize, pin: u64) -> Option<Slab> {
-        let (_, split) = self.key?;
-        let budget = self.lanes.max(1) * split.lane_allowance();
-        let mut reuse = None;
-        while self.resident_rows() + extra > budget {
+    /// `extra` more bytes of entries fit the budget, and `storage` more
+    /// while the builder holds no LU storage (or nothing evictable is
+    /// left). With `storage > 0`, an evicted LU no one else holds becomes
+    /// the build storage.
+    fn make_room(&mut self, extra: usize, storage: usize, pin: u64) {
+        let budget = self.budget_bytes();
+        let needed = |c: &Self| {
+            let build = if c.builder.lu.bytes() == 0 {
+                storage
+            } else {
+                0
+            };
+            c.resident_bytes() + extra + build
+        };
+        while needed(self) > budget {
             let Some(lru) = self
                 .entries
                 .iter()
@@ -450,12 +840,49 @@ impl SlabCache {
                 break;
             };
             let (evicted, _) = self.entries.swap_remove(lru);
-            if reuse.is_none() {
-                reuse = Arc::try_unwrap(evicted).ok();
+            if storage > 0 && self.builder.lu.bytes() == 0 {
+                if let Some(lu) = Arc::try_unwrap(evicted).ok().and_then(|s| s.lu) {
+                    self.builder.lu = lu;
+                    self.builder.record = None;
+                }
             }
         }
-        reuse
     }
+
+    /// Brings an over-budget cache down to its budget: the build storage
+    /// goes first, then least-recently-used entries stamped before `pin`.
+    fn trim(&mut self, pin: u64) {
+        if self.resident_bytes() > self.budget_bytes() {
+            self.builder.release();
+        }
+        self.make_room(0, 0, pin);
+    }
+}
+
+/// Bytes of `key`'s entry without an LU: its diagonal and interface
+/// block.
+fn entry_bytes(key: &SlabKey) -> usize {
+    let (m, nx) = (key.split.slab_len(key.side), key.split.nx);
+    (m + nx * nx) * std::mem::size_of::<Complex64>()
+}
+
+/// The condensed data of a slab that has it.
+fn cond(slab: &Slab) -> &Condensed {
+    slab.cond.as_ref().expect("slab not condensed")
+}
+
+fn slab_key(grid: SimGrid, omega: f64, split: Split, side: Side) -> SlabKey {
+    SlabKey {
+        grid,
+        omega: omega.to_bits(),
+        split,
+        side,
+    }
+}
+
+/// Bytes of one row of plain banded LU storage on `grid`.
+fn row_bytes(grid: &SimGrid) -> usize {
+    (3 * grid.nx + 1) * std::mem::size_of::<Complex64>()
 }
 
 /// Per-solve scratch of a [`WindowFactor`]; grown once, then reused.
@@ -474,6 +901,10 @@ struct SolveScratch {
     bottom_tail: Vec<Complex64>,
     /// Interface rows of the slab solutions (`nx` per column).
     iface: Vec<Complex64>,
+    /// Condensed right-hand sides of a window-only solve (its check).
+    rhs: Vec<Complex64>,
+    /// Excitations of a window-only adjoint solve, in packed order.
+    active: Vec<usize>,
 }
 
 /// The window part of a direct corner factor: the banded `L·D·Lᵀ` of
@@ -493,6 +924,12 @@ pub(crate) struct WindowFactor {
     condensed: Option<(Weak<Slab>, Weak<Slab>)>,
     /// The slabs of the current factor.
     slabs: Option<(Arc<Slab>, Arc<Slab>)>,
+    /// Per window row of `key`'s couplings, the sum of `|a_ij|` over its
+    /// couplings inside the window.
+    couplings: Vec<f64>,
+    /// An upper bound of `‖S‖∞` of the current factor: `|a_ii|`, the
+    /// couplings and the interface blocks' row sums.
+    s_norm: f64,
     scratch: SolveScratch,
 }
 
@@ -504,18 +941,21 @@ impl WindowFactor {
             diag: Vec::new(),
             condensed: None,
             slabs: None,
+            couplings: Vec::new(),
+            s_norm: 0.0,
             scratch: SolveScratch::default(),
         }
     }
 
     /// The largest term of the factor products over the window factor
     /// ([`BandedLdl::max_abs_term`]) and its slabs (whose pivoted
-    /// multipliers are at most 1: their largest `|u_ij|`).
+    /// multipliers are at most 1: their largest `|u_ij|`, recorded when
+    /// they were built).
     pub(crate) fn max_abs_term(&self) -> f64 {
         let slabs = self
             .slabs
             .as_ref()
-            .map_or(0.0, |(t, b)| t.lu.max_abs_upper().max(b.lu.max_abs_upper()));
+            .map_or(0.0, |(t, b)| t.growth.max(b.growth));
         self.ldl.max_abs_term().max(slabs)
     }
 
@@ -557,8 +997,8 @@ impl WindowFactor {
     }
 
     /// Factors `S` for the operator with diagonal `diag` condensed with
-    /// `top` and `bottom` (both non-singular), resuming at the first
-    /// column that differs from the one the storage factors.
+    /// `top` and `bottom` (both usable), resuming at the first column
+    /// that differs from the one the storage factors.
     ///
     /// # Errors
     ///
@@ -574,20 +1014,46 @@ impl WindowFactor {
         slabs: (Arc<Slab>, Arc<Slab>),
     ) -> Result<(), SingularMatrixError> {
         let (top, bottom) = &slabs;
-        debug_assert!(!top.singular && !bottom.singular);
+        debug_assert!(!top.unusable && !bottom.unusable);
         let key = (grid, omega.to_bits(), split);
+        let (nw, nx) = (split.window_len(), split.nx);
         if self.key != Some(key) {
             self.diag.clear();
             self.key = Some(key);
+            let (west, east, south, north) = (
+                stencil.west(),
+                stencil.east(),
+                stencil.south(),
+                stencil.north(),
+            );
+            self.couplings.clear();
+            self.couplings.extend((0..nw).map(|k| {
+                let g = split.lo + k;
+                west[g].abs()
+                    + east[g].abs()
+                    + if k >= nx { south[g].abs() } else { 0.0 }
+                    + if k + nx < nw { north[g].abs() } else { 0.0 }
+            }));
         }
         let start = self.resume_column(split, diag, top, bottom);
-        let (nw, nx) = (split.window_len(), split.nx);
         let result = self.ldl.refactor(nw, nx, start, |a, s| {
             assemble_window(stencil, diag, split, &top.schur, &bottom.schur, s, a)
         });
         self.diag.clear();
         if result.is_ok() {
             self.diag.extend_from_slice(&diag[split.lo..split.hi]);
+            self.s_norm = (0..nw)
+                .map(|k| {
+                    let mut row = self.diag[k].abs() + self.couplings[k];
+                    if k < nx {
+                        row += top.schur_rows[k];
+                    }
+                    if k >= nw - nx {
+                        row += bottom.schur_rows[k - (nw - nx)];
+                    }
+                    row
+                })
+                .fold(0.0f64, f64::max);
             self.condensed = Some((Arc::downgrade(top), Arc::downgrade(bottom)));
             self.slabs = Some(slabs);
         } else {
@@ -611,7 +1077,8 @@ impl WindowFactor {
     ///
     /// # Panics
     ///
-    /// Panics if no factor is held or `b.len() != n·nrhs`.
+    /// Panics if no factor is held, a slab keeps no LU, or
+    /// `b.len() != n·nrhs`.
     pub(crate) fn solve(
         &mut self,
         stencil: &StencilCache,
@@ -621,17 +1088,184 @@ impl WindowFactor {
     ) {
         assert_eq!(b.len(), split.n * nrhs, "window solve dimension mismatch");
         let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
+        let lus = (
+            top.lu.as_ref().expect("top slab keeps no LU"),
+            bottom.lu.as_ref().expect("bottom slab keeps no LU"),
+        );
         for chunk in b.chunks_mut(split.n * RHS_BLOCK) {
-            solve_chunk(
-                &self.ldl,
-                top,
-                bottom,
-                stencil,
-                split,
-                &mut self.scratch,
-                chunk,
-            );
+            solve_chunk(&self.ldl, lus, stencil, split, &mut self.scratch, chunk);
         }
+    }
+
+    /// The current factor's slabs, which must be condensed.
+    fn condensed_slabs(&self) -> (Arc<Slab>, Arc<Slab>) {
+        let (top, bottom) = self.slabs.clone().expect("window factor not factored");
+        assert!(
+            top.cond.is_some() && bottom.cond.is_some(),
+            "window slabs not condensed"
+        );
+        (top, bottom)
+    }
+
+    /// Window-only forward solve of every right-hand side of the slabs'
+    /// terms: the window rows of each solution into `fields` (`nw` per
+    /// excitation, column-major) and every form's reading into `amps`.
+    /// Returns `false` when a column fails its check on the window rows
+    /// (the outputs are then meaningless).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no factor is held or its slabs are not condensed.
+    pub(crate) fn solve_terms(
+        &mut self,
+        stencil: &StencilCache,
+        diag: &[Complex64],
+        split: Split,
+        fields: &mut Vec<Complex64>,
+        amps: &mut Vec<Complex64>,
+        resid: &mut Vec<Complex64>,
+    ) -> bool {
+        let (nx, nw) = (split.nx, split.window_len());
+        let (top, bottom) = self.condensed_slabs();
+        let (ct, cb) = (cond(&top), cond(&bottom));
+        let terms = &ct.terms;
+        let nexc = terms.excitations();
+        fields.clear();
+        for (e, f) in terms.rhs().chunks_exact(split.n).enumerate() {
+            fields.extend_from_slice(&f[split.window()]);
+            let col = &mut fields[e * nw..];
+            for i in 0..nx {
+                col[i] -= ct.rhs[e * nx + i];
+                col[nw - nx + i] -= cb.rhs[e * nx + i];
+            }
+        }
+        self.scratch.rhs.clear();
+        self.scratch.rhs.extend_from_slice(fields);
+        self.ldl.solve_many(fields, nexc);
+        if !self.check(stencil, diag, split, fields, resid) {
+            return false;
+        }
+        amps.clear();
+        amps.extend(terms.forms().iter().enumerate().map(|(fi, (e, form))| {
+            let x = &fields[e * nw..(e + 1) * nw];
+            let mut a = Complex64::ZERO;
+            for &(g, w) in &form.weights {
+                if split.window().contains(&g) {
+                    a += w * x[g - split.lo];
+                }
+            }
+            for i in 0..nx {
+                a -= ct.forms[fi * nx + i] * x[i];
+                a -= cb.forms[fi * nx + i] * x[nw - nx + i];
+            }
+            a + ct.offsets[fi] + cb.offsets[fi]
+        }));
+        true
+    }
+
+    /// Window-only adjoint solve: for every excitation, the window rows of
+    /// `A⁻¹·Σ_f coef_f·w_f` over the forms `f` that read it, into
+    /// `lambdas` (`nw` per excitation, column-major; exactly zero where
+    /// no coefficient is). Returns `false` when a column fails its check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no factor is held, its slabs are not condensed, or
+    /// `coef` does not hold one coefficient per form.
+    pub(crate) fn solve_terms_adjoint(
+        &mut self,
+        stencil: &StencilCache,
+        diag: &[Complex64],
+        split: Split,
+        coef: &[Complex64],
+        lambdas: &mut Vec<Complex64>,
+        resid: &mut Vec<Complex64>,
+    ) -> bool {
+        let (nx, nw) = (split.nx, split.window_len());
+        let (top, bottom) = self.condensed_slabs();
+        let (ct, cb) = (cond(&top), cond(&bottom));
+        let terms = &ct.terms;
+        assert_eq!(coef.len(), terms.form_count(), "one coefficient per form");
+        let s = &mut self.scratch;
+        s.active.clear();
+        for (fi, (e, _)) in terms.forms().iter().enumerate() {
+            if coef[fi] != Complex64::ZERO && !s.active.contains(e) {
+                s.active.push(*e);
+            }
+        }
+        s.active.sort_unstable();
+        s.window.clear();
+        s.window.resize(s.active.len() * nw, Complex64::ZERO);
+        for (fi, (e, form)) in terms.forms().iter().enumerate() {
+            let c = coef[fi];
+            if c == Complex64::ZERO {
+                continue;
+            }
+            let p = s.active.iter().position(|a| a == e).expect("active");
+            let col = &mut s.window[p * nw..(p + 1) * nw];
+            for &(g, w) in &form.weights {
+                if split.window().contains(&g) {
+                    col[g - split.lo] += c * w;
+                }
+            }
+            for i in 0..nx {
+                col[i] -= c * ct.forms[fi * nx + i];
+                col[nw - nx + i] -= c * cb.forms[fi * nx + i];
+            }
+        }
+        s.rhs.clear();
+        s.rhs.extend_from_slice(&s.window);
+        let mut packed = std::mem::take(&mut s.window);
+        self.ldl.solve_many(&mut packed, self.scratch.active.len());
+        let ok = self.check(stencil, diag, split, &packed, resid);
+        lambdas.clear();
+        lambdas.resize(terms.excitations() * nw, Complex64::ZERO);
+        for (p, &e) in self.scratch.active.iter().enumerate() {
+            lambdas[e * nw..(e + 1) * nw].copy_from_slice(&packed[p * nw..(p + 1) * nw]);
+        }
+        self.scratch.window = packed;
+        ok
+    }
+
+    /// `true` when every column of the window solution block `x` of
+    /// `S·X = G` (`G` in the scratch) has normwise backward error
+    /// `‖G − S·x‖∞ / (‖S‖∞·‖x‖∞ + ‖g‖∞)` at most [`WINDOW_BACKWARD_TOL`],
+    /// `S·x` formed as the window rows of the operator with the slabs'
+    /// interface rows rebuilt: `A_WW·x` minus the interface blocks on the
+    /// boundary rows. `resid` is scratch.
+    fn check(
+        &self,
+        stencil: &StencilCache,
+        diag: &[Complex64],
+        split: Split,
+        x: &[Complex64],
+        resid: &mut Vec<Complex64>,
+    ) -> bool {
+        let (nx, nw) = (split.nx, split.window_len());
+        let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
+        resid.clear();
+        resid.resize(nw, Complex64::ZERO);
+        x.chunks_exact(nw)
+            .zip(self.scratch.rhs.chunks_exact(nw))
+            .all(|(xc, gc)| {
+                if !xc.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
+                    return false;
+                }
+                stencil.apply_block(diag, split.window(), xc, resid);
+                for (r, g) in resid.iter_mut().zip(gc) {
+                    *r = *g - *r;
+                }
+                let b0 = nw - nx;
+                for j in 0..nx {
+                    let (xt, xb) = (xc[j], xc[b0 + j]);
+                    for i in 0..nx {
+                        resid[i] += top.schur[j * nx + i] * xt;
+                        resid[b0 + i] += bottom.schur[j * nx + i] * xb;
+                    }
+                }
+                // A zero right-hand side solves to exactly zero (0 ≤ 0).
+                max_abs(resid) <= WINDOW_BACKWARD_TOL * (self.s_norm * max_abs(xc) + max_abs(gc))
+            })
     }
 }
 
@@ -677,8 +1311,7 @@ fn assemble_window(
 /// [`WindowFactor::solve`] on at most [`RHS_BLOCK`] columns.
 fn solve_chunk(
     window: &BandedLdl,
-    top: &Slab,
-    bottom: &Slab,
+    (top, bottom): (&BandedLu, &BandedLu),
     stencil: &StencilCache,
     split: Split,
     scratch: &mut SolveScratch,
@@ -716,8 +1349,8 @@ fn solve_chunk(
     }
     // Forward sweeps, saving each slab's state before its interface steps.
     for (lu, z, tail, j0, m, h) in [
-        (&top.lu, &mut s.top, &mut s.top_tail, ja, na, ha),
-        (&bottom.lu, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
+        (top, &mut s.top, &mut s.top_tail, ja, na, ha),
+        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
     ] {
         lu.forward_steps(0, 0..j0, z);
         for (t, zc) in tail.chunks_exact_mut(h).zip(z.chunks_exact(m)) {
@@ -735,8 +1368,8 @@ fn solve_chunk(
         ta.copy_from_slice(&s.top[c * na + na - nx..(c + 1) * na]);
         tb.copy_from_slice(&s.bottom[c * nb + nb - nx..(c + 1) * nb]);
     }
-    top.lu.back_substitute_trailing(ia, nx);
-    bottom.lu.back_substitute_trailing(ib, nx);
+    top.back_substitute_trailing(ia, nx);
+    bottom.back_substitute_trailing(ib, nx);
     for (c, wc) in s.window.chunks_exact_mut(nw).enumerate() {
         let (ta, tb) = (&ia[c * nx..(c + 1) * nx], &ib[c * nx..(c + 1) * nx]);
         for i in 0..nx {
@@ -763,8 +1396,8 @@ fn solve_chunk(
         }
     }
     for (lu, z, tail, j0, m, h) in [
-        (&top.lu, &mut s.top, &mut s.top_tail, ja, na, ha),
-        (&bottom.lu, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
+        (top, &mut s.top, &mut s.top_tail, ja, na, ha),
+        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
     ] {
         lu.forward_steps(j0, j0..m, tail);
         for (zc, t) in z.chunks_exact_mut(m).zip(tail.chunks_exact(h)) {

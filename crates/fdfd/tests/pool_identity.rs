@@ -7,15 +7,19 @@
 //! which lane executes them. These regression tests pin that contract
 //! through the public solve paths at 1 ↔ 2 ↔ 8 workers — the banded
 //! fused sweep, the recycled + lagged cross-epoch path, and the direct
-//! corner fan-out whose lanes share one lent slab cache.
+//! corner fan-out whose lanes share one lent slab cache, full-field and
+//! window-only.
 
 use boson_fdfd::grid::SimGrid;
+use boson_fdfd::monitor::LinearForm;
 use boson_fdfd::sim::{
-    FactorLag, FusedRecycle, SimWorkspace, SolverStrategy, FUSED_SPLIT_MIN_COLS,
+    FactorLag, FusedRecycle, SimWorkspace, SlabUse, SolverStrategy, FUSED_SPLIT_MIN_COLS,
 };
+use boson_fdfd::window::WindowTerms;
 use boson_num::krylov::RecycleSpace;
 use boson_num::pool::{self, DisjointSlots};
 use boson_num::{Array2, Complex64};
+use std::sync::Arc;
 
 const LAMBDA: f64 = 1.55;
 
@@ -220,8 +224,13 @@ fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<V
             ws
         })
         .collect();
-    let slabs = (lanes > 1)
-        .then(|| workspaces[0].take_window_slabs(grid, lanes, corners.iter().map(|e| (omega, e))));
+    let slabs = (lanes > 1).then(|| {
+        workspaces[0].take_window_slabs(
+            grid,
+            lanes,
+            corners.iter().map(|e| (SlabUse::Full(omega), e)),
+        )
+    });
     let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
     {
         let lane_ws = DisjointSlots::new(&mut workspaces);
@@ -272,5 +281,76 @@ fn direct_window_fan_out_bit_identical_across_1_2_8_lanes() {
         ws.solve_block(&mut x[..n], 1).unwrap();
         ws.solve_block(&mut x[n..], 1).unwrap();
         assert!(&x == want, "a serial workspace diverged from the fan-out");
+    }
+}
+
+/// [`direct_fan_out`] on the window-only path: every corner prepared for
+/// fixed right-hand sides and output forms (corner 0 also full-field, as
+/// the runner's nominal entry), slabs built on lane 0's workspace and
+/// lent to every lane. Returns each corner's window fields, readings and
+/// window adjoints.
+fn window_only_fan_out(
+    grid: SimGrid,
+    corners: &[Array2<f64>],
+    lanes: usize,
+) -> Vec<Vec<Complex64>> {
+    let n = grid.n();
+    let pool = pool::global();
+    let lanes = lanes.min(corners.len()).min(pool.lanes()).max(1);
+    let form = |iy: usize| LinearForm {
+        weights: (8..28)
+            .map(|ix| (grid.idx(ix, iy), Complex64::new(0.3, 0.2 * ix as f64)))
+            .collect(),
+    };
+    let forms = vec![(0, form(17)), (0, form(27)), (1, form(5))];
+    let terms = Arc::new(WindowTerms::new(&grid, omega_c(), rhs_block(n, 2), forms));
+    let mut workspaces: Vec<SimWorkspace> = (0..lanes)
+        .map(|_| {
+            let mut ws = SimWorkspace::new();
+            ws.set_window_rows(Some(WINDOW_ROWS));
+            ws
+        })
+        .collect();
+    let uses = corners.iter().enumerate().map(|(i, e)| {
+        let slab_use = SlabUse::Terms {
+            terms: &terms,
+            full: i == 0,
+        };
+        (slab_use, e)
+    });
+    let slabs = (lanes > 1).then(|| workspaces[0].take_window_slabs(grid, lanes, uses));
+    let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
+    {
+        let lane_ws = DisjointSlots::new(&mut workspaces);
+        let slots = DisjointSlots::new(&mut outs);
+        pool.run(corners.len(), lanes, &|lane, part| {
+            // SAFETY: as in `direct_fan_out`.
+            let (ws, out) = unsafe { (lane_ws.get(lane), slots.get(part)) };
+            ws.factor_terms(grid, &corners[part], &terms, part == 0, slabs.as_ref())
+                .unwrap();
+            let (mut fields, mut amps, mut lambdas) = (Vec::new(), Vec::new(), Vec::new());
+            ws.solve_terms(&mut fields, &mut amps).unwrap();
+            let coef: Vec<Complex64> = amps.iter().map(|a| a.conj()).collect();
+            ws.solve_terms_adjoint(&coef, &mut lambdas).unwrap();
+            assert_eq!(ws.last_report().window_fallbacks, 0);
+            *out = fields.into_iter().chain(amps).chain(lambdas).collect();
+        });
+    }
+    if let Some(slabs) = slabs {
+        workspaces[0].restore_window_slabs(slabs);
+    }
+    outs
+}
+
+#[test]
+fn window_only_fan_out_bit_identical_across_1_2_8_lanes() {
+    let grid = SimGrid::new(36, 34, 0.05, 6);
+    let corners = window_corners(&grid);
+    let reference = window_only_fan_out(grid, &corners, 1);
+    for lanes in [2usize, 8] {
+        assert!(
+            reference == window_only_fan_out(grid, &corners, lanes),
+            "{lanes}-lane window-only fan-out diverged bitwise"
+        );
     }
 }

@@ -10,15 +10,16 @@
 //! slab_factor`).
 
 use boson_fdfd::grid::{Axis, Sign, SimGrid};
-use boson_fdfd::monitor::ModalMonitor;
+use boson_fdfd::monitor::{LinearForm, ModalMonitor};
 use boson_fdfd::operator::{assemble_banded, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::port::Port;
-use boson_fdfd::sim::SimWorkspace;
+use boson_fdfd::sim::{SimWorkspace, SlabUse};
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::WINDOW_BACKWARD_TOL;
+use boson_fdfd::window::{WindowTerms, WINDOW_BACKWARD_TOL};
 use boson_num::banded::BandedLu;
 use boson_num::{Array2, Complex64};
+use std::sync::Arc;
 
 /// The paper devices' grid: 80×80 cells of 50 nm with a 10-cell PML.
 fn grid() -> SimGrid {
@@ -391,13 +392,14 @@ fn cache_history_never_changes_a_result() {
             x == fresh,
             "step {step} (λ={lambda}, T={t}) depends on cache history"
         );
-        // One lane's budget holds one top and one bottom slab.
+        // One lane's budget holds one factored slab pair and the build
+        // storage.
         let cache = ws.take_window_slabs(g, 1, []);
         assert!(
             cache.resident_bytes() <= cache.budget_bytes(),
             "step {step}: over budget"
         );
-        assert_eq!(cache.len(), 2, "step {step}");
+        assert!(cache.factored_len() <= 3, "step {step}");
         ws.restore_window_slabs(cache);
     }
     // A two-lane budget holds the top slab and all three bottom slabs of
@@ -408,8 +410,9 @@ fn cache_history_never_changes_a_result() {
         .map(|&t| eps(Device::Bend, t, 0.0))
         .collect();
     let mut ws = window_workspace();
-    let cache = ws.take_window_slabs(g, 2, corners.iter().map(|e| (om, e)));
+    let cache = ws.take_window_slabs(g, 2, corners.iter().map(|e| (SlabUse::Full(om), e)));
     assert_eq!(cache.len(), 4, "bend: one top and three bottom slabs");
+    assert_eq!(cache.factored_len(), 4);
     assert!(cache.resident_bytes() <= cache.budget_bytes());
     ws.restore_window_slabs(cache);
     for e in &corners {
@@ -552,4 +555,363 @@ fn window_adjoint_gradient_matches_finite_difference() {
             "adjoint {ad} vs FD {fd} at ({ix},{iy}); κ∞ ≈ {kappa:e}"
         );
     }
+}
+
+/// Fixed right-hand sides and output forms for window-only solves on
+/// `device`'s grid at `om`: two right-hand sides and four forms.
+/// Right-hand side 0 is the line current of [`rhs`] (for the isolator a
+/// 2.6 µm line across rows 14..66, through both slabs), right-hand side 1
+/// the dense block of [`rhs`], so both reach a slab on the isolator and
+/// the second does on every device. The forms read a line in the window,
+/// a three-plane monitor in the bottom slab (the bend's `trans` rows
+/// 62–64), a line in the top slab, and a sparse pseudo-random form over
+/// the whole grid.
+fn window_case(device: Device, g: &SimGrid, om: f64) -> (Vec<Complex64>, Vec<(usize, LinearForm)>) {
+    let n = g.n();
+    let mut b = rhs(g, om);
+    if let Device::Isolator = device {
+        let mut jz = vec![Complex64::ZERO; n];
+        for iy in 14..66 {
+            jz[g.idx(16, iy)] = Complex64::new(1.0, 0.0);
+        }
+        scale_source_into(g, &SFactors::new(g, om), om, &jz, &mut b[..n]);
+    }
+    let line = |iy: usize, xs: std::ops::Range<usize>, phase: f64| LinearForm {
+        weights: xs
+            .map(|ix| {
+                (
+                    g.idx(ix, iy),
+                    Complex64::new((phase * ix as f64).cos(), 0.3),
+                )
+            })
+            .collect(),
+    };
+    let mut trans = line(62, 36..44, 0.5);
+    for iy in [63, 64] {
+        trans.weights.extend(line(iy, 36..44, 0.7).weights);
+    }
+    let sparse = LinearForm {
+        weights: (0..n)
+            .step_by(7)
+            .map(|k| (k, Complex64::new((k as f64 * 0.011).sin(), 0.1)))
+            .collect(),
+    };
+    let forms = vec![
+        (0, line(40, 30..50, 0.2)),
+        (0, trans),
+        (1, line(20, 30..50, 0.4)),
+        (1, sparse),
+    ];
+    (b, forms)
+}
+
+/// Adjoint coefficients of [`window_case`]'s forms.
+const COEF: [Complex64; 4] = [
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.0, 0.5),
+    Complex64::new(-0.7, 0.2),
+    Complex64::new(0.3, -0.4),
+];
+
+/// Window-only solves of the bend, crossing and isolator windows agree
+/// with the plain banded LU at every axial temperature and two
+/// wavelengths — the window rows of the forward and adjoint solutions,
+/// and every form's reading — within a derived bound, and no solve leaves
+/// the window path.
+///
+/// Derivation. A window-only solve applies the factors the full window
+/// path applies — the slabs' pivoted LUs and `S`'s `L·D·Lᵀ` — in another
+/// order: each slab's solves of the right-hand sides and forms that reach
+/// it run once, at build, instead of per column. Its result is therefore
+/// the window rows of a solution whose relative residual obeys the bound
+/// `τ_w` of `window_solves_agree_with_the_banded_lu` (`ρ` the growth
+/// `direct_factor_growth` reports over the window factor and the slabs),
+/// and it differs from the plain solution by at most
+/// `10·κ∞·(τ_p + τ_w)` relative to `‖x‖∞`. A reading `w·x` then moves by
+/// at most `‖w‖₁` times that field error.
+#[test]
+fn window_only_solves_agree_with_the_banded_lu() {
+    let u = f64::EPSILON / 2.0;
+    let gamma = |k: usize| k as f64 * u / (1.0 - k as f64 * u);
+    for (device, g, rows) in [
+        (Device::Bend, grid(), WINDOW),
+        (Device::Crossing, grid(), WINDOW),
+        (Device::Isolator, isolator_grid(), ISOLATOR_WINDOW),
+    ] {
+        let n = g.n();
+        let w = 3 * g.nx + 1;
+        let window = rows.start * g.nx..rows.end * g.nx;
+        let nw = window.len();
+        let mut ws = SimWorkspace::new();
+        ws.set_window_rows(Some(rows));
+        for lambda in [1.55, 1.50] {
+            let om = omega(lambda);
+            let sf = SFactors::new(&g, om);
+            let stencil = StencilCache::build(&g, &sf, om);
+            let (b, forms) = window_case(device, &g, om);
+            let terms = Arc::new(WindowTerms::new(&g, om, b.clone(), forms.clone()));
+            for t in [T_NOMINAL, T_LO, T_HI] {
+                let e = eps(device, t, 0.0);
+                let tag = format!("{device:?} λ={lambda} T={t}");
+                let mut diag = Vec::new();
+                stencil.diag_into(&e, &mut diag);
+                let a_inf = stencil.norm_inf(&diag);
+                let a_max = stencil.max_abs_entry(&diag);
+                let plain = assemble_banded(&g, &sf, &e, om)
+                    .factor()
+                    .expect("plain factor");
+                let mut xp = b.clone();
+                plain.solve_many(&mut xp, 2);
+                let mut lp = vec![Complex64::ZERO; 2 * n];
+                for ((ex, form), c) in forms.iter().zip(COEF) {
+                    form.accumulate(c, &mut lp[ex * n..(ex + 1) * n]);
+                }
+                plain.solve_many(&mut lp, 2);
+
+                ws.factor_terms(g, &e, &terms, false, None)
+                    .expect("window factor");
+                let (mut fields, mut amps, mut lambdas) = (Vec::new(), Vec::new(), Vec::new());
+                ws.solve_terms(&mut fields, &mut amps).expect("solve");
+                ws.solve_terms_adjoint(&COEF, &mut lambdas)
+                    .expect("adjoint");
+                assert_eq!(
+                    ws.last_report().window_fallbacks,
+                    0,
+                    "{tag}: left the window path"
+                );
+                assert_eq!(ws.window_unknowns(), window);
+                let rho_w = ws.direct_factor_growth().expect("direct factor");
+                let rho_p = plain.max_abs_upper() / a_max;
+                let kappa = a_inf * inverse_norm_estimate(&plain);
+                let bound =
+                    |rho: f64| gamma(3 * w) * (g.nx + 1) as f64 * w as f64 * rho * a_max / a_inf;
+                let rel = 10.0 * kappa * (bound(rho_p) + bound(rho_w));
+                for (what, got, want) in [("field", &fields, &xp), ("adjoint", &lambdas, &lp)] {
+                    for c in 0..2 {
+                        let full = &want[c * n..(c + 1) * n];
+                        let diff: Vec<Complex64> = got[c * nw..(c + 1) * nw]
+                            .iter()
+                            .zip(&full[window.clone()])
+                            .map(|(p, q)| *p - *q)
+                            .collect();
+                        let limit = rel * inf_norm(full);
+                        assert!(
+                            inf_norm(&diff) <= limit,
+                            "{tag} {what} {c}: window rows differ by {:e} > {limit:e}",
+                            inf_norm(&diff)
+                        );
+                    }
+                }
+                for (f, (ex, form)) in forms.iter().enumerate() {
+                    let x = &xp[ex * n..(ex + 1) * n];
+                    let want = form.eval(x);
+                    let limit = form_norm(form) * rel * inf_norm(x);
+                    assert!(
+                        (amps[f] - want).abs() <= limit,
+                        "{tag} form {f}: reading {:?} vs {want:?} (limit {limit:e})",
+                        amps[f]
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `Σ|w_k|` of a form.
+fn form_norm(form: &LinearForm) -> f64 {
+    form.weights.iter().map(|(_, w)| w.abs()).sum()
+}
+
+/// `dF/dε` of a window-only solve (forward and adjoint on the window
+/// rows, the `trans`-like output form in the bottom slab read through its
+/// condensed image) vs central finite differences of plain banded solves,
+/// for `F = |w·E|²` on a bend corner at T_lo, at window cells. The
+/// window-only gradient is zero outside the window's rows. Tolerance as
+/// in `window_adjoint_gradient_matches_finite_difference`.
+#[test]
+fn window_only_gradient_matches_finite_difference() {
+    let g = grid();
+    let n = g.n();
+    let om = omega(1.55);
+    let eps_nominal = eps(Device::Bend, T_NOMINAL, 0.0);
+    let e = eps(Device::Bend, T_LO, 0.0);
+    let port_in = Port::new("in", Axis::X, 16, 26, 54);
+    let port_out = Port::new("out", Axis::Y, 63, 26, 54);
+    let mode_in = port_in.solve_modes(&g, &eps_nominal, om, 1).remove(0);
+    let mode_out = port_out.solve_modes(&g, &eps_nominal, om, 1).remove(0);
+    let jz = ModalSource::new(port_in, mode_in, Sign::Plus).current(&g);
+    let mon = ModalMonitor::new(&g, &port_out, &mode_out, Sign::Plus);
+    let sf = SFactors::new(&g, om);
+    let mut b = vec![Complex64::ZERO; n];
+    scale_source_into(&g, &sf, om, &jz, &mut b);
+    let objective = |eps_map: &Array2<f64>| {
+        let lu = assemble_banded(&g, &sf, eps_map, om)
+            .factor()
+            .expect("plain factor");
+        let mut field = b.clone();
+        lu.solve(&mut field);
+        mon.power(&field)
+    };
+    let cells = [(40usize, 40usize), (30, 50), (45, 27), (35, 53)];
+    let h = 1e-5;
+    let fd: Vec<f64> = cells
+        .iter()
+        .map(|&(ix, iy)| {
+            let mut ep = e.clone();
+            ep[(iy, ix)] += h;
+            let fp = objective(&ep);
+            ep[(iy, ix)] -= 2.0 * h;
+            (fp - objective(&ep)) / (2.0 * h)
+        })
+        .collect();
+    let fd_scale = fd.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+
+    let terms = Arc::new(WindowTerms::new(
+        &g,
+        om,
+        b.clone(),
+        vec![(0, mon.form().clone())],
+    ));
+    let mut ws = window_workspace();
+    ws.factor_terms(g, &e, &terms, false, None).unwrap();
+    let (mut field, mut amps, mut lam) = (Vec::new(), Vec::new(), Vec::new());
+    ws.solve_terms(&mut field, &mut amps).unwrap();
+    // The Wirtinger gradient of |A|² is conj(A)·w.
+    ws.solve_terms_adjoint(&[amps[0].conj()], &mut lam).unwrap();
+    assert_eq!(ws.last_report().window_fallbacks, 0, "left the window path");
+    let mut grad = Array2::zeros(g.ny, g.nx);
+    ws.grad_eps_accumulate_window(&field, &lam, &mut grad);
+    for iy in (0..g.ny).filter(|iy| !WINDOW.contains(iy)) {
+        assert!(
+            (0..g.nx).all(|ix| grad[(iy, ix)] == 0.0),
+            "row {iy} outside the window"
+        );
+    }
+
+    let plain = assemble_banded(&g, &sf, &e, om).factor().unwrap();
+    let mut diag = Vec::new();
+    let stencil = StencilCache::build(&g, &sf, om);
+    stencil.diag_into(&e, &mut diag);
+    let kappa = 10.0 * stencil.norm_inf(&diag) * inverse_norm_estimate(&plain);
+    let window_rel = 2.0 * kappa * WINDOW_BACKWARD_TOL;
+    for (&(ix, iy), &fd) in cells.iter().zip(&fd) {
+        let ad = grad[(iy, ix)];
+        assert!(
+            (fd - ad).abs() < 2e-3 * fd.abs() + (1e-6 + window_rel) * fd_scale,
+            "adjoint {ad} vs FD {fd} at ({ix},{iy}); κ∞ ≈ {kappa:e}"
+        );
+    }
+}
+
+/// Window-only, full-field and full-field-with-terms corners, mixed over
+/// temperatures and wavelengths on one workspace — entries with and
+/// without LUs for one key, hits, misses, evictions and build-storage
+/// reuse — give every result bit-identically to a fresh workspace, and
+/// the cache stays within its byte budget.
+#[test]
+fn cache_history_never_changes_a_condensed_result() {
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        Window,
+        Full,
+        FullWithTerms,
+    }
+    let g = grid();
+    let terms: Vec<(f64, Arc<WindowTerms>)> = [1.55, 1.50]
+        .iter()
+        .map(|&lambda| {
+            let om = omega(lambda);
+            let (b, forms) = window_case(Device::Isolator, &g, om);
+            (lambda, Arc::new(WindowTerms::new(&g, om, b, forms)))
+        })
+        .collect();
+    let run = |ws: &mut SimWorkspace, lambda: f64, e: &Array2<f64>, kind: Kind| {
+        let (_, t) = terms.iter().find(|(l, _)| *l == lambda).expect("terms");
+        let mut out = Vec::new();
+        match kind {
+            Kind::Window => {
+                ws.factor_terms(g, e, t, false, None).unwrap();
+                let (mut f, mut a, mut l) = (Vec::new(), Vec::new(), Vec::new());
+                ws.solve_terms(&mut f, &mut a).unwrap();
+                ws.solve_terms_adjoint(&COEF, &mut l).unwrap();
+                out.extend(f.into_iter().chain(a).chain(l));
+            }
+            Kind::Full => out = solve_on(ws, t.omega(), e, &rhs(&g, t.omega())),
+            Kind::FullWithTerms => {
+                ws.factor_terms(g, e, t, true, None).unwrap();
+                let (mut f, mut a) = (Vec::new(), Vec::new());
+                ws.solve_terms(&mut f, &mut a).unwrap();
+                let mut x = rhs(&g, t.omega());
+                ws.solve_block(&mut x, 2).unwrap();
+                out.extend(f.into_iter().chain(a).chain(x));
+            }
+        }
+        assert_eq!(ws.last_report().window_fallbacks, 0);
+        out
+    };
+    let sequence = [
+        (1.55, T_NOMINAL, Kind::Window),
+        (1.55, T_NOMINAL, Kind::FullWithTerms),
+        (1.55, T_LO, Kind::Window),
+        (1.55, T_NOMINAL, Kind::Window),
+        (1.50, T_HI, Kind::Full),
+        (1.50, T_HI, Kind::Window),
+        (1.55, T_HI, Kind::FullWithTerms),
+        (1.50, T_LO, Kind::Window),
+        (1.55, T_LO, Kind::Full),
+        (1.55, T_LO, Kind::Window),
+    ];
+    let mut ws = window_workspace();
+    for (step, &(lambda, t, kind)) in sequence.iter().enumerate() {
+        let e = eps(Device::Crossing, t, 0.1 * step as f64);
+        let got = run(&mut ws, lambda, &e, kind);
+        let fresh = run(&mut window_workspace(), lambda, &e, kind);
+        assert!(
+            got == fresh,
+            "step {step} (λ={lambda}, T={t}, {kind:?}) depends on cache history"
+        );
+        let cache = ws.take_window_slabs(g, 1, []);
+        assert!(
+            cache.resident_bytes() <= cache.budget_bytes(),
+            "step {step}: over budget"
+        );
+        ws.restore_window_slabs(cache);
+    }
+}
+
+/// A window-only solve that fails its check on the window rows — a NaN
+/// permittivity in the design window — is re-solved on the plain banded
+/// LU, counted in the report, and reads exactly what the plain path
+/// reads; the next finite corner takes the window path again.
+#[test]
+fn failed_window_only_check_falls_back_to_the_plain_lu() {
+    let g = grid();
+    let n = g.n();
+    let om = omega(1.55);
+    let (b, forms) = window_case(Device::Bend, &g, om);
+    let terms = Arc::new(WindowTerms::new(&g, om, b.clone(), forms.clone()));
+    let mut e = eps(Device::Bend, T_NOMINAL, 0.0);
+    e[(40, 40)] = f64::NAN;
+    let mut ws = window_workspace();
+    ws.factor_terms(g, &e, &terms, false, None).unwrap();
+    let (mut fields, mut amps) = (Vec::new(), Vec::new());
+    ws.solve_terms(&mut fields, &mut amps).unwrap();
+    let report = ws.last_report();
+    assert_eq!(report.window_fallbacks, 1, "{report:?}");
+    assert_eq!(report.factorizations, 2, "{report:?}");
+    let plain = solve_on(&mut SimWorkspace::new(), om, &e, &b);
+    let want: Vec<Complex64> = forms
+        .iter()
+        .map(|(ex, form)| form.eval(&plain[ex * n..(ex + 1) * n]))
+        .collect();
+    let bits = |v: &[Complex64]| {
+        v.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert!(bits(&amps) == bits(&want), "the fallback reads differently");
+    let finite = eps(Device::Bend, T_NOMINAL, 0.0);
+    ws.factor_terms(g, &finite, &terms, false, None).unwrap();
+    ws.solve_terms(&mut fields, &mut amps).unwrap();
+    assert_eq!(ws.last_report().window_fallbacks, 0);
 }

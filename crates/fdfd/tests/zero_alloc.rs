@@ -10,11 +10,15 @@
 //! libtest runs with.
 
 use boson_fdfd::grid::SimGrid;
+use boson_fdfd::monitor::LinearForm;
 use boson_fdfd::operator::scale_source_into;
-use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
+use boson_fdfd::pml::SFactors;
+use boson_fdfd::sim::{CornerContext, SimWorkspace, SlabUse, SolverStrategy};
+use boson_fdfd::window::WindowTerms;
 use boson_num::{Array2, Complex64};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
@@ -185,7 +189,8 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     lane.set_window_rows(Some(rows.clone()));
     let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
         // A two-lane fan-out: the owner builds and lends, the lane borrows.
-        let slabs = owner.take_window_slabs(grid, 2, corners.iter().map(|e| (omega, e)));
+        let slabs =
+            owner.take_window_slabs(grid, 2, corners.iter().map(|e| (SlabUse::Full(omega), e)));
         for eps in corners {
             lane.factor_lent(grid, omega, eps, &slabs).unwrap();
             solves(lane);
@@ -229,6 +234,126 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
         slabs.len(),
         4,
         "one top and three bottom slabs stay resident"
+    );
+    owner.restore_window_slabs(slabs);
+}
+
+/// The window-only direct path on a warm slab cache: the sweep of
+/// `steady_state_window_direct_sweep_performs_no_heap_allocations`, each
+/// corner prepared for fixed right-hand sides and output forms (one of
+/// them reaching the bottom slab) and solved only on the window's rows —
+/// forward readings, adjoint, window gradient — with the nominal corner
+/// also full-field, touches the heap not at all.
+#[test]
+fn steady_state_window_only_sweep_performs_no_heap_allocations() {
+    let _serial = serial();
+    let grid = SimGrid::new(48, 40, 0.05, 8);
+    let omega = 2.0 * std::f64::consts::PI / 1.55;
+    let rows = 14..26;
+    let eps_at = |t: f64, design: f64| {
+        let n_si = 3.48 + 1.8e-4 * (t - 300.0);
+        let si = n_si * n_si;
+        Array2::from_fn(grid.ny, grid.nx, |iy, ix| {
+            let guide = ((18..22).contains(&iy) && ix < 16) || ((20..28).contains(&ix) && iy >= 26);
+            if rows.contains(&iy) && (16..32).contains(&ix) {
+                1.0 + (si - 1.0) * (0.5 + 0.5 * (0.3 * (ix + iy) as f64 + design).sin())
+            } else if guide {
+                si
+            } else {
+                1.0
+            }
+        })
+    };
+    let temperatures = [300.0, 250.0, 350.0];
+    let mut corners: Vec<Array2<f64>> = temperatures.iter().map(|&t| eps_at(t, 0.0)).collect();
+    let mut jz = vec![Complex64::ZERO; grid.n()];
+    jz[grid.idx(12, 20)] = Complex64::ONE;
+    let mut b = vec![Complex64::ZERO; grid.n()];
+    scale_source_into(&grid, &SFactors::new(&grid, omega), omega, &jz, &mut b);
+    let form = |iy: usize| LinearForm {
+        weights: (20..28)
+            .map(|ix| (grid.idx(ix, iy), Complex64::new(0.5, 0.1)))
+            .collect(),
+    };
+    let terms = Arc::new(WindowTerms::new(
+        &grid,
+        omega,
+        b,
+        vec![(0, form(20)), (0, form(32))],
+    ));
+    let (mut fields, mut amps, mut lambdas) = (Vec::new(), Vec::new(), Vec::new());
+    let mut coef = vec![Complex64::ZERO; 2];
+    let mut grad = Array2::zeros(grid.ny, grid.nx);
+    let mut solves = |ws: &mut SimWorkspace| {
+        ws.solve_terms(&mut fields, &mut amps).unwrap();
+        for (c, a) in coef.iter_mut().zip(&amps) {
+            *c = a.conj();
+        }
+        ws.solve_terms_adjoint(&coef, &mut lambdas).unwrap();
+        ws.grad_eps_accumulate_window(&fields, &lambdas, &mut grad);
+        assert_eq!(ws.last_report().window_fallbacks, 0);
+    };
+
+    let mut owner = SimWorkspace::new();
+    owner.set_window_rows(Some(rows.clone()));
+    let mut lane = SimWorkspace::new();
+    lane.set_window_rows(Some(rows.clone()));
+    let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
+        // A two-lane fan-out: corner 0 (the nominal) is also full-field.
+        let uses = corners.iter().enumerate().map(|(i, e)| {
+            let slab_use = SlabUse::Terms {
+                terms: &terms,
+                full: i == 0,
+            };
+            (slab_use, e)
+        });
+        let slabs = owner.take_window_slabs(grid, 2, uses);
+        for (i, eps) in corners.iter().enumerate() {
+            lane.factor_terms(grid, eps, &terms, i == 0, Some(&slabs))
+                .unwrap();
+            solves(lane);
+        }
+        owner.restore_window_slabs(slabs);
+        for (i, eps) in corners.iter().enumerate() {
+            owner.factor_terms(grid, eps, &terms, i == 0, None).unwrap();
+            solves(owner);
+        }
+    };
+
+    for round in 0..2 {
+        for eps in &mut corners {
+            eps[(20, 16 + round)] += 0.5;
+        }
+        sweep(&mut owner, &mut lane, &corners);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for round in 0..3 {
+        for eps in &mut corners {
+            eps[(24, 20 + round)] += 0.25;
+        }
+        sweep(&mut owner, &mut lane, &corners);
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state window-only sweep performed {} heap allocations",
+        after - before
+    );
+    assert!(amps.iter().any(|v| v.abs() > 0.0));
+    assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
+    let slabs = owner.take_window_slabs(grid, 1, []);
+    assert_eq!(
+        slabs.len(),
+        4,
+        "one top and three bottom slabs stay resident"
+    );
+    assert_eq!(
+        slabs.factored_len(),
+        2,
+        "only the nominal pair keeps its LUs"
     );
     owner.restore_window_slabs(slabs);
 }
