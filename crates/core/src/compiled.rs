@@ -5,9 +5,13 @@
 //! Compilation solves the port eigenmode problems once (mode shapes live
 //! on the access waveguides, outside the design region, so they do not
 //! change during optimisation) and calibrates the launched power of every
-//! excitation with a straight-waveguide reference run. Evaluation then
-//! costs one factorisation plus `2·(number of excitations)` triangular
-//! solves when gradients are requested.
+//! excitation with a straight-waveguide reference run, and binds each
+//! wavelength's scaled sources and monitor forms into the
+//! [`WindowTerms`] a direct corner condenses into the slab cache.
+//! Evaluation then costs one factorisation of the design window's rows
+//! plus `2·(number of excitations)` solves when gradients are requested;
+//! a direct evaluation solves only the window's rows unless the whole
+//! field is read (see [`Evaluation::grad_eps`]).
 //!
 //! # Spectral axis
 //!
@@ -33,13 +37,14 @@ use boson_fdfd::sim::{
     SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::SlabCache;
+use boson_fdfd::window::{SlabCache, WindowTerms};
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
 use boson_num::pool;
 use boson_num::{Array2, Complex64};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A monitor bound to concrete grid weights.
 #[derive(Debug, Clone)]
@@ -57,7 +62,14 @@ pub struct Evaluation {
     pub objective: f64,
     /// Reported figure of merit.
     pub fom: f64,
-    /// `∂objective/∂ε` over the full grid (present when requested).
+    /// `∂objective/∂ε` on the grid (present when requested). Exact on
+    /// every cell for the evaluations that solve the whole grid — the
+    /// fabrication-nominal entry at the centre wavelength of
+    /// [`CompiledProblem::evaluate_corner_product`], and the iterative
+    /// strategies' nominal and batched columns. Every other direct
+    /// evaluation solves only the design window's grid rows (see
+    /// [`boson_fdfd::window`]): its gradient is exact on those rows and
+    /// zero outside them, which covers the design region.
     pub grad_eps: Option<Array2<f64>>,
     /// What the corner solver did: factorisations, solves, iteration
     /// counts, residuals, whether the adaptive direct fallback fired.
@@ -236,6 +248,11 @@ pub struct EvalScratch {
     fields: Vec<Complex64>,
     /// Column-major adjoint source/solution block, `n × n_excitations`.
     adj: Vec<Complex64>,
+    /// Modal amplitude of every monitor form, in the order of the
+    /// calibration's [`WindowTerms`].
+    amps: Vec<Complex64>,
+    /// Adjoint coefficient of every monitor form (same order).
+    coef: Vec<Complex64>,
     /// Which adjoint columns carry a non-zero source.
     adj_active: Vec<bool>,
     /// Excitation indices of the active columns, in packed order.
@@ -352,6 +369,9 @@ struct OmegaCal {
     monitors: Vec<Vec<(String, BoundMonitor)>>,
     /// Launched power per excitation (straight-waveguide calibration).
     norm_power: Vec<f64>,
+    /// The scaled sources and the modal monitors' forms, for window-only
+    /// direct solves.
+    terms: Arc<WindowTerms>,
 }
 
 /// A benchmark compiled against its background geometry, at one or more
@@ -482,11 +502,27 @@ fn calibrate_omega(
         norm_power.push(p0);
     }
 
+    let mut rhs = vec![Complex64::ZERO; grid.n() * sources.len()];
+    let mut jz = Vec::new();
+    let sfactors = SFactors::new(&grid, omega);
+    rhs_into(&grid, &sfactors, omega, &sources, &mut jz, &mut rhs);
+    let forms = monitors
+        .iter()
+        .enumerate()
+        .flat_map(|(ei, mons)| {
+            mons.iter().filter_map(move |(_, mon)| match mon {
+                BoundMonitor::Modal(m) => Some((ei, m.form().clone())),
+                BoundMonitor::Residual(_) => None,
+            })
+        })
+        .collect();
+    let terms = Arc::new(WindowTerms::new(&grid, omega, rhs, forms));
     Ok(OmegaCal {
         omega,
         sources,
         monitors,
         norm_power,
+        terms,
     })
 }
 
@@ -661,7 +697,7 @@ impl CompiledProblem {
         scratch: &mut EvalScratch,
         omega_idx: usize,
     ) -> Result<Evaluation, SingularMatrixError> {
-        self.evaluate_eps_impl(eps, with_grad, spec, scratch, None, omega_idx, None)
+        self.evaluate_eps_impl(eps, with_grad, spec, scratch, None, omega_idx, None, false)
     }
 
     /// [`CompiledProblem::evaluate_eps_scratch`] with explicit per-corner
@@ -689,7 +725,9 @@ impl CompiledProblem {
         corner: Option<&CornerSolve<'_>>,
     ) -> Result<Evaluation, SingularMatrixError> {
         let omega_idx = corner.map_or(self.nominal_omega_idx, |cs| cs.omega_idx);
-        self.evaluate_eps_impl(eps, with_grad, spec, scratch, corner, omega_idx, None)
+        self.evaluate_eps_impl(
+            eps, with_grad, spec, scratch, corner, omega_idx, None, false,
+        )
     }
 
     /// The design window's grid rows: every direct factor condenses the
@@ -702,7 +740,10 @@ impl CompiledProblem {
     /// Shared body of every single-ε evaluation entry point, at the
     /// `omega_idx`-th compiled wavelength. `lent` carries a direct
     /// fan-out's shared slab cache (see
-    /// [`CompiledProblem::evaluate_direct_columns`]).
+    /// [`CompiledProblem::evaluate_direct_columns`]). A direct corner
+    /// solves only the design window's rows unless `full` (see
+    /// [`Evaluation::grad_eps`]); the iterative strategies' corners solve
+    /// the whole grid.
     #[allow(clippy::needless_range_loop)] // excitation index addresses four parallel blocks
     #[allow(clippy::too_many_arguments)] // the entry points' arguments, passed through
     fn evaluate_eps_impl(
@@ -714,20 +755,28 @@ impl CompiledProblem {
         corner: Option<&CornerSolve<'_>>,
         omega_idx: usize,
         lent: Option<&SlabCache>,
+        full: bool,
     ) -> Result<Evaluation, SingularMatrixError> {
         let grid = self.problem.grid;
         let n = grid.n();
         let cal = &self.cals[omega_idx];
         let nexc = cal.sources.len();
         scratch.sim.set_window_rows(Some(self.window_rows()));
+        let direct =
+            lent.is_some() || corner.is_none_or(|cs| cs.strategy.iterative_params().is_none());
+        if direct && !full {
+            return self.evaluate_window_only(eps, with_grad, spec, scratch, omega_idx, lent);
+        }
         match (corner, lent) {
             // Lent slabs come only with the direct fan-out's columns.
-            (_, Some(slabs)) => scratch.sim.factor_lent(grid, cal.omega, eps, slabs)?,
-            (None, None) => {
+            (_, Some(slabs)) => {
                 scratch
                     .sim
-                    .prepare_corner(grid, cal.omega, eps, SolverStrategy::Direct, None)?
+                    .factor_terms(grid, eps, &cal.terms, true, Some(slabs))?
             }
+            (None, None) => scratch
+                .sim
+                .factor_terms(grid, eps, &cal.terms, true, None)?,
             (Some(cs), None) => {
                 let ctx = CornerContext {
                     nominal_eps: cs.nominal_eps,
@@ -749,7 +798,8 @@ impl CompiledProblem {
         forward_rhs_into(cal, &grid, scratch.sim.sfactors(), jz, fields);
         scratch.sim.solve_block(&mut scratch.fields, nexc)?;
 
-        let readings = readings_from_fields(cal, n, &scratch.fields);
+        modal_amps_into(cal, n, &scratch.fields, &mut scratch.amps);
+        let readings = readings_from_amps(cal, &scratch.amps);
         let objective = spec.objective(&readings);
         let fom = spec.fom(&readings);
 
@@ -758,11 +808,11 @@ impl CompiledProblem {
             // Adjoint sources per excitation, then one batched solve.
             scratch.adj.clear();
             scratch.adj.resize(n * nexc, Complex64::ZERO);
+            adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
             adjoint_sources_into(
                 cal,
                 n,
-                &dr,
-                &scratch.fields,
+                &scratch.coef,
                 &mut scratch.adj,
                 &mut scratch.adj_active,
             );
@@ -829,6 +879,65 @@ impl CompiledProblem {
         })
     }
 
+    /// The window-only direct evaluation behind
+    /// [`CompiledProblem::evaluate_eps_impl`]: factors the design window
+    /// over slabs condensed for this wavelength's sources and monitors,
+    /// reads the monitors from the window solution, and solves the
+    /// adjoint on the window's rows only — no slab sweep. The gradient is
+    /// exact on the window's rows and zero outside them.
+    fn evaluate_window_only(
+        &self,
+        eps: &Array2<f64>,
+        with_grad: bool,
+        spec: &crate::objective::ObjectiveSpec,
+        scratch: &mut EvalScratch,
+        omega_idx: usize,
+        lent: Option<&SlabCache>,
+    ) -> Result<Evaluation, SingularMatrixError> {
+        let grid = self.problem.grid;
+        let cal = &self.cals[omega_idx];
+        let sim = &mut scratch.sim;
+        sim.factor_terms(grid, eps, &cal.terms, false, lent)?;
+        sim.solve_terms(&mut scratch.fields, &mut scratch.amps)?;
+        let readings = readings_from_amps(cal, &scratch.amps);
+        let objective = spec.objective(&readings);
+        let fom = spec.fom(&readings);
+        let grad_eps = if with_grad {
+            let dr = self.reading_grads(spec, omega_idx, &readings);
+            adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
+            let mut total = Array2::zeros(grid.ny, grid.nx);
+            if scratch.coef.iter().any(|c| *c != Complex64::ZERO) {
+                sim.solve_terms_adjoint(&scratch.coef, &mut scratch.adj)?;
+                let nw = sim.window_unknowns().len();
+                let forms = cal.terms.form_excitations();
+                for (ei, (ez, lambda)) in scratch
+                    .fields
+                    .chunks_exact(nw)
+                    .zip(scratch.adj.chunks_exact(nw))
+                    .enumerate()
+                {
+                    let active = forms
+                        .clone()
+                        .zip(&scratch.coef)
+                        .any(|(fe, c)| fe == ei && *c != Complex64::ZERO);
+                    if active {
+                        sim.grad_eps_accumulate_window(ez, lambda, &mut total);
+                    }
+                }
+            }
+            Some(total)
+        } else {
+            None
+        };
+        Ok(Evaluation {
+            readings,
+            objective,
+            fom,
+            grad_eps,
+            solve: sim.last_report().clone(),
+        })
+    }
+
     /// Evaluates the whole (fabrication corner × ω) cross product — the
     /// one multi-column evaluator behind every [`SolverStrategy`].
     ///
@@ -842,6 +951,15 @@ impl CompiledProblem {
     /// need are built on `scratch` first and its slab cache is lent to
     /// every lane. Columns are independent and cached slabs equal fresh
     /// ones bit for bit, so any lane count is bit-identical.
+    ///
+    /// One direct column solves the whole grid: the fabrication-nominal
+    /// entry at the centre wavelength (`is_nominal[ci] && omega_idx[ci] ==`
+    /// [`CompiledProblem::nominal_omega_idx`]), whose `∂F/∂ε` the runner
+    /// sums over every cell into the temperature gradient of its
+    /// worst-case search; only its slabs keep their LUs. Every other
+    /// direct column is window-only: its sources and monitors come
+    /// condensed from the slab cache, so it solves only the window's rows
+    /// and its gradient is zero outside them (see [`Evaluation::grad_eps`]).
     ///
     /// Under the iterative strategies each ω's nominal corner is
     /// evaluated first on `scratch` (refreshing that ω's factor and
@@ -1111,7 +1229,9 @@ impl CompiledProblem {
                     let fields = &scratch.batch_x[slot * bl..(slot + 1) * bl];
                     let dr = self.reading_grads(spec, set.omega_idx[*ci], readings);
                     let adj = &mut scratch.batch_adj[slot * bl..(slot + 1) * bl];
-                    adjoint_sources_into(cal, n, &dr, fields, adj, &mut scratch.adj_active);
+                    modal_amps_into(cal, n, fields, &mut scratch.amps);
+                    adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
+                    adjoint_sources_into(cal, n, &scratch.coef, adj, &mut scratch.adj_active);
                 }
                 scratch.batch_adj_x.clear();
                 scratch.batch_adj_x.resize(bcols, Complex64::ZERO);
@@ -1279,11 +1399,20 @@ impl CompiledProblem {
         let lanes = lanes.min(cols.len()).min(pool.lanes()).max(1);
         // Several lanes: build every slab the columns need on the
         // caller's workspace first and lend that one cache to all lanes.
+        // The fabrication-nominal entry at the centre wavelength solves the
+        // whole grid: the runner's temperature gradient sums its `∂F/∂ε`
+        // over every cell. Every other direct column is window-only.
+        let full = |ci: usize| set.is_nominal[ci] && set.omega_idx[ci] == self.nominal_omega_idx;
         let slabs = (lanes > 1).then(|| {
             scratch.sim.set_window_rows(Some(self.window_rows()));
-            let corners = cols
-                .iter()
-                .map(|&(ci, _)| (SlabUse::Full(self.cals[set.omega_idx[ci]].omega), &epss[ci]));
+            let corners = cols.iter().map(|&(ci, _)| {
+                let terms = &self.cals[set.omega_idx[ci]].terms;
+                let slab_use = SlabUse::Terms {
+                    terms,
+                    full: full(ci),
+                };
+                (slab_use, &epss[ci])
+            });
             scratch
                 .sim
                 .take_window_slabs(self.problem.grid, lanes, corners)
@@ -1305,6 +1434,7 @@ impl CompiledProblem {
                 None,
                 set.omega_idx[ci],
                 slabs.as_ref(),
+                full(ci),
             )?;
             if let Some(attempt) = attempt {
                 ev.solve.used_iterative = true;
@@ -1404,73 +1534,109 @@ fn forward_rhs_into(
     jz: &mut Vec<Complex64>,
     out: &mut [Complex64],
 ) {
+    rhs_into(grid, sfactors, cal.omega, &cal.sources, jz, out);
+}
+
+/// [`forward_rhs_into`] for the sources `sources` at `omega`.
+fn rhs_into(
+    grid: &boson_fdfd::grid::SimGrid,
+    sfactors: &SFactors,
+    omega: f64,
+    sources: &[ModalSource],
+    jz: &mut Vec<Complex64>,
+    out: &mut [Complex64],
+) {
     let n = grid.n();
     jz.clear();
     jz.resize(n, Complex64::ZERO);
-    for (ei, src) in cal.sources.iter().enumerate() {
+    for (ei, src) in sources.iter().enumerate() {
         src.current_into(grid, jz);
-        scale_source_into(
-            grid,
-            sfactors,
-            cal.omega,
-            jz,
-            &mut out[ei * n..(ei + 1) * n],
-        );
+        scale_source_into(grid, sfactors, omega, jz, &mut out[ei * n..(ei + 1) * n]);
     }
+}
+
+/// The modal monitors of one wavelength's calibration, in the order of
+/// its [`WindowTerms`]' forms: `(excitation, name, monitor)`.
+fn modal_monitors(cal: &OmegaCal) -> impl Iterator<Item = (usize, &String, &ModalMonitor)> {
+    cal.monitors.iter().enumerate().flat_map(|(ei, mons)| {
+        mons.iter().filter_map(move |(name, mon)| match mon {
+            BoundMonitor::Modal(m) => Some((ei, name, m)),
+            BoundMonitor::Residual(_) => None,
+        })
+    })
+}
+
+/// The complex amplitude of every modal monitor (in [`modal_monitors`]
+/// order) from a solved field block (`n × n_excitations`).
+fn modal_amps_into(cal: &OmegaCal, n: usize, fields: &[Complex64], amps: &mut Vec<Complex64>) {
+    amps.clear();
+    amps.extend(modal_monitors(cal).map(|(ei, _, m)| m.amplitude(&fields[ei * n..(ei + 1) * n])));
 }
 
 /// Normalised monitor readings from a solved field block
 /// (`n × n_excitations`, column per excitation) against one wavelength's
 /// calibration.
 fn readings_from_fields(cal: &OmegaCal, n: usize, fields: &[Complex64]) -> Readings {
-    let nexc = cal.sources.len();
-    let mut readings: Readings = Vec::with_capacity(nexc);
-    for ei in 0..nexc {
-        let ez = &fields[ei * n..(ei + 1) * n];
-        let mut map = HashMap::new();
-        // Modal monitors first, residuals second.
-        for (name, mon) in &cal.monitors[ei] {
-            if let BoundMonitor::Modal(m) = mon {
-                map.insert(name.clone(), m.power(ez) / cal.norm_power[ei]);
-            }
-        }
-        for (name, mon) in &cal.monitors[ei] {
+    let mut amps = Vec::new();
+    modal_amps_into(cal, n, fields, &mut amps);
+    readings_from_amps(cal, &amps)
+}
+
+/// Normalised monitor readings from the modal amplitudes `amps` (in
+/// [`modal_monitors`] order): modal powers, then the residual monitors.
+fn readings_from_amps(cal: &OmegaCal, amps: &[Complex64]) -> Readings {
+    let mut readings: Readings = vec![HashMap::new(); cal.sources.len()];
+    for ((ei, name, _), a) in modal_monitors(cal).zip(amps) {
+        readings[ei].insert(name.clone(), a.norm_sqr() / cal.norm_power[ei]);
+    }
+    for (map, mons) in readings.iter_mut().zip(&cal.monitors) {
+        for (name, mon) in mons {
             if let BoundMonitor::Residual(subtract) = mon {
                 let total: f64 = subtract.iter().map(|s| map[s]).sum();
                 map.insert(name.clone(), 1.0 - total);
             }
         }
-        readings.push(map);
     }
     readings
 }
 
-/// Accumulates the adjoint (Wirtinger) sources of every excitation into
+/// The adjoint coefficient of every modal monitor (in [`modal_monitors`]
+/// order): the Wirtinger gradient of `g·|A|²/P` is `conj(A)·g/P` times
+/// the monitor's form, for the reading gradient `g` of `dr`; zero where
+/// `g` is absent or zero.
+fn adjoint_coefs_into(
+    cal: &OmegaCal,
+    dr: &[HashMap<String, f64>],
+    amps: &[Complex64],
+    coef: &mut Vec<Complex64>,
+) {
+    coef.clear();
+    coef.extend(
+        modal_monitors(cal)
+            .zip(amps)
+            .map(|((ei, name, _), a)| match dr[ei].get(name) {
+                Some(&g) if g != 0.0 => a.conj() * (g / cal.norm_power[ei]),
+                _ => Complex64::ZERO,
+            }),
+    );
+}
+
+/// Accumulates the adjoint sources `Σ coef·w` of every excitation into
 /// the column-major block `adj` (assumed zeroed), recording which columns
 /// are active.
 fn adjoint_sources_into(
     cal: &OmegaCal,
     n: usize,
-    dr: &[HashMap<String, f64>],
-    fields: &[Complex64],
+    coef: &[Complex64],
     adj: &mut [Complex64],
     adj_active: &mut Vec<bool>,
 ) {
-    let nexc = cal.sources.len();
     adj_active.clear();
-    adj_active.resize(nexc, false);
-    for ei in 0..nexc {
-        let ez = &fields[ei * n..(ei + 1) * n];
-        let g_field = &mut adj[ei * n..(ei + 1) * n];
-        for (name, mon) in &cal.monitors[ei] {
-            if let BoundMonitor::Modal(m) = mon {
-                if let Some(&g) = dr[ei].get(name) {
-                    if g != 0.0 {
-                        m.accumulate_power_grad(ez, g / cal.norm_power[ei], g_field);
-                        adj_active[ei] = true;
-                    }
-                }
-            }
+    adj_active.resize(cal.sources.len(), false);
+    for ((ei, _, m), &c) in modal_monitors(cal).zip(coef) {
+        if c != Complex64::ZERO {
+            m.form().accumulate(c, &mut adj[ei * n..(ei + 1) * n]);
+            adj_active[ei] = true;
         }
     }
 }
@@ -1734,5 +1900,240 @@ mod tests {
         let (oy, ox) = c.problem().design_origin;
         assert!(hot[(oy + 5, ox + 5)] > cold[(oy + 5, ox + 5)]);
         let _ = TemperatureModel::eps_si(300.0);
+    }
+
+    /// Hager's estimate of `‖A⁻¹‖₁ = ‖A⁻¹‖∞` of a complex-symmetric
+    /// operator from its factor (Higham, *Accuracy and Stability of
+    /// Numerical Algorithms*, Alg. 15.4), with `A⁻ᴴ·v = conj(A⁻¹·conj(v))`.
+    fn inverse_norm_estimate(lu: &boson_num::banded::BandedLu) -> f64 {
+        let n = lu.n();
+        let conj = |v: &[Complex64]| -> Vec<Complex64> { v.iter().map(|z| z.conj()).collect() };
+        let mut x = vec![Complex64::new(1.0 / n as f64, 0.0); n];
+        let mut est = 0.0;
+        for _ in 0..5 {
+            let y = lu.solve_vec(&x);
+            est = y.iter().map(|z| z.abs()).sum::<f64>();
+            let sign: Vec<Complex64> = y
+                .iter()
+                .map(|z| {
+                    if z.abs() > 0.0 {
+                        *z * (1.0 / z.abs())
+                    } else {
+                        Complex64::ONE
+                    }
+                })
+                .collect();
+            let z = conj(&lu.solve_vec(&conj(&sign)));
+            let (j, zmax) = z.iter().enumerate().fold((0, 0.0f64), |(j, m), (i, v)| {
+                if v.abs() > m {
+                    (i, v.abs())
+                } else {
+                    (j, m)
+                }
+            });
+            let ztx: f64 = z.iter().zip(&x).map(|(z, x)| (z.conj() * *x).re).sum();
+            if zmax <= ztx {
+                break;
+            }
+            x = vec![Complex64::ZERO; n];
+            x[j] = Complex64::ONE;
+        }
+        est
+    }
+
+    fn inf_norm(v: &[Complex64]) -> f64 {
+        v.iter().fold(0.0f64, |m, z| m.max(z.abs()))
+    }
+
+    /// Window-only direct evaluations of the bend, the crossing and the
+    /// isolator (whose ports reach into both slabs) match the full-field
+    /// path — the readings, and `∂F/∂ε` on the window's rows — at every
+    /// axial temperature and λ ∈ {1.50, 1.55}, with no window fallback;
+    /// the window-only gradient is zero outside the window's rows.
+    ///
+    /// Bound. Both paths pass their backward-error checks: the full path
+    /// on the whole grid, the window-only path on the window's condensed
+    /// system, whose inverse is the window block of `A⁻¹` (so
+    /// `‖S⁻¹‖∞ ≤ ‖A⁻¹‖∞`). Each field is then within
+    /// `κ∞·WINDOW_BACKWARD_TOL` of the exact one relative to its norm,
+    /// and the two within `δ = 2·κ∞·WINDOW_BACKWARD_TOL`, with `κ∞` from
+    /// Hager's estimator (× 10: it is a lower bound usually within a
+    /// factor 3). A reading `|w·E|²/P` then moves by at most
+    /// `(2|A| + ΔA)·ΔA/P` with `ΔA = ‖w‖₁·δ·‖E‖∞`, and the gradient
+    /// `−2Re(λ·sxy·E)·ω²`, bilinear in the field and the adjoint, by at
+    /// most `4δ·ω²·max|sxy|·Σ‖E‖∞‖λ‖∞` per cell.
+    #[test]
+    fn window_only_evaluations_match_the_full_field_path() {
+        use boson_fdfd::operator::assemble_banded;
+        use boson_fdfd::window::WINDOW_BACKWARD_TOL;
+        let (t_lo, t_hi) = TemperatureModel::default().range();
+        for problem in [bending(), crossing(), isolator()] {
+            let name = problem.name.clone();
+            let c =
+                CompiledProblem::compile_spectral(problem, SpectralAxis::around(0.05, 3)).unwrap();
+            let grid = c.problem().grid;
+            let n = grid.n();
+            let rows = c.window_rows();
+            let rho = seed_rho(c.problem(), &c.problem().seed.clone());
+            let spec = c.problem().objective.clone();
+            // Ascending λ: index 0 is 1.50 µm, index 1 the centre.
+            for oi in [0, 1] {
+                let cal = &c.cals[oi];
+                let sf = SFactors::new(&grid, cal.omega);
+                for t in [t_lo, 300.0, t_hi] {
+                    let tag = format!("{name} ω#{oi} T={t}");
+                    let eps = c.eps_for(&rho, t);
+                    let mut sw = EvalScratch::new();
+                    let mut sfull = EvalScratch::new();
+                    let win = c
+                        .evaluate_eps_impl(&eps, true, &spec, &mut sw, None, oi, None, false)
+                        .unwrap();
+                    let full = c
+                        .evaluate_eps_impl(&eps, true, &spec, &mut sfull, None, oi, None, true)
+                        .unwrap();
+                    assert_eq!(win.solve.window_fallbacks, 0, "{tag}");
+                    assert_eq!(full.solve.window_fallbacks, 0, "{tag}");
+
+                    let plain = assemble_banded(&grid, &sf, &eps, cal.omega)
+                        .factor()
+                        .unwrap();
+                    let mut diag = Vec::new();
+                    let stencil = boson_fdfd::operator::StencilCache::build(&grid, &sf, cal.omega);
+                    stencil.diag_into(&eps, &mut diag);
+                    let kappa = 10.0 * stencil.norm_inf(&diag) * inverse_norm_estimate(&plain);
+                    let delta = 2.0 * kappa * WINDOW_BACKWARD_TOL;
+
+                    let fields = &sfull.fields;
+                    let mut bound_of: Vec<HashMap<String, f64>> =
+                        vec![HashMap::new(); cal.sources.len()];
+                    for (ei, mname, m) in modal_monitors(cal) {
+                        let e = &fields[ei * n..(ei + 1) * n];
+                        let a = m.amplitude(e).abs();
+                        let w1: f64 = m.form().weights.iter().map(|(_, w)| w.abs()).sum();
+                        let da = w1 * delta * inf_norm(e);
+                        bound_of[ei]
+                            .insert(mname.clone(), (2.0 * a + da) * da / cal.norm_power[ei]);
+                    }
+                    for (ei, mons) in cal.monitors.iter().enumerate() {
+                        for (mname, mon) in mons {
+                            if let BoundMonitor::Residual(sub) = mon {
+                                let b: f64 = sub.iter().map(|s| bound_of[ei][s]).sum();
+                                bound_of[ei].insert(mname.clone(), b);
+                            }
+                        }
+                    }
+                    for (ei, map) in full.readings.iter().enumerate() {
+                        for (mname, want) in map {
+                            let got = win.readings[ei][mname];
+                            let limit = bound_of[ei][mname];
+                            assert!(
+                                (got - want).abs() <= limit,
+                                "{tag} {ei}/{mname}: {got} vs {want} (limit {limit:e})"
+                            );
+                        }
+                    }
+
+                    // The full path's adjoints, packed by active excitation.
+                    let scale: f64 = sfull
+                        .active_cols
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, &ei)| {
+                            inf_norm(&fields[ei * n..(ei + 1) * n])
+                                * inf_norm(&sfull.adj[pos * n..(pos + 1) * n])
+                        })
+                        .sum();
+                    let sxy_max = (0..grid.ny)
+                        .flat_map(|iy| (0..grid.nx).map(move |ix| (ix, iy)))
+                        .map(|(ix, iy)| sf.sxy(ix, iy).abs())
+                        .fold(0.0f64, f64::max);
+                    let limit = 4.0 * delta * cal.omega * cal.omega * sxy_max * scale;
+                    let (gw, gf) = (win.grad_eps.unwrap(), full.grad_eps.unwrap());
+                    for iy in 0..grid.ny {
+                        for ix in 0..grid.nx {
+                            let (a, b) = (gw[(iy, ix)], gf[(iy, ix)]);
+                            if rows.contains(&iy) {
+                                assert!(
+                                    (a - b).abs() <= limit,
+                                    "{tag} ({ix},{iy}): ∂F/∂ε {a:e} vs {b:e} (limit {limit:e})"
+                                );
+                            } else {
+                                assert_eq!(a, 0.0, "{tag} ({ix},{iy}) outside the window");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The worst-case search reads `dT` from the product's full-field
+    /// entry (fabrication-nominal at the centre wavelength): under
+    /// `Direct`, that entry's gradient is bit for bit the full-field
+    /// evaluation's — the path every direct column took before the other
+    /// columns became window-only — on one lane and on two, so
+    /// `grad_temperature` reads the same `dT`. The other entries are
+    /// window-only: zero outside the window's rows.
+    #[test]
+    fn worst_case_search_reads_dt_from_the_full_field_entry() {
+        let (c, fab) = spectral_bend(&[0.0, 0.04]);
+        let spec = c.problem().objective.clone();
+        let (k, nf) = (c.omega_count(), fab.len());
+        let centre = c.nominal_omega_idx();
+        let epss: Vec<Array2<f64>> = (0..k).flat_map(|_| fab.iter().cloned()).collect();
+        let omega_idx: Vec<usize> = (0..k * nf).map(|ci| ci / nf).collect();
+        let is_nominal: Vec<bool> = (0..k * nf).map(|ci| ci % nf == 0).collect();
+        let rows = c.window_rows();
+        let full = c
+            .evaluate_eps_impl(
+                &fab[0],
+                true,
+                &spec,
+                &mut EvalScratch::new(),
+                None,
+                centre,
+                None,
+                true,
+            )
+            .unwrap();
+        let want = full.grad_eps.unwrap();
+        assert!(
+            (0..c.problem().grid.ny)
+                .filter(|iy| !rows.contains(iy))
+                .any(|iy| want.row(iy).iter().any(|v| *v != 0.0)),
+            "the full-field gradient reaches outside the window"
+        );
+        for threads in [1, 2] {
+            let set = CornerProductSolve {
+                strategy: SolverStrategy::Direct,
+                nominal_eps: &fab[0],
+                epoch: 1,
+                omega_idx: &omega_idx,
+                is_nominal: &is_nominal,
+                force_direct: &vec![false; k * nf],
+                threads,
+                skip_zero_weight_adjoints: None,
+                recycle: None,
+            };
+            let evals = c
+                .evaluate_corner_product(&epss, true, &spec, &mut EvalScratch::new(), &set)
+                .unwrap();
+            for (ci, ev) in evals.iter().enumerate() {
+                let grad = ev.grad_eps.as_ref().unwrap();
+                if is_nominal[ci] && omega_idx[ci] == centre {
+                    assert!(
+                        grad.as_slice() == want.as_slice(),
+                        "{threads} lanes: the full-field entry's gradient moved"
+                    );
+                } else {
+                    for iy in (0..c.problem().grid.ny).filter(|iy| !rows.contains(iy)) {
+                        assert!(
+                            grad.row(iy).iter().all(|v| *v == 0.0),
+                            "entry {ci} row {iy}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -49,28 +49,28 @@
 //!
 //! # Two solve kinds
 //!
-//! * **Full field** ([`WindowFactor::solve`]): one forward and one back
-//!   sweep per slab LU plus one solve on `S`. The forward sweeps give the
-//!   slabs' interface rows, which condense the window's right-hand side;
-//!   after the window solve, the slabs' own right-hand sides change only
-//!   in their interface rows, so only the forward steps that reach those
-//!   rows are replayed before each slab's back sweep. Every solve's
-//!   normwise backward error on the whole grid is checked against
-//!   [`WINDOW_BACKWARD_TOL`].
-//! * **Window only** ([`WindowFactor::solve_terms`],
-//!   [`WindowFactor::solve_terms_adjoint`]): the field on the window rows
-//!   and the readings of the terms' forms, with no slab sweep. The
-//!   window's right-hand side is `f_W` minus the slabs' condensed
-//!   right-hand sides, and a form reads `w_W·E_W − u_A·E_W − u_B·E_W +
-//!   w_A·A_AA⁻¹·f_A + w_B·A_BB⁻¹·f_B` (its images `u` on the boundary
-//!   rows). The operator is complex-symmetric, so an adjoint source
-//!   `Σ c·w` condenses to `Σ c·(w_W − u_A − u_B)` from the same images.
-//!   Every solve is checked on the window rows: the slabs' interface
-//!   rows are rebuilt from the condensed data (`A_WA·E_A = A_WA·A_AA⁻¹·f_A
-//!   − [A_WA·A_AA⁻¹·A_AW]·E_W`), which makes the window rows' residual
-//!   that of `S·E_W = g_W`, and its normwise backward error is checked
-//!   against [`WINDOW_BACKWARD_TOL`]. Each slab's own solves are
-//!   residual-checked once, when it is built.
+//! * **Full field** ([`crate::sim::SimWorkspace::solve_block`]): one
+//!   forward and one back sweep per slab LU plus one solve on `S`. The
+//!   forward sweeps give the slabs' interface rows, which condense the
+//!   window's right-hand side; after the window solve, the slabs' own
+//!   right-hand sides change only in their interface rows, so only the
+//!   forward steps that reach those rows are replayed before each slab's
+//!   back sweep. Every solve's normwise backward error on the whole grid
+//!   is checked against [`WINDOW_BACKWARD_TOL`].
+//! * **Window only** ([`crate::sim::SimWorkspace::solve_terms`],
+//!   [`crate::sim::SimWorkspace::solve_terms_adjoint`]): the field on the
+//!   window rows and the readings of the terms' forms, with no slab
+//!   sweep. The window's right-hand side is `f_W` minus the slabs'
+//!   condensed right-hand sides, and a form reads `w_W·E_W − u_A·E_W −
+//!   u_B·E_W + w_A·A_AA⁻¹·f_A + w_B·A_BB⁻¹·f_B` (its images `u` on the
+//!   boundary rows). The operator is complex-symmetric, so an adjoint
+//!   source `Σ c·w` condenses to `Σ c·(w_W − u_A − u_B)` from the same
+//!   images. Every solve is checked on the window rows: the slabs'
+//!   interface rows are rebuilt from the condensed data (`A_WA·E_A =
+//!   A_WA·A_AA⁻¹·f_A − [A_WA·A_AA⁻¹·A_AW]·E_W`), which makes the window
+//!   rows' residual that of `S·E_W = g_W`, and its normwise backward
+//!   error is checked against [`WINDOW_BACKWARD_TOL`]. Each slab's own
+//!   solves are residual-checked once, when it is built.
 //!
 //! The slab order of elimination is a static pivoting choice and the
 //! window factor does not pivot at all: a failed check, a singular slab
