@@ -657,7 +657,7 @@ impl SlabBuilder {
 ///
 /// The cache budgets bytes: per lane that holds a direct factor, the band
 /// storage a plain `n×(3b+1)` factor holds beyond the window factor, plus
-/// one such allowance for builds. Resident bytes count every entry (key,
+/// the band storage of the larger slab for builds. Resident bytes count every entry (key,
 /// interface block, condensed data, and the LU of an entry that keeps
 /// one) and the build scratch — the one reusable LU storage and the
 /// interface-block scratch. A build first evicts least-recently-used
@@ -719,7 +719,8 @@ impl SlabCache {
     /// first slab).
     pub fn budget_bytes(&self) -> usize {
         self.key.map_or(0, |(grid, split)| {
-            (self.lanes.max(1) + 1) * split.lane_allowance() * row_bytes(&grid)
+            let build = split.slab_len(Side::Top).max(split.slab_len(Side::Bottom));
+            (self.lanes.max(1) * split.lane_allowance() + build) * row_bytes(&grid)
         })
     }
 
