@@ -1407,7 +1407,7 @@ impl CompiledProblem {
             scratch.sim.set_window_rows(Some(self.window_rows()));
             let corners = cols.iter().map(|&(ci, _)| {
                 let terms = &self.cals[set.omega_idx[ci]].terms;
-                let slab_use = SlabUse::Terms {
+                let slab_use = SlabUse {
                     terms,
                     full: full(ci),
                 };

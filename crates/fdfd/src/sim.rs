@@ -49,7 +49,13 @@
 //!   such solve is backward-error checked and falls back to the plain
 //!   banded LU on failure. A direct fan-out builds the slabs on its
 //!   caller's workspace and lends that cache to every lane
-//!   ([`SimWorkspace::take_window_slabs`], [`SimWorkspace::factor_lent`]);
+//!   ([`SimWorkspace::take_window_slabs`], [`SimWorkspace::factor_terms`]);
+//! * a corner prepared for fixed right-hand sides and output forms
+//!   ([`SimWorkspace::factor_terms`] with a [`crate::window::WindowTerms`])
+//!   solves only the window's rows: [`SimWorkspace::solve_terms`] returns
+//!   the window rows of every solution and every form's reading, and
+//!   [`SimWorkspace::solve_terms_adjoint`] the window rows of the adjoint,
+//!   from data the slab cache condenses once per slab, with no slab sweep;
 //! * [`SimWorkspace::solve_block`] solves a caller-owned column-major
 //!   block in place: every excitation's forward solve (currents scaled by
 //!   [`crate::operator::scale_source_into`]) in one block, then every
@@ -781,38 +787,14 @@ const FULL_FIELD: Need<'static> = Need {
 };
 
 /// How a corner of a direct fan-out will use its slabs (see
-/// [`SimWorkspace::take_window_slabs`]).
+/// [`SimWorkspace::take_window_slabs`]): the arguments it passes to
+/// [`SimWorkspace::factor_terms`].
 #[derive(Debug, Clone, Copy)]
-pub enum SlabUse<'a> {
-    /// Full-field solves at this ω ([`SimWorkspace::factor_lent`]).
-    Full(f64),
-    /// Solves of these terms ([`SimWorkspace::factor_terms`]), window-only
-    /// unless `full`.
-    Terms {
-        /// The right-hand sides and output forms.
-        terms: &'a Arc<WindowTerms>,
-        /// Full-field solves as well.
-        full: bool,
-    },
-}
-
-impl SlabUse<'_> {
-    fn omega(&self) -> f64 {
-        match self {
-            SlabUse::Full(omega) => *omega,
-            SlabUse::Terms { terms, .. } => terms.omega(),
-        }
-    }
-
-    fn need(&self) -> Need<'_> {
-        match self {
-            SlabUse::Full(_) => FULL_FIELD,
-            SlabUse::Terms { terms, full } => Need {
-                terms: Some(terms),
-                lu: *full,
-            },
-        }
-    }
+pub struct SlabUse<'a> {
+    /// The right-hand sides and output forms.
+    pub terms: &'a Arc<WindowTerms>,
+    /// Full-field solves as well.
+    pub full: bool,
 }
 
 /// Reusable factor-and-solve workspace for repeated simulations on one
@@ -1125,28 +1107,6 @@ impl SimWorkspace {
         self.factor_corner(grid, omega, eps, None, FULL_FIELD)
     }
 
-    /// [`SimWorkspace::factor`] over slabs lent from another workspace's
-    /// cache (a direct fan-out lane; see
-    /// [`SimWorkspace::take_window_slabs`]). A slab missing from `slabs`
-    /// is built into this workspace's own cache: slower, never different.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimWorkspace::factor`].
-    ///
-    /// # Panics
-    ///
-    /// As [`SimWorkspace::factor`].
-    pub fn factor_lent(
-        &mut self,
-        grid: SimGrid,
-        omega: f64,
-        eps: &Array2<f64>,
-        slabs: &SlabCache,
-    ) -> Result<(), SingularMatrixError> {
-        self.factor_corner(grid, omega, eps, Some(slabs), FULL_FIELD)
-    }
-
     fn factor_corner(
         &mut self,
         grid: SimGrid,
@@ -1219,7 +1179,7 @@ impl SimWorkspace {
     /// factors of `corners` on `grid` use under the current window rows,
     /// pins them, sizes the cache's budget for `lanes` lanes, and hands
     /// the cache out to be lent read-only to every lane's
-    /// [`SimWorkspace::factor_lent`] or [`SimWorkspace::factor_terms`].
+    /// [`SimWorkspace::factor_terms`].
     /// The missing slabs are built here, in corner order, in the cache's
     /// one build storage: a build holds a whole slab LU while it runs, so
     /// builds on several lanes would hold several. Give the cache back with
@@ -1246,12 +1206,16 @@ impl SimWorkspace {
                     (grid.ny, grid.nx),
                     "eps shape must be (ny, nx)"
                 );
-                let omega = slab_use.omega();
+                let omega = slab_use.terms.omega();
                 self.ensure_geometry(grid, omega);
                 let stencil = &self.slots[self.active].stencil;
                 stencil.diag_into(eps, &mut self.diag);
+                let need = Need {
+                    terms: Some(slab_use.terms),
+                    lu: slab_use.full,
+                };
                 self.slabs
-                    .ensure(grid, omega, split, stencil, &self.diag, slab_use.need());
+                    .ensure(grid, omega, split, stencil, &self.diag, need);
             }
         }
         std::mem::take(&mut self.slabs)

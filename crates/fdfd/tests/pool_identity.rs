@@ -224,12 +224,20 @@ fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<V
             ws
         })
         .collect();
+    // Full-field solves through the lent cache; the terms only name the
+    // slabs' wavelength.
+    let terms = Arc::new(WindowTerms::new(&grid, omega, rhs_block(n, 1), Vec::new()));
     let slabs = (lanes > 1).then(|| {
-        workspaces[0].take_window_slabs(
-            grid,
-            lanes,
-            corners.iter().map(|e| (SlabUse::Full(omega), e)),
-        )
+        let uses = corners.iter().map(|e| {
+            (
+                SlabUse {
+                    terms: &terms,
+                    full: true,
+                },
+                e,
+            )
+        });
+        workspaces[0].take_window_slabs(grid, lanes, uses)
     });
     let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
     {
@@ -242,7 +250,9 @@ fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<V
             let (ws, out) = unsafe { (lane_ws.get(lane), slots.get(part)) };
             let eps = &corners[part];
             match &slabs {
-                Some(slabs) => ws.factor_lent(grid, omega, eps, slabs).unwrap(),
+                Some(slabs) => ws
+                    .factor_terms(grid, eps, &terms, true, Some(slabs))
+                    .unwrap(),
                 None => ws.factor(grid, omega, eps).unwrap(),
             }
             let mut x = rhs_block(n, 2);
@@ -312,7 +322,7 @@ fn window_only_fan_out(
         })
         .collect();
     let uses = corners.iter().enumerate().map(|(i, e)| {
-        let slab_use = SlabUse::Terms {
+        let slab_use = SlabUse {
             terms: &terms,
             full: i == 0,
         };

@@ -410,7 +410,17 @@ fn cache_history_never_changes_a_result() {
         .map(|&t| eps(Device::Bend, t, 0.0))
         .collect();
     let mut ws = window_workspace();
-    let cache = ws.take_window_slabs(g, 2, corners.iter().map(|e| (SlabUse::Full(om), e)));
+    let terms = Arc::new(WindowTerms::new(&g, om, rhs(&g, om), Vec::new()));
+    let uses = corners.iter().map(|e| {
+        (
+            SlabUse {
+                terms: &terms,
+                full: true,
+            },
+            e,
+        )
+    });
+    let cache = ws.take_window_slabs(g, 2, uses);
     assert_eq!(cache.len(), 4, "bend: one top and three bottom slabs");
     assert_eq!(cache.factored_len(), 4);
     assert!(cache.resident_bytes() <= cache.budget_bytes());

@@ -171,6 +171,9 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     let g: Vec<Complex64> = (0..grid.n())
         .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
         .collect();
+    // The lane prepares its corners for full-field solves through the
+    // lent cache; the terms only name the slabs' wavelength.
+    let terms = Arc::new(WindowTerms::new(&grid, omega, g.clone(), Vec::new()));
     let mut field = vec![Complex64::ZERO; grid.n()];
     let mut lambda = vec![Complex64::ZERO; grid.n()];
     let mut grad = Array2::zeros(grid.ny, grid.nx);
@@ -189,10 +192,19 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     lane.set_window_rows(Some(rows.clone()));
     let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
         // A two-lane fan-out: the owner builds and lends, the lane borrows.
-        let slabs =
-            owner.take_window_slabs(grid, 2, corners.iter().map(|e| (SlabUse::Full(omega), e)));
+        let uses = corners.iter().map(|e| {
+            (
+                SlabUse {
+                    terms: &terms,
+                    full: true,
+                },
+                e,
+            )
+        });
+        let slabs = owner.take_window_slabs(grid, 2, uses);
         for eps in corners {
-            lane.factor_lent(grid, omega, eps, &slabs).unwrap();
+            lane.factor_terms(grid, eps, &terms, true, Some(&slabs))
+                .unwrap();
             solves(lane);
         }
         owner.restore_window_slabs(slabs);
@@ -301,7 +313,7 @@ fn steady_state_window_only_sweep_performs_no_heap_allocations() {
     let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
         // A two-lane fan-out: corner 0 (the nominal) is also full-field.
         let uses = corners.iter().enumerate().map(|(i, e)| {
-            let slab_use = SlabUse::Terms {
+            let slab_use = SlabUse {
                 terms: &terms,
                 full: i == 0,
             };
