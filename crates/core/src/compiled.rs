@@ -1642,7 +1642,7 @@ fn adjoint_sources_into(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::problem::{bending, crossing, isolator};
     use boson_fab::TemperatureModel;
@@ -1905,7 +1905,7 @@ mod tests {
     /// Hager's estimate of `‖A⁻¹‖₁ = ‖A⁻¹‖∞` of a complex-symmetric
     /// operator from its factor (Higham, *Accuracy and Stability of
     /// Numerical Algorithms*, Alg. 15.4), with `A⁻ᴴ·v = conj(A⁻¹·conj(v))`.
-    fn inverse_norm_estimate(lu: &boson_num::banded::BandedLu) -> f64 {
+    pub(crate) fn inverse_norm_estimate(lu: &boson_num::banded::BandedLu) -> f64 {
         let n = lu.n();
         let conj = |v: &[Complex64]| -> Vec<Complex64> { v.iter().map(|z| z.conj()).collect() };
         let mut x = vec![Complex64::new(1.0 / n as f64, 0.0); n];

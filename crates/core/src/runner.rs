@@ -1969,11 +1969,11 @@ mod tests {
     /// (× 10) for the nominal corner's operator.
     #[test]
     fn direct_iteration_gradient_matches_finite_difference() {
+        use crate::compiled::tests::inverse_norm_estimate;
         use crate::problem::isolator;
         use boson_fdfd::operator::{assemble_banded, StencilCache};
         use boson_fdfd::pml::SFactors;
         use boson_fdfd::window::WINDOW_BACKWARD_TOL;
-        use boson_num::Complex64;
         for problem in [bending(), isolator()] {
             let name = problem.name.clone();
             let compiled = CompiledProblem::compile(problem.clone()).unwrap();
@@ -2041,40 +2041,7 @@ mod tests {
             let stencil = StencilCache::build(&grid, &sf, omega);
             let mut diag = Vec::new();
             stencil.diag_into(&eps, &mut diag);
-            // Hager's estimate of ‖A⁻¹‖∞ (complex-symmetric A).
-            let n = grid.n();
-            let conj = |x: &[Complex64]| -> Vec<Complex64> { x.iter().map(|z| z.conj()).collect() };
-            let mut x = vec![Complex64::new(1.0 / n as f64, 0.0); n];
-            let mut inv_norm = 0.0;
-            for _ in 0..5 {
-                let y = plain.solve_vec(&x);
-                inv_norm = y.iter().map(|z| z.abs()).sum::<f64>();
-                let sign: Vec<Complex64> = y
-                    .iter()
-                    .map(|z| {
-                        if z.abs() > 0.0 {
-                            *z * (1.0 / z.abs())
-                        } else {
-                            Complex64::ONE
-                        }
-                    })
-                    .collect();
-                let z = conj(&plain.solve_vec(&conj(&sign)));
-                let (j, zmax) = z.iter().enumerate().fold((0, 0.0f64), |(j, m), (i, w)| {
-                    if w.abs() > m {
-                        (i, w.abs())
-                    } else {
-                        (j, m)
-                    }
-                });
-                let ztx: f64 = z.iter().zip(&x).map(|(z, x)| (z.conj() * *x).re).sum();
-                if zmax <= ztx {
-                    break;
-                }
-                x = vec![Complex64::ZERO; n];
-                x[j] = Complex64::ONE;
-            }
-            let kappa = 10.0 * stencil.norm_inf(&diag) * inv_norm;
+            let kappa = 10.0 * stencil.norm_inf(&diag) * inverse_norm_estimate(&plain);
             let window_rel = 2.0 * kappa * WINDOW_BACKWARD_TOL;
             let limit = 2e-3 * fd.abs() + (1e-6 + window_rel) * scale;
             assert!(
