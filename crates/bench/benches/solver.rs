@@ -6,13 +6,16 @@ use boson_core::fabchain::assemble_eps;
 use boson_core::problem::bending;
 use boson_fab::temperature::T_NOMINAL;
 use boson_fdfd::grid::SimGrid;
+use boson_fdfd::monitor::LinearForm;
 use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
+use boson_fdfd::window::WindowTerms;
 use boson_num::banded::{reference, BandedLdl, BandedLu, BandedMatrix};
 use boson_num::{Array2, Complex64};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn setup(n: usize) -> (SimGrid, SFactors, Array2<f64>, f64) {
     let grid = SimGrid::new(n, n, 0.05, 10);
@@ -170,6 +173,74 @@ fn bench_refactor(c: &mut Criterion) {
             black_box(&ws);
         })
     });
+    group.finish();
+}
+
+/// One bend window column solved both ways on a prepared corner (the
+/// `window_slab` corner of [`bench_refactor`], factored once): `full`
+/// solves the whole grid through the slab LUs and the window factor
+/// (`SimWorkspace::solve_block`), `condensed` solves only the window's
+/// rows for the same right-hand side, the bend's input line current, and
+/// reads two forms — a line in the window and a three-plane monitor in
+/// the bottom slab, like the bend's `refl` and `trans` — from data
+/// condensed into the slab cache (`SimWorkspace::solve_terms`). Both
+/// include the solve's backward-error check. `scripts/bench.sh` records
+/// the two medians ungated.
+fn bench_window_solve(c: &mut Criterion) {
+    let bend = bending();
+    let (grid, omega) = (bend.grid, bend.omega);
+    let (dr, dc) = bend.design_shape;
+    let rho = Array2::from_fn(dr, dc, |r, c| if (r + c) % 3 == 0 { 0.8 } else { 0.5 });
+    let eps = assemble_eps(&bend.background_solid, bend.design_origin, &rho, T_NOMINAL);
+    let mut jz = vec![Complex64::ZERO; grid.n()];
+    for iy in 34..46 {
+        jz[grid.idx(16, iy)] = Complex64::ONE;
+    }
+    let mut b = vec![Complex64::ZERO; grid.n()];
+    scale_source_into(&grid, &SFactors::new(&grid, omega), omega, &jz, &mut b);
+    let line = |iy: usize| LinearForm {
+        weights: (36..44)
+            .map(|ix| (grid.idx(ix, iy), Complex64::new(0.5, 0.1)))
+            .collect(),
+    };
+    let mut trans = line(62);
+    trans
+        .weights
+        .extend(line(63).weights.into_iter().chain(line(64).weights));
+    let terms = Arc::new(WindowTerms::new(
+        &grid,
+        omega,
+        b.clone(),
+        vec![(0, line(30)), (0, trans)],
+    ));
+    let rows = bend.design_origin.0..bend.design_origin.0 + dr;
+    let mut group = c.benchmark_group("window_solve_80x80");
+    group.sample_size(10);
+    let mut full = SimWorkspace::new();
+    full.set_window_rows(Some(rows.clone()));
+    full.factor(grid, omega, &eps).unwrap();
+    let mut x = b.clone();
+    group.bench_function("full", |bch| {
+        bch.iter(|| {
+            x.copy_from_slice(&b);
+            full.solve_block(&mut x, 1).unwrap();
+            black_box(&x);
+        })
+    });
+    let mut condensed = SimWorkspace::new();
+    condensed.set_window_rows(Some(rows));
+    condensed
+        .factor_terms(grid, &eps, &terms, false, None)
+        .unwrap();
+    let (mut fields, mut amps) = (Vec::new(), Vec::new());
+    group.bench_function("condensed", |bch| {
+        bch.iter(|| {
+            condensed.solve_terms(&mut fields, &mut amps).unwrap();
+            black_box(&amps);
+        })
+    });
+    assert_eq!(full.last_report().window_fallbacks, 0);
+    assert_eq!(condensed.last_report().window_fallbacks, 0);
     group.finish();
 }
 
@@ -364,7 +435,7 @@ fn bench_corner_solve(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_assembly, bench_factor_and_solve, bench_refactor, bench_corner_loop,
-        bench_rhs_blocking, bench_corner_solve
+    targets = bench_assembly, bench_factor_and_solve, bench_refactor, bench_window_solve,
+        bench_corner_loop, bench_rhs_blocking, bench_corner_solve
 }
 criterion_main!(benches);
