@@ -1120,12 +1120,13 @@ impl SimWorkspace {
             (grid.ny, grid.nx),
             "eps shape must be (ny, nx)"
         );
-        // A new corner: nothing of the previous corner's report carries
-        // over.
+        // A new corner: nothing of the previous corner's report or terms
+        // carries over.
         self.report = CornerSolveReport {
             converged: true,
             ..CornerSolveReport::default()
         };
+        self.terms = None;
         self.ensure_geometry(grid, omega);
         self.slots[self.active]
             .stencil
@@ -1162,12 +1163,13 @@ impl SimWorkspace {
         full: bool,
         lent: Option<&SlabCache>,
     ) -> Result<(), SingularMatrixError> {
-        self.terms = Some(Arc::clone(terms));
         let need = Need {
             terms: Some(terms),
             lu: full,
         };
-        self.factor_corner(grid, terms.omega(), eps, lent, need)
+        self.factor_corner(grid, terms.omega(), eps, lent, need)?;
+        self.terms = Some(Arc::clone(terms));
+        Ok(())
     }
 
     /// The design-window split of `grid`'s direct factors (`None`: plain).
@@ -1550,6 +1552,7 @@ impl SimWorkspace {
             converged: true,
             ..CornerSolveReport::default()
         };
+        self.terms = None;
         let ctx = ctx.expect("iterative strategies require a CornerContext");
         assert_eq!(
             eps.shape(),

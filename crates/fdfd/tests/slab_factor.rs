@@ -925,3 +925,30 @@ fn failed_window_only_check_falls_back_to_the_plain_lu() {
     ws.solve_terms(&mut fields, &mut amps).unwrap();
     assert_eq!(ws.last_report().window_fallbacks, 0);
 }
+
+/// `solve_block` on a corner prepared for window-only solves prepares it
+/// again on slabs that keep their LUs and solves the whole grid, bit for
+/// bit as a corner prepared full-field; the re-preparation counts as a
+/// factorisation.
+#[test]
+fn solve_block_after_a_window_only_preparation_solves_the_whole_grid() {
+    let g = grid();
+    let om = omega(1.55);
+    let (b, forms) = window_case(Device::Isolator, &g, om);
+    let terms = Arc::new(WindowTerms::new(&g, om, b.clone(), forms));
+    let e = eps(Device::Bend, T_LO, 0.2);
+    let solve = |full: bool| {
+        let mut ws = window_workspace();
+        ws.factor_terms(g, &e, &terms, full, None).unwrap();
+        let mut x = b.clone();
+        ws.solve_block(&mut x, 2).unwrap();
+        (x, ws.last_report().factorizations)
+    };
+    let (window_only, count) = solve(false);
+    let (full, _) = solve(true);
+    assert!(
+        window_only == full,
+        "the re-prepared corner solves differently"
+    );
+    assert_eq!(count, 2);
+}
