@@ -23,7 +23,7 @@
 
 use crate::grid::SimGrid;
 use crate::pml::SFactors;
-use boson_num::banded::BandedMatrix;
+use boson_num::banded::{BandedLdl, BandedMatrix};
 use boson_num::complex::{vmul, vmul_add};
 use boson_num::{Array2, Complex64};
 
@@ -313,6 +313,69 @@ impl StencilCache {
                 };
                 if l >= start {
                     a.set(k, l, v);
+                }
+            }
+        }
+    }
+
+    /// Writes the lower triangle of columns `start..` of the same block
+    /// as [`StencilCache::assemble_block_with_diag`] — entry `(l, k)`,
+    /// `k ≤ l ≤ k + nx`, bit for bit the entry that writes — into the
+    /// storage [`BandedLdl::refactor`] lends to its assembly: the
+    /// complex-symmetric operator's `L·D·Lᵀ` needs nothing else.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `diag.len()` does not match the cached grid size, `rows`
+    /// is not whole grid rows inside it, `a` is not `rows.len()` long, or
+    /// `a` is not open for assembly from `start` with half-width `nx`.
+    pub fn assemble_lower_with_diag(
+        &self,
+        diag: &[Complex64],
+        rows: std::ops::Range<usize>,
+        reversed: bool,
+        start: usize,
+        a: &mut BandedLdl,
+    ) {
+        assert_eq!(diag.len(), self.n, "diagonal size mismatch");
+        let nx = self.nx;
+        assert!(
+            rows.start.is_multiple_of(nx)
+                && rows.end.is_multiple_of(nx)
+                && rows.start < rows.end
+                && rows.end <= self.n,
+            "block rows must be whole grid rows"
+        );
+        assert_eq!(a.n(), rows.len(), "block factor has the wrong size");
+        let global = |k: usize| {
+            if reversed {
+                rows.end - 1 - k
+            } else {
+                rows.start + k
+            }
+        };
+        // The map is its own inverse when reversed.
+        let local = |h: usize| {
+            if reversed {
+                rows.end - 1 - h
+            } else {
+                h - rows.start
+            }
+        };
+        for k in start..rows.len() {
+            let g = global(k);
+            a.set(k, k, diag[g]);
+            let ix = g % nx;
+            // Each neighbour h inside the block, with row h's coupling to
+            // g: entry (local h, k) when it lies below the diagonal.
+            let west = (ix > 0).then(|| (g - 1, self.east[g - 1]));
+            let east = (ix + 1 < nx).then(|| (g + 1, self.west[g + 1]));
+            let south = (g >= rows.start + nx).then(|| (g - nx, self.north[g - nx]));
+            let north = (g + nx < rows.end).then(|| (g + nx, self.south[g + nx]));
+            for (h, v) in [west, east, south, north].into_iter().flatten() {
+                let l = local(h);
+                if l > k {
+                    a.set(l, k, v);
                 }
             }
         }
@@ -683,6 +746,59 @@ mod tests {
         cache.assemble_block_with_diag(&diag, 0..n, false, start, &mut fast);
         let full2 = assemble_banded(&grid, &s, &eps2, omega);
         assert_same_band(&fast, &full2, nx, "corner entry");
+    }
+
+    /// The lower assembly writes the lower triangle of the block
+    /// assembly bit for bit — whole grid, a reversed sub-block, and a
+    /// resumed refactor: factors of both solve bit-identically.
+    #[test]
+    fn lower_assembly_is_the_lower_triangle_of_the_block() {
+        let (grid, s, mut eps, omega) = setup(22, 24);
+        for iy in 0..24 {
+            for ix in 0..22 {
+                eps[(iy, ix)] = 1.0 + 11.11 * (((ix * 5 + iy * 3) % 7) as f64) / 6.0;
+            }
+        }
+        let (n, nx) = (grid.n(), grid.nx);
+        let cache = StencilCache::build(&grid, &s, omega);
+        let mut diag = Vec::new();
+        cache.diag_into(&eps, &mut diag);
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (rows, reversed, start) in [
+            (0..n, false, 0),
+            (0..n, false, 7 * nx + 3),
+            (nx * 15..n, true, 0),
+            (nx * 3..nx * 11, false, 2 * nx),
+        ] {
+            let m = rows.len();
+            let mut block = BandedMatrix::new(m, nx, nx);
+            cache.assemble_block_with_diag(&diag, rows.clone(), reversed, 0, &mut block);
+            let copied = |a: &mut BandedLdl, start: usize| {
+                for j in start..m {
+                    for i in j..=(j + nx).min(m - 1) {
+                        a.set(i, j, block.get(i, j));
+                    }
+                }
+            };
+            let mut want = BandedLdl::placeholder();
+            want.refactor(m, nx, 0, copied).unwrap();
+            let mut got = BandedLdl::placeholder();
+            got.refactor(m, nx, 0, |a, s| {
+                cache.assemble_lower_with_diag(&diag, rows.clone(), reversed, s, a)
+            })
+            .unwrap();
+            got.refactor(m, nx, start, |a, s| {
+                cache.assemble_lower_with_diag(&diag, rows.clone(), reversed, s, a)
+            })
+            .unwrap();
+            let b: Vec<Complex64> = (0..m).map(|k| c64((k as f64 * 0.3).sin(), 1.0)).collect();
+            let (mut x, mut y) = (b.clone(), b);
+            want.solve_many(&mut x, 1);
+            got.solve_many(&mut y, 1);
+            assert!(bits(&x) == bits(&y), "rows {rows:?} reversed {reversed}");
+        }
     }
 
     #[test]

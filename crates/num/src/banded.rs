@@ -40,9 +40,13 @@
 //! [`BandedLdl`] factors a complex-symmetric band from its lower triangle
 //! without pivoting: a third of the LU's storage and about a quarter of
 //! its elimination work, with the same in-place refactor and resume
-//! contract, but no bound on the multipliers. It serves the design-window
-//! Schur complement, whose solves are backward-error checked with the
-//! pivoted LU to fall back on.
+//! contract, but no bound on the multipliers. It serves every direct
+//! factor of the design-window path — the fixed slabs and the window's
+//! Schur complement — and the whole-grid normalisation reference, whose
+//! solves are backward-error checked with the pivoted LU to fall back on.
+//! Its forward and back sweeps are public in parts, so a caller can
+//! replay the steps a late change reaches, or solve for the trailing
+//! rows only ([`BandedLdl::trailing_inverse_block`]).
 //!
 //! The factorisation kernel is shared by both styles and is written in
 //! slice/iterator form (no bounds checks in the inner loops). Its complex
@@ -1112,22 +1116,131 @@ impl BandedLdl {
             .fold(0.0, f64::max)
     }
 
+    /// Matrix dimension (0 for a [`BandedLdl::placeholder`] never filled).
+    #[inline(always)]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Heap bytes of the factor storage: `n·(m + 1)` entries.
+    pub fn bytes(&self) -> usize {
+        self.ab.len() * std::mem::size_of::<Complex64>()
+    }
+
     /// Solves `A X = B` in place for `nrhs` right-hand sides stored
     /// column-major in `b`, [`RHS_BLOCK`] columns per sweep over the
-    /// factor: the unit-lower forward sweep `L z = b` (one dispatched
-    /// axpy per factor column), then, in reverse, the diagonal scale and
-    /// the `Lᵀ` back sweep `x_j = z_j/d_j − Σ_i l_ij·x_i` (one dispatched
-    /// dot product per factor column).
+    /// factor: the unit-lower forward sweep `L z = b`
+    /// ([`BandedLdl::forward_steps`]), then the diagonal scale and the
+    /// `Lᵀ` back sweep ([`BandedLdl::back_substitute`]).
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != n·nrhs` or the slot was never filled.
     pub fn solve_many(&self, b: &mut [Complex64], nrhs: usize) {
-        assert!(self.kept == self.n && self.n > 0, "BandedLdl not factored");
+        self.assert_factored();
         assert_eq!(b.len(), self.n * nrhs, "solve_many dimension mismatch");
         for chunk in b.chunks_mut(self.n * RHS_BLOCK) {
             ldl_sweep(self.n, self.m, &self.ab, chunk, axpy_neg, dotu);
         }
+    }
+
+    fn assert_factored(&self) {
+        assert!(self.kept == self.n && self.n > 0, "BandedLdl not factored");
+    }
+
+    /// Applies steps `steps` of the unit-lower forward sweep `L⁻¹` —
+    /// step `j` subtracts `z_j` times column `j`'s multipliers from the
+    /// rows below it (one dispatched axpy) — to every column of `b`, where
+    /// each column holds rows `lo..n` of a right-hand side (`n − lo`
+    /// entries).
+    ///
+    /// Step `j` reads row `j` and writes rows `j + 1..=j + m`, so a window
+    /// that starts at or before the first step holds everything the steps
+    /// touch. Steps `0..n` on full columns are the forward half of
+    /// [`BandedLdl::solve_many`]; consecutive ranges give the same result
+    /// bit for bit. No step before `r` reads a row from `r` on, so a
+    /// right-hand side whose rows before `r` are zero may skip every step
+    /// before `r`, and one that changes only from row `r` on may replay
+    /// just steps `r..n` on the rows from `r` on, saved before step `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never filled, `steps` is not within
+    /// `lo..=n`, or `b` is not a whole number of `n − lo`-row columns.
+    pub fn forward_steps(&self, lo: usize, steps: std::ops::Range<usize>, b: &mut [Complex64]) {
+        self.assert_factored();
+        let n = self.n;
+        assert!(
+            lo <= steps.start && steps.start <= steps.end && steps.end <= n,
+            "forward_steps: steps {steps:?} outside rows {lo}..{n}"
+        );
+        assert!(
+            lo < n && b.len().is_multiple_of(n - lo),
+            "forward_steps: block is not whole columns"
+        );
+        ldl_forward(n, self.m, &self.ab, lo, steps, b, axpy_neg);
+    }
+
+    /// The back half of [`BandedLdl::solve_many`] in place on every
+    /// full-length column of `b`: `x_j = z_j/d_j − Σ_i l_ij·x_i`, `j`
+    /// from `n − 1` down (one dispatched dot product per factor column).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never filled or `b` is not a whole number
+    /// of `n`-row columns.
+    pub fn back_substitute(&self, b: &mut [Complex64]) {
+        self.assert_factored();
+        assert!(
+            b.len().is_multiple_of(self.n),
+            "back_substitute: block is not whole columns"
+        );
+        ldl_back(self.n, self.m, &self.ab, 0, b, dotu);
+    }
+
+    /// [`BandedLdl::back_substitute`] restricted to the trailing `k`
+    /// rows: each `k`-entry column of `tail` holds rows `n − k..n` of `z`
+    /// and receives rows `n − k..n` of `Lᵀ⁻¹·D⁻¹·z`. `Lᵀ` is upper
+    /// triangular, so those rows depend on no earlier row; the cost is
+    /// `O(k·m)` per column instead of a whole sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never filled, `k` is 0 or exceeds `n`, or
+    /// `tail` is not a whole number of `k`-row columns.
+    pub fn back_substitute_trailing(&self, tail: &mut [Complex64], k: usize) {
+        self.assert_factored();
+        assert!(
+            k > 0 && k <= self.n && tail.len().is_multiple_of(k),
+            "back_substitute_trailing: bad trailing block"
+        );
+        ldl_back(self.n, self.m, &self.ab, self.n - k, tail, dotu);
+    }
+
+    /// Writes the trailing `k×k` block of `A⁻¹` (rows and columns
+    /// `n − k..n`) column-major into `out`.
+    ///
+    /// With `L₂₂` and `D₂` the trailing blocks of the factors, that block
+    /// is `L₂₂⁻ᵀ·D₂⁻¹·L₂₂⁻¹`: `L⁻¹` is lower triangular, so it maps a unit
+    /// vector of the trailing rows into the trailing rows. Each column is
+    /// the forward steps `n − k..n` on the trailing rows
+    /// ([`BandedLdl::forward_steps`]) and a trailing back substitution
+    /// ([`BandedLdl::back_substitute_trailing`]): `O(k²·m)` work in all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was never filled, `k` is 0 or exceeds `n`, or
+    /// `out.len() != k²`.
+    pub fn trailing_inverse_block(&self, k: usize, out: &mut [Complex64]) {
+        let n = self.n;
+        assert!(k > 0 && k <= n, "trailing_inverse_block: bad block size");
+        assert_eq!(out.len(), k * k, "trailing_inverse_block: output size");
+        out.fill(Complex64::ZERO);
+        for (c, col) in out.chunks_exact_mut(k).enumerate() {
+            col[c] = Complex64::ONE;
+        }
+        self.forward_steps(n - k, n - k..n, out);
+        self.back_substitute_trailing(out, k);
     }
 }
 
@@ -1199,22 +1312,52 @@ fn ldl_sweep(
     axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
     dotu: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
 ) {
+    ldl_forward(n, m, ab, 0, 0..n, b, axpy_neg);
+    ldl_back(n, m, ab, 0, b, dotu);
+}
+
+/// Forward steps `steps` of `L⁻¹` on columns of `b` holding rows `lo..n`
+/// (see [`BandedLdl::forward_steps`]).
+fn ldl_forward(
+    n: usize,
+    m: usize,
+    ab: &[Complex64],
+    lo: usize,
+    steps: std::ops::Range<usize>,
+    b: &mut [Complex64],
+    axpy_neg: impl Fn(Complex64, &[Complex64], &mut [Complex64]),
+) {
     let ld = m + 1;
-    for j in 0..n {
+    for j in steps {
         let km = m.min(n - 1 - j);
         let l = &ab[j * ld + 1..=j * ld + km];
-        for rhs in b.chunks_exact_mut(n) {
-            let zj = rhs[j];
-            axpy_neg(zj, l, &mut rhs[j + 1..=j + km]);
+        let r = j - lo;
+        for rhs in b.chunks_exact_mut(n - lo) {
+            let zj = rhs[r];
+            axpy_neg(zj, l, &mut rhs[r + 1..=r + km]);
         }
     }
-    for j in (0..n).rev() {
+}
+
+/// The back sweep `x = Lᵀ⁻¹·D⁻¹·z` over rows `top..n`, on columns of `b`
+/// holding those rows (see [`BandedLdl::back_substitute_trailing`]).
+fn ldl_back(
+    n: usize,
+    m: usize,
+    ab: &[Complex64],
+    top: usize,
+    b: &mut [Complex64],
+    dotu: impl Fn(&[Complex64], &[Complex64]) -> Complex64,
+) {
+    let ld = m + 1;
+    for j in (top..n).rev() {
         let km = m.min(n - 1 - j);
         let dinv = ab[j * ld].inv();
         let l = &ab[j * ld + 1..=j * ld + km];
-        for rhs in b.chunks_exact_mut(n) {
-            let (head, tail) = rhs.split_at_mut(j + 1);
-            head[j] = head[j] * dinv - dotu(l, &tail[..km]);
+        let r = j - top;
+        for rhs in b.chunks_exact_mut(n - top) {
+            let (head, tail) = rhs.split_at_mut(r + 1);
+            head[r] = head[r] * dinv - dotu(l, &tail[..km]);
         }
     }
 }
@@ -2164,6 +2307,88 @@ mod tests {
                 .fold(0.0f64, f64::max);
             assert_eq!(ldl.max_abs_term(), brute);
         }
+    }
+
+    /// Split forward steps plus the back substitution are the solve, bit
+    /// for bit; a zero-headed right-hand side may skip the steps before
+    /// its first non-zero row; a tail change replays from the state saved
+    /// before its first row's step; the trailing back substitution and the
+    /// trailing inverse block match whole solves.
+    #[test]
+    fn partial_ldl_sweeps_match_whole_solves() {
+        let (n, m) = (37usize, 5usize);
+        let a = random_symmetric(n, m, 91, c64(0.5, 0.25));
+        let mut ldl = BandedLdl::placeholder();
+        ldl.refactor(n, m, 0, lower_of(&a)).unwrap();
+        let b0: Vec<Complex64> = (0..2 * n)
+            .map(|k| c64((k as f64 * 0.31).sin(), (k as f64 * 0.17).cos()))
+            .collect();
+        let mut whole = b0.clone();
+        ldl.solve_many(&mut whole, 2);
+        let mut split = b0.clone();
+        ldl.forward_steps(0, 0..11, &mut split);
+        ldl.forward_steps(0, 11..n, &mut split);
+        ldl.back_substitute(&mut split);
+        assert!(bits(&split) == bits(&whole));
+
+        // Rows before r zero: steps from r on, over the window starting
+        // there, give the same forward result.
+        let r = 20;
+        let mut headless = b0[..n].to_vec();
+        headless[..r].fill(Complex64::ZERO);
+        let mut full = headless.clone();
+        ldl.forward_steps(0, 0..n, &mut full);
+        let mut window = headless[r..].to_vec();
+        ldl.forward_steps(r, r..n, &mut window);
+        assert!(full[..r].iter().all(|z| *z == Complex64::ZERO));
+        assert_eq!(&full[r..], &window[..]);
+
+        // A change from row r on: replaying steps r..n on the saved
+        // state solves the changed right-hand side to rounding.
+        let mut z = b0[..n].to_vec();
+        ldl.forward_steps(0, 0..r, &mut z);
+        let mut tail = z[r..].to_vec();
+        let delta: Vec<Complex64> = (r..n).map(|i| c64(0.1 * i as f64, -0.2)).collect();
+        for (t, d) in tail.iter_mut().zip(&delta) {
+            *t -= *d;
+        }
+        ldl.forward_steps(r, r..n, &mut tail);
+        z[r..].copy_from_slice(&tail);
+        ldl.back_substitute(&mut z);
+        let mut changed = b0[..n].to_vec();
+        for (c, d) in changed[r..].iter_mut().zip(&delta) {
+            *c -= *d;
+        }
+        let want = ldl_solve(&ldl, &changed);
+        for (p, q) in z.iter().zip(&want) {
+            assert!((*p - *q).abs() <= 1e-12 * (1.0 + q.abs()));
+        }
+
+        // Trailing back substitution = the tail of a whole one.
+        let k = 9;
+        let mut y = b0[..n].to_vec();
+        ldl.forward_steps(0, 0..n, &mut y);
+        let mut tail = y[n - k..].to_vec();
+        ldl.back_substitute(&mut y);
+        ldl.back_substitute_trailing(&mut tail, k);
+        assert!(bits(&y[n - k..]) == bits(&tail));
+
+        // Trailing inverse block = the tails of solves against unit
+        // vectors (to rounding: the skipped steps reorder nothing, but
+        // the whole solve sweeps explicit zeros through the axpys).
+        let mut block = vec![Complex64::ZERO; k * k];
+        ldl.trailing_inverse_block(k, &mut block);
+        let mut units = vec![Complex64::ZERO; k * n];
+        for c in 0..k {
+            units[c * n + n - k + c] = Complex64::ONE;
+        }
+        ldl.solve_many(&mut units, k);
+        for c in 0..k {
+            for (i, v) in units[c * n + n - k..(c + 1) * n].iter().enumerate() {
+                assert!((*v - block[c * k + i]).abs() <= 1e-12 * (1.0 + v.abs()));
+            }
+        }
+        assert_eq!(ldl.bytes(), n * (m + 1) * 16);
     }
 
     /// A refactor resumed at `start` leaves the storage bit-identical to
