@@ -266,13 +266,13 @@ fn window_schur(
         (0..rows.start, false, rows.start, rows.start - nx),
         (rows.end..n, true, rows.end - nx, rows.end),
     ] {
-        let mut lu = BandedLu::placeholder();
-        lu.refactor(slab.len(), nx, nx, 0, |a, start| {
-            stencil.assemble_block_with_diag(diag, slab.clone(), reversed, start, a)
+        let mut ldl = BandedLdl::placeholder();
+        ldl.refactor(slab.len(), nx, 0, |a, start| {
+            stencil.assemble_lower_with_diag(diag, slab.clone(), reversed, start, a)
         })
         .unwrap();
         let mut inv = vec![Complex64::ZERO; nx * nx];
-        lu.trailing_inverse_block(nx, &mut inv, &mut Vec::new());
+        ldl.trailing_inverse_block(nx, &mut inv);
         // Slab unknown a0 + k sits at trailing index k (top) or
         // nx − 1 − k (bottom, reversed).
         let t = |k: usize| if reversed { nx - 1 - k } else { k };

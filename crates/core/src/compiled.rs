@@ -30,14 +30,14 @@ use crate::objective::{Readings, SpectralAggregation};
 use crate::problem::{DeviceProblem, MonitorKind};
 use boson_fab::SpectralAxis;
 use boson_fdfd::monitor::ModalMonitor;
-use boson_fdfd::operator::{assemble_banded, scale_source, scale_source_into};
+use boson_fdfd::operator::{scale_source, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{
     CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SlabUse,
     SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::{SlabCache, WindowTerms};
+use boson_fdfd::window::{solve_reference, ReferenceFactor, SlabCache, WindowTerms};
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
 use boson_num::pool;
@@ -465,25 +465,13 @@ fn calibrate_omega(
     }
 
     // Normalisation: straight-waveguide reference per excitation.
+    let sfactors = SFactors::new(&grid, omega);
+    let stencil = StencilCache::build(&grid, &sfactors, omega);
     let mut norm_power = Vec::new();
     for (ei, exc) in problem.excitations.iter().enumerate() {
         let port = &problem.ports[exc.source_port];
-        // Replicate the transverse ε line at the source plane along the
-        // propagation axis.
-        let eps_ref = match port.axis {
-            boson_fdfd::grid::Axis::X => {
-                let line: Vec<f64> = (0..grid.ny).map(|iy| eps_bg[(iy, port.plane)]).collect();
-                Array2::from_fn(grid.ny, grid.nx, |iy, _| line[iy])
-            }
-            boson_fdfd::grid::Axis::Y => {
-                let line: Vec<f64> = (0..grid.nx).map(|ix| eps_bg[(port.plane, ix)]).collect();
-                Array2::from_fn(grid.ny, grid.nx, |_, ix| line[ix])
-            }
-        };
-        let sfactors = SFactors::new(&grid, omega);
-        let lu = assemble_banded(&grid, &sfactors, &eps_ref, omega).factor()?;
-        let mut field = scale_source(&grid, &sfactors, omega, &sources[ei].current(&grid));
-        lu.solve(&mut field);
+        let (field, _) =
+            reference_field(problem, eps_bg, &stencil, &sfactors, omega, &sources, ei)?;
         // Measure the launched mode 12 cells downstream.
         let shift: isize = match exc.source_direction {
             boson_fdfd::grid::Sign::Plus => 12,
@@ -504,7 +492,6 @@ fn calibrate_omega(
 
     let mut rhs = vec![Complex64::ZERO; grid.n() * sources.len()];
     let mut jz = Vec::new();
-    let sfactors = SFactors::new(&grid, omega);
     rhs_into(&grid, &sfactors, omega, &sources, &mut jz, &mut rhs);
     let forms = monitors
         .iter()
@@ -524,6 +511,51 @@ fn calibrate_omega(
         norm_power,
         terms,
     })
+}
+
+/// The straight-waveguide normalisation reference of excitation `ei` at
+/// `omega` (`stencil` and `sfactors` built for it): the transverse ε line of `eps_bg` at
+/// its source plane replicated along the propagation axis, solved for the
+/// excitation's scaled source ([`solve_reference`]). Returns the field
+/// and the factor it was solved on.
+fn reference_field(
+    problem: &DeviceProblem,
+    eps_bg: &Array2<f64>,
+    stencil: &StencilCache,
+    sfactors: &SFactors,
+    omega: f64,
+    sources: &[ModalSource],
+    ei: usize,
+) -> Result<(Vec<Complex64>, ReferenceFactor), SingularMatrixError> {
+    let grid = problem.grid;
+    let port = &problem.ports[problem.excitations[ei].source_port];
+    let eps_ref = match port.axis {
+        boson_fdfd::grid::Axis::X => {
+            let line: Vec<f64> = (0..grid.ny).map(|iy| eps_bg[(iy, port.plane)]).collect();
+            Array2::from_fn(grid.ny, grid.nx, |iy, _| line[iy])
+        }
+        boson_fdfd::grid::Axis::Y => {
+            let line: Vec<f64> = (0..grid.nx).map(|ix| eps_bg[(port.plane, ix)]).collect();
+            Array2::from_fn(grid.ny, grid.nx, |_, ix| line[ix])
+        }
+    };
+    let mut diag = Vec::new();
+    stencil.diag_into(&eps_ref, &mut diag);
+    let mut field = scale_source(&grid, sfactors, omega, &sources[ei].current(&grid));
+    let factor = solve_reference(stencil, &diag, &mut field)?;
+    Ok((field, factor))
+}
+
+/// The nominal background permittivity every calibration shares (design
+/// region void: ports sit on access waveguides, so it serves the mode
+/// solves and the references).
+fn background_eps(problem: &DeviceProblem) -> Array2<f64> {
+    assemble_eps(
+        &problem.background_solid,
+        problem.design_origin,
+        &Array2::zeros(problem.design_shape.0, problem.design_shape.1),
+        300.0,
+    )
 }
 
 impl CompiledProblem {
@@ -561,15 +593,8 @@ impl CompiledProblem {
         problem: DeviceProblem,
         axis: SpectralAxis,
     ) -> Result<Self, SingularMatrixError> {
-        // Nominal background permittivity (design region = seed-less void
-        // is fine for mode solving: ports sit on access waveguides). It is
-        // ω-independent, so it is shared by every calibration.
-        let eps_bg = assemble_eps(
-            &problem.background_solid,
-            problem.design_origin,
-            &Array2::zeros(problem.design_shape.0, problem.design_shape.1),
-            300.0,
-        );
+        // ω-independent, so shared by every calibration.
+        let eps_bg = background_eps(&problem);
         let cals = axis
             .omegas(problem.omega)
             .into_iter()
@@ -956,7 +981,7 @@ impl CompiledProblem {
     /// entry at the centre wavelength (`is_nominal[ci] && omega_idx[ci] ==`
     /// [`CompiledProblem::nominal_omega_idx`]), whose `∂F/∂ε` the runner
     /// sums over every cell into the temperature gradient of its
-    /// worst-case search; only its slabs keep their LUs. Every other
+    /// worst-case search; only its slabs keep their factors. Every other
     /// direct column is window-only: its sources and monitors come
     /// condensed from the slab cache, so it solves only the window's rows
     /// and its gradient is zero outside them (see [`Evaluation::grad_eps`]).
@@ -1943,6 +1968,43 @@ pub(crate) mod tests {
 
     fn inf_norm(v: &[Complex64]) -> f64 {
         v.iter().fold(0.0f64, |m, z| m.max(z.abs()))
+    }
+
+    /// Every normalisation reference of the bend, the crossing and the
+    /// isolator, at the three wavelengths of a `K = 3` axis (the centre one
+    /// is the `K = 1` reference), solves on the `L·D·Lᵀ`: none falls back
+    /// to the pivoted LU.
+    #[test]
+    fn normalisation_references_solve_on_the_ldl() {
+        for problem in [bending(), crossing(), isolator()] {
+            let c =
+                CompiledProblem::compile_spectral(problem.clone(), SpectralAxis::around(0.05, 3))
+                    .unwrap();
+            let eps_bg = background_eps(&problem);
+            for cal in &c.cals {
+                let sf = SFactors::new(&problem.grid, cal.omega);
+                let stencil = StencilCache::build(&problem.grid, &sf, cal.omega);
+                for ei in 0..cal.sources.len() {
+                    let (_, factor) = reference_field(
+                        &problem,
+                        &eps_bg,
+                        &stencil,
+                        &sf,
+                        cal.omega,
+                        &cal.sources,
+                        ei,
+                    )
+                    .unwrap();
+                    assert_eq!(
+                        factor,
+                        ReferenceFactor::Ldl,
+                        "{} ω={} excitation {ei}",
+                        problem.name,
+                        cal.omega
+                    );
+                }
+            }
+        }
     }
 
     /// Window-only direct evaluations of the bend, the crossing and the

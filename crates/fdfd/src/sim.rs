@@ -44,8 +44,8 @@
 //!   window's rows: the fixed slabs above and below it are factored once
 //!   per `(grid, ω, slab diagonal)` into a [`crate::window::SlabCache`]
 //!   and condensed out, and the window's Schur complement is refactored
-//!   in place from its first changed column, as a complex-symmetric
-//!   `L·D·Lᵀ` without pivoting ([`crate::window`]). Every
+//!   in place from its first changed column; slabs and window alike are
+//!   complex-symmetric `L·D·Lᵀ` without pivoting ([`crate::window`]). Every
 //!   such solve is backward-error checked and falls back to the plain
 //!   banded LU on failure. A direct fan-out builds the slabs on its
 //!   caller's workspace and lends that cache to every lane
@@ -67,9 +67,9 @@
 //! loop touches the allocator not at all (verified by the
 //! `tests/zero_alloc.rs` counting-allocator test).
 //!
-//! A one-off solve outside any corner loop (a calibration reference, a
-//! test) can factor a fresh [`crate::operator::assemble_banded`] matrix
-//! instead.
+//! A one-off solve outside any corner loop (a calibration reference)
+//! goes through [`crate::window::solve_reference`]: a checked `L·D·Lᵀ`
+//! of the whole operator with the pivoted banded LU to fall back on.
 //!
 //! # Corner solver strategies
 //!
@@ -771,7 +771,7 @@ enum SolveMode {
     /// falls back to [`SolveMode::DirectLu`].
     Window(Split),
     /// As [`SolveMode::Window`], over slabs condensed for the prepared
-    /// terms that need not keep their LUs: window-only solves.
+    /// terms that need not keep their factors: window-only solves.
     WindowTerms(Split),
     /// The corner *is* the nominal corner: solve on `nominal_lu`.
     NominalDirect,
@@ -780,10 +780,10 @@ enum SolveMode {
     Iterative { tol: f64, max_iters: usize },
 }
 
-/// What a full-field direct factor needs from its slabs: their LUs.
+/// What a full-field direct factor needs from its slabs: their factors.
 const FULL_FIELD: Need<'static> = Need {
     terms: None,
-    lu: true,
+    factor: true,
 };
 
 /// How a corner of a direct fan-out will use its slabs (see
@@ -1143,7 +1143,7 @@ impl SimWorkspace {
     /// [`SimWorkspace::solve_terms`] and
     /// [`SimWorkspace::solve_terms_adjoint`] then solve only the window's
     /// rows, with no slab sweep. With `full`, the slabs also keep their
-    /// LUs, so [`SimWorkspace::solve_block`] solves the whole grid as
+    /// factors, so [`SimWorkspace::solve_block`] solves the whole grid as
     /// after [`SimWorkspace::factor`]; without it, a `solve_block` first
     /// prepares the corner again that way. Without window rows, or on a
     /// window fallback, every solve runs on the plain banded LU.
@@ -1165,7 +1165,7 @@ impl SimWorkspace {
     ) -> Result<(), SingularMatrixError> {
         let need = Need {
             terms: Some(terms),
-            lu: full,
+            factor: full,
         };
         self.factor_corner(grid, terms.omega(), eps, lent, need)?;
         self.terms = Some(Arc::clone(terms));
@@ -1183,8 +1183,8 @@ impl SimWorkspace {
     /// the cache out to be lent read-only to every lane's
     /// [`SimWorkspace::factor_terms`].
     /// The missing slabs are built here, in corner order, in the cache's
-    /// one build storage: a build holds a whole slab LU while it runs, so
-    /// builds on several lanes would hold several. Give the cache back with
+    /// one build storage: a build holds a whole slab factor while it runs,
+    /// so builds on several lanes would hold several. Give the cache back with
     /// [`SimWorkspace::restore_window_slabs`]. Without window rows the
     /// cache comes back untouched. The workspace's prepared corner, if
     /// any, is dropped: prepare one again before solving.
@@ -1214,7 +1214,7 @@ impl SimWorkspace {
                 stencil.diag_into(eps, &mut self.diag);
                 let need = Need {
                     terms: Some(slab_use.terms),
-                    lu: slab_use.full,
+                    factor: slab_use.full,
                 };
                 self.slabs
                     .ensure(grid, omega, split, stencil, &self.diag, need);
@@ -1235,7 +1235,7 @@ impl SimWorkspace {
     /// [`SimWorkspace::factor`], [`SimWorkspace::factor_terms`], of a
     /// forced-direct corner and of the budget-miss fallback. With window
     /// rows it factors the window over cached slabs that serve `need`
-    /// ([`SolveMode::Window`] when they keep their LUs,
+    /// ([`SolveMode::Window`] when they keep their factors,
     /// [`SolveMode::WindowTerms`] otherwise; slabs come from `lent` when
     /// it holds them); an unusable slab or a singular window factor falls
     /// back to the plain factor ([`SolveMode::DirectLu`]), counted in the
@@ -1266,7 +1266,7 @@ impl SimWorkspace {
                     .is_ok()
             {
                 self.factored = true;
-                self.mode = if need.lu {
+                self.mode = if need.factor {
                     self.a_norm = stencil.norm_inf(&self.diag);
                     SolveMode::Window(split)
                 } else {
@@ -1628,12 +1628,12 @@ impl SimWorkspace {
         assert_eq!(b.len(), n * nrhs, "solve_block dimension mismatch");
         match self.mode {
             SolveMode::WindowTerms(_) => {
-                // Window-only slabs keep no LU: prepare the corner again
+                // Window-only slabs keep no factor: prepare the corner again
                 // on slabs that do.
                 let terms = self.terms.clone();
                 let need = Need {
                     terms: terms.as_ref(),
-                    lu: true,
+                    factor: true,
                 };
                 self.factor_direct(None, need)?;
                 self.report.factorizations += 1;
@@ -1685,11 +1685,10 @@ impl SimWorkspace {
 
     /// Element growth of the prepared direct corner factor: the largest
     /// term of its factor products over the largest `|a_ij|` of the
-    /// operator — for a pivoted LU (the plain factor, the slabs) the
-    /// largest `|u_ij|`, for the window's `L·D·Lᵀ` the largest
-    /// `|l_ik|·|d_k|·|l_jk|` ([`boson_num::banded::BandedLdl::max_abs_term`]);
-    /// window mode takes the largest over the window factor and both
-    /// slabs. A solve's backward error scales with it. `None` unless a
+    /// operator — for the plain pivoted LU the largest `|u_ij|`, for the
+    /// window path's `L·D·Lᵀ` factors the largest `|l_ik|·|d_k|·|l_jk|`
+    /// ([`boson_num::banded::BandedLdl::max_abs_term`]) over the window
+    /// factor and both slabs. A solve's backward error scales with it. `None` unless a
     /// direct corner is prepared.
     pub fn direct_factor_growth(&self) -> Option<f64> {
         let u = match (self.factored, self.mode) {

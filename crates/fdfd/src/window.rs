@@ -19,21 +19,25 @@
 //! design cell, so everything derived from it depends only on
 //! `(grid, ω, side, the slab's diagonal)`: a [`SlabCache`] keeps it across
 //! corners, and a corner factors only `S` — `W`'s rows — resuming at its
-//! first changed column. `S` is complex-symmetric like the operator, so it
-//! is factored as `L·D·Lᵀ` from its lower triangle without pivoting
-//! ([`boson_num::banded::BandedLdl`]): `nx + 1` stored entries per column
-//! instead of the pivoted LU's `3·nx + 1`, and about a quarter of the
-//! elimination work.
+//! first changed column.
+//!
+//! Nothing on this path pivots. The slabs and `S` are complex-symmetric
+//! like the operator, so each is factored as `L·D·Lᵀ` from its lower
+//! triangle ([`boson_num::banded::BandedLdl`], assembled straight into
+//! the factor by [`StencilCache::assemble_lower_with_diag`]): `nx + 1`
+//! stored entries per column instead of the pivoted LU's `3·nx + 1`,
+//! about a quarter of the elimination work, and solve sweeps that read a
+//! third of the entries.
 //!
 //! `B` is factored in reversed row order, so the rows next to `W` come
 //! last in both slabs and each interface block is the *trailing* block of
-//! a slab inverse ([`boson_num::banded::BandedLu::trailing_inverse_block`],
+//! a slab inverse ([`boson_num::banded::BandedLdl::trailing_inverse_block`],
 //! `O(nx³)`).
 //!
 //! # What a slab entry holds
 //!
-//! A slab is factored once, by the cache's one reusable LU storage, and
-//! an entry keeps its key, its `nx×nx` interface block, and — for the
+//! A slab is factored once, in the cache's one reusable `L·D·Lᵀ` build
+//! storage, and an entry keeps its key, its `nx×nx` interface block, and — for the
 //! [`WindowTerms`] of its ω, when the build was given them — the
 //! condensed data of every fixed right-hand side `f` and output form `w`
 //! (a linear functional `w·E`, e.g. a modal monitor):
@@ -44,18 +48,18 @@
 //!
 //! Each is zero when `f` or `w` does not reach the slab, and the build
 //! spends one slab solve on each one that does. An entry keeps the
-//! slab's banded LU too only when full-field solves need it; without
-//! it, an entry is its `nx×nx` block plus a few `nx`-vectors.
+//! slab's factor too only when full-field solves need it; without it, an
+//! entry is its `nx×nx` block plus a few `nx`-vectors.
 //!
 //! # Two solve kinds
 //!
 //! * **Full field** ([`crate::sim::SimWorkspace::solve_block`]): one
-//!   forward and one back sweep per slab LU plus one solve on `S`. The
-//!   forward sweeps give the slabs' interface rows, which condense the
+//!   forward and one back sweep per slab factor plus one solve on `S`.
+//!   The forward sweeps give the slabs' interface rows, which condense the
 //!   window's right-hand side; after the window solve, the slabs' own
 //!   right-hand sides change only in their interface rows, so only the
-//!   forward steps that reach those rows are replayed before each slab's
-//!   back sweep. Every solve's normwise backward error on the whole grid
+//!   forward steps from the first interface row on are replayed before
+//!   each slab's back sweep. Every solve's normwise backward error on the whole grid
 //!   is checked against [`WINDOW_BACKWARD_TOL`].
 //! * **Window only** ([`crate::sim::SimWorkspace::solve_terms`],
 //!   [`crate::sim::SimWorkspace::solve_terms_adjoint`]): the field on the
@@ -72,9 +76,13 @@
 //!   error is checked against [`WINDOW_BACKWARD_TOL`]. Each slab's own
 //!   solves are residual-checked once, when it is built.
 //!
-//! The slab order of elimination is a static pivoting choice and the
-//! window factor does not pivot at all: a failed check, a singular slab
-//! or a zero window pivot falls back to the plain banded LU.
+//! The slab order of elimination is a static pivoting choice and no
+//! factor pivots at all: a failed check, or a zero pivot in a slab or the
+//! window, falls back to the plain banded LU.
+//!
+//! [`solve_reference`] serves one-off whole-grid solves the same way: an
+//! `L·D·Lᵀ` of the whole operator, checked, with the pivoted LU to fall
+//! back on.
 
 use crate::grid::SimGrid;
 use crate::monitor::LinearForm;
@@ -190,8 +198,8 @@ impl Split {
         }
     }
 
-    /// Rows of slab storage the cache may hold per lane: the band rows a
-    /// plain factor would hold beyond the window factor.
+    /// Band rows of slab storage the cache may hold per lane: one
+    /// factored slab pair, a row per unknown outside the window.
     fn lane_allowance(&self) -> usize {
         self.n - self.window_len()
     }
@@ -307,13 +315,13 @@ struct Condensed {
 pub(crate) struct Need<'a> {
     /// Condensed data for these terms (window-only solves).
     pub(crate) terms: Option<&'a Arc<WindowTerms>>,
-    /// The slab's banded LU (full-field solves).
-    pub(crate) lu: bool,
+    /// The slab's `L·D·Lᵀ` (full-field solves).
+    pub(crate) factor: bool,
 }
 
 /// One fixed slab: its key and diagonal (slab order), its Schur
 /// contribution on the adjacent window grid row, and what the build was
-/// asked for — condensed data and the banded LU.
+/// asked for — condensed data and the slab's factor.
 #[derive(Debug)]
 pub(crate) struct Slab {
     key: SlabKey,
@@ -321,7 +329,8 @@ pub(crate) struct Slab {
     /// The slab operator is singular or failed its build check: corners
     /// that need it take the plain banded path.
     unusable: bool,
-    /// The slab LU's largest `|u_ij|`, recorded at build.
+    /// The slab factor's largest term ([`BandedLdl::max_abs_term`]),
+    /// recorded at build.
     growth: f64,
     /// `A_W·[slab⁻¹]_tail·A_slab,W` on the window's adjacent grid row,
     /// `nx×nx` column-major in that row's cell indices.
@@ -329,8 +338,8 @@ pub(crate) struct Slab {
     /// Row sums of `|schur|`.
     schur_rows: Vec<f64>,
     cond: Option<Condensed>,
-    /// The banded LU in slab order, kept only for full-field solves.
-    lu: Option<BandedLu>,
+    /// The slab's `L·D·Lᵀ` in slab order, kept only for full-field solves.
+    factor: Option<BandedLdl>,
 }
 
 impl Slab {
@@ -356,7 +365,7 @@ impl Slab {
         let terms_ok = need
             .terms
             .is_none_or(|t| self.cond.as_ref().is_some_and(|c| Arc::ptr_eq(&c.terms, t)));
-        self.unusable || (terms_ok && (!need.lu || self.lu.is_some()))
+        self.unusable || (terms_ok && (!need.factor || self.factor.is_some()))
     }
 
     /// Heap bytes of the entry.
@@ -368,7 +377,7 @@ impl Slab {
             .map_or(0, |d| d.rhs.len() + d.forms.len() + d.offsets.len());
         (self.diag.len() + self.schur.len() + cond) * c
             + self.schur_rows.len() * std::mem::size_of::<f64>()
-            + self.lu.as_ref().map_or(0, BandedLu::bytes)
+            + self.factor.as_ref().map_or(0, BandedLdl::bytes)
     }
 }
 
@@ -380,19 +389,17 @@ fn max_abs(v: &[Complex64]) -> f64 {
     v.iter().fold(0.0f64, |m, z| m.max(z.abs()))
 }
 
-/// The storage and scratch a slab build runs in: one banded LU storage,
+/// The storage and scratch a slab build runs in: one `L·D·Lᵀ` storage,
 /// reused from build to build (a build with the same key resumes at the
 /// first changed diagonal entry, bit-identical to a fresh factor), and
 /// the scratch of the interface block and the build's slab solves.
 #[derive(Debug)]
 struct SlabBuilder {
-    lu: BandedLu,
+    ldl: BandedLdl,
     /// Key of the factor `lu` holds (`None`: nothing to resume from) …
     record: Option<SlabKey>,
     /// … and its slab diagonal.
     diag: Vec<Complex64>,
-    /// Forward-sweep scratch of the interface-block computation.
-    work: Vec<Complex64>,
     /// The trailing inverse block of the slab being built.
     inv: Vec<Complex64>,
     /// The build's right-hand-side solutions (slab order, per excitation).
@@ -408,10 +415,9 @@ struct SlabBuilder {
 impl Default for SlabBuilder {
     fn default() -> Self {
         SlabBuilder {
-            lu: BandedLu::placeholder(),
+            ldl: BandedLdl::placeholder(),
             record: None,
             diag: Vec::new(),
-            work: Vec::new(),
             inv: Vec::new(),
             ysol: Vec::new(),
             b: Vec::new(),
@@ -423,27 +429,27 @@ impl Default for SlabBuilder {
 }
 
 impl SlabBuilder {
-    /// Heap bytes of the builder (its LU storage and scratch).
+    /// Heap bytes of the builder (its factor storage and scratch).
     fn bytes(&self) -> usize {
         let scratch = [
-            &self.diag, &self.work, &self.inv, &self.ysol, &self.b, &self.x, &self.glob, &self.res,
+            &self.diag, &self.inv, &self.ysol, &self.b, &self.x, &self.glob, &self.res,
         ]
         .iter()
         .map(|v| v.capacity())
         .sum::<usize>();
-        self.lu.bytes() + scratch * std::mem::size_of::<Complex64>()
+        self.ldl.bytes() + scratch * std::mem::size_of::<Complex64>()
     }
 
-    /// Drops the LU storage (and its record).
+    /// Drops the factor storage (and its record).
     fn release(&mut self) {
-        self.lu = BandedLu::placeholder();
+        self.ldl = BandedLdl::placeholder();
         self.record = None;
     }
 
     /// Builds `key`'s slab of the operator with (whole-grid) diagonal
     /// `diag`: factors it, computes its interface block and what `need`
     /// asks for, and residual-checks the build's slab solves. With
-    /// `need.lu` the entry takes the LU storage.
+    /// `need.factor` the entry takes the factor storage.
     fn build(
         &mut self,
         key: SlabKey,
@@ -466,8 +472,8 @@ impl SlabBuilder {
             .extend((0..m).map(|k| diag[split.global(side, k)]));
         let rows = split.slab_rows(side);
         let reversed = side == Side::Bottom;
-        let result = self.lu.refactor(m, nx, nx, start, |a, s| {
-            stencil.assemble_block_with_diag(diag, rows, reversed, s, a)
+        let result = self.ldl.refactor(m, nx, start, |a, s| {
+            stencil.assemble_lower_with_diag(diag, rows, reversed, s, a)
         });
         let mut slab = Slab {
             key,
@@ -477,17 +483,16 @@ impl SlabBuilder {
             schur: Vec::new(),
             schur_rows: Vec::new(),
             cond: None,
-            lu: None,
+            factor: None,
         };
         if result.is_err() {
             return slab;
         }
         self.record = Some(key);
-        slab.growth = self.lu.max_abs_upper();
+        slab.growth = self.ldl.max_abs_term();
         self.inv.clear();
         self.inv.resize(nx * nx, Complex64::ZERO);
-        self.lu
-            .trailing_inverse_block(nx, &mut self.inv, &mut self.work);
+        self.ldl.trailing_inverse_block(nx, &mut self.inv);
         let (south, north) = (stencil.south(), stencil.north());
         slab.schur = vec![Complex64::ZERO; nx * nx];
         for j in 0..nx {
@@ -511,8 +516,8 @@ impl SlabBuilder {
             .map(|i| (0..nx).map(|j| slab.schur[j * nx + i].abs()).sum())
             .collect();
         slab.unusable = !self.condense(key, stencil, diag, need.terms, &mut slab);
-        if !slab.unusable && need.lu {
-            slab.lu = Some(std::mem::replace(&mut self.lu, BandedLu::placeholder()));
+        if !slab.unusable && need.factor {
+            slab.factor = Some(std::mem::replace(&mut self.ldl, BandedLdl::placeholder()));
             self.record = None;
         }
         slab
@@ -627,7 +632,7 @@ impl SlabBuilder {
         let rows = split.slab_rows(side);
         self.x.clear();
         self.x.extend_from_slice(&self.b);
-        self.lu.solve(&mut self.x);
+        self.ldl.solve_many(&mut self.x, 1);
         if !self.x.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
             return false;
         }
@@ -655,19 +660,19 @@ impl SlabBuilder {
 /// found by `Arc` identity), so a lookup can only return the slab a fresh
 /// build would produce: results never depend on the cache's history.
 ///
-/// The cache budgets bytes: per lane that holds a direct factor, the band
-/// storage a plain `n×(3b+1)` factor holds beyond the window factor, plus
-/// the band storage of the larger slab for builds. Resident bytes count every entry (key,
-/// interface block, condensed data, and the LU of an entry that keeps
-/// one) and the build scratch — the one reusable LU storage and the
-/// interface-block scratch. A build first evicts least-recently-used
-/// entries until it fits (an evicted LU no one holds becomes the build
-/// storage); after a fan-out or a serial build, an over-budget cache
-/// drops the build storage first, then least-recently-used entries.
-/// Entries in use by the current corner or direct fan-out are never
-/// evicted; if they alone exceed the budget the cache runs over it until
-/// the fan-out ends. Entries without an LU are small, so the whole working
-/// set of a run fits.
+/// The cache budgets bytes in `L·D·Lᵀ` band rows of `nx + 1` entries:
+/// per lane that holds a direct factor, a row per unknown outside the
+/// window — one factored slab pair — plus the rows of the larger slab for
+/// builds. Resident bytes count every entry (key, interface block,
+/// condensed data, and the factor of an entry that keeps one) and the
+/// build scratch — the one reusable factor storage and the interface-block
+/// scratch. A build first evicts least-recently-used entries until it fits
+/// (an evicted factor no one holds becomes the build storage); after a
+/// fan-out or a serial build, an over-budget cache drops the build storage
+/// first, then least-recently-used entries. Entries in use by the current
+/// corner or direct fan-out are never evicted; if they alone exceed the
+/// budget the cache runs over it until the fan-out ends. Entries without
+/// a factor are small, so the whole working set of a run fits.
 ///
 /// A [`crate::sim::SimWorkspace`] owns one and builds into it on demand;
 /// a direct fan-out builds every slab its corners miss on the caller's
@@ -705,9 +710,12 @@ impl SlabCache {
         self.entries.is_empty()
     }
 
-    /// Number of resident slabs that keep their banded LU.
+    /// Number of resident slabs that keep their factor.
     pub fn factored_len(&self) -> usize {
-        self.entries.iter().filter(|(s, _)| s.lu.is_some()).count()
+        self.entries
+            .iter()
+            .filter(|(s, _)| s.factor.is_some())
+            .count()
     }
 
     /// Bytes of resident slab entries and build scratch.
@@ -804,10 +812,10 @@ impl SlabCache {
         pair
     }
 
-    /// The LU storage a build of `key` allocates: none while the
+    /// The factor storage a build of `key` allocates: none while the
     /// builder holds storage to reuse.
     fn storage_bytes(&self, key: &SlabKey) -> usize {
-        if self.builder.lu.bytes() == 0 {
+        if self.builder.ldl.bytes() == 0 {
             key.split.slab_len(key.side) * row_bytes(&key.grid)
         } else {
             0
@@ -816,13 +824,13 @@ impl SlabCache {
 
     /// Evicts least-recently-used entries stamped before `pin` until
     /// `extra` more bytes of entries fit the budget, and `storage` more
-    /// while the builder holds no LU storage (or nothing evictable is
-    /// left). With `storage > 0`, an evicted LU no one else holds becomes
-    /// the build storage.
+    /// while the builder holds no factor storage (or nothing evictable is
+    /// left). With `storage > 0`, an evicted factor no one else holds
+    /// becomes the build storage.
     fn make_room(&mut self, extra: usize, storage: usize, pin: u64) {
         let budget = self.budget_bytes();
         let needed = |c: &Self| {
-            let build = if c.builder.lu.bytes() == 0 {
+            let build = if c.builder.ldl.bytes() == 0 {
                 storage
             } else {
                 0
@@ -841,9 +849,9 @@ impl SlabCache {
                 break;
             };
             let (evicted, _) = self.entries.swap_remove(lru);
-            if storage > 0 && self.builder.lu.bytes() == 0 {
-                if let Some(lu) = Arc::try_unwrap(evicted).ok().and_then(|s| s.lu) {
-                    self.builder.lu = lu;
+            if storage > 0 && self.builder.ldl.bytes() == 0 {
+                if let Some(ldl) = Arc::try_unwrap(evicted).ok().and_then(|s| s.factor) {
+                    self.builder.ldl = ldl;
                     self.builder.record = None;
                 }
             }
@@ -860,7 +868,7 @@ impl SlabCache {
     }
 }
 
-/// Bytes of `key`'s entry without an LU: its diagonal and interface
+/// Bytes of `key`'s entry without a factor: its diagonal and interface
 /// block.
 fn entry_bytes(key: &SlabKey) -> usize {
     let (m, nx) = (key.split.slab_len(key.side), key.split.nx);
@@ -881,9 +889,10 @@ fn slab_key(grid: SimGrid, omega: f64, split: Split, side: Side) -> SlabKey {
     }
 }
 
-/// Bytes of one row of plain banded LU storage on `grid`.
+/// Bytes of one row of `L·D·Lᵀ` band storage on `grid`: `nx + 1`
+/// entries.
 fn row_bytes(grid: &SimGrid) -> usize {
-    (3 * grid.nx + 1) * std::mem::size_of::<Complex64>()
+    (grid.nx + 1) * std::mem::size_of::<Complex64>()
 }
 
 /// Per-solve scratch of a [`WindowFactor`]; grown once, then reused.
@@ -895,8 +904,7 @@ struct SolveScratch {
     bottom: Vec<Complex64>,
     /// Window right-hand sides / solutions.
     window: Vec<Complex64>,
-    /// Top-slab forward state before the first step that reaches its
-    /// interface rows.
+    /// Top-slab interface rows before the forward steps that read them.
     top_tail: Vec<Complex64>,
     /// Bottom-slab counterpart of `top_tail`.
     bottom_tail: Vec<Complex64>,
@@ -948,10 +956,9 @@ impl WindowFactor {
         }
     }
 
-    /// The largest term of the factor products over the window factor
-    /// ([`BandedLdl::max_abs_term`]) and its slabs (whose pivoted
-    /// multipliers are at most 1: their largest `|u_ij|`, recorded when
-    /// they were built).
+    /// The largest term of the factor products
+    /// ([`BandedLdl::max_abs_term`]) over the window factor and its slabs
+    /// (recorded when they were built).
     pub(crate) fn max_abs_term(&self) -> f64 {
         let slabs = self
             .slabs
@@ -1067,18 +1074,18 @@ impl WindowFactor {
     /// Solves `A·X = B` in place for `nrhs` column-major right-hand sides
     /// of the whole grid in `b`, through the slab factors and `S`.
     ///
-    /// Per column: forward sweeps on both slabs (`z = L⁻¹P·f`), the
+    /// Per column: forward sweeps on both slabs (`z = L⁻¹·f`), the
     /// trailing back substitution of their interface rows, the condensed
     /// window right-hand side `f_W − A_WA·y_A − A_WB·y_B`, the window
     /// solve, then each slab's right-hand side minus its coupling to the
     /// window solution. That coupling lives in the slab's interface rows,
-    /// which only the forward steps from `interface − kl` on reach, so
-    /// those steps are replayed on the saved forward state from there
-    /// before the slab's one back sweep.
+    /// which no forward step before the first interface row reads, so the
+    /// steps from there on are replayed on the interface rows saved before
+    /// them, ahead of the slab's one back sweep.
     ///
     /// # Panics
     ///
-    /// Panics if no factor is held, a slab keeps no LU, or
+    /// Panics if no factor is held, a slab keeps no factor, or
     /// `b.len() != n·nrhs`.
     pub(crate) fn solve(
         &mut self,
@@ -1090,8 +1097,8 @@ impl WindowFactor {
         assert_eq!(b.len(), split.n * nrhs, "window solve dimension mismatch");
         let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
         let lus = (
-            top.lu.as_ref().expect("top slab keeps no LU"),
-            bottom.lu.as_ref().expect("bottom slab keeps no LU"),
+            top.factor.as_ref().expect("top slab keeps no factor"),
+            bottom.factor.as_ref().expect("bottom slab keeps no factor"),
         );
         for chunk in b.chunks_mut(split.n * RHS_BLOCK) {
             solve_chunk(&self.ldl, lus, stencil, split, &mut self.scratch, chunk);
@@ -1312,7 +1319,7 @@ fn assemble_window(
 /// [`WindowFactor::solve`] on at most [`RHS_BLOCK`] columns.
 fn solve_chunk(
     window: &BandedLdl,
-    (top, bottom): (&BandedLu, &BandedLu),
+    (top, bottom): (&BandedLdl, &BandedLdl),
     stencil: &StencilCache,
     split: Split,
     scratch: &mut SolveScratch,
@@ -1322,17 +1329,15 @@ fn solve_chunk(
     let cols = b.len() / n;
     let (na, nw, nb) = (lo, hi - lo, n - hi);
     let (south, north) = (stencil.south(), stencil.north());
-    // First forward step that reaches a slab's interface rows.
-    let ja = (na - nx).saturating_sub(nx);
-    let jb = (nb - nx).saturating_sub(nx);
-    let (ha, hb) = (na - ja, nb - jb);
+    // First forward step that reads a slab's interface rows.
+    let (ja, jb) = (na - nx, nb - nx);
     let s = scratch;
     for (v, len) in [
         (&mut s.top, na),
         (&mut s.bottom, nb),
         (&mut s.window, nw),
-        (&mut s.top_tail, ha),
-        (&mut s.bottom_tail, hb),
+        (&mut s.top_tail, nx),
+        (&mut s.bottom_tail, nx),
         (&mut s.iface, 2 * nx),
     ] {
         v.clear();
@@ -1348,16 +1353,17 @@ fn solve_chunk(
             *dst = *src;
         }
     }
-    // Forward sweeps, saving each slab's state before its interface steps.
-    for (lu, z, tail, j0, m, h) in [
-        (top, &mut s.top, &mut s.top_tail, ja, na, ha),
-        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
+    // Forward sweeps, saving each slab's interface rows before the steps
+    // that read them.
+    for (ldl, z, tail, j0, m) in [
+        (top, &mut s.top, &mut s.top_tail, ja, na),
+        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb),
     ] {
-        lu.forward_steps(0, 0..j0, z);
-        for (t, zc) in tail.chunks_exact_mut(h).zip(z.chunks_exact(m)) {
+        ldl.forward_steps(0, 0..j0, z);
+        for (t, zc) in tail.chunks_exact_mut(nx).zip(z.chunks_exact(m)) {
             t.copy_from_slice(&zc[j0..]);
         }
-        lu.forward_steps(0, j0..m, z);
+        ldl.forward_steps(0, j0..m, z);
     }
     // Interface rows of y = slab⁻¹·f, condensed into the window RHS.
     let (ia, ib) = s.iface.split_at_mut(nx * cols);
@@ -1366,8 +1372,8 @@ fn solve_chunk(
         .zip(ib.chunks_exact_mut(nx))
         .enumerate()
     {
-        ta.copy_from_slice(&s.top[c * na + na - nx..(c + 1) * na]);
-        tb.copy_from_slice(&s.bottom[c * nb + nb - nx..(c + 1) * nb]);
+        ta.copy_from_slice(&s.top[c * na + ja..(c + 1) * na]);
+        tb.copy_from_slice(&s.bottom[c * nb + jb..(c + 1) * nb]);
     }
     top.back_substitute_trailing(ia, nx);
     bottom.back_substitute_trailing(ib, nx);
@@ -1383,28 +1389,29 @@ fn solve_chunk(
         }
     }
     window.solve_many(&mut s.window, cols);
-    // Each slab's RHS minus its coupling to the window solution, replayed
-    // through the forward steps that reach it, then the back sweep.
+    // Each slab's RHS minus its coupling to the window solution, which
+    // lives in its interface rows: replay the forward steps from the
+    // first interface row on the saved rows, then the back sweep.
     for (c, wc) in s.window.chunks_exact(nw).enumerate() {
-        let ta = &mut s.top_tail[c * ha..(c + 1) * ha];
-        let tb = &mut s.bottom_tail[c * hb..(c + 1) * hb];
+        let ta = &mut s.top_tail[c * nx..(c + 1) * nx];
+        let tb = &mut s.bottom_tail[c * nx..(c + 1) * nx];
         for j in 0..nx {
             // Top unknown lo − nx + j couples north to window cell j.
-            ta[na - nx + j - ja] -= north[lo - nx + j] * wc[j];
+            ta[j] -= north[lo - nx + j] * wc[j];
             // Bottom unknown hi + j (reversed nb − 1 − j) couples south
             // to window cell nw − nx + j.
-            tb[nb - 1 - j - jb] -= south[hi + j] * wc[nw - nx + j];
+            tb[nx - 1 - j] -= south[hi + j] * wc[nw - nx + j];
         }
     }
-    for (lu, z, tail, j0, m, h) in [
-        (top, &mut s.top, &mut s.top_tail, ja, na, ha),
-        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb, hb),
+    for (ldl, z, tail, j0, m) in [
+        (top, &mut s.top, &mut s.top_tail, ja, na),
+        (bottom, &mut s.bottom, &mut s.bottom_tail, jb, nb),
     ] {
-        lu.forward_steps(j0, j0..m, tail);
-        for (zc, t) in z.chunks_exact_mut(m).zip(tail.chunks_exact(h)) {
+        ldl.forward_steps(j0, j0..m, tail);
+        for (zc, t) in z.chunks_exact_mut(m).zip(tail.chunks_exact(nx)) {
             zc[j0..].copy_from_slice(t);
         }
-        lu.back_substitute(z);
+        ldl.back_substitute(z);
     }
     for (c, col) in b.chunks_exact_mut(n).enumerate() {
         col[..lo].copy_from_slice(&s.top[c * na..(c + 1) * na]);
@@ -1447,4 +1454,73 @@ pub(crate) fn backward_error_ok(
         // non-finite right-hand side fails (NaN ≤ NaN is false).
         max_abs(resid) <= WINDOW_BACKWARD_TOL * (a_norm * max_abs(xc) + max_abs(fc))
     })
+}
+
+/// The factor [`solve_reference`] solved on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReferenceFactor {
+    /// The unpivoted complex-symmetric `L·D·Lᵀ`, whose solves passed the
+    /// backward-error check.
+    Ldl,
+    /// The pivoted banded LU, after a zero `L·D·Lᵀ` pivot or a failed
+    /// check.
+    PivotedLu,
+}
+
+/// Solves `A·X = B` in place for the whole-grid operator of `stencil`
+/// with diagonal `diag`, `b` holding whole columns: a one-off direct
+/// solve such as a compile-time normalisation reference.
+///
+/// The operator is factored as `L·D·Lᵀ` from its lower band
+/// ([`StencilCache::assemble_lower_with_diag`]), `n·(nx + 1)` entries
+/// against the pivoted LU's `n·(3·nx + 1)`, and every column's normwise
+/// backward error is checked against [`WINDOW_BACKWARD_TOL`]. On a zero
+/// pivot or a failed check the factor is dropped and `b` is solved on the
+/// pivoted banded LU instead, bit-identical to
+/// [`crate::operator::assemble_banded`]`(..).factor()`.
+///
+/// # Errors
+///
+/// Returns [`SingularMatrixError`] if the pivoted LU meets a zero pivot.
+///
+/// # Panics
+///
+/// Panics if `diag` does not match the grid or `b` is not whole columns.
+pub fn solve_reference(
+    stencil: &StencilCache,
+    diag: &[Complex64],
+    b: &mut [Complex64],
+) -> Result<ReferenceFactor, SingularMatrixError> {
+    let (n, nx) = (stencil.n(), stencil.nx());
+    assert!(
+        !b.is_empty() && b.len().is_multiple_of(n),
+        "reference solve needs whole columns"
+    );
+    let nrhs = b.len() / n;
+    let mut ldl = BandedLdl::placeholder();
+    let assembled = ldl.refactor(n, nx, 0, |a, s| {
+        stencil.assemble_lower_with_diag(diag, 0..n, false, s, a)
+    });
+    if assembled.is_ok() {
+        let mut x = b.to_vec();
+        ldl.solve_many(&mut x, nrhs);
+        if backward_error_ok(
+            stencil,
+            diag,
+            stencil.norm_inf(diag),
+            &x,
+            b,
+            &mut Vec::new(),
+        ) {
+            b.copy_from_slice(&x);
+            return Ok(ReferenceFactor::Ldl);
+        }
+    }
+    drop(ldl);
+    let mut lu = BandedLu::placeholder();
+    lu.refactor(n, nx, nx, 0, |a, s| {
+        stencil.assemble_block_with_diag(diag, 0..n, false, s, a)
+    })?;
+    lu.solve_many(b, nrhs);
+    Ok(ReferenceFactor::PivotedLu)
 }

@@ -1,9 +1,10 @@
 //! The design-window direct factor (`boson_fdfd::window`) against the
 //! plain banded LU: agreement on the paper's bend, crossing and isolator
-//! operators,
+//! operators — whole solves and each fixed slab's unpivoted `L·D·Lᵀ` —,
 //! the degenerate windows that must stay plain, cache-history and resume
-//! bit-identity, and a finite-difference check of the adjoint gradient
-//! through the window path.
+//! bit-identity, a finite-difference check of the adjoint gradient
+//! through the window path, and the whole-grid reference solve with its
+//! pivoted-LU fallback.
 //!
 //! The 80×80 operators take a while to factor in a debug build; CI also
 //! runs this file in release (`cargo test --release -p boson-fdfd --test
@@ -16,8 +17,8 @@ use boson_fdfd::pml::SFactors;
 use boson_fdfd::port::Port;
 use boson_fdfd::sim::{SimWorkspace, SlabUse};
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::{WindowTerms, WINDOW_BACKWARD_TOL};
-use boson_num::banded::BandedLu;
+use boson_fdfd::window::{solve_reference, ReferenceFactor, WindowTerms, WINDOW_BACKWARD_TOL};
+use boson_num::banded::{BandedLdl, BandedLu, BandedMatrix};
 use boson_num::{Array2, Complex64};
 use std::sync::Arc;
 
@@ -160,11 +161,16 @@ fn relative_residual(
 /// operator is complex-symmetric, so `‖A⁻¹‖∞ = ‖A⁻¹‖₁` and
 /// `A⁻ᴴ·v = conj(A⁻¹·conj(v))`.
 fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
-    let n = lu.n();
+    hager(lu.n(), |v| lu.solve_vec(v))
+}
+
+/// [`inverse_norm_estimate`] over any solve of an `n×n`
+/// complex-symmetric operator.
+fn hager(n: usize, solve: impl Fn(&[Complex64]) -> Vec<Complex64>) -> f64 {
     let mut x = vec![Complex64::new(1.0 / n as f64, 0.0); n];
     let mut est = 0.0;
     for _ in 0..5 {
-        let y = lu.solve_vec(&x);
+        let y = solve(&x);
         est = y.iter().map(|z| z.abs()).sum::<f64>();
         let sign: Vec<Complex64> = y
             .iter()
@@ -177,8 +183,7 @@ fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
             })
             .map(|z| Complex64::new(z.re, -z.im))
             .collect();
-        let z: Vec<Complex64> = lu
-            .solve_vec(&sign)
+        let z: Vec<Complex64> = solve(&sign)
             .iter()
             .map(|z| Complex64::new(z.re, -z.im))
             .collect();
@@ -220,15 +225,15 @@ fn inverse_norm_estimate(lu: &BandedLu) -> f64 {
 ///
 /// `ρ = max|u_ij| / max|a_ij|` the measured element growth of the factor.
 /// The window path eliminates whole slabs before the window (block
-/// elimination with pivoting inside each block), whose coupling
-/// multipliers are not bounded by 1, and factors the window's Schur
-/// complement `S` as `L·D·Lᵀ` without pivoting, whose multipliers are
-/// not bounded either. The same theorem with `U = D·Lᵀ` gives
-/// `|ΔS| ≤ γ_{3(nx+1)}·|L||D||Lᵀ|`, each entry a sum of at most
-/// `(nx + 1)²` terms `|l_ik|·|d_k|·|l_jk|` (fewer than the
-/// `(kl + 1)·w` above), so the bound holds with `ρ` the largest such
-/// term over `max|a_ij|` — what `direct_factor_growth` reports for the
-/// window path, over its slab and window factors. The check the
+/// elimination), whose coupling multipliers are not bounded by 1, and
+/// factors each slab and the window's Schur complement `S` as `L·D·Lᵀ`
+/// without pivoting, whose multipliers are not bounded either. The same
+/// theorem with `U = D·Lᵀ` gives `|ΔS| ≤ γ_{3(nx+1)}·|L||D||Lᵀ|` (and
+/// likewise for each slab), each entry a sum of at most `(nx + 1)²` terms
+/// `|l_ik|·|d_k|·|l_jk|` (fewer than the `(kl + 1)·w` above), so the
+/// bound holds with `ρ` the largest such term over `max|a_ij|` — what
+/// `direct_factor_growth` reports for the window path, over its slab and
+/// window factors. The check the
 /// workspace runs on every window solve bounds its backward error by
 /// `WINDOW_BACKWARD_TOL` besides. By first-order perturbation theory two
 /// solutions with relative residuals `η₁, η₂` differ by at most
@@ -305,6 +310,166 @@ fn window_solves_agree_with_the_banded_lu() {
                 }
             }
         }
+    }
+}
+
+/// The fixed slabs around the bend, crossing and isolator windows —
+/// top in grid order, bottom reversed — factor as unpivoted `L·D·Lᵀ`
+/// with no zero pivot at every axial temperature and two wavelengths,
+/// and their solves agree with the slab's pivoted banded LU within a
+/// bound derived from both factors' growth, as in
+/// `window_solves_agree_with_the_banded_lu`: the LU's relative residual
+/// is at most `γ_{3w}·(nx + 1)·w·ρ_p·max|a_ij|/‖A‖∞`; the `L·D·Lᵀ`'s at
+/// most `γ_{3(nx+1)}·(nx + 1)²·ρ_l·max|a_ij|/‖A‖∞` (`ρ_l` its largest
+/// term `|l_ik|·|d_k|·|l_jk|` over `max|a_ij|`, at most `(nx + 1)²`
+/// terms per entry of `|L||D||Lᵀ|`); the solutions differ by at most
+/// `10·κ∞·(τ_p + τ_l)` relative to `‖x‖∞`, `κ∞` from Hager's estimator
+/// on the slab's LU.
+#[test]
+fn ldl_slabs_agree_with_their_banded_lu() {
+    let u = f64::EPSILON / 2.0;
+    let gamma = |k: usize| k as f64 * u / (1.0 - k as f64 * u);
+    for (device, g, rows) in [
+        (Device::Bend, grid(), WINDOW),
+        (Device::Crossing, grid(), WINDOW),
+        (Device::Isolator, isolator_grid(), ISOLATOR_WINDOW),
+    ] {
+        let (n, nx) = (g.n(), g.nx);
+        let w = 3 * nx + 1;
+        let slabs = [(0..rows.start * nx, false), (rows.end * nx..n, true)];
+        for lambda in [1.55, 1.50] {
+            let om = omega(lambda);
+            let stencil = StencilCache::build(&g, &SFactors::new(&g, om), om);
+            for t in [T_NOMINAL, T_LO, T_HI] {
+                let mut diag = Vec::new();
+                stencil.diag_into(&eps(device, t, 0.0), &mut diag);
+                for (slab, reversed) in slabs.clone() {
+                    let tag = format!("{device:?} λ={lambda} T={t} reversed={reversed}");
+                    let m = slab.len();
+                    let mut block = BandedMatrix::new(m, nx, nx);
+                    stencil.assemble_block_with_diag(&diag, slab.clone(), reversed, 0, &mut block);
+                    // ‖A‖∞ and max|a_ij| of the slab block.
+                    let (mut a_inf, mut a_max) = (0.0f64, 0.0f64);
+                    for i in 0..m {
+                        let row = (i.saturating_sub(nx)..=(i + nx).min(m - 1))
+                            .map(|j| block.get(i, j).abs());
+                        a_max = row.clone().fold(a_max, f64::max);
+                        a_inf = a_inf.max(row.sum());
+                    }
+                    let mut ldl = BandedLdl::placeholder();
+                    ldl.refactor(m, nx, 0, |a, s| {
+                        stencil.assemble_lower_with_diag(&diag, slab.clone(), reversed, s, a)
+                    })
+                    .unwrap_or_else(|e| panic!("{tag}: zero L·D·Lᵀ pivot {e:?}"));
+                    let lu = block.clone().factor().expect("slab LU");
+                    let b: Vec<Complex64> = (0..2 * m)
+                        .map(|k| Complex64::new((k as f64 * 0.013).sin(), (k as f64 * 0.029).cos()))
+                        .collect();
+                    let (mut xl, mut xp) = (b.clone(), b.clone());
+                    ldl.solve_many(&mut xl, 2);
+                    lu.solve_many(&mut xp, 2);
+                    let rho_l = ldl.max_abs_term() / a_max;
+                    let rho_p = lu.max_abs_upper() / a_max;
+                    let tau_l =
+                        gamma(3 * (nx + 1)) * ((nx + 1) * (nx + 1)) as f64 * rho_l * a_max / a_inf;
+                    let tau_p = gamma(3 * w) * (nx + 1) as f64 * w as f64 * rho_p * a_max / a_inf;
+                    let kappa = a_inf * hager(m, |v| lu.solve_vec(v));
+                    for c in 0..2 {
+                        let col = c * m..(c + 1) * m;
+                        for (what, x, tau) in [("ldl", &xl, tau_l), ("lu", &xp, tau_p)] {
+                            let ax = block.matvec(&x[col.clone()]);
+                            let r: Vec<Complex64> = ax
+                                .iter()
+                                .zip(&b[col.clone()])
+                                .map(|(p, q)| *p - *q)
+                                .collect();
+                            let eta = inf_norm(&r) / (a_inf * inf_norm(&x[col.clone()]));
+                            assert!(
+                                eta <= tau,
+                                "{tag} col {c}: {what} residual {eta:e} > {tau:e}"
+                            );
+                        }
+                        let diff: Vec<Complex64> = xl[col.clone()]
+                            .iter()
+                            .zip(&xp[col.clone()])
+                            .map(|(p, q)| *p - *q)
+                            .collect();
+                        let rel = inf_norm(&diff) / inf_norm(&xp[col]);
+                        let limit = 10.0 * kappa * (tau_p + tau_l);
+                        assert!(
+                            rel <= limit,
+                            "{tag} col {c}: solutions differ by {rel:e} > {limit:e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The whole-grid reference solve factors a healthy operator as
+/// `L·D·Lᵀ` and passes the backward-error check; an operator with a zero
+/// `L·D·Lᵀ` pivot — a zero first diagonal entry, which the pivoted LU
+/// swaps away — and one whose `L·D·Lᵀ` solve fails the check (a NaN
+/// diagonal entry) solve through the pivoted banded LU, bit for bit as
+/// the plain factor.
+#[test]
+fn reference_solve_falls_back_to_the_pivoted_lu() {
+    let g = grid();
+    let (n, nx) = (g.n(), g.nx);
+    let om = omega(1.55);
+    let sf = SFactors::new(&g, om);
+    let stencil = StencilCache::build(&g, &sf, om);
+    let mut diag = Vec::new();
+    stencil.diag_into(&eps(Device::Bend, T_NOMINAL, 0.0), &mut diag);
+    let b = rhs(&g, om);
+    let mut x = b.clone();
+    assert_eq!(
+        solve_reference(&stencil, &diag, &mut x),
+        Ok(ReferenceFactor::Ldl)
+    );
+    for c in 0..2 {
+        let col = c * n..(c + 1) * n;
+        let mut r = vec![Complex64::ZERO; n];
+        stencil.apply(&diag, &x[col.clone()], &mut r);
+        let res: Vec<Complex64> = r
+            .iter()
+            .zip(&b[col.clone()])
+            .map(|(p, q)| *p - *q)
+            .collect();
+        let bound = WINDOW_BACKWARD_TOL
+            * (stencil.norm_inf(&diag) * inf_norm(&x[col.clone()]) + inf_norm(&b[col]));
+        assert!(
+            inf_norm(&res) <= bound,
+            "col {c}: residual {:e} > {bound:e}",
+            inf_norm(&res)
+        );
+    }
+    let bits = |v: &[Complex64]| {
+        v.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    for (k, v) in [
+        (0, Complex64::ZERO),
+        (40 * nx + 40, Complex64::new(f64::NAN, 0.0)),
+    ] {
+        let mut broken = diag.clone();
+        broken[k] = v;
+        let mut x = b.clone();
+        assert_eq!(
+            solve_reference(&stencil, &broken, &mut x),
+            Ok(ReferenceFactor::PivotedLu),
+            "diagonal entry {k} = {v:?}"
+        );
+        let mut plain = BandedMatrix::new(n, nx, nx);
+        stencil.assemble_block_with_diag(&broken, 0..n, false, 0, &mut plain);
+        let mut want = b.clone();
+        plain.factor().expect("pivoted LU").solve_many(&mut want, 2);
+        assert!(
+            bits(&x) == bits(&want),
+            "diagonal entry {k}: not the pivoted LU's solve"
+        );
     }
 }
 
@@ -630,7 +795,7 @@ const COEF: [Complex64; 4] = [
 /// the window path.
 ///
 /// Derivation. A window-only solve applies the factors the full window
-/// path applies — the slabs' pivoted LUs and `S`'s `L·D·Lᵀ` — in another
+/// path applies — the slabs' and `S`'s `L·D·Lᵀ` — in another
 /// order: each slab's solves of the right-hand sides and forms that reach
 /// it run once, at build, instead of per column. Its result is therefore
 /// the window rows of a solution whose relative residual obeys the bound

@@ -766,72 +766,25 @@ impl BandedLu {
     }
 
     /// One factor sweep over all columns of `b` (the pre-blocking
-    /// [`BandedLu::solve_many`] body).
+    /// [`BandedLu::solve_many`] body): per factor column the row swap and
+    /// the unit-lower update of `L⁻¹·P`, then the back substitution
+    /// `U x = y`.
     fn solve_sweep(&self, b: &mut [Complex64]) {
         let n = self.n;
-        self.forward_steps(0, 0..n, b);
-        self.back_substitute(b);
-    }
-
-    /// Applies elimination steps `steps` of `L⁻¹·P` — each a row swap
-    /// followed by the unit-lower update of the rows below it — to every
-    /// column of `b`, where each column holds rows `lo..n` of a right-hand
-    /// side (`n − lo` entries).
-    ///
-    /// Step `j` only reads and writes rows `j..n`, so a window that
-    /// starts at or before the first step holds everything the steps
-    /// touch. Steps `0..n` on full columns are the forward half of
-    /// [`BandedLu::solve_many`]; splitting them into consecutive ranges
-    /// gives the same result bit for bit, and a right-hand side whose rows
-    /// before `r` are zero may skip every step before `r − kl` (those
-    /// steps swap and update only rows before `r`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is not within `lo..=n` or `b` is not a whole
-    /// number of `n − lo`-row columns.
-    pub fn forward_steps(&self, lo: usize, steps: std::ops::Range<usize>, b: &mut [Complex64]) {
-        let n = self.n;
-        assert!(
-            lo <= steps.start && steps.start <= steps.end && steps.end <= n,
-            "forward_steps: steps {steps:?} outside rows {lo}..{n}"
-        );
-        let len = n - lo;
-        assert!(
-            len > 0 && b.len().is_multiple_of(len),
-            "forward_steps: block is not whole columns"
-        );
         let (kl, ldab, kv) = (self.kl, self.ldab(), self.kl + self.ku);
-        for j in steps {
-            let p = self.ipiv[j] - lo;
+        for j in 0..n {
+            let p = self.ipiv[j];
             let km = kl.min(n - 1 - j);
             let col = j * ldab + kv;
             let l = &self.ab[col + 1..=col + km];
-            let r = j - lo;
-            for rhs in b.chunks_exact_mut(len) {
-                if p != r {
-                    rhs.swap(r, p);
+            for rhs in b.chunks_exact_mut(n) {
+                if p != j {
+                    rhs.swap(j, p);
                 }
-                let bj = rhs[r];
-                axpy_neg(bj, l, &mut rhs[r + 1..=r + km]);
+                let bj = rhs[j];
+                axpy_neg(bj, l, &mut rhs[j + 1..=j + km]);
             }
         }
-    }
-
-    /// Back substitution `U x = y` in place on every full-length column of
-    /// `b` — the second half of [`BandedLu::solve_many`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is not a whole number of `n`-row columns.
-    pub fn back_substitute(&self, b: &mut [Complex64]) {
-        let n = self.n;
-        assert!(
-            n > 0 && b.len().is_multiple_of(n),
-            "back_substitute: block is not whole columns"
-        );
-        let ldab = self.ldab();
-        let kv = self.kl + self.ku;
         for j in (0..n).rev() {
             let col = j * ldab + kv;
             let dinv = self.ab[col].inv();
@@ -843,75 +796,6 @@ impl BandedLu {
                 axpy_neg(bj, u, &mut rhs[j - reach..j]);
             }
         }
-    }
-
-    /// Back substitution restricted to the trailing `k` rows: each
-    /// `k`-entry column of `tail` holds rows `n − k..n` of `y` and
-    /// receives rows `n − k..n` of `U⁻¹·y`. `U` is upper triangular, so
-    /// those rows depend on no earlier row; the cost is `O(k²)` per column
-    /// instead of a whole sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or exceeds `n`, or `tail` is not a whole number
-    /// of `k`-row columns.
-    pub fn back_substitute_trailing(&self, tail: &mut [Complex64], k: usize) {
-        let n = self.n;
-        assert!(
-            k > 0 && k <= n && tail.len().is_multiple_of(k),
-            "back_substitute_trailing: bad trailing block"
-        );
-        let ldab = self.ldab();
-        let kv = self.kl + self.ku;
-        let top = n - k;
-        for j in (top..n).rev() {
-            let col = j * ldab + kv;
-            let dinv = self.ab[col].inv();
-            let reach = kv.min(j - top);
-            let u = &self.ab[col - reach..col];
-            let r = j - top;
-            for rhs in tail.chunks_exact_mut(k) {
-                let bj = rhs[r] * dinv;
-                rhs[r] = bj;
-                axpy_neg(bj, u, &mut rhs[r - reach..r]);
-            }
-        }
-    }
-
-    /// Writes the trailing `k×k` block of `A⁻¹` (rows and columns
-    /// `n − k..n`) column-major into `out`, using `work` as scratch.
-    ///
-    /// Column `c` is `A⁻¹·e_{n−k+c}` restricted to its last `k` rows. The
-    /// unit vector is zero before row `n − k`, so its forward sweep skips
-    /// every step before `n − k − kl` (see [`BandedLu::forward_steps`])
-    /// and the back substitution runs on the trailing `k` rows only
-    /// ([`BandedLu::back_substitute_trailing`]): `O(k·(k + kl)·kl)` work
-    /// instead of `k` whole solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or exceeds `n`, or `out.len() != k²`.
-    pub fn trailing_inverse_block(
-        &self,
-        k: usize,
-        out: &mut [Complex64],
-        work: &mut Vec<Complex64>,
-    ) {
-        let n = self.n;
-        assert!(k > 0 && k <= n, "trailing_inverse_block: bad block size");
-        assert_eq!(out.len(), k * k, "trailing_inverse_block: output size");
-        let lo = (n - k).saturating_sub(self.kl);
-        let len = n - lo;
-        work.clear();
-        work.resize(len * k, Complex64::ZERO);
-        for (c, col) in work.chunks_exact_mut(len).enumerate() {
-            col[n - k + c - lo] = Complex64::ONE;
-        }
-        self.forward_steps(lo, lo..n, work);
-        for (dst, col) in out.chunks_exact_mut(k).zip(work.chunks_exact(len)) {
-            dst.copy_from_slice(&col[len - k..]);
-        }
-        self.back_substitute_trailing(out, k);
     }
 
     /// Convenience: solves into a fresh vector.
@@ -1978,63 +1862,6 @@ mod tests {
             reference::solve(&slow, &mut xs);
             for (p, q) in xf.iter().zip(&xs) {
                 assert!((*p - *q).abs() < 1e-10, "n={n} kl={kl} ku={ku}");
-            }
-        }
-    }
-
-    /// Split forward steps plus the back substitution are the solve, bit
-    /// for bit; a zero-headed right-hand side may skip the steps that
-    /// cannot reach it; the trailing back substitution and the trailing
-    /// inverse block match whole solves.
-    #[test]
-    fn partial_sweeps_match_whole_solves() {
-        let (n, kl, ku) = (37usize, 5usize, 5usize);
-        let lu = pivoting_banded(n, kl, ku, 91).factor().unwrap();
-        let b0: Vec<Complex64> = (0..2 * n)
-            .map(|k| c64((k as f64 * 0.31).sin(), (k as f64 * 0.17).cos()))
-            .collect();
-        let mut whole = b0.clone();
-        lu.solve_many(&mut whole, 2);
-        let mut split = b0.clone();
-        lu.forward_steps(0, 0..11, &mut split);
-        lu.forward_steps(0, 11..n, &mut split);
-        lu.back_substitute(&mut split);
-        assert_eq!(split, whole);
-
-        // Rows before r zero: steps from r − kl on, over the window
-        // starting there, give the same forward result.
-        let r = 20;
-        let mut headless = b0[..n].to_vec();
-        headless[..r].fill(Complex64::ZERO);
-        let mut full = headless.clone();
-        lu.forward_steps(0, 0..n, &mut full);
-        let lo = r - kl;
-        let mut window = headless[lo..].to_vec();
-        lu.forward_steps(lo, lo..n, &mut window);
-        assert!(full[..lo].iter().all(|z| *z == Complex64::ZERO));
-        assert_eq!(&full[lo..], &window[..]);
-
-        // Trailing back substitution = the tail of a whole one.
-        let k = 9;
-        let mut y = b0[..n].to_vec();
-        lu.forward_steps(0, 0..n, &mut y);
-        let mut tail = y[n - k..].to_vec();
-        lu.back_substitute(&mut y);
-        lu.back_substitute_trailing(&mut tail, k);
-        assert_eq!(&y[n - k..], &tail[..]);
-
-        // Trailing inverse block = the tails of solves against unit
-        // vectors (to rounding: the skipped steps reorder nothing, but
-        // the whole solve sweeps explicit zeros through the axpys).
-        let mut block = vec![Complex64::ZERO; k * k];
-        let mut work = Vec::new();
-        lu.trailing_inverse_block(k, &mut block, &mut work);
-        for c in 0..k {
-            let mut e = vec![Complex64::ZERO; n];
-            e[n - k + c] = Complex64::ONE;
-            lu.solve(&mut e);
-            for (i, v) in e[n - k..].iter().enumerate() {
-                assert!((*v - block[c * k + i]).abs() <= 1e-12 * (1.0 + v.abs()));
             }
         }
     }
