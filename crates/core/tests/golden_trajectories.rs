@@ -54,6 +54,21 @@
 //! objective: 2.8e-15 (`bend/direct/k1`); of the nominal figure of merit
 //! 1.4e-15 (`bend/direct/k1`), 0 elsewhere.
 //!
+//! It was re-recorded again when the fixed slabs and the compile-time
+//! straight-waveguide normalisation reference moved from the pivoted
+//! banded LU to the unpivoted complex-symmetric `L·D·Lᵀ`
+//! (`boson_fdfd::window::solve_reference`), another summation order.
+//! Every entry moved: the launched power each figure of merit is
+//! normalised by moves at rounding level. Largest relative change of the
+//! robust objective: 1.3e-14 over the direct entries
+//! (`isolator/direct/k1`), 1.7e-7 over all entries
+//! (`crossing/iterative/k3`, where the Krylov tolerance meets a changed
+//! warm start); of the nominal figure of merit 4.7e-14 over the direct
+//! entries (`isolator/direct/k1` and `k3`) and 1.9e-7 over all
+//! (`isolator/iterative/k3`). Active sets did not move; one factorisation
+//! count did: `isolator/iterative/k3` iteration 1 went from 1 to 2, a
+//! Krylov budget miss that now falls back to a direct factor.
+//!
 //! Re-record (prints the fixture to stdout):
 //!
 //! ```text
