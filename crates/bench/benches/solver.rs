@@ -70,7 +70,11 @@ fn bench_factor_and_solve(c: &mut Criterion) {
 /// `window_ldl` factor that Schur complement `S` from column 0 both
 /// ways, with the pivoted banded LU and with the complex-symmetric
 /// `L·D·Lᵀ` the workspace uses, each assembled by copying `S`'s band.
-/// `scripts/bench.sh` records the five medians ungated.
+/// `slab_lu` and `slab_ldl` refactor the corner's bottom slab (its last
+/// grid rows in reversed order, 2,080 × 80 on the bend) warm from column
+/// 0 both ways, assembled straight into each factor's storage: the
+/// pivoted banded LU the slabs used to be, and the `L·D·Lᵀ` they are.
+/// `scripts/bench.sh` records the seven medians ungated.
 fn bench_refactor(c: &mut Criterion) {
     let bend = bending();
     let (grid, omega) = (bend.grid, bend.omega);
@@ -159,6 +163,26 @@ fn bench_refactor(c: &mut Criterion) {
             black_box(w_ldl.refactor(nw, nx, 0, copy).unwrap())
         })
     });
+    let slab = (oy + h) * nx..n;
+    let m = slab.len();
+    let mut s_lu = BandedLu::placeholder();
+    group.bench_function("slab_lu", |b| {
+        b.iter(|| {
+            let assemble = |a: &mut BandedMatrix, start: usize| {
+                stencil.assemble_block_with_diag(&diag_corner, slab.clone(), true, start, a)
+            };
+            black_box(s_lu.refactor(m, nx, nx, 0, assemble).unwrap())
+        })
+    });
+    let mut s_ldl = BandedLdl::placeholder();
+    group.bench_function("slab_ldl", |b| {
+        b.iter(|| {
+            let assemble = |a: &mut BandedLdl, start: usize| {
+                stencil.assemble_lower_with_diag(&diag_corner, slab.clone(), true, start, a)
+            };
+            black_box(s_ldl.refactor(m, nx, 0, assemble).unwrap())
+        })
+    });
     let mut ws = SimWorkspace::new();
     ws.set_window_rows(Some(oy..oy + h));
     ws.factor(grid, omega, &nominal).unwrap();
@@ -178,7 +202,7 @@ fn bench_refactor(c: &mut Criterion) {
 
 /// One bend window column solved both ways on a prepared corner (the
 /// `window_slab` corner of [`bench_refactor`], factored once): `full`
-/// solves the whole grid through the slab LUs and the window factor
+/// solves the whole grid through the slab factors and the window factor
 /// (`SimWorkspace::solve_block`), `condensed` solves only the window's
 /// rows for the same right-hand side, the bend's input line current, and
 /// reads two forms — a line in the window and a three-plane monitor in

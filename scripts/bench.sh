@@ -37,6 +37,7 @@ pool_split_16_serial_ns     pool_split_16_pooled_ns   -                         
 banded_refactor_fresh_ns    banded_refactor_resumed_ns -                        banded_refactor_80x80/fresh            banded_refactor_80x80/resumed                -
 -                           banded_refactor_slab_ns   -                         -                                      banded_refactor_80x80/window_slab            -
 banded_refactor_window_lu_ns banded_refactor_window_ldl_ns -                    banded_refactor_80x80/window_lu        banded_refactor_80x80/window_ldl             -
+banded_refactor_slab_lu_ns  banded_refactor_slab_ldl_ns -                       banded_refactor_80x80/slab_lu          banded_refactor_80x80/slab_ldl               -
 window_solve_full_ns        window_solve_condensed_ns -                         window_solve_80x80/full                window_solve_80x80/condensed                 -
 EOF
 
