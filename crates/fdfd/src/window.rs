@@ -37,8 +37,8 @@
 //! # What a slab entry holds
 //!
 //! A slab is factored once, in the cache's one reusable `L·D·Lᵀ` build
-//! storage, and an entry keeps its key, its `nx×nx` interface block, and — for the
-//! [`WindowTerms`] of its ω, when the build was given them — the
+//! storage, and an entry keeps its key, its `nx×nx` interface block,
+//! and — for the [`WindowTerms`] of its ω, when the build was given them — the
 //! condensed data of every fixed right-hand side `f` and output form `w`
 //! (a linear functional `w·E`, e.g. a modal monitor):
 //!
@@ -59,8 +59,8 @@
 //!   window's right-hand side; after the window solve, the slabs' own
 //!   right-hand sides change only in their interface rows, so only the
 //!   forward steps from the first interface row on are replayed before
-//!   each slab's back sweep. Every solve's normwise backward error on the whole grid
-//!   is checked against [`WINDOW_BACKWARD_TOL`].
+//!   each slab's back sweep. Every solve's normwise backward error on the
+//!   whole grid is checked against [`WINDOW_BACKWARD_TOL`].
 //! * **Window only** ([`crate::sim::SimWorkspace::solve_terms`],
 //!   [`crate::sim::SimWorkspace::solve_terms_adjoint`]): the field on the
 //!   window rows and the readings of the terms' forms, with no slab
@@ -94,7 +94,8 @@ use std::sync::{Arc, Weak};
 /// Largest normwise backward error `‖A·x − b‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞)`
 /// a window-factored solve may have; beyond it the corner is re-solved
 /// through the plain banded LU. A window-only solve is held to it on
-/// the window's condensed system, and a slab build on each slab solve.
+/// the window's condensed system, a slab build on each slab solve, and
+/// [`solve_reference`] on the whole grid.
 ///
 /// A backward-stable banded solve stays within a modest multiple of the
 /// unit roundoff (`1.1e-16`) times the pivot growth; the window solves of
@@ -396,7 +397,7 @@ fn max_abs(v: &[Complex64]) -> f64 {
 #[derive(Debug)]
 struct SlabBuilder {
     ldl: BandedLdl,
-    /// Key of the factor `lu` holds (`None`: nothing to resume from) …
+    /// Key of the factor `ldl` holds (`None`: nothing to resume from) …
     record: Option<SlabKey>,
     /// … and its slab diagonal.
     diag: Vec<Complex64>,
@@ -1516,6 +1517,7 @@ pub fn solve_reference(
             return Ok(ReferenceFactor::Ldl);
         }
     }
+    // Free the L·D·Lᵀ before the LU's three times larger band is allocated.
     drop(ldl);
     let mut lu = BandedLu::placeholder();
     lu.refactor(n, nx, nx, 0, |a, s| {

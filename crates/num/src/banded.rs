@@ -651,12 +651,6 @@ impl BandedLu {
         self.n
     }
 
-    /// Heap bytes of the factor storage and pivots.
-    pub fn bytes(&self) -> usize {
-        self.ab.len() * std::mem::size_of::<Complex64>()
-            + self.ipiv.len() * std::mem::size_of::<usize>()
-    }
-
     /// The largest `|u_ij|` of the upper factor (0 for an unfilled
     /// placeholder): over the largest `|a_ij|`, the element growth factor
     /// of the elimination, the quantity a backward-error bound of the
