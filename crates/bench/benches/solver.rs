@@ -439,6 +439,7 @@ fn bench_corner_solve(c: &mut Criterion) {
                 epoch,
                 is_nominal: false,
                 force_direct: false,
+                terms: None,
             };
             ws.prepare_corner(
                 grid,

@@ -4,14 +4,22 @@
 //!
 //! Compilation solves the port eigenmode problems once (mode shapes live
 //! on the access waveguides, outside the design region, so they do not
-//! change during optimisation) and calibrates the launched power of every
-//! excitation with a straight-waveguide reference run, and binds each
-//! wavelength's scaled sources and monitor forms into the
-//! [`WindowTerms`] a direct corner condenses into the slab cache.
-//! Evaluation then costs one factorisation of the design window's rows
-//! plus `2·(number of excitations)` solves when gradients are requested;
-//! a direct evaluation solves only the window's rows unless the whole
-//! field is read (see [`Evaluation::grad_eps`]).
+//! change during optimisation), binds each wavelength's scaled sources
+//! and modal-monitor forms into one [`WindowTerms`] — the only copy of
+//! them after compile — and calibrates the launched power of every
+//! excitation with a straight-waveguide reference run solved for the
+//! terms' scaled source.
+//!
+//! Every single-ε evaluation runs one body: prepare the corner for its
+//! wavelength's terms, [`SimWorkspace::solve_terms`], readings, adjoint
+//! coefficients, [`SimWorkspace::solve_terms_adjoint`], then `∂F/∂ε`
+//! over the rows those solves return. That costs one factorisation of
+//! the design window's rows plus one solve per excitation and one per
+//! excitation with an adjoint source when gradients are requested; a
+//! direct evaluation solves only the window's rows unless the whole
+//! field is read (see [`Evaluation::grad_eps`]). The fused iterative
+//! batch of [`CompiledProblem::evaluate_corner_product`] takes its
+//! right-hand sides, readings and adjoint sources from the same terms.
 //!
 //! # Spectral axis
 //!
@@ -30,7 +38,7 @@ use crate::objective::{Readings, SpectralAggregation};
 use crate::problem::{DeviceProblem, MonitorKind};
 use boson_fab::SpectralAxis;
 use boson_fdfd::monitor::ModalMonitor;
-use boson_fdfd::operator::{scale_source, scale_source_into, StencilCache};
+use boson_fdfd::operator::{scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{
     CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SlabUse,
@@ -46,10 +54,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A monitor bound to concrete grid weights.
+/// A monitor of one excitation: modal (its form is in the calibration's
+/// [`WindowTerms`], in monitor order) or a residual of modal readings.
 #[derive(Debug, Clone)]
 enum BoundMonitor {
-    Modal(ModalMonitor),
+    Modal,
     Residual(Vec<String>),
 }
 
@@ -236,30 +245,29 @@ impl RecycleConfig {
 }
 
 /// Reusable buffers for repeated [`CompiledProblem::evaluate_eps_scratch`]
-/// calls: one FDFD factor/solve workspace plus the current, field and
-/// adjoint blocks. Keep one per worker thread; after the first evaluation
-/// the entire solve path runs without heap allocation.
+/// calls: one FDFD factor/solve workspace plus the field, adjoint,
+/// reading and batch blocks. Keep one per worker thread; after the first
+/// evaluation the entire solve path runs without heap allocation.
+///
+/// A single-ε evaluation solves its wavelength's [`WindowTerms`] through
+/// [`SimWorkspace::solve_terms`] and
+/// [`SimWorkspace::solve_terms_adjoint`], which return the rows of
+/// [`SimWorkspace::window_unknowns`]: the design window's of a
+/// window-only direct corner, the whole grid's otherwise.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     sim: SimWorkspace,
-    /// Raw current buffer (one excitation at a time).
-    jz: Vec<Complex64>,
-    /// Column-major field block, `n × n_excitations`.
+    /// Column-major field block, one column of the solved rows per
+    /// excitation.
     fields: Vec<Complex64>,
-    /// Column-major adjoint source/solution block, `n × n_excitations`.
+    /// Column-major adjoint block, one column of the solved rows per
+    /// excitation (zero where an excitation has no adjoint source).
     adj: Vec<Complex64>,
     /// Modal amplitude of every monitor form, in the order of the
     /// calibration's [`WindowTerms`].
     amps: Vec<Complex64>,
     /// Adjoint coefficient of every monitor form (same order).
     coef: Vec<Complex64>,
-    /// Which adjoint columns carry a non-zero source.
-    adj_active: Vec<bool>,
-    /// Excitation indices of the active columns, in packed order.
-    active_cols: Vec<usize>,
-    /// Shared forward right-hand sides (`n × n_excitations`) — identical
-    /// for every corner of an epoch, built once.
-    base_rhs: Vec<Complex64>,
     /// Batched-sweep forward RHS / solution blocks (`n × n_excitations ×
     /// batch`).
     batch_rhs: Vec<Complex64>,
@@ -365,12 +373,12 @@ impl EvalScratch {
 /// normalisation at that wavelength.
 struct OmegaCal {
     omega: f64,
-    sources: Vec<ModalSource>,
+    /// Each excitation's named monitors.
     monitors: Vec<Vec<(String, BoundMonitor)>>,
     /// Launched power per excitation (straight-waveguide calibration).
     norm_power: Vec<f64>,
-    /// The scaled sources and the modal monitors' forms, for window-only
-    /// direct solves.
+    /// The scaled sources and the modal monitors' forms: the one copy
+    /// every evaluation at this wavelength solves for.
     terms: Arc<WindowTerms>,
 }
 
@@ -393,7 +401,7 @@ impl std::fmt::Debug for CompiledProblem {
             f,
             "CompiledProblem({}, {} excitations, {} wavelengths)",
             self.problem.name,
-            self.cals[self.nominal_omega_idx].sources.len(),
+            self.cals[self.nominal_omega_idx].terms.excitations(),
             self.cals.len()
         )
     }
@@ -408,6 +416,7 @@ fn calibrate_omega(
     omega: f64,
 ) -> Result<OmegaCal, SingularMatrixError> {
     let grid = problem.grid;
+    let n = grid.n();
     // Solve modes at every port.
     let port_modes: Vec<_> = problem
         .ports
@@ -415,9 +424,13 @@ fn calibrate_omega(
         .map(|p| p.solve_modes(&grid, eps_bg, omega, problem.mode_count))
         .collect();
 
-    let mut sources = Vec::new();
+    // Each excitation's scaled source and its modal monitors' forms.
+    let sfactors = SFactors::new(&grid, omega);
+    let mut rhs = vec![Complex64::ZERO; n * problem.excitations.len()];
+    let mut jz = vec![Complex64::ZERO; n];
+    let mut forms = Vec::new();
     let mut monitors = Vec::new();
-    for exc in &problem.excitations {
+    for (ei, exc) in problem.excitations.iter().enumerate() {
         let src_modes = &port_modes[exc.source_port];
         assert!(
             exc.source_mode < src_modes.len(),
@@ -427,11 +440,13 @@ fn calibrate_omega(
             src_modes.len(),
             exc.source_mode
         );
-        sources.push(ModalSource::new(
+        let source = ModalSource::new(
             problem.ports[exc.source_port].clone(),
             src_modes[exc.source_mode].clone(),
             exc.source_direction,
-        ));
+        );
+        source.current_into(&grid, &mut jz);
+        scale_source_into(&grid, &sfactors, omega, &jz, &mut rhs[ei * n..(ei + 1) * n]);
         let mut bound = Vec::new();
         for spec in &exc.monitors {
             let bm = match &spec.kind {
@@ -450,12 +465,10 @@ fn calibrate_omega(
                         problem.ports[*port].name,
                         modes.len()
                     );
-                    BoundMonitor::Modal(ModalMonitor::new(
-                        &grid,
-                        &problem.ports[*port],
-                        &modes[*mode],
-                        *direction,
-                    ))
+                    let monitor =
+                        ModalMonitor::new(&grid, &problem.ports[*port], &modes[*mode], *direction);
+                    forms.push((ei, monitor.form().clone()));
+                    BoundMonitor::Modal
                 }
                 MonitorKind::Residual { subtract } => BoundMonitor::Residual(subtract.clone()),
             };
@@ -463,15 +476,14 @@ fn calibrate_omega(
         }
         monitors.push(bound);
     }
+    let terms = Arc::new(WindowTerms::new(&grid, omega, rhs, forms));
 
     // Normalisation: straight-waveguide reference per excitation.
-    let sfactors = SFactors::new(&grid, omega);
     let stencil = StencilCache::build(&grid, &sfactors, omega);
     let mut norm_power = Vec::new();
     for (ei, exc) in problem.excitations.iter().enumerate() {
         let port = &problem.ports[exc.source_port];
-        let (field, _) =
-            reference_field(problem, eps_bg, &stencil, &sfactors, omega, &sources, ei)?;
+        let (field, _) = reference_field(problem, eps_bg, &stencil, &terms, ei)?;
         // Measure the launched mode 12 cells downstream.
         let shift: isize = match exc.source_direction {
             boson_fdfd::grid::Sign::Plus => 12,
@@ -490,44 +502,28 @@ fn calibrate_omega(
         norm_power.push(p0);
     }
 
-    let mut rhs = vec![Complex64::ZERO; grid.n() * sources.len()];
-    let mut jz = Vec::new();
-    rhs_into(&grid, &sfactors, omega, &sources, &mut jz, &mut rhs);
-    let forms = monitors
-        .iter()
-        .enumerate()
-        .flat_map(|(ei, mons)| {
-            mons.iter().filter_map(move |(_, mon)| match mon {
-                BoundMonitor::Modal(m) => Some((ei, m.form().clone())),
-                BoundMonitor::Residual(_) => None,
-            })
-        })
-        .collect();
-    let terms = Arc::new(WindowTerms::new(&grid, omega, rhs, forms));
     Ok(OmegaCal {
         omega,
-        sources,
         monitors,
         norm_power,
         terms,
     })
 }
 
-/// The straight-waveguide normalisation reference of excitation `ei` at
-/// `omega` (`stencil` and `sfactors` built for it): the transverse ε line of `eps_bg` at
-/// its source plane replicated along the propagation axis, solved for the
-/// excitation's scaled source ([`solve_reference`]). Returns the field
-/// and the factor it was solved on.
+/// The straight-waveguide normalisation reference of excitation `ei` of
+/// `terms` (`stencil` built for their ω): the transverse ε line of
+/// `eps_bg` at its source plane replicated along the propagation axis,
+/// solved for the excitation's scaled source ([`solve_reference`]).
+/// Returns the field and the factor it was solved on.
 fn reference_field(
     problem: &DeviceProblem,
     eps_bg: &Array2<f64>,
     stencil: &StencilCache,
-    sfactors: &SFactors,
-    omega: f64,
-    sources: &[ModalSource],
+    terms: &WindowTerms,
     ei: usize,
 ) -> Result<(Vec<Complex64>, ReferenceFactor), SingularMatrixError> {
     let grid = problem.grid;
+    let n = grid.n();
     let port = &problem.ports[problem.excitations[ei].source_port];
     let eps_ref = match port.axis {
         boson_fdfd::grid::Axis::X => {
@@ -541,7 +537,7 @@ fn reference_field(
     };
     let mut diag = Vec::new();
     stencil.diag_into(&eps_ref, &mut diag);
-    let mut field = scale_source(&grid, sfactors, omega, &sources[ei].current(&grid));
+    let mut field = terms.rhs()[ei * n..(ei + 1) * n].to_vec();
     let factor = solve_reference(stencil, &diag, &mut field)?;
     Ok((field, factor))
 }
@@ -671,11 +667,11 @@ impl CompiledProblem {
         self.evaluate_eps_scratch(eps, with_grad, &self.problem.objective, &mut scratch)
     }
 
-    /// The zero-allocation evaluation path: factors the operator into the
-    /// scratch's [`SimWorkspace`], pushes **all** excitation solves through
-    /// one batched [`boson_num::banded::BandedLu::solve_many`] sweep, and
-    /// (when `with_grad`) does the same for every adjoint system before
-    /// accumulating `∂objective/∂ε`.
+    /// The zero-allocation evaluation path: factors the design window's
+    /// rows into the scratch's [`SimWorkspace`], solves **all**
+    /// excitations' right-hand sides in one block, and (when `with_grad`)
+    /// every adjoint system with a source in another before accumulating
+    /// `∂objective/∂ε` (window-only: see [`Evaluation::grad_eps`]).
     ///
     /// After the scratch's first use with this problem, the factor-and-
     /// solve path performs no heap allocation (the returned [`Evaluation`]
@@ -762,14 +758,18 @@ impl CompiledProblem {
         oy..oy + self.problem.design_shape.0
     }
 
-    /// Shared body of every single-ε evaluation entry point, at the
-    /// `omega_idx`-th compiled wavelength. `lent` carries a direct
+    /// The one body of every single-ε evaluation, at the `omega_idx`-th
+    /// compiled wavelength: prepares the corner for that wavelength's
+    /// [`WindowTerms`], solves them and reads the monitors
+    /// ([`SimWorkspace::solve_terms`]), solves the adjoint of the
+    /// objective's monitor coefficients
+    /// ([`SimWorkspace::solve_terms_adjoint`]) and accumulates `∂F/∂ε`
+    /// over the rows those solves return. `lent` carries a direct
     /// fan-out's shared slab cache (see
     /// [`CompiledProblem::evaluate_direct_columns`]). A direct corner
     /// solves only the design window's rows unless `full` (see
     /// [`Evaluation::grad_eps`]); the iterative strategies' corners solve
     /// the whole grid.
-    #[allow(clippy::needless_range_loop)] // excitation index addresses four parallel blocks
     #[allow(clippy::too_many_arguments)] // the entry points' arguments, passed through
     fn evaluate_eps_impl(
         &self,
@@ -783,146 +783,25 @@ impl CompiledProblem {
         full: bool,
     ) -> Result<Evaluation, SingularMatrixError> {
         let grid = self.problem.grid;
-        let n = grid.n();
         let cal = &self.cals[omega_idx];
-        let nexc = cal.sources.len();
-        scratch.sim.set_window_rows(Some(self.window_rows()));
-        let direct =
-            lent.is_some() || corner.is_none_or(|cs| cs.strategy.iterative_params().is_none());
-        if direct && !full {
-            return self.evaluate_window_only(eps, with_grad, spec, scratch, omega_idx, lent);
-        }
-        match (corner, lent) {
-            // Lent slabs come only with the direct fan-out's columns.
-            (_, Some(slabs)) => {
-                scratch
-                    .sim
-                    .factor_terms(grid, eps, &cal.terms, true, Some(slabs))?
-            }
-            (None, None) => scratch
-                .sim
-                .factor_terms(grid, eps, &cal.terms, true, None)?,
-            (Some(cs), None) => {
+        let sim = &mut scratch.sim;
+        sim.set_window_rows(Some(self.window_rows()));
+        // Lent slabs come only with the direct fan-out's columns.
+        let iterative =
+            corner.filter(|cs| lent.is_none() && cs.strategy.iterative_params().is_some());
+        match iterative {
+            Some(cs) => {
                 let ctx = CornerContext {
                     nominal_eps: cs.nominal_eps,
                     epoch: cs.epoch,
                     is_nominal: cs.is_nominal,
                     force_direct: cs.force_direct,
+                    terms: Some(&cal.terms),
                 };
-                scratch
-                    .sim
-                    .prepare_corner(grid, cal.omega, eps, cs.strategy, Some(&ctx))?
+                sim.prepare_corner(grid, cal.omega, eps, cs.strategy, Some(&ctx))?
             }
+            None => sim.factor_terms(grid, eps, &cal.terms, full, lent)?,
         }
-
-        // Forward: scale every excitation's current into one column-major
-        // block and solve them together.
-        scratch.fields.clear();
-        scratch.fields.resize(n * nexc, Complex64::ZERO);
-        let (jz, fields) = (&mut scratch.jz, &mut scratch.fields);
-        forward_rhs_into(cal, &grid, scratch.sim.sfactors(), jz, fields);
-        scratch.sim.solve_block(&mut scratch.fields, nexc)?;
-
-        modal_amps_into(cal, n, &scratch.fields, &mut scratch.amps);
-        let readings = readings_from_amps(cal, &scratch.amps);
-        let objective = spec.objective(&readings);
-        let fom = spec.fom(&readings);
-
-        let grad_eps = if with_grad {
-            let dr = self.reading_grads(spec, omega_idx, &readings);
-            // Adjoint sources per excitation, then one batched solve.
-            scratch.adj.clear();
-            scratch.adj.resize(n * nexc, Complex64::ZERO);
-            adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
-            adjoint_sources_into(
-                cal,
-                n,
-                &scratch.coef,
-                &mut scratch.adj,
-                &mut scratch.adj_active,
-            );
-            // Pack the active columns to the front of the block so dead
-            // excitations (no monitor gradient — common under the sparse
-            // objective) cost no triangular sweeps at all.
-            scratch.active_cols.clear();
-            for ei in 0..nexc {
-                if scratch.adj_active[ei] {
-                    let pos = scratch.active_cols.len();
-                    if pos != ei {
-                        scratch.adj.copy_within(ei * n..(ei + 1) * n, pos * n);
-                    }
-                    scratch.active_cols.push(ei);
-                }
-            }
-            let mut total = Array2::zeros(grid.ny, grid.nx);
-            if !scratch.active_cols.is_empty() {
-                let nactive = scratch.active_cols.len();
-                scratch
-                    .sim
-                    .solve_block(&mut scratch.adj[..nactive * n], nactive)?;
-                for (pos, &ei) in scratch.active_cols.iter().enumerate() {
-                    scratch.sim.grad_eps_accumulate(
-                        &scratch.fields[ei * n..(ei + 1) * n],
-                        &scratch.adj[pos * n..(pos + 1) * n],
-                        &mut total,
-                    );
-                }
-            }
-            Some(total)
-        } else {
-            None
-        };
-
-        // Snapshot the nominal corner's solutions into this ω's warm
-        // slot: they seed (warm-start) the batched iterative solves of
-        // every other corner of this wavelength this epoch.
-        if let Some(cs) = corner {
-            if cs.is_nominal && with_grad {
-                if scratch.warm.len() <= omega_idx {
-                    scratch.warm.resize_with(omega_idx + 1, WarmSlot::default);
-                }
-                let warm = &mut scratch.warm[omega_idx];
-                warm.fields.clear();
-                warm.fields.extend_from_slice(&scratch.fields);
-                warm.adj.clear();
-                warm.adj.resize(n * nexc, Complex64::ZERO);
-                for (pos, &ei) in scratch.active_cols.iter().enumerate() {
-                    let (dst, src) = (ei * n, pos * n);
-                    warm.adj[dst..dst + n].copy_from_slice(&scratch.adj[src..src + n]);
-                }
-                warm.epoch = Some(cs.epoch);
-            }
-        }
-
-        let solve = scratch.sim.last_report().clone();
-        Ok(Evaluation {
-            readings,
-            objective,
-            fom,
-            grad_eps,
-            solve,
-        })
-    }
-
-    /// The window-only direct evaluation behind
-    /// [`CompiledProblem::evaluate_eps_impl`]: factors the design window
-    /// over slabs condensed for this wavelength's sources and monitors,
-    /// reads the monitors from the window solution, and solves the
-    /// adjoint on the window's rows only — no slab sweep. The gradient is
-    /// exact on the window's rows and zero outside them.
-    fn evaluate_window_only(
-        &self,
-        eps: &Array2<f64>,
-        with_grad: bool,
-        spec: &crate::objective::ObjectiveSpec,
-        scratch: &mut EvalScratch,
-        omega_idx: usize,
-        lent: Option<&SlabCache>,
-    ) -> Result<Evaluation, SingularMatrixError> {
-        let grid = self.problem.grid;
-        let cal = &self.cals[omega_idx];
-        let sim = &mut scratch.sim;
-        sim.factor_terms(grid, eps, &cal.terms, false, lent)?;
         sim.solve_terms(&mut scratch.fields, &mut scratch.amps)?;
         let readings = readings_from_amps(cal, &scratch.amps);
         let objective = spec.objective(&readings);
@@ -930,36 +809,46 @@ impl CompiledProblem {
         let grad_eps = if with_grad {
             let dr = self.reading_grads(spec, omega_idx, &readings);
             adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
+            sim.solve_terms_adjoint(&scratch.coef, &mut scratch.adj)?;
+            let rows = sim.window_unknowns().len();
             let mut total = Array2::zeros(grid.ny, grid.nx);
-            if scratch.coef.iter().any(|c| *c != Complex64::ZERO) {
-                sim.solve_terms_adjoint(&scratch.coef, &mut scratch.adj)?;
-                let nw = sim.window_unknowns().len();
-                let forms = cal.terms.form_excitations();
-                for (ei, (ez, lambda)) in scratch
-                    .fields
-                    .chunks_exact(nw)
-                    .zip(scratch.adj.chunks_exact(nw))
-                    .enumerate()
-                {
-                    let active = forms
-                        .clone()
-                        .zip(&scratch.coef)
-                        .any(|(fe, c)| fe == ei && *c != Complex64::ZERO);
-                    if active {
-                        sim.grad_eps_accumulate_window(ez, lambda, &mut total);
-                    }
+            for (ei, (ez, lambda)) in scratch
+                .fields
+                .chunks_exact(rows)
+                .zip(scratch.adj.chunks_exact(rows))
+                .enumerate()
+            {
+                if cal.terms.adjoint_active(&scratch.coef, ei) {
+                    sim.grad_eps_accumulate_window(ez, lambda, &mut total);
                 }
             }
             Some(total)
         } else {
             None
         };
+
+        // Snapshot the iterative nominal corner's whole-grid solutions
+        // into this ω's warm slot: they seed (warm-start) the batched
+        // iterative solves of every other corner of this wavelength this
+        // epoch.
+        if let Some(cs) = iterative.filter(|cs| cs.is_nominal && with_grad) {
+            if scratch.warm.len() <= omega_idx {
+                scratch.warm.resize_with(omega_idx + 1, WarmSlot::default);
+            }
+            let warm = &mut scratch.warm[omega_idx];
+            warm.fields.clear();
+            warm.fields.extend_from_slice(&scratch.fields);
+            warm.adj.clear();
+            warm.adj.extend_from_slice(&scratch.adj);
+            warm.epoch = Some(cs.epoch);
+        }
+
         Ok(Evaluation {
             readings,
             objective,
             fom,
             grad_eps,
-            solve: sim.last_report().clone(),
+            solve: scratch.sim.last_report().clone(),
         })
     }
 
@@ -1113,26 +1002,8 @@ impl CompiledProblem {
                 scratch.sim.fused_batch_push(&epss[ci], batch_omega[slot]);
             }
 
-            let nexc = self.cals[0].sources.len();
+            let nexc = self.cals[0].terms.excitations();
             let bl = n * nexc; // block length per corner
-                               // One forward RHS block per batch wavelength (ω-dependent
-                               // through the sources, the source scaling and the stretch
-                               // factors), then replicated per corner.
-            scratch.base_rhs.clear();
-            scratch
-                .base_rhs
-                .resize(omegas_used.len() * bl, Complex64::ZERO);
-            for (bo, &oi) in omegas_used.iter().enumerate() {
-                let cal = &self.cals[oi];
-                let (jz, base, sim) = (&mut scratch.jz, &mut scratch.base_rhs, &scratch.sim);
-                forward_rhs_into(
-                    cal,
-                    &grid,
-                    sim.fused_sfactors(bo),
-                    jz,
-                    &mut base[bo * bl..(bo + 1) * bl],
-                );
-            }
             let bcols = batched.len() * bl;
             scratch.batch_rhs.clear();
             scratch.batch_rhs.resize(bcols, Complex64::ZERO);
@@ -1145,10 +1016,10 @@ impl CompiledProblem {
                 && omegas_used
                     .iter()
                     .all(|&oi| scratch.warm.get(oi).is_some_and(|w| w.valid_for(set.epoch)));
+            // Each corner's right-hand sides are its wavelength's terms.
             for (slot, &ci) in batched.iter().enumerate() {
-                let bo = batch_omega[slot];
                 scratch.batch_rhs[slot * bl..(slot + 1) * bl]
-                    .copy_from_slice(&scratch.base_rhs[bo * bl..(bo + 1) * bl]);
+                    .copy_from_slice(self.cals[set.omega_idx[ci]].terms.rhs());
                 if warm {
                     scratch.batch_x[slot * bl..(slot + 1) * bl]
                         .copy_from_slice(&scratch.warm[set.omega_idx[ci]].fields);
@@ -1217,7 +1088,8 @@ impl CompiledProblem {
                 }
                 let cal = &self.cals[set.omega_idx[ci]];
                 let fields = &scratch.batch_x[slot * bl..(slot + 1) * bl];
-                let readings = readings_from_fields(cal, n, fields);
+                cal.terms.read_into(fields, &mut scratch.amps);
+                let readings = readings_from_amps(cal, &scratch.amps);
                 let objective = spec.objective(&readings);
                 let fom = spec.fom(&readings);
                 partials.push((slot, ci, readings, objective, fom));
@@ -1254,9 +1126,9 @@ impl CompiledProblem {
                     let fields = &scratch.batch_x[slot * bl..(slot + 1) * bl];
                     let dr = self.reading_grads(spec, set.omega_idx[*ci], readings);
                     let adj = &mut scratch.batch_adj[slot * bl..(slot + 1) * bl];
-                    modal_amps_into(cal, n, fields, &mut scratch.amps);
+                    cal.terms.read_into(fields, &mut scratch.amps);
                     adjoint_coefs_into(cal, &dr, &scratch.amps, &mut scratch.coef);
-                    adjoint_sources_into(cal, n, &scratch.coef, adj, &mut scratch.adj_active);
+                    cal.terms.accumulate_adjoint(&scratch.coef, adj);
                 }
                 scratch.batch_adj_x.clear();
                 scratch.batch_adj_x.resize(bcols, Complex64::ZERO);
@@ -1549,69 +1421,22 @@ fn weighted_entries(
     weighted
 }
 
-/// Builds the scaled forward right-hand side of every excitation of one
-/// wavelength's calibration into the column-major block `out`
-/// (`n × n_excitations`); identical for every corner of a `(grid, ω)`.
-fn forward_rhs_into(
-    cal: &OmegaCal,
-    grid: &boson_fdfd::grid::SimGrid,
-    sfactors: &SFactors,
-    jz: &mut Vec<Complex64>,
-    out: &mut [Complex64],
-) {
-    rhs_into(grid, sfactors, cal.omega, &cal.sources, jz, out);
-}
-
-/// [`forward_rhs_into`] for the sources `sources` at `omega`.
-fn rhs_into(
-    grid: &boson_fdfd::grid::SimGrid,
-    sfactors: &SFactors,
-    omega: f64,
-    sources: &[ModalSource],
-    jz: &mut Vec<Complex64>,
-    out: &mut [Complex64],
-) {
-    let n = grid.n();
-    jz.clear();
-    jz.resize(n, Complex64::ZERO);
-    for (ei, src) in sources.iter().enumerate() {
-        src.current_into(grid, jz);
-        scale_source_into(grid, sfactors, omega, jz, &mut out[ei * n..(ei + 1) * n]);
-    }
-}
-
 /// The modal monitors of one wavelength's calibration, in the order of
-/// its [`WindowTerms`]' forms: `(excitation, name, monitor)`.
-fn modal_monitors(cal: &OmegaCal) -> impl Iterator<Item = (usize, &String, &ModalMonitor)> {
+/// its [`WindowTerms`]' forms: `(excitation, name)`.
+fn modal_monitors(cal: &OmegaCal) -> impl Iterator<Item = (usize, &String)> {
     cal.monitors.iter().enumerate().flat_map(|(ei, mons)| {
         mons.iter().filter_map(move |(name, mon)| match mon {
-            BoundMonitor::Modal(m) => Some((ei, name, m)),
+            BoundMonitor::Modal => Some((ei, name)),
             BoundMonitor::Residual(_) => None,
         })
     })
 }
 
-/// The complex amplitude of every modal monitor (in [`modal_monitors`]
-/// order) from a solved field block (`n × n_excitations`).
-fn modal_amps_into(cal: &OmegaCal, n: usize, fields: &[Complex64], amps: &mut Vec<Complex64>) {
-    amps.clear();
-    amps.extend(modal_monitors(cal).map(|(ei, _, m)| m.amplitude(&fields[ei * n..(ei + 1) * n])));
-}
-
-/// Normalised monitor readings from a solved field block
-/// (`n × n_excitations`, column per excitation) against one wavelength's
-/// calibration.
-fn readings_from_fields(cal: &OmegaCal, n: usize, fields: &[Complex64]) -> Readings {
-    let mut amps = Vec::new();
-    modal_amps_into(cal, n, fields, &mut amps);
-    readings_from_amps(cal, &amps)
-}
-
 /// Normalised monitor readings from the modal amplitudes `amps` (in
 /// [`modal_monitors`] order): modal powers, then the residual monitors.
 fn readings_from_amps(cal: &OmegaCal, amps: &[Complex64]) -> Readings {
-    let mut readings: Readings = vec![HashMap::new(); cal.sources.len()];
-    for ((ei, name, _), a) in modal_monitors(cal).zip(amps) {
+    let mut readings: Readings = vec![HashMap::new(); cal.monitors.len()];
+    for ((ei, name), a) in modal_monitors(cal).zip(amps) {
         readings[ei].insert(name.clone(), a.norm_sqr() / cal.norm_power[ei]);
     }
     for (map, mons) in readings.iter_mut().zip(&cal.monitors) {
@@ -1639,31 +1464,11 @@ fn adjoint_coefs_into(
     coef.extend(
         modal_monitors(cal)
             .zip(amps)
-            .map(|((ei, name, _), a)| match dr[ei].get(name) {
+            .map(|((ei, name), a)| match dr[ei].get(name) {
                 Some(&g) if g != 0.0 => a.conj() * (g / cal.norm_power[ei]),
                 _ => Complex64::ZERO,
             }),
     );
-}
-
-/// Accumulates the adjoint sources `Σ coef·w` of every excitation into
-/// the column-major block `adj` (assumed zeroed), recording which columns
-/// are active.
-fn adjoint_sources_into(
-    cal: &OmegaCal,
-    n: usize,
-    coef: &[Complex64],
-    adj: &mut [Complex64],
-    adj_active: &mut Vec<bool>,
-) {
-    adj_active.clear();
-    adj_active.resize(cal.sources.len(), false);
-    for ((ei, _, m), &c) in modal_monitors(cal).zip(coef) {
-        if c != Complex64::ZERO {
-            m.form().accumulate(c, &mut adj[ei * n..(ei + 1) * n]);
-            adj_active[ei] = true;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1984,17 +1789,9 @@ pub(crate) mod tests {
             for cal in &c.cals {
                 let sf = SFactors::new(&problem.grid, cal.omega);
                 let stencil = StencilCache::build(&problem.grid, &sf, cal.omega);
-                for ei in 0..cal.sources.len() {
-                    let (_, factor) = reference_field(
-                        &problem,
-                        &eps_bg,
-                        &stencil,
-                        &sf,
-                        cal.omega,
-                        &cal.sources,
-                        ei,
-                    )
-                    .unwrap();
+                for ei in 0..cal.terms.excitations() {
+                    let (_, factor) =
+                        reference_field(&problem, &eps_bg, &stencil, &cal.terms, ei).unwrap();
                     assert_eq!(
                         factor,
                         ReferenceFactor::Ldl,
@@ -2067,11 +1864,11 @@ pub(crate) mod tests {
 
                     let fields = &sfull.fields;
                     let mut bound_of: Vec<HashMap<String, f64>> =
-                        vec![HashMap::new(); cal.sources.len()];
-                    for (ei, mname, m) in modal_monitors(cal) {
+                        vec![HashMap::new(); cal.terms.excitations()];
+                    for ((ei, mname), (_, form)) in modal_monitors(cal).zip(cal.terms.forms()) {
                         let e = &fields[ei * n..(ei + 1) * n];
-                        let a = m.amplitude(e).abs();
-                        let w1: f64 = m.form().weights.iter().map(|(_, w)| w.abs()).sum();
+                        let a = form.eval(e).abs();
+                        let w1: f64 = form.weights.iter().map(|(_, w)| w.abs()).sum();
                         let da = w1 * delta * inf_norm(e);
                         bound_of[ei]
                             .insert(mname.clone(), (2.0 * a + da) * da / cal.norm_power[ei]);
@@ -2095,15 +1892,12 @@ pub(crate) mod tests {
                         }
                     }
 
-                    // The full path's adjoints, packed by active excitation.
-                    let scale: f64 = sfull
-                        .active_cols
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, &ei)| {
-                            inf_norm(&fields[ei * n..(ei + 1) * n])
-                                * inf_norm(&sfull.adj[pos * n..(pos + 1) * n])
-                        })
+                    // The full path's fields and adjoints, a column per
+                    // excitation (zero adjoint without a source).
+                    let scale: f64 = fields
+                        .chunks_exact(n)
+                        .zip(sfull.adj.chunks_exact(n))
+                        .map(|(e, l)| inf_norm(e) * inf_norm(l))
                         .sum();
                     let sxy_max = (0..grid.ny)
                         .flat_map(|iy| (0..grid.nx).map(move |ix| (ix, iy)))

@@ -50,17 +50,22 @@
 //!   banded LU on failure. A direct fan-out builds the slabs on its
 //!   caller's workspace and lends that cache to every lane
 //!   ([`SimWorkspace::take_window_slabs`], [`SimWorkspace::factor_terms`]);
-//! * a corner prepared for fixed right-hand sides and output forms
-//!   ([`SimWorkspace::factor_terms`] with a [`crate::window::WindowTerms`])
-//!   solves only the window's rows: [`SimWorkspace::solve_terms`] returns
-//!   the window rows of every solution and every form's reading, and
-//!   [`SimWorkspace::solve_terms_adjoint`] the window rows of the adjoint,
-//!   from data the slab cache condenses once per slab, with no slab sweep;
-//! * [`SimWorkspace::solve_block`] solves a caller-owned column-major
-//!   block in place: every excitation's forward solve (currents scaled by
-//!   [`crate::operator::scale_source_into`]) in one block, then every
-//!   adjoint in another, each through a single
-//!   [`boson_num::banded::BandedLu::solve_many`] sweep over the factors.
+//! * [`SimWorkspace::solve_terms`] and
+//!   [`SimWorkspace::solve_terms_adjoint`] are the compiled problem's one
+//!   solve API: a corner prepared for the fixed right-hand sides and
+//!   output forms of a [`crate::window::WindowTerms`] —
+//!   [`SimWorkspace::factor_terms`], or [`SimWorkspace::prepare_corner`]
+//!   with [`CornerContext::terms`] — solves every right-hand side and
+//!   reads every form, then solves every adjoint of form coefficients,
+//!   under any solve mode. A corner factored window-only
+//!   (`factor_terms` without `full`) solves only the window's rows from
+//!   data the slab cache condenses once per slab, with no slab sweep;
+//!   every other corner solves the whole grid and returns all its rows;
+//! * [`SimWorkspace::solve_block`] is the low-level solve: it solves a
+//!   caller-owned column-major block in place — forward right-hand sides
+//!   (currents scaled by [`crate::operator::scale_source_into`]) or
+//!   adjoint sources — through a single sweep over the factors, or the
+//!   iterative kernel.
 //!
 //! Buffers passed to the workspace are resized on first use and retain
 //! their capacity afterwards, so a steady-state iteration of the corner
@@ -226,6 +231,10 @@ pub struct CornerContext<'a> {
     /// Cached adaptive-policy decision: skip the iterative attempt and
     /// factor this corner directly.
     pub force_direct: bool,
+    /// The right-hand sides and output forms
+    /// [`SimWorkspace::solve_terms`] solves this corner for, at the
+    /// corner's ω (`None`: [`SimWorkspace::solve_block`] only).
+    pub terms: Option<&'a Arc<WindowTerms>>,
 }
 
 /// What the solver did for the last prepared corner — the signal the
@@ -868,10 +877,13 @@ pub struct SimWorkspace {
     window: WindowFactor,
     /// Factored slabs around the design window, built on demand.
     slabs: SlabCache,
-    /// The terms of the prepared corner's window-only solves.
+    /// The terms the prepared corner solves for.
     terms: Option<Arc<WindowTerms>>,
-    /// Whole-grid solution block of a window-only solve that left the
-    /// window path.
+    /// The split of a corner prepared window-only: its terms' solves
+    /// return the window's rows, even after a fallback to the plain LU.
+    window_only: Option<Split>,
+    /// Whole-grid solution block of a terms solve off the window-only
+    /// path.
     full: Vec<Complex64>,
     /// `‖A‖∞` of the prepared corner (window mode's backward-error check).
     a_norm: f64,
@@ -934,6 +946,7 @@ impl SimWorkspace {
             window: WindowFactor::new(),
             slabs: SlabCache::new(),
             terms: None,
+            window_only: None,
             full: Vec::new(),
             a_norm: 0.0,
             resid: Vec::new(),
@@ -1127,6 +1140,7 @@ impl SimWorkspace {
             ..CornerSolveReport::default()
         };
         self.terms = None;
+        self.window_only = None;
         self.ensure_geometry(grid, omega);
         self.slots[self.active]
             .stencil
@@ -1139,14 +1153,14 @@ impl SimWorkspace {
     /// Prepares the direct corner `eps` for the right-hand sides and
     /// output forms of `terms`, at their ω: the design window's rows are
     /// factored over slabs condensed for `terms` (lent from `lent` when it
-    /// holds them, else built into this workspace's cache), and
-    /// [`SimWorkspace::solve_terms`] and
-    /// [`SimWorkspace::solve_terms_adjoint`] then solve only the window's
-    /// rows, with no slab sweep. With `full`, the slabs also keep their
-    /// factors, so [`SimWorkspace::solve_block`] solves the whole grid as
-    /// after [`SimWorkspace::factor`]; without it, a `solve_block` first
-    /// prepares the corner again that way. Without window rows, or on a
-    /// window fallback, every solve runs on the plain banded LU.
+    /// holds them, else built into this workspace's cache). Without
+    /// `full` the corner is window-only: [`SimWorkspace::solve_terms`]
+    /// and [`SimWorkspace::solve_terms_adjoint`] solve only the window's
+    /// rows, with no slab sweep, and [`SimWorkspace::solve_block`]
+    /// panics. With `full`, the slabs also keep their factors, and the
+    /// terms' solves and `solve_block` solve the whole grid as after
+    /// [`SimWorkspace::factor`]. Without window rows, or on a window
+    /// fallback, every solve runs on the plain banded LU.
     ///
     /// # Errors
     ///
@@ -1169,6 +1183,9 @@ impl SimWorkspace {
         };
         self.factor_corner(grid, terms.omega(), eps, lent, need)?;
         self.terms = Some(Arc::clone(terms));
+        if !full {
+            self.window_only = self.window_split(&grid);
+        }
         Ok(())
     }
 
@@ -1342,27 +1359,34 @@ impl SimWorkspace {
         self.factor_plain()
     }
 
-    /// The unknowns the window-only solves of the prepared corner return:
-    /// the design window's rows, or the whole grid without a window split.
+    /// The unknowns the terms' solves of the prepared corner return: the
+    /// design window's rows when it was prepared window-only (also after
+    /// a fallback to the plain LU), the whole grid otherwise.
     ///
     /// # Panics
     ///
     /// Panics if no corner was prepared.
     pub fn window_unknowns(&self) -> std::ops::Range<usize> {
         let grid = self.grid.expect("SimWorkspace not prepared");
-        self.window_split(&grid)
-            .map_or(0..grid.n(), |split| split.window())
+        self.window_only.map_or(0..grid.n(), |split| split.window())
     }
 
-    /// Window-only forward solve of the corner prepared by
-    /// [`SimWorkspace::factor_terms`]: for each right-hand side of its
-    /// terms, the solution on [`SimWorkspace::window_unknowns`] into
-    /// `fields` (column-major, one column per excitation), and each
-    /// output form's reading `w·E` of its excitation's solution into
-    /// `amps`. On slabs without LUs this sweeps no slab; a solve that
-    /// fails its check on the window rows is re-solved on the plain
-    /// banded LU (counted in the report). After a window fallback, or
-    /// without a window, the whole grid is solved and read exactly.
+    /// The terms the prepared corner solves for.
+    fn prepared_terms(&self) -> Arc<WindowTerms> {
+        Arc::clone(self.terms.as_ref().expect("corner not prepared for terms"))
+    }
+
+    /// Forward solve of the corner prepared for terms
+    /// ([`SimWorkspace::factor_terms`], or
+    /// [`SimWorkspace::prepare_corner`] with [`CornerContext::terms`]):
+    /// for each right-hand side of its terms, the solution on
+    /// [`SimWorkspace::window_unknowns`] into `fields` (column-major, one
+    /// column per excitation), and each output form's reading `w·E` of
+    /// its excitation's solution into `amps`. A window-only corner sweeps
+    /// no slab; a solve that fails its check on the window rows is
+    /// re-solved on the plain banded LU (counted in the report). Every
+    /// other corner solves the whole grid in its prepared mode, as
+    /// [`SimWorkspace::solve_block`] would, and reads it exactly.
     ///
     /// # Errors
     ///
@@ -1370,22 +1394,22 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if the corner was not prepared by
-    /// [`SimWorkspace::factor_terms`].
+    /// Panics if the corner was not prepared for terms.
     pub fn solve_terms(
         &mut self,
         fields: &mut Vec<Complex64>,
         amps: &mut Vec<Complex64>,
     ) -> Result<(), SingularMatrixError> {
-        assert!(self.factored, "SimWorkspace not factored");
-        let terms = Arc::clone(self.terms.as_ref().expect("factor_terms not called"));
-        self.report.solves += terms.excitations();
+        let terms = self.prepared_terms();
+        let nexc = terms.excitations();
         if let SolveMode::WindowTerms(split) = self.mode {
+            assert!(self.factored, "SimWorkspace not factored");
             let stencil = &self.slots[self.active].stencil;
             if self
                 .window
                 .solve_terms(stencil, &self.diag, split, fields, amps, &mut self.resid)
             {
+                self.report.solves += nexc;
                 return Ok(());
             }
             self.leave_window()?;
@@ -1393,34 +1417,29 @@ impl SimWorkspace {
         let mut full = std::mem::take(&mut self.full);
         full.clear();
         full.extend_from_slice(terms.rhs());
-        let result = self.solve_direct(&mut full, terms.excitations());
+        let result = self.solve_prepared(&mut full, nexc);
         if result.is_ok() {
             let n = self.grid().n();
-            let window = self.window_unknowns();
+            let rows = self.window_unknowns();
             fields.clear();
             for col in full.chunks_exact(n) {
-                fields.extend_from_slice(&col[window.clone()]);
+                fields.extend_from_slice(&col[rows.clone()]);
             }
-            amps.clear();
-            amps.extend(
-                terms
-                    .forms()
-                    .iter()
-                    .map(|(e, form)| form.eval(&full[e * n..(e + 1) * n])),
-            );
+            terms.read_into(&full, amps);
         }
         self.full = full;
         result
     }
 
-    /// Window-only adjoint solve of the corner prepared by
-    /// [`SimWorkspace::factor_terms`]: for each excitation, the solution
-    /// of `A·λ = Σ_f coef_f·w_f` over the output forms `f` that read it
-    /// (the adjoint source of a reading `F(w·E)` has this shape), on
-    /// [`SimWorkspace::window_unknowns`], into `lambdas` (column-major,
-    /// exactly zero for an excitation with no non-zero coefficient).
-    /// The operator is complex-symmetric, so this is the adjoint solve.
-    /// Checks and fallbacks as in [`SimWorkspace::solve_terms`].
+    /// Adjoint solve of the corner prepared for terms: for each
+    /// excitation, the solution of `A·λ = Σ_f coef_f·w_f` over the output
+    /// forms `f` that read it (the adjoint source of a reading `F(w·E)`
+    /// has this shape), on [`SimWorkspace::window_unknowns`], into
+    /// `lambdas` (column-major, exactly zero for an excitation with no
+    /// non-zero coefficient). Only the excitations with a source are
+    /// solved, packed into one block. The operator is complex-symmetric,
+    /// so this is the adjoint solve. Modes, checks and fallbacks as in
+    /// [`SimWorkspace::solve_terms`].
     ///
     /// # Errors
     ///
@@ -1428,29 +1447,25 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if the corner was not prepared by
-    /// [`SimWorkspace::factor_terms`], or `coef` does not hold one
-    /// coefficient per form.
+    /// Panics if the corner was not prepared for terms, or `coef` does
+    /// not hold one coefficient per form.
     pub fn solve_terms_adjoint(
         &mut self,
         coef: &[Complex64],
         lambdas: &mut Vec<Complex64>,
     ) -> Result<(), SingularMatrixError> {
-        assert!(self.factored, "SimWorkspace not factored");
-        let terms = Arc::clone(self.terms.as_ref().expect("factor_terms not called"));
+        let terms = self.prepared_terms();
         assert_eq!(coef.len(), terms.form_count(), "one coefficient per form");
         let nexc = terms.excitations();
-        let active = (0..nexc)
-            .filter(|&e| {
-                terms
-                    .forms()
-                    .iter()
-                    .zip(coef)
-                    .any(|((fe, _), c)| *fe == e && *c != Complex64::ZERO)
-            })
-            .count();
-        self.report.solves += active;
+        let active = (0..nexc).filter(|&e| terms.adjoint_active(coef, e)).count();
+        let rows = self.window_unknowns();
+        if active == 0 {
+            lambdas.clear();
+            lambdas.resize(nexc * rows.len(), Complex64::ZERO);
+            return Ok(());
+        }
         if let SolveMode::WindowTerms(split) = self.mode {
+            assert!(self.factored, "SimWorkspace not factored");
             let stencil = &self.slots[self.active].stencil;
             if self.window.solve_terms_adjoint(
                 stencil,
@@ -1460,39 +1475,50 @@ impl SimWorkspace {
                 lambdas,
                 &mut self.resid,
             ) {
+                self.report.solves += active;
                 return Ok(());
             }
             self.leave_window()?;
         }
         let n = self.grid().n();
-        let window = self.window_unknowns();
         let mut full = std::mem::take(&mut self.full);
         full.clear();
         full.resize(nexc * n, Complex64::ZERO);
-        for ((e, form), &c) in terms.forms().iter().zip(coef) {
-            if c != Complex64::ZERO {
-                form.accumulate(c, &mut full[e * n..(e + 1) * n]);
+        terms.accumulate_adjoint(coef, &mut full);
+        // Pack the active columns to the front of the block so dead
+        // excitations cost no solve.
+        for (pos, e) in (0..nexc)
+            .filter(|&e| terms.adjoint_active(coef, e))
+            .enumerate()
+        {
+            if pos != e {
+                full.copy_within(e * n..(e + 1) * n, pos * n);
             }
         }
-        let result = self.solve_direct(&mut full, nexc);
+        let result = self.solve_prepared(&mut full[..active * n], active);
         if result.is_ok() {
+            let nr = rows.len();
             lambdas.clear();
-            for col in full.chunks_exact(n) {
-                lambdas.extend_from_slice(&col[window.clone()]);
+            lambdas.resize(nexc * nr, Complex64::ZERO);
+            let packed = (0..nexc).filter(|&e| terms.adjoint_active(coef, e));
+            for (col, e) in full.chunks_exact(n).zip(packed) {
+                lambdas[e * nr..(e + 1) * nr].copy_from_slice(&col[rows.clone()]);
             }
         }
         self.full = full;
         result
     }
 
-    /// [`SimWorkspace::grad_eps_accumulate`] of a window-only forward and
-    /// adjoint solution pair (on [`SimWorkspace::window_unknowns`]): the
-    /// gradient on the window's rows, nothing elsewhere.
+    /// [`SimWorkspace::grad_eps_accumulate`] of a forward and adjoint
+    /// solution pair of the terms' solves (on
+    /// [`SimWorkspace::window_unknowns`]): the gradient on those rows —
+    /// the window's of a window-only corner, nothing elsewhere; every
+    /// row's otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if the slices do not cover the window's unknowns or `out`
-    /// does not match the grid.
+    /// Panics if the slices do not cover those unknowns or `out` does not
+    /// match the grid.
     pub fn grad_eps_accumulate_window(
         &self,
         ez: &[Complex64],
@@ -1508,7 +1534,9 @@ impl SimWorkspace {
     /// Prepares a variation-corner evaluation under `strategy`.
     ///
     /// * [`SolverStrategy::Direct`] — identical to
-    ///   [`SimWorkspace::factor`]: assemble + LU-factor this corner.
+    ///   [`SimWorkspace::factor`]: assemble + LU-factor this corner
+    ///   ([`SimWorkspace::factor_terms`] with `full` when `ctx` carries
+    ///   [`CornerContext::terms`]).
     /// * [`SolverStrategy::PreconditionedIterative`] — factors only the
     ///   **nominal** operator (once per [`CornerContext::epoch`], from
     ///   [`CornerContext::nominal_eps`]) and arms the matrix-free
@@ -1521,9 +1549,12 @@ impl SimWorkspace {
     ///   one, a run whose every other corner falls back solves exactly as
     ///   under [`SolverStrategy::Direct`].
     ///
-    /// Subsequent [`SimWorkspace::solve_block`] calls dispatch on the
-    /// prepared mode; [`SimWorkspace::last_report`] tells what happened.
-    /// Steady-state corner preparation performs no heap allocation.
+    /// Subsequent [`SimWorkspace::solve_block`] calls — and, with
+    /// [`CornerContext::terms`], [`SimWorkspace::solve_terms`] and
+    /// [`SimWorkspace::solve_terms_adjoint`] on the whole grid — dispatch
+    /// on the prepared mode; [`SimWorkspace::last_report`] tells what
+    /// happened. Steady-state corner preparation performs no heap
+    /// allocation.
     ///
     /// # Errors
     ///
@@ -1531,8 +1562,9 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if `eps` does not have shape `(ny, nx)`, or if the
-    /// iterative strategy is selected without a [`CornerContext`].
+    /// Panics if `eps` does not have shape `(ny, nx)`, if the iterative
+    /// strategy is selected without a [`CornerContext`], or if the
+    /// context's terms belong to another ω.
     pub fn prepare_corner(
         &mut self,
         grid: SimGrid,
@@ -1541,9 +1573,17 @@ impl SimWorkspace {
         strategy: SolverStrategy,
         ctx: Option<&CornerContext<'_>>,
     ) -> Result<(), SingularMatrixError> {
-        let (tol, max_iters) = match strategy {
-            SolverStrategy::Direct => return self.factor(grid, omega, eps),
-            SolverStrategy::PreconditionedIterative { tol, max_iters } => (tol, max_iters),
+        let terms = ctx.and_then(|c| c.terms);
+        assert!(
+            terms.is_none_or(|t| t.omega() == omega),
+            "corner terms belong to another ω"
+        );
+        let (tol, max_iters) = match (strategy, terms) {
+            (SolverStrategy::Direct, None) => return self.factor(grid, omega, eps),
+            (SolverStrategy::Direct, Some(t)) => {
+                return self.factor_terms(grid, eps, t, true, None)
+            }
+            (SolverStrategy::PreconditionedIterative { tol, max_iters }, _) => (tol, max_iters),
         };
         self.report = CornerSolveReport {
             // The per-corner path always delivers converged results (the
@@ -1552,7 +1592,8 @@ impl SimWorkspace {
             converged: true,
             ..CornerSolveReport::default()
         };
-        self.terms = None;
+        self.terms = terms.cloned();
+        self.window_only = None;
         let ctx = ctx.expect("iterative strategies require a CornerContext");
         assert_eq!(
             eps.shape(),
@@ -1618,7 +1659,9 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// Panics if no corner is prepared or `b.len() != n·nrhs`.
+    /// Panics if no corner is prepared, the corner was prepared
+    /// window-only ([`SimWorkspace::factor_terms`] without `full`: its
+    /// slabs keep no factor), or `b.len() != n·nrhs`.
     pub fn solve_block(
         &mut self,
         b: &mut [Complex64],
@@ -1626,19 +1669,24 @@ impl SimWorkspace {
     ) -> Result<(), SingularMatrixError> {
         let n = self.grid.expect("SimWorkspace not prepared").n();
         assert_eq!(b.len(), n * nrhs, "solve_block dimension mismatch");
+        assert!(
+            self.window_only.is_none(),
+            "solve_block after a window-only preparation: use solve_terms"
+        );
+        self.solve_prepared(b, nrhs)
+    }
+
+    /// [`SimWorkspace::solve_block`] in the prepared mode, whatever the
+    /// preparation: the terms' solves reach the plain LU of a window-only
+    /// corner here after a fallback.
+    fn solve_prepared(
+        &mut self,
+        b: &mut [Complex64],
+        nrhs: usize,
+    ) -> Result<(), SingularMatrixError> {
         match self.mode {
             SolveMode::WindowTerms(_) => {
-                // Window-only slabs keep no factor: prepare the corner again
-                // on slabs that do.
-                let terms = self.terms.clone();
-                let need = Need {
-                    terms: terms.as_ref(),
-                    factor: true,
-                };
-                self.factor_direct(None, need)?;
-                self.report.factorizations += 1;
-                self.report.solves += nrhs;
-                self.solve_direct(b, nrhs)?;
+                unreachable!("window-only solves go through solve_terms")
             }
             SolveMode::DirectLu | SolveMode::Window(_) => {
                 self.report.solves += nrhs;
@@ -1826,17 +1874,6 @@ impl SimWorkspace {
         let slot = self.batch_count;
         self.batch_count += 1;
         slot
-    }
-
-    /// PML stretch factors of the `omega_idx`-th fused-batch wavelength
-    /// (for building that ω's right-hand sides while the batch is
-    /// pinned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `omega_idx` is outside the current fused batch's ω list.
-    pub fn fused_sfactors(&self, omega_idx: usize) -> &SFactors {
-        &self.slots[self.fused_slots[omega_idx]].sfactors
     }
 
     /// Accumulates `dF/dε` at the `omega_idx`-th fused-batch wavelength
@@ -2322,6 +2359,7 @@ mod tests {
                 epoch,
                 is_nominal,
                 force_direct,
+                terms: None,
             };
             ws.prepare_corner(grid, om, eps, strategy, Some(&ctx))
                 .unwrap();
@@ -2390,6 +2428,7 @@ mod tests {
             epoch: 1,
             is_nominal: false,
             force_direct: false,
+            terms: None,
         };
         ws.prepare_corner(
             grid,
@@ -2455,6 +2494,7 @@ mod tests {
                 epoch: 1,
                 is_nominal: ci == 0,
                 force_direct: false,
+                terms: None,
             };
             ws.prepare_corner(grid, omega(), eps, strategy, Some(&ctx))
                 .unwrap();
@@ -2503,6 +2543,7 @@ mod tests {
                 epoch: 7,
                 is_nominal: false,
                 force_direct: true,
+                terms: None,
             };
             ws.prepare_corner(grid, omega(), eps, strategy, Some(&ctx))
                 .unwrap();
@@ -2543,6 +2584,7 @@ mod tests {
             epoch: 3,
             is_nominal: false,
             force_direct: false,
+            terms: None,
         };
         let mut ws = SimWorkspace::new();
         ws.prepare_corner(grid, omega(), &hard, strategy, Some(&ctx))
@@ -2618,6 +2660,7 @@ mod tests {
                 epoch: 5,
                 is_nominal: false,
                 force_direct: false,
+                terms: None,
             };
             ws1.prepare_corner(grid, omega(), eps, strategy, Some(&ctx))
                 .unwrap();
@@ -2649,6 +2692,7 @@ mod tests {
                     epoch,
                     is_nominal: ci == 0,
                     force_direct: false,
+                    terms: None,
                 };
                 ws.prepare_corner(grid, omega(), eps, strategy, Some(&ctx))
                     .unwrap();
@@ -2690,6 +2734,7 @@ mod tests {
                         epoch,
                         is_nominal: ci == 0,
                         force_direct: false,
+                        terms: None,
                     };
                     ws.prepare_corner(grid, om, eps, strategy, Some(&ctx))
                         .unwrap();
@@ -2718,6 +2763,7 @@ mod tests {
                     epoch: 0,
                     is_nominal: ci == 0,
                     force_direct: false,
+                    terms: None,
                 };
                 ws1.prepare_corner(grid, om, eps, strategy, Some(&ctx))
                     .unwrap();
@@ -2945,6 +2991,7 @@ mod tests {
             epoch: 1,
             is_nominal: false,
             force_direct: false,
+            terms: None,
         };
         for strategy in [
             SolverStrategy::Direct,

@@ -53,7 +53,8 @@
 //!
 //! # Two solve kinds
 //!
-//! * **Full field** ([`crate::sim::SimWorkspace::solve_block`]): one
+//! * **Full field** ([`crate::sim::SimWorkspace::solve_block`], and the
+//!   terms' solves of a corner prepared with slab factors): one
 //!   forward and one back sweep per slab factor plus one solve on `S`.
 //!   The forward sweeps give the slabs' interface rows, which condense the
 //!   window's right-hand side; after the window solve, the slabs' own
@@ -62,7 +63,8 @@
 //!   each slab's back sweep. Every solve's normwise backward error on the
 //!   whole grid is checked against [`WINDOW_BACKWARD_TOL`].
 //! * **Window only** ([`crate::sim::SimWorkspace::solve_terms`],
-//!   [`crate::sim::SimWorkspace::solve_terms_adjoint`]): the field on the
+//!   [`crate::sim::SimWorkspace::solve_terms_adjoint`] of a corner
+//!   prepared window-only): the field on the
 //!   window rows and the readings of the terms' forms, with no slab
 //!   sweep. The window's right-hand side is `f_W` minus the slabs'
 //!   condensed right-hand sides, and a form reads `w_W·E_W − u_A·E_W −
@@ -216,11 +218,13 @@ struct SlabKey {
     side: Side,
 }
 
-/// The fixed right-hand sides and output forms of window-only solves at
-/// one `(grid, ω)` (see the module docs): the excitations of a compiled
-/// device and the forms its monitors read. Built once per wavelength and
-/// shared behind an [`Arc`]: a slab condensed for one is found again only
-/// through that same `Arc`.
+/// The fixed right-hand sides and output forms of the solves at one
+/// `(grid, ω)`: the excitations of a compiled device and the forms its
+/// monitors read, the one copy every evaluation at that wavelength solves
+/// for — window-only ([`crate::sim::SimWorkspace::solve_terms`] on slabs
+/// condensed for them, see the module docs), full-field and iterative
+/// alike. Built once per wavelength and shared behind an [`Arc`]: a slab
+/// condensed for one is found again only through that same `Arc`.
 #[derive(Debug)]
 pub struct WindowTerms {
     omega: f64,
@@ -281,19 +285,61 @@ impl WindowTerms {
         self.forms.len()
     }
 
-    /// The excitation each output form reads, in form order.
-    pub fn form_excitations(&self) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.forms.iter().map(|(e, _)| *e)
-    }
-
     /// The right-hand sides, column-major `n × excitations`.
-    pub(crate) fn rhs(&self) -> &[Complex64] {
+    pub fn rhs(&self) -> &[Complex64] {
         &self.rhs
     }
 
     /// The output forms with the excitation each one reads.
-    pub(crate) fn forms(&self) -> &[(usize, LinearForm)] {
+    pub fn forms(&self) -> &[(usize, LinearForm)] {
         &self.forms
+    }
+
+    /// Every form's reading `w·E` of its excitation's column of the
+    /// whole-grid solution block `fields` (column-major, `n` per
+    /// excitation), in form order, into `amps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` does not hold a column per excitation.
+    pub fn read_into(&self, fields: &[Complex64], amps: &mut Vec<Complex64>) {
+        assert_eq!(fields.len(), self.rhs.len(), "one field per excitation");
+        let n = self.n;
+        amps.clear();
+        amps.extend(
+            self.forms
+                .iter()
+                .map(|(e, form)| form.eval(&fields[e * n..(e + 1) * n])),
+        );
+    }
+
+    /// `true` when excitation `e` has an adjoint source: a non-zero
+    /// coefficient (one per form, in form order) on a form reading it.
+    pub fn adjoint_active(&self, coef: &[Complex64], e: usize) -> bool {
+        self.forms
+            .iter()
+            .zip(coef)
+            .any(|((fe, _), c)| *fe == e && *c != Complex64::ZERO)
+    }
+
+    /// Accumulates the adjoint source `Σ_f coef_f·w_f` of every excitation
+    /// into its column of the whole-grid block `out` (column-major, `n`
+    /// per excitation), form by form in form order, skipping zero
+    /// coefficients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coef` does not hold one coefficient per form or `out`
+    /// a column per excitation.
+    pub fn accumulate_adjoint(&self, coef: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(coef.len(), self.forms.len(), "one coefficient per form");
+        assert_eq!(out.len(), self.rhs.len(), "one column per excitation");
+        let n = self.n;
+        for ((e, form), &c) in self.forms.iter().zip(coef) {
+            if c != Complex64::ZERO {
+                form.accumulate(c, &mut out[e * n..(e + 1) * n]);
+            }
+        }
     }
 }
 

@@ -115,6 +115,7 @@ fn prepare(
         epoch,
         is_nominal,
         force_direct: false,
+        terms: None,
     };
     ws.prepare_corner(grid(), omega(), eps, strategy, Some(&ctx))
         .expect("prepare_corner failed");

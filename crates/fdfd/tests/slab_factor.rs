@@ -1091,29 +1091,19 @@ fn failed_window_only_check_falls_back_to_the_plain_lu() {
     assert_eq!(ws.last_report().window_fallbacks, 0);
 }
 
-/// `solve_block` on a corner prepared for window-only solves prepares it
-/// again on slabs that keep their LUs and solves the whole grid, bit for
-/// bit as a corner prepared full-field; the re-preparation counts as a
-/// factorisation.
+/// `solve_block` on a corner prepared for window-only solves panics: its
+/// slabs keep no factor, and the corner is not prepared again behind the
+/// caller's back (its terms solve through `solve_terms`).
 #[test]
-fn solve_block_after_a_window_only_preparation_solves_the_whole_grid() {
+#[should_panic(expected = "solve_block after a window-only preparation")]
+fn solve_block_after_a_window_only_preparation_panics() {
     let g = grid();
     let om = omega(1.55);
     let (b, forms) = window_case(Device::Isolator, &g, om);
     let terms = Arc::new(WindowTerms::new(&g, om, b.clone(), forms));
     let e = eps(Device::Bend, T_LO, 0.2);
-    let solve = |full: bool| {
-        let mut ws = window_workspace();
-        ws.factor_terms(g, &e, &terms, full, None).unwrap();
-        let mut x = b.clone();
-        ws.solve_block(&mut x, 2).unwrap();
-        (x, ws.last_report().factorizations)
-    };
-    let (window_only, count) = solve(false);
-    let (full, _) = solve(true);
-    assert!(
-        window_only == full,
-        "the re-prepared corner solves differently"
-    );
-    assert_eq!(count, 2);
+    let mut ws = window_workspace();
+    ws.factor_terms(g, &e, &terms, false, None).unwrap();
+    let mut x = b;
+    let _ = ws.solve_block(&mut x, 2);
 }

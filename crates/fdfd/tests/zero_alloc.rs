@@ -413,6 +413,7 @@ fn steady_state_iterative_corner_path_performs_no_heap_allocations() {
                 epoch,
                 is_nominal: corner == 0,
                 force_direct: false,
+                terms: None,
             };
             ws.prepare_corner(grid, omega, eps, strategy, Some(&ctx))
                 .unwrap();

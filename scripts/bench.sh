@@ -7,7 +7,9 @@
 #
 # Every gate is evaluated and printed before the script exits; the exit
 # status is non-zero if any gate failed. A failing gate whose ratio was
-# already below its floor in the previous output file is marked as such.
+# already below its floor in the committed baseline — the output file as
+# of HEAD, or the file on disk when HEAD has none — is marked as such, so
+# a re-run never takes its own earlier output for the baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +18,7 @@ RAW="$(mktemp)"
 PREV="$(mktemp)"
 TABLE="$(mktemp)"
 trap 'rm -f "$RAW" "$PREV" "$TABLE"' EXIT
-if [ -f "$OUT" ]; then
+if ! git show "HEAD:./$OUT" > "$PREV" 2>/dev/null && [ -f "$OUT" ]; then
     cp "$OUT" "$PREV"
 fi
 
@@ -106,7 +108,7 @@ END {
             failed++
             note = ""
             if (f[3] in old && old[f[3]] < f[6] + 0)
-                note = sprintf("; already below the floor in the previous output (%.3fx)", old[f[3]])
+                note = sprintf("; already below the floor in the committed baseline (%.3fx)", old[f[3]])
             printf "FAIL  %s = %sx (floor %sx%s)\n", f[3], ratio, f[6], note
         }
     }
