@@ -233,7 +233,8 @@ pub struct CornerContext<'a> {
     pub force_direct: bool,
     /// The right-hand sides and output forms
     /// [`SimWorkspace::solve_terms`] solves this corner for, at the
-    /// corner's ω (`None`: [`SimWorkspace::solve_block`] only).
+    /// corner's ω (`None`: [`SimWorkspace::solve_block`] only). A direct
+    /// corner is prepared for terms by [`SimWorkspace::factor_terms`].
     pub terms: Option<&'a Arc<WindowTerms>>,
 }
 
@@ -1534,9 +1535,7 @@ impl SimWorkspace {
     /// Prepares a variation-corner evaluation under `strategy`.
     ///
     /// * [`SolverStrategy::Direct`] — identical to
-    ///   [`SimWorkspace::factor`]: assemble + LU-factor this corner
-    ///   ([`SimWorkspace::factor_terms`] with `full` when `ctx` carries
-    ///   [`CornerContext::terms`]).
+    ///   [`SimWorkspace::factor`]: assemble + LU-factor this corner.
     /// * [`SolverStrategy::PreconditionedIterative`] — factors only the
     ///   **nominal** operator (once per [`CornerContext::epoch`], from
     ///   [`CornerContext::nominal_eps`]) and arms the matrix-free
@@ -1549,8 +1548,9 @@ impl SimWorkspace {
     ///   one, a run whose every other corner falls back solves exactly as
     ///   under [`SolverStrategy::Direct`].
     ///
-    /// Subsequent [`SimWorkspace::solve_block`] calls — and, with
-    /// [`CornerContext::terms`], [`SimWorkspace::solve_terms`] and
+    /// Subsequent [`SimWorkspace::solve_block`] calls — and, under the
+    /// iterative strategy with [`CornerContext::terms`],
+    /// [`SimWorkspace::solve_terms`] and
     /// [`SimWorkspace::solve_terms_adjoint`] on the whole grid — dispatch
     /// on the prepared mode; [`SimWorkspace::last_report`] tells what
     /// happened. Steady-state corner preparation performs no heap
@@ -1573,17 +1573,9 @@ impl SimWorkspace {
         strategy: SolverStrategy,
         ctx: Option<&CornerContext<'_>>,
     ) -> Result<(), SingularMatrixError> {
-        let terms = ctx.and_then(|c| c.terms);
-        assert!(
-            terms.is_none_or(|t| t.omega() == omega),
-            "corner terms belong to another ω"
-        );
-        let (tol, max_iters) = match (strategy, terms) {
-            (SolverStrategy::Direct, None) => return self.factor(grid, omega, eps),
-            (SolverStrategy::Direct, Some(t)) => {
-                return self.factor_terms(grid, eps, t, true, None)
-            }
-            (SolverStrategy::PreconditionedIterative { tol, max_iters }, _) => (tol, max_iters),
+        let (tol, max_iters) = match strategy {
+            SolverStrategy::Direct => return self.factor(grid, omega, eps),
+            SolverStrategy::PreconditionedIterative { tol, max_iters } => (tol, max_iters),
         };
         self.report = CornerSolveReport {
             // The per-corner path always delivers converged results (the
@@ -1592,9 +1584,13 @@ impl SimWorkspace {
             converged: true,
             ..CornerSolveReport::default()
         };
-        self.terms = terms.cloned();
-        self.window_only = None;
         let ctx = ctx.expect("iterative strategies require a CornerContext");
+        assert!(
+            ctx.terms.is_none_or(|t| t.omega() == omega),
+            "corner terms belong to another ω"
+        );
+        self.terms = ctx.terms.cloned();
+        self.window_only = None;
         assert_eq!(
             eps.shape(),
             (grid.ny, grid.nx),
