@@ -1243,12 +1243,8 @@ impl WindowFactor {
         assert_eq!(coef.len(), terms.form_count(), "one coefficient per form");
         let s = &mut self.scratch;
         s.active.clear();
-        for (fi, (e, _)) in terms.forms().iter().enumerate() {
-            if coef[fi] != Complex64::ZERO && !s.active.contains(e) {
-                s.active.push(*e);
-            }
-        }
-        s.active.sort_unstable();
+        s.active
+            .extend((0..terms.excitations()).filter(|&e| terms.adjoint_active(coef, e)));
         s.window.clear();
         s.window.resize(s.active.len() * nw, Complex64::ZERO);
         for (fi, (e, form)) in terms.forms().iter().enumerate() {
