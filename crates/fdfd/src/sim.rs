@@ -771,6 +771,18 @@ fn merge_stats_into_reports(
     }
 }
 
+/// Keeps the unknowns `rows` of every `n`-long column of the
+/// column-major `block`, in place: a whole-grid solution cut to the
+/// window's rows of a window-only corner (no-op for the whole grid).
+fn keep_rows(block: &mut Vec<Complex64>, n: usize, rows: std::ops::Range<usize>) {
+    let nr = rows.len();
+    let cols = block.len() / n;
+    for c in 0..cols {
+        block.copy_within(c * n + rows.start..c * n + rows.end, c * nr);
+    }
+    block.truncate(cols * nr);
+}
+
 /// How the currently-prepared operator solves systems.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SolveMode {
@@ -883,9 +895,6 @@ pub struct SimWorkspace {
     /// The split of a corner prepared window-only: its terms' solves
     /// return the window's rows, even after a fallback to the plain LU.
     window_only: Option<Split>,
-    /// Whole-grid solution block of a terms solve off the window-only
-    /// path.
-    full: Vec<Complex64>,
     /// `‖A‖∞` of the prepared corner (window mode's backward-error check).
     a_norm: f64,
     /// Residual scratch of the backward-error check.
@@ -948,7 +957,6 @@ impl SimWorkspace {
             slabs: SlabCache::new(),
             terms: None,
             window_only: None,
-            full: Vec::new(),
             a_norm: 0.0,
             resid: Vec::new(),
             lu: BandedLu::placeholder(),
@@ -1415,21 +1423,12 @@ impl SimWorkspace {
             }
             self.leave_window()?;
         }
-        let mut full = std::mem::take(&mut self.full);
-        full.clear();
-        full.extend_from_slice(terms.rhs());
-        let result = self.solve_prepared(&mut full, nexc);
-        if result.is_ok() {
-            let n = self.grid().n();
-            let rows = self.window_unknowns();
-            fields.clear();
-            for col in full.chunks_exact(n) {
-                fields.extend_from_slice(&col[rows.clone()]);
-            }
-            terms.read_into(&full, amps);
-        }
-        self.full = full;
-        result
+        fields.clear();
+        fields.extend_from_slice(terms.rhs());
+        self.solve_prepared(fields, nexc)?;
+        terms.read_into(fields, amps);
+        keep_rows(fields, self.grid().n(), self.window_unknowns());
+        Ok(())
     }
 
     /// Adjoint solve of the corner prepared for terms: for each
@@ -1482,32 +1481,27 @@ impl SimWorkspace {
             self.leave_window()?;
         }
         let n = self.grid().n();
-        let mut full = std::mem::take(&mut self.full);
-        full.clear();
-        full.resize(nexc * n, Complex64::ZERO);
-        terms.accumulate_adjoint(coef, &mut full);
+        lambdas.clear();
+        lambdas.resize(nexc * n, Complex64::ZERO);
+        terms.accumulate_adjoint(coef, lambdas);
         // Pack the active columns to the front of the block so dead
-        // excitations cost no solve.
-        for (pos, e) in (0..nexc)
-            .filter(|&e| terms.adjoint_active(coef, e))
-            .enumerate()
-        {
+        // excitations cost no solve, then move each solution back to its
+        // excitation's column, last first, zeroing the column it left.
+        let sourced = |e: &usize| terms.adjoint_active(coef, *e);
+        for (pos, e) in (0..nexc).filter(sourced).enumerate() {
             if pos != e {
-                full.copy_within(e * n..(e + 1) * n, pos * n);
+                lambdas.copy_within(e * n..(e + 1) * n, pos * n);
             }
         }
-        let result = self.solve_prepared(&mut full[..active * n], active);
-        if result.is_ok() {
-            let nr = rows.len();
-            lambdas.clear();
-            lambdas.resize(nexc * nr, Complex64::ZERO);
-            let packed = (0..nexc).filter(|&e| terms.adjoint_active(coef, e));
-            for (col, e) in full.chunks_exact(n).zip(packed) {
-                lambdas[e * nr..(e + 1) * nr].copy_from_slice(&col[rows.clone()]);
+        self.solve_prepared(&mut lambdas[..active * n], active)?;
+        for (pos, e) in (0..active).rev().zip((0..nexc).rev().filter(sourced)) {
+            if pos != e {
+                lambdas.copy_within(pos * n..(pos + 1) * n, e * n);
+                lambdas[pos * n..(pos + 1) * n].fill(Complex64::ZERO);
             }
         }
-        self.full = full;
-        result
+        keep_rows(lambdas, n, rows);
+        Ok(())
     }
 
     /// [`SimWorkspace::grad_eps_accumulate`] of a forward and adjoint

@@ -1057,7 +1057,8 @@ fn cache_history_never_changes_a_condensed_result() {
 /// A window-only solve that fails its check on the window rows — a NaN
 /// permittivity in the design window — is re-solved on the plain banded
 /// LU, counted in the report, and reads exactly what the plain path
-/// reads; the next finite corner takes the window path again.
+/// reads; its adjoint is the plain path's on the window rows; the next
+/// finite corner takes the window path again.
 #[test]
 fn failed_window_only_check_falls_back_to_the_plain_lu() {
     let g = grid();
@@ -1085,10 +1086,74 @@ fn failed_window_only_check_falls_back_to_the_plain_lu() {
             .collect::<Vec<_>>()
     };
     assert!(bits(&amps) == bits(&want), "the fallback reads differently");
+    // The adjoint solves on the plain LU too and returns the window rows.
+    let mut lambdas = Vec::new();
+    ws.solve_terms_adjoint(&COEF, &mut lambdas).unwrap();
+    let mut sources = vec![Complex64::ZERO; 2 * n];
+    for ((ex, form), c) in forms.iter().zip(COEF) {
+        form.accumulate(c, &mut sources[ex * n..(ex + 1) * n]);
+    }
+    let plain = solve_on(&mut SimWorkspace::new(), om, &e, &sources);
+    let window = WINDOW.start * g.nx..WINDOW.end * g.nx;
+    let want: Vec<Complex64> = plain
+        .chunks_exact(n)
+        .flat_map(|col| col[window.clone()].to_vec())
+        .collect();
+    assert!(
+        bits(&lambdas) == bits(&want),
+        "the fallback adjoint differs"
+    );
     let finite = eps(Device::Bend, T_NOMINAL, 0.0);
     ws.factor_terms(g, &finite, &terms, false, None).unwrap();
     ws.solve_terms(&mut fields, &mut amps).unwrap();
     assert_eq!(ws.last_report().window_fallbacks, 0);
+}
+
+/// On a corner prepared with slab factors (`full`), the terms' solves
+/// are whole-grid: the fields and readings are `solve_block`'s on the
+/// same corner bit for bit, and an adjoint whose only source is the
+/// second excitation is solved packed and returned in that excitation's
+/// column, the first column exactly zero.
+#[test]
+fn full_field_terms_solves_match_solve_block() {
+    let g = grid();
+    let n = g.n();
+    let om = omega(1.55);
+    let (b, forms) = window_case(Device::Isolator, &g, om);
+    let terms = Arc::new(WindowTerms::new(&g, om, b.clone(), forms.clone()));
+    let e = eps(Device::Crossing, T_HI, 0.1);
+    let mut ws = window_workspace();
+    ws.factor_terms(g, &e, &terms, true, None).unwrap();
+    assert_eq!(ws.window_unknowns(), 0..n);
+    let (mut fields, mut amps, mut lambdas) = (Vec::new(), Vec::new(), Vec::new());
+    ws.solve_terms(&mut fields, &mut amps).unwrap();
+    let coef = [Complex64::ZERO, Complex64::ZERO, COEF[2], COEF[3]];
+    ws.solve_terms_adjoint(&coef, &mut lambdas).unwrap();
+    let report = ws.last_report().clone();
+    assert_eq!((report.solves, report.window_fallbacks), (3, 0));
+
+    let mut x = b;
+    ws.solve_block(&mut x, 2).unwrap();
+    let mut source = vec![Complex64::ZERO; n];
+    for ((ex, form), c) in forms.iter().zip(coef) {
+        if *ex == 1 {
+            form.accumulate(c, &mut source);
+        }
+    }
+    ws.solve_block(&mut source, 1).unwrap();
+    let bits = |v: &[Complex64]| {
+        v.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert!(bits(&fields) == bits(&x), "fields differ from solve_block");
+    let read: Vec<Complex64> = forms
+        .iter()
+        .map(|(ex, form)| form.eval(&x[ex * n..(ex + 1) * n]))
+        .collect();
+    assert!(bits(&amps) == bits(&read), "readings differ");
+    assert!(lambdas[..n].iter().all(|z| *z == Complex64::ZERO));
+    assert!(bits(&lambdas[n..]) == bits(&source), "adjoint differs");
 }
 
 /// `solve_block` on a corner prepared for window-only solves panics: its
