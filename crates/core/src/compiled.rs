@@ -1277,7 +1277,9 @@ impl CompiledProblem {
     ///
     /// A column paired with its failed batched attempt's report is a
     /// budget-miss fallback: its report takes `used_iterative`,
-    /// `fell_back` and the attempt's worst iteration count and residual.
+    /// `fell_back` and the attempt's worst iteration count and residual,
+    /// and adds the attempt's iterations and solves to its own, as a
+    /// per-corner budget miss does.
     /// Every batched ω's nominal factor is fresh for the epoch, so the
     /// result is bit-identical to the direct strategy's.
     #[allow(clippy::too_many_arguments)] // the product call's context, passed through
@@ -1338,6 +1340,8 @@ impl CompiledProblem {
                 ev.solve.fell_back = true;
                 ev.solve.max_iterations = ev.solve.max_iterations.max(attempt.max_iterations);
                 ev.solve.max_residual = ev.solve.max_residual.max(attempt.max_residual);
+                ev.solve.total_iterations += attempt.total_iterations;
+                ev.solve.solves += attempt.solves;
             }
             Ok((ci, ev))
         });
