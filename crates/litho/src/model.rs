@@ -7,13 +7,22 @@
 //! fabrication-restricted subspace optimisation (§III-C).
 
 use crate::kernels::{source_points, transfer_function, LithoConfig, LithoCorner};
-use boson_num::fft::{fft2, ifft2, next_pow2};
+use boson_num::fft::{fft2_lines, next_pow2};
 use boson_num::{Array2, Complex64};
 
 /// A lithography imaging model for masks of a fixed shape.
 ///
-/// Kernels for all three corners are precomputed at construction; each
-/// [`LithoModel::aerial_image`] call costs `2·S` FFTs (S = source points).
+/// Kernels for all three corners are precomputed at construction, with
+/// the rows and columns of the padded grid on which each is non-zero
+/// (its pupil's passband). The transforms touch only lines that carry
+/// data or are read: with `R_s`/`C_s` the passband rows/columns of
+/// source `s`, `U` the union of the `C_s` and an `h × w` mask, an
+/// [`LithoModel::aerial_image`] call costs `h + |U| + Σ_s (|R_s| + w)`
+/// 1-D transforms and a [`LithoModel::vjp`] call `Σ_s (h + |C_s| +
+/// |R_s| + w)`, against `(1 + S)·(P_r + P_c)` and `2·S·(P_r + P_c)` for
+/// whole `P_r × P_c` 2-D FFTs (S = source points). On the bend's 28×28
+/// window (64×64 padded, 5 sources, `|R_s|, |C_s|` 19 or 20, `|U| =
+/// 27`) that is 292 and 474 length-64 transforms against 768 and 1,280.
 #[derive(Debug, Clone)]
 pub struct LithoModel {
     mask_rows: usize,
@@ -21,8 +30,59 @@ pub struct LithoModel {
     pad_rows: usize,
     pad_cols: usize,
     config: LithoConfig,
-    /// `kernels[corner][source]` in FFT layout, plus the corner dose.
-    kernels: Vec<(f64, Vec<Array2<Complex64>>)>,
+    /// Per corner, in [`LithoCorner::ALL`] order.
+    kernels: Vec<CornerKernels>,
+    /// Rows of the padded grid the mask occupies.
+    window_rows: Vec<usize>,
+    /// Columns of the padded grid the mask occupies.
+    window_cols: Vec<usize>,
+}
+
+/// One corner's transfer functions and where they are non-zero.
+#[derive(Debug, Clone)]
+struct CornerKernels {
+    dose: f64,
+    /// `H_s` per source, in FFT layout.
+    hs: Vec<Array2<Complex64>>,
+    /// Per source, the ascending rows and columns on which `H_s ≠ 0`.
+    support: Vec<(Vec<usize>, Vec<usize>)>,
+    /// The union of every source's support columns, ascending.
+    cols: Vec<usize>,
+}
+
+impl CornerKernels {
+    fn new(dose: f64, hs: Vec<Array2<Complex64>>) -> Self {
+        let support: Vec<(Vec<usize>, Vec<usize>)> = hs
+            .iter()
+            .map(|h| {
+                let (rows, cols) = h.shape();
+                let live = |r: usize, c: usize| h[(r, c)] != Complex64::ZERO;
+                (
+                    (0..rows)
+                        .filter(|&r| (0..cols).any(|c| live(r, c)))
+                        .collect(),
+                    (0..cols)
+                        .filter(|&c| (0..rows).any(|r| live(r, c)))
+                        .collect(),
+                )
+            })
+            .collect();
+        let mut cols: Vec<usize> = support.iter().flat_map(|(_, c)| c.clone()).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        Self {
+            dose,
+            hs,
+            support,
+            cols,
+        }
+    }
+}
+
+/// The cells `rows × cols`, row by row.
+fn cells<'a>(rows: &'a [usize], cols: &'a [usize]) -> impl Iterator<Item = (usize, usize)> + 'a {
+    rows.iter()
+        .flat_map(move |&r| cols.iter().map(move |&c| (r, c)))
 }
 
 /// The result of one forward imaging pass, retaining the per-source
@@ -32,7 +92,7 @@ pub struct AerialImage {
     /// Intensity on the mask grid (same shape as the input mask).
     pub intensity: Array2<f64>,
     corner_index: usize,
-    /// Padded per-source complex amplitudes.
+    /// Per-source complex amplitudes on the mask grid.
     amplitudes: Vec<Array2<Complex64>>,
 }
 
@@ -53,13 +113,15 @@ impl LithoModel {
             .iter()
             .map(|&corner| {
                 let (z, dose) = corner.settings(&config);
-                let hs: Vec<Array2<Complex64>> = pts
+                let hs = pts
                     .iter()
                     .map(|s| transfer_function(pad_rows, pad_cols, dx, &config, s, z))
                     .collect();
-                (dose, hs)
+                CornerKernels::new(dose, hs)
             })
             .collect();
+        let r0 = (pad_rows - rows) / 2;
+        let c0 = (pad_cols - cols) / 2;
         Self {
             mask_rows: rows,
             mask_cols: cols,
@@ -67,6 +129,8 @@ impl LithoModel {
             pad_cols,
             config,
             kernels,
+            window_rows: (r0..r0 + rows).collect(),
+            window_cols: (c0..c0 + cols).collect(),
         }
     }
 
@@ -83,7 +147,23 @@ impl LithoModel {
         }
     }
 
+    /// The padded-grid position of the mask's `(0, 0)` cell: the mask is
+    /// embedded centred.
+    fn origin(&self) -> (usize, usize) {
+        (self.window_rows[0], self.window_cols[0])
+    }
+
+    /// `1/(P_r·P_c)`, the normalisation of a whole inverse 2-D FFT.
+    fn inverse_scale(&self) -> f64 {
+        1.0 / (self.pad_rows * self.pad_cols) as f64
+    }
+
     /// Computes the aerial intensity image of `mask` at `corner`.
+    ///
+    /// Only the mask's rows are forward-transformed and only the union
+    /// of the passband columns kept; each source's product lives on its
+    /// passband rows, and only the mask's columns are inverse-transformed
+    /// — every value read is bit-identical to whole-array 2-D FFTs.
     ///
     /// # Panics
     ///
@@ -95,30 +175,37 @@ impl LithoModel {
             "mask shape mismatch"
         );
         let ci = Self::corner_index(corner);
-        let (dose, hs) = &self.kernels[ci];
-        // Embed the mask centred in the padded grid.
-        let r0 = (self.pad_rows - self.mask_rows) / 2;
-        let c0 = (self.pad_cols - self.mask_cols) / 2;
+        let k = &self.kernels[ci];
+        let (r0, c0) = self.origin();
         let mut m = Array2::<Complex64>::zeros(self.pad_rows, self.pad_cols);
         for r in 0..self.mask_rows {
             for c in 0..self.mask_cols {
                 m[(r0 + r, c0 + c)] = Complex64::from_real(mask[(r, c)]);
             }
         }
-        fft2(&mut m);
+        fft2_lines(&mut m, &self.window_rows, &k.cols, false);
 
-        let mut intensity_padded = Array2::<f64>::zeros(self.pad_rows, self.pad_cols);
-        let mut amplitudes = Vec::with_capacity(hs.len());
-        let weight = 1.0 / hs.len() as f64;
-        for h in hs {
-            let mut b = m.zip_map(h, |a, b| *a * *b);
-            ifft2(&mut b);
-            for (idx, v) in b.indexed_iter() {
-                intensity_padded[idx] += dose * weight * v.norm_sqr();
+        let scale = self.inverse_scale();
+        let weight = 1.0 / k.hs.len() as f64;
+        let mut intensity = Array2::<f64>::zeros(self.mask_rows, self.mask_cols);
+        let mut amplitudes = Vec::with_capacity(k.hs.len());
+        let mut b = Array2::<Complex64>::zeros(self.pad_rows, self.pad_cols);
+        for (h, (rows, cols)) in k.hs.iter().zip(&k.support) {
+            b.as_mut_slice().fill(Complex64::ZERO);
+            for (r, c) in cells(rows, cols) {
+                b[(r, c)] = m[(r, c)] * h[(r, c)];
             }
-            amplitudes.push(b);
+            fft2_lines(&mut b, rows, &self.window_cols, true);
+            let amplitude = Array2::from_fn(self.mask_rows, self.mask_cols, |r, c| {
+                let mut v = b[(r0 + r, c0 + c)];
+                v *= scale;
+                v
+            });
+            for (idx, v) in amplitude.indexed_iter() {
+                intensity[idx] += k.dose * weight * v.norm_sqr();
+            }
+            amplitudes.push(amplitude);
         }
-        let intensity = intensity_padded.window(r0, c0, self.mask_rows, self.mask_cols);
         AerialImage {
             intensity,
             corner_index: ci,
@@ -128,6 +215,12 @@ impl LithoModel {
 
     /// Vector–Jacobian product: given `v = ∂L/∂I` on the mask grid,
     /// returns `∂L/∂mask`.
+    ///
+    /// Per source, `2·Re(FFT(H ⊙ IFFT(u)))` with `u = dose·w·v ⊙ conj(a)`
+    /// on the mask window: the inverse transform runs over the window's
+    /// rows and the passband's columns, the forward one over the
+    /// passband's rows and the window's columns — bit-identical to
+    /// whole-array 2-D FFTs on the window.
     ///
     /// # Panics
     ///
@@ -139,38 +232,51 @@ impl LithoModel {
             (self.mask_rows, self.mask_cols),
             "cotangent shape mismatch"
         );
-        let (dose, hs) = &self.kernels[fwd.corner_index];
-        let weight = 1.0 / hs.len() as f64;
-        let r0 = (self.pad_rows - self.mask_rows) / 2;
-        let c0 = (self.pad_cols - self.mask_cols) / 2;
-        // Pad the cotangent.
-        let mut grad_padded = Array2::<f64>::zeros(self.pad_rows, self.pad_cols);
-        for (h, a) in hs.iter().zip(&fwd.amplitudes) {
+        let k = &self.kernels[fwd.corner_index];
+        let weight = 1.0 / k.hs.len() as f64;
+        let scale = self.inverse_scale();
+        let (r0, c0) = self.origin();
+        let mut grad = Array2::<f64>::zeros(self.mask_rows, self.mask_cols);
+        let mut u = Array2::<Complex64>::zeros(self.pad_rows, self.pad_cols);
+        let mut product = Vec::new();
+        for ((h, (rows, cols)), a) in k.hs.iter().zip(&k.support).zip(&fwd.amplitudes) {
             // u = (dose·w·v) ⊙ conj(a) on the padded grid.
-            let mut u = Array2::<Complex64>::zeros(self.pad_rows, self.pad_cols);
+            u.as_mut_slice().fill(Complex64::ZERO);
             for r in 0..self.mask_rows {
                 for c in 0..self.mask_cols {
-                    let vv = v[(r, c)] * dose * weight;
+                    let vv = v[(r, c)] * k.dose * weight;
                     if vv != 0.0 {
-                        u[(r0 + r, c0 + c)] = a[(r0 + r, c0 + c)].conj() * vv;
+                        u[(r0 + r, c0 + c)] = a[(r, c)].conj() * vv;
                     }
                 }
             }
             // grad += 2·Re(FFT(H ⊙ IFFT(u))).
-            ifft2(&mut u);
-            let mut w = u.zip_map(h, |x, y| *x * *y);
-            fft2(&mut w);
-            for (idx, val) in w.indexed_iter() {
-                grad_padded[idx] += 2.0 * val.re;
+            fft2_lines(&mut u, &self.window_rows, cols, true);
+            product.clear();
+            product.extend(cells(rows, cols).map(|(r, c)| {
+                let mut x = u[(r, c)];
+                x *= scale;
+                x * h[(r, c)]
+            }));
+            u.as_mut_slice().fill(Complex64::ZERO);
+            for ((r, c), &x) in cells(rows, cols).zip(&product) {
+                u[(r, c)] = x;
+            }
+            fft2_lines(&mut u, rows, &self.window_cols, false);
+            for r in 0..self.mask_rows {
+                for c in 0..self.mask_cols {
+                    grad[(r, c)] += 2.0 * u[(r0 + r, c0 + c)].re;
+                }
             }
         }
-        grad_padded.window(r0, c0, self.mask_rows, self.mask_cols)
+        grad
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boson_num::fft::{fft2, ifft2};
 
     fn disc_mask(n: usize, radius_cells: f64) -> Array2<f64> {
         let c = n as f64 / 2.0;
@@ -311,6 +417,186 @@ mod tests {
                     (fd - ad).abs() < 1e-6 + 1e-5 * fd.abs().max(ad.abs()),
                     "vjp mismatch at ({r},{c}) corner {corner:?}: fd={fd}, ad={ad}"
                 );
+            }
+        }
+    }
+
+    /// The whole-array imaging model the pruned transforms replace:
+    /// every transform a full 2-D FFT of the padded grid. Returns the
+    /// intensity and the padded per-source amplitudes.
+    fn reference_image(
+        m: &LithoModel,
+        mask: &Array2<f64>,
+        corner: LithoCorner,
+    ) -> (Array2<f64>, Vec<Array2<Complex64>>) {
+        let k = &m.kernels[LithoModel::corner_index(corner)];
+        let (r0, c0) = m.origin();
+        let mut spectrum = Array2::<Complex64>::zeros(m.pad_rows, m.pad_cols);
+        for r in 0..m.mask_rows {
+            for c in 0..m.mask_cols {
+                spectrum[(r0 + r, c0 + c)] = Complex64::from_real(mask[(r, c)]);
+            }
+        }
+        fft2(&mut spectrum);
+        let mut intensity_padded = Array2::<f64>::zeros(m.pad_rows, m.pad_cols);
+        let mut amplitudes = Vec::new();
+        let weight = 1.0 / k.hs.len() as f64;
+        for h in &k.hs {
+            let mut b = spectrum.zip_map(h, |a, b| *a * *b);
+            ifft2(&mut b);
+            for (idx, v) in b.indexed_iter() {
+                intensity_padded[idx] += k.dose * weight * v.norm_sqr();
+            }
+            amplitudes.push(b);
+        }
+        let intensity = intensity_padded.window(r0, c0, m.mask_rows, m.mask_cols);
+        (intensity, amplitudes)
+    }
+
+    /// The whole-array vector–Jacobian product over the padded
+    /// amplitudes of [`reference_image`].
+    fn reference_vjp(
+        m: &LithoModel,
+        corner: LithoCorner,
+        amplitudes: &[Array2<Complex64>],
+        v: &Array2<f64>,
+    ) -> Array2<f64> {
+        let k = &m.kernels[LithoModel::corner_index(corner)];
+        let weight = 1.0 / k.hs.len() as f64;
+        let (r0, c0) = m.origin();
+        let mut grad_padded = Array2::<f64>::zeros(m.pad_rows, m.pad_cols);
+        for (h, a) in k.hs.iter().zip(amplitudes) {
+            let mut u = Array2::<Complex64>::zeros(m.pad_rows, m.pad_cols);
+            for r in 0..m.mask_rows {
+                for c in 0..m.mask_cols {
+                    let vv = v[(r, c)] * k.dose * weight;
+                    if vv != 0.0 {
+                        u[(r0 + r, c0 + c)] = a[(r0 + r, c0 + c)].conj() * vv;
+                    }
+                }
+            }
+            ifft2(&mut u);
+            let mut w = u.zip_map(h, |x, y| *x * *y);
+            fft2(&mut w);
+            for (idx, val) in w.indexed_iter() {
+                grad_padded[idx] += 2.0 * val.re;
+            }
+        }
+        grad_padded.window(r0, c0, m.mask_rows, m.mask_cols)
+    }
+
+    /// A reproducible field on `[lo, hi)` with runs of exact `lo`/`hi`
+    /// (a binarised mask's plateaus, a cotangent's zeros).
+    fn pseudo_random(rows: usize, cols: usize, seed: u64, lo: f64, hi: f64) -> Array2<f64> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        Array2::from_fn(rows, cols, |_, _| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            match x % 4 {
+                0 => lo,
+                1 => hi,
+                _ => lo + (hi - lo) * u,
+            }
+        })
+    }
+
+    fn assert_bits_eq(a: &Array2<f64>, b: &Array2<f64>, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (idx, v) in a.indexed_iter() {
+            assert_eq!(
+                v.to_bits(),
+                b[idx].to_bits(),
+                "{what} at {idx:?}: {v} vs {}",
+                b[idx]
+            );
+        }
+    }
+
+    /// Intensity and VJP of the pruned model equal the whole-array
+    /// model's bit for bit at every corner (amplitudes up to the sign of
+    /// an exact zero).
+    fn assert_matches_reference(m: &LithoModel, mask: &Array2<f64>, v: &Array2<f64>, case: &str) {
+        let (r0, c0) = m.origin();
+        for corner in LithoCorner::ALL {
+            let what = format!("{case} {corner:?}");
+            let fwd = m.aerial_image(mask, corner);
+            let (intensity, amplitudes) = reference_image(m, mask, corner);
+            assert_bits_eq(&fwd.intensity, &intensity, &format!("{what} intensity"));
+            for (a, full) in fwd.amplitudes.iter().zip(&amplitudes) {
+                assert!(
+                    *a == full.window(r0, c0, m.mask_rows, m.mask_cols),
+                    "{what} amplitude"
+                );
+            }
+            let grad = m.vjp(&fwd, v);
+            let reference = reference_vjp(m, corner, &amplitudes, v);
+            assert_bits_eq(&grad, &reference, &format!("{what} vjp"));
+        }
+    }
+
+    #[test]
+    fn pruned_transforms_match_whole_array_bit_for_bit() {
+        // The bend's and the isolator's design windows, and an odd
+        // non-square one.
+        for (rows, cols) in [(28, 28), (36, 40), (23, 37)] {
+            let m = LithoModel::new(rows, cols, 0.05, LithoConfig::default());
+            for seed in 1..=3 {
+                let mask = pseudo_random(rows, cols, seed, 0.0, 1.0);
+                let v = pseudo_random(rows, cols, seed + 100, 0.0, 1.0).map(|x| x - 0.5);
+                assert_matches_reference(&m, &mask, &v, &format!("{rows}x{cols} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_zero_mask_matches_whole_array() {
+        let m = LithoModel::new(28, 28, 0.05, LithoConfig::default());
+        let v = pseudo_random(28, 28, 7, -1.0, 1.0);
+        assert_matches_reference(&m, &Array2::zeros(28, 28), &v, "zero mask");
+    }
+
+    #[test]
+    fn pruned_coherent_source_matches_whole_array() {
+        let cfg = LithoConfig {
+            sigma: 0.0,
+            ..LithoConfig::default()
+        };
+        let m = LithoModel::new(28, 28, 0.05, cfg);
+        let mask = pseudo_random(28, 28, 11, 0.0, 1.0);
+        let v = pseudo_random(28, 28, 12, -1.0, 1.0);
+        assert_matches_reference(&m, &mask, &v, "sigma 0");
+    }
+
+    #[test]
+    fn pupil_covering_every_bin_matches_whole_array() {
+        // Cutoff 51.8 cyc/µm: every bin of the 10 cyc/µm Nyquist square
+        // stays inside every shifted pupil.
+        let cfg = LithoConfig {
+            na: 10.0,
+            ..LithoConfig::default()
+        };
+        let m = LithoModel::new(23, 37, 0.05, cfg);
+        for k in &m.kernels {
+            assert_eq!(k.cols.len(), m.pad_cols);
+            for (rows, cols) in &k.support {
+                assert_eq!((rows.len(), cols.len()), (m.pad_rows, m.pad_cols));
+            }
+        }
+        let mask = pseudo_random(23, 37, 21, 0.0, 1.0);
+        let v = pseudo_random(23, 37, 22, -1.0, 1.0);
+        assert_matches_reference(&m, &mask, &v, "whole-grid pupil");
+    }
+
+    #[test]
+    fn bend_passband_is_a_fraction_of_the_padded_grid() {
+        let m = model(28);
+        assert_eq!((m.pad_rows, m.pad_cols), (64, 64));
+        for k in &m.kernels {
+            assert_eq!(k.cols.len(), 27);
+            for (rows, cols) in &k.support {
+                assert!((19..=20).contains(&rows.len()) && (19..=20).contains(&cols.len()));
             }
         }
     }

@@ -3,7 +3,15 @@
 //! The lithography model performs its convolutions in the frequency domain;
 //! these transforms are the only FFTs the workspace needs, so they are kept
 //! deliberately simple: power-of-two lengths, iterative Cooley–Tukey with
-//! precomputed twiddle factors.
+//! each stage's twiddles built by repeated multiplication.
+//!
+//! Every 2-D transform runs through one kernel, [`fft2_lines`]: 1-D
+//! transforms of a chosen set of rows, then of a chosen set of columns,
+//! unnormalised. [`fft2`]/[`ifft2`] are its all-rows/all-columns case
+//! (plus `1/(rows·cols)` for the inverse); the lithography model lists
+//! only the rows that carry data and the columns that are read — the
+//! pupil's passband and the mask window — and gets the same values bit
+//! for bit where it reads them.
 //!
 //! Conventions: [`fft`] computes `X[k] = Σ_n x[n] e^{-2πi nk/N}` (negative
 //! exponent forward), [`ifft`] the inverse including the `1/N` factor, so
@@ -113,7 +121,7 @@ pub fn ifft(x: &mut [Complex64]) {
 ///
 /// Panics if either dimension is not a power of two.
 pub fn fft2(a: &mut Array2<Complex64>) {
-    fft2_inner(a, false);
+    fft2_full(a, false);
 }
 
 /// In-place 2-D inverse FFT (normalised by `1/(rows·cols)`).
@@ -122,38 +130,57 @@ pub fn fft2(a: &mut Array2<Complex64>) {
 ///
 /// Panics if either dimension is not a power of two.
 pub fn ifft2(a: &mut Array2<Complex64>) {
-    fft2_inner(a, true);
+    fft2_full(a, true);
+    let (rows, cols) = a.shape();
+    let scale = 1.0 / (rows * cols) as f64;
+    a.apply(|v| *v *= scale);
 }
 
-fn fft2_inner(a: &mut Array2<Complex64>, inverse: bool) {
+fn fft2_full(a: &mut Array2<Complex64>, inverse: bool) {
     let (rows, cols) = a.shape();
+    let all_rows: Vec<usize> = (0..rows).collect();
+    let all_cols: Vec<usize> = (0..cols).collect();
+    fft2_lines(a, &all_rows, &all_cols, inverse);
+}
+
+/// In-place partial 2-D transform, unnormalised: the 1-D transform
+/// (inverse exponent if `inverse`) of each of `rows` along its length,
+/// then of each of `cols` along its length, in that order.
+///
+/// With every row and column listed this is [`fft2`] (and, times
+/// `1/(rows·cols)`, [`ifft2`]). Listing fewer is exact where it is read:
+/// a row left out whose entries are all zero would have transformed to
+/// zeros, and a column left out holds its row-transformed values
+/// unchanged — so the kept columns equal the whole transform's
+/// bit for bit, up to the sign of an exact zero.
+///
+/// # Panics
+///
+/// Panics if either dimension is not a power of two, or an index is out
+/// of range.
+pub fn fft2_lines(a: &mut Array2<Complex64>, rows: &[usize], cols: &[usize], inverse: bool) {
+    let (nr, nc) = a.shape();
     assert!(
-        rows.is_power_of_two() && cols.is_power_of_two(),
-        "fft2 dimensions {rows}x{cols} must be powers of two"
+        nr.is_power_of_two() && nc.is_power_of_two(),
+        "fft2 dimensions {nr}x{nc} must be powers of two"
     );
     // Rows are contiguous in memory.
     {
         let data = a.as_mut_slice();
-        for r in 0..rows {
-            fft_inner(&mut data[r * cols..(r + 1) * cols], inverse);
+        for &r in rows {
+            fft_inner(&mut data[r * nc..(r + 1) * nc], inverse);
         }
     }
     // Columns via a scratch buffer.
-    let mut colbuf = vec![Complex64::ZERO; rows];
-    for c in 0..cols {
-        for r in 0..rows {
+    let mut colbuf = vec![Complex64::ZERO; nr];
+    for &c in cols {
+        for r in 0..nr {
             colbuf[r] = a[(r, c)];
         }
         fft_inner(&mut colbuf, inverse);
-        for r in 0..rows {
+        for r in 0..nr {
             a[(r, c)] = colbuf[r];
         }
-    }
-    if inverse {
-        // fft_inner(inverse) scaled each 1-D pass by 1/len already via ifft?
-        // No: fft_inner never normalises; do the full 1/(rows*cols) here.
-        let scale = 1.0 / (rows * cols) as f64;
-        a.apply(|v| *v *= scale);
     }
 }
 
@@ -251,6 +278,43 @@ mod tests {
         ifft2(&mut b);
         for (idx, v) in a.indexed_iter() {
             assert_close(*v, b[idx], 1e-10);
+        }
+    }
+
+    #[test]
+    fn partial_transform_matches_whole_on_kept_columns() {
+        // Data on a few rows only; every other row is zero.
+        let (nr, nc) = (16, 32);
+        let rows = [2, 3, 4, 11];
+        let cols = [0, 1, 5, 17, 30, 31];
+        let a = Array2::from_fn(nr, nc, |r, c| {
+            if rows.contains(&r) {
+                c64((r as f64 * 0.7 + c as f64).sin(), (c as f64 * 0.3).cos())
+            } else {
+                Complex64::ZERO
+            }
+        });
+        for inverse in [false, true] {
+            let mut whole = a.clone();
+            let mut part = a.clone();
+            fft2_lines(&mut part, &rows, &cols, inverse);
+            if inverse {
+                ifft2(&mut whole);
+                let scale = 1.0 / (nr * nc) as f64;
+                part.apply(|v| *v *= scale);
+            } else {
+                fft2(&mut whole);
+            }
+            for r in 0..nr {
+                for &c in &cols {
+                    // `==` on the parts: equal bits, up to the sign of a zero.
+                    assert_eq!(
+                        part[(r, c)],
+                        whole[(r, c)],
+                        "inverse {inverse} at ({r}, {c})"
+                    );
+                }
+            }
         }
     }
 
