@@ -22,17 +22,18 @@ fn bench_fft(c: &mut Criterion) {
 }
 
 fn bench_litho(c: &mut Criterion) {
-    let n = 36;
-    let model = LithoModel::new(n, n, 0.05, LithoConfig::default());
-    let mask = Array2::from_fn(n, n, |r, _| if r.abs_diff(n / 2) < 5 { 1.0 } else { 0.0 });
-    c.bench_function("litho_forward_36x36", |b| {
-        b.iter(|| black_box(model.aerial_image(&mask, LithoCorner::Nominal)))
-    });
-    let fwd = model.aerial_image(&mask, LithoCorner::Nominal);
-    let v = Array2::filled(n, n, 0.5);
-    c.bench_function("litho_vjp_36x36", |b| {
-        b.iter(|| black_box(model.vjp(&fwd, &v)))
-    });
+    for n in [36, 28] {
+        let model = LithoModel::new(n, n, 0.05, LithoConfig::default());
+        let mask = Array2::from_fn(n, n, |r, _| if r.abs_diff(n / 2) < 5 { 1.0 } else { 0.0 });
+        c.bench_function(&format!("litho_forward_{n}x{n}"), |b| {
+            b.iter(|| black_box(model.aerial_image(&mask, LithoCorner::Nominal)))
+        });
+        let fwd = model.aerial_image(&mask, LithoCorner::Nominal);
+        let v = Array2::filled(n, n, 0.5);
+        c.bench_function(&format!("litho_vjp_{n}x{n}"), |b| {
+            b.iter(|| black_box(model.vjp(&fwd, &v)))
+        });
+    }
 }
 
 fn bench_etch(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the solver criterion benches, aggregates the results into
+# Runs the solver and kernel criterion benches, aggregates the results into
 # BENCH_solver.json (committed so the perf trajectory is recorded PR over
 # PR) and checks every speedup gate.
 #
@@ -22,7 +22,7 @@ if ! git show "HEAD:./$OUT" > "$PREV" 2>/dev/null && [ -f "$OUT" ]; then
     cp "$OUT" "$PREV"
 fi
 
-BENCHES="solver corner_scaling spectral subspace recycle pool_split"
+BENCHES="solver corner_scaling spectral subspace recycle pool_split kernels"
 
 # One row per ratio: the BENCH_solver.json keys of the numerator median,
 # the denominator median and their ratio, the numerator and denominator
@@ -41,6 +41,8 @@ banded_refactor_fresh_ns    banded_refactor_resumed_ns -                        
 banded_refactor_window_lu_ns banded_refactor_window_ldl_ns -                    banded_refactor_80x80/window_lu        banded_refactor_80x80/window_ldl             -
 banded_refactor_slab_lu_ns  banded_refactor_slab_ldl_ns -                       banded_refactor_80x80/slab_lu          banded_refactor_80x80/slab_ldl               -
 window_solve_full_ns        window_solve_condensed_ns -                         window_solve_80x80/full                window_solve_80x80/condensed                 -
+-                           litho_forward_28x28_ns    -                         -                                      litho_forward_28x28                          -
+-                           litho_vjp_28x28_ns        -                         -                                      litho_vjp_28x28                              -
 EOF
 
 export BOSON_BENCH_JSON="$RAW"
