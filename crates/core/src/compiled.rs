@@ -41,11 +41,10 @@ use boson_fdfd::monitor::ModalMonitor;
 use boson_fdfd::operator::{scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::sim::{
-    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SlabUse,
-    SolverStrategy,
+    CornerContext, CornerSolveReport, FactorLag, FusedRecycle, SimWorkspace, SolverStrategy,
 };
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::{solve_reference, ReferenceFactor, SlabCache, WindowTerms};
+use boson_fdfd::window::{solve_reference, ReferenceFactor, SlabPair, WindowTerms};
 use boson_num::banded::SingularMatrixError;
 use boson_num::krylov::RecycleSpace;
 use boson_num::pool;
@@ -764,8 +763,8 @@ impl CompiledProblem {
     /// ([`SimWorkspace::solve_terms`]), solves the adjoint of the
     /// objective's monitor coefficients
     /// ([`SimWorkspace::solve_terms_adjoint`]) and accumulates `∂F/∂ε`
-    /// over the rows those solves return. `lent` carries a direct
-    /// fan-out's shared slab cache (see
+    /// over the rows those solves return. `slabs` carries a direct
+    /// fan-out column's slab pair (see
     /// [`CompiledProblem::evaluate_direct_columns`]). A direct corner
     /// solves only the design window's rows unless `full` (see
     /// [`Evaluation::grad_eps`]); the iterative strategies' corners solve
@@ -779,16 +778,14 @@ impl CompiledProblem {
         scratch: &mut EvalScratch,
         corner: Option<&CornerSolve<'_>>,
         omega_idx: usize,
-        lent: Option<&SlabCache>,
+        slabs: Option<&SlabPair>,
         full: bool,
     ) -> Result<Evaluation, SingularMatrixError> {
         let grid = self.problem.grid;
         let cal = &self.cals[omega_idx];
         let sim = &mut scratch.sim;
         sim.set_window_rows(Some(self.window_rows()));
-        // Lent slabs come only with the direct fan-out's columns.
-        let iterative =
-            corner.filter(|cs| lent.is_none() && cs.strategy.iterative_params().is_some());
+        let iterative = corner.filter(|cs| cs.strategy.iterative_params().is_some());
         match iterative {
             Some(cs) => {
                 let ctx = CornerContext {
@@ -800,7 +797,7 @@ impl CompiledProblem {
                 };
                 sim.prepare_corner(grid, cal.omega, eps, cs.strategy, Some(&ctx))?
             }
-            None => sim.factor_terms(grid, eps, &cal.terms, full, lent)?,
+            None => sim.factor_terms(grid, eps, &cal.terms, full, slabs)?,
         }
         sim.solve_terms(&mut scratch.fields, &mut scratch.amps)?;
         let readings = readings_from_amps(cal, &scratch.amps);
@@ -861,10 +858,10 @@ impl CompiledProblem {
     /// own [`EvalScratch`] (lane 0 is `scratch`; the others live inside
     /// it and are built on first use). Every direct factor condenses the
     /// fixed slabs around the design window out of the operator (see
-    /// [`boson_fdfd::window`]); with several lanes, the slabs all columns
-    /// need are built on `scratch` first and its slab cache is lent to
-    /// every lane. Columns are independent and cached slabs equal fresh
-    /// ones bit for bit, so any lane count is bit-identical.
+    /// [`boson_fdfd::window`]); every column's slab pair is looked up or
+    /// built on `scratch` first and handed to the lane that factors it.
+    /// Columns are independent and cached slabs equal fresh ones bit for
+    /// bit, so any lane count is bit-identical.
     ///
     /// One direct column solves the whole grid: the fabrication-nominal
     /// entry at the centre wavelength (`is_nominal[ci] && omega_idx[ci] ==`
@@ -958,8 +955,9 @@ impl CompiledProblem {
         // Direct columns: all of them under `Direct`, fanned over
         // `set.threads` lanes; the policy-pinned ones otherwise. Pinned
         // columns are rare, so they stay on the caller's scratch rather
-        // than paying another lane workspace (a banded LU plus assembly),
-        // as do the budget-miss fallbacks and the consistency pass below.
+        // than paying another lane workspace (a window factor with its
+        // solve scratch), as do the budget-miss fallbacks and the
+        // consistency pass below.
         let direct: Vec<(usize, Option<&CornerSolveReport>)> = (0..count)
             .filter(|&ci| evals[ci].is_none() && (all_direct || set.force_direct[ci]))
             .map(|ci| (ci, None))
@@ -1268,12 +1266,11 @@ impl CompiledProblem {
     /// [`CompiledProblem::evaluate_corner_product`] — one pool part per
     /// column on up to `lanes` lanes. Lane 0 runs on `scratch`, lanes
     /// `1..` on the scratches kept in its `lanes` field (built on first
-    /// use, then reused). With more than one lane, every slab the columns
-    /// need is built on `scratch` before the dispatch and its cache lent
-    /// read-only to all lanes ([`SimWorkspace::take_window_slabs`]); one
-    /// lane builds on demand. Every column is independent, so the lane
-    /// count never changes a result. The first failing column's error, in
-    /// `cols` order, is returned.
+    /// use, then reused). Before the dispatch, each column's slab pair is
+    /// looked up or built in `scratch`'s cache ([`SimWorkspace::slab_pair`])
+    /// and travels with the column to its lane. Every column is
+    /// independent, so the lane count never changes a result. The first
+    /// failing column's error, in `cols` order, is returned.
     ///
     /// A column paired with its failed batched attempt's report is a
     /// budget-miss fallback: its report takes `used_iterative`,
@@ -1296,26 +1293,24 @@ impl CompiledProblem {
     ) -> Result<(), SingularMatrixError> {
         let pool = pool::global();
         let lanes = lanes.min(cols.len()).min(pool.lanes()).max(1);
-        // Several lanes: build every slab the columns need on the
-        // caller's workspace first and lend that one cache to all lanes.
         // The fabrication-nominal entry at the centre wavelength solves the
         // whole grid: the runner's temperature gradient sums its `∂F/∂ε`
         // over every cell. Every other direct column is window-only.
         let full = |ci: usize| set.is_nominal[ci] && set.omega_idx[ci] == self.nominal_omega_idx;
-        let slabs = (lanes > 1).then(|| {
-            scratch.sim.set_window_rows(Some(self.window_rows()));
-            let corners = cols.iter().map(|&(ci, _)| {
+        // Every slab is built here, on the caller's workspace, and each
+        // column takes its pair along.
+        scratch.sim.set_window_rows(Some(self.window_rows()));
+        let parts: Vec<_> = cols
+            .iter()
+            .map(|&(ci, attempt)| {
                 let terms = &self.cals[set.omega_idx[ci]].terms;
-                let slab_use = SlabUse {
-                    terms,
-                    full: full(ci),
-                };
-                (slab_use, &epss[ci])
-            });
-            scratch
-                .sim
-                .take_window_slabs(self.problem.grid, lanes, corners)
-        });
+                let slabs =
+                    scratch
+                        .sim
+                        .slab_pair(self.problem.grid, lanes, &epss[ci], terms, full(ci));
+                (ci, attempt, slabs)
+            })
+            .collect();
         let mut extra = std::mem::take(&mut scratch.lanes);
         if extra.len() < lanes - 1 {
             extra.resize_with(lanes - 1, EvalScratch::new);
@@ -1324,7 +1319,7 @@ impl CompiledProblem {
             .chain(extra.iter_mut())
             .take(lanes)
             .collect();
-        let results = pool.map_with(cols.to_vec(), &mut lane_scratch, |(ci, attempt), lane| {
+        let results = pool.map_with(parts, &mut lane_scratch, |(ci, attempt, slabs), lane| {
             let mut ev = self.evaluate_eps_impl(
                 &epss[ci],
                 with_grad,
@@ -1346,9 +1341,6 @@ impl CompiledProblem {
             Ok((ci, ev))
         });
         scratch.lanes = extra;
-        if let Some(slabs) = slabs {
-            scratch.sim.restore_window_slabs(slabs);
-        }
         for result in results {
             let (ci, ev) = result?;
             evals[ci] = Some(ev);

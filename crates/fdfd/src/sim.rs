@@ -3,7 +3,7 @@
 //! [`SimWorkspace`] prepares the operator of one permittivity map (one
 //! variation *corner*) and solves it for blocks of right-hand sides. The
 //! expensive step is the preparation ([`SimWorkspace::factor`]: a banded
-//! LU factorisation); every subsequent source solve or adjoint solve is a
+//! factorisation); every subsequent source solve or adjoint solve is a
 //! cheap triangular substitution against the same factors — the core
 //! economy of the adjoint method: *gradient = two solves, one
 //! factorisation*.
@@ -47,9 +47,10 @@
 //!   in place from its first changed column; slabs and window alike are
 //!   complex-symmetric `L·D·Lᵀ` without pivoting ([`crate::window`]). Every
 //!   such solve is backward-error checked and falls back to the plain
-//!   banded LU on failure. A direct fan-out builds the slabs on its
-//!   caller's workspace and lends that cache to every lane
-//!   ([`SimWorkspace::take_window_slabs`], [`SimWorkspace::factor_terms`]);
+//!   banded LU on failure. A direct fan-out looks up or builds each
+//!   corner's slab pair in its caller's cache and hands the pair to the
+//!   lane that factors the corner ([`SimWorkspace::slab_pair`],
+//!   [`SimWorkspace::factor_terms`]);
 //! * [`SimWorkspace::solve_terms`] and
 //!   [`SimWorkspace::solve_terms_adjoint`] are the compiled problem's one
 //!   solve API: a corner prepared for the fixed right-hand sides and
@@ -82,9 +83,11 @@
 //! from the *nominal* operator only by small diagonal perturbations.
 //! [`SolverStrategy`] selects how [`SimWorkspace`] treats them:
 //!
-//! * [`SolverStrategy::Direct`] — assemble + LU-factor every corner
-//!   (`O(n·b²)` each, the window's rows only when window rows are set);
-//!   the exact reference path.
+//! * [`SolverStrategy::Direct`] — factor every corner: with window rows
+//!   set, the `L·D·Lᵀ` of the window's Schur complement over cached
+//!   `L·D·Lᵀ` slabs (`O(n_W·b²)`, `n_W` the window's unknowns); without
+//!   them, or on a window fallback, the pivoted banded LU of the whole
+//!   operator (`O(n·b²)`). The exact reference path.
 //! * [`SolverStrategy::PreconditionedIterative`] — factor only the
 //!   nominal operator per `(grid, ω, epoch)` — each resident ω slot
 //!   caches its own nominal factor, so a broadband (corner × ω) sweep
@@ -112,7 +115,9 @@
 use crate::grid::SimGrid;
 use crate::operator::StencilCache;
 use crate::pml::SFactors;
-use crate::window::{backward_error_ok, Need, SlabCache, Split, WindowFactor, WindowTerms};
+use crate::window::{
+    backward_error_ok, Need, SlabCache, SlabPair, Split, WindowFactor, WindowTerms,
+};
 use boson_num::banded::{BandedLu, BandedLuF32, SingularMatrixError};
 use boson_num::krylov::{
     bicgstab_precond_many, ColumnOp, IterativeOptions, KrylovWorkspace, PrecondFamily,
@@ -179,8 +184,11 @@ fn grad_eps_accumulate_rows(
 /// corner.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum SolverStrategy {
-    /// Assemble and LU-factor every corner operator (`O(n·b²)` per
-    /// corner) — the exact reference path.
+    /// Factor every corner operator — the exact reference path. With
+    /// window rows set ([`SimWorkspace::set_window_rows`]), a corner
+    /// factors the window's Schur complement as an `L·D·Lᵀ` over cached
+    /// `L·D·Lᵀ` slabs; without them, or on a window fallback, it
+    /// assembles and LU-factors the whole operator (`O(n·b²)`).
     #[default]
     Direct,
     /// Factor only the **nominal** operator per `(grid, ω, epoch)` and
@@ -253,8 +261,8 @@ pub struct CornerSolveReport {
     /// report non-convergence here and leave the fallback to the
     /// caller).
     pub converged: bool,
-    /// LU factorisations performed (nominal refresh, direct corner, or
-    /// fallback).
+    /// Factorisations performed (nominal refresh, direct corner, or
+    /// fallback): a window `L·D·Lᵀ` or a plain banded LU each.
     pub factorizations: usize,
     /// Right-hand sides solved.
     pub solves: usize,
@@ -808,17 +816,6 @@ const FULL_FIELD: Need<'static> = Need {
     factor: true,
 };
 
-/// How a corner of a direct fan-out will use its slabs (see
-/// [`SimWorkspace::take_window_slabs`]): the arguments it passes to
-/// [`SimWorkspace::factor_terms`].
-#[derive(Debug, Clone, Copy)]
-pub struct SlabUse<'a> {
-    /// The right-hand sides and output forms.
-    pub terms: &'a Arc<WindowTerms>,
-    /// Full-field solves as well.
-    pub full: bool,
-}
-
 /// Reusable factor-and-solve workspace for repeated simulations on one
 /// grid (see the module docs for the ownership contract).
 ///
@@ -1134,14 +1131,10 @@ impl SimWorkspace {
         grid: SimGrid,
         omega: f64,
         eps: &Array2<f64>,
-        lent: Option<&SlabCache>,
+        slabs: Option<&SlabPair>,
         need: Need<'_>,
     ) -> Result<(), SingularMatrixError> {
-        assert_eq!(
-            eps.shape(),
-            (grid.ny, grid.nx),
-            "eps shape must be (ny, nx)"
-        );
+        self.load_diag(grid, omega, eps);
         // A new corner: nothing of the previous corner's report or terms
         // carries over.
         self.report = CornerSolveReport {
@@ -1150,19 +1143,16 @@ impl SimWorkspace {
         };
         self.terms = None;
         self.window_only = None;
-        self.ensure_geometry(grid, omega);
-        self.slots[self.active]
-            .stencil
-            .diag_into(eps, &mut self.diag);
-        self.factor_direct(lent, need)?;
+        self.factor_direct(slabs, need)?;
         self.report.factorizations += 1;
         Ok(())
     }
 
     /// Prepares the direct corner `eps` for the right-hand sides and
     /// output forms of `terms`, at their ω: the design window's rows are
-    /// factored over slabs condensed for `terms` (lent from `lent` when it
-    /// holds them, else built into this workspace's cache). Without
+    /// factored over slabs condensed for `terms` — `slabs` when given (see
+    /// [`SimWorkspace::slab_pair`]), else looked up or built in this
+    /// workspace's cache. Without
     /// `full` the corner is window-only: [`SimWorkspace::solve_terms`]
     /// and [`SimWorkspace::solve_terms_adjoint`] solve only the window's
     /// rows, with no slab sweep, and [`SimWorkspace::solve_block`]
@@ -1177,20 +1167,21 @@ impl SimWorkspace {
     ///
     /// # Panics
     ///
-    /// As [`SimWorkspace::factor`].
+    /// As [`SimWorkspace::factor`], and if `slabs` is not the pair this
+    /// corner's window factor condenses for `terms` and `full`.
     pub fn factor_terms(
         &mut self,
         grid: SimGrid,
         eps: &Array2<f64>,
         terms: &Arc<WindowTerms>,
         full: bool,
-        lent: Option<&SlabCache>,
+        slabs: Option<&SlabPair>,
     ) -> Result<(), SingularMatrixError> {
         let need = Need {
             terms: Some(terms),
             factor: full,
         };
-        self.factor_corner(grid, terms.omega(), eps, lent, need)?;
+        self.factor_corner(grid, terms.omega(), eps, slabs, need)?;
         self.terms = Some(Arc::clone(terms));
         if !full {
             self.window_only = self.window_split(&grid);
@@ -1198,77 +1189,81 @@ impl SimWorkspace {
         Ok(())
     }
 
+    /// Selects `(grid, ω)`'s slot and writes the operator diagonal of
+    /// `eps` into `self.diag`.
+    fn load_diag(&mut self, grid: SimGrid, omega: f64, eps: &Array2<f64>) {
+        assert_eq!(
+            eps.shape(),
+            (grid.ny, grid.nx),
+            "eps shape must be (ny, nx)"
+        );
+        self.ensure_geometry(grid, omega);
+        self.slots[self.active]
+            .stencil
+            .diag_into(eps, &mut self.diag);
+    }
+
     /// The design-window split of `grid`'s direct factors (`None`: plain).
     fn window_split(&self, grid: &SimGrid) -> Option<Split> {
         self.window_rows.as_ref().and_then(|r| Split::new(grid, r))
     }
 
-    /// Builds, into this workspace's [`SlabCache`], every slab the direct
-    /// factors of `corners` on `grid` use under the current window rows,
-    /// pins them, sizes the cache's budget for `lanes` lanes, and hands
-    /// the cache out to be lent read-only to every lane's
-    /// [`SimWorkspace::factor_terms`].
-    /// The missing slabs are built here, in corner order, in the cache's
-    /// one build storage: a build holds a whole slab factor while it runs,
-    /// so builds on several lanes would hold several. Give the cache back with
-    /// [`SimWorkspace::restore_window_slabs`]. Without window rows the
-    /// cache comes back untouched. The workspace's prepared corner, if
-    /// any, is dropped: prepare one again before solving.
+    /// The slab pair [`SimWorkspace::factor_terms`] condenses for the
+    /// direct corner `eps` on `grid` with `terms` and `full`, looked up or
+    /// built in this workspace's [`SlabCache`] (`None` without window
+    /// rows), for a direct fan-out to hand to the lane that factors the
+    /// corner. A build runs here, in the cache's one build storage: a
+    /// build holds a whole slab factor while it runs, so builds on several
+    /// lanes would hold several. `lanes` raises the cache's budget to a
+    /// factored pair per lane. The pair stays in the cache while anything
+    /// holds it. The workspace's prepared corner, if any, is dropped:
+    /// prepare one again before solving.
     ///
     /// # Panics
     ///
-    /// Panics if an `ε` does not have shape `(ny, nx)`.
-    pub fn take_window_slabs<'e>(
+    /// Panics if `eps` does not have shape `(ny, nx)`.
+    pub fn slab_pair(
         &mut self,
         grid: SimGrid,
         lanes: usize,
-        corners: impl IntoIterator<Item = (SlabUse<'e>, &'e Array2<f64>)>,
-    ) -> SlabCache {
-        if let Some(split) = self.window_split(&grid) {
-            self.factored = false;
-            self.slabs.hold_lanes(lanes);
-            self.slabs.pin();
-            for (slab_use, eps) in corners {
-                assert_eq!(
-                    eps.shape(),
-                    (grid.ny, grid.nx),
-                    "eps shape must be (ny, nx)"
-                );
-                let omega = slab_use.terms.omega();
-                self.ensure_geometry(grid, omega);
-                let stencil = &self.slots[self.active].stencil;
-                stencil.diag_into(eps, &mut self.diag);
-                let need = Need {
-                    terms: Some(slab_use.terms),
-                    factor: slab_use.full,
-                };
-                self.slabs
-                    .ensure(grid, omega, split, stencil, &self.diag, need);
-            }
-        }
-        std::mem::take(&mut self.slabs)
+        eps: &Array2<f64>,
+        terms: &Arc<WindowTerms>,
+        full: bool,
+    ) -> Option<SlabPair> {
+        let split = self.window_split(&grid)?;
+        self.factored = false;
+        self.window.release_slabs();
+        self.slabs.hold_lanes(lanes);
+        self.load_diag(grid, terms.omega(), eps);
+        let stencil = &self.slots[self.active].stencil;
+        let need = Need {
+            terms: Some(terms),
+            factor: full,
+        };
+        Some(
+            self.slabs
+                .ensure(grid, self.omega, split, stencil, &self.diag, need),
+        )
     }
 
-    /// Takes back the cache [`SimWorkspace::take_window_slabs`] handed
-    /// out, unpins it and trims it to its budget.
-    pub fn restore_window_slabs(&mut self, mut slabs: SlabCache) {
-        slabs.unpin();
-        self.slabs = slabs;
+    /// The slabs this workspace has built and keeps.
+    pub fn slab_cache(&self) -> &SlabCache {
+        &self.slabs
     }
 
     /// Factors the active slot's operator with diagonal `self.diag` and
     /// arms its direct solve mode: the direct preparation of
     /// [`SimWorkspace::factor`], [`SimWorkspace::factor_terms`], of a
     /// forced-direct corner and of the budget-miss fallback. With window
-    /// rows it factors the window over cached slabs that serve `need`
+    /// rows it factors the window over slabs that serve `need` — `slabs`
+    /// when given, else this workspace's cached ones
     /// ([`SolveMode::Window`] when they keep their factors,
-    /// [`SolveMode::WindowTerms`] otherwise; slabs come from `lent` when
-    /// it holds them); an unusable slab or a singular window factor falls
-    /// back to the plain factor ([`SolveMode::DirectLu`]), counted in the
-    /// report.
+    /// [`SolveMode::WindowTerms`] otherwise); an unusable slab or a
+    /// singular window factor falls back to the plain factor
+    /// ([`SolveMode::DirectLu`]), counted in the report.
     fn factor_direct(
         &mut self,
-        lent: Option<&SlabCache>,
+        slabs: Option<&SlabPair>,
         need: Need<'_>,
     ) -> Result<(), SingularMatrixError> {
         let grid = self.grid.expect("SimWorkspace not prepared");
@@ -1278,14 +1273,19 @@ impl SimWorkspace {
             // reuse the storage of one it evicts.
             self.window.release_slabs();
             let stencil = &self.slots[self.active].stencil;
-            let slabs = match lent.and_then(|c| c.find(grid, self.omega, split, &self.diag, need)) {
-                Some(pair) => pair,
+            let slabs = match slabs {
+                Some(pair) => {
+                    assert!(
+                        pair.fits(grid, self.omega, split, &self.diag, &need),
+                        "the slab pair is not this corner's"
+                    );
+                    pair.clone()
+                }
                 None => self
                     .slabs
                     .ensure(grid, self.omega, split, stencil, &self.diag, need),
             };
-            if !slabs.0.is_unusable()
-                && !slabs.1.is_unusable()
+            if slabs.usable()
                 && self
                     .window
                     .factor(grid, self.omega, split, stencil, &self.diag, slabs)
@@ -1529,7 +1529,9 @@ impl SimWorkspace {
     /// Prepares a variation-corner evaluation under `strategy`.
     ///
     /// * [`SolverStrategy::Direct`] — identical to
-    ///   [`SimWorkspace::factor`]: assemble + LU-factor this corner.
+    ///   [`SimWorkspace::factor`]: factor this corner (the window's
+    ///   `L·D·Lᵀ` over cached slabs with window rows set, the plain
+    ///   banded LU otherwise).
     /// * [`SolverStrategy::PreconditionedIterative`] — factors only the
     ///   **nominal** operator (once per [`CornerContext::epoch`], from
     ///   [`CornerContext::nominal_eps`]) and arms the matrix-free

@@ -390,11 +390,6 @@ pub(crate) struct Slab {
 }
 
 impl Slab {
-    /// The slab is singular or failed its build check (no factor).
-    pub(crate) fn is_unusable(&self) -> bool {
-        self.unusable
-    }
-
     /// `true` when this slab is the one `diag` (the whole grid's) gives
     /// for `key`: equal keys and a bitwise-equal slab diagonal.
     fn matches(&self, key: &SlabKey, diag: &[Complex64]) -> bool {
@@ -699,8 +694,45 @@ impl SlabBuilder {
     }
 }
 
-/// Least-recently-used cache of built slabs, shared by every lane of
-/// a direct fan-out.
+/// The top and bottom slabs a direct corner's window factor condenses,
+/// looked up or built in a [`SlabCache`] and handed to the corner (see
+/// [`crate::sim::SimWorkspace::slab_pair`]). A slab is immutable behind
+/// its `Arc`, so a pair can travel to any lane; while anything besides
+/// the cache holds it, the cache keeps it.
+#[derive(Debug, Clone)]
+pub struct SlabPair {
+    top: Arc<Slab>,
+    bottom: Arc<Slab>,
+}
+
+impl SlabPair {
+    /// `true` when both pairs hold the very same slabs (`Arc` identity).
+    pub fn ptr_eq(a: &SlabPair, b: &SlabPair) -> bool {
+        Arc::ptr_eq(&a.top, &b.top) && Arc::ptr_eq(&a.bottom, &b.bottom)
+    }
+
+    /// Neither slab is singular or failed its build check.
+    pub(crate) fn usable(&self) -> bool {
+        !self.top.unusable && !self.bottom.unusable
+    }
+
+    /// `true` when this is the pair `diag` (the whole grid's) gives at
+    /// `(grid, ω, split)` and it holds what `need` asks for.
+    pub(crate) fn fits(
+        &self,
+        grid: SimGrid,
+        omega: f64,
+        split: Split,
+        diag: &[Complex64],
+        need: &Need<'_>,
+    ) -> bool {
+        [(&self.top, Side::Top), (&self.bottom, Side::Bottom)]
+            .into_iter()
+            .all(|(s, side)| s.matches(&slab_key(grid, omega, split, side), diag) && s.serves(need))
+    }
+}
+
+/// Least-recently-used cache of built slabs.
 ///
 /// Slabs are keyed by `(grid, ω, side, the slab's diagonal)` and
 /// compared bitwise, and a build depends on nothing else (its terms are
@@ -714,18 +746,19 @@ impl SlabBuilder {
 /// condensed data, and the factor of an entry that keeps one) and the
 /// build scratch — the one reusable factor storage and the interface-block
 /// scratch. A build first evicts least-recently-used entries until it fits
-/// (an evicted factor no one holds becomes the build storage); after a
-/// fan-out or a serial build, an over-budget cache drops the build storage
-/// first, then least-recently-used entries. Entries in use by the current
-/// corner or direct fan-out are never evicted; if they alone exceed the
-/// budget the cache runs over it until the fan-out ends. Entries without
-/// a factor are small, so the whole working set of a run fits.
+/// (an evicted factor becomes the build storage); after every lookup, an
+/// over-budget cache drops the build storage first, then
+/// least-recently-used entries. An entry is in use while any `Arc` besides
+/// the cache's own holds it — a [`SlabPair`] handed to a corner, or the
+/// window factor condensed with it — and is never evicted; if the entries
+/// in use alone exceed the budget the cache runs over it until they are
+/// released. Entries without a factor are small, so the whole working set
+/// of a run fits.
 ///
 /// A [`crate::sim::SimWorkspace`] owns one and builds into it on demand;
-/// a direct fan-out builds every slab its corners miss on the caller's
-/// workspace first, in the one build storage, and lends the cache to
-/// every lane read-only (see
-/// [`crate::sim::SimWorkspace::take_window_slabs`]).
+/// a direct fan-out looks up or builds every column's pair on the
+/// caller's workspace, in the one build storage, and hands each column
+/// its pair (see [`crate::sim::SimWorkspace::slab_pair`]).
 #[derive(Debug, Default)]
 pub struct SlabCache {
     /// Resident slabs with their last-use stamps.
@@ -735,8 +768,6 @@ pub struct SlabCache {
     clock: u64,
     /// Lanes holding a direct factor (at least 1): the budget multiplier.
     lanes: usize,
-    /// Stamp from which entries are pinned (in use by the current fan-out).
-    pinned_from: Option<u64>,
     /// The build storage and scratch.
     builder: SlabBuilder,
 }
@@ -784,17 +815,6 @@ impl SlabCache {
         self.lanes = self.lanes.max(lanes).max(1);
     }
 
-    /// Pins everything used from now on until [`SlabCache::unpin`].
-    pub(crate) fn pin(&mut self) {
-        self.pinned_from = Some(self.clock + 1);
-    }
-
-    /// Ends a pin and trims to the budget.
-    pub(crate) fn unpin(&mut self) {
-        self.pinned_from = None;
-        self.trim(u64::MAX);
-    }
-
     /// Forgets every slab of another grid or split.
     fn rekey(&mut self, grid: SimGrid, split: Split) {
         if self.key != Some((grid, split)) {
@@ -810,25 +830,9 @@ impl SlabCache {
             .position(|(s, _)| s.matches(key, diag) && s.serves(need))
     }
 
-    /// The slab pair `diag` needs, if resident.
-    pub(crate) fn find(
-        &self,
-        grid: SimGrid,
-        omega: f64,
-        split: Split,
-        diag: &[Complex64],
-        need: Need<'_>,
-    ) -> Option<(Arc<Slab>, Arc<Slab>)> {
-        let find = |side| {
-            let key = slab_key(grid, omega, split, side);
-            self.lookup(&key, diag, &need)
-                .map(|i| Arc::clone(&self.entries[i].0))
-        };
-        Some((find(Side::Top)?, find(Side::Bottom)?))
-    }
-
-    /// The slab pair `diag` needs, built on a miss. Both stay pinned for
-    /// the rest of the call, so building one never evicts the other.
+    /// The slab pair `diag` needs, built on a miss, then the cache
+    /// trimmed to its budget. The top slab is held while the bottom one
+    /// builds, so building one never evicts the other.
     pub(crate) fn ensure(
         &mut self,
         grid: SimGrid,
@@ -837,9 +841,8 @@ impl SlabCache {
         stencil: &StencilCache,
         diag: &[Complex64],
         need: Need<'_>,
-    ) -> (Arc<Slab>, Arc<Slab>) {
+    ) -> SlabPair {
         self.rekey(grid, split);
-        let pin = self.pinned_from.unwrap_or(self.clock + 1);
         let mut side = |side| {
             let key = slab_key(grid, omega, split, side);
             self.clock += 1;
@@ -847,15 +850,16 @@ impl SlabCache {
                 self.entries[i].1 = self.clock;
                 return Arc::clone(&self.entries[i].0);
             }
-            self.make_room(entry_bytes(&key), self.storage_bytes(&key), pin);
+            self.make_room(entry_bytes(&key), self.storage_bytes(&key));
             let slab = Arc::new(self.builder.build(key, stencil, diag, need));
             self.entries.push((Arc::clone(&slab), self.clock));
             slab
         };
-        let pair = (side(Side::Top), side(Side::Bottom));
-        if self.pinned_from.is_none() {
-            self.trim(pin);
-        }
+        let pair = SlabPair {
+            top: side(Side::Top),
+            bottom: side(Side::Bottom),
+        };
+        self.trim();
         pair
     }
 
@@ -869,12 +873,11 @@ impl SlabCache {
         }
     }
 
-    /// Evicts least-recently-used entries stamped before `pin` until
-    /// `extra` more bytes of entries fit the budget, and `storage` more
-    /// while the builder holds no factor storage (or nothing evictable is
-    /// left). With `storage > 0`, an evicted factor no one else holds
-    /// becomes the build storage.
-    fn make_room(&mut self, extra: usize, storage: usize, pin: u64) {
+    /// Evicts least-recently-used entries no one else holds until `extra`
+    /// more bytes of entries fit the budget, and `storage` more while the
+    /// builder holds no factor storage (or nothing evictable is left).
+    /// With `storage > 0`, an evicted factor becomes the build storage.
+    fn make_room(&mut self, extra: usize, storage: usize) {
         let budget = self.budget_bytes();
         let needed = |c: &Self| {
             let build = if c.builder.ldl.bytes() == 0 {
@@ -889,7 +892,7 @@ impl SlabCache {
                 .entries
                 .iter()
                 .enumerate()
-                .filter(|(_, (_, stamp))| *stamp < pin)
+                .filter(|(_, (slab, _))| Arc::strong_count(slab) == 1)
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(i, _)| i)
             else {
@@ -897,7 +900,7 @@ impl SlabCache {
             };
             let (evicted, _) = self.entries.swap_remove(lru);
             if storage > 0 && self.builder.ldl.bytes() == 0 {
-                if let Some(ldl) = Arc::try_unwrap(evicted).ok().and_then(|s| s.factor) {
+                if let Some(ldl) = Arc::into_inner(evicted).and_then(|s| s.factor) {
                     self.builder.ldl = ldl;
                     self.builder.record = None;
                 }
@@ -906,12 +909,12 @@ impl SlabCache {
     }
 
     /// Brings an over-budget cache down to its budget: the build storage
-    /// goes first, then least-recently-used entries stamped before `pin`.
-    fn trim(&mut self, pin: u64) {
+    /// goes first, then least-recently-used entries no one else holds.
+    fn trim(&mut self) {
         if self.resident_bytes() > self.budget_bytes() {
             self.builder.release();
         }
-        self.make_room(0, 0, pin);
+        self.make_room(0, 0);
     }
 }
 
@@ -979,7 +982,7 @@ pub(crate) struct WindowFactor {
     /// the same blocks.
     condensed: Option<(Weak<Slab>, Weak<Slab>)>,
     /// The slabs of the current factor.
-    slabs: Option<(Arc<Slab>, Arc<Slab>)>,
+    slabs: Option<SlabPair>,
     /// Per window row of `key`'s couplings, the sum of `|a_ij|` over its
     /// couplings inside the window.
     couplings: Vec<f64>,
@@ -1010,7 +1013,7 @@ impl WindowFactor {
         let slabs = self
             .slabs
             .as_ref()
-            .map_or(0.0, |(t, b)| t.growth.max(b.growth));
+            .map_or(0.0, |p| p.top.growth.max(p.bottom.growth));
         self.ldl.max_abs_term().max(slabs)
     }
 
@@ -1066,10 +1069,10 @@ impl WindowFactor {
         split: Split,
         stencil: &StencilCache,
         diag: &[Complex64],
-        slabs: (Arc<Slab>, Arc<Slab>),
+        slabs: SlabPair,
     ) -> Result<(), SingularMatrixError> {
-        let (top, bottom) = &slabs;
-        debug_assert!(!top.unusable && !bottom.unusable);
+        let SlabPair { top, bottom } = &slabs;
+        debug_assert!(slabs.usable());
         let key = (grid, omega.to_bits(), split);
         let (nw, nx) = (split.window_len(), split.nx);
         if self.key != Some(key) {
@@ -1142,7 +1145,7 @@ impl WindowFactor {
         nrhs: usize,
     ) {
         assert_eq!(b.len(), split.n * nrhs, "window solve dimension mismatch");
-        let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
+        let SlabPair { top, bottom } = self.slabs.as_ref().expect("window factor not factored");
         let lus = (
             top.factor.as_ref().expect("top slab keeps no factor"),
             bottom.factor.as_ref().expect("bottom slab keeps no factor"),
@@ -1154,7 +1157,7 @@ impl WindowFactor {
 
     /// The current factor's slabs, which must be condensed.
     fn condensed_slabs(&self) -> (Arc<Slab>, Arc<Slab>) {
-        let (top, bottom) = self.slabs.clone().expect("window factor not factored");
+        let SlabPair { top, bottom } = self.slabs.clone().expect("window factor not factored");
         assert!(
             top.cond.is_some() && bottom.cond.is_some(),
             "window slabs not condensed"
@@ -1293,7 +1296,7 @@ impl WindowFactor {
         resid: &mut Vec<Complex64>,
     ) -> bool {
         let (nx, nw) = (split.nx, split.window_len());
-        let (top, bottom) = self.slabs.as_ref().expect("window factor not factored");
+        let SlabPair { top, bottom } = self.slabs.as_ref().expect("window factor not factored");
         resid.clear();
         resid.resize(nw, Complex64::ZERO);
         x.chunks_exact(nw)

@@ -7,13 +7,13 @@
 //! which lane executes them. These regression tests pin that contract
 //! through the public solve paths at 1 ↔ 2 ↔ 8 workers — the banded
 //! fused sweep, the recycled + lagged cross-epoch path, and the direct
-//! corner fan-out whose lanes share one lent slab cache, full-field and
-//! window-only.
+//! corner fan-out whose lanes factor over slab pairs handed from one
+//! cache, full-field and window-only.
 
 use boson_fdfd::grid::SimGrid;
 use boson_fdfd::monitor::LinearForm;
 use boson_fdfd::sim::{
-    FactorLag, FusedRecycle, SimWorkspace, SlabUse, SolverStrategy, FUSED_SPLIT_MIN_COLS,
+    FactorLag, FusedRecycle, SimWorkspace, SolverStrategy, FUSED_SPLIT_MIN_COLS,
 };
 use boson_fdfd::window::WindowTerms;
 use boson_num::krylov::RecycleSpace;
@@ -208,10 +208,10 @@ fn window_corners(grid: &SimGrid) -> Vec<Array2<f64>> {
 }
 
 /// The direct corner fan-out as `boson_core::compiled` runs it, at up
-/// to `lanes` pool lanes: one workspace per lane, and with several lanes
-/// every slab built on lane 0's workspace first and its cache lent to all
-/// of them. Returns every corner's forward + adjoint solutions, in corner
-/// order.
+/// to `lanes` pool lanes: one workspace per lane, every corner's slab
+/// pair looked up or built on lane 0's workspace first and handed to the
+/// lane that factors the corner. Returns every corner's forward + adjoint
+/// solutions, in corner order.
 fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<Vec<Complex64>> {
     let omega = omega_c();
     let n = grid.n();
@@ -224,21 +224,13 @@ fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<V
             ws
         })
         .collect();
-    // Full-field solves through the lent cache; the terms only name the
+    // Full-field solves on the handed pairs; the terms only name the
     // slabs' wavelength.
     let terms = Arc::new(WindowTerms::new(&grid, omega, rhs_block(n, 1), Vec::new()));
-    let slabs = (lanes > 1).then(|| {
-        let uses = corners.iter().map(|e| {
-            (
-                SlabUse {
-                    terms: &terms,
-                    full: true,
-                },
-                e,
-            )
-        });
-        workspaces[0].take_window_slabs(grid, lanes, uses)
-    });
+    let pairs: Vec<_> = corners
+        .iter()
+        .map(|e| workspaces[0].slab_pair(grid, lanes, e, &terms, true))
+        .collect();
     let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
     {
         let lane_ws = DisjointSlots::new(&mut workspaces);
@@ -248,22 +240,14 @@ fn direct_fan_out(grid: SimGrid, corners: &[Array2<f64>], lanes: usize) -> Vec<V
             // has one writer, and lane `lane` is owned by one OS thread
             // for the dispatch, so its workspace is never aliased.
             let (ws, out) = unsafe { (lane_ws.get(lane), slots.get(part)) };
-            let eps = &corners[part];
-            match &slabs {
-                Some(slabs) => ws
-                    .factor_terms(grid, eps, &terms, true, Some(slabs))
-                    .unwrap(),
-                None => ws.factor(grid, omega, eps).unwrap(),
-            }
+            ws.factor_terms(grid, &corners[part], &terms, true, pairs[part].as_ref())
+                .unwrap();
             let mut x = rhs_block(n, 2);
             ws.solve_block(&mut x[..n], 1).unwrap();
             ws.solve_block(&mut x[n..], 1).unwrap();
             assert_eq!(ws.last_report().window_fallbacks, 0);
             *out = x;
         });
-    }
-    if let Some(slabs) = slabs {
-        workspaces[0].restore_window_slabs(slabs);
     }
     outs
 }
@@ -296,8 +280,8 @@ fn direct_window_fan_out_bit_identical_across_1_2_8_lanes() {
 
 /// [`direct_fan_out`] on the window-only path: every corner prepared for
 /// fixed right-hand sides and output forms (corner 0 also full-field, as
-/// the runner's nominal entry), slabs built on lane 0's workspace and
-/// lent to every lane. Returns each corner's window fields, readings and
+/// the runner's nominal entry), slab pairs handed from lane 0's
+/// workspace. Returns each corner's window fields, readings and
 /// window adjoints.
 fn window_only_fan_out(
     grid: SimGrid,
@@ -321,14 +305,11 @@ fn window_only_fan_out(
             ws
         })
         .collect();
-    let uses = corners.iter().enumerate().map(|(i, e)| {
-        let slab_use = SlabUse {
-            terms: &terms,
-            full: i == 0,
-        };
-        (slab_use, e)
-    });
-    let slabs = (lanes > 1).then(|| workspaces[0].take_window_slabs(grid, lanes, uses));
+    let pairs: Vec<_> = corners
+        .iter()
+        .enumerate()
+        .map(|(i, e)| workspaces[0].slab_pair(grid, lanes, e, &terms, i == 0))
+        .collect();
     let mut outs: Vec<Vec<Complex64>> = vec![Vec::new(); corners.len()];
     {
         let lane_ws = DisjointSlots::new(&mut workspaces);
@@ -336,8 +317,14 @@ fn window_only_fan_out(
         pool.run(corners.len(), lanes, &|lane, part| {
             // SAFETY: as in `direct_fan_out`.
             let (ws, out) = unsafe { (lane_ws.get(lane), slots.get(part)) };
-            ws.factor_terms(grid, &corners[part], &terms, part == 0, slabs.as_ref())
-                .unwrap();
+            ws.factor_terms(
+                grid,
+                &corners[part],
+                &terms,
+                part == 0,
+                pairs[part].as_ref(),
+            )
+            .unwrap();
             let (mut fields, mut amps, mut lambdas) = (Vec::new(), Vec::new(), Vec::new());
             ws.solve_terms(&mut fields, &mut amps).unwrap();
             let coef: Vec<Complex64> = amps.iter().map(|a| a.conj()).collect();
@@ -345,9 +332,6 @@ fn window_only_fan_out(
             assert_eq!(ws.last_report().window_fallbacks, 0);
             *out = fields.into_iter().chain(amps).chain(lambdas).collect();
         });
-    }
-    if let Some(slabs) = slabs {
-        workspaces[0].restore_window_slabs(slabs);
     }
     outs
 }

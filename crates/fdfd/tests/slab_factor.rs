@@ -15,9 +15,11 @@ use boson_fdfd::monitor::{LinearForm, ModalMonitor};
 use boson_fdfd::operator::{assemble_banded, scale_source_into, StencilCache};
 use boson_fdfd::pml::SFactors;
 use boson_fdfd::port::Port;
-use boson_fdfd::sim::{SimWorkspace, SlabUse};
+use boson_fdfd::sim::SimWorkspace;
 use boson_fdfd::source::ModalSource;
-use boson_fdfd::window::{solve_reference, ReferenceFactor, WindowTerms, WINDOW_BACKWARD_TOL};
+use boson_fdfd::window::{
+    solve_reference, ReferenceFactor, SlabPair, WindowTerms, WINDOW_BACKWARD_TOL,
+};
 use boson_num::banded::{BandedLdl, BandedLu, BandedMatrix};
 use boson_num::{Array2, Complex64};
 use std::sync::Arc;
@@ -489,10 +491,7 @@ fn degenerate_windows_take_the_plain_path() {
         let x = solve_on(&mut ws, om, &e, &b);
         assert!(x == plain, "window rows {rows:?} left the plain path");
         assert_eq!(ws.last_report().window_fallbacks, 0);
-        assert!(
-            ws.take_window_slabs(g, 1, []).is_empty(),
-            "{rows:?} built slabs"
-        );
+        assert!(ws.slab_cache().is_empty(), "{rows:?} built slabs");
     }
 }
 
@@ -559,13 +558,12 @@ fn cache_history_never_changes_a_result() {
         );
         // One lane's budget holds one factored slab pair and the build
         // storage.
-        let cache = ws.take_window_slabs(g, 1, []);
+        let cache = ws.slab_cache();
         assert!(
             cache.resident_bytes() <= cache.budget_bytes(),
             "step {step}: over budget"
         );
         assert!(cache.factored_len() <= 3, "step {step}");
-        ws.restore_window_slabs(cache);
     }
     // A two-lane budget holds the top slab and all three bottom slabs of
     // the bend's axial temperatures at once.
@@ -576,28 +574,118 @@ fn cache_history_never_changes_a_result() {
         .collect();
     let mut ws = window_workspace();
     let terms = Arc::new(WindowTerms::new(&g, om, rhs(&g, om), Vec::new()));
-    let uses = corners.iter().map(|e| {
-        (
-            SlabUse {
-                terms: &terms,
-                full: true,
-            },
-            e,
-        )
-    });
-    let cache = ws.take_window_slabs(g, 2, uses);
+    let pairs: Vec<SlabPair> = corners
+        .iter()
+        .map(|e| ws.slab_pair(g, 2, e, &terms, true).expect("window rows"))
+        .collect();
+    let cache = ws.slab_cache();
     assert_eq!(cache.len(), 4, "bend: one top and three bottom slabs");
     assert_eq!(cache.factored_len(), 4);
     assert!(cache.resident_bytes() <= cache.budget_bytes());
-    ws.restore_window_slabs(cache);
+    drop(pairs);
     for e in &corners {
         let b = rhs(&g, om);
         assert!(solve_on(&mut ws, om, e, &b) == solve_on(&mut window_workspace(), om, e, &b));
     }
+    assert_eq!(ws.slab_cache().len(), 4, "a warm cache evicted a slab");
+}
+
+/// A fan-out's columns with equal slab keys and diagonals get the very
+/// same pair, each slab built once; and a pair handed to a corner must be
+/// that corner's.
+#[test]
+fn matching_columns_share_one_slab_pair() {
+    let g = grid();
+    let om = omega(1.55);
+    let terms = Arc::new(WindowTerms::new(&g, om, rhs(&g, om), Vec::new()));
+    // The design pattern lies inside the window, so it leaves the slabs
+    // alone; the temperature changes the bend's bottom guide.
+    let columns = [
+        (T_NOMINAL, 0.0),
+        (T_LO, 0.0),
+        (T_NOMINAL, 0.5),
+        (T_HI, 0.0),
+        (T_LO, 1.0),
+    ];
+    let corners: Vec<Array2<f64>> = columns
+        .iter()
+        .map(|&(t, p)| eps(Device::Bend, t, p))
+        .collect();
+    let mut ws = window_workspace();
+    let pairs: Vec<SlabPair> = corners
+        .iter()
+        .map(|e| ws.slab_pair(g, 2, e, &terms, false).expect("window rows"))
+        .collect();
+    for (i, a) in pairs.iter().enumerate() {
+        for (j, b) in pairs.iter().enumerate() {
+            assert_eq!(
+                SlabPair::ptr_eq(a, b),
+                columns[i].0 == columns[j].0,
+                "columns {i} and {j}"
+            );
+        }
+    }
     assert_eq!(
-        ws.take_window_slabs(g, 1, []).len(),
+        ws.slab_cache().len(),
         4,
-        "a warm cache evicted a slab"
+        "one top and three bottom slabs, each built once"
+    );
+    assert_eq!(ws.slab_cache().factored_len(), 0, "window-only slabs");
+    let mut lane = window_workspace();
+    lane.factor_terms(g, &corners[2], &terms, false, Some(&pairs[0]))
+        .unwrap();
+    let wrong = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        lane.factor_terms(g, &corners[1], &terms, false, Some(&pairs[0]))
+    }));
+    assert!(wrong.is_err(), "a corner took another corner's slab pair");
+}
+
+/// A slab entry in use — held by a pair handed to a column, or by the
+/// window factor condensed with it — is never evicted, even with the
+/// cache over its budget; once released it is evicted like any other.
+#[test]
+fn held_slabs_are_never_evicted() {
+    let g = grid();
+    let om = omega(1.55);
+    let terms = Arc::new(WindowTerms::new(&g, om, rhs(&g, om), Vec::new()));
+    let corner = |t| eps(Device::Bend, t, 0.0);
+    let mut owner = window_workspace();
+    let mut lane = window_workspace();
+    let pair = |ws: &mut SimWorkspace, t| ws.slab_pair(g, 1, &corner(t), &terms, true).unwrap();
+    // Three factored pairs held at once: over a one-lane budget, and
+    // every entry stays.
+    let held: Vec<SlabPair> = [T_NOMINAL, T_LO, T_HI]
+        .iter()
+        .map(|&t| pair(&mut owner, t))
+        .collect();
+    let cache = owner.slab_cache();
+    assert_eq!((cache.len(), cache.factored_len()), (4, 4));
+    assert!(cache.resident_bytes() > cache.budget_bytes());
+    // The lane's window factor keeps the T_LO pair after its column lets
+    // go; the next lookup evicts only the unheld T_HI bottom slab, though
+    // the cache stays over budget.
+    lane.factor_terms(g, &corner(T_LO), &terms, true, Some(&held[1]))
+        .unwrap();
+    drop(held);
+    let nominal = pair(&mut owner, T_NOMINAL);
+    let cache = owner.slab_cache();
+    assert_eq!(
+        cache.len(),
+        3,
+        "a held slab was evicted, or an unheld one kept"
+    );
+    assert!(cache.resident_bytes() > cache.budget_bytes());
+    // The lane moves on to the nominal corner and releases T_LO: the next
+    // build evicts its bottom slab.
+    lane.factor_terms(g, &corner(T_NOMINAL), &terms, true, Some(&nominal))
+        .unwrap();
+    drop(nominal);
+    let _hi = pair(&mut owner, T_HI);
+    let cache = owner.slab_cache();
+    assert_eq!(
+        (cache.len(), cache.factored_len()),
+        (3, 3),
+        "the released T_LO slab was kept"
     );
 }
 
@@ -1045,12 +1133,11 @@ fn cache_history_never_changes_a_condensed_result() {
             got == fresh,
             "step {step} (λ={lambda}, T={t}, {kind:?}) depends on cache history"
         );
-        let cache = ws.take_window_slabs(g, 1, []);
+        let cache = ws.slab_cache();
         assert!(
             cache.resident_bytes() <= cache.budget_bytes(),
             "step {step}: over budget"
         );
-        ws.restore_window_slabs(cache);
     }
 }
 

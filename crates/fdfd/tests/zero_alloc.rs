@@ -13,7 +13,7 @@ use boson_fdfd::grid::SimGrid;
 use boson_fdfd::monitor::LinearForm;
 use boson_fdfd::operator::scale_source_into;
 use boson_fdfd::pml::SFactors;
-use boson_fdfd::sim::{CornerContext, SimWorkspace, SlabUse, SolverStrategy};
+use boson_fdfd::sim::{CornerContext, SimWorkspace, SolverStrategy};
 use boson_fdfd::window::WindowTerms;
 use boson_num::{Array2, Complex64};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -171,8 +171,8 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     let g: Vec<Complex64> = (0..grid.n())
         .map(|k| Complex64::new((k as f64 * 0.01).sin(), (k as f64 * 0.02).cos()))
         .collect();
-    // The lane prepares its corners for full-field solves through the
-    // lent cache; the terms only name the slabs' wavelength.
+    // The lane prepares its corners for full-field solves on the pairs
+    // the owner hands it; the terms only name the slabs' wavelength.
     let terms = Arc::new(WindowTerms::new(&grid, omega, g.clone(), Vec::new()));
     let mut field = vec![Complex64::ZERO; grid.n()];
     let mut lambda = vec![Complex64::ZERO; grid.n()];
@@ -190,24 +190,21 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     owner.set_window_rows(Some(rows.clone()));
     let mut lane = SimWorkspace::new();
     lane.set_window_rows(Some(rows.clone()));
+    let mut pairs = Vec::with_capacity(corners.len());
     let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
-        // A two-lane fan-out: the owner builds and lends, the lane borrows.
-        let uses = corners.iter().map(|e| {
-            (
-                SlabUse {
-                    terms: &terms,
-                    full: true,
-                },
-                e,
-            )
-        });
-        let slabs = owner.take_window_slabs(grid, 2, uses);
-        for eps in corners {
-            lane.factor_terms(grid, eps, &terms, true, Some(&slabs))
+        // A two-lane fan-out: the owner looks up or builds every corner's
+        // slab pair and hands each to the lane.
+        pairs.clear();
+        pairs.extend(
+            corners
+                .iter()
+                .map(|e| owner.slab_pair(grid, 2, e, &terms, true)),
+        );
+        for (eps, slabs) in corners.iter().zip(pairs.drain(..)) {
+            lane.factor_terms(grid, eps, &terms, true, slabs.as_ref())
                 .unwrap();
             solves(lane);
         }
-        owner.restore_window_slabs(slabs);
         // The owner's own serial corners hit the same cache.
         for eps in corners {
             owner.factor(grid, omega, eps).unwrap();
@@ -241,13 +238,11 @@ fn steady_state_window_direct_sweep_performs_no_heap_allocations() {
     );
     assert!(field.iter().any(|v| v.abs() > 0.0));
     assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
-    let slabs = owner.take_window_slabs(grid, 1, []);
     assert_eq!(
-        slabs.len(),
+        owner.slab_cache().len(),
         4,
         "one top and three bottom slabs stay resident"
     );
-    owner.restore_window_slabs(slabs);
 }
 
 /// The window-only direct path on a warm slab cache: the sweep of
@@ -310,22 +305,21 @@ fn steady_state_window_only_sweep_performs_no_heap_allocations() {
     owner.set_window_rows(Some(rows.clone()));
     let mut lane = SimWorkspace::new();
     lane.set_window_rows(Some(rows.clone()));
+    let mut pairs = Vec::with_capacity(corners.len());
     let mut sweep = |owner: &mut SimWorkspace, lane: &mut SimWorkspace, corners: &[Array2<f64>]| {
         // A two-lane fan-out: corner 0 (the nominal) is also full-field.
-        let uses = corners.iter().enumerate().map(|(i, e)| {
-            let slab_use = SlabUse {
-                terms: &terms,
-                full: i == 0,
-            };
-            (slab_use, e)
-        });
-        let slabs = owner.take_window_slabs(grid, 2, uses);
-        for (i, eps) in corners.iter().enumerate() {
-            lane.factor_terms(grid, eps, &terms, i == 0, Some(&slabs))
+        pairs.clear();
+        pairs.extend(
+            corners
+                .iter()
+                .enumerate()
+                .map(|(i, e)| owner.slab_pair(grid, 2, e, &terms, i == 0)),
+        );
+        for (i, (eps, slabs)) in corners.iter().zip(pairs.drain(..)).enumerate() {
+            lane.factor_terms(grid, eps, &terms, i == 0, slabs.as_ref())
                 .unwrap();
             solves(lane);
         }
-        owner.restore_window_slabs(slabs);
         for (i, eps) in corners.iter().enumerate() {
             owner.factor_terms(grid, eps, &terms, i == 0, None).unwrap();
             solves(owner);
@@ -356,7 +350,7 @@ fn steady_state_window_only_sweep_performs_no_heap_allocations() {
     );
     assert!(amps.iter().any(|v| v.abs() > 0.0));
     assert!(grad.as_slice().iter().any(|v| v.abs() > 0.0));
-    let slabs = owner.take_window_slabs(grid, 1, []);
+    let slabs = owner.slab_cache();
     assert_eq!(
         slabs.len(),
         4,
@@ -365,9 +359,8 @@ fn steady_state_window_only_sweep_performs_no_heap_allocations() {
     assert_eq!(
         slabs.factored_len(),
         2,
-        "only the nominal pair keeps its LUs"
+        "only the nominal pair keeps its factors"
     );
-    owner.restore_window_slabs(slabs);
 }
 
 #[test]
