@@ -47,15 +47,6 @@ impl Sign {
             Sign::Minus => -1.0,
         }
     }
-
-    /// The opposite direction.
-    #[inline]
-    pub fn flip(self) -> Sign {
-        match self {
-            Sign::Plus => Sign::Minus,
-            Sign::Minus => Sign::Plus,
-        }
-    }
 }
 
 /// Uniform 2-D Yee grid with PML on all four edges.
@@ -158,6 +149,6 @@ mod tests {
     #[test]
     fn sign_helpers() {
         assert_eq!(Sign::Plus.as_f64(), 1.0);
-        assert_eq!(Sign::Minus.flip(), Sign::Plus);
+        assert_eq!(Sign::Minus.as_f64(), -1.0);
     }
 }

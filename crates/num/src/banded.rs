@@ -1279,13 +1279,6 @@ impl BandedLuF32 {
         self.n
     }
 
-    /// Rough size of the conversion scratch one [`BandedLuF32::solve_many_with_scratch`]
-    /// call needs for `nrhs` columns (interleaved `f32` pairs); callers
-    /// that pre-grow external scratches use this to stay allocation-free.
-    pub fn scratch_len(&self, nrhs: usize) -> usize {
-        2 * self.n * nrhs
-    }
-
     /// Downconverts `lu`'s factors into this slot, reusing its buffers
     /// (no heap allocation once warm). The pivot sequence is shared —
     /// this is a storage conversion, not a refactorisation.
@@ -1772,7 +1765,8 @@ mod tests {
         let mut reused = b0;
         shared.solve_many_with_scratch(&mut scratch, &mut reused, nrhs);
         assert_eq!(fresh, reused);
-        assert!(scratch.capacity() >= lu32.scratch_len(nrhs));
+        // Interleaved `f32` pairs, one per entry of the block.
+        assert!(scratch.capacity() >= 2 * n * nrhs);
     }
 
     #[test]

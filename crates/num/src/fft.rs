@@ -184,23 +184,6 @@ pub fn fft2_lines(a: &mut Array2<Complex64>, rows: &[usize], cols: &[usize], inv
     }
 }
 
-/// Circular (periodic) 2-D convolution of two equally-shaped power-of-two
-/// arrays, computed in the frequency domain.
-///
-/// # Panics
-///
-/// Panics if shapes differ or are not powers of two.
-pub fn circular_convolve2(a: &Array2<Complex64>, b: &Array2<Complex64>) -> Array2<Complex64> {
-    assert_eq!(a.shape(), b.shape(), "circular_convolve2 shape mismatch");
-    let mut fa = a.clone();
-    let mut fb = b.clone();
-    fft2(&mut fa);
-    fft2(&mut fb);
-    let mut prod = fa.zip_map(&fb, |x, y| *x * *y);
-    ifft2(&mut prod);
-    prod
-}
-
 /// Frequency coordinate of bin `k` for an `n`-point FFT with sample pitch
 /// `d`: the analogue of `numpy.fft.fftfreq`.
 ///
@@ -328,31 +311,6 @@ mod tests {
         let e_time: f64 = a.as_slice().iter().map(|v| v.norm_sqr()).sum();
         let e_freq: f64 = f.as_slice().iter().map(|v| v.norm_sqr()).sum::<f64>() / 64.0;
         assert!((e_time - e_freq).abs() < 1e-9 * e_time.max(1.0));
-    }
-
-    #[test]
-    fn convolution_with_impulse_is_identity() {
-        let a = Array2::from_fn(8, 8, |r, c| c64((r + 2 * c) as f64, 0.0));
-        let mut d = Array2::zeros(8, 8);
-        d[(0, 0)] = Complex64::ONE;
-        let out = circular_convolve2(&a, &d);
-        for (idx, v) in a.indexed_iter() {
-            assert_close(*v, out[idx], 1e-9);
-        }
-    }
-
-    #[test]
-    fn convolution_shift_theorem() {
-        // Convolving with a shifted impulse circularly shifts the input.
-        let a = Array2::from_fn(8, 8, |r, c| c64((r * 8 + c) as f64, 0.0));
-        let mut d = Array2::zeros(8, 8);
-        d[(1, 2)] = Complex64::ONE;
-        let out = circular_convolve2(&a, &d);
-        for r in 0..8 {
-            for c in 0..8 {
-                assert_close(out[(r, c)], a[((r + 7) % 8, (c + 6) % 8)], 1e-9);
-            }
-        }
     }
 
     #[test]

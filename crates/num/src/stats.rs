@@ -55,15 +55,6 @@ impl Summary {
     }
 }
 
-/// Relative difference `|a-b| / max(|a|,|b|,floor)` used in tolerance checks.
-///
-/// ```
-/// assert!(boson_num::stats::rel_diff(1.0, 1.0 + 1e-9, 1e-12) < 1e-8);
-/// ```
-pub fn rel_diff(a: f64, b: f64, floor: f64) -> f64 {
-    (a - b).abs() / a.abs().max(b.abs()).max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,11 +79,5 @@ mod tests {
         assert_eq!(s.std, 0.0);
         assert_eq!(s.min, 3.5);
         assert_eq!(s.max, 3.5);
-    }
-
-    #[test]
-    fn rel_diff_symmetric() {
-        assert_eq!(rel_diff(2.0, 4.0, 1e-12), rel_diff(4.0, 2.0, 1e-12));
-        assert_eq!(rel_diff(0.0, 0.0, 1e-12), 0.0);
     }
 }
