@@ -1,9 +1,9 @@
 //! Broadband robust inverse design of the waveguide bend: the operating
 //! wavelength joins lithography/temperature/etch as a first-class
 //! variation axis. The optimiser sweeps the full (fabrication corner × ω)
-//! cross product every iteration through the batched preconditioned-
-//! iterative solver (one nominal factor and one lockstep sweep per
-//! wavelength) and maximises the **worst wavelength's** objective, then
+//! cross product every iteration — each column a direct factor of the
+//! design window's rows, fanned over the corner pool — and maximises the
+//! **worst wavelength's** objective, then
 //! reports the finished design's spectrum and bandwidth against a
 //! single-wavelength run of the same budget.
 //!
@@ -19,7 +19,6 @@ use boson1::core::problem::bending;
 use boson1::core::runner::{InverseDesigner, RunnerConfig};
 use boson1::core::spectrum::{bandwidth_within, sweep_compiled, wavelength_sweep};
 use boson1::fab::{SamplingStrategy, SpectralAxis, VariationSpace};
-use boson1::fdfd::sim::SolverStrategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,7 +54,6 @@ fn main() {
         let config = RunnerConfig {
             iterations,
             sampling: SamplingStrategy::AxialDoubleSided,
-            solver: SolverStrategy::preconditioned_iterative(),
             spectral_agg: SpectralAggregation::WorstCase,
             ..RunnerConfig::default()
         };
